@@ -4,8 +4,9 @@ The BFS epilogue runs two elementwise pattern ops per level —
 ``F ← N \\ S`` (:func:`pattern_difference`) and ``S ← S ∨ N``
 (:func:`ewise_add`) — whose seed implementations were ``np.isin``-bound
 (membership re-sorted both key sets every call) and rebuilt the union
-through a full ``coo_to_csr`` lexsort.  Both inputs are sorted CSRs, so
-membership is a plain binary search and the union a two-run merge; this
+through a full two-key ``np.lexsort``.  Both inputs are sorted CSRs, so
+membership is a plain binary search and the union the two-operand case
+of the shared fused-key merge (a stable sort of two sorted runs); this
 bench measures the win on a Fig 12-sized frontier/visited pair and
 pins the results to the legacy implementations bit for bit.
 
@@ -18,8 +19,9 @@ import numpy as np
 
 from repro.analysis import print_table
 from repro.sparse import BOOL_AND_OR, CsrMatrix, ewise_add, pattern_difference
-from repro.sparse.build import coo_to_csr
 from repro.sparse.ops import mask_entries
+
+from _oracles import lexsort_merge
 
 N, D = 20_000, 128  # visited-set shape of a Fig 12-style MS-BFS mid-level
 DENSITY_N, DENSITY_S = 0.02, 0.08
@@ -30,17 +32,6 @@ def _legacy_member(a: CsrMatrix, b: CsrMatrix) -> np.ndarray:
     a_keys = a.row_ids() * a.ncols + a.indices
     b_keys = b.row_ids() * b.ncols + b.indices
     return np.isin(a_keys, b_keys, assume_unique=False)
-
-
-def _legacy_ewise_add(a: CsrMatrix, b: CsrMatrix, semiring) -> CsrMatrix:
-    """The seed's union: full coo_to_csr rebuild (lexsort from scratch)."""
-    return coo_to_csr(
-        np.concatenate([a.row_ids(), b.row_ids()]),
-        np.concatenate([a.indices, b.indices]),
-        np.concatenate([semiring.coerce(a.data), semiring.coerce(b.data)]),
-        a.shape,
-        semiring,
-    )
 
 
 def _best_of(fn, repeats=5):
@@ -64,7 +55,7 @@ def bench_micro_pattern_ops(benchmark, sink):
     )
     t_new_add, got_add = _best_of(lambda: ewise_add(visited, reached, BOOL_AND_OR))
     t_old_add, want_add = _best_of(
-        lambda: _legacy_ewise_add(visited, reached, BOOL_AND_OR)
+        lambda: lexsort_merge([visited, reached], BOOL_AND_OR)
     )
 
     # bit-identical to the legacy path
@@ -100,7 +91,7 @@ def bench_micro_pattern_ops(benchmark, sink):
         f"{t_new_diff:.4f}s vs {t_old_diff:.4f}s"
     )
     assert t_new_add < t_old_add, (
-        f"merge-path ewise_add lost to the coo rebuild: "
+        f"fused-key ewise_add lost to the lexsort rebuild: "
         f"{t_new_add:.4f}s vs {t_old_add:.4f}s"
     )
 

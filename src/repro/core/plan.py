@@ -344,6 +344,7 @@ def replan(
         if hybrid:
             b_row_nnz = B.local.row_nnz()
             b_bool = B.local.astype(np.bool_)  # one conversion per replan
+            b_is_bool = B.local.dtype == np.bool_
             # The pattern products run on a real registry kernel; charge
             # its calibrated constant (non-strict: mirrors the dispatch).
             sym_kernel = resolve_spgemm(
@@ -399,6 +400,10 @@ def replan(
                 local_bytes = 16 * needed_nnz + 16 * len(nzc)
                 remote_bytes = 16 * out_nnz + 16 * out_rows
                 mode = REMOTE if remote_bytes < local_bytes else LOCAL
+                # On boolean operands the pattern product is, input for
+                # input and kernel for kernel, the bool_and_or partial a
+                # REMOTE subtile ships: keep it for the multiply to reuse.
+                keep = mode == REMOTE and b_is_bool and ps.block.dtype == np.bool_
                 infos.append(
                     SubtileInfo(
                         peer,
@@ -409,6 +414,7 @@ def replan(
                         nzc,
                         needed_nnz,
                         out_nnz,
+                        (pattern, sym_flops) if keep else None,
                     )
                 )
             plan.produced[peer] = infos

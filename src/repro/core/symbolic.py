@@ -45,6 +45,11 @@ class SubtileInfo:
     needed_b_rows: Optional[np.ndarray]  # my local B row ids the subtile touches
     needed_b_nnz: int
     output_nnz: int
+    #: ``(pattern product, flops)`` that chose a REMOTE mode, kept when
+    #: ``block`` and ``B`` are both boolean: it *is* the numeric partial of
+    #: a ``bool_and_or`` multiply.  Valid only against the ``B`` and block
+    #: values ``replan`` saw (docs/planning.md).
+    symbolic: Optional[Tuple[CsrMatrix, int]] = None
 
 
 @dataclass

@@ -55,8 +55,8 @@ from ..partition.distmat import DistSparseMatrix
 from ..sparse.csr import INDEX_DTYPE, CsrMatrix
 from ..sparse.kernels import dispatch_spgemm, resolve_spgemm
 from ..sparse.merge import merge_bytes, merge_csrs
-from ..sparse.ops import extract_row_range
-from ..sparse.semiring import PLUS_TIMES, Semiring
+from ..sparse.ops import extract_row_range, extract_rows
+from ..sparse.semiring import BOOL_AND_OR, PLUS_TIMES, Semiring
 from ..sparse.tile import ColumnStrips, strips_build_bytes
 from .config import DEFAULT_CONFIG, TsConfig
 from .gather_rows import pack_rows, place_rows
@@ -149,6 +149,12 @@ def tiled_multiply(
         if prepared is None:
             sync_prepared = prepare_multiply(A, config)
         plan = replan(sync_prepared, A, B, exchange_modes=not fuse)
+    else:
+        # A caller's plan promises the same *patterns*, not the values the
+        # kept symbolic products were computed from.
+        for infos in plan.produced.values():
+            for info in infos:
+                info.symbolic = None
     diag.symbolic_products = plan.pattern_products
 
     # Consumer-side strips of my local A block, one per producer column
@@ -243,7 +249,9 @@ def _diagonal_partials(
             comm.charge_spgemm(flops, d=d, accumulator=acc, kernel=kname)
             diag.flops += flops
             diag.diagonal_tiles += 1
-            partials.append(_offset_rows(c_part, info.row_range[0], my_nrows, d))
+            partials.append(
+                _stack_row_tiles([(info.row_range[0], c_part)], my_nrows, d, semiring)
+            )
     return partials
 
 
@@ -360,11 +368,13 @@ def _sync_plan_values(plan: SymbolicPlan, prepared: PreparedA) -> None:
     refresh replaces them (:meth:`PreparedA.refresh_values` re-extracts);
     the pattern-derived fields (modes, ``needed_b_rows``, ranges) are
     refresh-invariant, so re-pointing the numeric blocks is all that is
-    needed to make the plan read refreshed values.
+    needed to make the plan read refreshed values.  A kept symbolic
+    product was computed from the old values and is dropped.
     """
     for peer, infos in plan.produced.items():
         for info, ps in zip(infos, prepared.subtiles[peer]):
             info.block = ps.block
+            info.symbolic = None
 
 
 def _fused_multiply(
@@ -527,29 +537,22 @@ def _compute_remote_partial(
     if not remote_infos:
         return None
     peer_rows = max(s.row_range[1] for s in infos)
-    rows_acc, cols_acc, vals_acc = [], [], []
+    tiles = []
     for info in remote_infos:
-        c_part, flops = dispatch_spgemm(info.block, b_local, semiring, kernel)
+        if info.symbolic is not None and semiring == BOOL_AND_OR:
+            # replan already ran this very product (same boolean operands,
+            # same kernel) to size the tile; the charge is the same too.
+            c_part, flops = info.symbolic
+        else:
+            c_part, flops = dispatch_spgemm(info.block, b_local, semiring, kernel)
         with comm.phase("send-C"):
             comm.charge_spgemm(flops, d=d, accumulator=acc, kernel=kernel)
         diag.flops += flops
         if c_part.nnz:
-            rows_acc.append(c_part.row_ids() + info.row_range[0])
-            cols_acc.append(c_part.indices)
-            vals_acc.append(c_part.data)
-    if not rows_acc:
+            tiles.append((info.row_range[0], c_part))
+    if not tiles:
         return None
-    from ..sparse.build import coo_to_csr
-    from ..sparse.ops import extract_rows
-
-    stacked = coo_to_csr(
-        np.concatenate(rows_acc),
-        np.concatenate(cols_acc),
-        np.concatenate(vals_acc),
-        (peer_rows, d),
-        semiring,
-        assume_sorted=True,
-    )
+    stacked = _stack_row_tiles(tiles, peer_rows, d, semiring)
     affected = np.flatnonzero(stacked.row_nnz()).astype(INDEX_DTYPE)
     return affected, extract_rows(stacked, affected)
 
@@ -577,10 +580,17 @@ def _consume_local(
     """
     j_lo, j_hi = producer_range
     ranges = row_tile_ranges(strip.nrows, config.effective_tile_height(strip.nrows))
-    rows_acc, cols_acc, vals_acc = [], [], []
+    tiles = []
+    last_rt = -1
     for rt, global_ids, rows in payload:
-        if rt >= len(ranges):
-            continue
+        # Stacking below relies on the producer's order (plan row tiles,
+        # ascending); anything else would misplace or drop output rows.
+        if not last_rt < rt < len(ranges):
+            raise ValueError(
+                f"fetch-B payload row tile {rt} after {last_rt}: ids must be "
+                f"strictly increasing and below {len(ranges)}"
+            )
+        last_rt = rt
         r0, r1 = ranges[rt]
         sub = extract_row_range(strip, r0, r1)
         if sub.nnz == 0:
@@ -592,31 +602,28 @@ def _consume_local(
         comm.charge_spgemm(flops, d=d, accumulator=acc, kernel=kernel)
         diag.flops += flops
         if c_part.nnz:
-            rows_acc.append(c_part.row_ids() + r0)
-            cols_acc.append(c_part.indices)
-            vals_acc.append(c_part.data)
-    if not rows_acc:
+            tiles.append((r0, c_part))
+    if not tiles:
         return None
-    from ..sparse.build import coo_to_csr
-
-    return coo_to_csr(
-        np.concatenate(rows_acc),
-        np.concatenate(cols_acc),
-        np.concatenate(vals_acc),
-        (strip.nrows, d),
-        semiring,
-        assume_sorted=False,
-    )
+    return _stack_row_tiles(tiles, strip.nrows, d, semiring)
 
 
-def _offset_rows(mat: CsrMatrix, offset: int, nrows: int, ncols: int) -> CsrMatrix:
-    """Re-home a partial result computed on a row tile into the full block."""
-    if mat.nnz == 0:
-        return CsrMatrix.empty((nrows, ncols), dtype=mat.dtype)
+def _stack_row_tiles(
+    tiles: List[Tuple[int, CsrMatrix]], nrows: int, ncols: int, semiring: Semiring
+) -> CsrMatrix:
+    """Stack disjoint row tiles ``(first row, tile)``, given in increasing
+    row order, into one ``nrows × ncols`` block — no sort, no compress."""
     indptr = np.zeros(nrows + 1, dtype=INDEX_DTYPE)
-    indptr[offset + 1 : offset + 1 + mat.nrows] = mat.indptr[1:]
-    np.maximum.accumulate(indptr, out=indptr)
-    return CsrMatrix((nrows, ncols), indptr, mat.indices, mat.data, check=False)
+    for r0, tile in tiles:
+        indptr[r0 + 1 : r0 + 1 + tile.nrows] = tile.row_nnz()
+    np.cumsum(indptr, out=indptr)
+    return CsrMatrix(
+        (nrows, ncols),
+        indptr,
+        np.concatenate([tile.indices for _, tile in tiles]),
+        semiring.coerce(np.concatenate([tile.data for _, tile in tiles])),
+        check=False,
+    )
 
 
 def _count_modes(plan: SymbolicPlan, diag: TileDiagnostics) -> None:

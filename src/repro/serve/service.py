@@ -82,13 +82,12 @@ class ServiceStopped(RuntimeError):
 
 def split_visited_columns(visited: CsrMatrix) -> List[np.ndarray]:
     """Per-column sorted row ids of a visited matrix (one BFS answer per
-    column).  Vectorized: one lexsort over the nonzeros, then column
-    boundary slicing — no per-query passes."""
-    rows = visited.row_ids()
+    column).  Vectorized: one stable sort of the (row-major) nonzeros by
+    column id, then column boundary slicing — no per-query passes."""
     cols = visited.indices
-    order = np.lexsort((rows, cols))
+    order = np.argsort(cols, kind="stable")
     sorted_cols = cols[order]
-    sorted_rows = rows[order]
+    sorted_rows = visited.row_ids()[order]
     bounds = np.searchsorted(
         sorted_cols, np.arange(visited.ncols + 1)
     )

@@ -1,8 +1,9 @@
 """Builders converting coordinate data into validated :class:`CsrMatrix`.
 
 Duplicate coordinates are collapsed with a semiring add (``reduceat`` over
-lexsorted triples), so these builders are also the backbone of the
-expand-sort-compress SpGEMM path and of partial-result merging.
+row-major-sorted triples), so these builders are also the backbone of the
+expand-sort-compress SpGEMM kernels and of partial-result merging.  Every
+(row, col) ordering in the package goes through :func:`row_major_order`.
 """
 
 from __future__ import annotations
@@ -13,6 +14,57 @@ import numpy as np
 
 from .csr import INDEX_DTYPE, CsrMatrix
 from .semiring import PLUS_TIMES, Semiring
+
+
+def row_major_order(
+    rows: np.ndarray, cols: np.ndarray, shape: Tuple[int, int]
+) -> np.ndarray:
+    """The stable permutation that puts ``(rows, cols)`` in row-major order.
+
+    One stable ``argsort`` of the fused ``row * ncols + col`` key: the same
+    permutation as ``np.lexsort((cols, rows))`` (equal keys are equal
+    pairs, and both sorts keep them in input order), but one key pass
+    instead of two — and numpy's stable integer sort is run-adaptive, so
+    input that is already sorted, or a few sorted runs concatenated (the
+    shape of every merge), costs little more than a scan.  ``lexsort`` is
+    kept only for shapes whose fused key would overflow int64.
+    """
+    nrows, ncols = int(shape[0]), int(shape[1])
+    if nrows * ncols > np.iinfo(INDEX_DTYPE).max:
+        return np.lexsort((cols, rows))
+    key = np.multiply(rows, ncols, dtype=INDEX_DTYPE)  # the only temporary
+    key += cols
+    return np.argsort(key, kind="stable")
+
+
+def csr_from_triples(
+    rows: np.ndarray,
+    cols: np.ndarray,
+    vals: np.ndarray,
+    shape: Tuple[int, int],
+    semiring: Semiring,
+    *,
+    assume_sorted: bool = False,
+) -> CsrMatrix:
+    """Sort (unless ``assume_sorted``) and compress non-empty triples.
+
+    The unvalidated core of :func:`coo_to_csr`, shared with the merge and
+    the expand-sort-compress kernels, whose triples are in bounds by
+    construction.  Runs of equal ``(row, col)`` collapse with the semiring
+    add, in input order.
+    """
+    if not assume_sorted:
+        order = row_major_order(rows, cols, shape)
+        rows, cols, vals = rows[order], cols[order], vals[order]
+    key_change = np.empty(len(rows), dtype=bool)
+    key_change[0] = True
+    np.logical_or(rows[1:] != rows[:-1], cols[1:] != cols[:-1], out=key_change[1:])
+    starts = np.flatnonzero(key_change)
+    counts = np.bincount(rows[starts], minlength=shape[0])
+    indptr = np.concatenate([[0], np.cumsum(counts)]).astype(INDEX_DTYPE)
+    return CsrMatrix(
+        shape, indptr, cols[starts], semiring.reduce_segments(vals, starts), check=False
+    )
 
 
 def coo_to_csr(
@@ -36,7 +88,7 @@ def coo_to_csr(
         Its ``add`` collapses duplicate ``(row, col)`` entries — e.g.
         ``np.add`` sums them, ``np.logical_or`` unions boolean patterns.
     assume_sorted:
-        Skip the lexsort when the caller guarantees triples are already in
+        Skip the sort when the caller guarantees triples are already in
         row-major (row, col) order (duplicates still allowed).
     """
     rows = np.asarray(rows, dtype=INDEX_DTYPE)
@@ -54,22 +106,9 @@ def coo_to_csr(
     if len(rows) == 0:
         return CsrMatrix.empty(shape, dtype=vals.dtype)
 
-    if not assume_sorted:
-        order = np.lexsort((cols, rows))
-        rows, cols, vals = rows[order], cols[order], vals[order]
-
-    # Collapse duplicates: group boundaries where (row, col) changes.
-    key_change = np.empty(len(rows), dtype=bool)
-    key_change[0] = True
-    np.logical_or(rows[1:] != rows[:-1], cols[1:] != cols[:-1], out=key_change[1:])
-    starts = np.flatnonzero(key_change)
-    out_rows = rows[starts]
-    out_cols = cols[starts]
-    out_vals = semiring.reduce_segments(vals, starts)
-
-    counts = np.bincount(out_rows, minlength=nrows)
-    indptr = np.concatenate([[0], np.cumsum(counts)]).astype(INDEX_DTYPE)
-    return CsrMatrix(shape, indptr, out_cols, out_vals, check=False)
+    return csr_from_triples(
+        rows, cols, vals, shape, semiring, assume_sorted=assume_sorted
+    )
 
 
 def from_edges(

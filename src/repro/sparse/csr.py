@@ -112,7 +112,7 @@ class CsrMatrix:
 
     def row_nnz(self) -> np.ndarray:
         """Per-row nonzero counts (length ``nrows``)."""
-        return np.diff(self.indptr)
+        return self.indptr[1:] - self.indptr[:-1]
 
     def nbytes_estimate(self) -> int:
         """Wire size: values + column indices + row pointers.

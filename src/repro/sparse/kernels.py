@@ -12,9 +12,11 @@ Registered SpGEMM kernels (``b_format="csr"``):
 
 ``esc-vectorized`` (default)
     Batched expand-sort-compress: expand every ``A`` nonzero into its
-    scaled ``B`` row with pure numpy gathers, ``np.lexsort`` the products
-    by (row, col), and compress duplicates with a semiring ``reduceat``.
-    Works for any registered semiring.
+    scaled ``B`` row with pure numpy gathers, order the products by
+    (row, col) with :func:`repro.sparse.build.row_major_order` — one
+    stable sort of the fused ``row·ncols + col`` key — and compress
+    duplicates with a semiring ``reduceat``.  Works for any registered
+    semiring.
 ``spa``
     Batched dense sparse-accumulator (§III-C's SPA, vectorized): products
     are scattered into a dense ``rows × d`` scratch block with the
@@ -26,11 +28,11 @@ Registered SpGEMM kernels (``b_format="csr"``):
     semirings whose zero is a total additive identity (the scratch is
     identity-initialized); see ``_IDENTITY_SAFE_SEMIRINGS``.
 ``hash``
-    Batched hash-style kernel: products are grouped by a fused 64-bit
-    ``row·ncols + col`` key with a single stable ``argsort`` — one flat
-    key sort standing in for per-row hash probing — then compressed with
-    ``reduceat``.  Memory is proportional to the expanded products, never
-    to ``d``, matching why the paper hashes for ``d > 1024``.
+    The same function under the paper's other accumulator name: grouping
+    products by one flat fused-key sort stands in for per-row hash
+    probing.  Memory is proportional to the expanded products, never to
+    ``d``, matching why the paper hashes for ``d > 1024``; the cost model
+    still charges the two names their own calibrated constants.
 ``scipy``
     ``scipy.sparse`` matrix multiplication; valid only for the arithmetic
     ``plus_times`` semiring.
@@ -63,6 +65,7 @@ from typing import Callable, Dict, Optional, Tuple
 import numpy as np
 
 from .accumulators import HashAccumulator, SpaAccumulator
+from .build import csr_from_triples
 from .csr import INDEX_DTYPE, CsrMatrix
 from .ops import spmm_dense
 from .semiring import PLUS_TIMES, Semiring
@@ -265,26 +268,6 @@ def _expand(a: CsrMatrix, b: CsrMatrix, semiring: Semiring):
     return out_rows, out_cols, out_vals, total
 
 
-def _compress_sorted(
-    shape: Tuple[int, int],
-    rows: np.ndarray,
-    cols: np.ndarray,
-    vals: np.ndarray,
-    semiring: Semiring,
-) -> CsrMatrix:
-    """Compress (row, col)-sorted product triples into a CSR matrix."""
-    key_change = np.empty(len(rows), dtype=bool)
-    key_change[0] = True
-    np.logical_or(rows[1:] != rows[:-1], cols[1:] != cols[:-1], out=key_change[1:])
-    starts = np.flatnonzero(key_change)
-    final_rows = rows[starts]
-    final_cols = cols[starts]
-    final_vals = semiring.reduce_segments(vals, starts)
-    row_counts = np.bincount(final_rows, minlength=shape[0])
-    indptr = np.concatenate([[0], np.cumsum(row_counts)]).astype(INDEX_DTYPE)
-    return CsrMatrix(shape, indptr, final_cols, final_vals, check=False)
-
-
 def _empty_result(
     a: CsrMatrix, b: CsrMatrix, semiring: Semiring
 ) -> Tuple[CsrMatrix, int]:
@@ -295,9 +278,14 @@ def _empty_result(
 # vectorized kernels
 # ----------------------------------------------------------------------
 @register_kernel(
+    "hash",
+    vectorized=True,
+    description="batched fused-key grouping (single stable sort); any semiring",
+)
+@register_kernel(
     "esc-vectorized",
     vectorized=True,
-    description="batched expand-lexsort-compress; any semiring (default)",
+    description="batched expand-sort-compress; any semiring (default)",
 )
 def spgemm_esc_vectorized(
     a: CsrMatrix, b: CsrMatrix, semiring: Semiring = PLUS_TIMES
@@ -307,44 +295,8 @@ def spgemm_esc_vectorized(
     if expansion is None:
         return _empty_result(a, b, semiring)
     out_rows, out_cols, out_vals, total = expansion
-    order = np.lexsort((out_cols, out_rows))
-    c = _compress_sorted(
-        (a.nrows, b.ncols),
-        out_rows[order],
-        out_cols[order],
-        out_vals[order],
-        semiring,
-    )
-    return c, total
-
-
-@register_kernel(
-    "hash",
-    vectorized=True,
-    description="batched fused-key grouping (single stable sort); any semiring",
-)
-def spgemm_hash_vectorized(
-    a: CsrMatrix, b: CsrMatrix, semiring: Semiring = PLUS_TIMES
-) -> Tuple[CsrMatrix, int]:
-    """Fused-key SpGEMM: group products by ``row·ncols + col`` in one sort."""
-    expansion = _expand(a, b, semiring)
-    if expansion is None:
-        return _empty_result(a, b, semiring)
-    out_rows, out_cols, out_vals, total = expansion
-    d = b.ncols
-    if a.nrows * d <= np.iinfo(INDEX_DTYPE).max:
-        keys = out_rows * d + out_cols
-        order = np.argsort(keys, kind="stable")
-    else:  # fused key would overflow int64; fall back to a two-key sort
-        order = np.lexsort((out_cols, out_rows))
-    c = _compress_sorted(
-        (a.nrows, d),
-        out_rows[order],
-        out_cols[order],
-        out_vals[order],
-        semiring,
-    )
-    return c, total
+    shape = (a.nrows, b.ncols)
+    return csr_from_triples(out_rows, out_cols, out_vals, shape, semiring), total
 
 
 #: Semirings whose ``zero`` is an additive identity on the *whole* value

@@ -5,8 +5,11 @@ results of every tile round (``Ci = MERGE(Ci, C_partial)``, lines 18/22/29)
 — partials from remote computations, diagonal tiles and local tiles can
 all target the same output positions.  The paper uses SPA- or hash-based
 merging (§III-C, citing [42]); here a single vectorized k-way merge
-(concatenate → lexsort → reduceat) plays both roles, with the SPA/hash
-distinction preserved in the *cost model* by the caller.
+(concatenate → :func:`~repro.sparse.build.row_major_order` → reduceat)
+plays both roles, with the SPA/hash distinction preserved in the *cost
+model* by the caller.  Each partial is a sorted run of the fused key, so
+the stable sort degenerates to a k-way run merge, and entries of one
+position are combined in the order their partials were given.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from typing import Iterable, List, Sequence
 
 import numpy as np
 
-from .build import coo_to_csr
+from .build import csr_from_triples
 from .csr import CsrMatrix
 from .semiring import PLUS_TIMES, Semiring
 
@@ -48,7 +51,7 @@ def merge_csrs(
     rows = np.concatenate([p.row_ids() for p in nonempty])
     cols = np.concatenate([p.indices for p in nonempty])
     vals = np.concatenate([semiring.coerce(p.data) for p in nonempty])
-    return coo_to_csr(rows, cols, vals, shape, semiring)
+    return csr_from_triples(rows, cols, vals, shape, semiring)
 
 
 def merge_bytes(parts: Sequence[CsrMatrix]) -> int:

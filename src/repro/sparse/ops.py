@@ -20,6 +20,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .csr import INDEX_DTYPE, CsrMatrix
+from .merge import merge_csrs
 from .semiring import PLUS_TIMES, Semiring
 
 
@@ -28,10 +29,11 @@ def transpose(mat: CsrMatrix) -> CsrMatrix:
     nrows, ncols = mat.shape
     if mat.nnz == 0:
         return CsrMatrix.empty((ncols, nrows), dtype=mat.dtype)
-    rows = mat.row_ids()
-    order = np.lexsort((rows, mat.indices))
+    # Entries are stored row-major, so a stable sort on the column id
+    # alone leaves each column's entries in increasing row order.
+    order = np.argsort(mat.indices, kind="stable")
     new_rows = mat.indices[order]
-    new_cols = rows[order]
+    new_cols = mat.row_ids()[order]
     new_vals = mat.data[order]
     counts = np.bincount(new_rows, minlength=ncols)
     indptr = np.concatenate([[0], np.cumsum(counts)]).astype(INDEX_DTYPE)
@@ -174,47 +176,10 @@ def ewise_add(a: CsrMatrix, b: CsrMatrix, semiring: Semiring = PLUS_TIMES) -> Cs
 
     ``S ← S ∨ N`` in Alg 3 is ``ewise_add(S, N, BOOL_AND_OR)``.
 
-    Both operands are sorted CSRs, so their entry-key sequences are
-    already sorted: instead of rebuilding through ``coo_to_csr`` (which
-    lexsorts the concatenated triples from scratch), the two runs are
-    *merged* — each element's final position is its own offset plus a
-    binary search into the other run — and only adjacent duplicates are
-    collapsed.  Ties place ``a``'s entry first, matching the stable
-    lexsort of the rebuild path bit for bit.
+    The two-operand case of :func:`~repro.sparse.merge.merge_csrs`:
+    overlaps combine as ``add(a, b)``.
     """
-    if a.shape != b.shape:
-        raise ValueError(f"shape mismatch {a.shape} vs {b.shape}")
-    if b.nnz == 0:
-        return CsrMatrix(
-            a.shape, a.indptr, a.indices, semiring.coerce(a.data), check=False
-        )
-    if a.nnz == 0:
-        return CsrMatrix(
-            b.shape, b.indptr, b.indices, semiring.coerce(b.data), check=False
-        )
-    a_keys = _entry_keys(a)
-    b_keys = _entry_keys(b)
-    na, nb = a.nnz, b.nnz
-    pos_a = np.arange(na, dtype=np.int64) + np.searchsorted(b_keys, a_keys, side="left")
-    pos_b = np.arange(nb, dtype=np.int64) + np.searchsorted(a_keys, b_keys, side="right")
-    keys = np.empty(na + nb, dtype=np.int64)
-    vals = np.empty(na + nb, dtype=semiring.dtype)
-    keys[pos_a] = a_keys
-    keys[pos_b] = b_keys
-    vals[pos_a] = semiring.coerce(a.data)
-    vals[pos_b] = semiring.coerce(b.data)
-    # Collapse duplicate positions (each key appears at most twice).
-    key_change = np.empty(na + nb, dtype=bool)
-    key_change[0] = True
-    np.not_equal(keys[1:], keys[:-1], out=key_change[1:])
-    starts = np.flatnonzero(key_change)
-    out_keys = keys[starts]
-    out_vals = semiring.reduce_segments(vals, starts)
-    ncols = np.int64(a.ncols)
-    out_rows = out_keys // ncols
-    counts = np.bincount(out_rows, minlength=a.nrows)
-    indptr = np.concatenate([[0], np.cumsum(counts)]).astype(INDEX_DTYPE)
-    return CsrMatrix(a.shape, indptr, out_keys % ncols, out_vals, check=False)
+    return merge_csrs((a, b), semiring)
 
 
 def row_topk(mat: CsrMatrix, k: int) -> CsrMatrix:

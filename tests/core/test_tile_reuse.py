@@ -1,0 +1,272 @@
+"""The rank program does its local work once.
+
+A REMOTE subtile of a boolean multiply is sized in ``replan`` by an exact
+pattern product; on boolean operands under ``bool_and_or`` that product
+*is* the partial the producer ships, so ``_compute_remote_partial`` takes
+it instead of multiplying again.  These tests count kernel calls through
+a kernel registered the public way, pin ``C`` and the ``SpmdReport`` to a
+recompute with the kept products stripped, and check the three situations
+in which the kept product must not be taken.  The last class covers the
+ordering ``_consume_local`` now relies on instead of sorting.
+"""
+
+import threading
+
+import numpy as np
+import pytest
+
+from repro.core import TsConfig, prepare_multiply, replan, tiled_multiply
+from repro.core.symbolic import REMOTE
+from repro.core.tiled import TileDiagnostics, _consume_local
+from repro.mpi import run_spmd
+from repro.mpi.errors import RankError
+from repro.partition import DistSparseMatrix
+from repro.sparse import (
+    BOOL_AND_OR,
+    PLUS_TIMES,
+    CsrMatrix,
+    available_kernels,
+    get_kernel,
+    register_kernel,
+)
+from repro.sparse.ops import extract_row_range
+
+from ..conftest import csr_from_dense, random_dense
+
+N, D, P = 48, 6, 4
+KERNEL = "test-counting"
+
+
+class CountingKernel:
+    """ESC under another name, counting its calls (rank threads share it)."""
+
+    def __init__(self):
+        self.calls = 0
+        self._lock = threading.Lock()
+
+    def __call__(self, a, b, semiring=PLUS_TIMES):
+        with self._lock:
+            self.calls += 1
+        return get_kernel("esc-vectorized").fn(a, b, semiring)
+
+
+@pytest.fixture
+def counter():
+    """The process-wide counting kernel (the registry refuses duplicates)."""
+    if KERNEL not in available_kernels():
+        register_kernel(KERNEL, vectorized=True, description="test: counts calls")(
+            CountingKernel()
+        )
+    kernel = get_kernel(KERNEL).fn
+    kernel.calls = 0
+    return kernel
+
+
+def bool_operands(rng):
+    """A and B dense enough that the hybrid policy picks both modes."""
+    a = csr_from_dense(random_dense(rng, N, N, 0.25, dtype=np.bool_))
+    b = csr_from_dense(random_dense(rng, N, D, 0.6, dtype=np.bool_))
+    return a, b
+
+
+def multiply(a, b, semiring, config, *, strip=False, prologue=None):
+    """One tiled multiply; returns (C blocks, per-rank diagnostics, kept
+    products seen on the plan, report).  ``strip`` recomputes with a plan
+    whose kept symbolic products were removed by hand."""
+
+    def program(comm):
+        dist_a = DistSparseMatrix.scatter_rows(comm, a)
+        dist_a.build_column_copy()
+        dist_b = DistSparseMatrix.scatter_rows(comm, b)
+        prepared = prepare_multiply(dist_a, config)
+        kept = 0
+        if strip:
+            plan = replan(prepared, dist_a, dist_b, exchange_modes=not config.fuse_comm)
+            for infos in plan.produced.values():
+                for info in infos:
+                    kept += info.symbolic is not None
+                    info.symbolic = None
+            c, diag = tiled_multiply(
+                dist_a, dist_b, semiring, config, plan=plan, prepared=prepared
+            )
+        else:
+            c, diag = tiled_multiply(
+                dist_a, dist_b, semiring, config, prepared=prepared,
+                fused_prologue=prologue(dist_a) if prologue else None,
+            )
+        return c.local, diag, kept
+
+    result = run_spmd(P, program)
+    blocks = [v[0] for v in result.values]
+    diags = [v[1] for v in result.values]
+    return blocks, diags, sum(v[2] for v in result.values), result.report
+
+
+def vstack(blocks):
+    return np.vstack([blk.to_dense() for blk in blocks])
+
+
+def total(diags, field):
+    return sum(getattr(d, field) for d in diags)
+
+
+def assert_blocks_identical(got, want):
+    for g, w in zip(got, want):
+        assert g.shape == w.shape and g.dtype == w.dtype
+        np.testing.assert_array_equal(g.indptr, w.indptr)
+        np.testing.assert_array_equal(g.indices, w.indices)
+        np.testing.assert_array_equal(g.data, w.data)
+
+
+class TestKeptSymbolicProduct:
+    @pytest.mark.parametrize("fuse", [True, False])
+    def test_boolean_multiply_runs_each_product_once(self, rng, counter, fuse):
+        a, b = bool_operands(rng)
+        config = TsConfig(kernel=KERNEL, fuse_comm=fuse, tile_height=4)
+
+        blocks, diags, _, report = multiply(a, b, BOOL_AND_OR, config)
+        once = counter.calls
+        remote, local = total(diags, "remote_tiles"), total(diags, "local_tiles")
+        assert remote > 0 and local > 0, "operands must exercise both modes"
+        assert once == (
+            total(diags, "symbolic_products") + total(diags, "diagonal_tiles") + local
+        )
+
+        counter.calls = 0
+        ref_blocks, ref_diags, kept, ref_report = multiply(
+            a, b, BOOL_AND_OR, config, strip=True
+        )
+        assert kept == remote  # exactly the REMOTE subtiles carried one
+        assert counter.calls == once + remote
+        assert_blocks_identical(blocks, ref_blocks)
+        assert report == ref_report  # clocks, per-phase bytes, rounds: all of it
+        assert [d.flops for d in diags] == [d.flops for d in ref_diags]
+        np.testing.assert_array_equal(
+            vstack(blocks), (a.to_dense().astype(int) @ b.to_dense().astype(int)) > 0
+        )
+
+    def test_float_multiply_keeps_nothing(self, rng, counter):
+        a = csr_from_dense(random_dense(rng, N, N, 0.25))
+        b = csr_from_dense(random_dense(rng, N, D, 0.6))
+        config = TsConfig(kernel=KERNEL, tile_height=4)
+        blocks, diags, kept, _ = multiply(a, b, PLUS_TIMES, config, strip=True)
+        assert kept == 0
+        remote = total(diags, "remote_tiles")
+        assert remote > 0
+        assert counter.calls == (
+            total(diags, "symbolic_products")
+            + total(diags, "diagonal_tiles")
+            + total(diags, "local_tiles")
+            + remote
+        )
+        np.testing.assert_allclose(vstack(blocks), a.to_dense() @ b.to_dense())
+
+    def test_other_semiring_on_boolean_operands_recomputes(self, rng, counter):
+        """Kept products exist (both operands boolean) but the multiply
+        counts paths under plus_times: they are not its partials."""
+        a, b = bool_operands(rng)
+        config = TsConfig(kernel=KERNEL, tile_height=4)
+        blocks, diags, _, _ = multiply(a, b, PLUS_TIMES, config)
+        remote = total(diags, "remote_tiles")
+        assert remote > 0
+        assert counter.calls == (
+            total(diags, "symbolic_products")
+            + total(diags, "diagonal_tiles")
+            + total(diags, "local_tiles")
+            + remote
+        )
+        np.testing.assert_array_equal(
+            vstack(blocks), a.to_dense().astype(float) @ b.to_dense().astype(float)
+        )
+
+    def test_value_refresh_drops_the_kept_product(self, rng, counter):
+        """A fused prologue that changes A's values after replan ran: the
+        kept products describe the old values and must not be shipped."""
+        a, b = bool_operands(rng)
+        # same pattern, every stored value an explicit False
+        a_off = CsrMatrix(a.shape, a.indptr, a.indices, np.zeros(a.nnz, bool))
+        config = TsConfig(kernel=KERNEL, tile_height=4)
+
+        class TurnOff:
+            values_refreshed = False
+            refreshed_prepared = None
+
+            def __init__(self, dist_a):
+                self.dist_a = dist_a
+
+            def sections(self, comm):
+                return []
+
+            def finish(self, comm, received):
+                self.dist_a.local = extract_row_range(a_off, *self.dist_a.local_range)
+                self.dist_a.build_column_copy()
+                self.values_refreshed = True
+
+        blocks, diags, _, _ = multiply(a, b, BOOL_AND_OR, config, prologue=TurnOff)
+        remote = total(diags, "remote_tiles")
+        assert remote > 0
+        assert counter.calls == (
+            total(diags, "symbolic_products")
+            + total(diags, "diagonal_tiles")
+            + total(diags, "local_tiles")
+            + remote
+        )
+        assert not any(blk.data.any() for blk in blocks)
+        assert_blocks_identical(blocks, multiply(a_off, b, BOOL_AND_OR, config)[0])
+
+    def test_kept_only_on_remote_boolean_subtiles(self, rng):
+        a, b = bool_operands(rng)
+        config = TsConfig(tile_height=4)
+
+        def program(comm):
+            dist_a = DistSparseMatrix.scatter_rows(comm, a)
+            dist_a.build_column_copy()
+            dist_b = DistSparseMatrix.scatter_rows(comm, b)
+            plan = replan(prepare_multiply(dist_a, config), dist_a, dist_b)
+            return [
+                (info.mode, info.symbolic, info.output_nnz)
+                for infos in plan.produced.values()
+                for info in infos
+            ]
+
+        seen = [t for rank in run_spmd(P, program).values for t in rank]
+        assert any(mode == REMOTE for mode, _, _ in seen)
+        for mode, symbolic, output_nnz in seen:
+            assert (symbolic is not None) == (mode == REMOTE)
+            if symbolic is not None:
+                pattern, flops = symbolic
+                assert pattern.nnz == output_nnz and flops > 0
+
+
+class TestConsumeLocalOrdering:
+    """Stacking replaces sorting, so the producer's order is checked."""
+
+    def _consume(self, tile_ids):
+        strip = csr_from_dense(np.eye(8))
+        rows = csr_from_dense(np.ones((8, 3)))
+        payload = [(rt, np.arange(8), rows) for rt in tile_ids]
+        config = TsConfig(tile_height=2)  # four row tiles of the strip
+
+        def program(comm):
+            return _consume_local(
+                comm, strip, payload, (0, 8), config, PLUS_TIMES, 3, "spa",
+                "esc-vectorized", TileDiagnostics(),
+            )
+
+        return run_spmd(1, program).values[0]
+
+    def test_in_order_payload_stacks(self):
+        out = self._consume([0, 2, 3])
+        expected = np.ones((8, 3))
+        expected[2:4] = 0
+        np.testing.assert_array_equal(out.to_dense(), expected)
+
+    @pytest.mark.parametrize("tile_ids", [[1, 0], [2, 2]])
+    def test_misordered_payload_raises(self, tile_ids):
+        with pytest.raises(RankError, match="strictly increasing"):
+            self._consume(tile_ids)
+
+    def test_out_of_range_payload_raises(self):
+        """The parent silently dropped this tile's output rows."""
+        with pytest.raises(RankError, match="below 4"):
+            self._consume([0, 4])

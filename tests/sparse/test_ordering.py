@@ -1,0 +1,129 @@
+"""The row-major ordering primitive and the summation order it pins.
+
+``row_major_order`` stands in for ``np.lexsort((cols, rows))`` everywhere
+in ``src/``; bit-identity of every merge and kernel rests on it being the
+*same permutation*, ties included.
+"""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.sparse import PLUS_TIMES, CsrMatrix, merge_csrs
+from repro.sparse.build import row_major_order
+
+
+@st.composite
+def triples(draw, max_dim=9, max_len=60):
+    """(rows, cols, shape): small dims so duplicate pairs are the norm."""
+    nrows = draw(st.integers(1, max_dim))
+    ncols = draw(st.integers(1, max_dim))
+    n = draw(st.integers(0, max_len))
+    rows = draw(st.lists(st.integers(0, nrows - 1), min_size=n, max_size=n))
+    cols = draw(st.lists(st.integers(0, ncols - 1), min_size=n, max_size=n))
+    return np.array(rows, dtype=np.int64), np.array(cols, dtype=np.int64), (nrows, ncols)
+
+
+def assert_is_lexsort(rows, cols, shape):
+    np.testing.assert_array_equal(
+        row_major_order(rows, cols, shape), np.lexsort((cols, rows))
+    )
+
+
+class TestRowMajorOrder:
+    @given(triples())
+    @settings(max_examples=200, deadline=None)
+    def test_random_triples_with_duplicates(self, t):
+        assert_is_lexsort(*t)
+
+    @given(triples())
+    @settings(max_examples=100, deadline=None)
+    def test_presorted_input_is_the_identity(self, t):
+        rows, cols, shape = t
+        order = np.lexsort((cols, rows))
+        rows, cols = rows[order], cols[order]
+        assert_is_lexsort(rows, cols, shape)
+        np.testing.assert_array_equal(
+            row_major_order(rows, cols, shape), np.arange(len(rows))
+        )
+
+    @given(st.lists(triples(max_len=20), min_size=2, max_size=6))
+    @settings(max_examples=100, deadline=None)
+    def test_concatenated_sorted_runs(self, runs):
+        """The shape of every merge: k sorted runs back to back."""
+        shape = (
+            max(s[0] for _, _, s in runs),
+            max(s[1] for _, _, s in runs),
+        )
+        sorted_runs = []
+        for rows, cols, _ in runs:
+            order = np.lexsort((cols, rows))
+            sorted_runs.append((rows[order], cols[order]))
+        rows = np.concatenate([r for r, _ in sorted_runs])
+        cols = np.concatenate([c for _, c in sorted_runs])
+        assert_is_lexsort(rows, cols, shape)
+
+    @given(triples())
+    @settings(max_examples=50, deadline=None)
+    def test_overflowing_shape_falls_back(self, t):
+        """nrows * ncols > 2^63 - 1: the fused key cannot be formed."""
+        rows, cols, _ = t
+        big = 1 << 32
+        rows, cols = rows * (big // 16), cols * (big // 16)
+        shape = (big, big)  # 2^64 positions
+        assert shape[0] * shape[1] > np.iinfo(np.int64).max
+        assert_is_lexsort(rows, cols, shape)
+
+    def test_largest_fused_shape_is_exact(self):
+        """Just under the limit the fused key is still exact."""
+        nrows, ncols = (1 << 31) - 1, 1 << 32  # product < 2^63
+        rows = np.array([nrows - 1, 0, nrows - 1, 0], dtype=np.int64)
+        cols = np.array([0, ncols - 1, ncols - 1, 0], dtype=np.int64)
+        assert_is_lexsort(rows, cols, (nrows, ncols))
+
+    def test_narrow_index_dtype_is_promoted_first(self):
+        """int32 inputs must not wrap inside ``row * ncols``."""
+        rows = np.array([70_000, 1, 70_000], dtype=np.int32)
+        cols = np.array([5, 69_999, 4], dtype=np.int32)
+        assert_is_lexsort(rows, cols, (70_001, 70_000))
+
+
+def _lexsort_merge(parts, semiring):
+    """The oracle: literal two-key sort, then the segmented reduce."""
+    rows = np.concatenate([p.row_ids() for p in parts])
+    cols = np.concatenate([p.indices for p in parts])
+    vals = np.concatenate([p.data for p in parts])
+    order = np.lexsort((cols, rows))
+    rows, cols, vals = rows[order], cols[order], vals[order]
+    change = np.ones(len(rows), dtype=bool)
+    change[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
+    starts = np.flatnonzero(change)
+    return rows[starts], cols[starts], semiring.reduce_segments(vals, starts)
+
+
+def test_merge_float_summation_order_is_pinned(rng):
+    """≥ 8 float contributions per entry: float addition is not
+    associative, so bit-equality with the lexsort oracle holds only if the
+    merge adds every entry's contributions in partial order, left to
+    right, through the same ``reduceat``."""
+    n, d, k = 40, 12, 10
+    stored = rng.random((n, d)) < 0.5
+    # every stored entry is missing from one or two of the k partials
+    skip_a, skip_b = rng.integers(0, k, (n, d)), rng.integers(0, k + 3, (n, d))
+    parts = []
+    for i in range(k):
+        mask = stored & (skip_a != i) & (skip_b != i)
+        # magnitudes 1e-8 .. 1e8: any reordering changes the rounded sum
+        vals = rng.standard_normal((n, d)) * 10.0 ** rng.integers(-8, 9, (n, d))
+        parts.append(CsrMatrix.from_dense(np.where(mask, vals, 0.0)))
+    merged = merge_csrs(parts, PLUS_TIMES)
+    rows, cols, vals = _lexsort_merge(parts, PLUS_TIMES)
+    contributions = np.bincount(
+        np.concatenate([p.row_ids() * d + p.indices for p in parts])
+    )
+    assert contributions[contributions > 0].min() >= 8
+    np.testing.assert_array_equal(merged.row_ids(), rows)
+    np.testing.assert_array_equal(merged.indices, cols)
+    assert merged.data.tobytes() == vals.tobytes()
+    # and the order matters: the reversed merge differs somewhere
+    assert merge_csrs(parts[::-1], PLUS_TIMES).data.tobytes() != vals.tobytes()
