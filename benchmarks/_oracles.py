@@ -31,3 +31,49 @@ def lexsort_merge(parts, semiring) -> CsrMatrix:
         semiring.reduce_segments(vals, starts),
         check=False,
     )
+
+
+def three_pass_spa(a, b, semiring):
+    """The ``spa`` kernel as it stood before the shared accumulator:
+    expand to a ``(rows, cols, vals)`` triple, then per row block
+    ``searchsorted`` → fused key → ``add.at`` into an identity-filled
+    scratch + pattern mask → read back → concatenate.  What
+    ``spgemm_spa_vectorized`` must stay bit-identical to, and faster than."""
+    if a.nnz == 0 or b.nnz == 0:
+        return CsrMatrix.empty((a.nrows, b.ncols), dtype=semiring.dtype), 0
+    counts = b.row_nnz()[a.indices]
+    total = int(counts.sum())
+    if total == 0:
+        return CsrMatrix.empty((a.nrows, b.ncols), dtype=semiring.dtype), 0
+    out_rows = np.repeat(a.row_ids(), counts)
+    seg_offsets = np.arange(total, dtype=np.int64) - np.repeat(
+        np.concatenate([[0], np.cumsum(counts[:-1])]).astype(np.int64), counts
+    )
+    src = np.repeat(b.indptr[a.indices], counts) + seg_offsets
+    out_cols = b.indices[src]
+    out_vals = semiring.multiply(np.repeat(a.data, counts), b.data[src])
+
+    d = b.ncols
+    rows_per_block = max(1, (1 << 22) // max(d, 1))  # the scratch bound
+    parts_keys, parts_vals = [], []
+    for r0 in range(0, a.nrows, rows_per_block):
+        r1 = min(r0 + rows_per_block, a.nrows)
+        lo = np.searchsorted(out_rows, r0, side="left")
+        hi = np.searchsorted(out_rows, r1, side="left")
+        if lo == hi:
+            continue
+        flat = (out_rows[lo:hi] - r0) * d + out_cols[lo:hi]
+        scratch = np.full((r1 - r0) * d, semiring.zero, dtype=semiring.dtype)
+        semiring.add.at(scratch, flat, out_vals[lo:hi])
+        mask = np.zeros((r1 - r0) * d, dtype=bool)
+        mask[flat] = True
+        keys = np.flatnonzero(mask)
+        parts_keys.append(keys + r0 * d)
+        parts_vals.append(scratch[keys])
+    keys = np.concatenate(parts_keys)
+    row_counts = np.bincount(keys // d, minlength=a.nrows)
+    indptr = np.concatenate([[0], np.cumsum(row_counts)])
+    result = CsrMatrix(
+        (a.nrows, d), indptr, keys % d, np.concatenate(parts_vals), check=False
+    )
+    return result, total

@@ -6,7 +6,11 @@ products) and prints wall-clock times plus each kernel's speedup over the
 seed's scalar per-row SPA path.  The tentpole target — the vectorized
 default ≥5× faster than the seed path — is asserted here from *measured*
 numbers, and ``tests/sparse/test_kernel_perf.py`` re-checks it on every
-test run.  ``docs/kernels.md`` quotes the table this bench writes to
+test run.  A second, BFS-shaped case (a 256x256 boolean block times a
+256x64 frontier, ~1.5K products — the size of one ``msbfs_uk`` tile
+product, where per-call fixed cost dominates) holds the ``spa`` kernel to
+>=1.5x its former three-pass body, kept in ``_oracles.py``, bit for bit.
+``docs/kernels.md`` quotes the tables this bench writes to
 ``benchmarks/results/micro_kernels.txt``.
 """
 
@@ -17,6 +21,7 @@ import pytest
 
 from repro.analysis import fmt_seconds, print_table
 from repro.sparse import (
+    BOOL_AND_OR,
     MIN_PLUS,
     PLUS_TIMES,
     available_kernels,
@@ -24,6 +29,9 @@ from repro.sparse import (
     get_kernel,
     random_csr,
 )
+
+from _oracles import three_pass_spa
+from _timing import best_of_interleaved
 
 RNG = np.random.default_rng(0)
 A = random_csr(400, 400, nnz_per_row=8, rng=RNG)
@@ -52,8 +60,51 @@ def _check_agreement():
             assert got.equal(reference)
 
 
+def _gate_bfs_shaped(sink):
+    """One MS-BFS tile product: all-True, and with stored ``False``."""
+    rng = np.random.default_rng(12)
+    block = random_csr(256, 256, nnz_per_row=2, rng=rng, dtype=np.bool_)
+    frontier = random_csr(256, 64, nnz_per_row=3, rng=rng, dtype=np.bool_)
+    falsy = frontier.copy()
+    falsy.data[::5] = False
+    spa = get_kernel("spa").fn
+
+    rows = []
+    # (operands, B, required speedup): the all-True case is every SPA call
+    # of the BFS workloads; with a stored False the values are built and
+    # folded, so that case must only not be slower than the oracle.
+    for label, b, floor in [("all True", frontier, 1.5), ("stored False", falsy, 1.0)]:
+        (t_new, t_old), ((got, flops), (want, want_flops)) = best_of_interleaved(
+            [
+                lambda b=b: [spa(block, b, BOOL_AND_OR) for _ in range(200)][-1],
+                lambda b=b: [three_pass_spa(block, b, BOOL_AND_OR) for _ in range(200)][-1],
+            ],
+            repeats=5,
+        )
+        assert flops == want_flops
+        assert np.array_equal(got.indptr, want.indptr)
+        assert np.array_equal(got.indices, want.indices)
+        assert got.data.dtype == want.data.dtype == np.bool_
+        assert got.data.tobytes() == want.data.tobytes()
+        assert got.data.all() == (label == "all True")
+        rows.append([label, flops, f"{t_old / 200 * 1e6:.1f} us",
+                     f"{t_new / 200 * 1e6:.1f} us", f"{t_old / t_new:.2f}x"])
+        assert t_old >= floor * t_new, (
+            f"spa ({label}) must be >= {floor}x its three-pass oracle: "
+            f"{t_new / 200 * 1e6:.1f} us vs {t_old / 200 * 1e6:.1f} us per call"
+        )
+    print_table(
+        "spa on a BFS-shaped tile product (256x256 boolean block times "
+        "256x64 frontier, bool_and_or, best of 5 x 200 calls)",
+        ["operands", "products", "three-pass oracle", "spa", "speedup"],
+        rows,
+        file=sink,
+    )
+
+
 def bench_micro_kernel_table(benchmark, sink):
-    """One table over all kernels, plus the measured tentpole assertion."""
+    """One table over all kernels, plus the measured tentpole assertion;
+    then the BFS-shaped ``spa`` gate (same results file)."""
     _check_agreement()
     times = {
         kernel: _best_of(
@@ -83,6 +134,7 @@ def bench_micro_kernel_table(benchmark, sink):
     assert speedup >= MIN_SPEEDUP, (
         f"esc-vectorized only {speedup:.1f}x faster than {SEED_PATH}"
     )
+    _gate_bfs_shaped(sink)
     benchmark(lambda: dispatch_spgemm(A, B, PLUS_TIMES, "esc-vectorized"))
 
 

@@ -81,9 +81,7 @@ class BfsResult:
 
     def reachable_counts(self) -> np.ndarray:
         """Vertices reached per source (column nnz of the visited set)."""
-        counts = np.zeros(self.visited.ncols, dtype=np.int64)
-        np.add.at(counts, self.visited.indices, 1)
-        return counts
+        return np.bincount(self.visited.indices, minlength=self.visited.ncols)
 
 
 def _frontier_update(comm, reached: CsrMatrix, visited: CsrMatrix):

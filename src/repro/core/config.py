@@ -58,8 +58,10 @@ class TsConfig:
         a name registered in :mod:`repro.sparse.kernels`
         (``esc-vectorized``, ``spa``, ``hash``, ``scipy``, the scalar
         ``*-rowwise`` references) or ``"auto"`` (the default): scipy's C
-        fast path for arithmetic float data, the vectorized ESC kernel
-        for every other semiring.
+        fast path for arithmetic float data, the batched ``spa`` for
+        identity-safe semirings at ``d <= SPA_AUTO_MAX_D`` (boolean BFS
+        frontiers, the planner's pattern products), the vectorized ESC
+        kernel otherwise.
     reuse_plan:
         When ``True`` (default), iterative drivers (the resident MSBFS,
         :class:`~repro.core.driver.TsSession`, embedding training) build

@@ -26,7 +26,16 @@ def payload_nbytes(obj: Any) -> int:
     Supports ``None`` (0 bytes), numpy arrays and scalars, Python scalars,
     strings/bytes, objects with ``nbytes_estimate()``, and arbitrarily
     nested tuples/lists/dicts/sets of the above.
+
+    Called on every send, mostly with small tuples of mode strings and
+    blocks, so those exact types are sized first; the ``isinstance`` chain
+    is the definition and the fast path agrees with it byte for byte.
     """
+    kind = type(obj)
+    if kind is tuple or kind is list:
+        return sum(map(payload_nbytes, obj))
+    if kind is str:
+        return len(obj) if obj.isascii() else len(obj.encode("utf-8"))
     if obj is None:
         return 0
     if isinstance(obj, np.ndarray):

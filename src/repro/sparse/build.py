@@ -1,9 +1,10 @@
 """Builders converting coordinate data into validated :class:`CsrMatrix`.
 
-Duplicate coordinates are collapsed with a semiring add (``reduceat`` over
-row-major-sorted triples), so these builders are also the backbone of the
-expand-sort-compress SpGEMM kernels and of partial-result merging.  Every
-(row, col) ordering in the package goes through :func:`row_major_order`.
+Duplicate coordinates are collapsed with a semiring add, so these builders
+are also the backbone of the SpGEMM kernels and of partial-result merging:
+``reduceat`` over row-major-sorted triples (:func:`csr_from_triples`; every
+(row, col) ordering in the package goes through :func:`row_major_order`),
+or a scatter into a dense scratch (:func:`csr_from_flat_keys`, the SPA).
 """
 
 from __future__ import annotations
@@ -65,6 +66,48 @@ def csr_from_triples(
     return CsrMatrix(
         shape, indptr, cols[starts], semiring.reduce_segments(vals, starts), check=False
     )
+
+
+#: Largest dense scratch (in elements) one sparse accumulator may use —
+#: the vectorized analogue of "the SPA must fit in cache" (§III-C).
+SPA_MAX_SCRATCH_ELEMS = 1 << 22
+
+
+def spa_fold(
+    flat: np.ndarray, vals: Optional[np.ndarray], size: int, semiring: Semiring
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The dense sparse accumulator (§III-C's SPA): fold ``vals`` at fused
+    keys ``flat`` into ``size`` scratch slots; return the distinct keys in
+    increasing (= row-major) order and their folded values.
+
+    A mask records the pattern, so entries folding to the semiring zero
+    stay stored.  ``vals=None`` says every value is ``True``, so every
+    output is: no value work.  ``logical_or`` folds by scatter; any other
+    add by ``add.at`` into an identity-filled scratch, in input order —
+    the caller vouches that ``semiring.zero`` is an identity on its values.
+    """
+    mask = np.zeros(size, dtype=bool)
+    mask[flat] = True
+    keys = np.flatnonzero(mask)
+    if vals is None:
+        return keys, np.ones(len(keys), dtype=bool)
+    if semiring.add is np.logical_or:
+        scratch = np.zeros(size, dtype=bool)
+        scratch[flat[vals]] = True
+    else:
+        scratch = np.full(size, semiring.zero, dtype=semiring.dtype)
+        semiring.add.at(scratch, flat, vals)
+    return keys, scratch[keys]
+
+
+def csr_from_flat_keys(
+    keys: np.ndarray, data: np.ndarray, shape: Tuple[int, int]
+) -> CsrMatrix:
+    """CSR from distinct, increasing fused ``row * ncols + col`` keys."""
+    row_base = np.arange(0, (shape[0] + 1) * shape[1], shape[1], dtype=INDEX_DTYPE)
+    indptr = np.searchsorted(keys, row_base)  # no per-key division
+    cols = keys - np.repeat(row_base[:-1], indptr[1:] - indptr[:-1])
+    return CsrMatrix(shape, indptr, cols, data, check=False)
 
 
 def coo_to_csr(

@@ -18,13 +18,14 @@ Registered SpGEMM kernels (``b_format="csr"``):
     duplicates with a semiring ``reduceat``.  Works for any registered
     semiring.
 ``spa``
-    Batched dense sparse-accumulator (§III-C's SPA, vectorized): products
-    are scattered into a dense ``rows × d`` scratch block with the
-    semiring's ``ufunc.at``, whole row blocks at a time, with a parallel
-    boolean mask tracking the output pattern (so explicit zeros survive,
-    as in every other kernel).  Scratch is bounded: blocks are sized so
-    the dense scratch never exceeds ``max_scratch_elems`` entries — the
-    vectorized analogue of "SPA must fit in cache".  Restricted to
+    Batched dense sparse-accumulator (§III-C's SPA, vectorized): every
+    product is expanded once, straight to its fused ``row·d + col`` key,
+    and folded into a dense ``rows × d`` scratch by
+    :func:`repro.sparse.build.spa_fold` — the accumulator the boolean
+    merge shares — with a boolean mask tracking the output pattern (so
+    explicit zeros survive, as in every other kernel).  Scratch is
+    bounded by ``max_scratch_elems`` — the vectorized analogue of "SPA
+    must fit in cache" — and row-blocked past it.  Restricted to
     semirings whose zero is a total additive identity (the scratch is
     identity-initialized); see ``_IDENTITY_SAFE_SEMIRINGS``.
 ``hash``
@@ -65,16 +66,13 @@ from typing import Callable, Dict, Optional, Tuple
 import numpy as np
 
 from .accumulators import HashAccumulator, SpaAccumulator
-from .build import csr_from_triples
+from .build import SPA_MAX_SCRATCH_ELEMS, csr_from_flat_keys, csr_from_triples, spa_fold
 from .csr import INDEX_DTYPE, CsrMatrix
 from .ops import spmm_dense
-from .semiring import PLUS_TIMES, Semiring
+from .semiring import BOOL_AND_OR, PLUS_TIMES, Semiring
 
 #: The production default: vectorized for every semiring.
 DEFAULT_KERNEL = "esc-vectorized"
-
-#: Largest dense scratch (in elements) one SPA row block may use.
-SPA_MAX_SCRATCH_ELEMS = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -241,31 +239,33 @@ def spgemm_flops(a: CsrMatrix, b: CsrMatrix) -> int:
     return int(b.row_nnz()[a.indices].sum())
 
 
-def _expand(a: CsrMatrix, b: CsrMatrix, semiring: Semiring):
+def _expand(a: CsrMatrix, b: CsrMatrix):
     """Expand step shared by the batched kernels.
 
-    Generates one ``(row, col, value)`` triple per semiring multiplication
-    — ``value = A(r,c) ⊗ B(c,j)`` — with rows in non-decreasing order.
-    Returns ``None`` when no products exist (the caller emits an empty
-    result); raises on dimension mismatch.
+    One product per (``A`` nonzero, entry of the ``B`` row it selects), in
+    ``A``'s storage order — so output rows are non-decreasing.  Returns
+    ``(counts, offsets, src)``: products per ``A`` nonzero, their prefix
+    sums (length ``nnz + 1``, so ``offsets[-1]`` is the flop count and
+    ``offsets[a.indptr]`` delimits the products of each output row), and
+    the ``B`` entry every product reads.  ``None`` when no products exist
+    (the caller emits an empty result); raises on dimension mismatch.
     """
     if a.ncols != b.nrows:
         raise ValueError(f"dimension mismatch: {a.shape} x {b.shape}")
     if a.nnz == 0 or b.nnz == 0:
         return None
-    counts = b.row_nnz()[a.indices]  # products generated per A nonzero
-    total = int(counts.sum())
+    starts = b.indptr[a.indices]
+    counts = b.indptr[1:][a.indices] - starts
+    offsets = np.zeros(a.nnz + 1, dtype=INDEX_DTYPE)
+    np.cumsum(counts, out=offsets[1:])
+    total = int(offsets[-1])
     if total == 0:
         return None
-    out_rows = np.repeat(a.row_ids(), counts)
-    # Position of each product inside its B-row segment:
-    seg_offsets = np.arange(total, dtype=INDEX_DTYPE) - np.repeat(
-        np.concatenate([[0], np.cumsum(counts[:-1])]).astype(INDEX_DTYPE), counts
-    )
-    src = np.repeat(b.indptr[a.indices], counts) + seg_offsets
-    out_cols = b.indices[src]
-    out_vals = semiring.multiply(np.repeat(a.data, counts), b.data[src])
-    return out_rows, out_cols, out_vals, total
+    # Position inside its B-row segment = product index - segment start:
+    starts -= offsets[:-1]
+    src = np.repeat(starts, counts)
+    src += np.arange(total, dtype=INDEX_DTYPE)
+    return counts, offsets, src
 
 
 def _empty_result(
@@ -291,12 +291,13 @@ def spgemm_esc_vectorized(
     a: CsrMatrix, b: CsrMatrix, semiring: Semiring = PLUS_TIMES
 ) -> Tuple[CsrMatrix, int]:
     """Expand-sort-compress SpGEMM (vectorized, any semiring)."""
-    expansion = _expand(a, b, semiring)
+    expansion = _expand(a, b)
     if expansion is None:
         return _empty_result(a, b, semiring)
-    out_rows, out_cols, out_vals, total = expansion
-    shape = (a.nrows, b.ncols)
-    return csr_from_triples(out_rows, out_cols, out_vals, shape, semiring), total
+    counts, _, src = expansion
+    rows, cols = np.repeat(a.row_ids(), counts), b.indices[src]
+    vals = semiring.multiply(np.repeat(a.data, counts), b.data[src])
+    return csr_from_triples(rows, cols, vals, (a.nrows, b.ncols), semiring), len(src)
 
 
 #: Semirings whose ``zero`` is an additive identity on the *whole* value
@@ -325,13 +326,12 @@ def spgemm_spa_vectorized(
     *,
     max_scratch_elems: int = SPA_MAX_SCRATCH_ELEMS,
 ) -> Tuple[CsrMatrix, int]:
-    """Blocked dense-SPA SpGEMM: scatter-accumulate into a bounded scratch.
+    """Dense-SPA SpGEMM: one expand to fused ``row * d + col`` keys, one
+    fold by :func:`repro.sparse.build.spa_fold`, whose row-major read-back
+    is the (row, col)-sorted output.  Boolean operands that store no
+    ``False`` skip the value work: the output is all ``True``.  Row blocks
+    appear only when ``nrows * d`` exceeds ``max_scratch_elems``.
 
-    Products of a block of output rows are folded into a dense
-    ``block_rows × d`` scratch (initialized to the semiring's additive
-    identity) with ``semiring.add.at``; a parallel boolean mask records
-    the output pattern so explicit zeros are kept.  Reading the scratch
-    back in flat row-major order yields (row, col)-sorted output for free.
     Only valid for identity-safe semirings: the fold computes
     ``add(zero, ...)``, which must equal a plain first write.  Guarded
     here as well as at dispatch so direct calls cannot silently get a
@@ -345,39 +345,37 @@ def spgemm_spa_vectorized(
             "to the additive identity, which must be an identity on the "
             "whole value domain"
         )
-    expansion = _expand(a, b, semiring)
+    expansion = _expand(a, b)
     if expansion is None:
         return _empty_result(a, b, semiring)
-    out_rows, out_cols, out_vals, total = expansion
+    counts, offsets, src = expansion
     d = b.ncols
-    rows_per_block = max(1, max_scratch_elems // max(d, 1))
-
-    parts_keys, parts_vals = [], []
-    for r0 in range(0, a.nrows, rows_per_block):
-        r1 = min(r0 + rows_per_block, a.nrows)
-        lo = np.searchsorted(out_rows, r0, side="left")
-        hi = np.searchsorted(out_rows, r1, side="left")
-        if lo == hi:
-            continue
-        flat = (out_rows[lo:hi] - r0) * d + out_cols[lo:hi]
-        scratch = np.full((r1 - r0) * d, semiring.zero, dtype=semiring.dtype)
-        semiring.add.at(scratch, flat, out_vals[lo:hi])
-        mask = np.zeros((r1 - r0) * d, dtype=bool)
-        mask[flat] = True
-        keys = np.flatnonzero(mask)
-        parts_keys.append(keys + r0 * d)
-        parts_vals.append(scratch[keys])
-
-    keys = np.concatenate(parts_keys)
-    final_vals = np.concatenate(parts_vals)
-    final_rows = keys // d
-    final_cols = keys % d
-    row_counts = np.bincount(final_rows, minlength=a.nrows)
-    indptr = np.concatenate([[0], np.cumsum(row_counts)]).astype(INDEX_DTYPE)
-    return (
-        CsrMatrix((a.nrows, d), indptr, final_cols, final_vals, check=False),
-        total,
+    row_offsets = offsets[a.indptr]
+    flat = np.repeat(
+        np.arange(0, a.nrows * d, d, dtype=INDEX_DTYPE),
+        row_offsets[1:] - row_offsets[:-1],
     )
+    flat += b.indices[src]
+    if semiring is BOOL_AND_OR and a.data.all() and b.data.all():
+        vals = None  # True ∧ True, OR-folded: every output entry is True
+    else:
+        vals = semiring.multiply(np.repeat(a.data, counts), b.data[src])
+    if a.nrows * d <= max_scratch_elems:
+        keys, data = spa_fold(flat, vals, a.nrows * d, semiring)
+    else:  # the same fold per row block, cut at the rows' product ranges
+        step = max(1, max_scratch_elems // d)
+        blocks = []
+        for r0 in range(0, a.nrows, step):
+            r1 = min(r0 + step, a.nrows)
+            lo, hi = row_offsets[r0], row_offsets[r1]
+            if lo < hi:
+                block_vals = None if vals is None else vals[lo:hi]
+                keys, data = spa_fold(
+                    flat[lo:hi] - r0 * d, block_vals, (r1 - r0) * d, semiring
+                )
+                blocks.append((keys + r0 * d, data))
+        keys, data = (np.concatenate(column) for column in zip(*blocks))
+    return csr_from_flat_keys(keys, data, (a.nrows, d)), len(src)
 
 
 @register_kernel(
@@ -396,7 +394,9 @@ def spgemm_scipy_kernel(
     product = a.to_scipy() @ b.to_scipy()
     product.sum_duplicates()
     product.sort_indices()
-    return CsrMatrix.from_scipy(product), flops
+    # canonical by the two calls above: no second copy / validation pass
+    c = CsrMatrix(product.shape, product.indptr, product.indices, product.data, check=False)
+    return c, flops
 
 
 # ----------------------------------------------------------------------

@@ -4,12 +4,17 @@ Algorithm 2 merges, into each process's output block ``Ci``, the partial
 results of every tile round (``Ci = MERGE(Ci, C_partial)``, lines 18/22/29)
 — partials from remote computations, diagonal tiles and local tiles can
 all target the same output positions.  The paper uses SPA- or hash-based
-merging (§III-C, citing [42]); here a single vectorized k-way merge
-(concatenate → :func:`~repro.sparse.build.row_major_order` → reduceat)
-plays both roles, with the SPA/hash distinction preserved in the *cost
-model* by the caller.  Each partial is a sorted run of the fused key, so
-the stable sort degenerates to a k-way run merge, and entries of one
-position are combined in the order their partials were given.
+merging (§III-C, citing [42]), and so does this module, choosing by what
+it can observe.  A ``logical_or`` add on a block that fits the SPA scratch
+and would fill a fair share of it folds through
+:func:`~repro.sparse.build.spa_fold`, the accumulator the ``spa`` kernel
+uses: OR is order-free, so no sort is needed to pin the result.  Every
+other add sorts (concatenate → :func:`~repro.sparse.build.row_major_order`
+→ reduceat), because a float sum is only reproducible if entries of one
+position are combined in the order their partials were given — each
+partial is a sorted run of the fused key, so that stable sort degenerates
+to a k-way run merge.  The SPA/hash distinction of the *cost model* stays
+with the caller.
 """
 
 from __future__ import annotations
@@ -18,9 +23,14 @@ from typing import Iterable, List, Sequence
 
 import numpy as np
 
-from .build import csr_from_triples
+from .build import SPA_MAX_SCRATCH_ELEMS, csr_from_flat_keys, csr_from_triples, spa_fold
 from .csr import CsrMatrix
 from .semiring import PLUS_TIMES, Semiring
+
+
+#: The dense fold pays per scratch slot, the sort per entry: a block emptier
+#: than one entry per this many slots sorts (docs/kernels.md, "The accumulator").
+DENSE_MERGE_SLOTS_PER_ENTRY = 8
 
 
 def merge_csrs(
@@ -51,6 +61,15 @@ def merge_csrs(
     rows = np.concatenate([p.row_ids() for p in nonempty])
     cols = np.concatenate([p.indices for p in nonempty])
     vals = np.concatenate([semiring.coerce(p.data) for p in nonempty])
+    size = shape[0] * shape[1]
+    order_free = semiring.add is np.logical_or and vals.dtype == np.bool_
+    if order_free and size <= min(
+        SPA_MAX_SCRATCH_ELEMS, DENSE_MERGE_SLOTS_PER_ENTRY * len(rows)
+    ):
+        rows *= shape[1]
+        rows += cols  # the fused key, in place
+        keys, data = spa_fold(rows, None if vals.all() else vals, size, semiring)
+        return csr_from_flat_keys(keys, data, shape)
     return csr_from_triples(rows, cols, vals, shape, semiring)
 
 

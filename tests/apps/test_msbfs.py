@@ -89,6 +89,20 @@ class TestCorrectness:
         assert result.levels == 2
         assert result.reachable_counts()[0] == 3  # 0,1,2
 
+    def test_reachable_counts_covers_every_source(self):
+        # One count per source (int64), also for trailing sources whose
+        # visited column is empty, and for a wholly empty visited set.
+        from repro.apps.msbfs import BfsResult
+
+        visited = CsrMatrix.from_dense(
+            np.array([[1, 0, 0, 0], [1, 1, 0, 0], [0, 1, 0, 0]], dtype=bool)
+        )
+        counts = BfsResult(visited).reachable_counts()
+        assert counts.dtype == np.int64
+        assert counts.tolist() == [2, 2, 0, 0]
+        empty = BfsResult(CsrMatrix.empty((3, 4), dtype=np.bool_)).reachable_counts()
+        assert empty.dtype == np.int64 and empty.tolist() == [0, 0, 0, 0]
+
     def test_non_square_rejected(self):
         from repro.sparse import CsrMatrix
 

@@ -136,6 +136,65 @@ class TestPayloadNbytes:
 
         assert payload_nbytes(Fake()) == 1234
 
+    def test_exact_type_fast_path_agrees_with_the_isinstance_chain(self):
+        """The fast path (exact tuple / list / str first) must size every
+        payload exactly as the chain that defines the byte counts."""
+        from repro.sparse import CsrMatrix
+
+        def chain(obj):
+            if obj is None:
+                return 0
+            if isinstance(obj, (np.ndarray, np.generic)):
+                return int(obj.nbytes)
+            estimate = getattr(obj, "nbytes_estimate", None)
+            if callable(estimate):
+                return int(estimate())
+            if isinstance(obj, (bool, int, float, complex)):
+                return 8
+            if isinstance(obj, (bytes, bytearray, memoryview)):
+                return len(obj)
+            if isinstance(obj, str):
+                return len(obj.encode("utf-8"))
+            if isinstance(obj, dict):
+                return sum(chain(k) + chain(v) for k, v in obj.items())
+            if isinstance(obj, (tuple, list, set, frozenset)):
+                return sum(chain(item) for item in obj)
+            return 8
+
+        class SizedTuple(tuple):  # a subclass may self-report
+            def nbytes_estimate(self):
+                return 77
+
+        class PlainTuple(tuple):
+            pass
+
+        class Names(list):
+            pass
+
+        class Mode(str):
+            pass
+
+        csr = CsrMatrix.identity(5)
+        leaves = [
+            None, 0, True, 2.5, 1j, np.float32(1), np.zeros((3, 2)), csr,
+            "", "remote", "naïve-ü", "日本語", Mode("local"), Mode("é"),
+            b"abc", bytearray(4), memoryview(b"12345"), object(),
+            (), [], {}, set(), frozenset({1, 2}),
+            SizedTuple((1, 2, 3)), PlainTuple(("a", np.ones(2))), Names(["x", "yz"]),
+        ]
+        corpus = leaves + [
+            ("remote", (3, np.zeros(5), csr), None, ["local", "é"]),
+            [("a", [("b", [("c", np.ones(1))])])],
+            {"k": ("v", [csr, None]), 3: {"n": "ü"}},
+            (SizedTuple((csr,)), PlainTuple((csr, "日")), Names([Mode("é"), ()])),
+            tuple(leaves),
+            list(leaves),
+        ]
+        for obj in corpus:
+            assert payload_nbytes(obj) == chain(obj), repr(obj)
+        assert payload_nbytes(SizedTuple((1, 2, 3))) == 77
+        assert payload_nbytes("日本語") == 9
+
 
 class TestRunReports:
     def test_collective_synchronizes_clocks(self):

@@ -16,6 +16,7 @@ from repro.sparse import (
     DEFAULT_KERNEL,
     MIN_PLUS,
     PLUS_TIMES,
+    SEL2ND_MIN,
     CsrMatrix,
     available_kernels,
     dispatch_spgemm,
@@ -241,3 +242,136 @@ class TestForcedKernelEndToEnd:
         reference = ts_spgemm(a, b, 4, config=TsConfig()).C
         got = ts_spgemm(a, b, 4, config=TsConfig(kernel=kernel)).C
         assert got.equal(reference)
+
+
+def _explicit_bool(dense_pattern, dense_values) -> CsrMatrix:
+    """Boolean CSR storing every ``dense_pattern`` position, with the value
+    ``dense_values`` has there — so a stored ``False`` is expressible."""
+    pattern = np.asarray(dense_pattern, dtype=bool)
+    mat = CsrMatrix.from_dense(pattern)
+    rows = mat.row_ids()
+    return CsrMatrix(
+        mat.shape, mat.indptr, mat.indices,
+        np.asarray(dense_values, dtype=bool)[rows, mat.indices],
+    )
+
+
+def _bool_product_oracle(a: CsrMatrix, b: CsrMatrix) -> CsrMatrix:
+    """Scalar (∧, ∨) product: an entry is stored iff some product lands on
+    it, and is True iff one of those products is."""
+    pattern = np.zeros((a.nrows, b.ncols), dtype=bool)
+    values = np.zeros((a.nrows, b.ncols), dtype=bool)
+    for i in range(a.nrows):
+        for k, av in zip(*a.row(i)):
+            for j, bv in zip(*b.row(int(k))):
+                pattern[i, j] = True
+                values[i, j] |= bool(av) and bool(bv)
+    return _explicit_bool(pattern, values)
+
+
+def _assert_bit_identical(got: CsrMatrix, want: CsrMatrix):
+    assert got.shape == want.shape
+    np.testing.assert_array_equal(got.indptr, want.indptr)
+    np.testing.assert_array_equal(got.indices, want.indices)
+    assert got.data.dtype == want.data.dtype
+    assert got.data.tobytes() == want.data.tobytes()
+
+
+BOOL_KERNELS = [k for k in CSR_KERNELS if get_kernel(k).supports(BOOL_AND_OR)]
+
+
+class TestStoredFalse:
+    """Boolean operands that store an explicit ``False`` (the other cases
+    coerce positive integers, so they never do): the entry stays stored,
+    and its value is the OR of its products, not of its pattern."""
+
+    @pytest.mark.parametrize("kernel", BOOL_KERNELS)
+    @pytest.mark.parametrize("false_in", ["a", "b", "both", "neither"])
+    def test_random_operands(self, rng, kernel, false_in):
+        a_pattern = rng.random((20, 16)) < 0.35
+        b_pattern = rng.random((16, 9)) < 0.4
+        a_vals = rng.random((20, 16)) < (0.5 if false_in in ("a", "both") else 2)
+        b_vals = rng.random((16, 9)) < (0.5 if false_in in ("b", "both") else 2)
+        a, b = _explicit_bool(a_pattern, a_vals), _explicit_bool(b_pattern, b_vals)
+        assert (not a.data.all()) == (false_in in ("a", "both"))
+        assert (not b.data.all()) == (false_in in ("b", "both"))
+        got, flops = dispatch_spgemm(a, b, BOOL_AND_OR, kernel)
+        want = _bool_product_oracle(a, b)
+        _assert_bit_identical(got, want)
+        assert flops == int(b.row_nnz()[a.indices].sum())
+        if false_in == "neither":
+            assert got.data.all()
+        else:
+            assert not got.data.all() and got.data.any()
+
+    @pytest.mark.parametrize("kernel", BOOL_KERNELS)
+    def test_entry_whose_every_contribution_is_false_stays_stored(self, kernel):
+        # C[0,0] = (T∧F) ∨ (F∧T) ∨ (F∧F) = False, but it is an entry;
+        # C[0,1] = (T∧T) ∨ (F∧T) = True; C[1,0] = (T∧F) = False.
+        a = _explicit_bool([[1, 1, 1], [1, 0, 0]], [[1, 0, 0], [1, 0, 0]])
+        b = _explicit_bool([[1, 1], [1, 1], [1, 0]], [[0, 1], [1, 1], [0, 0]])
+        got, flops = dispatch_spgemm(a, b, BOOL_AND_OR, kernel)
+        assert flops == 7
+        np.testing.assert_array_equal(got.indptr, [0, 2, 4])
+        np.testing.assert_array_equal(got.indices, [0, 1, 0, 1])
+        assert got.data.dtype == np.bool_
+        assert got.data.tolist() == [False, True, False, True]
+
+
+class TestSpaRowBlocks:
+    """The ``spa`` kernel splits into row blocks only when ``nrows * d``
+    exceeds its scratch bound; whatever the split, the output is the one
+    every other kernel gives."""
+
+    NROWS, D = 24, 7
+
+    def _operands(self, rng, semiring):
+        a_dense = random_dense(rng, self.NROWS, 18, 0.3)
+        a_dense[::5] = 0  # empty rows ...
+        a_dense[8:14] = 0  # ... and whole blocks that hold no product
+        b_dense = random_dense(rng, 18, self.D, 0.4)
+        a = csr_from_dense(a_dense).astype(semiring.dtype)
+        b = csr_from_dense(b_dense).astype(semiring.dtype)
+        if semiring.dtype == np.bool_:
+            a.data[::3] = False  # stored False: values are blocked too
+            b.data[::4] = False
+        return a, b
+
+    @pytest.mark.parametrize(
+        "semiring", [PLUS_TIMES, MIN_PLUS, SEL2ND_MIN, BOOL_AND_OR], ids=lambda s: s.name
+    )
+    @pytest.mark.parametrize("rows_per_block", [24, 23, 12, 2, 1, 0])
+    def test_any_split_matches_the_other_kernels(
+        self, rng, monkeypatch, semiring, rows_per_block
+    ):
+        import repro.sparse.kernels as kernels_module
+
+        a, b = self._operands(rng, semiring)
+        want, want_flops = dispatch_spgemm(a, b, semiring, "esc-vectorized")
+        # 0 rows' worth of scratch still makes progress, one row at a time
+        bound = rows_per_block * self.D if rows_per_block else 1
+        step = max(rows_per_block, 1)
+
+        folds = []
+        fold = kernels_module.spa_fold
+        monkeypatch.setattr(
+            kernels_module,
+            "spa_fold",
+            lambda flat, vals, size, sr: folds.append(size) or fold(flat, vals, size, sr),
+        )
+        got, flops = kernels_module.spgemm_spa_vectorized(
+            a, b, semiring, max_scratch_elems=bound
+        )
+        # one fold per block that holds a product, none larger than the bound
+        edges = list(range(0, self.NROWS, step)) + [self.NROWS]
+        occupied = [
+            (r1 - r0) * self.D
+            for r0, r1 in zip(edges, edges[1:])
+            if want.indptr[r1] > want.indptr[r0]
+        ]
+        assert folds == occupied
+        assert len(folds) > 1 or rows_per_block >= 23
+        _assert_bit_identical(got, want)
+        assert flops == want_flops
+        rowwise, _ = dispatch_spgemm(a, b, semiring, "spa-rowwise")
+        _assert_bit_identical(got, rowwise)

@@ -6,11 +6,21 @@ in ``src/``; bit-identity of every merge and kernel rests on it being the
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sparse import PLUS_TIMES, CsrMatrix, merge_csrs
+from repro.sparse import (
+    BOOL_AND_OR,
+    MIN_PLUS,
+    PLUS_TIMES,
+    CsrMatrix,
+    coo_to_csr,
+    merge_csrs,
+    random_csr,
+)
 from repro.sparse.build import row_major_order
+from repro.sparse.merge import DENSE_MERGE_SLOTS_PER_ENTRY
 
 
 @st.composite
@@ -127,3 +137,107 @@ def test_merge_float_summation_order_is_pinned(rng):
     assert merged.data.tobytes() == vals.tobytes()
     # and the order matters: the reversed merge differs somewhere
     assert merge_csrs(parts[::-1], PLUS_TIMES).data.tobytes() != vals.tobytes()
+
+
+# ----------------------------------------------------------------------
+# the boolean merge folds through the dense accumulator; floats never do
+# ----------------------------------------------------------------------
+def _spy_on_fold(monkeypatch, bound=None):
+    """Record, per dense fold ``merge_csrs`` makes, whether it skipped the
+    values; optionally shrink the scratch bound so tiny shapes straddle it."""
+    import repro.sparse.merge as merge_module
+
+    folds, fold = [], merge_module.spa_fold
+    monkeypatch.setattr(
+        merge_module,
+        "spa_fold",
+        lambda flat, vals, size, sr: folds.append(vals is None) or fold(flat, vals, size, sr),
+    )
+    if bound is not None:
+        monkeypatch.setattr(merge_module, "SPA_MAX_SCRATCH_ELEMS", bound)
+    return folds
+
+
+@st.composite
+def partials(draw, dtype):
+    """k = 1..16 equal-shape partials, some empty, boolean ones storing
+    explicit ``False``, few enough positions that most get several
+    contributions.  With the bound at 30 slots, (6, 5) just fits the
+    scratch and (5, 7) just does not."""
+    shape = draw(st.sampled_from([(1, 1), (6, 5), (5, 7), (3, 40)]))
+    k = draw(st.integers(1, 16))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    semiring = BOOL_AND_OR if dtype == np.bool_ else PLUS_TIMES
+    parts = []
+    for _ in range(k):
+        n = int(rng.integers(0, 25)) * int(rng.random() < 0.8)  # ~20 % empty
+        if dtype == np.bool_:
+            vals = rng.random(n) < 0.5
+        else:  # magnitudes 1e-8 .. 1e8: any reordering changes the sum
+            vals = rng.standard_normal(n) * 10.0 ** rng.integers(-8, 9, n)
+        # coo_to_csr takes the sort path whatever the semiring
+        parts.append(coo_to_csr(
+            rng.integers(0, shape[0], n), rng.integers(0, shape[1], n),
+            vals, shape, semiring,
+        ))
+    return parts, semiring
+
+
+def assert_merge_is_the_oracle(parts, semiring):
+    merged = merge_csrs(parts, semiring)
+    nonempty = [p for p in parts if p.nnz]
+    if not nonempty:
+        assert merged.nnz == 0 and merged.dtype == semiring.dtype
+        return
+    rows, cols, vals = _lexsort_merge(nonempty, semiring)
+    np.testing.assert_array_equal(merged.row_ids(), rows)
+    np.testing.assert_array_equal(merged.indices, cols)
+    assert merged.dtype == vals.dtype == semiring.dtype
+    assert merged.data.tobytes() == vals.tobytes()
+
+
+@given(partials(np.bool_))
+@settings(max_examples=200, deadline=None)
+def test_boolean_merge_is_bit_identical_to_the_sort_oracle(case):
+    parts, semiring = case
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        folds = _spy_on_fold(monkeypatch, bound=30)
+        assert_merge_is_the_oracle(parts, semiring)
+    nonempty = [p for p in parts if p.nnz]
+    size, entries = parts[0].nrows * parts[0].ncols, sum(p.nnz for p in nonempty)
+    dense = len(nonempty) > 1 and size <= min(30, DENSE_MERGE_SLOTS_PER_ENTRY * entries)
+    assert folds == ([all(p.data.all() for p in nonempty)] if dense else [])
+
+
+@given(partials(np.float64))
+@settings(max_examples=100, deadline=None)
+def test_float_merge_is_bit_identical_to_the_sort_oracle(case):
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        folds = _spy_on_fold(monkeypatch, bound=30)
+        assert_merge_is_the_oracle(*case)
+    assert folds == []  # a float sum is order-bound: never the dense fold
+
+
+def test_dense_merge_at_the_real_scratch_bound(rng, monkeypatch):
+    """The largest block that fits the accumulator's scratch folds densely
+    when it is full enough; one column more, or too few entries, sorts."""
+    from repro.sparse.build import SPA_MAX_SCRATCH_ELEMS
+
+    side = 1 << 11
+    assert side * side == SPA_MAX_SCRATCH_ELEMS
+    folds = _spy_on_fold(monkeypatch)
+    full = rng.random((side, side + 1)) < 1.2 / DENSE_MERGE_SLOTS_PER_ENTRY
+    over = [CsrMatrix.from_dense(full), CsrMatrix.from_dense(full[::-1])]
+    fits = [CsrMatrix.from_dense(full[:, :side]), CsrMatrix.from_dense(full[::-1, :side])]
+    sparse = [random_csr(side, side, nnz_per_row=0.01, rng=rng, dtype=np.bool_) for _ in range(2)]
+
+    assert_merge_is_the_oracle(fits, BOOL_AND_OR)
+    assert folds == [True]  # all True: no value array
+    fits[1].data[::3] = False
+    assert_merge_is_the_oracle(fits, BOOL_AND_OR)
+    assert folds == [True, False]
+    assert_merge_is_the_oracle(over, BOOL_AND_OR)
+    assert_merge_is_the_oracle(sparse, BOOL_AND_OR)
+    assert_merge_is_the_oracle([p.astype(np.float64) for p in fits], PLUS_TIMES)
+    assert_merge_is_the_oracle([p.astype(np.float64) for p in fits], MIN_PLUS)
+    assert len(folds) == 2
