@@ -57,7 +57,7 @@ from .plan import (
 )
 from .spmm import spmm_multiply
 from .symbolic import LOCAL, REMOTE
-from .tiled import tiled_multiply
+from .tiled import exchange_sections, tiled_multiply
 
 #: Phases counted as one-time setup rather than multiply time.  "prepare"
 #: is the B-independent half of the symbolic step (repro.core.plan): paid
@@ -345,10 +345,9 @@ class FusedPrologue:
         raise NotImplementedError
 
     def __call__(self, comm, operand: ResidentOperand, *operand_blocks) -> None:
-        received = {}
-        for name, sendlist in self.sections(comm, operand, *operand_blocks):
-            with comm.phase(name):
-                received[name] = comm.alltoall(sendlist)
+        received, _ = exchange_sections(
+            comm, self.sections(comm, operand, *operand_blocks), fuse=False
+        )
         self.finish(comm, operand, received, *operand_blocks)
 
 
@@ -1052,9 +1051,8 @@ class TsSession(ResidentSession):
             raise ValueError(
                 f"matrix must have {self.ncols} rows to match A, got {B.shape}"
             )
-        blocks = [extract_row_range(B, lo, hi) for lo, hi in self._rows.ranges]
-        return self._register_handle(
-            DistHandle(owner=self, rows=self._rows, ncols=B.ncols, blocks=blocks)
+        return self._mint(
+            [extract_row_range(B, lo, hi) for lo, hi in self._rows.ranges]
         )
 
     def scatter_dense(self, B: np.ndarray) -> DistDenseHandle:
@@ -1069,18 +1067,23 @@ class TsSession(ResidentSession):
             raise ValueError(
                 f"matrix must be ({self.ncols}, d) to match A, got {B.shape}"
             )
-        blocks = [B[lo:hi] for lo, hi in self._rows.ranges]
-        return self._register_handle(
-            DistDenseHandle(
-                owner=self, rows=self._rows, ncols=B.shape[1], blocks=blocks
-            )
-        )
+        return self._mint([B[lo:hi] for lo, hi in self._rows.ranges])
 
-    def _register_handle(self, h):
-        """Track a freshly minted rank-resident handle for elastic
-        remapping: :meth:`shrink` rewrites every live handle's partition
-        and blocks in place, so handle chains keep working at ``p-1``.
-        Weak membership — a dropped handle needs no migration."""
+    def _mint(self, blocks: List[Any]) -> Union[DistHandle, DistDenseHandle]:
+        """Wrap per-rank row blocks in a rank-resident handle — sparse
+        blocks (:class:`CsrMatrix`) a :class:`DistHandle`, dense ones
+        (``np.ndarray``) a :class:`DistDenseHandle` — and track it for
+        elastic remapping: :meth:`shrink` rewrites every live handle's
+        partition and blocks in place, so handle chains keep working at
+        ``p-1``.  Weak membership — a dropped handle needs no migration."""
+        if isinstance(blocks[0], np.ndarray):
+            h: Any = DistDenseHandle(
+                owner=self, rows=self._rows, ncols=blocks[0].shape[1], blocks=blocks
+            )
+        else:
+            h = DistHandle(
+                owner=self, rows=self._rows, ncols=blocks[0].ncols, blocks=blocks
+            )
         self._handles.add(h)
         return h
 
@@ -1297,25 +1300,12 @@ class TsSession(ResidentSession):
         diagnostics["driver_scatter_bytes"] = per_phase.get("scatter-B", 0)
         diagnostics["driver_gather_bytes"] = per_phase.get("gather-C", 0)
         blocks = [v[0] for v in result.values]
-        if dense_b:
-            c_out: Any = (
-                np.vstack(blocks)
-                if gather
-                else self._register_handle(
-                    DistDenseHandle(
-                        owner=self, rows=self._rows, ncols=b_ncols,
-                        blocks=blocks,
-                    )
-                )
-            )
-        elif gather:
-            c_out = _vstack_blocks(blocks, b_ncols)
+        if not gather:
+            c_out: Any = self._mint(blocks)
+        elif dense_b:
+            c_out = np.vstack(blocks)
         else:
-            c_out = self._register_handle(
-                DistHandle(
-                    owner=self, rows=self._rows, ncols=b_ncols, blocks=blocks
-                )
-            )
+            c_out = _vstack_blocks(blocks, b_ncols)
         extra_out = None
         if epilogue is not None:
             extra_out = self._wrap_local_outputs([v[2] for v in result.values])
@@ -1327,38 +1317,14 @@ class TsSession(ResidentSession):
         )
 
     def _wrap_local_outputs(self, per_rank: List[Any]) -> Any:
-        """Wrap per-rank blocks (or tuples of them) into handles.
-
-        Sparse blocks (:class:`CsrMatrix`) become :class:`DistHandle`\\ s,
-        dense blocks (``np.ndarray``) :class:`DistDenseHandle`\\ s — a
-        rank-local epilogue may return either kind (the embedding's
-        returns both: the re-sparsified ``Z`` and its dense twin).
+        """Wrap per-rank blocks (or tuples of them) into handles
+        (:meth:`_mint`) — a rank-local epilogue may return either kind
+        (the embedding's returns both: the re-sparsified ``Z`` and its
+        dense twin).
         """
-        first = per_rank[0]
-
-        def _handle(i: Optional[int]):
-            blocks = [v if i is None else v[i] for v in per_rank]
-            if isinstance(blocks[0], np.ndarray):
-                return self._register_handle(
-                    DistDenseHandle(
-                        owner=self,
-                        rows=self._rows,
-                        ncols=blocks[0].shape[1],
-                        blocks=blocks,
-                    )
-                )
-            return self._register_handle(
-                DistHandle(
-                    owner=self,
-                    rows=self._rows,
-                    ncols=blocks[0].ncols,
-                    blocks=blocks,
-                )
-            )
-
-        if isinstance(first, tuple):
-            return tuple(_handle(i) for i in range(len(first)))
-        return _handle(None)
+        if isinstance(per_rank[0], tuple):
+            return tuple(self._mint(list(col)) for col in zip(*per_rank))
+        return self._mint(per_rank)
 
     # ------------------------------------------------------------------
     def apply_local(
@@ -1642,10 +1608,7 @@ class TsSession(ResidentSession):
                     # construction and ``config.mode_policy`` is
                     # config-wide, so every rank takes the same side.
                     with comm.phase("symbolic"):
-                        incoming = comm.alltoall(outgoing)  # spmdlint: disable=S1 -- guard is rank-invariant (see comment above); every rank reaches this alltoall together
-                    new_prepared.static_consumed_modes = dict(
-                        enumerate(incoming)
-                    )
+                        comm.alltoall(outgoing)  # spmdlint: disable=S1 -- guard is rank-invariant (see comment above); every rank reaches this alltoall together
             return rows, new_local, new_col, new_prepared, {}
 
         result = self._run_resilient(program)

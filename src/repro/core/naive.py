@@ -22,15 +22,18 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from ..partition.distmat import DistSparseMatrix
-from ..sparse.csr import INDEX_DTYPE, CsrMatrix
+from ..mpi.marker import rank_program
+from ..partition.distmat import DistSparseMatrix, _vstack_blocks
+from ..sparse.csr import INDEX_DTYPE
 from ..sparse.kernels import dispatch_spgemm, resolve_spgemm
+from ..sparse.ops import extract_rows
 from ..sparse.semiring import PLUS_TIMES, Semiring
 from .config import DEFAULT_CONFIG, TsConfig
 from .gather_rows import pack_rows, place_rows
 from .plan import PreparedA
 
 
+@rank_program
 def naive_multiply(
     A: DistSparseMatrix,
     B: DistSparseMatrix,
@@ -110,8 +113,8 @@ def naive_multiply(
         if parts_rows:
             all_ids = np.concatenate(parts_rows)
             order = np.argsort(all_ids, kind="stable")
-            stacked = _concat_rows(parts_mats, d)
-            payload = (all_ids[order], _reorder_rows(stacked, order))
+            stacked = _vstack_blocks(parts_mats, d)
+            payload = (all_ids[order], extract_rows(stacked, order))
         else:
             payload = None
         b_needed = place_rows(rows.n, payload, d, semiring.dtype)
@@ -127,30 +130,3 @@ def naive_multiply(
         "flops": int(flops),
     }
     return DistSparseMatrix(comm, A.rows, c_local, d), diagnostics
-
-
-def _concat_rows(mats, ncols: int) -> CsrMatrix:
-    """Vertically concatenate row-packed CSR pieces."""
-    if len(mats) == 1:
-        return mats[0]
-    indptr = [np.zeros(1, dtype=INDEX_DTYPE)]
-    indices, data, offset = [], [], 0
-    for m in mats:
-        indptr.append(m.indptr[1:] + offset)
-        indices.append(m.indices)
-        data.append(m.data)
-        offset += m.nnz
-    return CsrMatrix(
-        (sum(m.nrows for m in mats), ncols),
-        np.concatenate(indptr),
-        np.concatenate(indices),
-        np.concatenate(data),
-        check=False,
-    )
-
-
-def _reorder_rows(mat: CsrMatrix, order: np.ndarray) -> CsrMatrix:
-    """Permute rows of ``mat`` by ``order`` (used to sort received rows)."""
-    from ..sparse.ops import extract_rows
-
-    return extract_rows(mat, np.asarray(order, dtype=INDEX_DTYPE))

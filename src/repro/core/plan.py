@@ -23,7 +23,8 @@ B-dependent, re-run per multiply by :func:`replan` (hybrid policy only):
 
 * the pattern product per subtile (exact symbolic output size),
 * the local-vs-remote wire-byte comparison,
-* the mode all-to-all.
+* the mode lists, which the multiply then ships (one all-to-all, or a
+  section of its fused exchange).
 
 Cost-model charging rules (see docs/planning.md): prepared state is
 charged **once**, under the ``prepare``/``tiling`` setup phases, when it
@@ -84,9 +85,6 @@ class PreparedA:
     size: int
     subtiles: Dict[int, List[PreparedSubtile]] = field(default_factory=dict)
     row_tile_ranges: List[Tuple[int, int]] = field(default_factory=list)
-    #: Forced policies only: the mode table is B-independent, so the
-    #: binary-value all-to-all that shares it runs once, at prepare time.
-    static_consumed_modes: Optional[Dict[int, List[str]]] = None
     strips: Optional[ColumnStrips] = None
     replans: int = 0
     #: Lazy per-algorithm caches (naive row requests, SpMM mode table).
@@ -191,7 +189,7 @@ def prepare_multiply(A: DistSparseMatrix, config: TsConfig) -> PreparedA:
     Requires ``A.build_column_copy()``.  Extraction, pattern casts and
     nonzero-column scans are charged to the ``prepare`` setup phase; for
     forced mode policies the static mode table is exchanged here as well,
-    so later :func:`replan` calls are communication-free.
+    so their multiplies have no mode lists to ship.
     """
     comm = A.comm
     if A.col_copy is None:
@@ -219,8 +217,7 @@ def prepare_multiply(A: DistSparseMatrix, config: TsConfig) -> PreparedA:
             # replan pays per multiply, so fresh-plan byte accounting
             # stays policy-comparable (the Fig 6 invariant).
             with comm.phase("symbolic"):
-                incoming = comm.alltoall(outgoing)
-            prepared.static_consumed_modes = dict(enumerate(incoming))
+                comm.alltoall(outgoing)
     return prepared
 
 
@@ -303,8 +300,7 @@ def shrink_prepared(
         # Guard is rank-invariant: mode_policy is config-wide and
         # prepared-ness was decided collectively at session construction.
         with comm.phase("symbolic"):
-            incoming = comm.alltoall(outgoing)  # spmdlint: disable=S1 -- guard is rank-invariant (config-wide mode policy); every rank reaches this alltoall together
-        prepared.static_consumed_modes = dict(enumerate(incoming))
+            comm.alltoall(outgoing)  # spmdlint: disable=S1 -- guard is rank-invariant (config-wide mode policy); every rank reaches this alltoall together
     prepared.naive_cache = None
     prepared.spmm_cache = None  # numeric; rebuilt lazily
     return touched
@@ -312,11 +308,7 @@ def shrink_prepared(
 
 # ----------------------------------------------------------------------
 def replan(
-    prepared: PreparedA,
-    A: DistSparseMatrix,
-    B: DistSparseMatrix,
-    *,
-    exchange_modes: bool = True,
+    prepared: PreparedA, A: DistSparseMatrix, B: DistSparseMatrix
 ) -> SymbolicPlan:
     """The B-dependent half of the symbolic step (collective).
 
@@ -325,14 +317,13 @@ def replan(
     operands — the equivalence the cached-plan test suite asserts — while
     touching only what actually depends on ``B``: under the ``hybrid``
     policy one boolean pattern product and byte comparison per non-empty
-    off-diagonal subtile plus the mode all-to-all; under a forced policy,
-    nothing at all.
+    off-diagonal subtile; under a forced policy, nothing at all.
 
-    ``exchange_modes=False`` defers the hybrid mode all-to-all: the
-    outgoing per-peer mode lists are left on ``plan.outgoing_modes`` for
-    the fused multiply to ship as a section of its combined exchange
-    (same payloads, same ``symbolic`` byte accounting, one round fewer).
-    Forced policies never exchange here, so the flag is a no-op for them.
+    The hybrid mode lists are left on ``plan.outgoing_modes`` for the
+    multiply to ship — as the paper's own binary-value all-to-all, or as
+    a section of its fused exchange (same payloads, same ``symbolic``
+    byte accounting, one round fewer).  Forced policies shared theirs at
+    prepare time and leave ``None``.
     """
     comm = A.comm
     config = prepared.config
@@ -420,17 +411,10 @@ def replan(
             plan.produced[peer] = infos
 
         if hybrid:
-            # Share modes with tile owners: consumer i learns, for each
-            # producer j, the mode of every one of its row tiles.
-            outgoing = [
+            # For the tile owners: consumer i learns, for each producer
+            # j, the mode of every one of its row tiles.
+            plan.outgoing_modes = [
                 [s.mode for s in plan.produced[peer]] for peer in range(comm.size)
             ]
-            if exchange_modes:
-                incoming = comm.alltoall(outgoing)
-                plan.consumed_modes = dict(enumerate(incoming))
-            else:
-                plan.outgoing_modes = outgoing
-        else:
-            plan.consumed_modes = dict(prepared.static_consumed_modes)
     prepared.replans += 1
     return plan

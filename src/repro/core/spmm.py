@@ -16,14 +16,20 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
+from ..mpi.marker import rank_program
 from ..partition.distmat import DistDenseMatrix, DistSparseMatrix
-from ..sparse.csr import CsrMatrix
 from ..sparse.kernels import dispatch_spmm
 from ..sparse.ops import extract_row_range
 from .config import DEFAULT_CONFIG, TsConfig
 from .gather_rows import pack_dense_rows, place_dense_rows
 from .plan import PreparedA
 from .symbolic import row_tile_ranges
+from .tiled import (
+    checked_row_tiles,
+    consumer_strips,
+    exchange_sections,
+    tile_steps,
+)
 
 
 @dataclass
@@ -42,6 +48,7 @@ class SpmmDiagnostics:
         return dict(self.__dict__)
 
 
+@rank_program
 def spmm_multiply(
     A: DistSparseMatrix,
     B: DistDenseMatrix,
@@ -104,12 +111,13 @@ def spmm_multiply(
                         mode = "remote"
                     infos.append((rt, (r0, r1), mode, sub, nzc))
                 produced[peer] = infos
-            outgoing = [[info[2] for info in produced[peer]] for peer in range(p)]
-            consumed_modes = comm.alltoall(outgoing)
+            # The paper's binary-value exchange; consumers act on the
+            # payloads that arrive, so nothing keeps the reply.
+            comm.alltoall([[info[2] for info in produced[peer]] for peer in range(p)])
         if prepared is not None:
-            prepared.spmm_cache = (produced, consumed_modes)
+            prepared.spmm_cache = produced
     else:
-        produced, consumed_modes = cached
+        produced = cached
         # The whole symbolic phase was skipped — the same observability
         # flag the tiled SpGEMM surfaces as ``plan_reused``.
         diag.plan_reused = 1
@@ -125,12 +133,10 @@ def spmm_multiply(
             diag.diagonal_tiles += 1
             c_local[r0:r1] += part
 
-    # ---- tile rounds ----------------------------------------------------
-    width = config.tile_width_factor
-    n_rounds = -(-p // width)
-    diag.rounds = n_rounds
-    strips = prepared.ensure_strips(A) if prepared is not None else _consumer_strips(A)
-    my_group = comm.rank // width
+    # ---- tile rounds: one exchange per step (see repro.core.tiled) ------
+    strips = consumer_strips(A, prepared)
+    steps = tile_steps(comm.rank, p, config.tile_width_factor, config.fuse_comm)
+    diag.rounds = sum(len(rounds) for _, rounds in steps)
 
     def _producer_payloads(peers):
         """``fetch-B`` / ``send-C`` payloads for the given consumers."""
@@ -166,85 +172,51 @@ def spmm_multiply(
                 )
         return send_b, send_c
 
-    def _consume(active, recv_b, recv_c):
-        for j in active:
-            if j == comm.rank:
-                continue
-            payload = recv_b[j]
-            if payload is not None:
-                j_lo, j_hi = A.rows.range_of(j)
-                strip = strips[j]
-                ranges = row_tile_ranges(
-                    strip.nrows, config.effective_tile_height(strip.nrows)
-                )
-                for rt, gids, vals in payload:
-                    if rt >= len(ranges):
-                        continue
-                    r0, r1 = ranges[rt]
-                    sub = extract_row_range(strip, r0, r1)
-                    if sub.nnz == 0:
-                        continue
-                    block_b = place_dense_rows(
-                        j_hi - j_lo, (gids - j_lo, vals), d
-                    )
-                    part, flops = dispatch_spmm(sub, block_b)
-                    comm.charge_spmm(flops)
-                    diag.flops += flops
-                    c_local[r0:r1] += part
-            remote = recv_c[j]
-            if remote is not None:
-                rids, vals = remote
-                np.add.at(c_local, rids, vals)
-
-    if config.fuse_comm:
-        # Fused schedule: every (producer, consumer) pair meets in exactly
-        # one round, so per-peer payloads coalesce loss-free into a single
-        # multi-section exchange; the rotated rounds are replayed from the
-        # coalesced buffers in the unfused order (identical accumulation
-        # order → bit-identical dense C).  See repro.core.tiled.
-        send_b, send_c = _producer_payloads(
-            [i for i in range(p) if i != comm.rank]
+    for consumers, producer_rounds in steps:
+        send_b, send_c = _producer_payloads(consumers)
+        received, _ = exchange_sections(
+            comm, [("fetch-B", send_b), ("send-C", send_c)], config.fuse_comm
         )
-        with comm.phase("fused-round"):
-            received, _ = comm.alltoall_fused(
-                [("fetch-B", send_b), ("send-C", send_c)]
-            )
-        recv_b, recv_c = received["fetch-B"], received["send-C"]
-        for rnd in range(n_rounds):
-            cons_group = (comm.rank + rnd) % n_rounds
-            active = range(cons_group * width, min((cons_group + 1) * width, p))
+        # Rounds are replayed in schedule order whichever exchange
+        # delivered them: identical accumulation order, bit-identical C.
+        for active in producer_rounds:
             with comm.phase("local-compute"):
-                _consume(active, recv_b, recv_c)
-    else:
-        for rnd in range(n_rounds):
-            # Rotated tile schedule; see repro.core.tiled's module docstring.
-            cons_group = (comm.rank + rnd) % n_rounds
-            active = range(cons_group * width, min((cons_group + 1) * width, p))
-            my_consumers = [
-                i
-                for i in range(p)
-                if (my_group - i) % n_rounds == rnd and i != comm.rank
-            ]
-            send_b, send_c = _producer_payloads(my_consumers)
-            with comm.phase("fetch-B"):
-                recv_b = comm.alltoall(send_b)
-            with comm.phase("send-C"):
-                recv_c = comm.alltoall(send_c)
-
-            with comm.phase("local-compute"):
-                _consume(active, recv_b, recv_c)
+                for j in active:
+                    if j == comm.rank:
+                        continue
+                    if received["fetch-B"][j] is not None:
+                        _consume_dense(
+                            comm, strips[j], received["fetch-B"][j],
+                            A.rows.range_of(j), config, c_local, diag,
+                        )
+                    if received["send-C"][j] is not None:
+                        rids, vals = received["send-C"][j]
+                        np.add.at(c_local, rids, vals)
 
     _count(produced, diag)
     return DistDenseMatrix(comm, A.rows, c_local, d), diag
 
 
-def _consumer_strips(A: DistSparseMatrix):
-    from ..sparse.tile import ColumnStrips, strips_build_bytes
-
-    with A.comm.phase("tiling"):
-        strips = ColumnStrips(A.local, A.rows.ranges)
-        A.comm.charge_touch(strips_build_bytes(A.local, A.comm.size))
-    return strips
+def _consume_dense(
+    comm, strip, payload, producer_range, config, c_local, diag
+) -> None:
+    """Multiply my local-mode row tiles of ``strip`` with received dense
+    B rows, accumulating into ``c_local``.  ``payload`` holds one ``(row
+    tile id, global B row ids, values)`` entry per tile; an id out of
+    range or out of order raises, like the sparse consumer's."""
+    j_lo, j_hi = producer_range
+    ranges = row_tile_ranges(strip.nrows, config.effective_tile_height(strip.nrows))
+    for (r0, r1), gids, vals in checked_row_tiles(payload, ranges):
+        sub = extract_row_range(strip, r0, r1)
+        if sub.nnz == 0:
+            continue
+        block_b = place_dense_rows(
+            j_hi - j_lo, (gids - j_lo, vals), c_local.shape[1]
+        )
+        part, flops = dispatch_spmm(sub, block_b)
+        comm.charge_spmm(flops)
+        diag.flops += flops
+        c_local[r0:r1] += part
 
 
 def _count(produced, diag: SpmmDiagnostics) -> None:

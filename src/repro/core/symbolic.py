@@ -58,22 +58,17 @@ class SymbolicPlan:
 
     ``produced``: subtiles of *my* column block, keyed by consumer rank —
     what I must ship (B rows or partial C) each round.
-    ``consumed_modes``: modes of *my* tiles across producer column blocks,
-    keyed by producer rank — which row tiles of my strip I multiply
-    locally after B rows arrive.
     ``pattern_products``: boolean pattern multiplies this plan actually
     ran — the B-dependent symbolic work a prepared plan cannot skip
     (zero under forced mode policies).
-    ``outgoing_modes``: set instead of ``consumed_modes`` when the mode
-    exchange was *deferred* (``replan(..., exchange_modes=False)``): the
-    per-peer mode lists still to be shared.  The fused multiply ships
-    them as a tagged section of its combined all-to-all and fills
-    ``consumed_modes`` from what arrives, so a deferred plan ends up
-    identical to an eagerly-exchanged one.
+    ``outgoing_modes``: the per-peer mode lists of a hybrid plan, still
+    to be shared with the tile owners — the multiply ships them (one
+    all-to-all, or a tagged section of its fused exchange) and clears the
+    field.  Nothing stores what arrives: consumers act on the payloads
+    they receive.
     """
 
     produced: Dict[int, List[SubtileInfo]] = field(default_factory=dict)
-    consumed_modes: Dict[int, List[str]] = field(default_factory=dict)
     row_tile_ranges: List[Tuple[int, int]] = field(default_factory=list)
     pattern_products: int = 0
     outgoing_modes: Optional[List[List[str]]] = None
@@ -96,17 +91,14 @@ def build_symbolic_plan(
     B: DistSparseMatrix,
     semiring: Semiring,
     config: TsConfig,
-    *,
-    exchange_modes: bool = True,
 ) -> SymbolicPlan:
-    """Run the communication-free mode selection, then share the modes.
+    """Run the communication-free mode selection.
 
     Must be called collectively; requires ``A.col_copy``.  The symbolic
     multiplications are charged to the virtual compute clock (the real
-    implementation pays them too); the mode exchange is one all-to-all of
-    a few bytes per tile.  With ``exchange_modes=False`` that exchange is
-    *deferred* (``outgoing_modes`` is set instead) so the fused multiply
-    can piggyback it on its combined all-to-all.
+    implementation pays them too).  Sharing the modes — one all-to-all
+    of a few bytes per tile — is left to the multiply, which finds the
+    lists on ``plan.outgoing_modes``.
 
     This is the fresh-plan path: it builds a throwaway
     :class:`~repro.core.plan.PreparedA` and immediately runs the
@@ -118,6 +110,4 @@ def build_symbolic_plan(
         raise RuntimeError("symbolic step requires A.build_column_copy() first")
     from .plan import prepare_multiply, replan
 
-    return replan(
-        prepare_multiply(A, config), A, B, exchange_modes=exchange_modes
-    )
+    return replan(prepare_multiply(A, config), A, B)

@@ -27,20 +27,23 @@ distinguishes Cannon's algorithm from naive stage order — keeps every
 rank's injection bandwidth busy in every round instead of leaving all but
 ``w/(n/p)`` producers idle.
 
-**Fused communication** (``TsConfig.fuse_comm``, default on): every
-(producer, consumer) pair meets in exactly one tile round of the rotated
-schedule, so coalescing the rounds merges *rounds*, not payloads — the
-per-peer messages are identical to the unfused schedule's.  The fused
-path therefore packs the symbolic mode lists, every round's ``fetch-B``
-payloads and (when no value-refresh prologue intervenes) every round's
-``send-C`` partials into **one** multi-section all-to-all
-(:meth:`repro.mpi.comm.SimComm.alltoall_fused`), then replays the
-consumer-side rounds from the coalesced buffers in the original order —
-output is bit-identical, per-phase bytes are conserved, and only the
-α·rounds latency term drops.  The price is the Fig 5 trade-off taken to
-its end point: all received ``B`` rows are resident at once
-(``peak_recv_b_bytes`` reports the fused footprint honestly), which is
-why ``--fuse-comm off`` remains the configuration for per-round memory
+**Steps group rounds** (``TsConfig.fuse_comm``, default on): every
+(producer, consumer) pair meets in exactly one round of the rotated
+schedule (:func:`tile_rounds`), so a round's per-peer messages do not
+depend on which other rounds share its exchange.  A multiply is therefore
+one loop over *steps* — build for the step's consumers, one exchange
+(:func:`exchange_sections`), consume the step's rounds in order — and
+``fuse_comm`` only chooses the grouping: unfused, a step is one round and
+its ``fetch-B`` / ``send-C`` sections are one all-to-all each (Alg 2 as
+printed); fused, the single step holds every round and the mode lists,
+all ``fetch-B`` payloads and (when no value-refresh prologue intervenes)
+all ``send-C`` partials ride **one** multi-section all-to-all
+(:meth:`repro.mpi.comm.SimComm.alltoall_fused`).  Output is
+bit-identical, per-phase bytes are conserved, and only the α·rounds
+latency term drops.  The price is the Fig 5 trade-off taken to its end
+point: all received ``B`` rows are resident at once
+(``peak_recv_b_bytes`` reports that footprint honestly), which is why
+``--fuse-comm off`` remains the configuration for per-round memory
 studies.
 """
 
@@ -51,6 +54,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from ..mpi.marker import rank_program
 from ..partition.distmat import DistSparseMatrix
 from ..sparse.csr import INDEX_DTYPE, CsrMatrix
 from ..sparse.kernels import dispatch_spgemm, resolve_spgemm
@@ -92,6 +96,81 @@ class TileDiagnostics:
         return dict(self.__dict__)
 
 
+def tile_rounds(rank: int, p: int, width: int) -> List[Tuple[List[int], range]]:
+    """The rotated round schedule as ``rank`` sees it.
+
+    Entry ``k`` is round ``k``'s ``(consumers, producers)``: the peers
+    whose sweep reaches my column-block group this round — I build their
+    payloads — and the block group I consume (consumer ``i`` visits group
+    ``(i + k) mod R``; the range holds ``rank`` itself on its diagonal
+    round).  Over the ``R = ceil(p / width)`` rounds the producer ranges
+    partition ``range(p)`` and every (producer, consumer) pair meets in
+    exactly one round, the same one on both sides: per-round all-to-alls
+    match, and rounds can share an exchange without changing a payload.
+    """
+    n_rounds = -(-p // width)
+    rounds = []
+    for rnd in range(n_rounds):
+        group = (rank + rnd) % n_rounds
+        consumers = [
+            i for i in range(p) if (rank // width - i) % n_rounds == rnd and i != rank
+        ]
+        rounds.append((consumers, range(group * width, min((group + 1) * width, p))))
+    return rounds
+
+
+def tile_steps(
+    rank: int, p: int, width: int, fuse: bool
+) -> List[Tuple[List[int], List[range]]]:
+    """Group :func:`tile_rounds` into exchange *steps*.
+
+    A step is ``(consumers, producer ranges)``: build for the consumers —
+    in ascending rank order, since charges add in float on the virtual
+    clock — exchange once, then consume the ranges round by round.
+    ``fuse`` makes all rounds one step; otherwise every round is a step.
+    """
+    rounds = tile_rounds(rank, p, width)
+    groups = [rounds] if fuse else [[r] for r in rounds]
+    return [
+        (sorted(i for cons, _ in g for i in cons), [prods for _, prods in g])
+        for g in groups
+    ]
+
+
+def exchange_sections(comm, sections, fuse: bool, meta=None):
+    """Ship tagged ``(phase name, sendlist)`` sections to every peer.
+
+    Fused, they travel as one ``alltoall_fused`` under ``fused-round``
+    and ``meta`` rides its uncharged header; unfused, each is one
+    all-to-all under the section's own phase.  Either way a section's
+    bytes are booked under its name.  Returns ``(received, metas)``:
+    ``received[name][src]`` is the payload rank ``src`` addressed here,
+    ``metas`` every rank's ``meta`` (``None`` unfused).
+    """
+    if fuse:
+        with comm.phase("fused-round"):
+            return comm.alltoall_fused(sections, meta=meta)
+    received = {}
+    for name, sendlist in sections:
+        with comm.phase(name):
+            received[name] = comm.alltoall(sendlist)
+    return received, None
+
+
+def consumer_strips(A: DistSparseMatrix, prepared: Optional[PreparedA]):
+    """Consumer-side strips of my local ``A`` block, one per producer
+    column block, with column ids local to that block.  A prepared plan
+    owns them (built and charged once); without one they are rebuilt per
+    call under the same ``tiling`` charge."""
+    if prepared is not None:
+        return prepared.ensure_strips(A)
+    with A.comm.phase("tiling"):
+        strips = ColumnStrips(A.local, A.rows.ranges)
+        A.comm.charge_touch(strips_build_bytes(A.local, A.comm.size))
+    return strips
+
+
+@rank_program
 def tiled_multiply(
     A: DistSparseMatrix,
     B: DistSparseMatrix,
@@ -113,12 +192,15 @@ def tiled_multiply(
 
     With ``config.fuse_comm`` the multiply issues one fused multi-section
     all-to-all instead of the symbolic + per-round exchanges (see the
-    module docstring).  ``fused_prologue`` — only meaningful on the fused
-    path — is an object with ``sections(comm)`` and ``finish(comm,
-    received)`` methods: its fetch sections ride the combined round and
-    ``finish`` runs before any value-dependent compute, so a prologue
-    that refreshes the resident operand's values (the distributed SDDMM)
-    fuses into the same round trip.
+    module docstring).  ``fused_prologue`` — only meaningful when fused —
+    is an object with ``sections(comm)`` and ``finish(comm, received)``
+    methods: its fetch sections ride the combined exchange and ``finish``
+    runs before any value-dependent compute, so a prologue that refreshes
+    the resident operand's values (the distributed SDDMM) fuses into the
+    same round trip.  The remote partials depend on the refreshed values,
+    so they then follow in a ``send-C`` round of their own — skipped on
+    every rank when no rank has one (an uncharged header flag on the
+    fused exchange keeps the skip collectively consistent).
     """
     comm = A.comm
     if B.comm is not comm:
@@ -148,7 +230,7 @@ def tiled_multiply(
     if plan is None:
         if prepared is None:
             sync_prepared = prepare_multiply(A, config)
-        plan = replan(sync_prepared, A, B, exchange_modes=not fuse)
+        plan = replan(sync_prepared, A, B)
     else:
         # A caller's plan promises the same *patterns*, not the values the
         # kept symbolic products were computed from.
@@ -157,67 +239,66 @@ def tiled_multiply(
                 info.symbolic = None
     diag.symbolic_products = plan.pattern_products
 
-    # Consumer-side strips of my local A block, one per producer column
-    # block, with column ids local to that block.  A prepared plan owns
-    # them (built and charged once; the fresh path's throwaway rebuilds
-    # per call, same "tiling" charge as ever).
-    if sync_prepared is not None:
-        strips = sync_prepared.ensure_strips(A)
-    else:
-        with comm.phase("tiling"):
-            strips = ColumnStrips(A.local, A.rows.ranges)
-            comm.charge_touch(strips_build_bytes(A.local, p))
+    # The mode lists ``replan`` left to ship.  Fused, they ride the
+    # step's exchange; unfused, they are the paper's own binary-value
+    # all-to-all, directly after the symbolic step.
+    head = [] if plan.outgoing_modes is None else [("symbolic", plan.outgoing_modes)]
+    plan.outgoing_modes = None
+    if not fuse:
+        exchange_sections(comm, head, fuse=False)
+        head = []
 
-    if fuse:
-        return _fused_multiply(
-            comm, A, B, semiring, config, plan, strips, diag, d, acc, kname,
-            fused_prologue, sync_prepared,
-        )
-
+    strips = consumer_strips(A, sync_prepared)
+    steps = tile_steps(comm.rank, p, config.tile_width_factor, fuse)
+    diag.rounds = sum(len(rounds) for _, rounds in steps)
     my_nrows = A.local.nrows
     my_lo, _ = A.rows.range_of(comm.rank)
+    numeric = (B.local, semiring, d, acc, kname)
 
-    partials = _diagonal_partials(
-        comm, plan, B.local, semiring, d, acc, kname, diag, my_nrows
-    )
-
-    # ------------------------------------------------------------------
-    # Tile rounds (Alg 2 lines 11-18 and 24-29, consolidated all-to-alls).
-    # ------------------------------------------------------------------
-    width = config.tile_width_factor
-    n_rounds = -(-p // width)
-    diag.rounds = n_rounds
-    my_group = comm.rank // width  # block group my column block belongs to
-    for rnd in range(n_rounds):
-        # Rotated schedule: this round I consume block group
-        # (rank + rnd) mod R, and as a producer I serve the consumers
-        # whose sweep reaches my group this round.
-        cons_group = (comm.rank + rnd) % n_rounds
-        active = range(cons_group * width, min((cons_group + 1) * width, p))
-        my_consumers = [
-            i for i in range(p) if (my_group - i) % n_rounds == rnd and i != comm.rank
-        ]
-
-        send_b = _build_send_b(comm, plan, B.local, my_lo, p, diag, my_consumers)
-        send_c = _build_send_c(
-            comm, plan, B.local, semiring, d, acc, kname, p, diag, my_consumers
-        )
-
-        with comm.phase("fetch-B"):
-            recv_b = comm.alltoall(send_b)
-        with comm.phase("send-C"):
-            recv_c = comm.alltoall(send_c)
+    # Unfused, the diagonal tile goes first (Alg 2 order); fused, it
+    # waits behind the exchange so a prologue's refresh reaches it.
+    partials = None
+    if not fuse:
+        partials = _diagonal_partials(comm, plan, *numeric, diag, my_nrows)
+    # Tile rounds (Alg 2 lines 11-18 and 24-29), one exchange per step.
+    for consumers, producer_rounds in steps:
+        send_b = _build_send_b(comm, plan, B.local, my_lo, diag, consumers)
+        sections = head + [("fetch-B", send_b)]
+        if fused_prologue is None:
+            send_c = _build_send_c(comm, plan, *numeric, diag, consumers)
+            received, _ = exchange_sections(
+                comm, sections + [("send-C", send_c)], fuse
+            )
+        else:
+            # Partials must wait for the prologue's refreshed values; the
+            # header flag tells every rank whether any rank will have one.
+            received, any_remote = exchange_sections(
+                comm,
+                [*fused_prologue.sections(comm), *sections],
+                fuse,
+                meta=plan.count(REMOTE) > 0,
+            )
+            _finish_prologue(comm, fused_prologue, received, plan, sync_prepared, A)
+        if partials is None:
+            partials = _diagonal_partials(comm, plan, *numeric, diag, my_nrows)
+        if fused_prologue is not None:
+            received["send-C"] = [None] * p
+            if any(any_remote):
+                send_c = _build_send_c(comm, plan, *numeric, diag, consumers)
+                with comm.phase("send-C"):
+                    received["send-C"] = comm.alltoall(send_c)
 
         # ---- consumer side --------------------------------------------
+        recv_b = received["fetch-B"]
         diag.peak_recv_b_bytes = max(
             diag.peak_recv_b_bytes, _recv_b_bytes(comm, recv_b)
         )
-        with comm.phase("local-compute"):
+        for active in producer_rounds:
             _consume_round(
-                comm, active, recv_b, recv_c, strips, A, config, semiring,
-                d, acc, kname, diag, my_nrows, partials,
+                comm, active, recv_b, received["send-C"], strips, A, config,
+                semiring, d, acc, kname, diag, my_nrows, partials,
             )
-        partials = _merge_round(comm, partials, semiring)
+            partials = _merge_round(comm, partials, semiring)
 
     with comm.phase("merge"):
         if partials:
@@ -226,15 +307,14 @@ def tiled_multiply(
         else:
             c_local = CsrMatrix.empty((my_nrows, d), dtype=semiring.dtype)
 
-    _count_modes(plan, diag)
+    diag.local_tiles = plan.count(LOCAL)
+    diag.remote_tiles = plan.count(REMOTE)
+    diag.empty_tiles = plan.count(EMPTY)
     return DistSparseMatrix(comm, A.rows, c_local, d), diag
 
 
 # ----------------------------------------------------------------------
-# producer/consumer round bodies, shared by the fused and unfused paths
-# (the fused path coalesces *rounds*, never payloads, so both schedules
-# must build and consume byte-identical per-peer messages — keep every
-# change to these helpers path-agnostic)
+# producer/consumer step bodies
 # ----------------------------------------------------------------------
 def _diagonal_partials(
     comm, plan, b_local, semiring, d, acc, kname, diag, my_nrows
@@ -255,24 +335,17 @@ def _diagonal_partials(
     return partials
 
 
-def _build_send_b(
-    comm, plan, b_local, my_lo, p, diag, peers
-) -> List[Optional[list]]:
+def _build_send_b(comm, plan, b_local, my_lo, diag, peers) -> List[Optional[list]]:
     """``fetch-B`` payloads for the given consumer ``peers``.
 
     B rows are packed per local-mode row tile — a row needed by two
     tiles is shipped twice, exactly as in the paper's per-tile
     all-to-alls.  Avoiding that duplication is precisely what the
     remote mode is for (Fig 4c), so "optimizing" it away here would
-    erase the hybrid mode's benefit (Fig 6).  The unfused schedule
-    passes one round's consumers; the fused schedule passes every peer
-    at once — each (producer, consumer) pair meets in exactly one round,
-    so the per-peer payload is identical either way.
+    erase the hybrid mode's benefit (Fig 6).
     """
-    send_b: List[Optional[list]] = [None] * p
+    send_b: List[Optional[list]] = [None] * comm.size
     for peer in peers:
-        if peer == comm.rank:
-            continue
         tile_payloads = []
         for info in plan.produced[peer]:
             if info.mode != LOCAL or info.needed_b_rows is None:
@@ -291,13 +364,11 @@ def _build_send_b(
 
 
 def _build_send_c(
-    comm, plan, b_local, semiring, d, acc, kname, p, diag, peers
+    comm, plan, b_local, semiring, d, acc, kname, diag, peers
 ) -> List[Optional[tuple]]:
     """Remote-mode partial payloads for the given consumer ``peers``."""
-    send_c: List[Optional[tuple]] = [None] * p
+    send_c: List[Optional[tuple]] = [None] * comm.size
     for peer in peers:
-        if peer == comm.rank:
-            continue
         remote_part = _compute_remote_partial(
             comm, plan.produced[peer], b_local, semiring, d, acc, kname, diag
         )
@@ -322,28 +393,21 @@ def _consume_round(
     kname, diag, my_nrows, partials,
 ) -> None:
     """Consume one rotated round's producers, appending to ``partials``."""
-    for j in active:
-        if j == comm.rank:
-            continue
-        payload = recv_b[j]
-        if payload is not None:
-            c_part = _consume_local(
-                comm,
-                strips[j],
-                payload,
-                A.rows.range_of(j),
-                config,
-                semiring,
-                d,
-                acc,
-                kname,
-                diag,
-            )
-            if c_part is not None:
-                partials.append(c_part)
-        remote = recv_c[j]
-        if remote is not None:
-            partials.append(place_rows(my_nrows, remote, d, semiring.dtype))
+    with comm.phase("local-compute"):
+        for j in active:
+            if j == comm.rank:
+                continue
+            payload = recv_b[j]
+            if payload is not None:
+                c_part = _consume_local(
+                    comm, strips[j], payload, A.rows.range_of(j), config,
+                    semiring, d, acc, kname, diag,
+                )
+                if c_part is not None:
+                    partials.append(c_part)
+            remote = recv_c[j]
+            if remote is not None:
+                partials.append(place_rows(my_nrows, remote, d, semiring.dtype))
 
 
 def _merge_round(comm, partials, semiring) -> List[CsrMatrix]:
@@ -354,11 +418,6 @@ def _merge_round(comm, partials, semiring) -> List[CsrMatrix]:
             comm.charge_touch(merge_bytes(partials))
             partials = [merge_csrs(partials, semiring)]
     return partials
-
-
-# ----------------------------------------------------------------------
-# fused communication path
-# ----------------------------------------------------------------------
 
 
 def _sync_plan_values(plan: SymbolicPlan, prepared: PreparedA) -> None:
@@ -377,140 +436,25 @@ def _sync_plan_values(plan: SymbolicPlan, prepared: PreparedA) -> None:
             info.symbolic = None
 
 
-def _fused_multiply(
-    comm, A, B, semiring, config, plan, strips, diag, d, acc, kname,
-    fused_prologue, sync_prepared,
-) -> Tuple[DistSparseMatrix, TileDiagnostics]:
-    """The fused-round schedule: one combined all-to-all per multiply.
-
-    Without a prologue, a multiply step is exactly **one** exchange: the
-    deferred symbolic modes, every round's ``fetch-B`` payloads and every
-    round's ``send-C`` partials travel as tagged sections of a single
-    fused all-to-all (values are resident, so the remote partials are
-    computable up front).  With a value-refreshing ``fused_prologue``
-    (the distributed SDDMM), the partials depend on the refreshed values,
-    so the step becomes: fused fetch round (prologue sections + modes +
-    ``fetch-B``) → prologue ``finish`` (refresh, one values-only round) →
-    ``send-C`` round, the last skipped everywhere when no rank has remote
-    partials (decided via the fused round's uncharged header flag, so the
-    skip is collectively consistent).
-
-    Consumer-side processing then replays the rotated tile rounds from
-    the coalesced buffers in the unfused order — same partial list, same
-    per-round merge cadence — which is what makes the output
-    bit-identical to ``fuse_comm=False``.
+def _finish_prologue(comm, prologue, received, plan, sync_prepared, A) -> None:
+    """Complete a fused prologue; if it refreshed the operand's values,
+    re-read them so every value-dependent product (diagonal, remote
+    partials, strip consumption) sees the refreshed operand — what keeps
+    the fused order bit-identical to prologue first, then plan + multiply.
     """
-    p = comm.size
-    my_nrows = A.local.nrows
-    my_lo, _ = A.rows.range_of(comm.rank)
-    width = config.tile_width_factor
-    n_rounds = -(-p // width)
-    diag.rounds = n_rounds
-    # Every (producer, consumer) pair meets in exactly one round of the
-    # rotated schedule, so building payloads for all peers at once
-    # coalesces *rounds*, never payloads.
-    all_peers = [i for i in range(p) if i != comm.rank]
-
-    # ---- producer side: everything computable before the exchange -----
-    send_b = _build_send_b(comm, plan, B.local, my_lo, p, diag, all_peers)
-    sections: List[Tuple[str, list]] = []
-    if fused_prologue is not None:
-        sections.extend(fused_prologue.sections(comm))
-    if plan.outgoing_modes is not None:
-        sections.append(("symbolic", plan.outgoing_modes))
-    sections.append(("fetch-B", send_b))
-    meta = None
-    if fused_prologue is None:
-        # Values are resident and final: remote partials can be computed
-        # now and ride the same exchange — FusedMM proper, one round.
-        send_c = _build_send_c(
-            comm, plan, B.local, semiring, d, acc, kname, p, diag, all_peers
+    prologue.finish(comm, received)
+    if not getattr(prologue, "values_refreshed", False):
+        return
+    if sync_prepared is None:
+        raise RuntimeError(
+            "a value-refreshing fused prologue needs a prepared "
+            "plan to re-sync numeric state through"
         )
-        sections.append(("send-C", send_c))
-    else:
-        # The prologue will refresh values; partials must wait.  Ship an
-        # uncharged header flag so every rank learns whether *any* rank
-        # will have remote partials — the follow-up send-C round is then
-        # skipped everywhere or run everywhere (collectively consistent).
-        meta = any(
-            s.mode == REMOTE for infos in plan.produced.values() for s in infos
-        )
-
-    with comm.phase("fused-round"):
-        received, metas = comm.alltoall_fused(sections, meta=meta)
-
-    if plan.outgoing_modes is not None:
-        plan.consumed_modes = dict(enumerate(received["symbolic"]))
-        plan.outgoing_modes = None
-    recv_b = received["fetch-B"]
-
-    if fused_prologue is not None:
-        fused_prologue.finish(comm, received)
-        if getattr(fused_prologue, "values_refreshed", False):
-            # The prologue changed the operand's values after replan
-            # captured its block references.  Re-read them so every
-            # value-dependent product (diagonal, remote partials, strip
-            # consumption) sees the refreshed operand — this is what
-            # keeps the fused path bit-identical to the unfused order
-            # (prologue first, then plan + multiply).
-            if sync_prepared is None:
-                raise RuntimeError(
-                    "a value-refreshing fused prologue needs a prepared "
-                    "plan to re-sync numeric state through"
-                )
-            if sync_prepared is not getattr(
-                fused_prologue, "refreshed_prepared", None
-            ):
-                # Fresh-plan path: the throwaway's blocks/strips were
-                # extracted before the refreshed values existed.
-                sync_prepared.refresh_values(A)
-            _sync_plan_values(plan, sync_prepared)
-
-    # Diagonal tile after any value refresh, like the unfused order
-    # (there the prologue runs entirely before the multiply).
-    partials = _diagonal_partials(
-        comm, plan, B.local, semiring, d, acc, kname, diag, my_nrows
-    )
-
-    # ---- remote partials + the follow-up round (prologue case only) ---
-    if fused_prologue is None:
-        recv_c = received["send-C"]
-    elif any(metas):
-        send_c = _build_send_c(
-            comm, plan, B.local, semiring, d, acc, kname, p, diag, all_peers
-        )
-        with comm.phase("send-C"):
-            recv_c = comm.alltoall(send_c)
-    else:
-        recv_c = [None] * p
-
-    # ---- consumer side: replay the rotated rounds from the coalesced
-    # buffers (identical partial order and merge cadence → identical C) -
-    # Fused arrival: every round's B rows are resident at once — the
-    # honest footprint of trading rounds for latency (Fig 5 end point).
-    diag.peak_recv_b_bytes = max(
-        diag.peak_recv_b_bytes, _recv_b_bytes(comm, recv_b)
-    )
-
-    for rnd in range(n_rounds):
-        cons_group = (comm.rank + rnd) % n_rounds
-        active = range(cons_group * width, min((cons_group + 1) * width, p))
-        with comm.phase("local-compute"):
-            _consume_round(
-                comm, active, recv_b, recv_c, strips, A, config, semiring,
-                d, acc, kname, diag, my_nrows, partials,
-            )
-        partials = _merge_round(comm, partials, semiring)
-
-    with comm.phase("merge"):
-        if partials:
-            comm.charge_touch(merge_bytes(partials))
-            c_local = merge_csrs(partials, semiring)
-        else:
-            c_local = CsrMatrix.empty((my_nrows, d), dtype=semiring.dtype)
-
-    _count_modes(plan, diag)
-    return DistSparseMatrix(comm, A.rows, c_local, d), diag
+    if sync_prepared is not getattr(prologue, "refreshed_prepared", None):
+        # Fresh-plan path: the throwaway's blocks/strips were extracted
+        # before the refreshed values existed.
+        sync_prepared.refresh_values(A)
+    _sync_plan_values(plan, sync_prepared)
 
 
 # ----------------------------------------------------------------------
@@ -581,17 +525,7 @@ def _consume_local(
     j_lo, j_hi = producer_range
     ranges = row_tile_ranges(strip.nrows, config.effective_tile_height(strip.nrows))
     tiles = []
-    last_rt = -1
-    for rt, global_ids, rows in payload:
-        # Stacking below relies on the producer's order (plan row tiles,
-        # ascending); anything else would misplace or drop output rows.
-        if not last_rt < rt < len(ranges):
-            raise ValueError(
-                f"fetch-B payload row tile {rt} after {last_rt}: ids must be "
-                f"strictly increasing and below {len(ranges)}"
-            )
-        last_rt = rt
-        r0, r1 = ranges[rt]
+    for (r0, r1), global_ids, rows in checked_row_tiles(payload, ranges):
         sub = extract_row_range(strip, r0, r1)
         if sub.nnz == 0:
             continue
@@ -606,6 +540,25 @@ def _consume_local(
     if not tiles:
         return None
     return _stack_row_tiles(tiles, strip.nrows, d, semiring)
+
+
+def checked_row_tiles(payload, ranges):
+    """Yield ``(row range, global B row ids, rows)`` per ``fetch-B`` entry.
+
+    Consumers place each tile's output by its row range and stack in
+    payload order, relying on the producer's order (plan row tiles,
+    ascending): any other id would misplace or drop output rows, so it
+    raises instead.
+    """
+    last_rt = -1
+    for rt, global_ids, rows in payload:
+        if not last_rt < rt < len(ranges):
+            raise ValueError(
+                f"fetch-B payload row tile {rt} after {last_rt}: ids must be "
+                f"strictly increasing and below {len(ranges)}"
+            )
+        last_rt = rt
+        yield ranges[rt], global_ids, rows
 
 
 def _stack_row_tiles(
@@ -624,9 +577,3 @@ def _stack_row_tiles(
         semiring.coerce(np.concatenate([tile.data for _, tile in tiles])),
         check=False,
     )
-
-
-def _count_modes(plan: SymbolicPlan, diag: TileDiagnostics) -> None:
-    diag.local_tiles = plan.count(LOCAL)
-    diag.remote_tiles = plan.count(REMOTE)
-    diag.empty_tiles = plan.count(EMPTY)

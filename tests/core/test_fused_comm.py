@@ -22,6 +22,7 @@ from repro.core import (
     ts_spgemm,
     ts_spmm,
 )
+from repro.core.tiled import exchange_sections
 from repro.mpi import run_spmd
 from repro.mpi.costmodel import PERLMUTTER
 from repro.mpi.errors import CollectiveMismatchError, CommMismatchError, RankError
@@ -75,11 +76,11 @@ class TestAlltoallFused:
         def separate(comm):
             a = [np.arange(comm.rank + 2, dtype=np.int64)] * comm.size
             b = [np.ones(3 * (comm.rank + 1))] * comm.size
-            with comm.phase("alpha"):
-                ra = comm.alltoall(a)
-            with comm.phase("beta"):
-                rb = comm.alltoall(b)
-            return {"alpha": ra, "beta": rb}
+            received, metas = exchange_sections(
+                comm, [("alpha", a), ("beta", b)], fuse=False
+            )
+            assert metas is None  # the flag rides the fused header only
+            return received
 
         res_f = run_spmd(P, fused)
         res_s = run_spmd(P, separate)

@@ -4,6 +4,9 @@ import numpy as np
 import pytest
 
 from repro.core import TsConfig, ts_spmm
+from repro.core.spmm import SpmmDiagnostics, _consume_dense
+from repro.mpi import run_spmd
+from repro.mpi.errors import RankError
 from ..conftest import csr_from_dense, random_dense
 
 PS = [1, 2, 3, 4, 8]
@@ -58,6 +61,35 @@ class TestSpmmCorrectness:
         b = rng.random((16, 4))
         result = ts_spmm(a, b, 4)
         np.testing.assert_allclose(result.C, dense @ b, atol=1e-10)
+
+
+class TestConsumeDensePayload:
+    """A ``fetch-B`` tile id the consumer cannot place must raise (the
+    parent dropped the tile's output rows silently)."""
+
+    def _consume(self, tile_ids):
+        strip = csr_from_dense(np.eye(8))
+        payload = [(rt, np.arange(8), np.ones((8, 3))) for rt in tile_ids]
+        config = TsConfig(tile_height=2)  # four row tiles of the strip
+
+        def program(comm):
+            c_local = np.zeros((8, 3))
+            _consume_dense(
+                comm, strip, payload, (0, 8), config, c_local, SpmmDiagnostics()
+            )
+            return c_local
+
+        return run_spmd(1, program).values[0]
+
+    def test_in_order_payload_accumulates(self):
+        expected = np.ones((8, 3))
+        expected[2:4] = 0
+        np.testing.assert_array_equal(self._consume([0, 2, 3]), expected)
+
+    @pytest.mark.parametrize("tile_ids", [[0, 4], [1, 0], [2, 2]])
+    def test_unplaceable_payload_raises(self, tile_ids):
+        with pytest.raises(RankError, match="strictly increasing and below 4"):
+            self._consume(tile_ids)
 
 
 class TestSpmmVsSpgemmCosts:

@@ -81,7 +81,7 @@ def multiply(a, b, semiring, config, *, strip=False, prologue=None):
         prepared = prepare_multiply(dist_a, config)
         kept = 0
         if strip:
-            plan = replan(prepared, dist_a, dist_b, exchange_modes=not config.fuse_comm)
+            plan = replan(prepared, dist_a, dist_b)
             for infos in plan.produced.values():
                 for info in infos:
                     kept += info.symbolic is not None
