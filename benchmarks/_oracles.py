@@ -7,7 +7,16 @@ because pytest puts each non-package bench module's directory on
 
 import numpy as np
 
-from repro.sparse import CsrMatrix
+from repro.sparse import CsrMatrix, spgemm_flops
+from repro.sparse.build import csr_from_triples
+
+
+def assert_bit_identical(got: CsrMatrix, want: CsrMatrix) -> None:
+    """Same pattern, same value dtype, same value bits."""
+    assert np.array_equal(got.indptr, want.indptr)
+    assert np.array_equal(got.indices, want.indices)
+    assert got.data.dtype == want.data.dtype
+    assert got.data.tobytes() == want.data.tobytes()
 
 
 def lexsort_merge(parts, semiring) -> CsrMatrix:
@@ -31,6 +40,31 @@ def lexsort_merge(parts, semiring) -> CsrMatrix:
         semiring.reduce_segments(vals, starts),
         check=False,
     )
+
+
+def sorted_float_merge(parts, semiring) -> CsrMatrix:
+    """The order-bound merge as it stood before the counting sort, and as
+    it still runs outside the dense bound: concatenate, one stable sort of
+    the fused key (``row_major_order``), segmented reduce.  What the
+    counting-sort branch of ``merge_csrs`` must stay bit-identical to, and
+    faster than."""
+    rows = np.concatenate([p.row_ids() for p in parts])
+    cols = np.concatenate([p.indices for p in parts])
+    vals = np.concatenate([semiring.coerce(p.data) for p in parts])
+    return csr_from_triples(rows, cols, vals, parts[0].shape, semiring)
+
+
+def scipy_objects_product(a, b):
+    """The ``scipy`` kernel as it stood before it called the compiled
+    routines on the raw arrays: wrap both operands in ``scipy.sparse``
+    objects (validated, indices down-cast), multiply, canonicalize, unwrap.
+    What ``spgemm_scipy_kernel`` must stay bit-identical to, and faster than."""
+    flops = spgemm_flops(a, b)
+    product = a.to_scipy() @ b.to_scipy()
+    product.sum_duplicates()
+    product.sort_indices()
+    c = CsrMatrix(product.shape, product.indptr, product.indices, product.data, check=False)
+    return c, flops
 
 
 def three_pass_spa(a, b, semiring):

@@ -10,6 +10,10 @@ test run.  A second, BFS-shaped case (a 256x256 boolean block times a
 256x64 frontier, ~1.5K products — the size of one ``msbfs_uk`` tile
 product, where per-call fixed cost dominates) holds the ``spa`` kernel to
 >=1.5x its former three-pass body, kept in ``_oracles.py``, bit for bit.
+A third holds the arithmetic path to what it replaced: the ``scipy``
+kernel >=2x the ``scipy.sparse``-object product on an embedding-shaped
+tile (340x340 block times 340x16, ~750 products), bit for bit, and
+``symbolic_size`` >=2x the pattern product on a one-shot-shaped subtile.
 ``docs/kernels.md`` quotes the tables this bench writes to
 ``benchmarks/results/micro_kernels.txt``.
 """
@@ -30,7 +34,9 @@ from repro.sparse import (
     random_csr,
 )
 
-from _oracles import three_pass_spa
+from repro.sparse.kernels import symbolic_size
+
+from _oracles import assert_bit_identical, scipy_objects_product, three_pass_spa
 from _timing import best_of_interleaved
 
 RNG = np.random.default_rng(0)
@@ -82,10 +88,8 @@ def _gate_bfs_shaped(sink):
             repeats=5,
         )
         assert flops == want_flops
-        assert np.array_equal(got.indptr, want.indptr)
-        assert np.array_equal(got.indices, want.indices)
-        assert got.data.dtype == want.data.dtype == np.bool_
-        assert got.data.tobytes() == want.data.tobytes()
+        assert_bit_identical(got, want)
+        assert got.data.dtype == np.bool_
         assert got.data.all() == (label == "all True")
         rows.append([label, flops, f"{t_old / 200 * 1e6:.1f} us",
                      f"{t_new / 200 * 1e6:.1f} us", f"{t_old / t_new:.2f}x"])
@@ -102,9 +106,73 @@ def _gate_bfs_shaped(sink):
     )
 
 
+def _gate_float_path(sink):
+    """The arithmetic path's two per-subtile calls, against what they
+    replaced: the ``scipy`` kernel on an embedding-shaped product (one
+    ``embed_cora`` tile: per-call cost, not throughput) and on a
+    ``multiply_oneshot``-shaped one, and ``symbolic_size`` against the
+    boolean pattern product ``replan`` used to run on the same subtile."""
+    rng = np.random.default_rng(17)
+    scipy_kernel = get_kernel("scipy").fn
+    rows = []
+    for label, a, b, calls, floor in [
+        ("340x340 block x 340x16 (embedding tile)",
+         random_csr(340, 340, nnz_per_row=1.1, rng=rng),
+         random_csr(340, 16, nnz_per_row=2, rng=rng), 200, 2.0),
+        ("1024x1024 block x 1024x128 (one-shot tile)",
+         random_csr(1024, 1024, nnz_per_row=1, rng=rng),
+         random_csr(1024, 128, nnz_per_row=26, rng=rng), 20, 1.0),
+    ]:
+        (t_new, t_old), ((got, flops), (want, want_flops)) = best_of_interleaved(
+            [
+                lambda: [scipy_kernel(a, b, PLUS_TIMES) for _ in range(calls)][-1],
+                lambda: [scipy_objects_product(a, b) for _ in range(calls)][-1],
+            ],
+            repeats=5,
+        )
+        assert flops == want_flops
+        assert_bit_identical(got, want)
+        rows.append([f"scipy kernel, {label}", flops, f"{t_old / calls * 1e6:.1f} us",
+                     f"{t_new / calls * 1e6:.1f} us", f"{t_old / t_new:.2f}x"])
+        assert t_old >= floor * t_new, (
+            f"scipy kernel ({label}) must be >= {floor}x the scipy.sparse-object "
+            f"product: {t_new / calls * 1e6:.1f} us vs {t_old / calls * 1e6:.1f} us per call"
+        )
+
+    # the last operands are a one-shot subtile: size it vs multiply its pattern
+    spa, a_bool, b_bool = get_kernel("spa").fn, a.astype(np.bool_), b.astype(np.bool_)
+
+    def pattern_size():
+        pattern, sym_flops = spa(a_bool, b_bool, BOOL_AND_OR)
+        return pattern.nnz, int(np.count_nonzero(pattern.row_nnz())), sym_flops
+
+    (t_new, t_old), (got, want) = best_of_interleaved(
+        [
+            lambda: [symbolic_size(a, b) for _ in range(20)][-1],
+            lambda: [pattern_size() for _ in range(20)][-1],
+        ],
+        repeats=5,
+    )
+    assert got == want
+    rows.append(["symbolic_size vs spa pattern product, one-shot tile", got[2],
+                 f"{t_old / 20 * 1e6:.1f} us", f"{t_new / 20 * 1e6:.1f} us",
+                 f"{t_old / t_new:.2f}x"])
+    assert t_old >= 2.0 * t_new, (
+        f"symbolic_size must be >= 2x the pattern product it replaced: "
+        f"{t_new / 20 * 1e6:.1f} us vs {t_old / 20 * 1e6:.1f} us per call"
+    )
+    print_table(
+        "The float path per subtile (plus_times; best of 5 batches)",
+        ["call, operands", "products", "before", "now", "speedup"],
+        rows,
+        file=sink,
+    )
+
+
 def bench_micro_kernel_table(benchmark, sink):
     """One table over all kernels, plus the measured tentpole assertion;
-    then the BFS-shaped ``spa`` gate (same results file)."""
+    then the BFS-shaped ``spa`` gate and the float-path gates (same
+    results file)."""
     _check_agreement()
     times = {
         kernel: _best_of(
@@ -135,6 +203,7 @@ def bench_micro_kernel_table(benchmark, sink):
         f"esc-vectorized only {speedup:.1f}x faster than {SEED_PATH}"
     )
     _gate_bfs_shaped(sink)
+    _gate_float_path(sink)
     benchmark(lambda: dispatch_spgemm(A, B, PLUS_TIMES, "esc-vectorized"))
 
 

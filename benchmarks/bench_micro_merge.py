@@ -1,12 +1,16 @@
-"""Microbenchmark: the fused-key k-way merge vs the seed's lexsort merge.
+"""Microbenchmark: the k-way merge vs the seed's lexsort merge.
 
 Algorithm 2 ends every tile round in ``Ci = MERGE(Ci, C_partial)``; at
 p = 16 that is ``merge_csrs`` over up to 16 partials, each already a
 sorted CSR.  The seed concatenated them and ran a two-key ``np.lexsort``
-from scratch; ``merge_csrs`` now sorts one fused ``row·ncols + col`` key
-with a stable (run-adaptive) sort, which on 16 sorted runs is a run merge.
-This bench holds the two to bit-identity — float partials, so the
-``reduceat`` summation order is pinned too — and gates the speedup.
+from scratch; PR 12 sorted one fused ``row·ncols + col`` key with a stable
+(run-adaptive) sort, which on 16 sorted runs is a run merge — still the
+path of blocks outside the dense bound; inside it ``merge_csrs`` now
+counting-sorts the values into the very order that sort produced and
+folds them with the same ``reduceat``.  This bench holds all three to
+bit-identity — float partials, so the summation order is pinned too — and
+gates the speedup over both: >= 2x the lexsort seed, >= 1.3x the sorted
+merge.
 
 A second case is the merge MS-BFS does: 16 sorted 256 x 64 *boolean*
 partials.  ``logical_or`` is order-free, so ``merge_csrs`` folds them
@@ -21,24 +25,25 @@ import numpy as np
 from repro.analysis import print_table
 from repro.sparse import BOOL_AND_OR, PLUS_TIMES, merge_csrs, random_csr
 
-from _oracles import lexsort_merge
+from _oracles import assert_bit_identical, lexsort_merge, sorted_float_merge
 from _timing import best_of_interleaved
 
 K = 16  # one rank's round at p = 16
 
 
-def _gate(sink, parts, semiring, how):
+def _gate(sink, parts, semiring, how, sorted_floor=None):
     """Time ``merge_csrs`` against the lexsort oracle on ``parts``; assert
-    bit-identity and the >= 2x speedup; print the table."""
-    (t_new, t_old), (got, want) = best_of_interleaved(
-        [lambda: merge_csrs(parts, semiring), lambda: lexsort_merge(parts, semiring)],
+    bit-identity and the >= 2x speedup; print the table.  ``sorted_floor``
+    adds the fused-key sorted merge as a second oracle, with its own gate."""
+    oracles = [lexsort_merge] + ([sorted_float_merge] if sorted_floor else [])
+    (t_new, t_old, *t_sorted), (got, *wants) = best_of_interleaved(
+        [lambda: merge_csrs(parts, semiring)]
+        + [lambda oracle=oracle: oracle(parts, semiring) for oracle in oracles],
         repeats=7,
     )
 
-    assert np.array_equal(got.indptr, want.indptr)
-    assert np.array_equal(got.indices, want.indices)
-    assert got.data.dtype == want.data.dtype
-    assert got.data.tobytes() == want.data.tobytes()
+    for want in wants:
+        assert_bit_identical(got, want)
 
     total = sum(p.nnz for p in parts)
     nrows, d = parts[0].shape
@@ -48,6 +53,10 @@ def _gate(sink, parts, semiring, how):
         ["merge", "time", "speedup"],
         [
             ["concatenate + np.lexsort (seed)", f"{t_old * 1e3:.3f} ms", "1.0x"],
+            *(
+                ["concatenate + fused-key stable sort", f"{t * 1e3:.3f} ms", f"{t_old / t:.1f}x"]
+                for t in t_sorted
+            ),
             [f"merge_csrs ({how})", f"{t_new * 1e3:.3f} ms", f"{t_old / t_new:.1f}x"],
         ],
         file=sink,
@@ -57,12 +66,17 @@ def _gate(sink, parts, semiring, how):
         f"merge_csrs ({how}) must be >= 2x the lexsort merge: "
         f"{t_new * 1e3:.3f} ms vs {t_old * 1e3:.3f} ms"
     )
+    for t in t_sorted:
+        assert t >= sorted_floor * t_new, (
+            f"merge_csrs ({how}) must be >= {sorted_floor}x the sorted merge: "
+            f"{t_new * 1e3:.3f} ms vs {t * 1e3:.3f} ms"
+        )
 
 
 def bench_micro_merge(benchmark, sink):
     rng = np.random.default_rng(5)
     floats = [random_csr(1024, 128, nnz_per_row=12, rng=rng) for _ in range(K)]
-    _gate(sink, floats, PLUS_TIMES, "fused key")
+    _gate(sink, floats, PLUS_TIMES, "counting sort", sorted_floor=1.3)
     # The MS-BFS merge: boolean partials of a 256-row block at d = 64,
     # one of them carrying stored False so values are folded, not skipped.
     bools = [

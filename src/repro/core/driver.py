@@ -825,12 +825,9 @@ class TsSession(ResidentSession):
             for (peer, i), data in blob["values"].items():
                 ps = prepared.subtiles[peer][i]
                 blk = ps.block
-                restored = CsrMatrix(
+                ps.block = CsrMatrix(
                     blk.shape, blk.indptr, blk.indices, data.copy(), check=False
                 )
-                ps.block = restored
-                if ps.block_bool is not None:
-                    ps.block_bool = restored.astype(np.bool_)
             if prepared.strips is not None and blob["strips"] is not None:
                 strips = prepared.strips
                 for j, data in enumerate(blob["strips"]):
@@ -1562,7 +1559,7 @@ class TsSession(ResidentSession):
                                     new_subs.append(
                                         PreparedSubtile(
                                             ps.peer, ps.row_tile, ps.row_range,
-                                            None, None, None,
+                                            None, None,
                                         )
                                     )
                                     continue
@@ -1571,19 +1568,18 @@ class TsSession(ResidentSession):
                                     new_subs.append(
                                         PreparedSubtile(
                                             ps.peer, ps.row_tile, ps.row_range,
-                                            blk, None, None,
+                                            blk, None,
                                         )
                                     )
                                 else:
-                                    # bool cast + nonzero-column rescan:
-                                    # same 2x streaming charge as
+                                    # pattern read + nonzero-column
+                                    # rescan: same 2x streaming charge as
                                     # prepare_multiply's off-diagonal path
                                     touched += 2 * blk.nbytes_estimate()
                                     new_subs.append(
                                         PreparedSubtile(
                                             ps.peer, ps.row_tile, ps.row_range,
                                             blk,
-                                            blk.astype(np.bool_),
                                             blk.nonzero_columns(),
                                         )
                                     )

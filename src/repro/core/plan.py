@@ -11,8 +11,7 @@ consumer-side tiling derive from ``A`` alone is computed once, in
 
 B-independent, owned by :class:`PreparedA`:
 
-* per-(peer, row-tile) ``Ac`` subtile blocks and their boolean pattern
-  casts,
+* per-(peer, row-tile) ``Ac`` subtile blocks,
 * each subtile's ``nzc`` — the local ``B`` rows it would need
   (``needed_b_rows``),
 * row-tile ranges and the consumer-side :class:`ColumnStrips`,
@@ -21,15 +20,18 @@ B-independent, owned by :class:`PreparedA`:
 
 B-dependent, re-run per multiply by :func:`replan` (hybrid policy only):
 
-* the pattern product per subtile (exact symbolic output size),
+* the exact symbolic output size per subtile — sized without multiplying
+  (:func:`~repro.sparse.kernels.symbolic_size`), except on boolean
+  operands, where the pattern product is the partial a REMOTE subtile
+  ships and is multiplied once and kept,
 * the local-vs-remote wire-byte comparison,
 * the mode lists, which the multiply then ships (one all-to-all, or a
   section of its fused exchange).
 
 Cost-model charging rules (see docs/planning.md): prepared state is
 charged **once**, under the ``prepare``/``tiling`` setup phases, when it
-is built; each :func:`replan` charges only the pattern products it
-actually runs — zero for forced policies.  A fresh (un-prepared)
+is built; each :func:`replan` charges one pattern product per subtile it
+sizes — zero for forced policies.  A fresh (un-prepared)
 multiply builds a throwaway ``PreparedA`` and therefore pays the full
 prepare + replan cost every time, exactly like the pre-plan code did.
 """
@@ -43,7 +45,7 @@ import numpy as np
 
 from ..partition.distmat import DistSparseMatrix
 from ..sparse.csr import CsrMatrix
-from ..sparse.kernels import dispatch_spgemm, resolve_spgemm
+from ..sparse.kernels import dispatch_spgemm, resolve_spgemm, symbolic_size
 from ..sparse.ops import extract_row_range
 from ..sparse.semiring import BOOL_AND_OR
 from ..sparse.tile import ColumnStrips, strips_build_bytes
@@ -67,7 +69,6 @@ class PreparedSubtile:
     row_tile: int
     row_range: Tuple[int, int]
     block: Optional[CsrMatrix]  # None iff the subtile stores nothing
-    block_bool: Optional[CsrMatrix]  # pattern cast; off-diagonal only
     needed_b_rows: Optional[np.ndarray]  # local B rows; off-diagonal only
 
 
@@ -120,7 +121,7 @@ class PreparedA:
         (the embedding's coefficient matrix between negative re-samples),
         the pattern-derived state — ``needed_b_rows``, row-tile ranges,
         strip selections, static modes — stays valid; only the subtile
-        blocks, their boolean casts and the strip values are re-read.
+        blocks and the strip values are re-read.
         Requires the caller to have rebuilt ``A.col_copy`` first.
         """
         comm = A.comm
@@ -138,9 +139,8 @@ class PreparedA:
                         )
                     ps.block = sub
                     touched += sub.nbytes_estimate()
-                    if ps.block_bool is not None:
-                        ps.block_bool = sub.astype(np.bool_)
-                        touched += sub.nbytes_estimate()
+                    if ps.needed_b_rows is not None:  # off-diagonal
+                        touched += sub.nbytes_estimate()  # the pattern read
             if self.strips is not None:
                 self.strips.refresh_values(A.local)
                 touched += A.local.nbytes_estimate()
@@ -156,7 +156,7 @@ def _prepare_peer(
 
     The single extraction routine shared by :func:`prepare_multiply` and
     the elastic-shrink remap (:func:`shrink_prepared`): both produce the
-    exact same subtile blocks, pattern casts and ``needed_b_rows`` for a
+    exact same subtile blocks and ``needed_b_rows`` for a
     given (column copy, peer row range, config) — the reason an
     incrementally re-prepared ``p-1`` plan is bit-identical to a fresh
     one.  Returns ``(subtiles, row_tile_ranges, touched_bytes)``; the
@@ -171,22 +171,21 @@ def _prepare_peer(
         sub = extract_row_range(tile_block, r0, r1)
         touched += sub.nbytes_estimate()
         if sub.nnz == 0:
-            subs.append(PreparedSubtile(peer, rt, (r0, r1), None, None, None))
+            subs.append(PreparedSubtile(peer, rt, (r0, r1), None, None))
             continue
         if peer == rank:
-            subs.append(PreparedSubtile(peer, rt, (r0, r1), sub, None, None))
+            subs.append(PreparedSubtile(peer, rt, (r0, r1), sub, None))
             continue
         nzc = sub.nonzero_columns()  # my local B rows this tile needs
-        sub_bool = sub.astype(np.bool_)
-        touched += 2 * sub.nbytes_estimate()
-        subs.append(PreparedSubtile(peer, rt, (r0, r1), sub, sub_bool, nzc))
+        touched += 2 * sub.nbytes_estimate()  # the nzc scan + the pattern read
+        subs.append(PreparedSubtile(peer, rt, (r0, r1), sub, nzc))
     return subs, ranges, touched
 
 
 def prepare_multiply(A: DistSparseMatrix, config: TsConfig) -> PreparedA:
     """Build the B-independent half of the symbolic plan (collective).
 
-    Requires ``A.build_column_copy()``.  Extraction, pattern casts and
+    Requires ``A.build_column_copy()``.  Extraction, pattern reads and
     nonzero-column scans are charged to the ``prepare`` setup phase; for
     forced mode policies the static mode table is exchanged here as well,
     so their multiplies have no mode lists to ship.
@@ -316,8 +315,9 @@ def replan(
     :func:`~repro.core.symbolic.build_symbolic_plan` returns for the same
     operands — the equivalence the cached-plan test suite asserts — while
     touching only what actually depends on ``B``: under the ``hybrid``
-    policy one boolean pattern product and byte comparison per non-empty
-    off-diagonal subtile; under a forced policy, nothing at all.
+    policy one exact output size (a kept pattern product on boolean
+    operands) and byte comparison per non-empty off-diagonal subtile;
+    under a forced policy, nothing at all.
 
     The hybrid mode lists are left on ``plan.outgoing_modes`` for the
     multiply to ship — as the paper's own binary-value all-to-all, or as
@@ -334,12 +334,12 @@ def replan(
     with comm.phase("symbolic"):
         if hybrid:
             b_row_nnz = B.local.row_nnz()
-            b_bool = B.local.astype(np.bool_)  # one conversion per replan
             b_is_bool = B.local.dtype == np.bool_
-            # The pattern products run on a real registry kernel; charge
-            # its calibrated constant (non-strict: mirrors the dispatch).
+            # The symbolic step is charged as a pattern product on a real
+            # registry kernel, at that kernel's calibrated constant
+            # (non-strict: mirrors the dispatch below).
             sym_kernel = resolve_spgemm(
-                config.kernel, BOOL_AND_OR, b_bool, d=B.ncols, strict=False
+                config.kernel, BOOL_AND_OR, d=B.ncols, strict=False
             ).name
         for peer in range(comm.size):
             infos: List[SubtileInfo] = []
@@ -373,28 +373,34 @@ def replan(
                     continue
                 nzc = ps.needed_b_rows
                 needed_nnz = int(b_row_nnz[nzc].sum())
-                # Exact symbolic product: pattern-only multiply against my
-                # B.  Non-strict dispatch: a forced plus_times-only kernel
-                # (e.g. --kernel scipy) degrades to the vectorized default
-                # for this boolean pattern product instead of erroring.
-                # This is the only lenient call site; numeric paths raise.
-                pattern, sym_flops = dispatch_spgemm(
-                    ps.block_bool, b_bool, BOOL_AND_OR, config.kernel, strict=False
-                )
+                # The exact symbolic output size.  On boolean operands the
+                # pattern product is, input for input and kernel for kernel,
+                # the bool_and_or partial a REMOTE subtile ships: multiply
+                # first and keep it for the multiply to reuse.  Any other
+                # operand pair could not use the product, so it is sized
+                # without multiplying; the charge is the same either way.
+                pattern = None
+                if b_is_bool and ps.block.dtype == np.bool_:
+                    # Non-strict dispatch: a forced plus_times-only kernel
+                    # (e.g. --kernel scipy) degrades to the vectorized
+                    # default for this boolean product instead of erroring.
+                    # This is the only lenient call site; numeric paths raise.
+                    pattern, sym_flops = dispatch_spgemm(
+                        ps.block, B.local, BOOL_AND_OR, config.kernel, strict=False
+                    )
+                    out_nnz = pattern.nnz
+                    out_rows = int(np.count_nonzero(pattern.row_nnz()))
+                else:
+                    out_nnz, out_rows, sym_flops = symbolic_size(ps.block, B.local)
                 comm.charge_symbolic(sym_flops, kernel=sym_kernel)
                 plan.pattern_products += 1
-                out_nnz = pattern.nnz
                 # Compare exact wire bytes of the two options: both
                 # payloads are (row ids, packed rows), i.e. 16 B per
                 # nonzero plus 16 B per shipped row (id + row pointer).
-                out_rows = int(np.count_nonzero(pattern.row_nnz()))
                 local_bytes = 16 * needed_nnz + 16 * len(nzc)
                 remote_bytes = 16 * out_nnz + 16 * out_rows
                 mode = REMOTE if remote_bytes < local_bytes else LOCAL
-                # On boolean operands the pattern product is, input for
-                # input and kernel for kernel, the bool_and_or partial a
-                # REMOTE subtile ships: keep it for the multiply to reuse.
-                keep = mode == REMOTE and b_is_bool and ps.block.dtype == np.bool_
+                keep = pattern is not None and mode == REMOTE
                 infos.append(
                     SubtileInfo(
                         peer,

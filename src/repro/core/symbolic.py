@@ -58,9 +58,10 @@ class SymbolicPlan:
 
     ``produced``: subtiles of *my* column block, keyed by consumer rank —
     what I must ship (B rows or partial C) each round.
-    ``pattern_products``: boolean pattern multiplies this plan actually
-    ran — the B-dependent symbolic work a prepared plan cannot skip
-    (zero under forced mode policies).
+    ``pattern_products``: subtiles this plan sized against ``B``, each
+    charged as one boolean pattern product whether it was multiplied
+    (boolean operands) or only sized — the B-dependent symbolic work a
+    prepared plan cannot skip (zero under forced mode policies).
     ``outgoing_modes``: the per-peer mode lists of a hybrid plan, still
     to be shared with the tile owners — the multiply ships them (one
     all-to-all, or a tagged section of its fused exchange) and clears the

@@ -50,6 +50,7 @@ studies.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -89,7 +90,7 @@ class TileDiagnostics:
     peak_recv_b_bytes: int = 0
     sent_b_nnz: int = 0
     sent_c_nnz: int = 0
-    symbolic_products: int = 0  # B-dependent pattern multiplies this call
+    symbolic_products: int = 0  # subtiles sized against B this call
     plan_reused: int = 0  # 1 when a PreparedA served this multiply
 
     def as_dict(self) -> dict:
@@ -129,12 +130,20 @@ def tile_steps(
     clock — exchange once, then consume the ranges round by round.
     ``fuse`` makes all rounds one step; otherwise every round is a step.
     """
+    return [(list(cons), list(prods)) for cons, prods in _tile_steps(rank, p, width, fuse)]
+
+
+@lru_cache(maxsize=1024)
+def _tile_steps(rank: int, p: int, width: int, fuse: bool) -> tuple:
+    """The schedule behind :func:`tile_steps`: pure in its arguments, so
+    built once per (rank, world, width, grouping) — as tuples, which no
+    caller can alter."""
     rounds = tile_rounds(rank, p, width)
     groups = [rounds] if fuse else [[r] for r in rounds]
-    return [
-        (sorted(i for cons, _ in g for i in cons), [prods for _, prods in g])
+    return tuple(
+        (tuple(sorted(i for cons, _ in g for i in cons)), tuple(prods for _, prods in g))
         for g in groups
-    ]
+    )
 
 
 def exchange_sections(comm, sections, fuse: bool, meta=None):
@@ -565,7 +574,13 @@ def _stack_row_tiles(
     tiles: List[Tuple[int, CsrMatrix]], nrows: int, ncols: int, semiring: Semiring
 ) -> CsrMatrix:
     """Stack disjoint row tiles ``(first row, tile)``, given in increasing
-    row order, into one ``nrows × ncols`` block — no sort, no compress."""
+    row order, into one ``nrows × ncols`` block — no sort, no compress.
+    A single tile that already spans the block is returned as it is."""
+    if len(tiles) == 1 and tiles[0][1].shape == (nrows, ncols):
+        tile = tiles[0][1]
+        return CsrMatrix(
+            tile.shape, tile.indptr, tile.indices, semiring.coerce(tile.data), check=False
+        )
     indptr = np.zeros(nrows + 1, dtype=INDEX_DTYPE)
     for r0, tile in tiles:
         indptr[r0 + 1 : r0 + 1 + tile.nrows] = tile.row_nnz()

@@ -10,6 +10,7 @@ global↔local index translation.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -53,8 +54,9 @@ class Block1D:
             if any(a > b for a, b in zip(bounds, bounds[1:])):
                 raise ValueError("bounds must be non-decreasing")
 
-    @property
+    @cached_property
     def ranges(self) -> List[Tuple[int, int]]:
+        """Every rank's global ``[lo, hi)``, computed once (read-only)."""
         if self.bounds is not None:
             return [
                 (self.bounds[i], self.bounds[i + 1]) for i in range(self.p)

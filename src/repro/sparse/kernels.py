@@ -35,8 +35,18 @@ Registered SpGEMM kernels (``b_format="csr"``):
     ``d``, matching why the paper hashes for ``d > 1024``; the cost model
     still charges the two names their own calibrated constants.
 ``scipy``
-    ``scipy.sparse`` matrix multiplication; valid only for the arithmetic
-    ``plus_times`` semiring.
+    scipy's compiled Gustavson product, called on the raw CSR arrays: the
+    three ``scipy.sparse._sparsetools`` routines ``csr_matrix @ csr_matrix``
+    itself runs — ``csr_matmat_maxnnz`` (size the output), ``csr_matmat``
+    (row-by-row SPA product) and ``csr_sort_indices`` — with no
+    ``scipy.sparse`` object built around any operand, so nothing is
+    validated, copied or index-down-cast per call.  ``csr_matmat`` leaves
+    each row in accumulator-list order and drops sums that cancel to
+    exactly zero, hence the sort and the trim to ``indptr[-1]``.  Valid
+    only for the arithmetic ``plus_times`` semiring.  The routines are
+    private to scipy: ``tests/sparse/test_sparsetools_contract.py`` pins
+    what is relied on, and they are imported at module top so a scipy
+    without them fails at import.
 ``spa-rowwise`` / ``hash-rowwise``
     The seed's scalar row-by-row reference kernels built on
     :mod:`repro.sparse.accumulators`.  Exact but loop-based; kept for
@@ -53,9 +63,13 @@ multiplications — the paper's *flops* measure, which drives the virtual
 compute clock.  All numpy-backed SpGEMM kernels agree exactly on output
 ``(indptr, indices, data)`` for the semirings they support, including
 explicit zeros produced by cancellation; ``scipy`` is the one exception —
-its matmul canonicalizes cancelled entries away, so it may store fewer
-nonzeros (compare through ``prune_zeros()`` when mixing it with the
-others).  ``tests/sparse/test_kernels.py`` enforces the equivalence.
+its product drops cancelled entries, so it may store fewer nonzeros
+(compare through ``prune_zeros()`` when mixing it with the others).
+``tests/sparse/test_kernels.py`` enforces the equivalence.
+
+:func:`symbolic_size` is the symbolic step's counterpart (§III-D): the
+exact output size of a product — stored entries, non-empty rows, flops —
+without forming it.
 """
 
 from __future__ import annotations
@@ -64,6 +78,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
+from scipy.sparse._sparsetools import csr_matmat, csr_matmat_maxnnz, csr_sort_indices
 
 from .accumulators import HashAccumulator, SpaAccumulator
 from .build import SPA_MAX_SCRATCH_ELEMS, csr_from_flat_keys, csr_from_triples, spa_fold
@@ -239,6 +254,28 @@ def spgemm_flops(a: CsrMatrix, b: CsrMatrix) -> int:
     return int(b.row_nnz()[a.indices].sum())
 
 
+def symbolic_size(a: CsrMatrix, b: CsrMatrix) -> Tuple[int, int, int]:
+    """Exact size of ``a @ b`` without forming it: ``(nnz, rows, flops)``.
+
+    What the symbolic step (§III-D) compares: the distinct output
+    positions, the output rows holding any, and the multiplications.  Only
+    patterns are read, so a stored ``0.0`` / ``False`` counts like any
+    other entry — the sizes are those of every numpy-backed kernel's
+    product, under any semiring.
+    """
+    if a.ncols != b.nrows:
+        raise ValueError(f"dimension mismatch: {a.shape} x {b.shape}")
+    if a.nnz == 0 or b.nnz == 0:
+        return 0, 0, 0
+    # products up to each A nonzero; a row is hit iff its range is non-empty
+    products = np.zeros(a.nnz + 1, dtype=INDEX_DTYPE)
+    np.cumsum(b.row_nnz()[a.indices], out=products[1:])
+    row_products = products[a.indptr]
+    rows = int(np.count_nonzero(row_products[1:] != row_products[:-1]))
+    nnz = csr_matmat_maxnnz(a.nrows, b.ncols, a.indptr, a.indices, b.indptr, b.indices)
+    return int(nnz), rows, int(products[-1])
+
+
 def _expand(a: CsrMatrix, b: CsrMatrix):
     """Expand step shared by the batched kernels.
 
@@ -387,16 +424,30 @@ def spgemm_spa_vectorized(
 def spgemm_scipy_kernel(
     a: CsrMatrix, b: CsrMatrix, semiring: Semiring = PLUS_TIMES
 ) -> Tuple[CsrMatrix, int]:
-    """scipy fast path — valid only for the arithmetic semiring."""
+    """scipy's Gustavson product on the raw arrays — the routines, in the
+    order, ``csr_matrix @ csr_matrix`` runs them, so values are its values
+    bit for bit.  Valid only for the arithmetic semiring."""
     if semiring.name != "plus_times":
         raise ValueError("scipy method supports only the plus_times semiring")
     flops = spgemm_flops(a, b)
-    product = a.to_scipy() @ b.to_scipy()
-    product.sum_duplicates()
-    product.sort_indices()
-    # canonical by the two calls above: no second copy / validation pass
-    c = CsrMatrix(product.shape, product.indptr, product.indices, product.data, check=False)
-    return c, flops
+    # scipy has no boolean arithmetic: stored True / False count as 1.0 / 0.0
+    a_data, b_data = (
+        x.astype(np.float64) if x.dtype == np.bool_ else x for x in (a.data, b.data)
+    )
+    nrows, ncols = a.nrows, b.ncols
+    maxnnz = csr_matmat_maxnnz(nrows, ncols, a.indptr, a.indices, b.indptr, b.indices)
+    indptr = np.empty(nrows + 1, dtype=INDEX_DTYPE)
+    indices = np.empty(maxnnz, dtype=INDEX_DTYPE)
+    data = np.empty(maxnnz, dtype=np.result_type(a_data.dtype, b_data.dtype))
+    csr_matmat(
+        nrows, ncols, a.indptr, a.indices, a_data, b.indptr, b.indices, b_data,
+        indptr, indices, data,
+    )
+    # Each row comes back in accumulator-list order, and sums that cancelled
+    # to exactly zero were dropped: sort in place, trim to what was stored.
+    csr_sort_indices(nrows, indptr, indices, data)
+    nnz = indptr[-1]
+    return CsrMatrix((nrows, ncols), indptr, indices[:nnz], data[:nnz], check=False), flops
 
 
 # ----------------------------------------------------------------------

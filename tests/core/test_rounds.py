@@ -43,3 +43,14 @@ def test_steps_only_regroup_rounds(p, width):
         ((consumers, producer_rounds),) = tile_steps(rank, p, width, fuse=True)
         assert consumers == [i for i in range(p) if i != rank]  # ascending
         assert producer_rounds == [producers for _, producers in rounds]
+
+
+def test_steps_are_the_callers_own_lists():
+    """The schedule is cached per (rank, p, width, fuse): what a caller
+    does to the lists it was handed must not reach the next caller."""
+    first = tile_steps(1, 6, 2, fuse=False)
+    want = [(list(consumers), list(rounds)) for consumers, rounds in first]
+    first[0][0].append(99)
+    first[0][1].clear()
+    first.pop()
+    assert tile_steps(1, 6, 2, fuse=False) == want

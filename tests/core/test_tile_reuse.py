@@ -17,7 +17,7 @@ import pytest
 
 from repro.core import TsConfig, prepare_multiply, replan, tiled_multiply
 from repro.core.symbolic import REMOTE
-from repro.core.tiled import TileDiagnostics, _consume_local
+from repro.core.tiled import TileDiagnostics, _consume_local, _stack_row_tiles
 from repro.mpi import run_spmd
 from repro.mpi.errors import RankError
 from repro.partition import DistSparseMatrix
@@ -153,11 +153,10 @@ class TestKeptSymbolicProduct:
         assert kept == 0
         remote = total(diags, "remote_tiles")
         assert remote > 0
+        # float subtiles are sized in replan, not multiplied
+        assert total(diags, "symbolic_products") > 0
         assert counter.calls == (
-            total(diags, "symbolic_products")
-            + total(diags, "diagonal_tiles")
-            + total(diags, "local_tiles")
-            + remote
+            total(diags, "diagonal_tiles") + total(diags, "local_tiles") + remote
         )
         np.testing.assert_allclose(vstack(blocks), a.to_dense() @ b.to_dense())
 
@@ -237,6 +236,46 @@ class TestKeptSymbolicProduct:
                 pattern, flops = symbolic
                 assert pattern.nnz == output_nnz and flops > 0
 
+    @pytest.mark.parametrize("float_side", ["a", "b", "both"])
+    def test_sized_subtiles_plan_like_multiplied_ones(self, rng, counter, float_side):
+        """A subtile with a non-boolean operand is sized without a kernel
+        call; modes, sizes and the symbolic charge are those of the
+        boolean plan, which multiplies the same patterns."""
+        a, b = bool_operands(rng)
+        a.data[::5] = False  # stored entries that are zero still count
+        b.data[::7] = False
+        config = TsConfig(kernel=KERNEL, tile_height=4)
+
+        def plan_of(a, b):
+            def program(comm):
+                dist_a = DistSparseMatrix.scatter_rows(comm, a)
+                dist_a.build_column_copy()
+                dist_b = DistSparseMatrix.scatter_rows(comm, b)
+                plan = replan(prepare_multiply(dist_a, config), dist_a, dist_b)
+                return plan.pattern_products, [
+                    (info.mode, info.needed_b_nnz, info.output_nnz, info.symbolic is None)
+                    for infos in plan.produced.values()
+                    for info in infos
+                ]
+
+            counter.calls = 0
+            result = run_spmd(P, program)
+            charged = [rs.phases["symbolic"] for rs in result.report.rank_stats]
+            return result.values, charged, counter.calls
+
+        multiplied, multiplied_phase, calls = plan_of(a, b)
+        assert calls == sum(n for n, _ in multiplied) > 0
+        sized, sized_phase, calls = plan_of(
+            a.astype(np.float64) if float_side in ("a", "both") else a,
+            b.astype(np.float64) if float_side in ("b", "both") else b,
+        )
+        assert calls == 0
+        assert sized_phase == multiplied_phase
+        for (n_sized, infos), (n_mult, want) in zip(sized, multiplied):
+            assert n_sized == n_mult
+            assert [i[:3] for i in infos] == [w[:3] for w in want]
+            assert all(i[3] for i in infos)  # nothing to keep
+
 
 class TestConsumeLocalOrdering:
     """Stacking replaces sorting, so the producer's order is checked."""
@@ -270,3 +309,18 @@ class TestConsumeLocalOrdering:
         """The parent silently dropped this tile's output rows."""
         with pytest.raises(RankError, match="below 4"):
             self._consume([0, 4])
+
+
+def test_a_tile_spanning_the_block_is_not_rebuilt():
+    """``tile_height=None``: every stack is one tile that already is the
+    block — handed back with its arrays, values in the semiring's dtype."""
+    tile = csr_from_dense(np.arange(12.0).reshape(4, 3))
+    same = _stack_row_tiles([(0, tile)], 4, 3, PLUS_TIMES)
+    assert same.shape == (4, 3)
+    assert same.indptr is tile.indptr and same.indices is tile.indices
+    assert same.data is tile.data
+    as_bool = _stack_row_tiles([(0, tile)], 4, 3, BOOL_AND_OR)
+    assert as_bool.indices is tile.indices and as_bool.dtype == np.bool_
+    taller = _stack_row_tiles([(2, tile)], 6, 3, PLUS_TIMES)  # same tile, offset
+    np.testing.assert_array_equal(taller.to_dense()[2:], tile.to_dense())
+    assert taller.indptr is not tile.indptr and not taller.to_dense()[:2].any()

@@ -11,6 +11,13 @@ class TestBlock1D:
         part = Block1D(10, 3)
         assert part.ranges == [(0, 4), (4, 7), (7, 10)]
 
+    def test_ranges_are_computed_once_and_stay_out_of_equality(self):
+        part = Block1D(10, 3)
+        assert part.ranges is part.ranges  # range_of reads them per call
+        assert part == Block1D(10, 3) and hash(part) == hash(Block1D(10, 3))
+        explicit = Block1D(10, 3, bounds=(0, 2, 2, 10))
+        assert explicit.ranges is explicit.ranges == [(0, 2), (2, 2), (2, 10)]
+
     def test_size_of(self):
         part = Block1D(10, 3)
         assert [part.size_of(r) for r in range(3)] == [4, 3, 3]

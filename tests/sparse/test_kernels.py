@@ -9,6 +9,8 @@ regardless of the accumulation order a kernel uses.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import TsConfig
 from repro.sparse import (
@@ -26,6 +28,7 @@ from repro.sparse import (
     register_kernel,
     resolve_spgemm,
 )
+from repro.sparse.kernels import symbolic_size
 from ..conftest import csr_from_dense, random_dense
 
 CSR_KERNELS = available_kernels()
@@ -375,3 +378,47 @@ class TestSpaRowBlocks:
         assert flops == want_flops
         rowwise, _ = dispatch_spgemm(a, b, semiring, "spa-rowwise")
         _assert_bit_identical(got, rowwise)
+
+
+# ----------------------------------------------------------------------
+# symbolic_size: the product's size without the product
+# ----------------------------------------------------------------------
+@st.composite
+def stored_operands(draw):
+    """``(a, b)`` float or boolean CSR operands that store explicit
+    ``0.0`` / ``False``, with empty rows, sometimes an empty operand and
+    sometimes an ``a`` none of whose needed ``b`` rows stores anything."""
+    m, k, n = (draw(st.integers(1, 12)) for _ in range(3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    dtype = draw(st.sampled_from([np.float64, np.bool_]))
+
+    def operand(nrows, ncols, empty_rows=()):
+        pattern = rng.random((nrows, ncols)) < draw(st.sampled_from([0.0, 0.2, 0.6]))
+        pattern[rng.random(nrows) < 0.3] = False  # empty rows
+        pattern[empty_rows] = False
+        mat = _explicit_bool(pattern, rng.random((nrows, ncols)) < 0.5)
+        if dtype == np.bool_:
+            return mat  # about half the stored values are False
+        return mat.astype(np.float64)  # ... or 0.0
+
+    a = operand(m, k)
+    starved = draw(st.booleans())  # every B row that A needs is empty
+    return a, operand(k, n, np.unique(a.indices) if starved else ())
+
+
+@given(stored_operands())
+@settings(max_examples=300, deadline=None)
+def test_symbolic_size_is_the_pattern_products_size(operands):
+    a, b = operands
+    pattern, flops = dispatch_spgemm(
+        a.astype(np.bool_), b.astype(np.bool_), BOOL_AND_OR, "esc-vectorized"
+    )
+    want = (pattern.nnz, int(np.count_nonzero(pattern.row_nnz())), flops)
+    got = symbolic_size(a, b)
+    assert got == want
+    assert all(type(x) is int for x in got)
+
+
+def test_symbolic_size_dimension_mismatch():
+    with pytest.raises(ValueError, match="mismatch"):
+        symbolic_size(CsrMatrix.empty((3, 4)), CsrMatrix.empty((5, 2)))

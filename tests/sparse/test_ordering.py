@@ -14,6 +14,7 @@ from repro.sparse import (
     BOOL_AND_OR,
     MIN_PLUS,
     PLUS_TIMES,
+    SEL2ND_MIN,
     CsrMatrix,
     coo_to_csr,
     merge_csrs,
@@ -115,7 +116,8 @@ def test_merge_float_summation_order_is_pinned(rng):
     """≥ 8 float contributions per entry: float addition is not
     associative, so bit-equality with the lexsort oracle holds only if the
     merge adds every entry's contributions in partial order, left to
-    right, through the same ``reduceat``."""
+    right, through the same ``reduceat`` — on the counting-sort path (the
+    block fits the dense bound) and on the sorted one (bound shrunk)."""
     n, d, k = 40, 12, 10
     stored = rng.random((n, d)) < 0.5
     # every stored entry is missing from one or two of the k partials
@@ -126,25 +128,32 @@ def test_merge_float_summation_order_is_pinned(rng):
         # magnitudes 1e-8 .. 1e8: any reordering changes the rounded sum
         vals = rng.standard_normal((n, d)) * 10.0 ** rng.integers(-8, 9, (n, d))
         parts.append(CsrMatrix.from_dense(np.where(mask, vals, 0.0)))
-    merged = merge_csrs(parts, PLUS_TIMES)
     rows, cols, vals = _lexsort_merge(parts, PLUS_TIMES)
     contributions = np.bincount(
         np.concatenate([p.row_ids() * d + p.indices for p in parts])
     )
     assert contributions[contributions > 0].min() >= 8
-    np.testing.assert_array_equal(merged.row_ids(), rows)
-    np.testing.assert_array_equal(merged.indices, cols)
-    assert merged.data.tobytes() == vals.tobytes()
-    # and the order matters: the reversed merge differs somewhere
-    assert merge_csrs(parts[::-1], PLUS_TIMES).data.tobytes() != vals.tobytes()
+    for bound, counted in ((None, 1), (n * d - 1, 0)):
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            folds, sorts = _spy_on_fold(monkeypatch, bound=bound)
+            merged = merge_csrs(parts, PLUS_TIMES)
+            reversed_merge = merge_csrs(parts[::-1], PLUS_TIMES)
+        assert (folds, len(sorts)) == ([], 2 * counted)
+        np.testing.assert_array_equal(merged.row_ids(), rows)
+        np.testing.assert_array_equal(merged.indices, cols)
+        assert merged.data.tobytes() == vals.tobytes()
+        # and the order matters: the reversed merge differs somewhere
+        assert reversed_merge.data.tobytes() != vals.tobytes()
 
 
 # ----------------------------------------------------------------------
-# the boolean merge folds through the dense accumulator; floats never do
+# inside the dense bound the boolean merge folds through the accumulator
+# and every other add through the counting sort; outside it, both sort
 # ----------------------------------------------------------------------
 def _spy_on_fold(monkeypatch, bound=None):
     """Record, per dense fold ``merge_csrs`` makes, whether it skipped the
-    values; optionally shrink the scratch bound so tiny shapes straddle it."""
+    values, and per counting sort its scratch size; optionally shrink the
+    scratch bound so tiny shapes straddle it.  Returns ``(folds, sorts)``."""
     import repro.sparse.merge as merge_module
 
     folds, fold = [], merge_module.spa_fold
@@ -153,21 +162,32 @@ def _spy_on_fold(monkeypatch, bound=None):
         "spa_fold",
         lambda flat, vals, size, sr: folds.append(vals is None) or fold(flat, vals, size, sr),
     )
+    sorts, counting_sort = [], merge_module._counting_sort_fold
+    monkeypatch.setattr(
+        merge_module,
+        "_counting_sort_fold",
+        lambda flat, part_vals, size, sr: sorts.append(size)
+        or counting_sort(flat, part_vals, size, sr),
+    )
     if bound is not None:
         monkeypatch.setattr(merge_module, "SPA_MAX_SCRATCH_ELEMS", bound)
-    return folds
+    return folds, sorts
 
 
 @st.composite
 def partials(draw, dtype):
     """k = 1..16 equal-shape partials, some empty, boolean ones storing
-    explicit ``False``, few enough positions that most get several
-    contributions.  With the bound at 30 slots, (6, 5) just fits the
-    scratch and (5, 7) just does not."""
+    explicit ``False`` and float ones ``0.0`` / ``-0.0``, few enough
+    positions that most get several contributions.  With the bound at 30
+    slots, (6, 5) just fits the scratch and (5, 7) just does not.  Float
+    partials merge under ``plus_times``, ``min_plus`` or ``sel2nd_min``."""
     shape = draw(st.sampled_from([(1, 1), (6, 5), (5, 7), (3, 40)]))
     k = draw(st.integers(1, 16))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    semiring = BOOL_AND_OR if dtype == np.bool_ else PLUS_TIMES
+    if dtype == np.bool_:
+        semiring = BOOL_AND_OR
+    else:
+        semiring = draw(st.sampled_from([PLUS_TIMES, MIN_PLUS, SEL2ND_MIN]))
     parts = []
     for _ in range(k):
         n = int(rng.integers(0, 25)) * int(rng.random() < 0.8)  # ~20 % empty
@@ -175,12 +195,22 @@ def partials(draw, dtype):
             vals = rng.random(n) < 0.5
         else:  # magnitudes 1e-8 .. 1e8: any reordering changes the sum
             vals = rng.standard_normal(n) * 10.0 ** rng.integers(-8, 9, n)
+            # signed zeros: which one a minimum keeps depends on the order
+            vals[rng.random(n) < 0.2] = 0.0
+            vals[rng.random(n) < 0.1] = -0.0
         # coo_to_csr takes the sort path whatever the semiring
         parts.append(coo_to_csr(
             rng.integers(0, shape[0], n), rng.integers(0, shape[1], n),
             vals, shape, semiring,
         ))
     return parts, semiring
+
+
+def _is_dense(parts, bound):
+    """Whether ``merge_csrs`` takes a dense branch under scratch ``bound``."""
+    nonempty = [p for p in parts if p.nnz]
+    size, entries = parts[0].nrows * parts[0].ncols, sum(p.nnz for p in nonempty)
+    return len(nonempty) > 1 and size <= min(bound, DENSE_MERGE_SLOTS_PER_ENTRY * entries)
 
 
 def assert_merge_is_the_oracle(parts, semiring):
@@ -201,21 +231,34 @@ def assert_merge_is_the_oracle(parts, semiring):
 def test_boolean_merge_is_bit_identical_to_the_sort_oracle(case):
     parts, semiring = case
     with pytest.MonkeyPatch.context() as monkeypatch:
-        folds = _spy_on_fold(monkeypatch, bound=30)
+        folds, sorts = _spy_on_fold(monkeypatch, bound=30)
         assert_merge_is_the_oracle(parts, semiring)
     nonempty = [p for p in parts if p.nnz]
-    size, entries = parts[0].nrows * parts[0].ncols, sum(p.nnz for p in nonempty)
-    dense = len(nonempty) > 1 and size <= min(30, DENSE_MERGE_SLOTS_PER_ENTRY * entries)
-    assert folds == ([all(p.data.all() for p in nonempty)] if dense else [])
+    assert folds == ([all(p.data.all() for p in nonempty)] if _is_dense(parts, 30) else [])
+    assert sorts == []  # OR is order-free: no need to order the values
 
 
 @given(partials(np.float64))
 @settings(max_examples=100, deadline=None)
 def test_float_merge_is_bit_identical_to_the_sort_oracle(case):
+    parts, semiring = case
     with pytest.MonkeyPatch.context() as monkeypatch:
-        folds = _spy_on_fold(monkeypatch, bound=30)
-        assert_merge_is_the_oracle(*case)
+        folds, sorts = _spy_on_fold(monkeypatch, bound=30)
+        assert_merge_is_the_oracle(parts, semiring)
     assert folds == []  # a float sum is order-bound: never the dense fold
+    size = parts[0].nrows * parts[0].ncols
+    assert sorts == ([size] if _is_dense(parts, 30) else [])
+
+
+def test_a_part_storing_one_position_twice_raises():
+    """The sorted path would add both values; the counting sort has one
+    slot per (part, position), so it must refuse rather than drop one."""
+    good = CsrMatrix.from_dense(np.arange(1.0, 13.0).reshape(3, 4))
+    twice = CsrMatrix(
+        (3, 4), [0, 2, 2, 3], [1, 1, 0], np.array([5.0, 7.0, 1.0]), check=False
+    )
+    with pytest.raises(ValueError, match="one position twice"):
+        merge_csrs([good, twice], PLUS_TIMES)
 
 
 def test_dense_merge_at_the_real_scratch_bound(rng, monkeypatch):
@@ -225,7 +268,7 @@ def test_dense_merge_at_the_real_scratch_bound(rng, monkeypatch):
 
     side = 1 << 11
     assert side * side == SPA_MAX_SCRATCH_ELEMS
-    folds = _spy_on_fold(monkeypatch)
+    folds, sorts = _spy_on_fold(monkeypatch)
     full = rng.random((side, side + 1)) < 1.2 / DENSE_MERGE_SLOTS_PER_ENTRY
     over = [CsrMatrix.from_dense(full), CsrMatrix.from_dense(full[::-1])]
     fits = [CsrMatrix.from_dense(full[:, :side]), CsrMatrix.from_dense(full[::-1, :side])]
@@ -238,6 +281,8 @@ def test_dense_merge_at_the_real_scratch_bound(rng, monkeypatch):
     assert folds == [True, False]
     assert_merge_is_the_oracle(over, BOOL_AND_OR)
     assert_merge_is_the_oracle(sparse, BOOL_AND_OR)
+    assert sorts == []
     assert_merge_is_the_oracle([p.astype(np.float64) for p in fits], PLUS_TIMES)
     assert_merge_is_the_oracle([p.astype(np.float64) for p in fits], MIN_PLUS)
-    assert len(folds) == 2
+    assert_merge_is_the_oracle([p.astype(np.float64) for p in over], PLUS_TIMES)
+    assert len(folds) == 2 and sorts == [SPA_MAX_SCRATCH_ELEMS] * 2

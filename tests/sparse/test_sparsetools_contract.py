@@ -1,0 +1,119 @@
+"""The private scipy contract the ``scipy`` kernel and ``symbolic_size`` use.
+
+``repro.sparse.kernels`` calls three ``scipy.sparse._sparsetools`` routines
+on raw CSR arrays — the ones ``csr_matrix @ csr_matrix`` itself runs
+(``scipy/sparse/_compressed.py::_matmul_sparse``).  They are private, so
+what is relied on is pinned here against the *public* product: a scipy
+whose private contract moved fails tier-1 at this file (at import, if a
+routine is gone), not in the middle of a multiply.
+
+Relied on: ``csr_matmat_maxnnz`` counts the distinct output positions from
+the patterns alone; ``csr_matmat`` accepts int64 index arrays, fills
+``indptr`` and the first ``indptr[-1]`` slots of preallocated
+``maxnnz``-long outputs, accumulates in the output dtype, *drops* sums that
+are exactly zero and leaves rows unsorted; ``csr_sort_indices`` sorts
+columns and values together, in place, reading row extents from ``indptr``.
+"""
+
+import numpy as np
+import pytest
+import scipy.sparse as sp
+from scipy.sparse._sparsetools import csr_matmat, csr_matmat_maxnnz, csr_sort_indices
+
+from repro.sparse import PLUS_TIMES, CsrMatrix, dispatch_spgemm
+
+
+def raw_product(a: sp.csr_matrix, b: sp.csr_matrix, out_dtype):
+    """The three routines on int64 copies of the operands' arrays; returns
+    ``(maxnnz, indptr, indices, data, unsorted indices)`` untrimmed."""
+    nrows, ncols = a.shape[0], b.shape[1]
+    ap, aj = a.indptr.astype(np.int64), a.indices.astype(np.int64)
+    bp, bj = b.indptr.astype(np.int64), b.indices.astype(np.int64)
+    maxnnz = csr_matmat_maxnnz(nrows, ncols, ap, aj, bp, bj)
+    indptr = np.empty(nrows + 1, dtype=np.int64)
+    indices = np.empty(maxnnz, dtype=np.int64)
+    data = np.empty(maxnnz, dtype=out_dtype)
+    csr_matmat(nrows, ncols, ap, aj, a.data, bp, bj, b.data, indptr, indices, data)
+    unsorted = indices.copy()
+    csr_sort_indices(nrows, indptr, indices, data)
+    return maxnnz, indptr, indices, data, unsorted
+
+
+def public_product(a: sp.csr_matrix, b: sp.csr_matrix) -> sp.csr_matrix:
+    c = sp.csr_matrix(a) @ sp.csr_matrix(b)
+    c.sum_duplicates()
+    c.sort_indices()
+    return c
+
+
+def random_operands(rng, dtype, m=23, k=17, n=9):
+    """Operands with empty rows on both sides and values of ``dtype``."""
+
+    def one(nrows, ncols, density):
+        mask = rng.random((nrows, ncols)) < density
+        mask[::4] = False  # empty rows
+        if dtype == np.bool_:
+            vals = np.ones((nrows, ncols))  # bool stored, float64 multiplied
+        elif np.issubdtype(dtype, np.integer):
+            vals = rng.integers(-9, 10, (nrows, ncols))
+        else:  # magnitudes 1e-4 .. 1e4: accumulation order shows in the bits
+            vals = rng.standard_normal((nrows, ncols)) * 10.0 ** rng.integers(-4, 5, (nrows, ncols))
+        out_dtype = np.float64 if dtype == np.bool_ else dtype
+        return sp.csr_matrix(np.where(mask, vals, 0).astype(out_dtype))
+
+    return one(m, k, 0.3), one(k, n, 0.4)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32, np.int64, np.bool_])
+def test_raw_routines_are_the_public_product(rng, dtype):
+    a, b = random_operands(rng, dtype)
+    want = public_product(a, b)
+    maxnnz, indptr, indices, data, unsorted = raw_product(a, b, want.dtype)
+    nnz = indptr[-1]
+    assert nnz <= maxnnz == np.count_nonzero((abs(a) @ abs(b)).toarray())
+    assert not np.array_equal(unsorted[:nnz], indices[:nnz])  # csr_matmat does not sort
+    np.testing.assert_array_equal(indptr, want.indptr)
+    np.testing.assert_array_equal(indices[:nnz], want.indices)
+    assert data.dtype == want.dtype
+    assert data[:nnz].tobytes() == want.data.tobytes()
+
+
+def test_cancelled_sums_are_dropped_and_the_output_is_short():
+    a = sp.csr_matrix(np.array([[1.0, -1.0, 0.0], [0.0, 2.0, 3.0]]))
+    b = sp.csr_matrix(np.array([[1.0, 4.0], [1.0, 0.0], [0.0, 5.0]]))
+    want = public_product(a, b)
+    maxnnz, indptr, indices, data, _ = raw_product(a, b, np.float64)
+    assert maxnnz == 4 and indptr[-1] == 3  # (0, 0) cancelled to exactly 0.0
+    np.testing.assert_array_equal(indptr, want.indptr)
+    np.testing.assert_array_equal(indices[:3], want.indices)
+    np.testing.assert_array_equal(data[:3], want.data)
+
+
+@pytest.mark.parametrize("empty", ["a", "b"])
+def test_an_empty_operand_gives_an_all_zero_indptr(empty):
+    a = sp.csr_matrix((4, 3)) if empty == "a" else sp.csr_matrix(np.eye(4, 3))
+    b = sp.csr_matrix((3, 2)) if empty == "b" else sp.csr_matrix(np.ones((3, 2)))
+    maxnnz, indptr, indices, data, _ = raw_product(a, b, np.float64)
+    assert maxnnz == 0 and len(indices) == len(data) == 0
+    np.testing.assert_array_equal(indptr, np.zeros(5, dtype=np.int64))
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32, np.int64, np.bool_])
+def test_the_scipy_kernel_is_the_public_product(rng, dtype):
+    """The kernel itself, through the registry: pattern, dtype and bits."""
+    a, b = random_operands(rng, dtype)
+    want = public_product(a, b)
+    stored = np.bool_ if dtype == np.bool_ else dtype
+    got, flops = dispatch_spgemm(
+        CsrMatrix.from_scipy(a, dtype=stored),
+        CsrMatrix.from_scipy(b, dtype=stored),
+        PLUS_TIMES,
+        "scipy",
+    )
+    assert flops == int(b.getnnz(axis=1)[a.indices].sum())
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.indptr.dtype == got.indices.dtype == np.int64
+    np.testing.assert_array_equal(got.indptr, want.indptr)
+    np.testing.assert_array_equal(got.indices, want.indices)
+    assert got.data.tobytes() == want.data.tobytes()
+    got._validate()  # sorted, duplicate-free, consistent
