@@ -67,6 +67,39 @@ def scipy_objects_product(a, b):
     return c, flops
 
 
+def value_free_spa(a, b):
+    """The ``spa`` kernel's branch for all-True boolean operands as it stood
+    before it called scipy's compiled product: expand every product once to
+    its fused ``row * d + col`` key, mark the keys in a dense ``rows x d``
+    mask, read the mask back in row-major order — no value is built, every
+    output is ``True``.  (Operands inside the scratch bound: one block.)
+    What the compiled route must stay bit-identical to, and not slower
+    than; run per row block, it is what ``replan`` did per subtile."""
+    empty = CsrMatrix.empty((a.nrows, b.ncols), dtype=np.bool_), 0
+    if a.nnz == 0 or b.nnz == 0:
+        return empty
+    starts = b.indptr[a.indices]
+    counts = b.indptr[1:][a.indices] - starts
+    offsets = np.zeros(a.nnz + 1, dtype=np.int64)
+    np.cumsum(counts, out=offsets[1:])
+    total = int(offsets[-1])
+    if total == 0:
+        return empty
+    src = np.repeat(starts - offsets[:-1], counts) + np.arange(total, dtype=np.int64)
+    d = b.ncols
+    row_base = np.arange(0, (a.nrows + 1) * d, d, dtype=np.int64)
+    flat = np.repeat(row_base[:-1], np.diff(offsets[a.indptr])) + b.indices[src]
+    mask = np.zeros(a.nrows * d, dtype=bool)
+    mask[flat] = True
+    keys = np.flatnonzero(mask)
+    indptr = np.searchsorted(keys, row_base)
+    cols = keys - np.repeat(row_base[:-1], np.diff(indptr))
+    result = CsrMatrix(
+        (a.nrows, d), indptr, cols, np.ones(len(keys), dtype=bool), check=False
+    )
+    return result, total
+
+
 def three_pass_spa(a, b, semiring):
     """The ``spa`` kernel as it stood before the shared accumulator:
     expand to a ``(rows, cols, vals)`` triple, then per row block

@@ -9,7 +9,12 @@ numbers, and ``tests/sparse/test_kernel_perf.py`` re-checks it on every
 test run.  A second, BFS-shaped case (a 256x256 boolean block times a
 256x64 frontier, ~1.5K products — the size of one ``msbfs_uk`` tile
 product, where per-call fixed cost dominates) holds the ``spa`` kernel to
->=1.5x its former three-pass body, kept in ``_oracles.py``, bit for bit.
+>=1.5x its former three-pass body, kept in ``_oracles.py``, bit for bit,
+and its all-True route — scipy's compiled product on ``bool`` arrays — to
+the numpy fold it replaced (``value_free_spa``); a column-block row (a
+4096x256 boolean ``Ac_j`` times the same frontier) holds one call on the
+block to >=1.5x that fold on its 16 row blocks, which is what ``replan``
+ran per subtile, every row slice bit-identical.
 A third holds the arithmetic path to what it replaced: the ``scipy``
 kernel >=2x the ``scipy.sparse``-object product on an embedding-shaped
 tile (340x340 block times 340x16, ~750 products), bit for bit, and
@@ -35,8 +40,14 @@ from repro.sparse import (
 )
 
 from repro.sparse.kernels import symbolic_size
+from repro.sparse.ops import extract_row_range
 
-from _oracles import assert_bit_identical, scipy_objects_product, three_pass_spa
+from _oracles import (
+    assert_bit_identical,
+    scipy_objects_product,
+    three_pass_spa,
+    value_free_spa,
+)
 from _timing import best_of_interleaved
 
 RNG = np.random.default_rng(0)
@@ -101,6 +112,70 @@ def _gate_bfs_shaped(sink):
         "spa on a BFS-shaped tile product (256x256 boolean block times "
         "256x64 frontier, bool_and_or, best of 5 x 200 calls)",
         ["operands", "products", "three-pass oracle", "spa", "speedup"],
+        rows,
+        file=sink,
+    )
+    _gate_compiled_boolean_route(sink, spa, block, frontier)
+
+
+def _gate_compiled_boolean_route(sink, spa, block, frontier):
+    """All-True boolean operands run scipy's compiled product: against the
+    numpy fold it replaced on one tile, and — what ``replan`` now does —
+    one call on a whole column block against a call per row block."""
+    rng = np.random.default_rng(13)
+    column_block = random_csr(4096, 256, nnz_per_row=2, rng=rng, dtype=np.bool_)
+    edges = range(0, 4096 + 1, 256)
+    row_blocks = [extract_row_range(column_block, r0, r0 + 256) for r0 in edges[:-1]]
+
+    def per_block(kernel):
+        return [kernel(blk, frontier) for blk in row_blocks]
+
+    def compiled(a, b):
+        return spa(a, b, BOOL_AND_OR)
+
+    (t_new, t_old), ((got, flops), (want, want_flops)) = best_of_interleaved(
+        [
+            lambda: [compiled(block, frontier) for _ in range(200)][-1],
+            lambda: [value_free_spa(block, frontier) for _ in range(200)][-1],
+        ],
+        repeats=5,
+    )
+    assert flops == want_flops
+    assert_bit_identical(got, want)
+    rows = [["one tile: compiled vs numpy fold", flops, f"{t_old / 200 * 1e6:.1f} us",
+             f"{t_new / 200 * 1e6:.1f} us", f"{t_old / t_new:.2f}x"]]
+    assert t_old >= t_new, (
+        f"the compiled all-True route must not be slower than the numpy fold it "
+        f"replaced: {t_new / 200 * 1e6:.1f} us vs {t_old / 200 * 1e6:.1f} us per call"
+    )
+
+    calls = 10
+    (t_one, t_fold, t_blocks), ((stacked, flops), folded, blocked) = best_of_interleaved(
+        [
+            lambda: [compiled(column_block, frontier) for _ in range(calls)][-1],
+            lambda: [per_block(value_free_spa) for _ in range(calls)][-1],
+            lambda: [per_block(compiled) for _ in range(calls)][-1],
+        ],
+        repeats=5,
+    )
+    assert flops == sum(f for _, f in folded) == sum(f for _, f in blocked)
+    for r0, (want, _), (also, _) in zip(edges, folded, blocked):
+        assert_bit_identical(extract_row_range(stacked, r0, r0 + 256), want)
+        assert_bit_identical(also, want)
+    for label, t_before, floor in [
+        ("column block: one call vs numpy fold per row block", t_fold, 1.5),
+        ("column block: one call vs compiled call per row block", t_blocks, 1.0),
+    ]:
+        rows.append([label, flops, f"{t_before / calls * 1e6:.1f} us",
+                     f"{t_one / calls * 1e6:.1f} us", f"{t_before / t_one:.2f}x"])
+        assert t_before >= floor * t_one, (
+            f"{label}: must be >= {floor}x, got {t_one / calls * 1e6:.1f} us vs "
+            f"{t_before / calls * 1e6:.1f} us"
+        )
+    print_table(
+        "spa on all-True boolean operands: scipy's compiled product (256x256 "
+        "tile and 4096x256 column block = 16 row blocks, times a 256x64 frontier)",
+        ["comparison", "products", "before", "now", "speedup"],
         rows,
         file=sink,
     )
@@ -171,8 +246,8 @@ def _gate_float_path(sink):
 
 def bench_micro_kernel_table(benchmark, sink):
     """One table over all kernels, plus the measured tentpole assertion;
-    then the BFS-shaped ``spa`` gate and the float-path gates (same
-    results file)."""
+    then the BFS-shaped ``spa`` gates (tile and column block) and the
+    float-path gates (same results file)."""
     _check_agreement()
     times = {
         kernel: _best_of(

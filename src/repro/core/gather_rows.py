@@ -29,6 +29,20 @@ def pack_rows(mat: CsrMatrix, row_ids: np.ndarray) -> Optional[Tuple[np.ndarray,
     return row_ids, extract_rows(mat, row_ids)
 
 
+def pack_nonempty_rows(mat: CsrMatrix) -> Tuple[np.ndarray, CsrMatrix]:
+    """Every non-empty row of ``mat`` as a ``(row ids, rows)`` payload.
+
+    Equal to ``pack_rows(mat, np.flatnonzero(mat.row_nnz()))`` array for
+    array, without its gather: dropping empty rows moves no entry, so
+    ``indices`` / ``data`` already are the payload's (shared, not copied)
+    and only the row pointer is compressed.
+    """
+    row_ids = np.flatnonzero(mat.row_nnz()).astype(INDEX_DTYPE, copy=False)
+    indptr = np.append(mat.indptr[row_ids], mat.indptr[-1])
+    rows = CsrMatrix((len(row_ids), mat.ncols), indptr, mat.indices, mat.data, check=False)
+    return row_ids, rows
+
+
 def place_rows(
     nrows: int, payload: Optional[Tuple[np.ndarray, CsrMatrix]], ncols: int, dtype
 ) -> CsrMatrix:

@@ -22,8 +22,11 @@ B-dependent, re-run per multiply by :func:`replan` (hybrid policy only):
 
 * the exact symbolic output size per subtile — sized without multiplying
   (:func:`~repro.sparse.kernels.symbolic_size`), except on boolean
-  operands, where the pattern product is the partial a REMOTE subtile
-  ships and is multiplied once and kept,
+  operands, where the rank multiplies its whole column block once
+  (``Ac_j ⊗ B_j``: every subtile block is a row range of ``A.col_copy``)
+  and each subtile reads its size off that product — whose rows are also
+  the partial a REMOTE subtile ships and the DIAGONAL tile merges, so
+  those slices are kept,
 * the local-vs-remote wire-byte comparison,
 * the mode lists, which the multiply then ships (one all-to-all, or a
   section of its fused exchange).
@@ -31,7 +34,8 @@ B-dependent, re-run per multiply by :func:`replan` (hybrid policy only):
 Cost-model charging rules (see docs/planning.md): prepared state is
 charged **once**, under the ``prepare``/``tiling`` setup phases, when it
 is built; each :func:`replan` charges one pattern product per subtile it
-sizes — zero for forced policies.  A fresh (un-prepared)
+sizes — however it got the size — and zero for forced policies.  A fresh
+(un-prepared)
 multiply builds a throwaway ``PreparedA`` and therefore pays the full
 prepare + replan cost every time, exactly like the pre-plan code did.
 """
@@ -44,8 +48,13 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from ..partition.distmat import DistSparseMatrix
-from ..sparse.csr import CsrMatrix
-from ..sparse.kernels import dispatch_spgemm, resolve_spgemm, symbolic_size
+from ..sparse.csr import INDEX_DTYPE, CsrMatrix
+from ..sparse.kernels import (
+    dispatch_spgemm,
+    resolve_spgemm,
+    row_flops_before,
+    symbolic_size,
+)
 from ..sparse.ops import extract_row_range
 from ..sparse.semiring import BOOL_AND_OR
 from ..sparse.tile import ColumnStrips, strips_build_bytes
@@ -306,6 +315,49 @@ def shrink_prepared(
 
 
 # ----------------------------------------------------------------------
+class _ColumnBlockProduct:
+    """``Ac_j ⊗ B_j`` under ``bool_and_or`` — the producer's symbolic
+    products (§III-D, Alg 2 lines 11-22) as the one Gustavson product they
+    are — with two prefix arrays over its rows, so that every subtile of
+    the column block reads its output size, non-empty rows and flop count
+    as differences at its global row range ``[g0, g1)`` and takes its
+    partial as a row slice (a view).
+
+    Rests on every stored :class:`PreparedSubtile` block being rows
+    ``[g0, g1)`` of ``col_copy``, which each writer of either maintains
+    (docs/planning.md; checked by ``tests/core/test_column_block_product.py``,
+    not here).
+    """
+
+    def __init__(self, col_copy: CsrMatrix, b_local: CsrMatrix, kernel: str):
+        # Non-strict dispatch: a forced plus_times-only kernel (e.g.
+        # --kernel scipy) degrades to the auto choice for this boolean
+        # product instead of erroring.  This is the only lenient call site;
+        # numeric paths raise.
+        self._product, _ = dispatch_spgemm(
+            col_copy, b_local, BOOL_AND_OR, kernel, strict=False
+        )
+        self._flops_before = row_flops_before(col_copy, b_local)
+        self._rows_before = np.zeros(col_copy.nrows + 1, dtype=INDEX_DTYPE)
+        np.cumsum(self._product.row_nnz() != 0, out=self._rows_before[1:])
+
+    def size(self, g0: int, g1: int) -> Tuple[int, int, int]:
+        """``(nnz, non-empty rows, flops)`` of rows ``[g0, g1)``: what
+        :func:`~repro.sparse.kernels.symbolic_size` returns for them."""
+        indptr = self._product.indptr
+        return (
+            int(indptr[g1] - indptr[g0]),
+            int(self._rows_before[g1] - self._rows_before[g0]),
+            int(self._flops_before[g1] - self._flops_before[g0]),
+        )
+
+    def kept(self, g0: int, g1: int) -> Tuple[CsrMatrix, int]:
+        """``(rows [g0, g1) of the product — a view —, their flops)``: what
+        a kernel call on that row range of ``Ac_j`` returns."""
+        flops = int(self._flops_before[g1] - self._flops_before[g0])
+        return extract_row_range(self._product, g0, g1), flops
+
+
 def replan(
     prepared: PreparedA, A: DistSparseMatrix, B: DistSparseMatrix
 ) -> SymbolicPlan:
@@ -315,9 +367,11 @@ def replan(
     :func:`~repro.core.symbolic.build_symbolic_plan` returns for the same
     operands — the equivalence the cached-plan test suite asserts — while
     touching only what actually depends on ``B``: under the ``hybrid``
-    policy one exact output size (a kept pattern product on boolean
-    operands) and byte comparison per non-empty off-diagonal subtile;
-    under a forced policy, nothing at all.
+    policy one exact output size and byte comparison per non-empty
+    off-diagonal subtile — on boolean operands all read off one product
+    of the rank's column block, whose REMOTE and DIAGONAL row slices are
+    kept on the infos (docs/planning.md) — and under a forced policy,
+    nothing at all.
 
     The hybrid mode lists are left on ``plan.outgoing_modes`` for the
     multiply to ship — as the paper's own binary-value all-to-all, or as
@@ -332,16 +386,18 @@ def replan(
     forced = LOCAL if config.mode_policy == "local" else REMOTE
 
     with comm.phase("symbolic"):
+        product = None
         if hybrid:
             b_row_nnz = B.local.row_nnz()
-            b_is_bool = B.local.dtype == np.bool_
             # The symbolic step is charged as a pattern product on a real
             # registry kernel, at that kernel's calibrated constant
-            # (non-strict: mirrors the dispatch below).
+            # (non-strict: mirrors the dispatch in _ColumnBlockProduct).
             sym_kernel = resolve_spgemm(
                 config.kernel, BOOL_AND_OR, d=B.ncols, strict=False
             ).name
-        for peer in range(comm.size):
+            if B.local.dtype == np.bool_ and A.col_copy.dtype == np.bool_:
+                product = _ColumnBlockProduct(A.col_copy, B.local, config.kernel)
+        for peer, (peer_lo, _) in enumerate(A.rows.ranges):
             infos: List[SubtileInfo] = []
             for ps in prepared.subtiles[peer]:
                 r0r1 = ps.row_range
@@ -350,10 +406,14 @@ def replan(
                         SubtileInfo(peer, ps.row_tile, r0r1, EMPTY, None, None, 0, 0)
                     )
                     continue
+                # ps.block is rows [g0, g1) of Ac_j, so they are its rows of
+                # the column-block product too.
+                g0, g1 = peer_lo + r0r1[0], peer_lo + r0r1[1]
                 if peer == comm.rank:
+                    kept = None if product is None else product.kept(g0, g1)
                     infos.append(
                         SubtileInfo(
-                            peer, ps.row_tile, r0r1, DIAGONAL, ps.block, None, 0, 0
+                            peer, ps.row_tile, r0r1, DIAGONAL, ps.block, None, 0, 0, kept
                         )
                     )
                     continue
@@ -373,25 +433,14 @@ def replan(
                     continue
                 nzc = ps.needed_b_rows
                 needed_nnz = int(b_row_nnz[nzc].sum())
-                # The exact symbolic output size.  On boolean operands the
-                # pattern product is, input for input and kernel for kernel,
-                # the bool_and_or partial a REMOTE subtile ships: multiply
-                # first and keep it for the multiply to reuse.  Any other
-                # operand pair could not use the product, so it is sized
-                # without multiplying; the charge is the same either way.
-                pattern = None
-                if b_is_bool and ps.block.dtype == np.bool_:
-                    # Non-strict dispatch: a forced plus_times-only kernel
-                    # (e.g. --kernel scipy) degrades to the vectorized
-                    # default for this boolean product instead of erroring.
-                    # This is the only lenient call site; numeric paths raise.
-                    pattern, sym_flops = dispatch_spgemm(
-                        ps.block, B.local, BOOL_AND_OR, config.kernel, strict=False
-                    )
-                    out_nnz = pattern.nnz
-                    out_rows = int(np.count_nonzero(pattern.row_nnz()))
-                else:
+                # The exact symbolic output size: read off the column-block
+                # product on boolean operands; any other pair could not use
+                # a product, so it is sized without multiplying.  The charge
+                # is one pattern product per subtile either way.
+                if product is None:
                     out_nnz, out_rows, sym_flops = symbolic_size(ps.block, B.local)
+                else:
+                    out_nnz, out_rows, sym_flops = product.size(g0, g1)
                 comm.charge_symbolic(sym_flops, kernel=sym_kernel)
                 plan.pattern_products += 1
                 # Compare exact wire bytes of the two options: both
@@ -400,7 +449,7 @@ def replan(
                 local_bytes = 16 * needed_nnz + 16 * len(nzc)
                 remote_bytes = 16 * out_nnz + 16 * out_rows
                 mode = REMOTE if remote_bytes < local_bytes else LOCAL
-                keep = pattern is not None and mode == REMOTE
+                keep = product is not None and mode == REMOTE
                 infos.append(
                     SubtileInfo(
                         peer,
@@ -411,7 +460,7 @@ def replan(
                         nzc,
                         needed_nnz,
                         out_nnz,
-                        (pattern, sym_flops) if keep else None,
+                        product.kept(g0, g1) if keep else None,
                     )
                 )
             plan.produced[peer] = infos

@@ -45,10 +45,12 @@ class SubtileInfo:
     needed_b_rows: Optional[np.ndarray]  # my local B row ids the subtile touches
     needed_b_nnz: int
     output_nnz: int
-    #: ``(pattern product, flops)`` that chose a REMOTE mode, kept when
-    #: ``block`` and ``B`` are both boolean: it *is* the numeric partial of
-    #: a ``bool_and_or`` multiply.  Valid only against the ``B`` and block
-    #: values ``replan`` saw (docs/planning.md).
+    #: ``(block ⊗ B under bool_and_or, flops)`` on REMOTE and DIAGONAL
+    #: subtiles when ``block`` and ``B`` are both boolean: this subtile's
+    #: rows of the one column-block product ``replan`` sized it from (a
+    #: view), which *are* the numeric partial of a ``bool_and_or`` multiply.
+    #: Valid only against the ``B`` and block values ``replan`` saw
+    #: (docs/planning.md).
     symbolic: Optional[Tuple[CsrMatrix, int]] = None
 
 
@@ -59,9 +61,10 @@ class SymbolicPlan:
     ``produced``: subtiles of *my* column block, keyed by consumer rank —
     what I must ship (B rows or partial C) each round.
     ``pattern_products``: subtiles this plan sized against ``B``, each
-    charged as one boolean pattern product whether it was multiplied
-    (boolean operands) or only sized — the B-dependent symbolic work a
-    prepared plan cannot skip (zero under forced mode policies).
+    charged as one boolean pattern product whether its size was read off
+    the column-block product (boolean operands) or computed alone — the
+    B-dependent symbolic work a prepared plan cannot skip (zero under
+    forced mode policies).  Not a count of kernel calls.
     ``outgoing_modes``: the per-peer mode lists of a hybrid plan, still
     to be shared with the tile owners — the multiply ships them (one
     all-to-all, or a tagged section of its fused exchange) and clears the

@@ -60,11 +60,11 @@ from ..partition.distmat import DistSparseMatrix
 from ..sparse.csr import INDEX_DTYPE, CsrMatrix
 from ..sparse.kernels import dispatch_spgemm, resolve_spgemm
 from ..sparse.merge import merge_bytes, merge_csrs
-from ..sparse.ops import extract_row_range, extract_rows
+from ..sparse.ops import extract_row_range
 from ..sparse.semiring import BOOL_AND_OR, PLUS_TIMES, Semiring
 from ..sparse.tile import ColumnStrips, strips_build_bytes
 from .config import DEFAULT_CONFIG, TsConfig
-from .gather_rows import pack_rows, place_rows
+from .gather_rows import pack_nonempty_rows, pack_rows, place_rows
 from .plan import PreparedA, prepare_multiply, replan
 from .symbolic import (
     DIAGONAL,
@@ -242,7 +242,7 @@ def tiled_multiply(
         plan = replan(sync_prepared, A, B)
     else:
         # A caller's plan promises the same *patterns*, not the values the
-        # kept symbolic products were computed from.
+        # kept slices (REMOTE and DIAGONAL) were computed from.
         for infos in plan.produced.values():
             for info in infos:
                 info.symbolic = None
@@ -334,7 +334,7 @@ def _diagonal_partials(
         for info in plan.produced.get(comm.rank, []):
             if info.mode != DIAGONAL:
                 continue
-            c_part, flops = dispatch_spgemm(info.block, b_local, semiring, kname)
+            c_part, flops = _subtile_product(info, b_local, semiring, kname)
             comm.charge_spgemm(flops, d=d, accumulator=acc, kernel=kname)
             diag.flops += flops
             diag.diagonal_tiles += 1
@@ -436,8 +436,9 @@ def _sync_plan_values(plan: SymbolicPlan, prepared: PreparedA) -> None:
     refresh replaces them (:meth:`PreparedA.refresh_values` re-extracts);
     the pattern-derived fields (modes, ``needed_b_rows``, ranges) are
     refresh-invariant, so re-pointing the numeric blocks is all that is
-    needed to make the plan read refreshed values.  A kept symbolic
-    product was computed from the old values and is dropped.
+    needed to make the plan read refreshed values.  A kept slice of the
+    symbolic product (REMOTE or DIAGONAL) was computed from the old values
+    and is dropped.
     """
     for peer, infos in plan.produced.items():
         for info, ps in zip(infos, prepared.subtiles[peer]):
@@ -469,6 +470,21 @@ def _finish_prologue(comm, prologue, received, plan, sync_prepared, A) -> None:
 # ----------------------------------------------------------------------
 # producer helpers
 # ----------------------------------------------------------------------
+def _subtile_product(
+    info: SubtileInfo, b_local: CsrMatrix, semiring: Semiring, kernel: str
+) -> Tuple[CsrMatrix, int]:
+    """``(info.block ⊗ b_local, flops)`` for a DIAGONAL or REMOTE subtile.
+
+    On boolean operands ``replan`` already ran this very product — as the
+    subtile's rows of its one column-block product, same operands, same
+    kernel — and under ``bool_and_or`` those rows are the numeric partial:
+    they are taken, not multiplied again.  The caller's charge is the same.
+    """
+    if info.symbolic is not None and semiring == BOOL_AND_OR:
+        return info.symbolic
+    return dispatch_spgemm(info.block, b_local, semiring, kernel)
+
+
 def _compute_remote_partial(
     comm,
     infos: List[SubtileInfo],
@@ -492,12 +508,7 @@ def _compute_remote_partial(
     peer_rows = max(s.row_range[1] for s in infos)
     tiles = []
     for info in remote_infos:
-        if info.symbolic is not None and semiring == BOOL_AND_OR:
-            # replan already ran this very product (same boolean operands,
-            # same kernel) to size the tile; the charge is the same too.
-            c_part, flops = info.symbolic
-        else:
-            c_part, flops = dispatch_spgemm(info.block, b_local, semiring, kernel)
+        c_part, flops = _subtile_product(info, b_local, semiring, kernel)
         with comm.phase("send-C"):
             comm.charge_spgemm(flops, d=d, accumulator=acc, kernel=kernel)
         diag.flops += flops
@@ -505,9 +516,7 @@ def _compute_remote_partial(
             tiles.append((info.row_range[0], c_part))
     if not tiles:
         return None
-    stacked = _stack_row_tiles(tiles, peer_rows, d, semiring)
-    affected = np.flatnonzero(stacked.row_nnz()).astype(INDEX_DTYPE)
-    return affected, extract_rows(stacked, affected)
+    return pack_nonempty_rows(_stack_row_tiles(tiles, peer_rows, d, semiring))
 
 
 # ----------------------------------------------------------------------

@@ -155,7 +155,8 @@ class CollectivesMixin:
             raise CommMismatchError(
                 f"alltoall requires {self.size} payloads, got {len(sendlist)}"
             )
-        sizes = [payload_nbytes(x) for x in sendlist]
+        # most slots of a sparse exchange are None: sized without a call
+        sizes = [0 if x is None else payload_nbytes(x) for x in sendlist]
         # Checksums (opt-in) are computed *before* the payload probe: an
         # injected corruption models bytes flipped on the wire, so the
         # receiver's recomputation disagrees with the sender's digest.
@@ -229,7 +230,9 @@ class CollectivesMixin:
             "alltoall_fused",
             detail=("sections:" + ",".join(names), "meta:" + meta_structure(meta)),
         )
-        sizes = [[payload_nbytes(x) for x in sl] for _, sl in sections]
+        sizes = [
+            [0 if x is None else payload_nbytes(x) for x in sl] for _, sl in sections
+        ]
         payloads = [list(sl) for _, sl in sections]
         checks = (
             [

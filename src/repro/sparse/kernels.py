@@ -27,7 +27,12 @@ Registered SpGEMM kernels (``b_format="csr"``):
     bounded by ``max_scratch_elems`` — the vectorized analogue of "SPA
     must fit in cache" — and row-blocked past it.  Restricted to
     semirings whose zero is a total additive identity (the scratch is
-    identity-initialized); see ``_IDENTITY_SAFE_SEMIRINGS``.
+    identity-initialized); see ``_IDENTITY_SAFE_SEMIRINGS``.  ``bool``
+    operands that store no ``False`` fold nothing under ``bool_and_or``:
+    their product is scipy's compiled ``csr_matmat`` on the ``bool`` arrays
+    ((∨, ∧) for (+, ×)), the fold's output bit for bit without a scratch.
+    A stored ``False`` keeps the fold: the compiled routine drops entries
+    that fold to ``False``, this registry stores them.
 ``hash``
     The same function under the paper's other accumulator name: grouping
     products by one flat fused-key sort stands in for per-row hash
@@ -45,8 +50,9 @@ Registered SpGEMM kernels (``b_format="csr"``):
     exactly zero, hence the sort and the trim to ``indptr[-1]``.  Valid
     only for the arithmetic ``plus_times`` semiring.  The routines are
     private to scipy: ``tests/sparse/test_sparsetools_contract.py`` pins
-    what is relied on, and they are imported at module top so a scipy
-    without them fails at import.
+    what is relied on (for ``bool`` data too, which ``spa`` passes), and
+    they are imported at module top so a scipy without them fails at
+    import.
 ``spa-rowwise`` / ``hash-rowwise``
     The seed's scalar row-by-row reference kernels built on
     :mod:`repro.sparse.accumulators`.  Exact but loop-based; kept for
@@ -254,6 +260,17 @@ def spgemm_flops(a: CsrMatrix, b: CsrMatrix) -> int:
     return int(b.row_nnz()[a.indices].sum())
 
 
+def row_flops_before(a: CsrMatrix, b: CsrMatrix) -> np.ndarray:
+    """Multiplications of ``a @ b`` in the rows before each row — length
+    ``a.nrows + 1``, so the last entry is the flop count and a row receives
+    a product iff its two entries differ.  One ``b.row_nnz()`` gather at
+    ``a.indices``, prefix-summed and read at ``a.indptr``; the dimensions
+    are the caller's to check."""
+    products = np.zeros(a.nnz + 1, dtype=INDEX_DTYPE)
+    np.cumsum(b.row_nnz()[a.indices], out=products[1:])
+    return products[a.indptr]
+
+
 def symbolic_size(a: CsrMatrix, b: CsrMatrix) -> Tuple[int, int, int]:
     """Exact size of ``a @ b`` without forming it: ``(nnz, rows, flops)``.
 
@@ -267,13 +284,10 @@ def symbolic_size(a: CsrMatrix, b: CsrMatrix) -> Tuple[int, int, int]:
         raise ValueError(f"dimension mismatch: {a.shape} x {b.shape}")
     if a.nnz == 0 or b.nnz == 0:
         return 0, 0, 0
-    # products up to each A nonzero; a row is hit iff its range is non-empty
-    products = np.zeros(a.nnz + 1, dtype=INDEX_DTYPE)
-    np.cumsum(b.row_nnz()[a.indices], out=products[1:])
-    row_products = products[a.indptr]
-    rows = int(np.count_nonzero(row_products[1:] != row_products[:-1]))
+    before = row_flops_before(a, b)
+    rows = int(np.count_nonzero(before[1:] != before[:-1]))
     nnz = csr_matmat_maxnnz(a.nrows, b.ncols, a.indptr, a.indices, b.indptr, b.indices)
-    return int(nnz), rows, int(products[-1])
+    return int(nnz), rows, int(before[-1])
 
 
 def _expand(a: CsrMatrix, b: CsrMatrix):
@@ -309,6 +323,30 @@ def _empty_result(
     a: CsrMatrix, b: CsrMatrix, semiring: Semiring
 ) -> Tuple[CsrMatrix, int]:
     return CsrMatrix.empty((a.nrows, b.ncols), dtype=semiring.dtype), 0
+
+
+def _compiled_product(
+    a: CsrMatrix, b: CsrMatrix, a_data: np.ndarray, b_data: np.ndarray
+) -> CsrMatrix:
+    """scipy's compiled Gustavson product on the raw CSR arrays, with
+    ``a_data`` / ``b_data`` as the operands' values: ``+`` and ``×`` are
+    those of the data dtype — arithmetic on numbers, (∨, ∧) on ``bool``.
+    The routines check no bounds: the caller has compared the dimensions.
+    """
+    nrows, ncols = a.nrows, b.ncols
+    maxnnz = csr_matmat_maxnnz(nrows, ncols, a.indptr, a.indices, b.indptr, b.indices)
+    indptr = np.empty(nrows + 1, dtype=INDEX_DTYPE)
+    indices = np.empty(maxnnz, dtype=INDEX_DTYPE)
+    data = np.empty(maxnnz, dtype=np.result_type(a_data.dtype, b_data.dtype))
+    csr_matmat(
+        nrows, ncols, a.indptr, a.indices, a_data, b.indptr, b.indices, b_data,
+        indptr, indices, data,
+    )
+    # Each row comes back in accumulator-list order, and entries that folded
+    # to exactly zero were dropped: sort in place, trim to what was stored.
+    csr_sort_indices(nrows, indptr, indices, data)
+    nnz = indptr[-1]
+    return CsrMatrix((nrows, ncols), indptr, indices[:nnz], data[:nnz], check=False)
 
 
 # ----------------------------------------------------------------------
@@ -365,9 +403,11 @@ def spgemm_spa_vectorized(
 ) -> Tuple[CsrMatrix, int]:
     """Dense-SPA SpGEMM: one expand to fused ``row * d + col`` keys, one
     fold by :func:`repro.sparse.build.spa_fold`, whose row-major read-back
-    is the (row, col)-sorted output.  Boolean operands that store no
-    ``False`` skip the value work: the output is all ``True``.  Row blocks
-    appear only when ``nrows * d`` exceeds ``max_scratch_elems``.
+    is the (row, col)-sorted output.  Row blocks appear only when
+    ``nrows * d`` exceeds ``max_scratch_elems``.  ``bool`` operands that
+    store no ``False`` under ``bool_and_or`` skip all of it — every output
+    entry is ``True``, so the product is :func:`_compiled_product`'s
+    pattern — and ``max_scratch_elems`` does not apply to them.
 
     Only valid for identity-safe semirings: the fold computes
     ``add(zero, ...)``, which must equal a plain first write.  Guarded
@@ -382,6 +422,19 @@ def spgemm_spa_vectorized(
             "to the additive identity, which must be an identity on the "
             "whole value domain"
         )
+    if (
+        semiring is BOOL_AND_OR
+        and a.dtype == np.bool_
+        and b.dtype == np.bool_
+        and a.data.all()
+        and b.data.all()
+    ):
+        # True ∧ True, OR-folded: no entry folds to False, so the compiled
+        # product drops none and is the fold's output bit for bit.
+        flops = spgemm_flops(a, b)  # raises on a mismatch, before C reads an array
+        if flops == 0:
+            return _empty_result(a, b, semiring)
+        return _compiled_product(a, b, a.data, b.data), flops
     expansion = _expand(a, b)
     if expansion is None:
         return _empty_result(a, b, semiring)
@@ -393,10 +446,7 @@ def spgemm_spa_vectorized(
         row_offsets[1:] - row_offsets[:-1],
     )
     flat += b.indices[src]
-    if semiring is BOOL_AND_OR and a.data.all() and b.data.all():
-        vals = None  # True ∧ True, OR-folded: every output entry is True
-    else:
-        vals = semiring.multiply(np.repeat(a.data, counts), b.data[src])
+    vals = semiring.multiply(np.repeat(a.data, counts), b.data[src])
     if a.nrows * d <= max_scratch_elems:
         keys, data = spa_fold(flat, vals, a.nrows * d, semiring)
     else:  # the same fold per row block, cut at the rows' product ranges
@@ -406,9 +456,8 @@ def spgemm_spa_vectorized(
             r1 = min(r0 + step, a.nrows)
             lo, hi = row_offsets[r0], row_offsets[r1]
             if lo < hi:
-                block_vals = None if vals is None else vals[lo:hi]
                 keys, data = spa_fold(
-                    flat[lo:hi] - r0 * d, block_vals, (r1 - r0) * d, semiring
+                    flat[lo:hi] - r0 * d, vals[lo:hi], (r1 - r0) * d, semiring
                 )
                 blocks.append((keys + r0 * d, data))
         keys, data = (np.concatenate(column) for column in zip(*blocks))
@@ -430,24 +479,11 @@ def spgemm_scipy_kernel(
     if semiring.name != "plus_times":
         raise ValueError("scipy method supports only the plus_times semiring")
     flops = spgemm_flops(a, b)
-    # scipy has no boolean arithmetic: stored True / False count as 1.0 / 0.0
+    # this kernel counts: stored True / False multiply as 1.0 / 0.0
     a_data, b_data = (
         x.astype(np.float64) if x.dtype == np.bool_ else x for x in (a.data, b.data)
     )
-    nrows, ncols = a.nrows, b.ncols
-    maxnnz = csr_matmat_maxnnz(nrows, ncols, a.indptr, a.indices, b.indptr, b.indices)
-    indptr = np.empty(nrows + 1, dtype=INDEX_DTYPE)
-    indices = np.empty(maxnnz, dtype=INDEX_DTYPE)
-    data = np.empty(maxnnz, dtype=np.result_type(a_data.dtype, b_data.dtype))
-    csr_matmat(
-        nrows, ncols, a.indptr, a.indices, a_data, b.indptr, b.indices, b_data,
-        indptr, indices, data,
-    )
-    # Each row comes back in accumulator-list order, and sums that cancelled
-    # to exactly zero were dropped: sort in place, trim to what was stored.
-    csr_sort_indices(nrows, indptr, indices, data)
-    nnz = indptr[-1]
-    return CsrMatrix((nrows, ncols), indptr, indices[:nnz], data[:nnz], check=False), flops
+    return _compiled_product(a, b, a_data, b_data), flops
 
 
 # ----------------------------------------------------------------------

@@ -2,14 +2,18 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.gather_rows import (
     pack_dense_rows,
+    pack_nonempty_rows,
     pack_rows,
     place_dense_rows,
     place_rows,
 )
 from repro.sparse import CsrMatrix
+from repro.sparse.ops import extract_row_range, extract_rows
 from ..conftest import csr_from_dense, random_dense
 
 
@@ -74,6 +78,44 @@ class TestSparsePackPlace:
         mat = csr_from_dense(random_dense(rng, 8, 5, 0.9))
         placed = place_rows(8, pack_rows(mat, np.array([0, 2, 7])), 5, mat.dtype)
         CsrMatrix(placed.shape, placed.indptr, placed.indices, placed.data, check=True)
+
+
+@st.composite
+def blocks_with_empty_rows(draw):
+    """A CSR block — float or boolean, sometimes a row-range view into a
+    taller matrix — with leading, trailing and interior empty rows, or no
+    stored entry at all."""
+    nrows, ncols = draw(st.integers(0, 12)), draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    dense = random_dense(rng, nrows, ncols, draw(st.sampled_from([0.0, 0.3, 0.9])))
+    dense[rng.random(nrows) < 0.4] = 0
+    lead, trail = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    dense[:lead] = 0
+    dense[nrows - trail :] = 0
+    mat = csr_from_dense(dense)
+    if draw(st.booleans()):
+        mat = mat.astype(np.bool_)
+    if draw(st.booleans()) and nrows > 2:  # a view: indices/data are slices
+        mat = extract_row_range(mat, 1, nrows - 1)
+    return mat
+
+
+@given(blocks_with_empty_rows())
+@settings(max_examples=200, deadline=None)
+def test_pack_nonempty_rows_is_the_gather_it_replaces(mat):
+    want_ids = np.flatnonzero(mat.row_nnz())
+    want = extract_rows(mat, want_ids)
+    ids, rows = pack_nonempty_rows(mat)
+    assert ids.dtype == rows.indptr.dtype == rows.indices.dtype == np.int64
+    np.testing.assert_array_equal(ids, want_ids)
+    assert rows.shape == want.shape and rows.dtype == want.dtype
+    np.testing.assert_array_equal(rows.indptr, want.indptr)
+    np.testing.assert_array_equal(rows.indices, want.indices)
+    np.testing.assert_array_equal(rows.data, want.data)
+    assert rows.nbytes_estimate() == want.nbytes_estimate()  # wire bytes
+    rows._validate()
+    placed = place_rows(mat.nrows, (ids, rows), mat.ncols, mat.dtype)
+    np.testing.assert_array_equal(placed.indptr, mat.indptr)
 
 
 class TestDensePackPlace:

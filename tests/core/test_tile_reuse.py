@@ -1,13 +1,19 @@
 """The rank program does its local work once.
 
-A REMOTE subtile of a boolean multiply is sized in ``replan`` by an exact
-pattern product; on boolean operands under ``bool_and_or`` that product
-*is* the partial the producer ships, so ``_compute_remote_partial`` takes
-it instead of multiplying again.  These tests count kernel calls through
-a kernel registered the public way, pin ``C`` and the ``SpmdReport`` to a
-recompute with the kept products stripped, and check the three situations
-in which the kept product must not be taken.  The last class covers the
-ordering ``_consume_local`` now relies on instead of sorting.
+On boolean operands ``replan`` multiplies its whole column block against
+``B`` once (one kernel call per rank) and sizes every subtile from that
+product; under ``bool_and_or`` a REMOTE or DIAGONAL subtile's rows of it
+*are* the partial, so ``_subtile_product`` takes them instead of
+multiplying again.  These tests count kernel calls through a kernel
+registered the public way, pin ``C`` and the ``SpmdReport`` to a recompute
+with the kept products stripped, and check the three situations in which
+the kept product must not be taken.  The last class covers the ordering
+``_consume_local`` now relies on instead of sorting.
+
+Two numbers that used to coincide and no longer do: ``P`` — the kernel
+calls of the symbolic step, one column-block product per rank — and
+``TileDiagnostics.symbolic_products`` — the subtiles sized and charged
+against ``B``, whose meaning and values did not change.
 """
 
 import threading
@@ -16,7 +22,7 @@ import numpy as np
 import pytest
 
 from repro.core import TsConfig, prepare_multiply, replan, tiled_multiply
-from repro.core.symbolic import REMOTE
+from repro.core.symbolic import DIAGONAL, REMOTE
 from repro.core.tiled import TileDiagnostics, _consume_local, _stack_row_tiles
 from repro.mpi import run_spmd
 from repro.mpi.errors import RankError
@@ -128,16 +134,15 @@ class TestKeptSymbolicProduct:
         once = counter.calls
         remote, local = total(diags, "remote_tiles"), total(diags, "local_tiles")
         assert remote > 0 and local > 0, "operands must exercise both modes"
-        assert once == (
-            total(diags, "symbolic_products") + total(diags, "diagonal_tiles") + local
-        )
+        diagonal = total(diags, "diagonal_tiles")
+        assert once == P + local  # one column-block product per rank
 
         counter.calls = 0
         ref_blocks, ref_diags, kept, ref_report = multiply(
             a, b, BOOL_AND_OR, config, strip=True
         )
-        assert kept == remote  # exactly the REMOTE subtiles carried one
-        assert counter.calls == once + remote
+        assert kept == remote + diagonal  # exactly those subtiles carried one
+        assert counter.calls == once + remote + diagonal
         assert_blocks_identical(blocks, ref_blocks)
         assert report == ref_report  # clocks, per-phase bytes, rounds: all of it
         assert [d.flops for d in diags] == [d.flops for d in ref_diags]
@@ -169,10 +174,7 @@ class TestKeptSymbolicProduct:
         remote = total(diags, "remote_tiles")
         assert remote > 0
         assert counter.calls == (
-            total(diags, "symbolic_products")
-            + total(diags, "diagonal_tiles")
-            + total(diags, "local_tiles")
-            + remote
+            P + total(diags, "diagonal_tiles") + total(diags, "local_tiles") + remote
         )
         np.testing.assert_array_equal(
             vstack(blocks), a.to_dense().astype(float) @ b.to_dense().astype(float)
@@ -205,10 +207,7 @@ class TestKeptSymbolicProduct:
         remote = total(diags, "remote_tiles")
         assert remote > 0
         assert counter.calls == (
-            total(diags, "symbolic_products")
-            + total(diags, "diagonal_tiles")
-            + total(diags, "local_tiles")
-            + remote
+            P + total(diags, "diagonal_tiles") + total(diags, "local_tiles") + remote
         )
         assert not any(blk.data.any() for blk in blocks)
         assert_blocks_identical(blocks, multiply(a_off, b, BOOL_AND_OR, config)[0])
@@ -230,9 +229,10 @@ class TestKeptSymbolicProduct:
 
         seen = [t for rank in run_spmd(P, program).values for t in rank]
         assert any(mode == REMOTE for mode, _, _ in seen)
+        assert any(mode == DIAGONAL for mode, _, _ in seen)
         for mode, symbolic, output_nnz in seen:
-            assert (symbolic is not None) == (mode == REMOTE)
-            if symbolic is not None:
+            assert (symbolic is not None) == (mode in (REMOTE, DIAGONAL))
+            if mode == REMOTE:
                 pattern, flops = symbolic
                 assert pattern.nnz == output_nnz and flops > 0
 
@@ -264,7 +264,7 @@ class TestKeptSymbolicProduct:
             return result.values, charged, counter.calls
 
         multiplied, multiplied_phase, calls = plan_of(a, b)
-        assert calls == sum(n for n, _ in multiplied) > 0
+        assert calls == P and sum(n for n, _ in multiplied) > 0
         sized, sized_phase, calls = plan_of(
             a.astype(np.float64) if float_side in ("a", "both") else a,
             b.astype(np.float64) if float_side in ("b", "both") else b,

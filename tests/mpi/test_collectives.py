@@ -172,3 +172,49 @@ def test_collectives_compose_repeatedly():
     size = 4
     expected = sum(sum(r + i for r in range(size)) for i in range(10))
     assert run_spmd(size, program).values == [expected] * size
+
+
+def test_none_slots_are_sized_like_any_payload():
+    """``alltoall`` / ``alltoall_fused`` size a ``None`` slot without calling
+    ``payload_nbytes``: the bytes booked per phase and per section are still
+    the sum of ``payload_nbytes`` over what each rank addressed elsewhere."""
+    from repro.mpi import payload_nbytes
+
+    def sendlists(rank, size):
+        plain = [None] * size
+        plain[(rank + 1) % size] = np.arange(rank + 2, dtype=np.int64)
+        nested = [(None, "mode", np.ones(dest + 1)) for dest in range(size)]
+        nested[rank] = None
+        return {"plain": plain, "nested": nested, "nothing": [None] * size}
+
+    def program(comm):
+        lists = sendlists(comm.rank, comm.size)
+        for name, sendlist in lists.items():
+            with comm.phase(name):
+                got = comm.alltoall(sendlist)
+            assert [x is None for x in got] == [
+                sendlists(src, comm.size)[name][comm.rank] is None
+                for src in range(comm.size)
+            ]
+        with comm.phase("fused-round"):
+            comm.alltoall_fused([("f-" + name, sl) for name, sl in lists.items()])
+
+    size = 4
+    report = run_spmd(size, program).report
+    for rank, stats in enumerate(report.rank_stats):
+        for name in ("plain", "nested", "nothing"):
+            sent = sum(
+                payload_nbytes(x)
+                for dest, x in enumerate(sendlists(rank, size)[name])
+                if dest != rank
+            )
+            recv = sum(
+                payload_nbytes(sendlists(src, size)[name][rank])
+                for src in range(size)
+                if src != rank
+            )
+            for phase in (name, "f-" + name):
+                booked = stats.phases[phase]
+                assert (booked.bytes_sent, booked.bytes_recv) == (sent, recv)
+        assert stats.phases["nothing"].bytes_sent == 0
+        assert stats.phases["plain"].bytes_sent == 8 * (rank + 2)

@@ -381,6 +381,57 @@ class TestSpaRowBlocks:
 
 
 # ----------------------------------------------------------------------
+# all-True boolean operands: the spa kernel's compiled route
+# ----------------------------------------------------------------------
+@st.composite
+def all_true_operands(draw):
+    """Boolean ``(a, b)`` storing no ``False``: empty rows on both sides,
+    sometimes an empty ``b``, output width ``d`` from 1 to past a cache line."""
+    m, k = draw(st.integers(1, 14)), draw(st.integers(1, 10))
+    d = draw(st.sampled_from([1, 8, 64, 200]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def operand(nrows, ncols, density):
+        pattern = rng.random((nrows, ncols)) < density
+        pattern[rng.random(nrows) < 0.3] = False  # empty rows
+        return CsrMatrix.from_dense(pattern)
+
+    a = operand(m, k, draw(st.sampled_from([0.2, 0.6])))
+    b = operand(k, d, draw(st.sampled_from([0.0, 0.05, 0.5])))
+    return a, b
+
+
+@given(all_true_operands(), st.sampled_from(["below", "above"]))
+@settings(max_examples=200, deadline=None)
+def test_all_true_boolean_spa_is_every_other_kernels_product(operands, scratch):
+    """The compiled route has no scratch, so the bound changes nothing; the
+    output is the fold's — pattern, order, ``True`` data, dtype, flops."""
+    from repro.sparse.kernels import spgemm_spa_vectorized
+
+    a, b = operands
+    assert a.dtype == b.dtype == np.bool_ and a.data.all() and b.data.all()
+    cells = a.nrows * b.ncols
+    bound = max(1, cells // 3) if scratch == "below" else cells + 1
+    got, flops = spgemm_spa_vectorized(a, b, BOOL_AND_OR, max_scratch_elems=bound)
+    assert got.indptr.dtype == got.indices.dtype == np.int64
+    for kernel in ("esc-vectorized", "spa-rowwise"):
+        want, want_flops = dispatch_spgemm(a, b, BOOL_AND_OR, kernel)
+        _assert_bit_identical(got, want)
+        assert flops == want_flops and type(flops) is int
+    assert got.data.all()
+    got._validate()
+
+
+def test_all_true_boolean_spa_checks_dimensions_first():
+    """The compiled routines check no bounds: the mismatch must raise the
+    kernels' own error before they see an array."""
+    a = CsrMatrix.from_dense(np.ones((3, 4), dtype=bool))
+    b = CsrMatrix.from_dense(np.ones((5, 2), dtype=bool))
+    with pytest.raises(ValueError, match="mismatch"):
+        dispatch_spgemm(a, b, BOOL_AND_OR, "spa")
+
+
+# ----------------------------------------------------------------------
 # symbolic_size: the product's size without the product
 # ----------------------------------------------------------------------
 @st.composite

@@ -13,6 +13,12 @@ the patterns alone; ``csr_matmat`` accepts int64 index arrays, fills
 ``maxnnz``-long outputs, accumulates in the output dtype, *drops* sums that
 are exactly zero and leaves rows unsorted; ``csr_sort_indices`` sorts
 columns and values together, in place, reading row extents from ``indptr``.
+
+The ``spa`` kernel runs the same three routines on ``bool`` data for
+all-True boolean operands (:class:`TestBoolData`): there ``+`` is *or* and
+``×`` is *and*, the output is ``bool``, and an entry whose every
+contribution is ``False`` is dropped like a cancelled sum — the reason
+operands that store a ``False`` never take that route.
 """
 
 import numpy as np
@@ -20,7 +26,7 @@ import pytest
 import scipy.sparse as sp
 from scipy.sparse._sparsetools import csr_matmat, csr_matmat_maxnnz, csr_sort_indices
 
-from repro.sparse import PLUS_TIMES, CsrMatrix, dispatch_spgemm
+from repro.sparse import BOOL_AND_OR, PLUS_TIMES, CsrMatrix, dispatch_spgemm
 
 
 def raw_product(a: sp.csr_matrix, b: sp.csr_matrix, out_dtype):
@@ -117,3 +123,66 @@ def test_the_scipy_kernel_is_the_public_product(rng, dtype):
     np.testing.assert_array_equal(got.indices, want.indices)
     assert got.data.tobytes() == want.data.tobytes()
     got._validate()  # sorted, duplicate-free, consistent
+
+
+class TestBoolData:
+    """``csr_matmat`` on ``bool`` arrays is the or-of-ands product."""
+
+    @staticmethod
+    def bool_csr(dense, values=None) -> sp.csr_matrix:
+        """Boolean scipy CSR storing ``dense``'s pattern with ``values``
+        there (default all True), so a stored ``False`` is expressible."""
+        mat = sp.csr_matrix(np.asarray(dense, dtype=bool))
+        mat.sort_indices()
+        if values is not None:
+            rows = np.repeat(np.arange(mat.shape[0]), np.diff(mat.indptr))
+            mat.data = np.asarray(values, dtype=bool)[rows, mat.indices]
+        return mat
+
+    def test_all_true_operands_give_the_public_boolean_product(self, rng):
+        a_dense = rng.random((23, 17)) < 0.3
+        b_dense = rng.random((17, 9)) < 0.4
+        a_dense[::4] = False  # empty rows, on both sides
+        b_dense[::3] = False
+        a, b = self.bool_csr(a_dense), self.bool_csr(b_dense)
+        want = public_product(a, b)
+        assert want.dtype == np.bool_
+        maxnnz, indptr, indices, data, unsorted = raw_product(a, b, np.bool_)
+        nnz = indptr[-1]
+        assert nnz == maxnnz == np.count_nonzero(a_dense.astype(int) @ b_dense.astype(int))
+        assert indptr.dtype == indices.dtype == np.int64 and data.dtype == np.bool_
+        assert not np.array_equal(unsorted, indices)  # fixed by csr_sort_indices
+        np.testing.assert_array_equal(indptr, want.indptr)
+        np.testing.assert_array_equal(indices, want.indices)
+        assert data.all() and want.data.all()
+        np.testing.assert_array_equal(
+            sp.csr_matrix((data, indices, indptr), shape=want.shape).toarray(),
+            (a_dense.astype(int) @ b_dense.astype(int)) > 0,
+        )
+
+    @pytest.mark.parametrize("empty", ["a", "b"])
+    def test_an_empty_operand_gives_an_all_zero_indptr(self, empty):
+        a = self.bool_csr(np.zeros((4, 3)) if empty == "a" else np.eye(4, 3))
+        b = self.bool_csr(np.zeros((3, 2)) if empty == "b" else np.ones((3, 2)))
+        maxnnz, indptr, indices, data, _ = raw_product(a, b, np.bool_)
+        assert maxnnz == 0 and len(indices) == len(data) == 0
+        np.testing.assert_array_equal(indptr, np.zeros(5, dtype=np.int64))
+
+    def test_an_entry_whose_every_contribution_is_false_is_dropped(self):
+        # C[0,0] = (T∧F) ∨ (F∧T) ∨ (F∧F) = False: csr_matmat drops it, the
+        # repo's kernels keep it stored (TestStoredFalse in test_kernels.py).
+        a = self.bool_csr([[1, 1, 1], [1, 0, 0]], [[1, 0, 0], [1, 0, 0]])
+        b = self.bool_csr([[1, 1], [1, 1], [1, 0]], [[0, 1], [1, 1], [0, 0]])
+        maxnnz, indptr, indices, data, _ = raw_product(a, b, np.bool_)
+        assert maxnnz == 4  # the pattern holds four positions ...
+        np.testing.assert_array_equal(indptr, [0, 1, 2])  # ... two survive
+        np.testing.assert_array_equal(indices[:2], [1, 1])
+        assert data[:2].tolist() == [True, True]
+        kept, _ = dispatch_spgemm(
+            CsrMatrix(a.shape, a.indptr, a.indices, a.data),
+            CsrMatrix(b.shape, b.indptr, b.indices, b.data),
+            BOOL_AND_OR,
+            "spa",
+        )
+        np.testing.assert_array_equal(kept.indptr, [0, 2, 4])
+        assert kept.data.tolist() == [False, True, False, True]
