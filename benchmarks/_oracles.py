@@ -7,7 +7,7 @@ because pytest puts each non-package bench module's directory on
 
 import numpy as np
 
-from repro.sparse import CsrMatrix, spgemm_flops
+from repro.sparse import CsrMatrix, extract_col_range, extract_row_range, spgemm_flops
 from repro.sparse.build import csr_from_triples
 
 
@@ -144,3 +144,24 @@ def three_pass_spa(a, b, semiring):
         (a.nrows, d), indptr, keys % d, np.concatenate(parts_vals), check=False
     )
     return result, total
+
+
+def masked_column_split(mat, col_ranges):
+    """The split of a row block by the column partition as it stood before
+    ``ColumnStrips`` cut it in one pass: one ``extract_col_range`` per range,
+    each masking all ``nnz`` column ids — what ``build_column_copy`` and
+    ``ColumnStrips`` each ran, and (as ``flatnonzero`` of the same masks)
+    both value-refresh selections.  What the one-pass split must stay
+    array-for-array equal to, and faster than."""
+    return [extract_col_range(mat, c0, c1, reindex=True) for c0, c1 in col_ranges]
+
+
+def unique_per_row_range(mat, bounds):
+    """``nzc`` per row range as it stood before ``nonzero_columns_by_rows``:
+    one ``np.unique`` (a sort) per range — what ``prepare_multiply``,
+    ``derive_edge_subset``, the SpMM mode table and the SDDMM plan ran per
+    (peer, row tile).  What the one pass must stay equal to, and faster than."""
+    return [
+        np.unique(extract_row_range(mat, r0, r1).indices)
+        for r0, r1 in zip(bounds[:-1], bounds[1:])
+    ]

@@ -52,7 +52,7 @@ from ..core.driver import FusedPrologue, TsSession
 from ..mpi.costmodel import PERLMUTTER, MachineProfile
 from ..sparse.build import coo_to_csr
 from ..sparse.csr import INDEX_DTYPE, CsrMatrix
-from ..sparse.ops import extract_rows, row_topk
+from ..sparse.ops import extract_rows, nonzero_columns_by_rows, row_topk
 from ..sparse.sddmm import compact_pattern, force2vec_coefficients
 from ..sparse.semiring import PLUS_TIMES, Semiring
 
@@ -153,10 +153,11 @@ class _SddmmPrologue(FusedPrologue):
         local = operand.local
         p = comm.size
         with comm.phase("prepare"):
-            send_rows = [
-                dist.col_copy_rows_of(i).nonzero_columns() for i in range(p)
-            ]
-            needed = local.nonzero_columns()
+            # One pass each: peer i's rows of my Ac block, then my own block.
+            send_rows = nonzero_columns_by_rows(
+                dist.col_copy, [0, *(hi for _, hi in dist.rows.ranges)]
+            )
+            (needed,) = nonzero_columns_by_rows(local, (0, local.nrows))
             compact = compact_pattern(local, needed)
             comm.charge_touch(
                 p * dist.col_copy.indices.nbytes + 2 * local.indices.nbytes

@@ -39,13 +39,9 @@ from ..partition.distmat import (
     _vstack_tagged,
 )
 from ..sparse.csr import CsrMatrix
-from ..sparse.ops import (
-    extract_col_range,
-    extract_row_range,
-    mask_entries,
-    mask_pattern,
-)
+from ..sparse.ops import extract_row_range, mask_entries, mask_pattern
 from ..sparse.semiring import PLUS_TIMES, Semiring
+from ..sparse.tile import ColumnStrips
 from .config import DEFAULT_CONFIG, TsConfig
 from .naive import naive_multiply
 from .plan import (
@@ -54,6 +50,7 @@ from .plan import (
     _static_mode,
     prepare_multiply,
     shrink_prepared,
+    subtile_needed_rows,
 )
 from .spmm import spmm_multiply
 from .symbolic import LOCAL, REMOTE
@@ -217,9 +214,9 @@ class ResidentOperand:
     and *refresh its values in place* before the multiply runs — the
     distributed-SDDMM pattern, where each epoch's coefficients are
     computed on the row owners and only then flow into the multiply.
-    ``aux`` is a per-rank scratch dict for pattern-derived caches (value
-    strip selections, SDDMM send lists); it survives value refreshes and
-    is reset whenever the session's pattern changes.
+    ``aux`` is a per-rank scratch dict for pattern-derived caches (SDDMM
+    send lists); it survives value refreshes and is reset whenever the
+    session's pattern changes.
     """
 
     __slots__ = ("dist", "prepared", "aux", "refreshes")
@@ -253,6 +250,27 @@ class ResidentOperand:
         self.aux[key] = value
         return value
 
+    def _strip_selections(self) -> List[np.ndarray]:
+        """Which of my entries land in each peer's column strip, in strip
+        order (= data order of the strips ``build_column_copy`` shipped).
+
+        Pattern-determined, so read off the split the prepared plan keeps
+        (:attr:`~repro.sparse.tile.ColumnStrips.selections`); without one
+        (``reuse_plan=False``, a derived session before its first
+        multiply) the lists are cached on ``aux``, off the split this
+        call's multiply already cut of the block — same pattern, whatever
+        values it holds — or off a fresh one, which that multiply reuses.
+        """
+        if self.prepared is not None and self.prepared.strips is not None:
+            return self.prepared.strips.selections
+        sels = self.aux.get("value_strip_selections")
+        if sels is None:
+            strips = self.dist.strips
+            if strips is None:
+                strips = self.dist.column_strips()
+            sels = self.cache("value_strip_selections", strips.selections)
+        return sels
+
     def refresh_values(self, new_data: np.ndarray, *, phase: str = "refresh-values") -> None:
         """Replace the resident block's values; pattern must be unchanged.
 
@@ -278,22 +296,10 @@ class ResidentOperand:
             local.shape, local.indptr, local.indices, new_data, check=False
         )
         if self.dist.col_copy is not None:
-            sels = self.aux.get("value_strip_selections")
-            if sels is None:
-                # Pattern-determined: which of my entries land in each
-                # peer's column strip, in strip order (= data order of the
-                # strips build_column_copy shipped).
-                sels = self.cache(
-                    "value_strip_selections",
-                    [
-                        np.flatnonzero(
-                            (local.indices >= c0) & (local.indices < c1)
-                        )
-                        for c0, c1 in self.dist.rows.ranges
-                    ],
-                )
             with comm.phase(phase):
-                received = comm.alltoall([new_data[sel] for sel in sels])
+                received = comm.alltoall(
+                    [new_data[sel] for sel in self._strip_selections()]
+                )
                 cc = self.dist.col_copy
                 new_col = (
                     np.concatenate(received)
@@ -1419,20 +1425,20 @@ class TsSession(ResidentSession):
         )
         ranges = self._rows.ranges
         local_ids = [extract_row_range(ids_global, lo, hi) for lo, hi in ranges]
+        # Replay build_column_copy through its own split: rank i ships
+        # strip j of its block, tagged with its row offset, to rank j.
+        id_strips = None
+        if self.algorithm == "tiled":
+            id_strips = [ColumnStrips(ids, ranges) for ids in local_ids]
         per_rank = []
         for j, (c0, c1) in enumerate(ranges):
             _, _, col_copy, prepared, _ = self._state[j]
             col_data = None
             sub_ids = None
             if col_copy is not None:
-                # Replay build_column_copy: strips arrive tagged with the
-                # sender's row offset and are stacked in offset order.
+                # Strips are stacked in offset order.
                 tagged = [
-                    (
-                        ranges[i][0],
-                        extract_col_range(local_ids[i], c0, c1, reindex=True),
-                    )
-                    for i in range(self.p)
+                    (ranges[i][0], id_strips[i][j]) for i in range(self.p)
                 ]
                 col_ids_mat = _vstack_tagged(tagged, n, c1 - c0)
                 col_data = col_ids_mat.data.astype(np.int64, copy=False)
@@ -1545,9 +1551,19 @@ class TsSession(ResidentSession):
                         new_prepared.row_tile_ranges = list(
                             prepared.row_tile_ranges
                         )
+                        # A masked subtile is still its rows of the masked
+                        # column copy: every nonzero-column rescan in one pass.
+                        nzcs = subtile_needed_rows(
+                            new_col,
+                            rows,
+                            {
+                                peer: [ps.row_range for ps in subs]
+                                for peer, subs in prepared.subtiles.items()
+                            },
+                        )
                         for peer, subs in prepared.subtiles.items():
                             new_subs = []
-                            for ps, ids in zip(subs, sub_ids[peer]):
+                            for ps, ids, nzc in zip(subs, sub_ids[peer], nzcs[peer]):
                                 blk = (
                                     None
                                     if ps.block is None
@@ -1579,8 +1595,7 @@ class TsSession(ResidentSession):
                                     new_subs.append(
                                         PreparedSubtile(
                                             ps.peer, ps.row_tile, ps.row_range,
-                                            blk,
-                                            blk.nonzero_columns(),
+                                            blk, nzc,
                                         )
                                     )
                             new_prepared.subtiles[peer] = new_subs

@@ -47,6 +47,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from ..partition.block1d import Block1D
 from ..partition.distmat import DistSparseMatrix
 from ..sparse.csr import INDEX_DTYPE, CsrMatrix
 from ..sparse.kernels import (
@@ -55,7 +56,7 @@ from ..sparse.kernels import (
     row_flops_before,
     symbolic_size,
 )
-from ..sparse.ops import extract_row_range
+from ..sparse.ops import extract_row_range, nonzero_columns_by_rows
 from ..sparse.semiring import BOOL_AND_OR
 from ..sparse.tile import ColumnStrips, strips_build_bytes
 from .config import TsConfig
@@ -115,11 +116,13 @@ class PreparedA:
             )
 
     def ensure_strips(self, A: DistSparseMatrix) -> ColumnStrips:
-        """Consumer-side strips of my row block, built (and charged) once."""
+        """Consumer-side strips of my row block, taken (and charged) once:
+        the split ``A`` already holds of this block — ``build_column_copy``
+        cut it — or a fresh one (:meth:`DistSparseMatrix.column_strips`)."""
         if self.strips is None:
             comm = A.comm
             with comm.phase("tiling"):
-                self.strips = ColumnStrips(A.local, A.rows.ranges)
+                self.strips = A.column_strips()
                 comm.charge_touch(strips_build_bytes(A.local, comm.size))
         return self.strips
 
@@ -158,9 +161,44 @@ class PreparedA:
 
 
 # ----------------------------------------------------------------------
+def subtile_needed_rows(
+    col_copy: CsrMatrix, rows: Block1D, tile_ranges: Dict[int, List[Tuple[int, int]]]
+) -> Dict[int, List[np.ndarray]]:
+    """``nzc`` of every (peer, row tile) subtile of ``col_copy`` — the
+    local ``B`` rows it needs — in one pass over the block
+    (:func:`~repro.sparse.ops.nonzero_columns_by_rows`).
+
+    ``tile_ranges`` maps consecutive peers, ascending, to their row-tile
+    ranges (peer-local rows, covering the peer's block): the subtiles are
+    then consecutive row ranges of ``col_copy``.
+    """
+    peers = list(tile_ranges)
+    bounds = [rows.range_of(peers[0])[0]] if peers else [0]
+    for peer in peers:
+        lo, _ = rows.range_of(peer)
+        bounds.extend(lo + r1 for _, r1 in tile_ranges[peer])
+    nzcs = iter(nonzero_columns_by_rows(col_copy, bounds))
+    return {peer: [next(nzcs) for _ in tile_ranges[peer]] for peer in peers}
+
+
+def peer_tile_ranges(
+    rows: Block1D, config: TsConfig, peers
+) -> Dict[int, List[Tuple[int, int]]]:
+    """Row-tile ranges (peer-local rows) of each of ``peers``' row blocks."""
+    tile_ranges = {}
+    for peer in peers:
+        nrows = rows.size_of(peer)
+        tile_ranges[peer] = row_tile_ranges(nrows, config.effective_tile_height(nrows))
+    return tile_ranges
+
+
 def _prepare_peer(
-    A: DistSparseMatrix, config: TsConfig, peer: int, rank: int
-) -> Tuple[List[PreparedSubtile], List[Tuple[int, int]], int]:
+    A: DistSparseMatrix,
+    peer: int,
+    rank: int,
+    ranges: List[Tuple[int, int]],
+    nzcs: List[np.ndarray],
+) -> Tuple[List[PreparedSubtile], int]:
     """Extract one peer's subtiles from my ``Ac`` column copy.
 
     The single extraction routine shared by :func:`prepare_multiply` and
@@ -168,15 +206,16 @@ def _prepare_peer(
     exact same subtile blocks and ``needed_b_rows`` for a
     given (column copy, peer row range, config) — the reason an
     incrementally re-prepared ``p-1`` plan is bit-identical to a fresh
-    one.  Returns ``(subtiles, row_tile_ranges, touched_bytes)``; the
-    caller charges ``touched_bytes`` under its own phase.
+    one.  ``ranges`` are the peer's row tiles and ``nzcs`` their needed
+    ``B`` rows, which the caller reads for all the peers it extracts in
+    one pass (:func:`subtile_needed_rows`).  Returns ``(subtiles,
+    touched_bytes)``; the caller charges ``touched_bytes`` under its own
+    phase.
     """
     tile_block = A.col_copy_rows_of(peer)
-    h = config.effective_tile_height(tile_block.nrows)
-    ranges = row_tile_ranges(tile_block.nrows, h)
     subs: List[PreparedSubtile] = []
     touched = 0
-    for rt, (r0, r1) in enumerate(ranges):
+    for rt, ((r0, r1), nzc) in enumerate(zip(ranges, nzcs)):
         sub = extract_row_range(tile_block, r0, r1)
         touched += sub.nbytes_estimate()
         if sub.nnz == 0:
@@ -185,10 +224,10 @@ def _prepare_peer(
         if peer == rank:
             subs.append(PreparedSubtile(peer, rt, (r0, r1), sub, None))
             continue
-        nzc = sub.nonzero_columns()  # my local B rows this tile needs
+        # nzc: my local B rows this tile needs
         touched += 2 * sub.nbytes_estimate()  # the nzc scan + the pattern read
         subs.append(PreparedSubtile(peer, rt, (r0, r1), sub, nzc))
-    return subs, ranges, touched
+    return subs, touched
 
 
 def prepare_multiply(A: DistSparseMatrix, config: TsConfig) -> PreparedA:
@@ -206,12 +245,13 @@ def prepare_multiply(A: DistSparseMatrix, config: TsConfig) -> PreparedA:
 
     with comm.phase("prepare"):
         touched = 0
-        for peer in range(comm.size):
-            subs, ranges, t = _prepare_peer(A, config, peer, comm.rank)
+        tile_ranges = peer_tile_ranges(A.rows, config, range(comm.size))
+        nzcs = subtile_needed_rows(A.col_copy, A.rows, tile_ranges)
+        for peer, ranges in tile_ranges.items():
+            subs, t = _prepare_peer(A, peer, comm.rank, ranges, nzcs[peer])
             touched += t
-            if peer == comm.rank:
-                prepared.row_tile_ranges = ranges
             prepared.subtiles[peer] = subs
+        prepared.row_tile_ranges = tile_ranges[comm.rank]
         comm.charge_touch(touched)
 
         if config.mode_policy != "hybrid":
@@ -277,12 +317,16 @@ def shrink_prepared(
         prepared.naive_cache = None
         prepared.spmm_cache = None
         return touched
-    full = new_rank == adopter_new
+    # Peers to re-extract: everyone on the adopter, the merged peer elsewhere.
+    redo = range(new_size) if new_rank == adopter_new else [adopter_new]
+    tile_ranges = peer_tile_ranges(A.rows, config, redo)
+    nzcs = subtile_needed_rows(A.col_copy, A.rows, tile_ranges)
     new_subtiles: Dict[int, List[PreparedSubtile]] = {}
     for peer in range(new_size):
         old_peer = peer if peer < dead_rank else peer + 1
-        if full or peer == adopter_new:
-            subs, ranges, t = _prepare_peer(A, config, peer, new_rank)
+        if peer in tile_ranges:
+            ranges = tile_ranges[peer]
+            subs, t = _prepare_peer(A, peer, new_rank, ranges, nzcs[peer])
             touched += t
         else:
             subs = prepared.subtiles[old_peer]
@@ -297,7 +341,7 @@ def shrink_prepared(
     prepared.size = new_size
     if prepared.strips is not None:
         # Consumer-side strips follow the (changed) column ranges.
-        prepared.strips = ColumnStrips(A.local, A.rows.ranges)
+        prepared.strips = A.column_strips()
         touched += strips_build_bytes(A.local, new_size)
     if config.mode_policy != "hybrid" and prepared.subtiles:
         forced = LOCAL if config.mode_policy == "local" else REMOTE

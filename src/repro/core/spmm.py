@@ -22,7 +22,7 @@ from ..sparse.kernels import dispatch_spmm
 from ..sparse.ops import extract_row_range
 from .config import DEFAULT_CONFIG, TsConfig
 from .gather_rows import pack_dense_rows, place_dense_rows
-from .plan import PreparedA
+from .plan import PreparedA, peer_tile_ranges, subtile_needed_rows
 from .symbolic import row_tile_ranges
 from .tiled import (
     checked_row_tiles,
@@ -87,11 +87,12 @@ def spmm_multiply(
     if cached is None:
         produced = {}
         with comm.phase("symbolic"):
-            for peer in range(p):
+            tile_ranges = peer_tile_ranges(A.rows, config, range(p))
+            nzcs = subtile_needed_rows(A.col_copy, A.rows, tile_ranges)
+            for peer, ranges in tile_ranges.items():
                 tile_block = A.col_copy_rows_of(peer)
-                h = config.effective_tile_height(tile_block.nrows)
                 infos = []
-                for rt, (r0, r1) in enumerate(row_tile_ranges(tile_block.nrows, h)):
+                for rt, ((r0, r1), nzc) in enumerate(zip(ranges, nzcs[peer])):
                     sub = extract_row_range(tile_block, r0, r1)
                     if sub.nnz == 0:
                         infos.append((rt, (r0, r1), "empty", None, None))
@@ -99,7 +100,6 @@ def spmm_multiply(
                     if peer == comm.rank:
                         infos.append((rt, (r0, r1), "diagonal", sub, None))
                         continue
-                    nzc = sub.nonzero_columns()
                     affected = np.unique(sub.row_ids())
                     comm.charge_symbolic(sub.nnz)
                     # dense payloads: d values per needed B row vs per output row

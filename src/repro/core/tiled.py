@@ -62,7 +62,7 @@ from ..sparse.kernels import dispatch_spgemm, resolve_spgemm
 from ..sparse.merge import merge_bytes, merge_csrs
 from ..sparse.ops import extract_row_range
 from ..sparse.semiring import BOOL_AND_OR, PLUS_TIMES, Semiring
-from ..sparse.tile import ColumnStrips, strips_build_bytes
+from ..sparse.tile import strips_build_bytes
 from .config import DEFAULT_CONFIG, TsConfig
 from .gather_rows import pack_nonempty_rows, pack_rows, place_rows
 from .plan import PreparedA, prepare_multiply, replan
@@ -169,12 +169,14 @@ def exchange_sections(comm, sections, fuse: bool, meta=None):
 def consumer_strips(A: DistSparseMatrix, prepared: Optional[PreparedA]):
     """Consumer-side strips of my local ``A`` block, one per producer
     column block, with column ids local to that block.  A prepared plan
-    owns them (built and charged once); without one they are rebuilt per
-    call under the same ``tiling`` charge."""
+    owns them (taken and charged once); without one they are charged per
+    call under the same ``tiling`` phase.  Either way the split itself is
+    ``A``'s (:meth:`DistSparseMatrix.column_strips`): the one
+    ``build_column_copy`` cut, when ``A`` still holds that block."""
     if prepared is not None:
         return prepared.ensure_strips(A)
     with A.comm.phase("tiling"):
-        strips = ColumnStrips(A.local, A.rows.ranges)
+        strips = A.column_strips()
         A.comm.charge_touch(strips_build_bytes(A.local, A.comm.size))
     return strips
 

@@ -25,8 +25,9 @@ from ..mpi.comm import SimComm
 from ..mpi.errors import DeadSessionError
 from ..sparse.csr import CsrMatrix
 from ..sparse.merge import merge_csrs
-from ..sparse.ops import extract_col_range, extract_row_range
+from ..sparse.ops import extract_row_range
 from ..sparse.semiring import PLUS_TIMES, Semiring
+from ..sparse.tile import ColumnStrips
 from .block1d import Block1D
 
 
@@ -69,6 +70,10 @@ class DistSparseMatrix:
         ``Ac``: ``nrows_global × rows.size_of(rank)`` CSR with *global row*
         ids and local column ids (the column partition reuses the same
         ``Block1D``; it only makes sense for square matrices).
+    strips:
+        ``local`` split by the column partition, once it has been cut
+        (:meth:`column_strips`): what ``build_column_copy`` ships and the
+        tiled multiply consumes.
     """
 
     comm: SimComm
@@ -76,6 +81,7 @@ class DistSparseMatrix:
     local: CsrMatrix
     ncols: int
     col_copy: Optional[CsrMatrix] = None
+    strips: Optional[ColumnStrips] = None
 
     # ------------------------------------------------------------------
     @classmethod
@@ -147,15 +153,29 @@ class DistSparseMatrix:
         return int(self.comm.allreduce(self.local.nnz))
 
     # ------------------------------------------------------------------
+    def column_strips(self) -> ColumnStrips:
+        """My row block split by the column partition, cut at most once.
+
+        The split this matrix already holds serves again when it was cut
+        from the very block ``local`` is now (identity, not equality: a
+        same-pattern refresh moves both together); any other block is
+        split afresh.  Uncharged — callers charge their own phase.
+        """
+        if self.strips is None or self.strips.source is not self.local:
+            self.strips = ColumnStrips(self.local, self.rows.ranges)
+        return self.strips
+
     def build_column_copy(self, *, phase: str = "build-Ac") -> None:
         """Materialize ``Ac`` — the column-partitioned second copy of A.
 
-        Every rank cuts its row block into per-owner column strips and
-        exchanges them in one all-to-all; rank ``j`` then stacks the strips
-        it received into ``Ac_j ∈ R^{n × n_j}`` (global rows, local
-        columns).  The traffic is charged under ``phase`` so benchmarks can
-        separate this one-time setup from multiply time.  Requires a
-        square matrix (row and column partitions coincide).
+        Every rank cuts its row block into per-owner column strips
+        (:meth:`column_strips` — the split the multiply's consumer side
+        then reuses) and exchanges them in one all-to-all; rank ``j``
+        then stacks the strips it received into ``Ac_j ∈ R^{n × n_j}``
+        (global rows, local columns).  The traffic is charged under
+        ``phase`` so benchmarks can separate this one-time setup from
+        multiply time.  Requires a square matrix (row and column
+        partitions coincide).
         """
         if self.ncols != self.rows.n:
             raise ValueError(
@@ -163,15 +183,11 @@ class DistSparseMatrix:
                 f"(got {self.rows.n} x {self.ncols})"
             )
         comm = self.comm
-        ranges = self.rows.ranges
         my_lo, my_hi = self.local_range
         with comm.phase(phase):
             # Strip k of my block, with LOCAL column ids and tagged with my
             # global row offset so the receiver can place the rows.
-            send = []
-            for (c0, c1) in ranges:
-                strip = extract_col_range(self.local, c0, c1, reindex=True)
-                send.append((my_lo, strip))
+            send = [(my_lo, strip) for strip in self.column_strips().strips]
             received = comm.alltoall(send)
             comm.charge_touch(sum(s.nbytes_estimate() for _, s in send))
             width = my_hi - my_lo

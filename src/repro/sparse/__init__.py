@@ -32,6 +32,7 @@ from .ops import (
     extract_rows,
     mask_entries,
     nnz_of_rows,
+    nonzero_columns_by_rows,
     pattern_difference,
     row_topk,
     spmm_dense,
@@ -95,6 +96,7 @@ __all__ = [
     "merge_bytes",
     "merge_csrs",
     "nnz_of_rows",
+    "nonzero_columns_by_rows",
     "pattern_difference",
     "random_csr",
     "read_matrix_market",

@@ -15,10 +15,11 @@ Everything is vectorized; no per-nonzero Python loops.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .build import SPA_MAX_SCRATCH_ELEMS
 from .csr import INDEX_DTYPE, CsrMatrix
 from .merge import merge_csrs
 from .semiring import PLUS_TIMES, Semiring
@@ -106,6 +107,44 @@ def extract_row_range(mat: CsrMatrix, r0: int, r1: int) -> CsrMatrix:
         mat.data[lo:hi],
         check=False,
     )
+
+
+def nonzero_columns_by_rows(mat: CsrMatrix, bounds: Sequence[int]) -> List[np.ndarray]:
+    """``nonzero_columns()`` of every row range ``[bounds[k], bounds[k+1])``.
+
+    The ``nzc`` vectors (Fig 1) of consecutive row tiles, in one pass: a
+    range's entries are contiguous in storage, so they are marked in one
+    boolean scratch over ``(range, column)`` — at most
+    :data:`~repro.sparse.build.SPA_MAX_SCRATCH_ELEMS` slots at a time,
+    whole ranges per batch — read back with one ``flatnonzero`` and cut
+    per range with one ``searchsorted``.  Each list is what ``np.unique``
+    returns for the range's column ids; empty ranges give empty lists.
+    """
+    bounds = np.asarray(bounds, dtype=INDEX_DTYPE)
+    if bounds.ndim != 1 or len(bounds) == 0:
+        raise IndexError("bounds must be a non-empty 1-D sequence of row boundaries")
+    if bounds[0] < 0 or bounds[-1] > mat.nrows or np.any(bounds[1:] < bounds[:-1]):
+        raise IndexError(
+            f"row boundaries must be non-decreasing within [0, {mat.nrows}]"
+        )
+    n_ranges, ncols = len(bounds) - 1, mat.ncols
+    if mat.indptr[bounds[-1]] == mat.indptr[bounds[0]]:  # includes ncols == 0
+        return [np.zeros(0, dtype=INDEX_DTYPE) for _ in range(n_ranges)]
+    out: List[np.ndarray] = []
+    step = max(SPA_MAX_SCRATCH_ELEMS // ncols, 1)
+    for k0 in range(0, n_ranges, step):
+        k1 = min(k0 + step, n_ranges)
+        cuts = mat.indptr[bounds[k0 : k1 + 1]]
+        slot_base = np.arange(0, (k1 - k0 + 1) * ncols, ncols, dtype=INDEX_DTYPE)
+        flat = np.repeat(slot_base[:-1], np.diff(cuts))
+        flat += mat.indices[cuts[0] : cuts[-1]]
+        seen = np.zeros((k1 - k0) * ncols, dtype=bool)
+        seen[flat] = True
+        hits = np.flatnonzero(seen)
+        ends = np.searchsorted(hits, slot_base)
+        hits -= np.repeat(slot_base[:-1], np.diff(ends))
+        out.extend(hits[a:b] for a, b in zip(ends[:-1], ends[1:]))
+    return out
 
 
 def _entry_keys(mat: CsrMatrix) -> np.ndarray:

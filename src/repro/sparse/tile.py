@@ -13,13 +13,16 @@ Two helpers matter for the distributed algorithm:
 * :class:`ColumnStrips` — a one-pass split of a local block into
   per-column-block strips with *local* column ids, the unit from which
   tiles of any width are assembled (a width-``w`` tile is ``w / (n/p)``
-  consecutive strips, Table IV's default being 16 strips).
+  consecutive strips, Table IV's default being 16 strips).  The same
+  split is what ``build_column_copy`` ships to build ``Ac`` (§III-A) and
+  its per-strip ``selections`` are what a values-only refresh gathers
+  through, so one object per operand pattern serves all three.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Sequence, Tuple
 
 import numpy as np
 
@@ -72,13 +75,15 @@ def block_owners(indices: np.ndarray, n: int, p: int) -> np.ndarray:
 
 
 def strips_build_bytes(mat: CsrMatrix, n_strips: int) -> int:
-    """Bytes streamed through memory when splitting ``mat`` into strips.
+    """Bytes the *modelled* machine streams when splitting ``mat`` into strips.
 
-    Each strip extraction scans the full column-index array once
-    (:func:`extract_col_range` masks all ``nnz`` entries per call), then
-    gathers its own indices+values; the total is ``n_strips`` index scans
-    plus one copy of the block.  This is what the cost model charges for
-    the "tiling" phase — and what a prepared plan amortizes.
+    The modelled split extracts each strip with its own scan of the full
+    column-index array, then gathers its indices+values: ``n_strips``
+    index scans plus one copy of the block.  This is what the cost model
+    charges for the "tiling" phase — and what a prepared plan amortizes.
+    The simulation's :class:`ColumnStrips` splits in one pass; the charge
+    prices the machine, not the simulation, and is deliberately unchanged
+    (docs/planning.md).
     """
     return int(n_strips * mat.indices.nbytes + mat.nbytes_estimate())
 
@@ -87,17 +92,70 @@ class ColumnStrips:
     """A local block split by the global column partition, in one pass.
 
     ``strips[j]`` holds the columns owned by block ``j`` with column ids
-    rebased to that block's local space.  Assembling a tile of width
-    ``w = k · n/p`` means taking ``k`` consecutive strips, so mode
-    decisions and per-round communication are naturally per strip.
+    rebased to that block's local space — array for array what
+    ``extract_col_range(mat, c0, c1, reindex=True)`` returns.  Assembling
+    a tile of width ``w = k · n/p`` means taking ``k`` consecutive strips,
+    so mode decisions and per-round communication are naturally per strip.
+
+    ``selections[j]`` are the positions of strip ``j``'s entries in
+    ``mat``'s storage order, ascending: ``strips[j].data`` is
+    ``mat.data[selections[j]]``, which is all a values-only refresh needs
+    (:meth:`refresh_values`, ``ResidentOperand.refresh_values``).
+    ``source`` is the block the strips currently hold the values of.
+
+    ``col_ranges`` must tile ``[0, mat.ncols)`` contiguously (empty ranges
+    allowed), as ``Block1D.ranges`` does: the split finds every entry's
+    owner with one lookup on the range starts.
     """
 
     def __init__(self, mat: CsrMatrix, col_ranges: Sequence[Tuple[int, int]]):
         self.col_ranges = list(col_ranges)
+        self.source = mat
+        p = len(self.col_ranges)
+        bounds = [0] + [c1 for _, c1 in self.col_ranges]
+        if bounds[-1] != mat.ncols or any(
+            c0 != lo or c1 < c0 for (c0, c1), lo in zip(self.col_ranges, bounds)
+        ):
+            raise ValueError(
+                f"column ranges must tile [0, {mat.ncols}) contiguously, "
+                f"got {self.col_ranges}"
+            )
+        nrows = mat.nrows
+        starts = np.array(bounds[:-1], dtype=INDEX_DTYPE)
+        # Owner of every entry: the last range starting at or before its
+        # column (side="right" steps over empty ranges sharing a start),
+        # held in <= 16 bits so the stable sort is numpy's radix sort.
+        owner = np.searchsorted(starts, mat.indices, side="right") - 1
+        owner = owner.astype(np.min_scalar_type(max(p - 1, 0)))
+        self._order = np.argsort(owner, kind="stable")
+        counts = np.bincount(owner, minlength=p)
+        self._cuts: List[int] = [0, *np.cumsum(counts).tolist()]
+        self.selections: List[np.ndarray] = self._per_strip(self._order)
+        indices = mat.indices[self._order]
+        indices -= np.repeat(starts, counts)
+        # Entries per (strip, row), summed along the rows: every indptr.
+        cell = owner.astype(INDEX_DTYPE)
+        cell *= nrows
+        cell += mat.row_ids()
+        indptr = np.zeros((p, nrows + 1), dtype=INDEX_DTYPE)
+        np.cumsum(
+            np.bincount(cell, minlength=p * nrows).reshape(p, nrows),
+            axis=1,
+            out=indptr[:, 1:],
+        )
         self.strips: List[CsrMatrix] = [
-            extract_col_range(mat, c0, c1, reindex=True) for c0, c1 in self.col_ranges
+            CsrMatrix((nrows, c1 - c0), ptr, idx, vals, check=False)
+            for (c0, c1), ptr, idx, vals in zip(
+                self.col_ranges,
+                indptr,
+                self._per_strip(indices),
+                self._per_strip(mat.data[self._order]),
+            )
         ]
-        self._selections: Optional[List[np.ndarray]] = None
+
+    def _per_strip(self, permuted: np.ndarray) -> List[np.ndarray]:
+        """Cut an array in the split's order into its per-strip views."""
+        return [permuted[a:b] for a, b in zip(self._cuts[:-1], self._cuts[1:])]
 
     def __len__(self) -> int:
         return len(self.strips)
@@ -112,23 +170,19 @@ class ColumnStrips:
         """Re-load strip values from ``mat``, which must share the pattern
         the strips were built from.
 
-        The entry selection of every strip is pattern-determined, so it is
-        computed once (lazily, on the first refresh) and later refreshes
-        are plain gathers — the persistent-plan path for operands whose
-        values change while their pattern stays fixed (sparse embedding's
-        coefficient matrix between negative re-samples).
+        The entry selection of every strip is pattern-determined and was
+        fixed by the split, so a refresh is one gather — the
+        persistent-plan path for operands whose values change while their
+        pattern stays fixed (sparse embedding's coefficient matrix between
+        negative re-samples).
         """
-        if self._selections is None:
-            self._selections = [
-                np.flatnonzero((mat.indices >= c0) & (mat.indices < c1))
-                for c0, c1 in self.col_ranges
-            ]
-        for j, (strip, sel) in enumerate(zip(self.strips, self._selections)):
-            if len(sel) != strip.nnz:
-                raise ValueError("refresh_values requires an identical pattern")
-            self.strips[j] = CsrMatrix(
-                strip.shape, strip.indptr, strip.indices, mat.data[sel], check=False
-            )
+        if (mat.nrows, mat.nnz) != (self.source.nrows, len(self._order)):
+            raise ValueError("refresh_values requires an identical pattern")
+        self.strips = [
+            CsrMatrix(s.shape, s.indptr, s.indices, vals, check=False)
+            for s, vals in zip(self.strips, self._per_strip(mat.data[self._order]))
+        ]
+        self.source = mat
 
 
 @dataclass(frozen=True)

@@ -22,3 +22,12 @@ def random_dense(rng, nrows, ncols, density=0.3, dtype=np.float64):
 
 def csr_from_dense(dense) -> CsrMatrix:
     return CsrMatrix.from_dense(np.asarray(dense))
+
+
+def assert_same_arrays(got: CsrMatrix, want: CsrMatrix) -> None:
+    """Array for array: shape, and dtype and contents of all three arrays."""
+    assert got.shape == want.shape
+    for name in ("indptr", "indices", "data"):
+        g, w = getattr(got, name), getattr(want, name)
+        assert g.dtype == w.dtype, name
+        np.testing.assert_array_equal(g, w, err_msg=name)

@@ -1,0 +1,354 @@
+"""One split of a row block per operand pattern.
+
+``ColumnStrips`` is cut once — by ``build_column_copy`` — and that object
+is what the consumer side multiplies from, what a values-only refresh
+gathers through and what ``_ensure_edge_ids`` replays.  Pinned here:
+
+* how often the split runs (a counter on ``ColumnStrips.__init__``):
+  once per rank per pattern, never in a resident multiply or a refresh;
+* that the kept strips stay true to the resident block through every
+  writer of either (value refresh, recovery, shrink);
+* that the companions built *through* the batched passes — the edge-id
+  replay, the derived session's ``needed_b_rows`` — equal the per-range
+  loops they replaced (kept below as oracles).
+"""
+
+import numpy as np
+import pytest
+
+from repro.apps import train_sparse_embedding
+from repro.core import TsConfig, ts_spgemm, ts_spmm
+from repro.core.driver import FusedPrologue, TsSession
+from repro.data import erdos_renyi
+from repro.partition.distmat import _vstack_tagged
+from repro.sparse import (
+    PLUS_TIMES,
+    ColumnStrips,
+    CsrMatrix,
+    extract_col_range,
+    extract_row_range,
+    mask_entries,
+)
+
+from ..conftest import assert_same_arrays, csr_from_dense, random_dense
+
+N, D, P = 36, 5, 4
+
+
+def float_graph(seed=3, density=0.2):
+    rng = np.random.default_rng(seed)
+    return csr_from_dense(random_dense(rng, N, N, density))
+
+
+def revalued(a: CsrMatrix, factor=3.0) -> CsrMatrix:
+    return CsrMatrix(a.shape, a.indptr, a.indices, a.data * factor, check=False)
+
+
+def operand(seed=7):
+    rng = np.random.default_rng(seed)
+    return csr_from_dense(random_dense(rng, N, D, 0.4))
+
+
+def session_on(a, p=P, **config):
+    config.setdefault("tile_height", 4)
+    return TsSession(a, p, semiring=PLUS_TIMES, config=TsConfig(**config))
+
+
+def scale_values(comm, resident):
+    """A prologue that refreshes the resident values on every rank."""
+    resident.refresh_values(resident.local.data * 2.0)
+
+
+class _FusedScale(FusedPrologue):
+    """The same refresh from inside the multiply's fused exchange."""
+
+    def sections(self, comm, resident):
+        return []
+
+    def finish(self, comm, resident, received):
+        scale_values(comm, resident)
+
+
+#: The refresh before the multiply, and the refresh riding its exchange
+#: (``fuse_comm`` is on by default).
+REFRESHES = [scale_values, _FusedScale()]
+
+
+@pytest.fixture
+def splits(monkeypatch):
+    """Every block split while the test runs (rank threads append; list
+    appends are atomic)."""
+    seen = []
+    cut = ColumnStrips.__init__
+
+    def counting(self, mat, col_ranges):
+        seen.append(mat)
+        cut(self, mat, col_ranges)
+
+    monkeypatch.setattr(ColumnStrips, "__init__", counting)
+    return seen
+
+
+# ----------------------------------------------------------------------
+# how often the split runs
+# ----------------------------------------------------------------------
+class TestSplitCounts:
+    @pytest.mark.parametrize("fuse", [True, False])
+    def test_oneshot_multiply_splits_once_per_rank(self, splits, fuse):
+        ts_spgemm(float_graph(), operand(), P, config=TsConfig(fuse_comm=fuse))
+        assert len(splits) == P
+
+    def test_oneshot_spmm_splits_once_per_rank(self, splits):
+        ts_spmm(float_graph(), np.ones((N, D)), P)
+        assert len(splits) == P
+
+    def test_session_setup_splits_once_per_rank(self, splits):
+        with session_on(float_graph()):
+            assert len(splits) == P
+
+    def test_resident_multiplies_never_split(self, splits):
+        with session_on(float_graph()) as session:
+            del splits[:]
+            session.multiply(operand())
+            handle = session.multiply(operand(8), gather=False).C
+            session.multiply(handle)
+            session.multiply(np.ones((N, D)))  # the SpMM path
+            assert splits == []
+
+    @pytest.mark.parametrize("refresh", REFRESHES)
+    def test_value_refresh_never_splits(self, splits, refresh):
+        with session_on(float_graph()) as session:
+            del splits[:]
+            session.multiply(operand(), prologue=refresh)
+            session.multiply(operand(), prologue=refresh)
+            assert splits == []
+
+    def test_update_operand_splits_only_for_a_new_pattern(self, splits):
+        a = float_graph()
+        with session_on(a) as session:
+            del splits[:]
+            session.update_operand(revalued(a))
+            assert splits == []
+            session.update_operand(float_graph(seed=4))
+            assert len(splits) == P
+
+    def test_refresh_after_checkpoint_restore_never_splits(self, splits):
+        faults = dict(recoverable=True, retry_backoff=0.0, faults="crash@1,task=2,seq=0")
+        with session_on(float_graph(), **faults) as session:
+            del splits[:]
+            session.multiply(operand())
+            assert session.recoveries == 1
+            session.multiply(operand(), prologue=scale_values)
+            assert splits == []
+
+    def test_shrink_resplits_once_per_survivor(self, splits):
+        with session_on(float_graph(), recoverable=True, retry_backoff=0.0) as session:
+            del splits[:]
+            session.shrink(1)
+            assert len(splits) == P - 1
+            del splits[:]
+            session.multiply(operand(), prologue=scale_values)
+            assert splits == []
+
+    @pytest.mark.parametrize("refresh", REFRESHES)
+    def test_without_a_plan_every_multiply_splits_once_per_rank(self, splits, refresh):
+        """``reuse_plan=False`` keeps nothing between calls — but the
+        refresh and the consumer side of one call share one split."""
+        with session_on(float_graph(), reuse_plan=False) as session:
+            assert len(splits) == P  # build_column_copy
+            for _ in range(2):
+                del splits[:]
+                session.multiply(operand(), prologue=refresh)
+                assert len(splits) == P
+            # the selections were cached on aux by the first refresh
+            assert all("value_strip_selections" in s[4] for s in session._state)
+
+    def test_the_selections_key_is_only_for_sessions_without_a_plan(self):
+        with session_on(float_graph()) as session:
+            session.multiply(operand(), prologue=scale_values)
+            assert not any("value_strip_selections" in s[4] for s in session._state)
+
+    @pytest.mark.parametrize("negative_refresh, patterns", [(3, 1), (1, 3)])
+    def test_embedding_splits_once_per_rank_per_pattern(
+        self, splits, negative_refresh, patterns
+    ):
+        """Fig 13's loop: a redrawn negative sample is a new pattern, an
+        epoch on a kept one only refreshes values."""
+        train_sparse_embedding(
+            erdos_renyi(48, 4, seed=5), P, d=8, sparsity=0.5, epochs=3, seed=1,
+            negative_refresh=negative_refresh,
+        )
+        assert len(splits) == patterns * P
+
+
+# ----------------------------------------------------------------------
+# the kept strips stay true to the resident block
+# ----------------------------------------------------------------------
+def assert_strips_hold_local_values(session: TsSession):
+    for rows, local, _, prepared, _ in session._state:
+        strips = prepared.strips
+        assert strips.col_ranges == rows.ranges
+        for j, (c0, c1) in enumerate(rows.ranges):
+            np.testing.assert_array_equal(
+                strips[j].data, local.data[strips.selections[j]]
+            )
+            assert_same_arrays(strips[j], extract_col_range(local, c0, c1))
+
+
+class TestStripsFollowTheResidentBlock:
+    def test_after_setup(self):
+        with session_on(float_graph()) as session:
+            assert_strips_hold_local_values(session)
+
+    @pytest.mark.parametrize("refresh", REFRESHES)
+    def test_after_refresh_values(self, refresh):
+        a = float_graph()
+        with session_on(a) as session:
+            session.multiply(operand(), prologue=refresh)
+            assert np.array_equal(
+                np.concatenate([s[1].data for s in session._state]), a.data * 2.0
+            )
+            assert_strips_hold_local_values(session)
+
+    def test_after_update_operand(self):
+        a = float_graph()
+        with session_on(a) as session:
+            session.update_operand(revalued(a))
+            assert_strips_hold_local_values(session)
+
+    def test_after_recovery(self):
+        """A restore rebuilds the strips from their own value copies, not
+        from the block: both must come back as the refreshed checkpoint
+        had them.  (Setup and its checkpoint are tasks 0-1, the refreshing
+        multiply and its checkpoint 2-3, the crashed multiply task 4.)"""
+        a = float_graph()
+        faults = dict(recoverable=True, retry_backoff=0.0, faults="crash@1,task=4,seq=0")
+        with session_on(a, **faults) as session:
+            session.multiply(operand(), prologue=scale_values)
+            session.multiply(operand())
+            assert session.recoveries == 1
+            assert np.array_equal(
+                np.concatenate([s[1].data for s in session._state]), a.data * 2.0
+            )
+            assert_strips_hold_local_values(session)
+
+    @pytest.mark.parametrize("dead_rank", [1, 3])
+    def test_after_shrink(self, dead_rank):
+        with session_on(float_graph(), recoverable=True, retry_backoff=0.0) as session:
+            session.shrink(dead_rank)
+            assert_strips_hold_local_values(session)
+            session.multiply(operand(), prologue=scale_values)
+            assert_strips_hold_local_values(session)
+
+
+# ----------------------------------------------------------------------
+# companions built through the batched passes
+# ----------------------------------------------------------------------
+def masked_replay_edge_ids(session: TsSession):
+    """``_ensure_edge_ids`` as it stood before it replayed the split: one
+    masked ``extract_col_range`` pass per (sender, receiver) pair."""
+    indptr, indices = session._pattern
+    n = session.ncols
+    ids = CsrMatrix(
+        (n, n), indptr, indices, np.arange(len(indices), dtype=np.int64), check=False
+    )
+    ranges = session._rows.ranges
+    local_ids = [extract_row_range(ids, lo, hi) for lo, hi in ranges]
+    per_rank = []
+    for j, (c0, c1) in enumerate(ranges):
+        prepared = session._state[j][3]
+        tagged = [
+            (ranges[i][0], extract_col_range(local_ids[i], c0, c1, reindex=True))
+            for i in range(session.p)
+        ]
+        col_ids = _vstack_tagged(tagged, n, c1 - c0)
+        sub_ids = {
+            peer: [
+                None
+                if ps.block is None
+                else extract_row_range(
+                    extract_row_range(col_ids, *ranges[peer]), *ps.row_range
+                ).data
+                for ps in subs
+            ]
+            for peer, subs in prepared.subtiles.items()
+        }
+        per_rank.append((local_ids[j].data, col_ids.data, sub_ids))
+    return per_rank
+
+
+class TestEdgeIdReplay:
+    @pytest.mark.parametrize(
+        "p, row_bounds",
+        [(1, None), (3, None), (4, None), (4, (0, 5, 5, 30, N)), (3, (0, N, N, N))],
+    )
+    def test_companions_equal_the_masked_replay(self, p, row_bounds):
+        a = float_graph()
+        config = TsConfig(tile_height=4)
+        with TsSession(a, p, config=config, row_bounds=row_bounds) as session:
+            session._ensure_edge_ids()
+            want = masked_replay_edge_ids(session)
+            assert len(session._edge_ids) == p
+            for (loc, col, sub), (w_loc, w_col, w_sub) in zip(session._edge_ids, want):
+                for got_ids, want_ids in [(loc, w_loc), (col, w_col)]:
+                    assert got_ids.dtype == np.int64
+                    np.testing.assert_array_equal(got_ids, want_ids)
+                assert sub.keys() == w_sub.keys()
+                for peer in sub:
+                    assert len(sub[peer]) == len(w_sub[peer])
+                    for got_ids, want_ids in zip(sub[peer], w_sub[peer]):
+                        if want_ids is None:
+                            assert got_ids is None
+                        else:
+                            assert got_ids.dtype == np.int64
+                            np.testing.assert_array_equal(got_ids, want_ids)
+            # the ids do address the resident blocks' own values
+            for (loc, col, _), (_, local, col_copy, _, _) in zip(
+                session._edge_ids, session._state
+            ):
+                np.testing.assert_array_equal(a.data[loc], local.data)
+                np.testing.assert_array_equal(a.data[col], col_copy.data)
+
+
+class TestDerivedNeededRows:
+    @pytest.mark.parametrize("policy", ["hybrid", "remote"])
+    def test_derived_plan_equals_a_fresh_one(self, rng, policy):
+        """Subtile for subtile: a subtile masked empty stores nothing, a
+        kept one has the ``nzc`` a fresh prepare scans, and the derivation
+        is charged 1x per kept block plus 2x per off-diagonal one."""
+        a = float_graph(density=0.15)
+        keep = rng.random(a.nnz) < 0.5
+        keep[a.row_ids() < 4] = False  # whole subtiles masked empty
+        config = dict(tile_height=4, mode_policy=policy)
+        with session_on(a, **config) as parent, session_on(
+            mask_entries(a, keep), **config
+        ) as fresh:
+            child = parent.derive_edge_subset(keep)
+            emptied = 0
+            for rank, (got, want) in enumerate(zip(child._state, fresh._state)):
+                touched = got[1].nbytes_estimate() + got[2].nbytes_estimate()
+                for peer, subs in want[3].subtiles.items():
+                    assert len(got[3].subtiles[peer]) == len(subs)
+                    for ps, ws, parent_ps in zip(
+                        got[3].subtiles[peer], subs, parent._state[rank][3].subtiles[peer]
+                    ):
+                        assert (ps.peer, ps.row_tile, ps.row_range) == (
+                            ws.peer, ws.row_tile, ws.row_range
+                        )
+                        if ws.block is None:
+                            assert ps.block is None and ps.needed_b_rows is None
+                            emptied += parent_ps.block is not None
+                            continue
+                        assert_same_arrays(ps.block, ws.block)
+                        touched += ps.block.nbytes_estimate()
+                        if peer == rank:
+                            assert ps.needed_b_rows is None
+                            continue
+                        touched += 2 * ps.block.nbytes_estimate()
+                        assert ps.needed_b_rows.dtype == ws.needed_b_rows.dtype
+                        np.testing.assert_array_equal(
+                            ps.needed_b_rows, ws.needed_b_rows
+                        )
+                prepare = child.setup_report.rank_stats[rank].phases["prepare"]
+                assert prepare.compute_time == child.machine.touch_time(touched)
+            assert emptied > 0
