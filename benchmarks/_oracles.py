@@ -1,13 +1,24 @@
-"""Reference implementations the micro gates compare ``src/`` against.
+"""Reference implementations the micro gates and the tests compare
+``src/`` against.
 
-Importable as a plain module (``from _oracles import lexsort_merge``)
-because pytest puts each non-package bench module's directory on
-``sys.path`` during collection.
+Importable as a plain module (``from _oracles import lexsort_merge``):
+pytest puts each non-package bench module's directory on ``sys.path``
+during collection, and ``tests/conftest.py`` adds it for the tests.
 """
 
 import numpy as np
 
-from repro.sparse import CsrMatrix, extract_col_range, extract_row_range, spgemm_flops
+from repro.core.symbolic import DIAGONAL, EMPTY, LOCAL, REMOTE
+from repro.partition.distmat import _vstack_tagged
+from repro.sparse import (
+    BOOL_AND_OR,
+    CsrMatrix,
+    dispatch_spgemm,
+    extract_col_range,
+    extract_row_range,
+    resolve_spgemm,
+    spgemm_flops,
+)
 from repro.sparse.build import csr_from_triples
 
 
@@ -165,3 +176,67 @@ def unique_per_row_range(mat, bounds):
         np.unique(extract_row_range(mat, r0, r1).indices)
         for r0, r1 in zip(bounds[:-1], bounds[1:])
     ]
+
+
+def per_subtile_plan(prepared, A, B):
+    """The hybrid boolean symbolic step as it stood before the one product
+    per column block: one kernel call per stored subtile of ``A.col_copy``.
+    ``(peer, row tile, mode, needed_b_nnz, output_nnz, kept)`` per slot,
+    charged like ``replan`` — what its plan must stay equal to, field for
+    field and charge for charge."""
+    comm, config = A.comm, prepared.config
+
+    def product(peer, ps):
+        lo, _ = A.rows.range_of(peer)
+        block = extract_row_range(A.col_copy, lo + ps.row_range[0], lo + ps.row_range[1])
+        return dispatch_spgemm(block, B.local, BOOL_AND_OR, config.kernel, strict=False)
+
+    slots = []
+    with comm.phase("symbolic"):
+        b_row_nnz = B.local.row_nnz()
+        sym_kernel = resolve_spgemm(
+            config.kernel, BOOL_AND_OR, d=B.ncols, strict=False
+        ).name
+        for peer in range(comm.size):
+            for ps in prepared.subtiles[peer]:
+                if not ps.stored:
+                    slots.append((peer, ps.row_tile, EMPTY, 0, 0, None))
+                    continue
+                if peer == comm.rank:
+                    slots.append((peer, ps.row_tile, DIAGONAL, 0, 0, product(peer, ps)))
+                    continue
+                nzc = ps.needed_b_rows
+                needed_nnz = int(b_row_nnz[nzc].sum())
+                pattern, flops = product(peer, ps)
+                comm.charge_symbolic(flops, kernel=sym_kernel)
+                out_rows = int(np.count_nonzero(pattern.row_nnz()))
+                remote = 16 * pattern.nnz + 16 * out_rows < 16 * needed_nnz + 16 * len(nzc)
+                slots.append(
+                    (
+                        peer, ps.row_tile, REMOTE if remote else LOCAL, needed_nnz,
+                        pattern.nnz, (pattern, flops) if remote else None,
+                    )
+                )
+    return slots
+
+
+def masked_replay_edge_ids(session):
+    """``TsSession._ensure_edge_ids`` as it stood before it replayed the
+    one-pass split: one masked ``extract_col_range`` pass per (sender,
+    receiver) pair.  ``(local ids, column-copy ids)`` per rank — what the
+    companions must stay equal to."""
+    indptr, indices = session._pattern
+    n = session.ncols
+    ids = CsrMatrix(
+        (n, n), indptr, indices, np.arange(len(indices), dtype=np.int64), check=False
+    )
+    ranges = session._rows.ranges
+    local_ids = [extract_row_range(ids, lo, hi) for lo, hi in ranges]
+    per_rank = []
+    for j, (c0, c1) in enumerate(ranges):
+        tagged = [
+            (ranges[i][0], extract_col_range(local_ids[i], c0, c1, reindex=True))
+            for i in range(session.p)
+        ]
+        per_rank.append((local_ids[j].data, _vstack_tagged(tagged, n, c1 - c0).data))
+    return per_rank

@@ -227,7 +227,7 @@ class ResidentOperand:
         self.aux = aux
         #: Number of refresh_values calls on this view — how the fused
         #: multiply learns that a prologue changed the operand's values
-        #: (and must therefore re-sync its plan's numeric references).
+        #: (and must therefore drop its plan's kept products).
         self.refreshes = 0
 
     @property
@@ -279,10 +279,10 @@ class ResidentOperand:
         column copy is refreshed through a genuine *values-only* strip
         all-to-all — the pattern already lives on every consumer, so only
         the ``nnz`` new values travel, charged under ``phase`` (multiply
-        time, not setup: iterative drivers pay this every refresh).  The
-        prepared plan's numeric state (subtile blocks, bool casts, strip
-        values) is reloaded from the refreshed copies; everything
-        pattern-derived survives untouched.
+        time, not setup: iterative drivers pay this every refresh).
+        Replacing the column copy is the whole refresh of the subtiles —
+        they are read off it; the prepared plan reloads its strip values
+        and everything pattern-derived survives untouched.
         """
         comm = self.dist.comm
         local = self.dist.local
@@ -306,6 +306,8 @@ class ResidentOperand:
                     if received
                     else np.zeros(0, dtype=new_data.dtype)
                 )
+                if len(new_col) != cc.nnz:
+                    raise ValueError("refresh_values requires an identical A pattern")
                 # Received chunks arrive in sender-rank order — the same
                 # order _vstack_tagged stacked the original strips — so
                 # the concatenation is aligned with col_copy's data.
@@ -363,22 +365,16 @@ class _FusedPrologueShim:
 
     After :meth:`finish`, ``values_refreshed`` tells the fused multiply
     whether the prologue refreshed the resident operand's values (in
-    which case its plan must re-sync numeric block references) and
-    ``refreshed_prepared`` names the :class:`~repro.core.plan.PreparedA`
-    whose numeric state the refresh already reloaded (None when the
-    session runs without one, e.g. ``reuse_plan=False``).
+    which case its plan must drop what it computed from the old ones).
     """
 
-    __slots__ = (
-        "prologue", "operand", "blocks", "values_refreshed", "refreshed_prepared"
-    )
+    __slots__ = ("prologue", "operand", "blocks", "values_refreshed")
 
     def __init__(self, prologue: FusedPrologue, operand: ResidentOperand, blocks):
         self.prologue = prologue
         self.operand = operand
         self.blocks = blocks
         self.values_refreshed = False
-        self.refreshed_prepared = None
 
     def sections(self, comm):
         return self.prologue.sections(comm, self.operand, *self.blocks)
@@ -387,9 +383,6 @@ class _FusedPrologueShim:
         before = self.operand.refreshes
         self.prologue.finish(comm, self.operand, received, *self.blocks)
         self.values_refreshed = self.operand.refreshes != before
-        prepared = self.operand.prepared
-        if self.values_refreshed and prepared is not None and prepared.subtiles:
-            self.refreshed_prepared = prepared
 
 
 class TsSession(ResidentSession):
@@ -641,13 +634,16 @@ class TsSession(ResidentSession):
         return self._exec.timeout + nbytes / 50e6
 
     def _snapshot_state(self, state: tuple, *, full: bool) -> Dict[str, Any]:
-        """Deep-copy the mutable half of one rank's resident state.
+        """Copy the values of one rank's resident state: its local block,
+        its column copy, and ``aux``.
 
         Pattern arrays (``indptr``/``indices``) are immutable for the
         session's lifetime — a pattern change forces a full re-setup,
-        which drops the replicas — so only the value arrays need copying;
-        the :class:`~repro.core.plan.PreparedA` object itself is shared
-        by reference and its numeric state restored from the copies.
+        which drops the replicas — so only the value arrays need copying.
+        Nothing else holds values a restore could not re-derive: subtiles
+        are read off the column copy and the consumer strips are a
+        permutation of the local block, so the
+        :class:`~repro.core.plan.PreparedA` is shared by reference.
         ``wire`` is what the checkpoint collective actually ships:
         values-only for incremental checkpoints, plus the pattern arrays
         on the first (``full``) one.
@@ -665,31 +661,11 @@ class TsSession(ResidentSession):
                 mat.shape, mat.indptr, mat.indices, data, check=False
             )
 
-        local_copy = _copy_csr(local)
-        col_copy_copy = None if col_copy is None else _copy_csr(col_copy)
-        values: Dict[Tuple[int, int], np.ndarray] = {}
-        strip_values = None
-        if prepared is not None:
-            for peer, subs in prepared.subtiles.items():
-                for i, ps in enumerate(subs):
-                    if ps.block is None:
-                        continue
-                    data = ps.block.data.copy()
-                    wire.append(data)
-                    if full:
-                        wire.append(ps.block.indptr)
-                        wire.append(ps.block.indices)
-                    values[(peer, i)] = data
-            if prepared.strips is not None:
-                strip_values = [s.data.copy() for s in prepared.strips.strips]
-                wire.extend(strip_values)
         return {
             "rows": rows,
-            "local": local_copy,
-            "col": col_copy_copy,
+            "local": _copy_csr(local),
+            "col": None if col_copy is None else _copy_csr(col_copy),
             "prepared": prepared,
-            "values": values,
-            "strips": strip_values,
             "aux": dict(aux),
             "wire": wire,
             "nbytes": int(sum(a.nbytes for a in wire)),
@@ -771,11 +747,11 @@ class TsSession(ResidentSession):
         A ``crash`` lost the simulated process, so its entry in
         ``_state`` is clobbered first — recovery must genuinely rebuild
         it, there is no silent survival.  Transient faults take the same
-        restore path: a failed task may have refreshed prepared values
-        in place before aborting, and the checkpoint copy rolls that
-        back.  With replicas the rebuild is :meth:`_restore_from_checkpoint`;
-        under the ``"off"`` ablation it is a full re-setup from the
-        driver-held input.
+        restore path: a failed task may have refreshed the prepared
+        strips in place before aborting, and the checkpoint copy rolls
+        that back.  With replicas the rebuild is
+        :meth:`_restore_from_checkpoint`; under the ``"off"`` ablation it
+        is a full re-setup from the driver-held input.
         """
         self.recoveries += 1
         if failure.kind == "crash" and self._state is not None:
@@ -803,9 +779,10 @@ class TsSession(ResidentSession):
         ships the blob to the recovering rank, which is charged the
         profile's ``recover_time`` deserialization on top of the wire
         cost; the other ranks only synchronize.  The driver then rebinds
-        the rank's state tuple to the snapshot copies and rolls the
-        shared :class:`~repro.core.plan.PreparedA`'s numeric arrays back
-        to checkpoint values.
+        the rank's state tuple to the snapshot copies; subtiles follow
+        with the column copy, and the shared
+        :class:`~repro.core.plan.PreparedA`'s strips are re-derived from
+        the restored local block.
         """
         blob = self._ckpt[rank]
         holder = 0 if self.config.checkpoint == "driver" else (rank + 1) % self.p
@@ -827,21 +804,8 @@ class TsSession(ResidentSession):
             program, timeout=self._resilience_timeout(nbytes)
         )
         prepared = blob["prepared"]
-        if prepared is not None:
-            for (peer, i), data in blob["values"].items():
-                ps = prepared.subtiles[peer][i]
-                blk = ps.block
-                ps.block = CsrMatrix(
-                    blk.shape, blk.indptr, blk.indices, data.copy(), check=False
-                )
-            if prepared.strips is not None and blob["strips"] is not None:
-                strips = prepared.strips
-                for j, data in enumerate(blob["strips"]):
-                    s = strips.strips[j]
-                    strips.strips[j] = CsrMatrix(
-                        s.shape, s.indptr, s.indices, data.copy(), check=False
-                    )
-            prepared.spmm_cache = None  # numeric; rebuilt lazily
+        if prepared is not None and prepared.strips is not None:
+            prepared.strips.refresh_values(blob["local"])
         self._state[rank] = (
             blob["rows"],
             blob["local"],
@@ -916,10 +880,9 @@ class TsSession(ResidentSession):
         holder_new = holder_old - (1 if holder_old > dead_rank else 0)
 
         # What actually migrates: the dead rank's row block and column
-        # strip (values + pattern — the adopter never held either).  Its
-        # prepared subtiles and strip caches are consumer-side artifacts
-        # of the dead rank and die with it; the adopter re-derives its
-        # own from the merged copies.
+        # strip (values + pattern — the adopter never held either) — all
+        # a replica holds.  The dead rank's plan dies with it; the
+        # adopter re-derives its own from the merged copies.
         dead_blob = self._ckpt[dead_rank]
         dead_local: CsrMatrix = dead_blob["local"]
         dead_col: Optional[CsrMatrix] = dead_blob["col"]
@@ -1364,10 +1327,10 @@ class TsSession(ResidentSession):
         :meth:`ResidentOperand.refresh_values` (charged under
         ``refresh-values``: only the ``nnz`` new values travel, the
         pattern already lives on every consumer), with the prepared
-        numeric state reloaded and every pattern-derived artifact —
-        subtile structure, ``needed_b_rows``, strips, static modes, aux
-        caches — surviving untouched.  Changed pattern: full re-setup,
-        equivalent to a new session.
+        strip values reloaded and every pattern-derived artifact —
+        subtile structure, ``needed_b_rows``, strip selections, mode
+        tables, aux caches — surviving untouched.  Changed pattern: full
+        re-setup, equivalent to a new session.
         """
         if A.shape != (self.ncols, self.ncols):
             raise ValueError(f"operand shape changed: {A.shape}")
@@ -1404,16 +1367,16 @@ class TsSession(ResidentSession):
     # edge-subset derivation (influence maximization's live-edge samples)
     # ------------------------------------------------------------------
     def _ensure_edge_ids(self) -> None:
-        """Per-rank edge-id companions for every cached block.
+        """Per-rank edge-id companions ``(local ids, column-copy ids)``.
 
-        For the local row block, the ``Ac`` column copy and each prepared
-        subtile, record the *global edge index* (position in ``A``'s CSR
-        data) of every stored entry, aligned with the block's data order.
-        Built by replaying the deterministic distribution transforms
-        (row slicing, the column-copy strip exchange, subtile extraction)
-        on an id-valued twin of ``A``.  Pure bookkeeping, charged
-        nothing: on the real system every rank derives its own keep flags
-        locally from the shared sample seed — no ids ever travel.
+        For the local row block and the ``Ac`` column copy, record the
+        *global edge index* (position in ``A``'s CSR data) of every
+        stored entry, aligned with the block's data order.  Built by
+        replaying the deterministic distribution transforms (row slicing,
+        the column-copy strip exchange) on an id-valued twin of ``A``.
+        Pure bookkeeping, charged nothing: on the real system every rank
+        derives its own keep flags locally from the shared sample seed —
+        no ids ever travel.
         """
         if self._edge_ids is not None:
             return
@@ -1425,44 +1388,21 @@ class TsSession(ResidentSession):
         )
         ranges = self._rows.ranges
         local_ids = [extract_row_range(ids_global, lo, hi) for lo, hi in ranges]
-        # Replay build_column_copy through its own split: rank i ships
-        # strip j of its block, tagged with its row offset, to rank j.
-        id_strips = None
+        col_ids: List[Optional[np.ndarray]] = [None] * self.p
         if self.algorithm == "tiled":
+            # Replay build_column_copy through its own split: rank i ships
+            # strip j of its block, tagged with its row offset, to rank j,
+            # which stacks what it receives in offset order.
             id_strips = [ColumnStrips(ids, ranges) for ids in local_ids]
-        per_rank = []
-        for j, (c0, c1) in enumerate(ranges):
-            _, _, col_copy, prepared, _ = self._state[j]
-            col_data = None
-            sub_ids = None
-            if col_copy is not None:
-                # Strips are stacked in offset order.
-                tagged = [
-                    (ranges[i][0], id_strips[i][j]) for i in range(self.p)
-                ]
-                col_ids_mat = _vstack_tagged(tagged, n, c1 - c0)
-                col_data = col_ids_mat.data.astype(np.int64, copy=False)
-                if prepared is not None and prepared.subtiles:
-                    sub_ids = {}
-                    for peer, subs in prepared.subtiles.items():
-                        lo_p, hi_p = ranges[peer]
-                        tile_ids = extract_row_range(col_ids_mat, lo_p, hi_p)
-                        sub_ids[peer] = [
-                            None
-                            if ps.block is None
-                            else extract_row_range(
-                                tile_ids, *ps.row_range
-                            ).data.astype(np.int64, copy=False)
-                            for ps in subs
-                        ]
-            per_rank.append(
-                (
-                    local_ids[j].data.astype(np.int64, copy=False),
-                    col_data,
-                    sub_ids,
+            for j, (c0, c1) in enumerate(ranges):
+                tagged = [(ranges[i][0], id_strips[i][j]) for i in range(self.p)]
+                col_ids[j] = _vstack_tagged(tagged, n, c1 - c0).data.astype(
+                    np.int64, copy=False
                 )
-            )
-        self._edge_ids = per_rank
+        self._edge_ids = [
+            (ids.data.astype(np.int64, copy=False), col)
+            for ids, col in zip(local_ids, col_ids)
+        ]
 
     def derive_edge_subset(
         self, keep: np.ndarray, values: Optional[np.ndarray] = None
@@ -1474,8 +1414,8 @@ class TsSession(ResidentSession):
         the Independent Cascade model draws.  Instead of scattering the
         sampled matrix and re-preparing from scratch (a fresh session per
         sample), every rank *masks* its cached state down to the kept
-        edges: local block, ``Ac`` column copy, prepared subtile blocks
-        (with their pattern casts and ``needed_b_rows`` rescans) — one
+        edges: local block and ``Ac`` column copy — whose rows the
+        child's subtiles are, with their ``needed_b_rows`` rescans — one
         streaming pass, zero communication except the forced-policy mode
         table's binary all-to-all.  The derived state is bit-identical to
         what a fresh session on the masked matrix would build, so every
@@ -1527,7 +1467,7 @@ class TsSession(ResidentSession):
         def program(comm):
             rank = comm.rank
             rows, local, col_copy, prepared, _ = self._state[rank]
-            local_ids, col_ids, sub_ids = self._edge_ids[rank]
+            local_ids, col_ids = self._edge_ids[rank]
             with comm.phase("prepare"):
                 touched = 0
                 if values is not None:
@@ -1547,58 +1487,36 @@ class TsSession(ResidentSession):
                     new_prepared = PreparedA(
                         config=config, rank=rank, size=comm.size
                     )
-                    if self.algorithm == "tiled" and sub_ids is not None:
-                        new_prepared.row_tile_ranges = list(
-                            prepared.row_tile_ranges
-                        )
-                        # A masked subtile is still its rows of the masked
-                        # column copy: every nonzero-column rescan in one pass.
-                        nzcs = subtile_needed_rows(
-                            new_col,
-                            rows,
-                            {
-                                peer: [ps.row_range for ps in subs]
-                                for peer, subs in prepared.subtiles.items()
-                            },
-                        )
-                        for peer, subs in prepared.subtiles.items():
-                            new_subs = []
-                            for ps, ids, nzc in zip(subs, sub_ids[peer], nzcs[peer]):
-                                blk = (
-                                    None
-                                    if ps.block is None
-                                    else mask_entries(
-                                        _revalued(ps.block, ids), keep[ids]
-                                    )
+                    new_prepared.row_tile_ranges = list(prepared.row_tile_ranges)
+                if prepared is not None and prepared.subtiles:
+                    # A masked subtile is its rows of the masked column
+                    # copy: every nonzero-column rescan in one pass.
+                    tile_ranges = {
+                        peer: [ps.row_range for ps in subs]
+                        for peer, subs in prepared.subtiles.items()
+                    }
+                    nzcs = subtile_needed_rows(new_col, rows, tile_ranges)
+                    for peer, ranges in tile_ranges.items():
+                        peer_lo, _ = rows.range_of(peer)
+                        new_subs = new_prepared.subtiles[peer] = []
+                        for rt, (r0r1, nzc) in enumerate(zip(ranges, nzcs[peer])):
+                            blk = extract_row_range(
+                                new_col, peer_lo + r0r1[0], peer_lo + r0r1[1]
+                            )
+                            off_diagonal = blk.nnz > 0 and peer != rank
+                            if blk.nnz:
+                                # prepare_multiply's streaming charge: the
+                                # block and, off the diagonal, its pattern
+                                # read + nonzero-column rescan
+                                touched += (
+                                    3 if off_diagonal else 1
+                                ) * blk.nbytes_estimate()
+                            new_subs.append(
+                                PreparedSubtile(
+                                    peer, rt, r0r1, blk.nnz > 0,
+                                    nzc if off_diagonal else None,
                                 )
-                                if blk is None or blk.nnz == 0:
-                                    new_subs.append(
-                                        PreparedSubtile(
-                                            ps.peer, ps.row_tile, ps.row_range,
-                                            None, None,
-                                        )
-                                    )
-                                    continue
-                                touched += blk.nbytes_estimate()
-                                if ps.peer == rank:
-                                    new_subs.append(
-                                        PreparedSubtile(
-                                            ps.peer, ps.row_tile, ps.row_range,
-                                            blk, None,
-                                        )
-                                    )
-                                else:
-                                    # pattern read + nonzero-column
-                                    # rescan: same 2x streaming charge as
-                                    # prepare_multiply's off-diagonal path
-                                    touched += 2 * blk.nbytes_estimate()
-                                    new_subs.append(
-                                        PreparedSubtile(
-                                            ps.peer, ps.row_tile, ps.row_range,
-                                            blk, nzc,
-                                        )
-                                    )
-                            new_prepared.subtiles[peer] = new_subs
+                            )
                 comm.charge_touch(touched)
                 if (
                     new_prepared is not None

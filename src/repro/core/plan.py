@@ -9,10 +9,12 @@ consumer-side tiling derive from ``A`` alone is computed once, in
 :func:`prepare_multiply`, and every subsequent multiply against a new
 ``B`` only runs the genuinely B-dependent part in :func:`replan`.
 
-B-independent, owned by :class:`PreparedA`:
+B-independent, owned by :class:`PreparedA` — all of it determined by
+``A``'s *pattern*; a subtile's entries are rows ``[g0, g1)`` of
+``A.col_copy`` and are read there, as a view, where they are used:
 
-* per-(peer, row-tile) ``Ac`` subtile blocks,
-* each subtile's ``nzc`` — the local ``B`` rows it would need
+* per (peer, row-tile) subtile of ``Ac``: its row range, whether it stores
+  anything, and its ``nzc`` — the local ``B`` rows it would need
   (``needed_b_rows``),
 * row-tile ranges and the consumer-side :class:`ColumnStrips`,
 * for *forced* mode policies (``local``/``remote``): the complete mode
@@ -23,7 +25,7 @@ B-dependent, re-run per multiply by :func:`replan` (hybrid policy only):
 * the exact symbolic output size per subtile — sized without multiplying
   (:func:`~repro.sparse.kernels.symbolic_size`), except on boolean
   operands, where the rank multiplies its whole column block once
-  (``Ac_j ⊗ B_j``: every subtile block is a row range of ``A.col_copy``)
+  (``Ac_j ⊗ B_j``: every subtile is a row range of ``A.col_copy``)
   and each subtile reads its size off that product — whose rows are also
   the partial a REMOTE subtile ships and the DIAGONAL tile merges, so
   those slices are kept,
@@ -73,12 +75,14 @@ from .symbolic import (
 
 @dataclass
 class PreparedSubtile:
-    """B-independent state of one (peer, row-tile) subtile of ``Ac_j``."""
+    """What ``A``'s pattern determines of one (peer, row-tile) subtile of
+    ``Ac_j``.  Its entries are not held: they are rows ``row_range`` of
+    the peer's block of ``A.col_copy``, read there at use."""
 
     peer: int
     row_tile: int
     row_range: Tuple[int, int]
-    block: Optional[CsrMatrix]  # None iff the subtile stores nothing
+    stored: bool  # whether the row range holds any entry
     needed_b_rows: Optional[np.ndarray]  # local B rows; off-diagonal only
 
 
@@ -88,7 +92,10 @@ class PreparedA:
 
     Built collectively by :func:`prepare_multiply`; pure data afterwards
     (no communicator reference), so a resident session can re-bind it to
-    a fresh :class:`~repro.mpi.comm.SimComm` on every multiply.
+    a fresh :class:`~repro.mpi.comm.SimComm` on every multiply.  Except
+    for ``strips`` it holds no values of ``A``: a same-pattern value
+    update replaces ``A.col_copy`` and every subtile is read off the new
+    one.
     """
 
     config: TsConfig
@@ -127,37 +134,31 @@ class PreparedA:
         return self.strips
 
     def refresh_values(self, A: DistSparseMatrix) -> None:
-        """Reload numeric state from ``A`` after a same-pattern value update.
+        """Charge a same-pattern value update of ``A`` and reload the strips.
 
         For operands whose values change while the pattern stays fixed
-        (the embedding's coefficient matrix between negative re-samples),
-        the pattern-derived state — ``needed_b_rows``, row-tile ranges,
-        strip selections, static modes — stays valid; only the subtile
-        blocks and the strip values are re-read.
+        (the embedding's coefficient matrix between negative re-samples)
+        everything held here but the strip values stays valid; the
+        ``prepare`` charge is the modelled machine's re-read of every
+        stored subtile (twice off the diagonal: the pattern read).
         Requires the caller to have rebuilt ``A.col_copy`` first.
         """
         comm = A.comm
         with comm.phase("prepare"):
             touched = 0
-            for peer in range(self.size):
-                tile_block = A.col_copy_rows_of(peer)
+            for peer, (peer_lo, _) in enumerate(A.rows.ranges):
                 for ps in self.subtiles[peer]:
-                    if ps.block is None:
+                    if not ps.stored:
                         continue
-                    sub = extract_row_range(tile_block, *ps.row_range)
-                    if sub.nnz != ps.block.nnz:
-                        raise ValueError(
-                            "refresh_values requires an identical A pattern"
-                        )
-                    ps.block = sub
-                    touched += sub.nbytes_estimate()
-                    if ps.needed_b_rows is not None:  # off-diagonal
-                        touched += sub.nbytes_estimate()  # the pattern read
+                    r0, r1 = ps.row_range
+                    nbytes = extract_row_range(
+                        A.col_copy, peer_lo + r0, peer_lo + r1
+                    ).nbytes_estimate()
+                    touched += nbytes if ps.needed_b_rows is None else 2 * nbytes
             if self.strips is not None:
                 self.strips.refresh_values(A.local)
                 touched += A.local.nbytes_estimate()
             comm.charge_touch(touched)
-        self.spmm_cache = None  # holds numeric subtiles; rebuilt lazily
 
 
 # ----------------------------------------------------------------------
@@ -199,18 +200,17 @@ def _prepare_peer(
     ranges: List[Tuple[int, int]],
     nzcs: List[np.ndarray],
 ) -> Tuple[List[PreparedSubtile], int]:
-    """Extract one peer's subtiles from my ``Ac`` column copy.
+    """Read one peer's subtiles off my ``Ac`` column copy.
 
-    The single extraction routine shared by :func:`prepare_multiply` and
-    the elastic-shrink remap (:func:`shrink_prepared`): both produce the
-    exact same subtile blocks and ``needed_b_rows`` for a
-    given (column copy, peer row range, config) — the reason an
-    incrementally re-prepared ``p-1`` plan is bit-identical to a fresh
-    one.  ``ranges`` are the peer's row tiles and ``nzcs`` their needed
-    ``B`` rows, which the caller reads for all the peers it extracts in
-    one pass (:func:`subtile_needed_rows`).  Returns ``(subtiles,
-    touched_bytes)``; the caller charges ``touched_bytes`` under its own
-    phase.
+    The single routine shared by :func:`prepare_multiply` and the
+    elastic-shrink remap (:func:`shrink_prepared`): both produce the
+    exact same subtile records for a given (column copy, peer row range,
+    config) — the reason an incrementally re-prepared ``p-1`` plan is
+    bit-identical to a fresh one.  ``ranges`` are the peer's row tiles and
+    ``nzcs`` their needed ``B`` rows, which the caller reads for all the
+    peers it prepares in one pass (:func:`subtile_needed_rows`).  Returns
+    ``(subtiles, touched_bytes)``; the caller charges ``touched_bytes``
+    under its own phase.
     """
     tile_block = A.col_copy_rows_of(peer)
     subs: List[PreparedSubtile] = []
@@ -218,15 +218,11 @@ def _prepare_peer(
     for rt, ((r0, r1), nzc) in enumerate(zip(ranges, nzcs)):
         sub = extract_row_range(tile_block, r0, r1)
         touched += sub.nbytes_estimate()
-        if sub.nnz == 0:
-            subs.append(PreparedSubtile(peer, rt, (r0, r1), None, None))
-            continue
-        if peer == rank:
-            subs.append(PreparedSubtile(peer, rt, (r0, r1), sub, None))
-            continue
-        # nzc: my local B rows this tile needs
-        touched += 2 * sub.nbytes_estimate()  # the nzc scan + the pattern read
-        subs.append(PreparedSubtile(peer, rt, (r0, r1), sub, nzc))
+        if sub.nnz and peer != rank:
+            touched += 2 * sub.nbytes_estimate()  # the nzc scan + the pattern read
+        else:
+            nzc = None  # my local B rows the tile needs: off-diagonal only
+        subs.append(PreparedSubtile(peer, rt, (r0, r1), bool(sub.nnz), nzc))
     return subs, touched
 
 
@@ -270,7 +266,7 @@ def prepare_multiply(A: DistSparseMatrix, config: TsConfig) -> PreparedA:
 
 
 def _static_mode(ps: PreparedSubtile, rank: int, forced: str) -> str:
-    if ps.block is None:
+    if not ps.stored:
         return EMPTY
     if ps.peer == rank:
         return DIAGONAL
@@ -291,15 +287,15 @@ def shrink_prepared(
     the adopter).  The remap is incremental — only what the shrink
     actually invalidated is rebuilt:
 
-    * the **adopter** re-extracts every peer's subtiles (its whole column
+    * the **adopter** re-reads every peer's subtiles (its whole column
       copy changed width);
-    * every other survivor re-extracts only the *merged peer's* subtiles
+    * every other survivor re-reads only the *merged peer's* subtiles
       (that peer's row range grew) and renumbers the rest;
     * consumer-side :class:`~repro.sparse.tile.ColumnStrips` are rebuilt
       on every rank (the column ranges changed for everyone);
     * forced mode policies re-exchange the static mode table.
 
-    Because extraction runs through the same :func:`_prepare_peer` as a
+    Because both run through the same :func:`_prepare_peer` as a
     fresh prepare, the remapped plan is bit-identical to one built from
     scratch on the merged matrix.  Returns the streamed bytes for the
     caller to charge under its ``shrink`` phase.
@@ -317,7 +313,7 @@ def shrink_prepared(
         prepared.naive_cache = None
         prepared.spmm_cache = None
         return touched
-    # Peers to re-extract: everyone on the adopter, the merged peer elsewhere.
+    # Peers to re-read: everyone on the adopter, the merged peer elsewhere.
     redo = range(new_size) if new_rank == adopter_new else [adopter_new]
     tile_ranges = peer_tile_ranges(A.rows, config, redo)
     nzcs = subtile_needed_rows(A.col_copy, A.rows, tile_ranges)
@@ -354,7 +350,7 @@ def shrink_prepared(
         with comm.phase("symbolic"):
             comm.alltoall(outgoing)  # spmdlint: disable=S1 -- guard is rank-invariant (config-wide mode policy); every rank reaches this alltoall together
     prepared.naive_cache = None
-    prepared.spmm_cache = None  # numeric; rebuilt lazily
+    prepared.spmm_cache = None  # the partition changed
     return touched
 
 
@@ -367,10 +363,8 @@ class _ColumnBlockProduct:
     as differences at its global row range ``[g0, g1)`` and takes its
     partial as a row slice (a view).
 
-    Rests on every stored :class:`PreparedSubtile` block being rows
-    ``[g0, g1)`` of ``col_copy``, which each writer of either maintains
-    (docs/planning.md; checked by ``tests/core/test_column_block_product.py``,
-    not here).
+    A subtile *is* rows ``[g0, g1)`` of ``col_copy`` (docs/planning.md),
+    so those are its rows of the product too.
     """
 
     def __init__(self, col_copy: CsrMatrix, b_local: CsrMatrix, kernel: str):
@@ -445,44 +439,35 @@ def replan(
             infos: List[SubtileInfo] = []
             for ps in prepared.subtiles[peer]:
                 r0r1 = ps.row_range
-                if ps.block is None:
+                if not ps.stored:
                     infos.append(
-                        SubtileInfo(peer, ps.row_tile, r0r1, EMPTY, None, None, 0, 0)
+                        SubtileInfo(peer, ps.row_tile, r0r1, EMPTY, None, 0, 0)
                     )
                     continue
-                # ps.block is rows [g0, g1) of Ac_j, so they are its rows of
-                # the column-block product too.
+                # The subtile is rows [g0, g1) of Ac_j, and so of the
+                # column-block product too.
                 g0, g1 = peer_lo + r0r1[0], peer_lo + r0r1[1]
                 if peer == comm.rank:
                     kept = None if product is None else product.kept(g0, g1)
                     infos.append(
-                        SubtileInfo(
-                            peer, ps.row_tile, r0r1, DIAGONAL, ps.block, None, 0, 0, kept
-                        )
-                    )
-                    continue
-                if not hybrid:
-                    infos.append(
-                        SubtileInfo(
-                            peer,
-                            ps.row_tile,
-                            r0r1,
-                            forced,
-                            ps.block,
-                            ps.needed_b_rows,
-                            0,
-                            0,
-                        )
+                        SubtileInfo(peer, ps.row_tile, r0r1, DIAGONAL, None, 0, 0, kept)
                     )
                     continue
                 nzc = ps.needed_b_rows
+                if not hybrid:
+                    infos.append(
+                        SubtileInfo(peer, ps.row_tile, r0r1, forced, nzc, 0, 0)
+                    )
+                    continue
                 needed_nnz = int(b_row_nnz[nzc].sum())
                 # The exact symbolic output size: read off the column-block
                 # product on boolean operands; any other pair could not use
                 # a product, so it is sized without multiplying.  The charge
                 # is one pattern product per subtile either way.
                 if product is None:
-                    out_nnz, out_rows, sym_flops = symbolic_size(ps.block, B.local)
+                    out_nnz, out_rows, sym_flops = symbolic_size(
+                        extract_row_range(A.col_copy, g0, g1), B.local
+                    )
                 else:
                     out_nnz, out_rows, sym_flops = product.size(g0, g1)
                 comm.charge_symbolic(sym_flops, kernel=sym_kernel)
@@ -500,7 +485,6 @@ def replan(
                         ps.row_tile,
                         r0r1,
                         mode,
-                        ps.block,
                         nzc,
                         needed_nnz,
                         out_nnz,

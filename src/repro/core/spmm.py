@@ -62,9 +62,11 @@ def spmm_multiply(
 
     Unlike the SpGEMM symbolic step, the SpMM mode decision compares
     *dense* payload sizes — needed B rows vs affected output rows — which
-    depend only on ``A``.  A ``prepared`` plan therefore caches the whole
-    mode table (including its all-to-all) after the first multiply, and
-    every later multiply skips the symbolic phase outright.
+    depend only on ``A``'s pattern.  A ``prepared`` plan therefore caches
+    the whole mode table (including its all-to-all) after the first
+    multiply, and every later multiply on that pattern skips the symbolic
+    phase outright; a subtile's entries are read off ``A.col_copy`` where
+    they are multiplied.
     """
     comm = A.comm
     if B.comm is not comm:
@@ -78,9 +80,14 @@ def spmm_multiply(
     my_nrows = A.local.nrows
     c_local = np.zeros((my_nrows, d))
 
+    def subtile(peer, r0, r1):
+        """Rows ``[r0, r1)`` of ``peer``'s block of ``Ac_j`` (a view)."""
+        lo, _ = A.rows.range_of(peer)
+        return extract_row_range(A.col_copy, lo + r0, lo + r1)
+
     # ---- symbolic step: per (peer, row tile) mode off Ac ---------------
-    # Everything here is B-independent; served from the prepared cache
-    # when one is supplied.
+    # Everything here is B- and value-independent; served from the
+    # prepared cache when one is supplied.
     if prepared is not None:
         prepared.check_compatible(A, config)
     cached = prepared.spmm_cache if prepared is not None else None
@@ -90,15 +97,14 @@ def spmm_multiply(
             tile_ranges = peer_tile_ranges(A.rows, config, range(p))
             nzcs = subtile_needed_rows(A.col_copy, A.rows, tile_ranges)
             for peer, ranges in tile_ranges.items():
-                tile_block = A.col_copy_rows_of(peer)
                 infos = []
                 for rt, ((r0, r1), nzc) in enumerate(zip(ranges, nzcs[peer])):
-                    sub = extract_row_range(tile_block, r0, r1)
+                    sub = subtile(peer, r0, r1)
                     if sub.nnz == 0:
-                        infos.append((rt, (r0, r1), "empty", None, None))
+                        infos.append((rt, (r0, r1), "empty", None))
                         continue
                     if peer == comm.rank:
-                        infos.append((rt, (r0, r1), "diagonal", sub, None))
+                        infos.append((rt, (r0, r1), "diagonal", None))
                         continue
                     affected = np.unique(sub.row_ids())
                     comm.charge_symbolic(sub.nnz)
@@ -109,7 +115,7 @@ def spmm_multiply(
                         mode = "local"
                     else:
                         mode = "remote"
-                    infos.append((rt, (r0, r1), mode, sub, nzc))
+                    infos.append((rt, (r0, r1), mode, nzc))
                 produced[peer] = infos
             # The paper's binary-value exchange; consumers act on the
             # payloads that arrive, so nothing keeps the reply.
@@ -124,10 +130,10 @@ def spmm_multiply(
 
     # ---- diagonal ------------------------------------------------------
     with comm.phase("diagonal"):
-        for rt, (r0, r1), mode, sub, _ in produced[comm.rank]:
+        for _, (r0, r1), mode, _ in produced[comm.rank]:
             if mode != "diagonal":
                 continue
-            part, flops = dispatch_spmm(sub, B.local)
+            part, flops = dispatch_spmm(subtile(comm.rank, r0, r1), B.local)
             comm.charge_spmm(flops)
             diag.flops += flops
             diag.diagonal_tiles += 1
@@ -146,7 +152,7 @@ def spmm_multiply(
             infos = produced[peer]
             # per-tile fetches (no union) — see repro.core.tiled
             tile_payloads = []
-            for (rt, _, m, _, nzc) in infos:
+            for (rt, _, m, nzc) in infos:
                 if m != "local" or nzc is None:
                     continue
                 packed = pack_dense_rows(B.local, nzc)
@@ -156,9 +162,10 @@ def spmm_multiply(
             if tile_payloads:
                 send_b[peer] = tile_payloads
             remote_rows, remote_vals = [], []
-            for (_, (r0, r1), m, sub, _) in infos:
+            for (_, (r0, r1), m, _) in infos:
                 if m != "remote":
                     continue
+                sub = subtile(peer, r0, r1)
                 part, flops = dispatch_spmm(sub, B.local)
                 comm.charge_spmm(flops)
                 diag.flops += flops
@@ -221,7 +228,7 @@ def _consume_dense(
 
 def _count(produced, diag: SpmmDiagnostics) -> None:
     for infos in produced.values():
-        for (_, _, mode, _, _) in infos:
+        for (_, _, mode, _) in infos:
             if mode == "local":
                 diag.local_tiles += 1
             elif mode == "remote":

@@ -35,21 +35,22 @@ LOCAL, REMOTE, DIAGONAL, EMPTY = "local", "remote", "diagonal", "empty"
 
 @dataclass
 class SubtileInfo:
-    """Producer-side record for one (peer, row-tile) subtile of ``Ac_j``."""
+    """Producer-side record for one (peer, row-tile) subtile of ``Ac_j``
+    — rows ``row_range`` of the peer's block of ``A.col_copy``, read there
+    by whoever multiplies it."""
 
     peer: int
     row_tile: int
     row_range: Tuple[int, int]  # within the peer's local rows
     mode: str
-    block: Optional[CsrMatrix]  # the subtile (peer-local rows × my local cols)
     needed_b_rows: Optional[np.ndarray]  # my local B row ids the subtile touches
     needed_b_nnz: int
     output_nnz: int
-    #: ``(block ⊗ B under bool_and_or, flops)`` on REMOTE and DIAGONAL
-    #: subtiles when ``block`` and ``B`` are both boolean: this subtile's
+    #: ``(subtile ⊗ B under bool_and_or, flops)`` on REMOTE and DIAGONAL
+    #: subtiles when ``A`` and ``B`` are both boolean: this subtile's
     #: rows of the one column-block product ``replan`` sized it from (a
     #: view), which *are* the numeric partial of a ``bool_and_or`` multiply.
-    #: Valid only against the ``B`` and block values ``replan`` saw
+    #: Valid only against the ``B`` and column-copy values ``replan`` saw
     #: (docs/planning.md).
     symbolic: Optional[Tuple[CsrMatrix, int]] = None
 

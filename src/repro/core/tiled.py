@@ -233,10 +233,10 @@ def tiled_multiply(
     if prepared is not None:
         prepared.check_compatible(A, config)
         diag.plan_reused = 1
-    # ``sync_prepared`` owns the plan's numeric subtile blocks — the
-    # caller's resident PreparedA, or the fresh path's throwaway (built
-    # here instead of inside build_symbolic_plan so a fused prologue's
-    # value refresh has a handle to re-read the blocks through).
+    # ``sync_prepared`` owns the consumer strips — the caller's resident
+    # PreparedA, or the fresh path's throwaway (built here instead of
+    # inside build_symbolic_plan so a fused prologue's value refresh has
+    # a handle to reload them through).
     sync_prepared = prepared
     if plan is None:
         if prepared is None:
@@ -244,10 +244,8 @@ def tiled_multiply(
         plan = replan(sync_prepared, A, B)
     else:
         # A caller's plan promises the same *patterns*, not the values the
-        # kept slices (REMOTE and DIAGONAL) were computed from.
-        for infos in plan.produced.values():
-            for info in infos:
-                info.symbolic = None
+        # kept slices were computed from.
+        _drop_kept_slices(plan)
     diag.symbolic_products = plan.pattern_products
 
     # The mode lists ``replan`` left to ship.  Fused, they ride the
@@ -264,7 +262,7 @@ def tiled_multiply(
     diag.rounds = sum(len(rounds) for _, rounds in steps)
     my_nrows = A.local.nrows
     my_lo, _ = A.rows.range_of(comm.rank)
-    numeric = (B.local, semiring, d, acc, kname)
+    numeric = (A, B.local, semiring, d, acc, kname)
 
     # Unfused, the diagonal tile goes first (Alg 2 order); fused, it
     # waits behind the exchange so a prologue's refresh reaches it.
@@ -328,7 +326,7 @@ def tiled_multiply(
 # producer/consumer step bodies
 # ----------------------------------------------------------------------
 def _diagonal_partials(
-    comm, plan, b_local, semiring, d, acc, kname, diag, my_nrows
+    comm, plan, A, b_local, semiring, d, acc, kname, diag, my_nrows
 ) -> List[CsrMatrix]:
     """The communication-free diagonal tile (Alg 2 lines 20-22)."""
     partials: List[CsrMatrix] = []
@@ -336,7 +334,7 @@ def _diagonal_partials(
         for info in plan.produced.get(comm.rank, []):
             if info.mode != DIAGONAL:
                 continue
-            c_part, flops = _subtile_product(info, b_local, semiring, kname)
+            c_part, flops = _subtile_product(info, A, b_local, semiring, kname)
             comm.charge_spgemm(flops, d=d, accumulator=acc, kernel=kname)
             diag.flops += flops
             diag.diagonal_tiles += 1
@@ -375,13 +373,13 @@ def _build_send_b(comm, plan, b_local, my_lo, diag, peers) -> List[Optional[list
 
 
 def _build_send_c(
-    comm, plan, b_local, semiring, d, acc, kname, diag, peers
+    comm, plan, A, b_local, semiring, d, acc, kname, diag, peers
 ) -> List[Optional[tuple]]:
     """Remote-mode partial payloads for the given consumer ``peers``."""
     send_c: List[Optional[tuple]] = [None] * comm.size
     for peer in peers:
         remote_part = _compute_remote_partial(
-            comm, plan.produced[peer], b_local, semiring, d, acc, kname, diag
+            comm, plan.produced[peer], A, b_local, semiring, d, acc, kname, diag
         )
         if remote_part is not None:
             send_c[peer] = remote_part
@@ -431,20 +429,13 @@ def _merge_round(comm, partials, semiring) -> List[CsrMatrix]:
     return partials
 
 
-def _sync_plan_values(plan: SymbolicPlan, prepared: PreparedA) -> None:
-    """Point the plan's subtile infos at ``prepared``'s current blocks.
-
-    ``replan`` captures block references before a fused prologue's value
-    refresh replaces them (:meth:`PreparedA.refresh_values` re-extracts);
-    the pattern-derived fields (modes, ``needed_b_rows``, ranges) are
-    refresh-invariant, so re-pointing the numeric blocks is all that is
-    needed to make the plan read refreshed values.  A kept slice of the
-    symbolic product (REMOTE or DIAGONAL) was computed from the old values
-    and is dropped.
-    """
-    for peer, infos in plan.produced.items():
-        for info, ps in zip(infos, prepared.subtiles[peer]):
-            info.block = ps.block
+def _drop_kept_slices(plan: SymbolicPlan) -> None:
+    """Forget the rows of the symbolic product ``replan`` kept (REMOTE and
+    DIAGONAL infos): they were computed from values that are no longer, or
+    not known to be, the operands'.  Nothing else in a plan holds values —
+    a subtile is read off ``A.col_copy`` when it is multiplied."""
+    for infos in plan.produced.values():
+        for info in infos:
             info.symbolic = None
 
 
@@ -453,6 +444,8 @@ def _finish_prologue(comm, prologue, received, plan, sync_prepared, A) -> None:
     re-read them so every value-dependent product (diagonal, remote
     partials, strip consumption) sees the refreshed operand — what keeps
     the fused order bit-identical to prologue first, then plan + multiply.
+    The subtiles need nothing: they are read off ``A.col_copy``, which the
+    refresh replaced.
     """
     prologue.finish(comm, received)
     if not getattr(prologue, "values_refreshed", False):
@@ -462,20 +455,25 @@ def _finish_prologue(comm, prologue, received, plan, sync_prepared, A) -> None:
             "a value-refreshing fused prologue needs a prepared "
             "plan to re-sync numeric state through"
         )
-    if sync_prepared is not getattr(prologue, "refreshed_prepared", None):
-        # Fresh-plan path: the throwaway's blocks/strips were extracted
-        # before the refreshed values existed.
+    if sync_prepared.strips.source is not A.local:
+        # Fresh-plan path: the throwaway's strips were cut before the
+        # refreshed values existed, and no resident plan reloaded them.
         sync_prepared.refresh_values(A)
-    _sync_plan_values(plan, sync_prepared)
+    _drop_kept_slices(plan)
 
 
 # ----------------------------------------------------------------------
 # producer helpers
 # ----------------------------------------------------------------------
 def _subtile_product(
-    info: SubtileInfo, b_local: CsrMatrix, semiring: Semiring, kernel: str
+    info: SubtileInfo,
+    A: DistSparseMatrix,
+    b_local: CsrMatrix,
+    semiring: Semiring,
+    kernel: str,
 ) -> Tuple[CsrMatrix, int]:
-    """``(info.block ⊗ b_local, flops)`` for a DIAGONAL or REMOTE subtile.
+    """``(subtile ⊗ b_local, flops)`` for a DIAGONAL or REMOTE subtile — its
+    rows of ``A.col_copy``, read here (a view).
 
     On boolean operands ``replan`` already ran this very product — as the
     subtile's rows of its one column-block product, same operands, same
@@ -484,12 +482,17 @@ def _subtile_product(
     """
     if info.symbolic is not None and semiring == BOOL_AND_OR:
         return info.symbolic
-    return dispatch_spgemm(info.block, b_local, semiring, kernel)
+    peer_lo, _ = A.rows.range_of(info.peer)
+    block = extract_row_range(
+        A.col_copy, peer_lo + info.row_range[0], peer_lo + info.row_range[1]
+    )
+    return dispatch_spgemm(block, b_local, semiring, kernel)
 
 
 def _compute_remote_partial(
     comm,
     infos: List[SubtileInfo],
+    A: DistSparseMatrix,
     b_local: CsrMatrix,
     semiring: Semiring,
     d: int,
@@ -510,7 +513,7 @@ def _compute_remote_partial(
     peer_rows = max(s.row_range[1] for s in infos)
     tiles = []
     for info in remote_infos:
-        c_part, flops = _subtile_product(info, b_local, semiring, kernel)
+        c_part, flops = _subtile_product(info, A, b_local, semiring, kernel)
         with comm.phase("send-C"):
             comm.charge_spgemm(flops, d=d, accumulator=acc, kernel=kernel)
         diag.flops += flops

@@ -1,9 +1,16 @@
 """Shared fixtures and helpers for the test suite."""
 
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from repro.sparse import CsrMatrix, coo_to_csr
+
+# The reference implementations live in one module both the benches and the
+# tests import: ``from _oracles import ...`` (benchmarks/_oracles.py).
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "benchmarks"))
 
 
 @pytest.fixture

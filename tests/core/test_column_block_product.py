@@ -5,26 +5,31 @@ every subtile's size, flops and kept partial off that product at the
 subtile's global row range.  Two things are pinned here:
 
 * the plan equals, field for field and charge for charge, the one a
-  kernel call per stored subtile builds — ``per_subtile_plan`` below is the
-  loop body this replaced, kept as the oracle;
-* the fact the slicing rests on: every stored ``PreparedSubtile.block`` is,
-  array for array, rows ``[g0, g1)`` of the rank's current ``A.col_copy`` —
-  after every writer of either (prepare, value refresh, edge-subset
-  derivation, checkpoint restore, shrink).
+  kernel call per stored subtile builds — ``per_subtile_plan``
+  (``benchmarks/_oracles.py``), the loop body this replaced;
+* the fact the slicing rests on — a subtile *is* rows ``[g0, g1)`` of the
+  rank's current ``A.col_copy``, read there at use, so no state transition
+  can leave a stale copy behind: after each of them (value update,
+  refreshing prologue, edge-subset derivation, checkpoint restore, shrink)
+  the next multiplies are those of a fresh session built at that state.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
+from _oracles import per_subtile_plan
 
 from repro.core import TsConfig, prepare_multiply, replan, tiled_multiply
 from repro.core.driver import TsSession
-from repro.core.symbolic import DIAGONAL, EMPTY, LOCAL, REMOTE
+from repro.core.symbolic import DIAGONAL, LOCAL, REMOTE
 from repro.mpi import run_spmd
 from repro.partition import Block1D, DistSparseMatrix
-from repro.sparse import BOOL_AND_OR, CsrMatrix, dispatch_spgemm, resolve_spgemm
+from repro.sparse import BOOL_AND_OR, CsrMatrix, dispatch_spgemm, mask_entries
 from repro.sparse.ops import extract_row_range
 
-from ..conftest import csr_from_dense, random_dense
+from ..conftest import assert_same_arrays, csr_from_dense, random_dense
+from .test_column_split import _FusedScale, revalued, scale_values
 
 N, D = 36, 5
 VARIANTS = [
@@ -65,46 +70,6 @@ def same_arrays(got: CsrMatrix, want: CsrMatrix) -> bool:
         and np.array_equal(got.indices, want.indices)
         and np.array_equal(got.data, want.data)
     )
-
-
-def per_subtile_plan(prepared, A, B):
-    """The hybrid boolean symbolic step as one kernel call per stored
-    subtile: ``(peer, row tile, mode, needed_b_nnz, output_nnz, kept)`` per
-    slot, charged like ``replan``."""
-    comm, config = A.comm, prepared.config
-
-    def product(ps):
-        return dispatch_spgemm(
-            ps.block, B.local, BOOL_AND_OR, config.kernel, strict=False
-        )
-
-    slots = []
-    with comm.phase("symbolic"):
-        b_row_nnz = B.local.row_nnz()
-        sym_kernel = resolve_spgemm(
-            config.kernel, BOOL_AND_OR, d=B.ncols, strict=False
-        ).name
-        for peer in range(comm.size):
-            for ps in prepared.subtiles[peer]:
-                if ps.block is None:
-                    slots.append((peer, ps.row_tile, EMPTY, 0, 0, None))
-                    continue
-                if peer == comm.rank:
-                    slots.append((peer, ps.row_tile, DIAGONAL, 0, 0, product(ps)))
-                    continue
-                nzc = ps.needed_b_rows
-                needed_nnz = int(b_row_nnz[nzc].sum())
-                pattern, flops = product(ps)
-                comm.charge_symbolic(flops, kernel=sym_kernel)
-                out_rows = int(np.count_nonzero(pattern.row_nnz()))
-                remote = 16 * pattern.nnz + 16 * out_rows < 16 * needed_nnz + 16 * len(nzc)
-                slots.append(
-                    (
-                        peer, ps.row_tile, REMOTE if remote else LOCAL, needed_nnz,
-                        pattern.nnz, (pattern, flops) if remote else None,
-                    )
-                )
-    return slots
 
 
 def replan_slots(prepared, A, B):
@@ -206,80 +171,99 @@ class TestPlanEqualsPerSubtileOracle:
 
 
 # ----------------------------------------------------------------------
-# the invariant: stored blocks are row ranges of the current column copy
+# state transitions: the next multiplies are a fresh session's
 # ----------------------------------------------------------------------
-def assert_blocks_are_col_copy_rows(session: TsSession):
-    checked = 0
-    for rank, (rows, _, col_copy, prepared, _) in enumerate(session._state):
-        assert prepared.rank == rank and prepared.size == rows.p == session.p
-        for peer, subtiles in prepared.subtiles.items():
-            peer_lo, peer_hi = rows.range_of(peer)
-            assert subtiles[-1].row_range[1] == peer_hi - peer_lo
-            for ps in subtiles:
-                want = extract_row_range(
-                    col_copy, peer_lo + ps.row_range[0], peer_lo + ps.row_range[1]
-                )
-                if ps.block is None:
-                    assert want.nnz == 0
-                else:
-                    assert same_arrays(ps.block, want), (rank, peer, ps.row_tile)
-                    checked += 1
-    assert checked > session.p  # off-diagonal blocks were compared too
+def _update_operand(session, a, b):
+    session.update_operand(revalued(a, 3.0))
+    return session, revalued(a, 3.0)
 
 
-def bool_graph(seed=3):
-    rng = np.random.default_rng(seed)
-    return csr_from_dense(random_dense(rng, N, N, 0.2, dtype=np.bool_))
+def _fused_prologue(session, a, b):
+    session.multiply(b, prologue=_FusedScale())
+    return session, revalued(a, 2.0)
 
 
-def session_on(a, p=4, **config):
-    return TsSession(
-        a, p, semiring=BOOL_AND_OR, config=TsConfig(tile_height=4, **config)
+def _derive(session, a, b, values=None):
+    keep = np.random.default_rng(2).random(a.nnz) < 0.6
+    child = session.derive_edge_subset(keep, values=values)
+    if values is not None:
+        a = CsrMatrix(a.shape, a.indptr, a.indices, values, check=False)
+    return child, mask_entries(a, keep)
+
+
+def _derive_values(session, a, b):
+    return _derive(session, a, b, np.random.default_rng(4).random(a.nnz) + 0.5)
+
+
+def _restore(session, a, b):
+    """The multiply the session's fault plan strikes: its own prologue has
+    refreshed the values in place when the rank is lost, the replica rolls
+    the rank back and the retry refreshes again."""
+    result = session.multiply(b, prologue=scale_values)
+    assert result.diagnostics["recoveries"] == 1
+    return session, revalued(a, 2.0)
+
+
+def _shrink(session, a, b):
+    session.shrink(session.p - 2)
+    return session, a
+
+
+#: name -> (transition, fault kind its session is built with, whether the
+#: SpMM mode table the warm-up built survives it).  Setup and its
+#: checkpoint are tasks 0-1, the warm-up multiplies 2-3, ``update_operand``
+#: and its checkpoint 4-5: the fault strikes task 6 at the rank's second
+#: collective, after its prologue's values-only exchange.
+TRANSITIONS = {
+    "update_operand": (_update_operand, None, True),
+    "fused_prologue": (_fused_prologue, None, True),
+    "derive": (_derive, None, False),
+    "derive_values": (_derive_values, None, False),
+    "crash_restore": (_restore, "crash", True),
+    "transient_restore": (_restore, "transient", True),
+    "shrink": (_shrink, None, False),
+}
+
+
+class TestStateTransitions:
+    @pytest.mark.parametrize("tile_height", [None, 4])
+    @pytest.mark.parametrize("policy", ["hybrid", "remote"])
+    @pytest.mark.parametrize(
+        "name, p",
+        [(name, p) for name in TRANSITIONS for p in (1, 3, 4) if (name, p) != ("shrink", 1)],
     )
-
-
-class TestBlocksAreColumnCopyRows:
-    def test_after_prepare(self):
-        with session_on(bool_graph()) as session:
-            assert_blocks_are_col_copy_rows(session)
-
-    def test_after_refresh_values(self, rng):
-        a = bool_graph()
-        b = csr_from_dense(random_dense(rng, N, D, 0.4, dtype=np.bool_))
-
-        def turn_some_off(comm, operand):
-            operand.refresh_values(np.arange(operand.local.nnz) % 3 != 0)
-
-        with session_on(a) as session:
-            session.multiply(b, prologue=turn_some_off)
-            assert not all(state[2].data.all() for state in session._state)
-            assert_blocks_are_col_copy_rows(session)
-
-    @pytest.mark.parametrize("revalue", [False, True])
-    def test_after_derive_edge_subset(self, rng, revalue):
-        a = bool_graph()
-        keep = rng.random(a.nnz) < 0.6
-        values = (rng.random(a.nnz) < 0.7) if revalue else None
-        with session_on(a) as parent:
-            child = parent.derive_edge_subset(keep, values=values)
-            assert_blocks_are_col_copy_rows(child)
-            assert_blocks_are_col_copy_rows(parent)
-            assert sum(s[2].nnz for s in child._state) == int(keep.sum())
-
-    def test_after_checkpoint_restore(self, rng):
-        a = bool_graph()
-        b = csr_from_dense(random_dense(rng, N, D, 0.4, dtype=np.bool_))
-        config = dict(recoverable=True, retry_backoff=0.0, faults="crash@1,task=2,seq=0")
-        with session_on(a, **config) as session:
-            session.multiply(b)
-            assert session.recoveries == 1
-            assert_blocks_are_col_copy_rows(session)
-
-    @pytest.mark.parametrize("dead_rank", [1, 3])
-    def test_after_shrink(self, dead_rank):
-        """Adopter (every subtile re-extracted) and survivors (only the
-        merged peer's re-extracted, the rest renumbered)."""
-        with session_on(bool_graph(), recoverable=True, retry_backoff=0.0) as session:
-            session.shrink(dead_rank)
-            assert session.p == 3
-            assert_blocks_are_col_copy_rows(session)
+    def test_next_multiplies_are_a_fresh_sessions(self, rng, name, p, policy, tile_height):
+        """Sparse and dense: output and the whole ``SpmdReport``."""
+        transition, fault, keeps_mode_table = TRANSITIONS[name]
+        a = csr_from_dense(random_dense(rng, N, N, 0.2))
+        b = csr_from_dense(random_dense(rng, N, D, 0.4))
+        b_dense = rng.random((N, D))
+        config = TsConfig(
+            tile_height=tile_height, mode_policy=policy, recoverable=True,
+            retry_backoff=0.0,
+            faults=fault and f"{fault}@{p - 1},task=6,seq=1",
+        )
+        with TsSession(a, p, config=config) as parent:
+            parent.multiply(b_dense)
+            parent.multiply(b)
+            if fault:
+                _, a = _update_operand(parent, a, b)
+            session, a_now = transition(parent, a, b)
+            # One settling multiply: a derived session cuts its strips in it.
+            settled = session.multiply(b).C
+            got = [session.multiply(b), session.multiply(b_dense), session.multiply(b_dense)]
+            with TsSession(
+                a_now, session.p, config=dataclasses.replace(config, faults=None),
+                row_bounds=session._rows.bounds,
+            ) as fresh:
+                want = [fresh.multiply(b), fresh.multiply(b_dense), fresh.multiply(b_dense)]
+        assert_same_arrays(settled, want[0].C)
+        assert_same_arrays(got[0].C, want[0].C)
+        assert got[0].report == want[0].report
+        for result in got[1:]:
+            assert result.C.tobytes() == want[1].C.tobytes()
+        # The mode table is the pattern's: values and restores leave it be.
+        assert got[1].diagnostics["plan_reused"] == (session.p if keeps_mode_table else 0)
+        assert ("symbolic" in got[1].report.phase_bytes()) == (not keeps_mode_table)
+        assert got[1].report == want[2 if keeps_mode_table else 1].report
+        assert got[2].report == want[2].report

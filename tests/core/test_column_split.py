@@ -10,17 +10,18 @@ gathers through and what ``_ensure_edge_ids`` replays.  Pinned here:
   writer of either (value refresh, recovery, shrink);
 * that the companions built *through* the batched passes — the edge-id
   replay, the derived session's ``needed_b_rows`` — equal the per-range
-  loops they replaced (kept below as oracles).
+  loops they replaced (``benchmarks/_oracles.py``).
 """
 
 import numpy as np
 import pytest
+from _oracles import masked_replay_edge_ids
 
 from repro.apps import train_sparse_embedding
 from repro.core import TsConfig, ts_spgemm, ts_spmm
 from repro.core.driver import FusedPrologue, TsSession
 from repro.data import erdos_renyi
-from repro.partition.distmat import _vstack_tagged
+from repro.mpi.errors import RankError
 from repro.sparse import (
     PLUS_TIMES,
     ColumnStrips,
@@ -217,10 +218,10 @@ class TestStripsFollowTheResidentBlock:
             assert_strips_hold_local_values(session)
 
     def test_after_recovery(self):
-        """A restore rebuilds the strips from their own value copies, not
-        from the block: both must come back as the refreshed checkpoint
-        had them.  (Setup and its checkpoint are tasks 0-1, the refreshing
-        multiply and its checkpoint 2-3, the crashed multiply task 4.)"""
+        """A restore re-derives the strips from the restored block: both
+        must come back as the refreshed checkpoint had the block.  (Setup
+        and its checkpoint are tasks 0-1, the refreshing multiply and its
+        checkpoint 2-3, the crashed multiply task 4.)"""
         a = float_graph()
         faults = dict(recoverable=True, retry_backoff=0.0, faults="crash@1,task=4,seq=0")
         with session_on(a, **faults) as session:
@@ -241,42 +242,33 @@ class TestStripsFollowTheResidentBlock:
             assert_strips_hold_local_values(session)
 
 
+class TestStaleSelectionsAreRefused:
+    """The values-only round ships ``nnz`` values through the cached
+    selections; a list that no longer matches the pattern must not
+    silently rebuild a column copy of the wrong length."""
+
+    @pytest.mark.parametrize("planned", [False, True])
+    def test_refresh_raises_before_replacing_the_copy(self, planned):
+        a = float_graph()
+        with session_on(a, reuse_plan=planned) as parent:
+            # Sessions that read the selections off ``aux``: one without a
+            # plan, and a derived one before its first multiply cut strips.
+            session = parent.derive_edge_subset(np.ones(a.nnz, bool)) if planned else parent
+            rows, local = session._state[0][:2]
+            stale = list(ColumnStrips(local, rows.ranges).selections)
+            assert len(stale[1]) > 0
+            stale[1] = stale[1][:-1]
+            session._state[0][4]["value_strip_selections"] = stale
+            col_copies = [state[2] for state in session._state]
+            with pytest.raises(RankError, match="identical A pattern") as err:
+                session.update_operand(revalued(a))
+            assert err.value.rank == 1 and isinstance(err.value.original, ValueError)
+            assert all(state[2] is cc for state, cc in zip(session._state, col_copies))
+
+
 # ----------------------------------------------------------------------
 # companions built through the batched passes
 # ----------------------------------------------------------------------
-def masked_replay_edge_ids(session: TsSession):
-    """``_ensure_edge_ids`` as it stood before it replayed the split: one
-    masked ``extract_col_range`` pass per (sender, receiver) pair."""
-    indptr, indices = session._pattern
-    n = session.ncols
-    ids = CsrMatrix(
-        (n, n), indptr, indices, np.arange(len(indices), dtype=np.int64), check=False
-    )
-    ranges = session._rows.ranges
-    local_ids = [extract_row_range(ids, lo, hi) for lo, hi in ranges]
-    per_rank = []
-    for j, (c0, c1) in enumerate(ranges):
-        prepared = session._state[j][3]
-        tagged = [
-            (ranges[i][0], extract_col_range(local_ids[i], c0, c1, reindex=True))
-            for i in range(session.p)
-        ]
-        col_ids = _vstack_tagged(tagged, n, c1 - c0)
-        sub_ids = {
-            peer: [
-                None
-                if ps.block is None
-                else extract_row_range(
-                    extract_row_range(col_ids, *ranges[peer]), *ps.row_range
-                ).data
-                for ps in subs
-            ]
-            for peer, subs in prepared.subtiles.items()
-        }
-        per_rank.append((local_ids[j].data, col_ids.data, sub_ids))
-    return per_rank
-
-
 class TestEdgeIdReplay:
     @pytest.mark.parametrize(
         "p, row_bounds",
@@ -289,21 +281,13 @@ class TestEdgeIdReplay:
             session._ensure_edge_ids()
             want = masked_replay_edge_ids(session)
             assert len(session._edge_ids) == p
-            for (loc, col, sub), (w_loc, w_col, w_sub) in zip(session._edge_ids, want):
-                for got_ids, want_ids in [(loc, w_loc), (col, w_col)]:
+            for got, wanted in zip(session._edge_ids, want):
+                assert len(got) == len(wanted) == 2  # (local ids, column-copy ids)
+                for got_ids, want_ids in zip(got, wanted):
                     assert got_ids.dtype == np.int64
                     np.testing.assert_array_equal(got_ids, want_ids)
-                assert sub.keys() == w_sub.keys()
-                for peer in sub:
-                    assert len(sub[peer]) == len(w_sub[peer])
-                    for got_ids, want_ids in zip(sub[peer], w_sub[peer]):
-                        if want_ids is None:
-                            assert got_ids is None
-                        else:
-                            assert got_ids.dtype == np.int64
-                            np.testing.assert_array_equal(got_ids, want_ids)
             # the ids do address the resident blocks' own values
-            for (loc, col, _), (_, local, col_copy, _, _) in zip(
+            for (loc, col), (_, local, col_copy, _, _) in zip(
                 session._edge_ids, session._state
             ):
                 np.testing.assert_array_equal(a.data[loc], local.data)
@@ -326,25 +310,29 @@ class TestDerivedNeededRows:
             child = parent.derive_edge_subset(keep)
             emptied = 0
             for rank, (got, want) in enumerate(zip(child._state, fresh._state)):
+                assert_same_arrays(got[2], want[2])  # the subtiles' one home
                 touched = got[1].nbytes_estimate() + got[2].nbytes_estimate()
                 for peer, subs in want[3].subtiles.items():
                     assert len(got[3].subtiles[peer]) == len(subs)
+                    peer_lo, _ = got[0].range_of(peer)
                     for ps, ws, parent_ps in zip(
                         got[3].subtiles[peer], subs, parent._state[rank][3].subtiles[peer]
                     ):
-                        assert (ps.peer, ps.row_tile, ps.row_range) == (
-                            ws.peer, ws.row_tile, ws.row_range
+                        assert (ps.peer, ps.row_tile, ps.row_range, ps.stored) == (
+                            ws.peer, ws.row_tile, ws.row_range, ws.stored
                         )
-                        if ws.block is None:
-                            assert ps.block is None and ps.needed_b_rows is None
-                            emptied += parent_ps.block is not None
+                        if not ws.stored:
+                            assert ps.needed_b_rows is None
+                            emptied += parent_ps.stored
                             continue
-                        assert_same_arrays(ps.block, ws.block)
-                        touched += ps.block.nbytes_estimate()
+                        nbytes = extract_row_range(
+                            got[2], peer_lo + ps.row_range[0], peer_lo + ps.row_range[1]
+                        ).nbytes_estimate()
+                        touched += nbytes
                         if peer == rank:
                             assert ps.needed_b_rows is None
                             continue
-                        touched += 2 * ps.block.nbytes_estimate()
+                        touched += 2 * nbytes
                         assert ps.needed_b_rows.dtype == ws.needed_b_rows.dtype
                         np.testing.assert_array_equal(
                             ps.needed_b_rows, ws.needed_b_rows

@@ -21,7 +21,7 @@ from repro.core import TsConfig
 from repro.core.driver import TsSession
 from repro.data import erdos_renyi, random_sources
 from repro.mpi import DeadSessionError, FaultPlan, RankError, fault_env_seeds
-from repro.sparse import CsrMatrix
+from repro.sparse import BOOL_AND_OR, PLUS_TIMES, CsrMatrix
 
 P = 4
 N = 48
@@ -170,6 +170,58 @@ class TestSessionRecovery:
             assert [f.describe() for f in session.recovery_events]
         finally:
             session.close()
+
+    @pytest.mark.parametrize(
+        "semiring, full, values_only",
+        [(BOOL_AND_OR, 43_888, 3_536), (PLUS_TIMES, 68_640, 28_288)],
+    )
+    def test_a_replica_is_the_local_block_and_the_column_copy(
+        self, semiring, full, values_only
+    ):
+        """Every blob's ``nbytes`` is the wire size of that rank's local
+        block + column copy — pattern and values on the first checkpoint
+        of a pattern, values only afterwards — and that is what the
+        ``checkpoint`` / ``recover`` phases ship.  Strips and subtiles are
+        re-derived on restore: the restored rank's next multiply is an
+        unfaulted run's.  (Setup and its checkpoint are tasks 0-1, the
+        update and its checkpoint 2-3, the crashed multiply task 4.)"""
+        graph = erdos_renyi(300, 6, seed=0)
+        rng = np.random.default_rng(9)
+        A = CsrMatrix(
+            graph.shape, graph.indptr, graph.indices,
+            semiring.coerce(rng.random(graph.nnz) + 0.5), check=False,
+        )
+        A2 = CsrMatrix(A.shape, A.indptr, A.indices, semiring.coerce(A.data * 2), check=False)
+        B = CsrMatrix.from_dense(semiring.coerce(rng.random((300, 6)) < 0.3))
+
+        def wire_bytes(session, arrays):
+            return [
+                sum(getattr(mat, name).nbytes for mat in state[1:3] for name in arrays)
+                for state in session._state
+            ]
+
+        config = _recoverable(faults="crash@1,task=4,seq=0")
+        with TsSession(A, P, semiring=semiring, config=config) as session, TsSession(
+            A, P, semiring=semiring
+        ) as plain:
+            blobs = [blob["nbytes"] for blob in session._ckpt]
+            assert blobs == wire_bytes(session, ("data", "indptr", "indices"))
+            assert sum(blobs) == session.checkpoint_bytes == full
+            assert session.setup_report.phase_bytes()["checkpoint"] == full
+            report = session.update_operand(A2)
+            blobs = [blob["nbytes"] for blob in session._ckpt]
+            assert blobs == wire_bytes(session, ("data",))
+            assert sum(blobs) == session.checkpoint_resident_bytes == values_only
+            assert report.phase_bytes()["checkpoint"] == values_only
+            assert session.checkpoint_bytes == full + values_only
+            plain.update_operand(A2)
+            got, want = session.multiply(B), plain.multiply(B)
+            assert got.diagnostics["recoveries"] == 1
+            assert session.recover_bytes == blobs[1]
+            assert got.report.phase_bytes()["recover"] == blobs[1]
+            assert bitwise_equal(want.C, got.C)
+            got, want = session.multiply(B), plain.multiply(B)
+            assert bitwise_equal(want.C, got.C) and got.report == want.report
 
     def test_checkpoint_off_rebuilds_from_input(self):
         config = _recoverable(checkpoint="off", faults="crash@1,task=1,seq=0")

@@ -190,7 +190,6 @@ class TestKeptSymbolicProduct:
 
         class TurnOff:
             values_refreshed = False
-            refreshed_prepared = None
 
             def __init__(self, dist_a):
                 self.dist_a = dist_a

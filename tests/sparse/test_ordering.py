@@ -7,6 +7,7 @@ in ``src/``; bit-identity of every merge and kernel rests on it being the
 
 import numpy as np
 import pytest
+from _oracles import assert_bit_identical, lexsort_merge
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -99,19 +100,6 @@ class TestRowMajorOrder:
         assert_is_lexsort(rows, cols, (70_001, 70_000))
 
 
-def _lexsort_merge(parts, semiring):
-    """The oracle: literal two-key sort, then the segmented reduce."""
-    rows = np.concatenate([p.row_ids() for p in parts])
-    cols = np.concatenate([p.indices for p in parts])
-    vals = np.concatenate([p.data for p in parts])
-    order = np.lexsort((cols, rows))
-    rows, cols, vals = rows[order], cols[order], vals[order]
-    change = np.ones(len(rows), dtype=bool)
-    change[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
-    starts = np.flatnonzero(change)
-    return rows[starts], cols[starts], semiring.reduce_segments(vals, starts)
-
-
 def test_merge_float_summation_order_is_pinned(rng):
     """≥ 8 float contributions per entry: float addition is not
     associative, so bit-equality with the lexsort oracle holds only if the
@@ -128,7 +116,7 @@ def test_merge_float_summation_order_is_pinned(rng):
         # magnitudes 1e-8 .. 1e8: any reordering changes the rounded sum
         vals = rng.standard_normal((n, d)) * 10.0 ** rng.integers(-8, 9, (n, d))
         parts.append(CsrMatrix.from_dense(np.where(mask, vals, 0.0)))
-    rows, cols, vals = _lexsort_merge(parts, PLUS_TIMES)
+    want = lexsort_merge(parts, PLUS_TIMES)
     contributions = np.bincount(
         np.concatenate([p.row_ids() * d + p.indices for p in parts])
     )
@@ -139,11 +127,9 @@ def test_merge_float_summation_order_is_pinned(rng):
             merged = merge_csrs(parts, PLUS_TIMES)
             reversed_merge = merge_csrs(parts[::-1], PLUS_TIMES)
         assert (folds, len(sorts)) == ([], 2 * counted)
-        np.testing.assert_array_equal(merged.row_ids(), rows)
-        np.testing.assert_array_equal(merged.indices, cols)
-        assert merged.data.tobytes() == vals.tobytes()
+        assert_bit_identical(merged, want)
         # and the order matters: the reversed merge differs somewhere
-        assert reversed_merge.data.tobytes() != vals.tobytes()
+        assert reversed_merge.data.tobytes() != want.data.tobytes()
 
 
 # ----------------------------------------------------------------------
@@ -219,11 +205,8 @@ def assert_merge_is_the_oracle(parts, semiring):
     if not nonempty:
         assert merged.nnz == 0 and merged.dtype == semiring.dtype
         return
-    rows, cols, vals = _lexsort_merge(nonempty, semiring)
-    np.testing.assert_array_equal(merged.row_ids(), rows)
-    np.testing.assert_array_equal(merged.indices, cols)
-    assert merged.dtype == vals.dtype == semiring.dtype
-    assert merged.data.tobytes() == vals.tobytes()
+    assert merged.dtype == semiring.dtype
+    assert_bit_identical(merged, lexsort_merge(nonempty, semiring))
 
 
 @given(partials(np.bool_))
