@@ -8,7 +8,7 @@ during collection, and ``tests/conftest.py`` adds it for the tests.
 
 import numpy as np
 
-from repro.core.symbolic import DIAGONAL, EMPTY, LOCAL, REMOTE
+from repro.core.symbolic import DIAGONAL, EMPTY, LOCAL, REMOTE, SubtileInfo, SymbolicPlan
 from repro.partition.distmat import _vstack_tagged
 from repro.sparse import (
     BOOL_AND_OR,
@@ -19,7 +19,9 @@ from repro.sparse import (
     resolve_spgemm,
     spgemm_flops,
 )
+from repro.sparse.kernels import row_flops_before, symbolic_size
 from repro.sparse.build import csr_from_triples
+from repro.sparse.csr import INDEX_DTYPE
 
 
 def assert_bit_identical(got: CsrMatrix, want: CsrMatrix) -> None:
@@ -218,6 +220,148 @@ def per_subtile_plan(prepared, A, B):
                     )
                 )
     return slots
+
+
+class _WholeBlockProduct:
+    """``_ColumnBlockProduct`` as it stood before it multiplied the stored
+    row span only: all ``n`` rows of ``col_copy``, both prefix arrays built
+    whatever the product holds."""
+
+    def __init__(self, col_copy, b_local, kernel):
+        self._product, _ = dispatch_spgemm(
+            col_copy, b_local, BOOL_AND_OR, kernel, strict=False
+        )
+        self._flops_before = row_flops_before(col_copy, b_local)
+        self._rows_before = np.zeros(col_copy.nrows + 1, dtype=INDEX_DTYPE)
+        np.cumsum(self._product.row_nnz() != 0, out=self._rows_before[1:])
+
+    def size(self, g0, g1):
+        indptr = self._product.indptr
+        return (
+            int(indptr[g1] - indptr[g0]),
+            int(self._rows_before[g1] - self._rows_before[g0]),
+            int(self._flops_before[g1] - self._flops_before[g0]),
+        )
+
+    def kept(self, g0, g1):
+        flops = int(self._flops_before[g1] - self._flops_before[g0])
+        return extract_row_range(self._product, g0, g1), flops
+
+
+def per_slot_replan(prepared, A, B) -> SymbolicPlan:
+    """``replan`` as it stood before it walked an index of the stored
+    slots, statement for statement: every (peer, row tile) slot of
+    ``prepared.subtiles`` visited and given a fresh ``SubtileInfo``, EMPTY
+    ones included, and on boolean operands the whole column block
+    multiplied (``_WholeBlockProduct``).  Charged like ``replan`` — what
+    its plan must stay equal to (``assert_same_plan``; the by-mode groups
+    are ``replan``'s own addition and stay unfilled here), and faster than
+    wherever slots are empty."""
+    comm = A.comm
+    config = prepared.config
+    plan = SymbolicPlan(row_tile_ranges=prepared.row_tile_ranges)
+    hybrid = config.mode_policy == "hybrid"
+    forced = LOCAL if config.mode_policy == "local" else REMOTE
+
+    with comm.phase("symbolic"):
+        product = None
+        if hybrid:
+            b_row_nnz = B.local.row_nnz()
+            sym_kernel = resolve_spgemm(
+                config.kernel, BOOL_AND_OR, d=B.ncols, strict=False
+            ).name
+            if B.local.dtype == np.bool_ and A.col_copy.dtype == np.bool_:
+                product = _WholeBlockProduct(A.col_copy, B.local, config.kernel)
+        for peer, (peer_lo, _) in enumerate(A.rows.ranges):
+            infos = []
+            for ps in prepared.subtiles[peer]:
+                r0r1 = ps.row_range
+                if not ps.stored:
+                    infos.append(
+                        SubtileInfo(peer, ps.row_tile, r0r1, EMPTY, None, 0, 0)
+                    )
+                    continue
+                g0, g1 = peer_lo + r0r1[0], peer_lo + r0r1[1]
+                if peer == comm.rank:
+                    kept = None if product is None else product.kept(g0, g1)
+                    infos.append(
+                        SubtileInfo(peer, ps.row_tile, r0r1, DIAGONAL, None, 0, 0, kept)
+                    )
+                    continue
+                nzc = ps.needed_b_rows
+                if not hybrid:
+                    infos.append(
+                        SubtileInfo(peer, ps.row_tile, r0r1, forced, nzc, 0, 0)
+                    )
+                    continue
+                needed_nnz = int(b_row_nnz[nzc].sum())
+                if product is None:
+                    out_nnz, out_rows, sym_flops = symbolic_size(
+                        extract_row_range(A.col_copy, g0, g1), B.local
+                    )
+                else:
+                    out_nnz, out_rows, sym_flops = product.size(g0, g1)
+                comm.charge_symbolic(sym_flops, kernel=sym_kernel)
+                plan.pattern_products += 1
+                local_bytes = 16 * needed_nnz + 16 * len(nzc)
+                remote_bytes = 16 * out_nnz + 16 * out_rows
+                mode = REMOTE if remote_bytes < local_bytes else LOCAL
+                keep = product is not None and mode == REMOTE
+                infos.append(
+                    SubtileInfo(
+                        peer,
+                        ps.row_tile,
+                        r0r1,
+                        mode,
+                        nzc,
+                        needed_nnz,
+                        out_nnz,
+                        product.kept(g0, g1) if keep else None,
+                    )
+                )
+            plan.produced[peer] = infos
+
+        if hybrid:
+            plan.outgoing_modes = [
+                [s.mode for s in plan.produced[peer]] for peer in range(comm.size)
+            ]
+    return plan
+
+
+def assert_same_plan(got: SymbolicPlan, want: SymbolicPlan) -> None:
+    """Two symbolic plans equal field for field — every slot's info (arrays
+    by content, kept slices bit for bit), the mode lists still to ship, the
+    counters — and ``got``'s by-mode groups name exactly its stored infos."""
+    assert got.row_tile_ranges == want.row_tile_ranges
+    assert got.pattern_products == want.pattern_products
+    assert got.outgoing_modes == want.outgoing_modes
+    assert list(got.produced) == list(want.produced)
+    for peer, infos in got.produced.items():
+        assert len(infos) == len(want.produced[peer])
+        for g, w in zip(infos, want.produced[peer]):
+            assert (g.peer, g.row_tile, g.row_range, g.mode) == (
+                w.peer, w.row_tile, w.row_range, w.mode
+            )
+            assert (g.needed_b_nnz, g.output_nnz) == (w.needed_b_nnz, w.output_nnz)
+            assert (g.needed_b_rows is None) == (w.needed_b_rows is None)
+            if g.needed_b_rows is not None:
+                assert np.array_equal(g.needed_b_rows, w.needed_b_rows)
+            assert (g.symbolic is None) == (w.symbolic is None)
+            if g.symbolic is not None:
+                assert g.symbolic[0].shape == w.symbolic[0].shape
+                assert_bit_identical(g.symbolic[0], w.symbolic[0])
+                assert g.symbolic[1] == w.symbolic[1] and type(g.symbolic[1]) is int
+    stored = [s for infos in got.produced.values() for s in infos if s.mode != EMPTY]
+    grouped = [
+        s for mode in (LOCAL, REMOTE, DIAGONAL)
+        for infos in got.by_mode[mode].values() for s in infos
+    ]
+    assert sorted(map(id, stored)) == sorted(map(id, grouped))
+    assert all(
+        s.mode == mode for mode in got.by_mode
+        for infos in got.by_mode[mode].values() for s in infos
+    )
+    assert got.count(EMPTY) == sum(len(infos) for infos in got.produced.values()) - len(stored)
 
 
 def masked_replay_edge_ids(session):

@@ -26,7 +26,7 @@ import numpy as np
 from ..core.config import DEFAULT_CONFIG, TsConfig
 from ..mpi.costmodel import PERLMUTTER, MachineProfile
 from ..sparse.csr import INDEX_DTYPE, CsrMatrix
-from ..sparse.ops import ewise_add, pattern_difference
+from ..sparse.ops import difference_and_union
 from ..sparse.semiring import BOOL_AND_OR
 from .msbfs import msbfs
 
@@ -88,8 +88,7 @@ def closeness_centrality(
     level = 0
     while frontier.nnz > 0:
         product, _ = spgemm(a_bool, frontier, BOOL_AND_OR)
-        frontier = pattern_difference(product, visited)
-        visited = ewise_add(visited, product, BOOL_AND_OR)
+        frontier, visited = difference_and_union(product, visited, BOOL_AND_OR)
         level += 1
         if frontier.nnz:
             counts = np.bincount(frontier.indices, minlength=d)

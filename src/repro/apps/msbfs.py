@@ -33,7 +33,7 @@ from ..core.driver import TsSession
 from ..data.generators import bfs_frontier
 from ..mpi.costmodel import PERLMUTTER, MachineProfile
 from ..sparse.csr import CsrMatrix
-from ..sparse.ops import ewise_add, pattern_difference
+from ..sparse.ops import difference_and_union
 from ..sparse.semiring import BOOL_AND_OR
 
 
@@ -92,8 +92,7 @@ def _frontier_update(comm, reached: CsrMatrix, visited: CsrMatrix):
     :func:`msbfs_spmd`'s accounting.
     """
     with comm.phase("frontier-update"):
-        frontier = pattern_difference(reached, visited)
-        new_visited = ewise_add(visited, reached, BOOL_AND_OR)
+        frontier, new_visited = difference_and_union(reached, visited, BOOL_AND_OR)
         comm.charge_touch(reached.nbytes_estimate())
     return frontier, new_visited
 
@@ -205,8 +204,8 @@ def _msbfs_driver_loop(
                 config=config,
             )
         reached = mult.C
-        frontier = pattern_difference(reached, visited)  # F <- N \ S
-        visited = ewise_add(visited, reached, BOOL_AND_OR)  # S <- S v N
+        # F <- N \ S, S <- S v N
+        frontier, visited = difference_and_union(reached, visited, BOOL_AND_OR)
         diagnostics = getattr(mult, "diagnostics", {}) or {}
         comm_nnz = int(
             diagnostics.get("sent_b_nnz", 0) + diagnostics.get("sent_c_nnz", 0)

@@ -20,7 +20,6 @@ from .symbolic import (
     REMOTE,
     SubtileInfo,
     SymbolicPlan,
-    build_symbolic_plan,
     row_tile_ranges,
 )
 from .tiled import TileDiagnostics, tiled_multiply
@@ -44,7 +43,6 @@ __all__ = [
     "TileDiagnostics",
     "TsConfig",
     "TsSession",
-    "build_symbolic_plan",
     "naive_multiply",
     "prepare_multiply",
     "replan",

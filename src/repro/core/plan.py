@@ -45,7 +45,7 @@ prepare + replan cost every time, exactly like the pre-plan code did.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -104,10 +104,10 @@ class PreparedA:
     subtiles: Dict[int, List[PreparedSubtile]] = field(default_factory=dict)
     row_tile_ranges: List[Tuple[int, int]] = field(default_factory=list)
     strips: Optional[ColumnStrips] = None
-    replans: int = 0
     #: Lazy per-algorithm caches (naive row requests, SpMM mode table).
     naive_cache: Optional[tuple] = None
     spmm_cache: Optional[tuple] = None
+    slots: Optional["StoredSlots"] = field(default=None, compare=False, repr=False)
 
     # ------------------------------------------------------------------
     def check_compatible(self, A: DistSparseMatrix, config: TsConfig) -> None:
@@ -146,19 +146,54 @@ class PreparedA:
         comm = A.comm
         with comm.phase("prepare"):
             touched = 0
-            for peer, (peer_lo, _) in enumerate(A.rows.ranges):
-                for ps in self.subtiles[peer]:
-                    if not ps.stored:
-                        continue
-                    r0, r1 = ps.row_range
-                    nbytes = extract_row_range(
-                        A.col_copy, peer_lo + r0, peer_lo + r1
-                    ).nbytes_estimate()
+            for _, slots in stored_slots(self, A.rows).by_peer:
+                for ps, g0, g1 in slots:
+                    nbytes = extract_row_range(A.col_copy, g0, g1).nbytes_estimate()
                     touched += nbytes if ps.needed_b_rows is None else 2 * nbytes
             if self.strips is not None:
                 self.strips.refresh_values(A.local)
                 touched += A.local.nbytes_estimate()
             comm.charge_touch(touched)
+
+
+class StoredSlots(NamedTuple):
+    """What :func:`replan` reads of one ``subtiles`` table: the stored
+    (peer, row-tile) slots, and everything about the others."""
+
+    source: Dict[int, List[PreparedSubtile]]  # the table this was read from
+    #: ``(peer, [(subtile, g0, g1), ...])``, rows ``[g0, g1)`` of ``A.col_copy``;
+    #: peers and row tiles ascending: charges add in float on the virtual clock.
+    by_peer: List[Tuple[int, List[Tuple[PreparedSubtile, int, int]]]]
+    skeleton: Dict[int, List[SubtileInfo]]  # ``plan.produced``, every slot EMPTY
+    empty_modes: List[List[str]]  # the mode lists of ``skeleton``
+    n_empty: int
+    span: Tuple[int, int]  # ``[first g0, last g1)``: no entry lies outside
+
+
+def stored_slots(prepared: PreparedA, rows: Block1D) -> StoredSlots:
+    """The index of ``prepared.subtiles``, built once per table: kept while
+    ``subtiles`` is the very dict it was read from (identity — whoever changes
+    the pattern assigns a new one).  Its EMPTY infos and mode lists are shared
+    by every plan made from it, never written: a plan replaces the slots it fills."""
+    subtiles = prepared.subtiles
+    if prepared.slots is not None and prepared.slots.source is subtiles:
+        return prepared.slots
+    by_peer, skeleton, empty_modes = [], {}, []
+    for peer, (lo, _) in enumerate(rows.ranges):
+        subs = subtiles[peer]
+        skeleton[peer] = [
+            SubtileInfo(peer, s.row_tile, s.row_range, EMPTY, None, 0, 0) for s in subs
+        ]
+        empty_modes.append([EMPTY] * len(subs))
+        slots = [
+            (s, lo + s.row_range[0], lo + s.row_range[1]) for s in subs if s.stored
+        ]
+        if slots:
+            by_peer.append((peer, slots))
+    empty = sum(map(len, empty_modes)) - sum(len(slots) for _, slots in by_peer)
+    span = (by_peer[0][1][0][1], by_peer[-1][1][-1][2]) if by_peer else (0, 0)
+    prepared.slots = StoredSlots(subtiles, by_peer, skeleton, empty_modes, empty, span)
+    return prepared.slots
 
 
 # ----------------------------------------------------------------------
@@ -364,24 +399,33 @@ class _ColumnBlockProduct:
     partial as a row slice (a view).
 
     A subtile *is* rows ``[g0, g1)`` of ``col_copy`` (docs/planning.md),
-    so those are its rows of the product too.
+    so those are its rows of the product too.  Only rows ``span`` are
+    multiplied — no subtile outside it is stored, so every other row is empty —
+    and a product without a multiplication has its all-zero ``indptr`` for both.
     """
 
-    def __init__(self, col_copy: CsrMatrix, b_local: CsrMatrix, kernel: str):
+    def __init__(
+        self, col_copy: CsrMatrix, b_local: CsrMatrix, kernel: str, span: Tuple[int, int]
+    ):
+        self._lo = span[0]
+        rows = extract_row_range(col_copy, *span)
         # Non-strict dispatch: a forced plus_times-only kernel (e.g.
         # --kernel scipy) degrades to the auto choice for this boolean
         # product instead of erroring.  This is the only lenient call site;
         # numeric paths raise.
-        self._product, _ = dispatch_spgemm(
-            col_copy, b_local, BOOL_AND_OR, kernel, strict=False
+        self._product, flops = dispatch_spgemm(
+            rows, b_local, BOOL_AND_OR, kernel, strict=False
         )
-        self._flops_before = row_flops_before(col_copy, b_local)
-        self._rows_before = np.zeros(col_copy.nrows + 1, dtype=INDEX_DTYPE)
-        np.cumsum(self._product.row_nnz() != 0, out=self._rows_before[1:])
+        self._flops_before = self._rows_before = self._product.indptr
+        if flops:
+            self._flops_before = row_flops_before(rows, b_local)
+            self._rows_before = np.zeros(rows.nrows + 1, dtype=INDEX_DTYPE)
+            np.cumsum(self._product.row_nnz() != 0, out=self._rows_before[1:])
 
     def size(self, g0: int, g1: int) -> Tuple[int, int, int]:
         """``(nnz, non-empty rows, flops)`` of rows ``[g0, g1)``: what
         :func:`~repro.sparse.kernels.symbolic_size` returns for them."""
+        g0, g1 = g0 - self._lo, g1 - self._lo
         indptr = self._product.indptr
         return (
             int(indptr[g1] - indptr[g0]),
@@ -392,6 +436,7 @@ class _ColumnBlockProduct:
     def kept(self, g0: int, g1: int) -> Tuple[CsrMatrix, int]:
         """``(rows [g0, g1) of the product — a view —, their flops)``: what
         a kernel call on that row range of ``Ac_j`` returns."""
+        g0, g1 = g0 - self._lo, g1 - self._lo
         flops = int(self._flops_before[g1] - self._flops_before[g0])
         return extract_row_range(self._product, g0, g1), flops
 
@@ -401,12 +446,11 @@ def replan(
 ) -> SymbolicPlan:
     """The B-dependent half of the symbolic step (collective).
 
-    Produces a :class:`SymbolicPlan` identical to what
-    :func:`~repro.core.symbolic.build_symbolic_plan` returns for the same
-    operands — the equivalence the cached-plan test suite asserts — while
-    touching only what actually depends on ``B``: under the ``hybrid``
-    policy one exact output size and byte comparison per non-empty
-    off-diagonal subtile — on boolean operands all read off one product
+    Produces the :class:`SymbolicPlan` a fresh ``prepare_multiply`` would
+    lead to for the same operands — the equivalence the cached-plan test
+    suite asserts — while touching only what actually depends on ``B``:
+    under the ``hybrid`` policy one exact output size and byte comparison
+    per non-empty off-diagonal subtile — on boolean operands all read off one product
     of the rank's column block, whose REMOTE and DIAGONAL row slices are
     kept on the infos (docs/planning.md) — and under a forced policy,
     nothing at all.
@@ -419,7 +463,9 @@ def replan(
     """
     comm = A.comm
     config = prepared.config
-    plan = SymbolicPlan(row_tile_ranges=prepared.row_tile_ranges)
+    index = stored_slots(prepared, A.rows)
+    plan = SymbolicPlan(dict(index.skeleton), prepared.row_tile_ranges)
+    plan.empty_tiles = index.n_empty
     hybrid = config.mode_policy == "hybrid"
     forced = LOCAL if config.mode_policy == "local" else REMOTE
 
@@ -434,70 +480,50 @@ def replan(
                 config.kernel, BOOL_AND_OR, d=B.ncols, strict=False
             ).name
             if B.local.dtype == np.bool_ and A.col_copy.dtype == np.bool_:
-                product = _ColumnBlockProduct(A.col_copy, B.local, config.kernel)
-        for peer, (peer_lo, _) in enumerate(A.rows.ranges):
-            infos: List[SubtileInfo] = []
-            for ps in prepared.subtiles[peer]:
-                r0r1 = ps.row_range
-                if not ps.stored:
-                    infos.append(
-                        SubtileInfo(peer, ps.row_tile, r0r1, EMPTY, None, 0, 0)
-                    )
-                    continue
-                # The subtile is rows [g0, g1) of Ac_j, and so of the
-                # column-block product too.
-                g0, g1 = peer_lo + r0r1[0], peer_lo + r0r1[1]
-                if peer == comm.rank:
-                    kept = None if product is None else product.kept(g0, g1)
-                    infos.append(
-                        SubtileInfo(peer, ps.row_tile, r0r1, DIAGONAL, None, 0, 0, kept)
-                    )
-                    continue
-                nzc = ps.needed_b_rows
-                if not hybrid:
-                    infos.append(
-                        SubtileInfo(peer, ps.row_tile, r0r1, forced, nzc, 0, 0)
-                    )
-                    continue
-                needed_nnz = int(b_row_nnz[nzc].sum())
-                # The exact symbolic output size: read off the column-block
-                # product on boolean operands; any other pair could not use
-                # a product, so it is sized without multiplying.  The charge
-                # is one pattern product per subtile either way.
-                if product is None:
-                    out_nnz, out_rows, sym_flops = symbolic_size(
-                        extract_row_range(A.col_copy, g0, g1), B.local
-                    )
-                else:
-                    out_nnz, out_rows, sym_flops = product.size(g0, g1)
-                comm.charge_symbolic(sym_flops, kernel=sym_kernel)
-                plan.pattern_products += 1
-                # Compare exact wire bytes of the two options: both
-                # payloads are (row ids, packed rows), i.e. 16 B per
-                # nonzero plus 16 B per shipped row (id + row pointer).
-                local_bytes = 16 * needed_nnz + 16 * len(nzc)
-                remote_bytes = 16 * out_nnz + 16 * out_rows
-                mode = REMOTE if remote_bytes < local_bytes else LOCAL
-                keep = product is not None and mode == REMOTE
-                infos.append(
-                    SubtileInfo(
-                        peer,
-                        ps.row_tile,
-                        r0r1,
-                        mode,
-                        nzc,
-                        needed_nnz,
-                        out_nnz,
-                        product.kept(g0, g1) if keep else None,
-                    )
+                product = _ColumnBlockProduct(
+                    A.col_copy, B.local, config.kernel, index.span
                 )
-            plan.produced[peer] = infos
-
-        if hybrid:
             # For the tile owners: consumer i learns, for each producer
             # j, the mode of every one of its row tiles.
-            plan.outgoing_modes = [
-                [s.mode for s in plan.produced[peer]] for peer in range(comm.size)
-            ]
-    prepared.replans += 1
+            plan.outgoing_modes = list(index.empty_modes)
+        # Every slot not stored stays the index's shared EMPTY info.
+        for peer, slots in index.by_peer:
+            infos = plan.produced[peer] = list(index.skeleton[peer])
+            for ps, g0, g1 in slots:
+                # The subtile is rows [g0, g1) of Ac_j, and so of the
+                # column-block product too.
+                nzc = ps.needed_b_rows  # None on the diagonal
+                needed_nnz = out_nnz = 0
+                if peer == comm.rank:
+                    mode = DIAGONAL
+                elif not hybrid:
+                    mode = forced
+                else:
+                    needed_nnz = int(b_row_nnz[nzc].sum())
+                    # The exact symbolic output size: read off the column-block
+                    # product on boolean operands; any other pair could not use
+                    # a product, so it is sized without multiplying.  The charge
+                    # is one pattern product per subtile either way.
+                    if product is None:
+                        out_nnz, out_rows, sym_flops = symbolic_size(
+                            extract_row_range(A.col_copy, g0, g1), B.local
+                        )
+                    else:
+                        out_nnz, out_rows, sym_flops = product.size(g0, g1)
+                    comm.charge_symbolic(sym_flops, kernel=sym_kernel)
+                    plan.pattern_products += 1
+                    # Compare exact wire bytes of the two options: both
+                    # payloads are (row ids, packed rows), i.e. 16 B per
+                    # nonzero plus 16 B per shipped row (id + row pointer).
+                    local_bytes = 16 * needed_nnz + 16 * len(nzc)
+                    remote_bytes = 16 * out_nnz + 16 * out_rows
+                    mode = REMOTE if remote_bytes < local_bytes else LOCAL
+                keep = product is not None and mode != LOCAL
+                info = infos[ps.row_tile] = SubtileInfo(
+                    peer, ps.row_tile, ps.row_range, mode, nzc, needed_nnz, out_nnz,
+                    product.kept(g0, g1) if keep else None,
+                )
+                plan.by_mode[mode].setdefault(peer, []).append(info)
+            if hybrid:
+                plan.outgoing_modes[peer] = [s.mode for s in infos]
     return plan

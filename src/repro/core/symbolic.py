@@ -24,10 +24,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..partition.distmat import DistSparseMatrix
 from ..sparse.csr import CsrMatrix
-from ..sparse.semiring import Semiring
-from .config import TsConfig
 
 #: Subtile modes.  EMPTY subtiles (no stored entries) are skipped outright.
 LOCAL, REMOTE, DIAGONAL, EMPTY = "local", "remote", "diagonal", "empty"
@@ -71,17 +68,24 @@ class SymbolicPlan:
     all-to-all, or a tagged section of its fused exchange) and clears the
     field.  Nothing stores what arrives: consumers act on the payloads
     they receive.
+    ``by_mode[mode][consumer]``: the stored (non-EMPTY) infos of
+    ``produced``, row tiles ascending — what the multiply walks; the EMPTY
+    ones, shared between plans and never written, are only counted.
     """
 
     produced: Dict[int, List[SubtileInfo]] = field(default_factory=dict)
     row_tile_ranges: List[Tuple[int, int]] = field(default_factory=list)
     pattern_products: int = 0
     outgoing_modes: Optional[List[List[str]]] = None
+    by_mode: Dict[str, Dict[int, List[SubtileInfo]]] = field(
+        default_factory=lambda: {LOCAL: {}, REMOTE: {}, DIAGONAL: {}}
+    )
+    empty_tiles: int = 0
 
     def count(self, mode: str) -> int:
-        return sum(
-            1 for infos in self.produced.values() for s in infos if s.mode == mode
-        )
+        if mode == EMPTY:
+            return self.empty_tiles
+        return sum(map(len, self.by_mode[mode].values()))
 
 
 def row_tile_ranges(nrows: int, h: int) -> List[Tuple[int, int]]:
@@ -89,30 +93,3 @@ def row_tile_ranges(nrows: int, h: int) -> List[Tuple[int, int]]:
     if nrows <= 0:
         return []
     return [(r0, min(r0 + h, nrows)) for r0 in range(0, nrows, h)]
-
-
-def build_symbolic_plan(
-    A: DistSparseMatrix,
-    B: DistSparseMatrix,
-    semiring: Semiring,
-    config: TsConfig,
-) -> SymbolicPlan:
-    """Run the communication-free mode selection.
-
-    Must be called collectively; requires ``A.col_copy``.  The symbolic
-    multiplications are charged to the virtual compute clock (the real
-    implementation pays them too).  Sharing the modes — one all-to-all
-    of a few bytes per tile — is left to the multiply, which finds the
-    lists on ``plan.outgoing_modes``.
-
-    This is the fresh-plan path: it builds a throwaway
-    :class:`~repro.core.plan.PreparedA` and immediately runs the
-    B-dependent :func:`~repro.core.plan.replan` on it.  Iterative callers
-    keep the prepared object instead (``tiled_multiply(...,
-    prepared=...)``) and pay the prepare half only once.
-    """
-    if A.col_copy is None:
-        raise RuntimeError("symbolic step requires A.build_column_copy() first")
-    from .plan import prepare_multiply, replan
-
-    return replan(prepare_multiply(A, config), A, B)

@@ -234,9 +234,8 @@ def tiled_multiply(
         prepared.check_compatible(A, config)
         diag.plan_reused = 1
     # ``sync_prepared`` owns the consumer strips — the caller's resident
-    # PreparedA, or the fresh path's throwaway (built here instead of
-    # inside build_symbolic_plan so a fused prologue's value refresh has
-    # a handle to reload them through).
+    # PreparedA, or the fresh path's throwaway (kept at hand so a fused
+    # prologue's value refresh has a handle to reload them through).
     sync_prepared = prepared
     if plan is None:
         if prepared is None:
@@ -331,9 +330,7 @@ def _diagonal_partials(
     """The communication-free diagonal tile (Alg 2 lines 20-22)."""
     partials: List[CsrMatrix] = []
     with comm.phase("diagonal"):
-        for info in plan.produced.get(comm.rank, []):
-            if info.mode != DIAGONAL:
-                continue
+        for info in plan.by_mode[DIAGONAL].get(comm.rank, ()):
             c_part, flops = _subtile_product(info, A, b_local, semiring, kname)
             comm.charge_spgemm(flops, d=d, accumulator=acc, kernel=kname)
             diag.flops += flops
@@ -354,11 +351,10 @@ def _build_send_b(comm, plan, b_local, my_lo, diag, peers) -> List[Optional[list
     erase the hybrid mode's benefit (Fig 6).
     """
     send_b: List[Optional[list]] = [None] * comm.size
+    local = plan.by_mode[LOCAL]
     for peer in peers:
         tile_payloads = []
-        for info in plan.produced[peer]:
-            if info.mode != LOCAL or info.needed_b_rows is None:
-                continue
+        for info in local.get(peer, ()):
             packed = pack_rows(b_local, info.needed_b_rows)
             if packed is None:
                 continue
@@ -377,9 +373,12 @@ def _build_send_c(
 ) -> List[Optional[tuple]]:
     """Remote-mode partial payloads for the given consumer ``peers``."""
     send_c: List[Optional[tuple]] = [None] * comm.size
+    remote = plan.by_mode[REMOTE]
     for peer in peers:
+        if peer not in remote:
+            continue
         remote_part = _compute_remote_partial(
-            comm, plan.produced[peer], A, b_local, semiring, d, acc, kname, diag
+            comm, remote[peer], A, b_local, semiring, d, acc, kname, diag
         )
         if remote_part is not None:
             send_c[peer] = remote_part
@@ -434,9 +433,10 @@ def _drop_kept_slices(plan: SymbolicPlan) -> None:
     DIAGONAL infos): they were computed from values that are no longer, or
     not known to be, the operands'.  Nothing else in a plan holds values —
     a subtile is read off ``A.col_copy`` when it is multiplied."""
-    for infos in plan.produced.values():
-        for info in infos:
-            info.symbolic = None
+    for mode in (REMOTE, DIAGONAL):
+        for infos in plan.by_mode[mode].values():
+            for info in infos:
+                info.symbolic = None
 
 
 def _finish_prologue(comm, prologue, received, plan, sync_prepared, A) -> None:
@@ -500,19 +500,15 @@ def _compute_remote_partial(
     kernel: str,
     diag: TileDiagnostics,
 ) -> Optional[Tuple[np.ndarray, CsrMatrix]]:
-    """Multiply the peer's remote-mode subtiles here.
+    """Multiply one peer's remote-mode subtiles (``infos``, non-empty) here.
 
     Returns a compact ``(row ids, packed rows)`` payload — only the
     affected rows travel, mirroring how B rows are shipped, so the wire
     cost matches what the symbolic mode decision compared.  Row ids are in
     the *peer's local* row space.
     """
-    remote_infos = [s for s in infos if s.mode == REMOTE]
-    if not remote_infos:
-        return None
-    peer_rows = max(s.row_range[1] for s in infos)
     tiles = []
-    for info in remote_infos:
+    for info in infos:
         c_part, flops = _subtile_product(info, A, b_local, semiring, kernel)
         with comm.phase("send-C"):
             comm.charge_spgemm(flops, d=d, accumulator=acc, kernel=kernel)
@@ -521,6 +517,7 @@ def _compute_remote_partial(
             tiles.append((info.row_range[0], c_part))
     if not tiles:
         return None
+    peer_rows = A.rows.size_of(infos[0].peer)
     return pack_nonempty_rows(_stack_row_tiles(tiles, peer_rows, d, semiring))
 
 

@@ -4,7 +4,7 @@ Implemented as a mixin consumed by :class:`repro.mpi.comm.SimComm`.  Every
 collective follows the same recipe:
 
 1. each rank deposits ``(payload, entry_time, consistency-metadata)`` on the
-   communicator's exchange board (two-barrier publish/read cycle);
+   communicator's exchange board (one barrier; two boards used in turn);
 2. consistency metadata (e.g. the ``root`` argument) is cross-checked and a
    :class:`~repro.mpi.errors.CommMismatchError` is raised on divergence —
    the simulated equivalent of an MPI program hanging on mismatched
@@ -173,8 +173,9 @@ class CollectivesMixin:
             for i, b in enumerate(board):
                 expected = b[3][self.rank] if b[3] is not None else None
                 self._verify_checksum(expected, recv[i], i)
-        sent_bytes = sum(sz for j, sz in enumerate(sizes) if j != self.rank)
-        recv_bytes = sum(b[1][self.rank] for i, b in enumerate(board) if i != self.rank)
+        # Both directions count every slot but my own.
+        sent_bytes = sum(sizes) - sizes[self.rank]
+        recv_bytes = sum([b[1][self.rank] for b in board]) - sizes[self.rank]
         self._stats.record_collective(sent_bytes, recv_bytes)
         self._stats.record_alltoall_round()
         self._sync_exit(
@@ -257,10 +258,10 @@ class CollectivesMixin:
                 )
         pairs = []
         for s, name in enumerate(names):
-            sent = sum(sz for j, sz in enumerate(sizes[s]) if j != self.rank)
-            recv = sum(
-                b[2][s][self.rank] for i, b in enumerate(board) if i != self.rank
-            )
+            # Both directions count every slot but my own.
+            own = sizes[s][self.rank]
+            sent = sum(sizes[s]) - own
+            recv = sum([b[2][s][self.rank] for b in board]) - own
             self._stats.record_section_bytes(name, sent, recv)
             pairs.append((sent, recv))
         self._stats.record_collective(0, 0)  # bytes live on the sections

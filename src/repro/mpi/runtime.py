@@ -119,9 +119,9 @@ class GroupContext:
     """State shared by the member threads of one communicator.
 
     ``global_ranks[i]`` is the root-communicator rank of group rank ``i``;
-    the root context maps to itself.  The deposit ``board`` plus the cyclic
-    ``barrier`` implement an all-to-all value exchange (see
-    :meth:`exchange`) from which every collective is built.
+    the root context maps to itself.  Two deposit ``boards`` used
+    alternately plus the cyclic ``barrier`` implement an all-to-all value
+    exchange (see :meth:`exchange`) from which every collective is built.
     """
 
     def __init__(self, size: int, abort: AbortController, global_ranks: List[int]):
@@ -134,7 +134,10 @@ class GroupContext:
         self.global_ranks = list(global_ranks)
         self.barrier = threading.Barrier(size)
         abort.register_barrier(self.barrier)
-        self.board: List[Any] = [None] * size
+        self.boards: Tuple[List[Any], List[Any]] = ([None] * size, [None] * size)
+        # Which board each rank deposits into next: every rank performs the
+        # same exchanges in the same order, so the parities agree.
+        self._turn = [0] * size
         self.mailboxes = [Mailbox(abort) for _ in range(size)]
         # split bookkeeping: all member ranks execute collectives in the
         # same order, so a per-rank count of exchanges performed uniquely
@@ -142,25 +145,27 @@ class GroupContext:
         self._children_lock = threading.Lock()
         self.child_contexts: Dict[Tuple[int, Any], "GroupContext"] = {}
 
-    def _wait(self) -> None:
+    def exchange(self, rank: int, value: Any) -> List[Any]:
+        """Deposit ``value`` and return the list deposited by all ranks.
+
+        One barrier publishes all deposits; exchange ``k`` uses board
+        ``k % 2``.  That is enough to make the boards reusable: a rank can
+        deposit for exchange ``k + 2`` only after passing the barrier of
+        ``k + 1``, which every rank reaches only after it has read its
+        snapshot of ``k`` — so by then nobody still reads the board of
+        ``k``.  A failing rank breaks the barrier and every peer leaves
+        with :class:`SpmdAbort`, as before.
+        """
+        self.abort.check()
+        turn = self._turn[rank]
+        self._turn[rank] = turn ^ 1
+        board = self.boards[turn]
+        board[rank] = value
         try:
             self.barrier.wait()
         except threading.BrokenBarrierError:
             raise SpmdAbort("collective aborted by a failing rank") from None
-
-    def exchange(self, rank: int, value: Any) -> List[Any]:
-        """Deposit ``value`` and return the list deposited by all ranks.
-
-        Two barriers make the board reusable: the first publishes all
-        deposits, the second guarantees every rank has read the snapshot
-        before any rank can start the next exchange.
-        """
-        self.abort.check()
-        self.board[rank] = value
-        self._wait()
-        snapshot = list(self.board)
-        self._wait()
-        return snapshot
+        return list(board)
 
     def create_child(
         self, key: Tuple[int, Any], size: int, global_ranks: List[int]

@@ -10,9 +10,8 @@ communication-time-only scaling, Fig 12(b)'s communicated nonzeros).
 from __future__ import annotations
 
 import math
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, List, Optional
 
 
 @dataclass
@@ -85,18 +84,13 @@ class RankStats:
             stats = self.phases[key] = PhaseStats()
         return stats
 
-    @contextmanager
-    def phase(self, name: str) -> Iterator[PhaseStats]:
-        """Label all traffic recorded inside the block with ``name``.
+    def phase(self, name: str) -> "_Phase":
+        """Label all traffic recorded inside the ``with`` block with ``name``.
 
         Phases nest; counters are recorded under the innermost label only,
         so ``totals()`` (which sums all phases) never double-counts.
         """
-        self._stack.append(name)
-        try:
-            yield self.phase_stats(name)
-        finally:
-            self._stack.pop()
+        return _Phase(self, name)
 
     # Recording helpers used by SimComm -------------------------------
     def record_send(self, nbytes: int) -> None:
@@ -151,6 +145,22 @@ class RankStats:
         for stats in self.phases.values():
             out.merge(stats)
         return out
+
+
+class _Phase:
+    """:meth:`RankStats.phase`: pushes the label, yields its counters."""
+
+    __slots__ = ("_stats", "_name")
+
+    def __init__(self, stats: RankStats, name: str):
+        self._stats, self._name = stats, name
+
+    def __enter__(self) -> PhaseStats:
+        self._stats._stack.append(self._name)
+        return self._stats.phase_stats(self._name)
+
+    def __exit__(self, *exc) -> None:
+        self._stats._stack.pop()
 
 
 @dataclass

@@ -161,20 +161,22 @@ def _entry_keys(mat: CsrMatrix) -> np.ndarray:
     )
 
 
+def _find_entries(a: CsrMatrix, b: CsrMatrix) -> Tuple[np.ndarray, np.ndarray]:
+    """Per stored entry of ``a``: where its key sorts into non-empty ``b``'s,
+    and whether it is there.  Both key arrays are sorted (CSR invariant): one
+    binary search per entry — not np.isin, whose internal sort was a hot spot."""
+    a_keys, b_keys = _entry_keys(a), _entry_keys(b)
+    pos = np.searchsorted(b_keys, a_keys)
+    return pos, b_keys[np.minimum(pos, b.nnz - 1)] == a_keys
+
+
 def _pattern_member(a: CsrMatrix, b: CsrMatrix) -> np.ndarray:
     """Boolean per stored entry of ``a``: is its (row, col) also in ``b``?"""
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch {a.shape} vs {b.shape}")
     if a.nnz == 0 or b.nnz == 0:
         return np.zeros(a.nnz, dtype=bool)
-    # Both key arrays are already sorted (CSR invariant), so membership is
-    # one binary search per entry — not np.isin, whose internal sort made
-    # this the hot spot of the BFS epilogue.
-    a_keys = _entry_keys(a)
-    b_keys = _entry_keys(b)
-    pos = np.searchsorted(b_keys, a_keys)
-    pos[pos == len(b_keys)] = len(b_keys) - 1
-    return b_keys[pos] == a_keys
+    return _find_entries(a, b)[1]
 
 
 def pattern_difference(a: CsrMatrix, b: CsrMatrix) -> CsrMatrix:
@@ -219,6 +221,42 @@ def ewise_add(a: CsrMatrix, b: CsrMatrix, semiring: Semiring = PLUS_TIMES) -> Cs
     overlaps combine as ``add(a, b)``.
     """
     return merge_csrs((a, b), semiring)
+
+
+def difference_and_union(
+    a: CsrMatrix, b: CsrMatrix, semiring: Semiring
+) -> Tuple[CsrMatrix, CsrMatrix]:
+    """``(pattern_difference(a, b), ewise_add(b, a, semiring))`` — Alg 3's
+    ``F ← N \\ S`` and ``S ← S ∨ N`` with ``a = N``, ``b = S``.
+
+    Boolean operands under a ``logical_or`` add take both from one binary
+    search of ``a``'s entry keys in ``b``'s: the entries not found are the
+    difference and, spliced into ``b`` where the search placed them, the
+    union; the ones found OR their value into ``b``'s, a stored ``False``
+    staying stored as in :func:`~repro.sparse.merge.merge_csrs`.  Any other
+    dtype or add, an empty operand and a shape mismatch (which raises) go
+    through the two operations.
+    """
+    if not (
+        a.dtype == b.dtype == semiring.dtype == np.bool_
+        and semiring.add is np.logical_or
+        and a.shape == b.shape and a.nnz and b.nnz
+    ):
+        return pattern_difference(a, b), ewise_add(b, a, semiring)
+    pos, found = _find_entries(a, b)
+    new = ~found
+    difference = mask_entries(a, new)
+    at = pos[new] + np.arange(difference.nnz)  # where the union takes them
+    is_old = np.ones(b.nnz + len(at), dtype=bool)
+    is_old[at] = False
+    indices = np.empty(len(is_old), dtype=INDEX_DTYPE)
+    indices[at], indices[is_old] = difference.indices, b.indices
+    old = b.data.copy()
+    old[pos[found]] |= a.data[found]
+    data = np.empty(len(is_old), dtype=bool)
+    data[at], data[is_old] = difference.data, old
+    indptr = b.indptr + difference.indptr
+    return difference, CsrMatrix(a.shape, indptr, indices, data, check=False)
 
 
 def row_topk(mat: CsrMatrix, k: int) -> CsrMatrix:

@@ -11,18 +11,21 @@ subtile's global row range.  Two things are pinned here:
   rank's current ``A.col_copy``, read there at use, so no state transition
   can leave a stale copy behind: after each of them (value update,
   refreshing prologue, edge-subset derivation, checkpoint restore, shrink)
-  the next multiplies are those of a fresh session built at that state.
+  the next multiplies are those of a fresh session built at that state —
+  and so is the next plan, field for field: the index of stored slots
+  ``replan`` walks follows ``prepared.subtiles`` (docs/planning.md,
+  *Stored slots*).
 """
 
 import dataclasses
 
 import numpy as np
 import pytest
-from _oracles import per_subtile_plan
+from _oracles import assert_same_plan, per_subtile_plan
 
 from repro.core import TsConfig, prepare_multiply, replan, tiled_multiply
 from repro.core.driver import TsSession
-from repro.core.symbolic import DIAGONAL, LOCAL, REMOTE
+from repro.core.symbolic import DIAGONAL, EMPTY, LOCAL, REMOTE
 from repro.mpi import run_spmd
 from repro.partition import Block1D, DistSparseMatrix
 from repro.sparse import BOOL_AND_OR, CsrMatrix, dispatch_spgemm, mask_entries
@@ -195,6 +198,12 @@ def _derive_values(session, a, b):
     return _derive(session, a, b, np.random.default_rng(4).random(a.nnz) + 0.5)
 
 
+def _derive_emptied(session, a, b):
+    """A mask that empties stored subtiles: whole rows of every block go."""
+    keep = (a.row_ids() % 12 >= 6) & (np.random.default_rng(2).random(a.nnz) < 0.8)
+    return session.derive_edge_subset(keep), mask_entries(a, keep)
+
+
 def _restore(session, a, b):
     """The multiply the session's fault plan strikes: its own prologue has
     refreshed the values in place when the rank is lost, the replica rolls
@@ -219,6 +228,7 @@ TRANSITIONS = {
     "fused_prologue": (_fused_prologue, None, True),
     "derive": (_derive, None, False),
     "derive_values": (_derive_values, None, False),
+    "derive_emptied": (_derive_emptied, None, False),
     "crash_restore": (_restore, "crash", True),
     "transient_restore": (_restore, "transient", True),
     "shrink": (_shrink, None, False),
@@ -267,3 +277,45 @@ class TestStateTransitions:
         assert ("symbolic" in got[1].report.phase_bytes()) == (not keeps_mode_table)
         assert got[1].report == want[2 if keeps_mode_table else 1].report
         assert got[2].report == want[2].report
+
+    @pytest.mark.parametrize("tile_height", [None, 3])
+    @pytest.mark.parametrize("policy", ["hybrid", "local", "remote"])
+    @pytest.mark.parametrize(
+        "name, p",
+        [(name, p) for name in TRANSITIONS for p in (1, 4) if (name, p) != ("shrink", 1)],
+    )
+    def test_next_plan_is_a_fresh_prepares(self, rng, name, p, policy, tile_height):
+        """The ``PreparedA`` a session carries through a transition — its
+        stored-slot index built by the warm-up multiplies — plans the next
+        multiply exactly as ``prepare_multiply`` at that state does."""
+        transition, fault, _ = TRANSITIONS[name]
+        a = csr_from_dense(random_dense(rng, N, N, 0.2, dtype=np.bool_))
+        b = csr_from_dense(random_dense(rng, N, D, 0.4, dtype=np.bool_))
+        config = TsConfig(
+            tile_height=tile_height, mode_policy=policy, recoverable=True,
+            retry_backoff=0.0,
+            faults=fault and f"{fault}@{p - 1},task=6,seq=1",
+        )
+        with TsSession(a, p, config=config, semiring=BOOL_AND_OR) as parent:
+            parent.multiply(b)
+            parent.multiply(b)
+            if fault:
+                _update_operand(parent, a, b)
+            session, _ = transition(parent, a, b)
+            state, ncols = session._state, session.ncols
+            plain = dataclasses.replace(config, faults=None)
+
+            def program(comm):
+                rows, local, col_copy, prepared, _ = state[comm.rank]
+                dist_a = DistSparseMatrix(comm, rows, local, ncols, col_copy)
+                dist_b = DistSparseMatrix.scatter_rows(comm, b, rows=rows)
+                stored = sum(ps.stored for subs in prepared.subtiles.values() for ps in subs)
+                slots = sum(map(len, prepared.subtiles.values()))
+                got = replan(prepared, dist_a, dist_b)
+                assert_same_plan(got, replan(prepare_multiply(dist_a, plain), dist_a, dist_b))
+                assert got.count(EMPTY) == slots - stored
+                return stored, slots
+
+            counts = run_spmd(session.p, program).values
+        if name == "derive_emptied" and tile_height == 3:
+            assert sum(st for st, _ in counts) < sum(sl for _, sl in counts)

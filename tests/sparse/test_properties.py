@@ -1,6 +1,7 @@
 """Property-based tests (hypothesis) for the sparse substrate invariants."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -21,6 +22,9 @@ from repro.sparse import (
     spgemm,
     transpose,
 )
+from repro.sparse.ops import difference_and_union
+
+from ..conftest import assert_same_arrays
 
 
 @st.composite
@@ -154,6 +158,81 @@ class TestSetOpsProperties:
         assert (out.row_nnz() <= k).all()
         # output pattern is a subset of input pattern
         assert pattern_difference(out, mat).nnz == 0
+
+
+@st.composite
+def stored_bool_pairs(draw, max_dim=9):
+    """Two equal-shape boolean CSRs whose stored values are drawn apart
+    from their patterns (so either side may store ``False``), related as
+    Alg 3's operands can be: anyhow, disjoint, identical, nested, all rows
+    empty but one, or one side empty."""
+    nrows, ncols = draw(st.integers(1, max_dim)), draw(st.integers(1, max_dim))
+    grids = st.lists(
+        st.booleans(), min_size=nrows * ncols, max_size=nrows * ncols
+    ).map(lambda bits: np.array(bits, dtype=bool).reshape(nrows, ncols))
+    pat_a, pat_b, val_a, val_b = draw(grids), draw(grids), draw(grids), draw(grids)
+    relation = draw(
+        st.sampled_from(
+            ["any", "disjoint", "identical", "a-in-b", "b-in-a", "one-row", "empty-a", "empty-b"]
+        )
+    )
+    if relation == "disjoint":
+        pat_b &= ~pat_a
+    elif relation == "identical":
+        pat_b = pat_a.copy()
+    elif relation == "a-in-b":
+        pat_b |= pat_a
+    elif relation == "b-in-a":
+        pat_a |= pat_b
+    elif relation == "one-row":
+        other_rows = np.arange(nrows) != draw(st.integers(0, nrows - 1))
+        pat_a[other_rows] = pat_b[other_rows] = False
+    elif relation == "empty-a":
+        pat_a[:] = False
+    elif relation == "empty-b":
+        pat_b[:] = False
+
+    def stored(pattern, values):
+        mat = CsrMatrix.from_dense(pattern)
+        return CsrMatrix(mat.shape, mat.indptr, mat.indices, values[pattern])
+
+    return stored(pat_a, val_a), stored(pat_b, val_b)
+
+
+class TestDifferenceAndUnion:
+    """Alg 3's ``F ← N \\ S``, ``S ← S ∨ N`` from one search is the two
+    operations, array for array and dtype for dtype."""
+
+    @given(stored_bool_pairs())
+    @settings(max_examples=150, deadline=None)
+    def test_boolean_pairs_equal_the_two_ops(self, pair):
+        a, b = pair
+        difference, union = difference_and_union(a, b, BOOL_AND_OR)
+        assert_same_arrays(difference, pattern_difference(a, b))
+        assert_same_arrays(union, ewise_add(b, a, BOOL_AND_OR))
+
+    @given(dense_matrices(), dense_matrices())
+    @settings(max_examples=40, deadline=None)
+    def test_other_operands_run_the_two_ops(self, dense_a, dense_b):
+        nrows = min(dense_a.shape[0], dense_b.shape[0])
+        ncols = min(dense_a.shape[1], dense_b.shape[1])
+        a = CsrMatrix.from_dense(dense_a[:nrows, :ncols])
+        b = CsrMatrix.from_dense(dense_b[:nrows, :ncols])
+        for x, y, semiring in (
+            (a, b, PLUS_TIMES),  # float pair: the overlaps sum
+            (a.astype(np.bool_), b.astype(np.bool_), PLUS_TIMES),  # bool pair, arithmetic add
+            (a, b, BOOL_AND_OR),  # float pair coerced by a boolean add
+        ):
+            difference, union = difference_and_union(x, y, semiring)
+            assert_same_arrays(difference, pattern_difference(x, y))
+            assert_same_arrays(union, ewise_add(y, x, semiring))
+
+    @pytest.mark.parametrize("semiring", [BOOL_AND_OR, PLUS_TIMES])
+    def test_shape_mismatch_raises(self, semiring):
+        a = CsrMatrix.from_dense(np.ones((2, 3), dtype=bool))
+        b = CsrMatrix.from_dense(np.ones((3, 2), dtype=bool))
+        with pytest.raises(ValueError, match="shape mismatch"):
+            difference_and_union(a, b, semiring)
 
 
 class TestMergeProperties:
