@@ -32,6 +32,15 @@ def assert_bit_identical(got: CsrMatrix, want: CsrMatrix) -> None:
     assert got.data.tobytes() == want.data.tobytes()
 
 
+def shuffled_rows(mat, rng) -> CsrMatrix:
+    """``mat`` with each row's entries in a random order, values moved
+    along — a part as a compiled product hands it to the merge, rows in an
+    accumulator order of their own.  What the merge's arrays must not
+    depend on."""
+    perm = np.lexsort((rng.random(mat.nnz), mat.row_ids()))
+    return CsrMatrix(mat.shape, mat.indptr, mat.indices[perm], mat.data[perm], check=False)
+
+
 def lexsort_merge(parts, semiring) -> CsrMatrix:
     """The seed's k-way merge, spelled out: concatenate, literal two-key
     ``np.lexsort``, segmented reduce.  ``src/`` orders the same triples
@@ -185,13 +194,19 @@ def per_subtile_plan(prepared, A, B):
     per column block: one kernel call per stored subtile of ``A.col_copy``.
     ``(peer, row tile, mode, needed_b_nnz, output_nnz, kept)`` per slot,
     charged like ``replan`` — what its plan must stay equal to, field for
-    field and charge for charge."""
+    field and charge for charge.  Each product's rows are in the order
+    ``replan``'s one product leaves them: accumulator order, unless the
+    column block stores a ``False``, which sends that product through the
+    fold, whose rows are sorted — even for a subtile that stores none."""
     comm, config = A.comm, prepared.config
+    ordered = not A.col_copy.data.all()
 
     def product(peer, ps):
         lo, _ = A.rows.range_of(peer)
         block = extract_row_range(A.col_copy, lo + ps.row_range[0], lo + ps.row_range[1])
-        return dispatch_spgemm(block, B.local, BOOL_AND_OR, config.kernel, strict=False)
+        return dispatch_spgemm(
+            block, B.local, BOOL_AND_OR, config.kernel, strict=False, ordered=ordered
+        )
 
     slots = []
     with comm.phase("symbolic"):
@@ -225,11 +240,11 @@ def per_subtile_plan(prepared, A, B):
 class _WholeBlockProduct:
     """``_ColumnBlockProduct`` as it stood before it multiplied the stored
     row span only: all ``n`` rows of ``col_copy``, both prefix arrays built
-    whatever the product holds."""
+    whatever the product holds; dispatched unordered, as it is."""
 
     def __init__(self, col_copy, b_local, kernel):
         self._product, _ = dispatch_spgemm(
-            col_copy, b_local, BOOL_AND_OR, kernel, strict=False
+            col_copy, b_local, BOOL_AND_OR, kernel, strict=False, ordered=False
         )
         self._flops_before = row_flops_before(col_copy, b_local)
         self._rows_before = np.zeros(col_copy.nrows + 1, dtype=INDEX_DTYPE)

@@ -8,11 +8,16 @@ Fig 12 configuration (RMAT graph, d = 128 concurrent sources, p = 8):
    round-trips every level's frontier and result through the driver
    (charged B scatter + C gather); the handle path must report exactly
    **zero** such bytes on every level.
-2. **End-to-end MS-BFS** — modelled runtime (exact, virtual clocks) and
-   wall-clock must both improve on the handle path, with **bit-identical
-   visited sets**, and the handle path's per-level ``comm_bytes`` must
-   still match the single-program ``msbfs_spmd`` reference exactly (the
-   Fig 12 trace invariant).
+2. **End-to-end MS-BFS** — modelled runtime (exact, virtual clocks) must
+   improve on the handle path at every level, with **bit-identical
+   visited sets**; the two paths must run the same multiplies (per level:
+   the same frontier, exchanges and communicated nonzeros, and
+   ``comm_bytes`` apart by exactly the driver's scatter + gather bytes);
+   and the handle path's per-level ``comm_bytes`` must still match the
+   single-program ``msbfs_spmd`` reference exactly (the Fig 12 trace
+   invariant).  Wall clock is printed, not asserted: the differential is a
+   few percent of a multiply-dominated total, inside a loaded runner's
+   jitter, while every gate above is exact.
 
 Results land in ``benchmarks/results/distributed_handles.txt``.
 """
@@ -31,8 +36,6 @@ P = 8
 #: sources (tall-and-skinny boolean frontier), p = 8.  Sized so the
 #: per-level driver round-trip is a measurable fraction of wall time.
 N, D = 4096, 256
-MAX_WALL_RATIO = 1.05  # handle path must not be slower (margin for jitter)
-
 
 
 def bench_distributed_handles(benchmark, sink):
@@ -106,7 +109,24 @@ def bench_distributed_handles(benchmark, sink):
             f"!= msbfs_spmd reference {want.comm_bytes}"
         )
 
-    # 4. end-to-end modelled + wall-clock improvement
+    # 4. the same multiplies: only the driver round trip tells them apart
+    assert res_handles.levels == res_gather.levels
+    for it_h, it_g in zip(res_handles.iterations, res_gather.iterations):
+        assert (it_h.frontier_nnz, it_h.rounds, it_h.comm_nnz) == (
+            it_g.frontier_nnz, it_g.rounds, it_g.comm_nnz
+        ), f"level {it_h.iteration}: the two paths ran different multiplies"
+        driver = it_g.driver_scatter_bytes + it_g.driver_gather_bytes
+        assert it_g.comm_bytes == it_h.comm_bytes + driver, (
+            f"level {it_h.iteration}: comm_bytes {it_g.comm_bytes} (gather) != "
+            f"{it_h.comm_bytes} (handles) + {driver} driver bytes"
+        )
+
+    # 5. modelled improvement, level by level; wall clock printed only
+    for it_h, it_g in zip(res_handles.iterations, res_gather.iterations):
+        assert it_h.runtime < it_g.runtime, (
+            f"level {it_h.iteration}: modelled runtime did not improve: "
+            f"handles={it_h.runtime} gather={it_g.runtime}"
+        )
     m_h, m_g = res_handles.total_runtime, res_gather.total_runtime
     print_table(
         "MS-BFS end-to-end, handles vs driver gather",
@@ -114,19 +134,9 @@ def bench_distributed_handles(benchmark, sink):
         [
             ["handles (default)", fmt_seconds(m_h), fmt_seconds(wall_handles)],
             ["driver_gather=True", fmt_seconds(m_g), fmt_seconds(wall_gather)],
+            ["gather / handles", f"{m_g / m_h:.2f}x", f"{wall_gather / wall_handles:.2f}x"],
         ],
         file=sink,
-    )
-    assert m_h < m_g, (
-        f"modelled msbfs runtime did not improve: handles={m_h} gather={m_g}"
-    )
-    # Wall clock: the handle path measurably wins on quiet machines (see
-    # results table), but the differential is a few percent of a
-    # multiply-dominated total, so the *gate* only enforces "not slower
-    # beyond a 5% jitter margin" to stay robust on loaded CI runners.
-    assert wall_handles < wall_gather * MAX_WALL_RATIO, (
-        f"wall msbfs regressed beyond the {MAX_WALL_RATIO:.2f}x jitter "
-        f"margin: handles={wall_handles:.3f}s gather={wall_gather:.3f}s"
     )
 
     benchmark(

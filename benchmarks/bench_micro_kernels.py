@@ -19,6 +19,11 @@ A third holds the arithmetic path to what it replaced: the ``scipy``
 kernel >=2x the ``scipy.sparse``-object product on an embedding-shaped
 tile (340x340 block times 340x16, ~750 products), bit for bit, and
 ``symbolic_size`` >=2x the pattern product on a one-shot-shaped subtile.
+A fourth holds a product only a merge reads — ``dispatch_spgemm`` with
+``ordered`` false, no ``csr_sort_indices`` — to >=1.5x the ordered one on
+that one-shot tile and on the column block, equal to it once each row is
+sorted.  The kernels are called through ``dispatch_spgemm``, so every
+product compared with an oracle is the ordered one.
 ``docs/kernels.md`` quotes the tables this bench writes to
 ``benchmarks/results/micro_kernels.txt``.
 """
@@ -39,6 +44,7 @@ from repro.sparse import (
     random_csr,
 )
 
+from repro.sparse.build import order_rows
 from repro.sparse.kernels import symbolic_size
 from repro.sparse.ops import extract_row_range
 
@@ -56,6 +62,11 @@ B = random_csr(400, 64, nnz_per_row=12, rng=RNG)
 
 SEED_PATH = "spa-rowwise"  # the seed's production kernel
 MIN_SPEEDUP = 5.0
+
+
+def _kernel(name):
+    """The registry kernel ``name``, through dispatch: rows sorted."""
+    return lambda a, b, semiring: dispatch_spgemm(a, b, semiring, name)
 
 
 def _best_of(fn, repeats=5):
@@ -84,7 +95,7 @@ def _gate_bfs_shaped(sink):
     frontier = random_csr(256, 64, nnz_per_row=3, rng=rng, dtype=np.bool_)
     falsy = frontier.copy()
     falsy.data[::5] = False
-    spa = get_kernel("spa").fn
+    spa = _kernel("spa")
 
     rows = []
     # (operands, B, required speedup): the all-True case is every SPA call
@@ -179,6 +190,45 @@ def _gate_compiled_boolean_route(sink, spa, block, frontier):
         rows,
         file=sink,
     )
+    _gate_unordered(sink, column_block, frontier)
+
+
+def _gate_unordered(sink, column_block, frontier):
+    """The product a merge alone reads — a tile's, a column block's —
+    against the ordered product the parent returned to it: the compiled
+    routes without ``csr_sort_indices``, equal to it once each row is sorted."""
+    rng = np.random.default_rng(19)
+    rows = []
+    for label, a, b, semiring, calls in [
+        ("1024x1024 block x 1024x128 (one-shot tile, plus_times)",
+         random_csr(1024, 1024, nnz_per_row=1, rng=rng),
+         random_csr(1024, 128, nnz_per_row=26, rng=rng), PLUS_TIMES, 20),
+        ("4096x256 boolean column block x 256x64 frontier (bool_and_or)",
+         column_block, frontier, BOOL_AND_OR, 10),
+    ]:
+        (t_new, t_old), ((got, flops), (want, want_flops)) = best_of_interleaved(
+            [
+                lambda: [dispatch_spgemm(a, b, semiring, ordered=False)
+                         for _ in range(calls)][-1],
+                lambda: [dispatch_spgemm(a, b, semiring) for _ in range(calls)][-1],
+            ],
+            repeats=5,
+        )
+        assert flops == want_flops
+        assert_bit_identical(order_rows(got, copy=True), want)
+        rows.append([label, flops, f"{t_old / calls * 1e6:.1f} us",
+                     f"{t_new / calls * 1e6:.1f} us", f"{t_old / t_new:.2f}x"])
+        assert t_old >= 1.5 * t_new, (
+            f"the unordered product ({label}) must be >= 1.5x the ordered one: "
+            f"{t_new / calls * 1e6:.1f} us vs {t_old / calls * 1e6:.1f} us per call"
+        )
+    print_table(
+        "A product only a merge reads: rows left in accumulator order vs sorted "
+        "(dispatch_spgemm, auto kernel, best of 5 batches)",
+        ["operands", "products", "ordered", "unordered", "speedup"],
+        rows,
+        file=sink,
+    )
 
 
 def _gate_float_path(sink):
@@ -188,7 +238,7 @@ def _gate_float_path(sink):
     ``multiply_oneshot``-shaped one, and ``symbolic_size`` against the
     boolean pattern product ``replan`` used to run on the same subtile."""
     rng = np.random.default_rng(17)
-    scipy_kernel = get_kernel("scipy").fn
+    scipy_kernel = _kernel("scipy")
     rows = []
     for label, a, b, calls, floor in [
         ("340x340 block x 340x16 (embedding tile)",
@@ -215,7 +265,7 @@ def _gate_float_path(sink):
         )
 
     # the last operands are a one-shot subtile: size it vs multiply its pattern
-    spa, a_bool, b_bool = get_kernel("spa").fn, a.astype(np.bool_), b.astype(np.bool_)
+    spa, a_bool, b_bool = _kernel("spa"), a.astype(np.bool_), b.astype(np.bool_)
 
     def pattern_size():
         pattern, sym_flops = spa(a_bool, b_bool, BOOL_AND_OR)

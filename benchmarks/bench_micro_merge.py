@@ -17,6 +17,11 @@ partials.  ``logical_or`` is order-free, so ``merge_csrs`` folds them
 through the dense accumulator the ``spa`` kernel uses instead of sorting;
 same oracle, same bit-identity, same >= 2x gate.
 
+Tile products reach the merge unsorted (``dispatch_spgemm`` with
+``ordered`` false): each case is merged again with every row of every
+partial in a shuffled order, and must give the sorted partials' bits at
+>= 0.9x their speed.
+
 Results land in ``benchmarks/results/micro_merge.txt``.
 """
 
@@ -25,7 +30,7 @@ import numpy as np
 from repro.analysis import print_table
 from repro.sparse import BOOL_AND_OR, PLUS_TIMES, merge_csrs, random_csr
 
-from _oracles import assert_bit_identical, lexsort_merge, sorted_float_merge
+from _oracles import assert_bit_identical, lexsort_merge, shuffled_rows, sorted_float_merge
 from _timing import best_of_interleaved
 
 K = 16  # one rank's round at p = 16
@@ -71,6 +76,32 @@ def _gate(sink, parts, semiring, how, sorted_floor=None):
             f"merge_csrs ({how}) must be >= {sorted_floor}x the sorted merge: "
             f"{t_new * 1e3:.3f} ms vs {t * 1e3:.3f} ms"
         )
+    _gate_accumulator_order(sink, parts, semiring, how)
+
+
+def _gate_accumulator_order(sink, parts, semiring, how):
+    """The same partials, each row in a shuffled (accumulator) order: the
+    merge's bits must not move, nor its time by more than 10 %."""
+    rng = np.random.default_rng(6)
+    shuffled = [shuffled_rows(p, rng) for p in parts]
+    (t_new, t_old), (got, want) = best_of_interleaved(
+        [lambda: merge_csrs(shuffled, semiring), lambda: merge_csrs(parts, semiring)],
+        repeats=7,
+    )
+    assert_bit_identical(got, want)
+    print_table(
+        f"merge_csrs ({how}) on the same partials, rows sorted vs in accumulator order",
+        ["partials", "time", "speed vs sorted"],
+        [
+            ["rows sorted", f"{t_old * 1e3:.3f} ms", "1.00x"],
+            ["rows in accumulator order", f"{t_new * 1e3:.3f} ms", f"{t_old / t_new:.2f}x"],
+        ],
+        file=sink,
+    )
+    assert t_old >= 0.9 * t_new, (
+        f"merge_csrs ({how}) on partials in accumulator order must be >= 0.9x "
+        f"the sorted partials' merge: {t_new * 1e3:.3f} ms vs {t_old * 1e3:.3f} ms"
+    )
 
 
 def bench_micro_merge(benchmark, sink):

@@ -86,7 +86,7 @@ def summa3d_rank(
             )
         with comm.phase("local-compute"):
             if a_ik.nnz and b_kj.nnz:
-                c_part, flops = dispatch_spgemm(a_ik, b_kj, semiring, kname)
+                c_part, flops = dispatch_spgemm(a_ik, b_kj, semiring, kname, ordered=False)
                 comm.charge_spgemm(flops, d=d, accumulator=accumulator, kernel=kname)
                 if c_part.nnz:
                     partials.append(c_part)

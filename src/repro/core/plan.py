@@ -414,7 +414,7 @@ class _ColumnBlockProduct:
         # product instead of erroring.  This is the only lenient call site;
         # numeric paths raise.
         self._product, flops = dispatch_spgemm(
-            rows, b_local, BOOL_AND_OR, kernel, strict=False
+            rows, b_local, BOOL_AND_OR, kernel, strict=False, ordered=False
         )
         self._flops_before = self._rows_before = self._product.indptr
         if flops:
@@ -434,8 +434,9 @@ class _ColumnBlockProduct:
         )
 
     def kept(self, g0: int, g1: int) -> Tuple[CsrMatrix, int]:
-        """``(rows [g0, g1) of the product — a view —, their flops)``: what
-        a kernel call on that row range of ``Ac_j`` returns."""
+        """``(rows [g0, g1) of the product — a view —, their flops)``: the
+        rows a kernel call on that row range of ``Ac_j`` returns, each in
+        this product's order (unsorted on the compiled route)."""
         g0, g1 = g0 - self._lo, g1 - self._lo
         flops = int(self._flops_before[g1] - self._flops_before[g0])
         return extract_row_range(self._product, g0, g1), flops

@@ -486,7 +486,7 @@ def _subtile_product(
     block = extract_row_range(
         A.col_copy, peer_lo + info.row_range[0], peer_lo + info.row_range[1]
     )
-    return dispatch_spgemm(block, b_local, semiring, kernel)
+    return dispatch_spgemm(block, b_local, semiring, kernel, ordered=False)
 
 
 def _compute_remote_partial(
@@ -552,7 +552,7 @@ def _consume_local(
         block_b = place_rows(
             j_hi - j_lo, (global_ids - j_lo, rows), d, semiring.dtype
         )
-        c_part, flops = dispatch_spgemm(sub, block_b, semiring, kernel)
+        c_part, flops = dispatch_spgemm(sub, block_b, semiring, kernel, ordered=False)
         comm.charge_spgemm(flops, d=d, accumulator=acc, kernel=kernel)
         diag.flops += flops
         if c_part.nnz:

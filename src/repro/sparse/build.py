@@ -3,8 +3,9 @@
 Duplicate coordinates are collapsed with a semiring add, so these builders
 are also the backbone of the SpGEMM kernels and of partial-result merging:
 ``reduceat`` over row-major-sorted triples (:func:`csr_from_triples`; every
-(row, col) ordering in the package goes through :func:`row_major_order`),
-or a scatter into a dense scratch (:func:`csr_from_flat_keys`, the SPA).
+(row, col) ordering in the package goes through :func:`row_major_order`, or
+:func:`order_rows` on a CSR's rows), or a scatter into a dense scratch
+(:func:`csr_from_flat_keys`, the SPA).
 """
 
 from __future__ import annotations
@@ -12,9 +13,22 @@ from __future__ import annotations
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
+from scipy.sparse._sparsetools import csr_has_sorted_indices, csr_sort_indices
 
 from .csr import INDEX_DTYPE, CsrMatrix
 from .semiring import PLUS_TIMES, Semiring
+
+
+def order_rows(mat: CsrMatrix, *, copy: bool) -> CsrMatrix:
+    """``mat`` with each row's columns increasing: ``mat`` itself if they
+    are, else sorted with its values by scipy's ``csr_sort_indices`` — in
+    place, or on a copy of ``indices`` / ``data``."""
+    if csr_has_sorted_indices(mat.nrows, mat.indptr, mat.indices):
+        return mat
+    if copy:
+        mat = CsrMatrix(mat.shape, mat.indptr, mat.indices.copy(), mat.data.copy(), check=False)
+    csr_sort_indices(mat.nrows, mat.indptr, mat.indices, mat.data)
+    return mat
 
 
 def row_major_order(

@@ -41,18 +41,19 @@ Registered SpGEMM kernels (``b_format="csr"``):
     still charges the two names their own calibrated constants.
 ``scipy``
     scipy's compiled Gustavson product, called on the raw CSR arrays: the
-    three ``scipy.sparse._sparsetools`` routines ``csr_matrix @ csr_matrix``
-    itself runs — ``csr_matmat_maxnnz`` (size the output), ``csr_matmat``
-    (row-by-row SPA product) and ``csr_sort_indices`` — with no
-    ``scipy.sparse`` object built around any operand, so nothing is
-    validated, copied or index-down-cast per call.  ``csr_matmat`` leaves
-    each row in accumulator-list order and drops sums that cancel to
-    exactly zero, hence the sort and the trim to ``indptr[-1]``.  Valid
-    only for the arithmetic ``plus_times`` semiring.  The routines are
-    private to scipy: ``tests/sparse/test_sparsetools_contract.py`` pins
-    what is relied on (for ``bool`` data too, which ``spa`` passes), and
-    they are imported at module top so a scipy without them fails at
-    import.
+    ``scipy.sparse._sparsetools`` routines ``csr_matrix @ csr_matrix``
+    itself runs — ``csr_matmat_maxnnz`` (size the output) and
+    ``csr_matmat`` (row-by-row SPA product) — with no ``scipy.sparse``
+    object built around any operand, so nothing is validated, copied or
+    index-down-cast per call.  ``csr_matmat`` drops sums that cancel to
+    exactly zero, hence the trim to ``indptr[-1]``, and leaves each row in
+    accumulator-list order: scipy's third routine, ``csr_sort_indices``,
+    runs in :func:`dispatch_spgemm`, for every caller but a merge's.
+    Valid only for the arithmetic ``plus_times`` semiring.
+    The routines are private to scipy:
+    ``tests/sparse/test_sparsetools_contract.py`` pins what is relied on
+    (for ``bool`` data too, which ``spa`` passes), and they are imported
+    at module top so a scipy without them fails at import.
 ``spa-rowwise`` / ``hash-rowwise``
     The seed's scalar row-by-row reference kernels built on
     :mod:`repro.sparse.accumulators`.  Exact but loop-based; kept for
@@ -84,10 +85,10 @@ from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
-from scipy.sparse._sparsetools import csr_matmat, csr_matmat_maxnnz, csr_sort_indices
+from scipy.sparse._sparsetools import csr_matmat, csr_matmat_maxnnz
 
 from .accumulators import HashAccumulator, SpaAccumulator
-from .build import SPA_MAX_SCRATCH_ELEMS, csr_from_flat_keys, csr_from_triples, spa_fold
+from .build import SPA_MAX_SCRATCH_ELEMS, csr_from_flat_keys, csr_from_triples, order_rows, spa_fold
 from .csr import INDEX_DTYPE, CsrMatrix
 from .ops import spmm_dense
 from .semiring import BOOL_AND_OR, PLUS_TIMES, Semiring
@@ -232,10 +233,15 @@ def dispatch_spgemm(
     kernel: str = "auto",
     *,
     strict: bool = True,
+    ordered: bool = True,
 ) -> Tuple[CsrMatrix, int]:
-    """Multiply two CSR matrices with the named kernel; ``(C, flops)``."""
+    """Multiply two CSR matrices with the named kernel; ``(C, flops)``,
+    each row's columns increasing — unless ``ordered`` is false, for a
+    product only ``merge_csrs`` reads: the compiled routes then leave them
+    in accumulator order."""
     spec = resolve_spgemm(kernel, semiring, a, d=b.ncols, strict=strict)
-    return spec.fn(a, b, semiring)
+    c, flops = spec.fn(a, b, semiring)
+    return (order_rows(c, copy=False) if ordered else c), flops
 
 
 def dispatch_spmm(
@@ -342,9 +348,8 @@ def _compiled_product(
         nrows, ncols, a.indptr, a.indices, a_data, b.indptr, b.indices, b_data,
         indptr, indices, data,
     )
-    # Each row comes back in accumulator-list order, and entries that folded
-    # to exactly zero were dropped: sort in place, trim to what was stored.
-    csr_sort_indices(nrows, indptr, indices, data)
+    # Entries that folded to exactly zero were dropped: trim to what was
+    # stored.  Each row stays in accumulator-list order (dispatch_spgemm).
     nnz = indptr[-1]
     return CsrMatrix((nrows, ncols), indptr, indices[:nnz], data[:nnz], check=False)
 
@@ -407,7 +412,7 @@ def spgemm_spa_vectorized(
     ``nrows * d`` exceeds ``max_scratch_elems``.  ``bool`` operands that
     store no ``False`` under ``bool_and_or`` skip all of it — every output
     entry is ``True``, so the product is :func:`_compiled_product`'s
-    pattern — and ``max_scratch_elems`` does not apply to them.
+    unsorted pattern — and ``max_scratch_elems`` does not apply to them.
 
     Only valid for identity-safe semirings: the fold computes
     ``add(zero, ...)``, which must equal a plain first write.  Guarded
@@ -474,8 +479,8 @@ def spgemm_scipy_kernel(
     a: CsrMatrix, b: CsrMatrix, semiring: Semiring = PLUS_TIMES
 ) -> Tuple[CsrMatrix, int]:
     """scipy's Gustavson product on the raw arrays — the routines, in the
-    order, ``csr_matrix @ csr_matrix`` runs them, so values are its values
-    bit for bit.  Valid only for the arithmetic semiring."""
+    order, ``csr_matrix @ csr_matrix`` runs them, bar the sort, so values
+    are its values bit for bit.  Valid only for the arithmetic semiring."""
     if semiring.name != "plus_times":
         raise ValueError("scipy method supports only the plus_times semiring")
     flops = spgemm_flops(a, b)

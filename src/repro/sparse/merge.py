@@ -16,10 +16,11 @@ counting-sorted into exactly the order a stable sort of the fused key
 would give (:func:`_counting_sort_fold`) and folded by that ``reduceat``;
 a dense ``add.at`` fold would associate the sum differently.  Blocks
 outside the bound sort (concatenate →
-:func:`~repro.sparse.build.row_major_order` → reduceat): each partial is a
-sorted run of the fused key, so that stable sort degenerates to a k-way
-run merge.  The SPA/hash distinction of the *cost model* stays with the
-caller.
+:func:`~repro.sparse.build.row_major_order` → reduceat).  No branch reads
+the column order inside a part (it stores each position once), so tile
+products reach it unsorted; the one-part branch, which returns its part,
+sorts those rows itself.  The SPA/hash distinction of the *cost model*
+stays with the caller.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
-from .build import SPA_MAX_SCRATCH_ELEMS, csr_from_flat_keys, csr_from_triples, spa_fold
+from .build import SPA_MAX_SCRATCH_ELEMS, csr_from_flat_keys, csr_from_triples, order_rows, spa_fold
 from .csr import INDEX_DTYPE, CsrMatrix
 from .semiring import PLUS_TIMES, Semiring
 
@@ -59,7 +60,7 @@ def merge_csrs(
     if not nonempty:
         return CsrMatrix.empty(shape, dtype=semiring.dtype)
     if len(nonempty) == 1:
-        only = nonempty[0]
+        only = order_rows(nonempty[0], copy=True)
         return CsrMatrix(
             shape, only.indptr, only.indices, semiring.coerce(only.data), check=False
         )

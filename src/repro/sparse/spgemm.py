@@ -38,7 +38,6 @@ from .kernels import (
     dispatch_spgemm,
     get_kernel,
     spgemm_flops,
-    spgemm_scipy_kernel,
 )
 from .semiring import PLUS_TIMES, Semiring
 
@@ -88,7 +87,7 @@ def spgemm_hash(
 
 def spgemm_scipy(a: CsrMatrix, b: CsrMatrix) -> Tuple[CsrMatrix, int]:
     """scipy fast path — valid only for the arithmetic semiring."""
-    return spgemm_scipy_kernel(a, b, PLUS_TIMES)
+    return dispatch_spgemm(a, b, PLUS_TIMES, "scipy")
 
 
 def spgemm(

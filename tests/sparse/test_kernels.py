@@ -28,6 +28,7 @@ from repro.sparse import (
     register_kernel,
     resolve_spgemm,
 )
+from repro.sparse.build import order_rows
 from repro.sparse.kernels import symbolic_size
 from ..conftest import csr_from_dense, random_dense
 
@@ -365,6 +366,7 @@ class TestSpaRowBlocks:
         got, flops = kernels_module.spgemm_spa_vectorized(
             a, b, semiring, max_scratch_elems=bound
         )
+        got = order_rows(got, copy=False)  # the step dispatch_spgemm adds
         # one fold per block that holds a product, none larger than the bound
         edges = list(range(0, self.NROWS, step)) + [self.NROWS]
         occupied = [
@@ -405,7 +407,8 @@ def all_true_operands(draw):
 @settings(max_examples=200, deadline=None)
 def test_all_true_boolean_spa_is_every_other_kernels_product(operands, scratch):
     """The compiled route has no scratch, so the bound changes nothing; the
-    output is the fold's — pattern, order, ``True`` data, dtype, flops."""
+    output is the fold's — pattern, ``True`` data, dtype, flops, and order
+    once ``dispatch_spgemm``'s ordering step has run."""
     from repro.sparse.kernels import spgemm_spa_vectorized
 
     a, b = operands
@@ -413,6 +416,7 @@ def test_all_true_boolean_spa_is_every_other_kernels_product(operands, scratch):
     cells = a.nrows * b.ncols
     bound = max(1, cells // 3) if scratch == "below" else cells + 1
     got, flops = spgemm_spa_vectorized(a, b, BOOL_AND_OR, max_scratch_elems=bound)
+    got = order_rows(got, copy=False)
     assert got.indptr.dtype == got.indices.dtype == np.int64
     for kernel in ("esc-vectorized", "spa-rowwise"):
         want, want_flops = dispatch_spgemm(a, b, BOOL_AND_OR, kernel)

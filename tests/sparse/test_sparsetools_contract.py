@@ -11,8 +11,12 @@ Relied on: ``csr_matmat_maxnnz`` counts the distinct output positions from
 the patterns alone; ``csr_matmat`` accepts int64 index arrays, fills
 ``indptr`` and the first ``indptr[-1]`` slots of preallocated
 ``maxnnz``-long outputs, accumulates in the output dtype, *drops* sums that
-are exactly zero and leaves rows unsorted; ``csr_sort_indices`` sorts
-columns and values together, in place, reading row extents from ``indptr``.
+are exactly zero and leaves rows unsorted, each in an order that is a
+function of that row alone (:class:`TestUnsortedRows`: a kept slice of an
+unsorted column-block product is the unsorted product of its rows);
+``csr_has_sorted_indices`` tells sorted rows from unsorted ones;
+``csr_sort_indices`` sorts columns and values together, in place, reading
+row extents from ``indptr``.
 
 The ``spa`` kernel runs the same three routines on ``bool`` data for
 all-True boolean operands (:class:`TestBoolData`): there ``+`` is *or* and
@@ -24,14 +28,19 @@ operands that store a ``False`` never take that route.
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from scipy.sparse._sparsetools import csr_matmat, csr_matmat_maxnnz, csr_sort_indices
+from scipy.sparse._sparsetools import (
+    csr_has_sorted_indices,
+    csr_matmat,
+    csr_matmat_maxnnz,
+    csr_sort_indices,
+)
 
 from repro.sparse import BOOL_AND_OR, PLUS_TIMES, CsrMatrix, dispatch_spgemm
 
 
-def raw_product(a: sp.csr_matrix, b: sp.csr_matrix, out_dtype):
-    """The three routines on int64 copies of the operands' arrays; returns
-    ``(maxnnz, indptr, indices, data, unsorted indices)`` untrimmed."""
+def unsorted_product(a: sp.csr_matrix, b: sp.csr_matrix, out_dtype):
+    """The two product routines on int64 copies of the operands' arrays;
+    returns ``(maxnnz, indptr, indices, data)`` untrimmed, rows unsorted."""
     nrows, ncols = a.shape[0], b.shape[1]
     ap, aj = a.indptr.astype(np.int64), a.indices.astype(np.int64)
     bp, bj = b.indptr.astype(np.int64), b.indices.astype(np.int64)
@@ -40,8 +49,15 @@ def raw_product(a: sp.csr_matrix, b: sp.csr_matrix, out_dtype):
     indices = np.empty(maxnnz, dtype=np.int64)
     data = np.empty(maxnnz, dtype=out_dtype)
     csr_matmat(nrows, ncols, ap, aj, a.data, bp, bj, b.data, indptr, indices, data)
+    return maxnnz, indptr, indices, data
+
+
+def raw_product(a: sp.csr_matrix, b: sp.csr_matrix, out_dtype):
+    """The three routines on int64 copies of the operands' arrays; returns
+    ``(maxnnz, indptr, indices, data, unsorted indices)`` untrimmed."""
+    maxnnz, indptr, indices, data = unsorted_product(a, b, out_dtype)
     unsorted = indices.copy()
-    csr_sort_indices(nrows, indptr, indices, data)
+    csr_sort_indices(a.shape[0], indptr, indices, data)
     return maxnnz, indptr, indices, data, unsorted
 
 
@@ -186,3 +202,39 @@ class TestBoolData:
         )
         np.testing.assert_array_equal(kept.indptr, [0, 2, 4])
         assert kept.data.tolist() == [False, True, False, True]
+
+
+class TestUnsortedRows:
+    """What an unordered product (``dispatch_spgemm`` with ``ordered``
+    false) rests on: the tile call sites skip ``csr_sort_indices``, and
+    ``replan`` keeps row slices of one unsorted column-block product."""
+
+    @staticmethod
+    def trimmed(a: sp.csr_matrix, b: sp.csr_matrix):
+        _, indptr, indices, data = unsorted_product(a, b, a.dtype)
+        return indptr, indices[: indptr[-1]], data[: indptr[-1]]
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.bool_])
+    def test_a_row_ranges_order_is_that_of_its_rows_alone(self, rng, dtype):
+        a, b = random_operands(rng, dtype, m=40, k=30, n=25)
+        if dtype == np.bool_:
+            a, b = (TestBoolData.bool_csr(x.toarray()) for x in (a, b))
+        whole = self.trimmed(a, b)
+        assert not csr_has_sorted_indices(a.shape[0], whole[0], whole[1])
+        for g0, g1 in [(0, 40), (0, 7), (5, 6), (13, 29), (31, 40), (9, 9)]:
+            indptr, indices, data = self.trimmed(a[g0:g1], b)
+            lo, hi = whole[0][g0], whole[0][g1]
+            np.testing.assert_array_equal(indptr, whole[0][g0 : g1 + 1] - lo)
+            np.testing.assert_array_equal(indices, whole[1][lo:hi])
+            assert data.tobytes() == whole[2][lo:hi].tobytes()
+
+    def test_has_sorted_indices(self):
+        indptr = np.array([0, 3, 3, 5], dtype=np.int64)  # row 1 empty
+        assert csr_has_sorted_indices(3, indptr, np.array([0, 2, 4, 1, 3], dtype=np.int64))
+        assert not csr_has_sorted_indices(3, indptr, np.array([0, 4, 2, 1, 3], dtype=np.int64))
+        assert not csr_has_sorted_indices(3, indptr, np.array([0, 2, 4, 3, 1], dtype=np.int64))
+        # a decrease across a row boundary is not a disorder
+        assert csr_has_sorted_indices(3, indptr, np.array([2, 3, 4, 0, 1], dtype=np.int64))
+        empty = np.zeros(4, dtype=np.int64)
+        assert csr_has_sorted_indices(3, empty, np.zeros(0, dtype=np.int64))
+        assert csr_has_sorted_indices(0, np.zeros(1, dtype=np.int64), np.zeros(0, dtype=np.int64))
