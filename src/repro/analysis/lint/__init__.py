@@ -1,4 +1,4 @@
-"""``spmdlint`` — static collective-consistency checker for rank programs.
+"""``spmdlint`` — static checker for rank programs.
 
 Two entry points:
 
@@ -7,39 +7,27 @@ Two entry points:
 * :func:`lint_source` / :func:`collect_findings` — the library API used
   by the tests.
 
-The rule catalogue (S1–S14) lives in :mod:`repro.analysis.lint.rules`
-and is documented in ``docs/spmdlint.md``.  S1–S7 and S14 are
-syntactic; S8/S9 come from the cross-rank collective *model checker*
-(:mod:`repro.analysis.lint.model` over
-:mod:`repro.analysis.lint.traces`), which abstractly interprets each
-rank program at small concrete ``p`` and diffs per-rank collective
-traces; S10–S12 from the driver-side lifecycle dataflow pass
-(:mod:`repro.analysis.lint.lifecycle`); S13 enforces suppression
-rationales.  The companion *runtime* checker — the SimComm sanitizer
-(``REPRO_SANITIZE=1``) — lives in :mod:`repro.mpi.sanitize`; together
-they are the layers of the SPMD correctness tooling.
+The rule catalogue (S3, S4, S5, S7, S13) lives in
+:mod:`repro.analysis.lint.rules` and is documented in
+``docs/spmdlint.md``: shared-state races, unphased charges,
+nondeterminism sources and checkpoint-bypassing writes, plus the
+suppression-rationale check.  Collective-consistency defects (mismatched
+or missing collectives, unmatched sends, hard-coded world sizes) are
+raised at run time by the SimComm sanitizer (``REPRO_SANITIZE=1``,
+:mod:`repro.mpi.sanitize`), the watchdog and the communicator's own
+argument checks; the two are the layers of the SPMD correctness tooling.
 """
 
-from .checker import Finding, index_module, lint_source
+from .checker import Finding, lint_source
 from .cli import collect_findings, main
-from .model import P_VALUES, explore_root, model_results
 from .rules import ALL_RULES, RULES_BY_ID, Rule
-from .traces import Abstention, RankTrace, RootModel, TraceEvent
 
 __all__ = [
     "ALL_RULES",
-    "Abstention",
     "Finding",
-    "P_VALUES",
     "RULES_BY_ID",
-    "RankTrace",
-    "RootModel",
     "Rule",
-    "TraceEvent",
     "collect_findings",
-    "explore_root",
-    "index_module",
     "lint_source",
     "main",
-    "model_results",
 ]

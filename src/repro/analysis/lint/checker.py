@@ -16,13 +16,17 @@ Rank-program discovery (the "reachable as a rank program" set):
 * nested functions named ``program`` or ``setup`` — the closure
   convention of the resident drivers;
 * functions passed by name to ``run_spmd(...)`` or a ``*.run(...)`` /
-  ``*._run_setup(...)`` call in the same module.
+  ``*._run_setup(...)`` call in the same module;
+* closures nested in a rank function that use its communicator (how
+  ``spmm_multiply``'s payload builder is seen).
 
 Functions in the first, third and fourth groups are *roots* (entered
 directly by the executor); the rest are *helpers* reached from roots.
 Rules that depend on the charging context (S4) use the distinction to
 avoid flagging helpers whose call sites are all covered by a
-``comm.phase(...)`` block.
+``comm.phase(...)`` block.  A closure inherits its enclosing rank
+function's locals, comm aliases and rank taint: the enclosing frame is
+per-rank, so writing into it is not shared state.
 
 Suppression: a finding is dropped when the flagged line, the line
 directly above it (a standalone directive comment), or the ``def`` line
@@ -41,9 +45,10 @@ import tokenize
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
-#: Collective operations of the simulated communicator.
-COLLECTIVES = {
-    "barrier",
+#: Comm methods that book bytes or virtual time and therefore belong
+#: inside a ``comm.phase(...)`` block (rule S4).  The collectives
+#: ``barrier``/``split`` carry no bytes and are exempt.
+BOOKING_METHODS = {
     "bcast",
     "gather",
     "allgather",
@@ -54,13 +59,6 @@ COLLECTIVES = {
     "reduce",
     "allreduce",
     "scan",
-    "split",
-}
-
-#: Comm methods that book bytes or virtual time and therefore belong
-#: inside a ``comm.phase(...)`` block (rule S4).  ``barrier``/``split``
-#: carry no bytes and are exempt.
-BOOKING_METHODS = (COLLECTIVES - {"barrier", "split"}) | {
     "send",
     "recv",
     "sendrecv",
@@ -88,11 +86,6 @@ class Finding:
     qualname: str
     message: str
 
-    @property
-    def fingerprint(self) -> Tuple[str, str, str]:
-        """Baseline identity: stable across unrelated line-number churn."""
-        return (self.path, self.qualname, self.rule)
-
     def render(self) -> str:
         return (
             f"{self.path}:{self.line}:{self.col}: "
@@ -107,8 +100,6 @@ class CommCall:
     node: ast.Call
     method: str
     in_phase: bool
-    #: Branch nesting depth at the call (0 = unconditional).
-    branch_depth: int
 
 
 @dataclass
@@ -119,7 +110,6 @@ class FuncInfo:
     name: str
     qualname: str
     is_root: bool
-    comm_param: Optional[str]
     #: Local names bound anywhere in the function (params, assignments,
     #: imports, nested defs, loop/with/except targets, comprehensions).
     bound_names: Set[str] = field(default_factory=set)
@@ -128,8 +118,8 @@ class FuncInfo:
     #: Names tainted by this rank's identity (``comm.rank`` etc.).
     rank_tainted: Set[str] = field(default_factory=set)
     comm_calls: List[CommCall] = field(default_factory=list)
-    #: Calls to other module functions: (callee name, node, in_phase).
-    local_calls: List[Tuple[str, ast.Call, bool]] = field(default_factory=list)
+    #: Calls to other module functions: (callee name, in_phase).
+    local_calls: List[Tuple[str, bool]] = field(default_factory=list)
 
 
 @dataclass
@@ -137,8 +127,6 @@ class ModuleIndex:
     """Parsed, indexed view of one source file."""
 
     path: str
-    tree: ast.Module
-    source: str
     #: line -> set of suppressed rule ids ("all" suppresses everything).
     suppressions: Dict[int, Set[str]]
     #: line -> rationale text following ``--`` in the suppression
@@ -166,7 +154,7 @@ class ModuleIndex:
 def _parse_suppressions(source: str) -> Tuple[Dict[int, Set[str]], Dict[int, str]]:
     """``(suppressions, rationales)`` of one source file.
 
-    Directive grammar: ``# spmdlint: disable=S1,S4 -- reason text``.
+    Directive grammar: ``# spmdlint: disable=S3,S4 -- reason text``.
     The rule list ends at the first ``--`` (the rationale) or ``#``
     (a trailing comment, e.g. the fixtures' EXPECT markers).
     """
@@ -236,7 +224,7 @@ def mentions_rank(node: ast.AST, tainted: Set[str]) -> bool:
     return False
 
 
-def _is_phase_with_item(item: ast.withitem, comm_names: Set[str]) -> bool:
+def _is_phase_with_item(item: ast.withitem) -> bool:
     expr = item.context_expr
     return (
         isinstance(expr, ast.Call)
@@ -295,7 +283,6 @@ class _FunctionIndexer(ast.NodeVisitor):
         self.info = info
         self.module_functions = module_functions
         self.phase_depth = 0
-        self.branch_depth = 0
 
     # -- scope boundaries ------------------------------------------------
     def visit_FunctionDef(self, node) -> None:
@@ -353,9 +340,7 @@ class _FunctionIndexer(ast.NodeVisitor):
 
     def visit_For(self, node: ast.For) -> None:
         self._bind_target(node.target)
-        self.branch_depth += 1  # body may run zero times
         self.generic_visit(node)
-        self.branch_depth -= 1
 
     visit_AsyncFor = visit_For
 
@@ -390,11 +375,9 @@ class _FunctionIndexer(ast.NodeVisitor):
         if mentions_rank(value, self.info.rank_tainted):
             self.info.rank_tainted.update(names)
 
-    # -- phase / branch structure ----------------------------------------
+    # -- phase structure -------------------------------------------------
     def visit_With(self, node: ast.With) -> None:
-        phased = any(
-            _is_phase_with_item(item, self.info.comm_names) for item in node.items
-        )
+        phased = any(_is_phase_with_item(item) for item in node.items)
         for item in node.items:
             if item.optional_vars is not None:
                 self._bind_target(item.optional_vars)
@@ -408,45 +391,19 @@ class _FunctionIndexer(ast.NodeVisitor):
 
     visit_AsyncWith = visit_With
 
-    def visit_If(self, node: ast.If) -> None:
-        self.visit(node.test)
-        self.branch_depth += 1
-        for stmt in node.body + node.orelse:
-            self.visit(stmt)
-        self.branch_depth -= 1
-
-    def visit_While(self, node: ast.While) -> None:
-        self.visit(node.test)
-        self.branch_depth += 1
-        for stmt in node.body + node.orelse:
-            self.visit(stmt)
-        self.branch_depth -= 1
-
-    def visit_Try(self, node) -> None:
-        self.branch_depth += 1
-        self.generic_visit(node)
-        self.branch_depth -= 1
-
     # -- calls ------------------------------------------------------------
     def visit_Call(self, node: ast.Call) -> None:
         method = comm_method_of(node, self.info.comm_names)
         if method is not None:
             self.info.comm_calls.append(
-                CommCall(
-                    node=node,
-                    method=method,
-                    in_phase=self.phase_depth > 0,
-                    branch_depth=self.branch_depth,
-                )
+                CommCall(node=node, method=method, in_phase=self.phase_depth > 0)
             )
         elif isinstance(node.func, ast.Name) and node.func.id in self.module_functions:
-            self.info.local_calls.append(
-                (node.func.id, node, self.phase_depth > 0)
-            )
+            self.info.local_calls.append((node.func.id, self.phase_depth > 0))
         self.generic_visit(node)
 
 
-def collect_defs(tree: ast.Module) -> List[Tuple[str, ast.AST, bool]]:
+def _collect_defs(tree: ast.Module) -> List[Tuple[str, ast.AST, bool]]:
     """Every function def in the module as ``(qualname, node, nested)``."""
     defs: List[Tuple[str, ast.AST, bool]] = []
 
@@ -465,6 +422,38 @@ def collect_defs(tree: ast.Module) -> List[Tuple[str, ast.AST, bool]]:
     return defs
 
 
+def _uses_comm(node: ast.AST, comm_names: Set[str]) -> bool:
+    return any(
+        isinstance(sub, ast.Name) and is_comm_expr(sub, comm_names)
+        for sub in ast.walk(node)
+    )
+
+
+def _index_function(
+    node: ast.AST,
+    qualname: str,
+    is_root: bool,
+    module_functions: Set[str],
+    comm_names: Set[str],
+    tainted: Set[str],
+    bound: Set[str],
+) -> FuncInfo:
+    # two passes so taint chains (a = comm.rank; b = a + 1) settle
+    for _ in range(2):
+        info = FuncInfo(
+            node=node,
+            name=node.name,
+            qualname=qualname,
+            is_root=is_root,
+            bound_names=set(bound),
+            comm_names=set(comm_names),
+            rank_tainted=set(tainted),
+        )
+        _FunctionIndexer(info, module_functions).visit(node)
+        comm_names, tainted = info.comm_names, info.rank_tainted
+    return info
+
+
 def index_module(path: str, source: str) -> Optional[ModuleIndex]:
     """Parse and index ``source``; None when it is not valid Python."""
     try:
@@ -472,50 +461,32 @@ def index_module(path: str, source: str) -> Optional[ModuleIndex]:
     except SyntaxError:
         return None
     suppressions, rationales = _parse_suppressions(source)
-    module = ModuleIndex(
-        path=path,
-        tree=tree,
-        source=source,
-        suppressions=suppressions,
-        rationales=rationales,
-    )
+    module = ModuleIndex(path=path, suppressions=suppressions, rationales=rationales)
     runner_names = _names_passed_to_runners(tree)
-    defs = collect_defs(tree)
+    defs = _collect_defs(tree)
     all_names = {node.name for _, node, _ in defs}
+    # defs are in pre-order, so an enclosing function is indexed first
     for qualname, node, nested in defs:
         first = _first_param(node)
-        decorated = _has_rank_program_decorator(node)
         is_root = (
-            decorated
+            _has_rank_program_decorator(node)
             or node.name in runner_names
             or (nested and node.name in ROOT_CLOSURE_NAMES and first == "comm")
         )
-        is_rank_fn = is_root or first == "comm"
-        if not is_rank_fn:
+        enclosing = module.functions.get(qualname.rpartition(".")[0])
+        if is_root or first == "comm":
+            inherited = ({first} if first else set(), set(), set())
+        elif enclosing is not None and _uses_comm(node, enclosing.comm_names):
+            inherited = (
+                enclosing.comm_names,
+                enclosing.rank_tainted,
+                enclosing.bound_names,
+            )
+        else:
             continue
-        info = FuncInfo(
-            node=node,
-            name=node.name,
-            qualname=qualname,
-            is_root=is_root,
-            comm_param=first,
+        module.functions[qualname] = _index_function(
+            node, qualname, is_root, all_names, *inherited
         )
-        if first:
-            info.comm_names.add(first)
-        indexer = _FunctionIndexer(info, all_names)
-        indexer.visit(node)
-        # second pass so taint chains (a = comm.rank; b = a + 1) settle
-        info2 = FuncInfo(
-            node=node,
-            name=node.name,
-            qualname=qualname,
-            is_root=is_root,
-            comm_param=first,
-        )
-        info2.comm_names.update(info.comm_names)
-        info2.rank_tainted.update(info.rank_tainted)
-        _FunctionIndexer(info2, all_names).visit(node)
-        module.functions[qualname] = info2
     return module
 
 

@@ -3,18 +3,10 @@
 Usage::
 
     python -m repro.analysis.lint src/ [tests/ ...]
-    spmdlint src/ --select S1,S4
-    spmdlint src/ --baseline spmdlint-baseline.json     # CI mode
-    spmdlint src/ --baseline ... --write-baseline       # re-grandfather
+    spmdlint src/ --select S3,S4
+    spmdlint src/ --format json
 
-Exit codes: 0 — clean (or no findings beyond the baseline); 1 — new
-findings; 2 — usage error.
-
-The baseline file maps finding fingerprints (``path::qualname::rule``)
-to occurrence counts.  Findings covered by the baseline are reported as
-grandfathered and do not fail the run, so the lint gate can be enabled
-while legacy violations are burned down incrementally; a finding class
-*growing* past its baseline count fails.
+Exit codes: 0 — clean; 1 — findings; 2 — usage error.
 """
 
 from __future__ import annotations
@@ -23,15 +15,10 @@ import argparse
 import json
 import os
 import sys
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from .checker import Finding, iter_python_files, lint_source
 from .rules import ALL_RULES, RULES_BY_ID
-
-
-def _fingerprint_key(finding: Finding) -> str:
-    path, qualname, rule = finding.fingerprint
-    return f"{path}::{qualname}::{rule}"
 
 
 def collect_findings(paths: Sequence[str], rules=None) -> List[Finding]:
@@ -50,36 +37,14 @@ def _normalize(path: str) -> str:
     return os.path.normpath(path).replace(os.sep, "/")
 
 
-def _load_baseline(path: str) -> Dict[str, int]:
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
-    if not isinstance(data, dict):
-        raise ValueError("baseline must be a JSON object of fingerprint -> count")
-    return {str(k): int(v) for k, v in data.items()}
-
-
-def _apply_baseline(
-    findings: Sequence[Finding], baseline: Dict[str, int]
-) -> List[Finding]:
-    """Findings not covered by the baseline (new, or grown past it)."""
-    budget = dict(baseline)
-    fresh: List[Finding] = []
-    for finding in findings:
-        key = _fingerprint_key(finding)
-        if budget.get(key, 0) > 0:
-            budget[key] -= 1
-        else:
-            fresh.append(finding)
-    return fresh
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="spmdlint",
         description=(
-            "Static SPMD collective-consistency checker (rules S1-S14: "
-            "syntactic rules, the cross-rank collective model checker, "
-            "and the driver-side lifecycle dataflow pass)."
+            "Static checker for SPMD rank programs (rules "
+            + ", ".join(RULES_BY_ID)
+            + "); collective consistency is checked at run time by the "
+            "sanitizer (REPRO_SANITIZE=1)."
         ),
     )
     parser.add_argument("paths", nargs="+", help="files or directories to lint")
@@ -88,17 +53,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="RULES",
         help="comma-separated rule ids to run (default: all)",
-    )
-    parser.add_argument(
-        "--baseline",
-        default=None,
-        metavar="FILE",
-        help="JSON baseline of grandfathered findings",
-    )
-    parser.add_argument(
-        "--write-baseline",
-        action="store_true",
-        help="rewrite --baseline with the current findings and exit 0",
     )
     parser.add_argument(
         "--format",
@@ -122,35 +76,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 f"unknown rule {exc.args[0]!r}; "
                 f"known: {', '.join(sorted(RULES_BY_ID))}"
             )
-    if args.write_baseline and not args.baseline:
-        parser.error("--write-baseline requires --baseline FILE")
 
     findings = collect_findings(args.paths, rules)
-
-    if args.write_baseline:
-        counts: Dict[str, int] = {}
-        for finding in findings:
-            key = _fingerprint_key(finding)
-            counts[key] = counts.get(key, 0) + 1
-        with open(args.baseline, "w", encoding="utf-8") as fh:
-            json.dump(counts, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        print(
-            f"spmdlint: wrote baseline with {len(findings)} finding(s) "
-            f"to {args.baseline}"
-        )
-        return 0
-
-    grandfathered = 0
-    if args.baseline:
-        try:
-            baseline = _load_baseline(args.baseline)
-        except (OSError, ValueError, json.JSONDecodeError) as exc:
-            print(f"spmdlint: cannot read baseline: {exc}", file=sys.stderr)
-            return 2
-        fresh = _apply_baseline(findings, baseline)
-        grandfathered = len(findings) - len(fresh)
-        findings = fresh
 
     if args.format == "json":
         print(
@@ -163,9 +90,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                         "col": f.col,
                         "function": f.qualname,
                         "message": f.message,
-                        # stable across unrelated line drift — what
-                        # --baseline matches on
-                        "fingerprint": _fingerprint_key(f),
                     }
                     for f in findings
                 ],
@@ -175,11 +99,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     else:
         for finding in findings:
             print(finding.render())
-        summary = f"spmdlint: {len(findings)} finding(s)"
-        if grandfathered:
-            summary += f" ({grandfathered} grandfathered by baseline)"
         rule_ids = ",".join(r.id for r in (rules or ALL_RULES))
-        print(f"{summary} [rules {rule_ids}]")
+        print(f"spmdlint: {len(findings)} finding(s) [rules {rule_ids}]")
 
     return 1 if findings else 0
 

@@ -1,34 +1,28 @@
-"""The ``spmdlint`` rules (S1–S14).
+"""The ``spmdlint`` rules (S3, S4, S5, S7, S13).
 
 Each rule is a small object with an ``id``, a one-line ``title`` and a
 ``check(module)`` generator yielding :class:`~.checker.Finding`s.  The
 rules work off the :class:`~.checker.ModuleIndex` produced by the
-framework — see ``docs/spmdlint.md`` for the catalogue with examples and
-the rationale behind every exclusion.
-
-S1–S7 and S14 are syntactic (this module).  S8/S9 come from the
-cross-rank collective model checker (:mod:`repro.analysis.lint.model`),
-S10–S12 from the driver-side lifecycle dataflow pass
-(:mod:`repro.analysis.lint.lifecycle`), and S13 enforces that every
-suppression comment carries a written rationale.
+framework — see ``docs/spmdlint.md`` for the catalogue with examples,
+the rationale behind every exclusion, and which defect classes are left
+to the runtime sanitizer.  S13 enforces that every suppression comment
+carries a written rationale.
 """
 
 from __future__ import annotations
 
 import ast
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Set, Tuple
 
 from .checker import (
     BOOKING_METHODS,
-    COLLECTIVES,
     CommCall,
     Finding,
     FuncInfo,
     ModuleIndex,
     attr_root,
     comm_method_of,
-    is_comm_expr,
     mentions_rank,
 )
 
@@ -96,130 +90,6 @@ def walk_scope(root: ast.AST) -> Iterator[ast.AST]:
         ):
             continue
         todo.extend(ast.iter_child_nodes(node))
-
-
-def _collectives_in(stmts: Sequence[ast.stmt], comm_names: Set[str]) -> List[Tuple[str, ast.Call]]:
-    out: List[Tuple[str, ast.Call]] = []
-    for stmt in stmts:
-        for node in [stmt, *walk_scope(stmt)]:
-            if isinstance(node, ast.Call):
-                method = comm_method_of(node, comm_names)
-                if method in COLLECTIVES:
-                    out.append((method, node))
-    return out
-
-
-# ----------------------------------------------------------------------
-# S1 — collectives under rank-dependent control flow
-# ----------------------------------------------------------------------
-def check_s1(module: ModuleIndex) -> Iterator[Finding]:
-    for func in module.functions.values():
-        seen: Set[Tuple[int, int]] = set()
-        for node in walk_scope(func.node):
-            if isinstance(node, ast.If) and mentions_rank(node.test, func.rank_tainted):
-                body = _collectives_in(node.body, func.comm_names)
-                orelse = _collectives_in(node.orelse, func.comm_names)
-                body_kinds = sorted(m for m, _ in body)
-                orelse_kinds = sorted(m for m, _ in orelse)
-                if body_kinds == orelse_kinds:
-                    continue
-                for side, other_kinds in ((body, orelse_kinds), (orelse, body_kinds)):
-                    counts: Dict[str, int] = {}
-                    for k in other_kinds:
-                        counts[k] = counts.get(k, 0) + 1
-                    for method, call in side:
-                        if counts.get(method, 0) > 0:
-                            counts[method] -= 1
-                            continue
-                        key = (call.lineno, call.col_offset)
-                        if key in seen:
-                            continue
-                        seen.add(key)
-                        yield _finding(
-                            "S1", module, func, call,
-                            f"collective '{method}' inside a rank-dependent "
-                            "branch with no matching collective on the other "
-                            "path — SPMD deadlock hazard",
-                        )
-            elif isinstance(node, ast.While) and mentions_rank(
-                node.test, func.rank_tainted
-            ):
-                for method, call in _collectives_in(node.body, func.comm_names):
-                    key = (call.lineno, call.col_offset)
-                    if key in seen:
-                        continue
-                    seen.add(key)
-                    yield _finding(
-                        "S1", module, func, call,
-                        f"collective '{method}' inside a loop whose trip "
-                        "count depends on the rank — peers may not iterate "
-                        "the same number of times (SPMD deadlock hazard)",
-                    )
-
-
-# ----------------------------------------------------------------------
-# S2 — sends without a reachable matching recv tag class
-# ----------------------------------------------------------------------
-def _tag_class(node: Optional[ast.AST], default) -> Tuple:
-    if node is None:
-        return default
-    if isinstance(node, ast.Constant) and isinstance(node.value, int):
-        return ("any",) if node.value == -1 else ("lit", node.value)
-    if isinstance(node, ast.Name) and node.id == "ANY_TAG":
-        return ("any",)
-    if isinstance(node, ast.Attribute) and node.attr == "ANY_TAG":
-        return ("any",)
-    return ("dyn",)
-
-
-def _call_arg(call: ast.Call, kw: str, pos: int) -> Optional[ast.AST]:
-    for k in call.keywords:
-        if k.arg == kw:
-            return k.value
-    if len(call.args) > pos:
-        return call.args[pos]
-    return None
-
-
-def _tags_match(send: Tuple, recv: Tuple) -> bool:
-    if send[0] == "dyn" or recv[0] in ("any", "dyn"):
-        return True
-    return send == recv
-
-
-def check_s2(module: ModuleIndex) -> Iterator[Finding]:
-    # Module-wide recv pool: a helper may legitimately receive what a
-    # sibling rank function sent (pipelines split across functions).
-    module_recvs: List[Tuple] = []
-    per_func_recvs: Dict[str, List[Tuple]] = {}
-    for func in module.functions.values():
-        recvs = []
-        for cc in func.comm_calls:
-            if cc.method == "recv":
-                recvs.append(_tag_class(_call_arg(cc.node, "tag", 1), ("any",)))
-            elif cc.method == "sendrecv":
-                recvs.append(_tag_class(_call_arg(cc.node, "tag", 3), ("lit", 0)))
-        per_func_recvs[func.qualname] = recvs
-        module_recvs.extend(recvs)
-    for func in module.functions.values():
-        for cc in func.comm_calls:
-            if cc.method != "send":
-                continue
-            tag = _tag_class(_call_arg(cc.node, "tag", 2), ("lit", 0))
-            local = per_func_recvs[func.qualname]
-            if any(_tags_match(tag, r) for r in local):
-                continue
-            if any(_tags_match(tag, r) for r in module_recvs):
-                continue
-            label = (
-                f"tag {tag[1]}" if tag[0] == "lit" else f"a {tag[0]} tag"
-            )
-            yield _finding(
-                "S2", module, func, cc.node,
-                f"comm.send with {label} has no reachable matching recv "
-                "tag class in this module — the message can never be "
-                "consumed (receiver hangs or bytes leak)",
-            )
 
 
 # ----------------------------------------------------------------------
@@ -328,7 +198,7 @@ def check_s4(module: ModuleIndex) -> Iterator[Finding]:
         for q, f in funcs.items():
             if books[q]:
                 continue
-            for callee_name, _node, in_phase in f.local_calls:
+            for callee_name, in_phase in f.local_calls:
                 if in_phase:
                     continue
                 if any(books[g.qualname] for g in by_name.get(callee_name, ())):
@@ -339,7 +209,7 @@ def check_s4(module: ModuleIndex) -> Iterator[Finding]:
     # callers[q]: analyzed call sites of q, with phase coverage.
     callers: Dict[str, List[Tuple[str, bool]]] = {q: [] for q in funcs}
     for q, f in funcs.items():
-        for callee_name, _node, in_phase in f.local_calls:
+        for callee_name, in_phase in f.local_calls:
             for g in by_name.get(callee_name, ()):
                 callers[g.qualname].append((q, in_phase))
 
@@ -425,56 +295,6 @@ def check_s5(module: ModuleIndex) -> Iterator[Finding]:
 
 
 # ----------------------------------------------------------------------
-# S6 — dynamic fused-exchange tag sets without a meta header
-# ----------------------------------------------------------------------
-def _is_static_sections(node: ast.AST, func: FuncInfo) -> bool:
-    if isinstance(node, (ast.List, ast.Tuple)):
-        for elt in node.elts:
-            if not (
-                isinstance(elt, (ast.Tuple, ast.List))
-                and elt.elts
-                and isinstance(elt.elts[0], ast.Constant)
-                and isinstance(elt.elts[0].value, str)
-            ):
-                return False
-        return True
-    if isinstance(node, ast.Name):
-        assigns = [
-            n
-            for n in walk_scope(func.node)
-            if isinstance(n, ast.Assign)
-            and len(n.targets) == 1
-            and isinstance(n.targets[0], ast.Name)
-            and n.targets[0].id == node.id
-        ]
-        if len(assigns) == 1:
-            return _is_static_sections(assigns[0].value, func)
-    return False
-
-
-def check_s6(module: ModuleIndex) -> Iterator[Finding]:
-    for func in module.functions.values():
-        for cc in func.comm_calls:
-            if cc.method != "alltoall_fused":
-                continue
-            sections = _call_arg(cc.node, "sections", 0)
-            if sections is None or _is_static_sections(sections, func):
-                continue
-            meta = _call_arg(cc.node, "meta", 1)
-            if meta is not None and not (
-                isinstance(meta, ast.Constant) and meta.value is None
-            ):
-                continue
-            yield _finding(
-                "S6", module, func, cc.node,
-                "fused-exchange section set is built dynamically (possibly "
-                "from rank-dependent data) without a meta header — peers "
-                "cannot agree on the tag set; pass meta=... so the "
-                "sanitizer/receivers can check collective consistency",
-            )
-
-
-# ----------------------------------------------------------------------
 # S7 — resident-state mutation bypassing the checkpoint layer
 # ----------------------------------------------------------------------
 #: Attribute names that mark an operand-handle chain as resident state
@@ -539,134 +359,6 @@ def check_s7(module: ModuleIndex) -> Iterator[Finding]:
 
 
 # ----------------------------------------------------------------------
-# S14 — hard-coded world size inside a rank program
-# ----------------------------------------------------------------------
-#: Comm methods whose arguments name a *peer or root rank*.  A literal
-#: loop bound feeding one of these is a baked-in world size.
-_RANK_ARG_METHODS = {
-    "send",
-    "recv",
-    "sendrecv",
-    "bcast",
-    "gather",
-    "scatter",
-    "reduce",
-}
-
-
-def _is_world_size(node: ast.AST, comm_names: Set[str]) -> bool:
-    """True for a ``comm.size`` attribute chain."""
-    return (
-        isinstance(node, ast.Attribute)
-        and node.attr == "size"
-        and is_comm_expr(node.value, comm_names)
-    )
-
-
-def _int_literal_ge2(node: ast.AST) -> Optional[int]:
-    if (
-        isinstance(node, ast.Constant)
-        and isinstance(node.value, int)
-        and not isinstance(node.value, bool)
-        and node.value >= 2
-    ):
-        return node.value
-    return None
-
-
-def _literal_range_bound(node: ast.AST) -> Optional[int]:
-    """The trip bound of ``range(<literal>)`` / ``range(<lit>, <lit>)``."""
-    if not (
-        isinstance(node, ast.Call)
-        and isinstance(node.func, ast.Name)
-        and node.func.id == "range"
-        and not node.keywords
-        and node.args
-    ):
-        return None
-    for arg in node.args:
-        if not (
-            isinstance(arg, ast.Constant)
-            and isinstance(arg.value, int)
-            and not isinstance(arg.value, bool)
-        ):
-            return None
-    bound = node.args[1].value if len(node.args) >= 2 else node.args[0].value
-    return bound if bound >= 2 else None
-
-
-def check_s14(module: ModuleIndex) -> Iterator[Finding]:
-    """Hard-coded world sizes stop being true the moment the session
-    shrinks to ``p-1`` after a permanent rank loss.  Two shapes are
-    flagged: ``comm.size ==/!= <literal>`` (the guard silently flips
-    when the world shrinks, so the two sides of the branch swap), and a
-    literal-bound ``for`` loop whose variable feeds a peer/root rank
-    argument of a comm call (peers past the new size hang or crash).
-    Comparisons against ``0``/``1`` and inequalities (``size > 1``) are
-    degenerate-world capability guards, not baked-in sizes, and stay
-    legal; ``range(comm.size)`` is the world-size-agnostic fix."""
-    for func in module.functions.values():
-        for node in walk_scope(func.node):
-            if isinstance(node, ast.Compare):
-                operands = [node.left, *node.comparators]
-                for op, lhs, rhs in zip(node.ops, operands[:-1], operands[1:]):
-                    if not isinstance(op, (ast.Eq, ast.NotEq)):
-                        continue
-                    for size_side, lit_side in ((lhs, rhs), (rhs, lhs)):
-                        lit = _int_literal_ge2(lit_side)
-                        if lit is None or not _is_world_size(
-                            size_side, func.comm_names
-                        ):
-                            continue
-                        yield _finding(
-                            "S14", module, func, node,
-                            f"compares comm.size against the literal {lit} "
-                            "— hard-coded world size; an elastic shrink to "
-                            "p-1 silently flips this guard on every "
-                            "surviving rank (write it against comm.size "
-                            "itself, e.g. a peer set derived from "
-                            "range(comm.size))",
-                        )
-                        break
-            elif isinstance(node, ast.For):
-                bound = _literal_range_bound(node.iter)
-                if bound is None:
-                    continue
-                loop_vars = {
-                    n.id
-                    for n in ast.walk(node.target)
-                    if isinstance(n, ast.Name)
-                }
-                for stmt in node.body:
-                    hit = None
-                    for sub in [stmt, *walk_scope(stmt)]:
-                        if not isinstance(sub, ast.Call):
-                            continue
-                        method = comm_method_of(sub, func.comm_names)
-                        if method not in _RANK_ARG_METHODS:
-                            continue
-                        args = list(sub.args) + [k.value for k in sub.keywords]
-                        if any(
-                            isinstance(n, ast.Name) and n.id in loop_vars
-                            for a in args
-                            for n in ast.walk(a)
-                        ):
-                            hit = (method, sub)
-                            break
-                    if hit is not None:
-                        method, call = hit
-                        yield _finding(
-                            "S14", module, func, call,
-                            f"'{method}' peers over a literal "
-                            f"range({bound}) loop bound — hard-coded world "
-                            "size; after an elastic shrink to p-1 the loop "
-                            "still addresses the dead rank (use "
-                            "range(comm.size))",
-                        )
-                        break
-
-
-# ----------------------------------------------------------------------
 # S13 — suppression comment without a written rationale
 # ----------------------------------------------------------------------
 def check_s13(module: ModuleIndex) -> Iterator[Finding]:
@@ -692,24 +384,12 @@ def check_s13(module: ModuleIndex) -> Iterator[Finding]:
         )
 
 
-from .lifecycle import check_s10, check_s11, check_s12  # noqa: E402
-from .model import check_s8, check_s9  # noqa: E402
-
 ALL_RULES: Tuple[Rule, ...] = (
-    Rule("S1", "collectives under rank-dependent control flow", check_s1),
-    Rule("S2", "send without a reachable matching recv tag class", check_s2),
     Rule("S3", "mutation of closure-captured shared state", check_s3),
     Rule("S4", "comm bytes booked outside a comm.phase block", check_s4),
     Rule("S5", "nondeterminism source inside a rank program", check_s5),
-    Rule("S6", "dynamic fused section tags without meta agreement", check_s6),
     Rule("S7", "resident-state mutation bypassing the checkpoint layer", check_s7),
-    Rule("S8", "cross-rank collective trace divergence (model checker)", check_s8),
-    Rule("S9", "send provably unmatched on every peer path (model checker)", check_s9),
-    Rule("S10", "session/handle use after close or across sessions", check_s10),
-    Rule("S11", "values-only operand refresh with divergent reaching defs", check_s11),
-    Rule("S12", "session-pool checkout not checked in on every path", check_s12),
     Rule("S13", "suppression comment without a written rationale", check_s13),
-    Rule("S14", "hard-coded world size inside a rank program", check_s14),
 )
 
 RULES_BY_ID: Dict[str, Rule] = {r.id: r for r in ALL_RULES}

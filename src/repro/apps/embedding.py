@@ -382,7 +382,6 @@ def train_sparse_embedding(
                     z_dn_h = session.scatter_dense(z_sparse.to_dense())
                     labels_h = session.scatter(pattern)
                 elif redraw:
-                    # spmdlint: disable=S11 -- rebinding and refresh are guarded by the same `redraw` flag, and update_operand detects a changed pattern and falls back to a full re-setup
                     session.update_operand(pattern)
                     labels_h = session.scatter(pattern)
                 mult = session.multiply(

@@ -1537,7 +1537,7 @@ class TsSession(ResidentSession):
                     # construction and ``config.mode_policy`` is
                     # config-wide, so every rank takes the same side.
                     with comm.phase("symbolic"):
-                        comm.alltoall(outgoing)  # spmdlint: disable=S1 -- guard is rank-invariant (see comment above); every rank reaches this alltoall together
+                        comm.alltoall(outgoing)
             return rows, new_local, new_col, new_prepared, {}
 
         result = self._run_resilient(program)

@@ -383,7 +383,7 @@ def shrink_prepared(
         # Guard is rank-invariant: mode_policy is config-wide and
         # prepared-ness was decided collectively at session construction.
         with comm.phase("symbolic"):
-            comm.alltoall(outgoing)  # spmdlint: disable=S1 -- guard is rank-invariant (config-wide mode policy); every rank reaches this alltoall together
+            comm.alltoall(outgoing)
     prepared.naive_cache = None
     prepared.spmm_cache = None  # the partition changed
     return touched

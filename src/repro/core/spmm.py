@@ -167,6 +167,7 @@ def spmm_multiply(
                     continue
                 sub = subtile(peer, r0, r1)
                 part, flops = dispatch_spmm(sub, B.local)
+                # spmdlint: disable=S4 -- known unphased charge, kept in 'total' on purpose: moving it into 'send-C' changes the dense digests pinned in report_golden.json, which are regenerated only together with the cost-model calibration
                 comm.charge_spmm(flops)
                 diag.flops += flops
                 affected = np.unique(sub.row_ids())

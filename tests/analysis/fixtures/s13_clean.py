@@ -5,6 +5,8 @@ def program(comm):  # spmdlint: disable=S4 -- demo: bytes are booked under the c
     comm.charge_touch(16)
 
 
-def ring(comm):
-    with comm.phase("ring"):
-        comm.send(b"x", dest=0, tag=1)  # spmdlint: disable=S2 -- demo: the peer recv lives in another module
+SEEN = []
+
+
+def collect(comm):
+    SEEN.append(comm.size)  # spmdlint: disable=S3 -- demo: every rank appends the same value and the driver reads only the length

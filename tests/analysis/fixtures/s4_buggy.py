@@ -1,5 +1,10 @@
 """S4 fixture: bytes/time booked outside any ``comm.phase`` block —
-directly in a root, and in a helper reached without phase coverage."""
+directly in a root, in a helper reached without phase coverage, and in a
+closure that uses its enclosing rank program's ``comm`` and is called
+outside a phase (the closure's write into the enclosing frame is
+per-rank state, not an S3 race)."""
+
+from repro.mpi import rank_program
 
 
 def _merge(comm, payload):
@@ -11,3 +16,17 @@ def program(comm):
     _merge(comm, b"xx")
     with comm.phase("sync"):
         return comm.allreduce(comm.rank)
+
+
+@rank_program
+def multiply(A):
+    comm = A.comm
+    stats = {"flops": 0}
+
+    def _payload(n):
+        comm.charge_spmm(n)  # EXPECT: S4
+        stats["flops"] += n
+
+    _payload(8)
+    with comm.phase("sync"):
+        return comm.allreduce(stats["flops"])

@@ -1,4 +1,4 @@
-"""Tier-1 tests of the ``spmdlint`` static checker (rules S1–S14).
+"""Tier-1 tests of the ``spmdlint`` static checker (S3, S4, S5, S7, S13).
 
 Each rule has a pair of fixtures under ``tests/analysis/fixtures/``:
 ``sN_buggy.py`` carries ``# EXPECT: <rule>`` markers on every line the
@@ -15,6 +15,7 @@ from pathlib import Path
 import pytest
 
 from repro.analysis.lint import RULES_BY_ID, collect_findings, lint_source, main
+from repro.analysis.lint.checker import index_module, iter_python_files
 
 FIXTURES = Path(__file__).parent / "fixtures"
 REPO_SRC = Path(__file__).resolve().parents[2] / "src"
@@ -23,7 +24,7 @@ RULE_IDS = sorted(RULES_BY_ID)
 
 
 def _expected_markers(source):
-    """(rule, lineno) pairs declared via ``# EXPECT: S1[, S2]`` comments."""
+    """(rule, lineno) pairs declared via ``# EXPECT: S3[, S4]`` comments."""
     out = []
     for lineno, line in enumerate(source.splitlines(), 1):
         match = re.search(r"#\s*EXPECT:\s*([A-Z0-9, ]+)$", line)
@@ -58,14 +59,140 @@ def test_clean_twin_is_silent(rule):
 
 
 def test_findings_carry_location_and_function():
-    _, findings = _lint_fixture("s1_buggy.py")
-    branch = [f for f in findings if f.qualname == "program_branch"]
-    loop = [f for f in findings if f.qualname == "program_loop"]
-    assert len(branch) == 1 and len(loop) == 1
-    assert "deadlock" in branch[0].message
-    assert branch[0].render().startswith(
-        f"s1_buggy.py:{branch[0].line}:{branch[0].col}: S1 [program_branch]"
+    _, findings = _lint_fixture("s4_buggy.py")
+    by_func = {f.qualname: f for f in findings}
+    assert set(by_func) == {"_merge", "program", "multiply._payload"}
+    root = by_func["program"]
+    assert "comm.phase" in root.message
+    assert root.render() == (
+        f"s4_buggy.py:{root.line}:{root.col}: S4 [program] {root.message}"
     )
+
+
+def test_render_emits_clickable_path_line_col():
+    for rule in RULE_IDS:
+        name = f"{rule.lower()}_buggy.py"
+        _, findings = _lint_fixture(name)
+        assert findings
+        for f in findings:
+            assert re.match(
+                rf"^{re.escape(name)}:{f.line}:{f.col}: {rule} \[", f.render()
+            )
+
+
+# ----------------------------------------------------------------------
+# S4 through closures that use the enclosing rank program's comm
+# ----------------------------------------------------------------------
+CLOSURE_SHAPES = {
+    # a closure inside a closure, entered unphased from the root
+    "two-deep": """
+        from repro.mpi import rank_program
+
+
+        @rank_program
+        def multiply(A):
+            comm = A.comm
+
+            def _outer(n):
+                def _inner(k):
+                    comm.charge_spmm(k)  # EXPECT: S4
+                _inner(n)
+
+            _outer(4)
+            with comm.phase("sync"):
+                return comm.allreduce(1)
+        """,
+    # the same chain entered under a phase is covered by it
+    "two-deep-phased": """
+        from repro.mpi import rank_program
+
+
+        @rank_program
+        def multiply(A):
+            comm = A.comm
+
+            def _outer(n):
+                def _inner(k):
+                    comm.charge_spmm(k)
+                _inner(n)
+
+            with comm.phase("local"):
+                _outer(4)
+            with comm.phase("sync"):
+                return comm.allreduce(1)
+        """,
+    # the closure hands the enclosing comm to a module helper that books
+    "through-helper": """
+        from repro.mpi import rank_program
+
+
+        def _merge(comm, payload):
+            comm.charge_touch(len(payload))  # EXPECT: S4
+
+
+        @rank_program
+        def multiply(A):
+            comm = A.comm
+
+            def _flush(buf):
+                _merge(comm, buf)
+
+            _flush(b"xx")
+            with comm.phase("sync"):
+                return comm.allreduce(1)
+        """,
+    # the inherited frame is per-rank, a module global is still shared:
+    # the rank-indexed slot (taint inherited) and the enclosing dict are
+    # fine, the global dict is a race
+    "inherited-frame": """
+        from repro.mpi import rank_program
+
+        CACHE = {}
+        RESULTS = [None] * 4
+
+
+        @rank_program
+        def multiply(A):
+            comm = A.comm
+            rank = comm.rank
+            local = {"n": 0}
+
+            def _record(n):
+                local["n"] += n
+                RESULTS[rank] = n
+                CACHE["last"] = n  # EXPECT: S3
+                with comm.phase("record"):
+                    comm.charge_touch(n)
+
+            with comm.phase("sync"):
+                _record(4)
+                return comm.allreduce(1)
+        """,
+}
+
+
+@pytest.mark.parametrize("shape", sorted(CLOSURE_SHAPES))
+def test_closure_shapes_fire_exactly_where_marked(shape):
+    source = textwrap.dedent(CLOSURE_SHAPES[shape])
+    findings = lint_source(f"{shape}.py", source)
+    assert sorted((f.rule, f.line) for f in findings) == _expected_markers(source)
+
+
+def test_spmm_producer_closure_is_seen_without_its_suppression():
+    """The unphased ``charge_spmm`` in ``spmm_multiply``'s payload closure
+    is a real S4 finding; only its in-line suppression keeps ``src/``
+    clean."""
+    path = REPO_SRC / "repro" / "core" / "spmm.py"
+    lines = path.read_text(encoding="utf-8").splitlines()
+    directives = [i for i, line in enumerate(lines) if "spmdlint: disable=S4" in line]
+    assert len(directives) == 1
+    stripped = list(lines)
+    stripped[directives[0]] = ""  # keep the line numbers
+    findings = lint_source("spmm.py", "\n".join(stripped), [RULES_BY_ID["S4"]])
+    assert [(f.qualname, f.line) for f in findings] == [
+        ("spmm_multiply._producer_payloads", directives[0] + 2)
+    ]
+    assert "charge_spmm" in findings[0].message
 
 
 # ----------------------------------------------------------------------
@@ -114,9 +241,7 @@ def test_suppression_on_def_line_covers_the_function():
         """
         def program(comm):  # spmdlint: disable=all -- test: demo function
             comm.charge_touch(16)
-            rank = comm.rank
-            if rank == 0:
-                comm.barrier()
+            comm.allreduce(1)
         """
     )
     assert lint_source("supp_def.py", source) == []
@@ -126,7 +251,7 @@ def test_suppression_is_rule_specific():
     source = textwrap.dedent(
         """
         def program(comm):
-            comm.charge_touch(16)  # spmdlint: disable=S1 -- test: wrong rule on purpose
+            comm.charge_touch(16)  # spmdlint: disable=S3 -- test: wrong rule on purpose
             with comm.phase("sync"):
                 return comm.allreduce(1)
         """
@@ -135,13 +260,27 @@ def test_suppression_is_rule_specific():
 
 
 # ----------------------------------------------------------------------
-# CLI: select / exit codes / baseline
+# CLI: select / exit codes / formats
 # ----------------------------------------------------------------------
 def test_repo_src_is_lint_clean():
     assert REPO_SRC.is_dir()
     findings = collect_findings([str(REPO_SRC)])
     assert findings == [], "\n".join(f.render() for f in findings)
 
+
+def test_src_carries_exactly_one_suppression():
+    """Ratchet: the S4 charge in ``core/spmm.py`` is the only silenced
+    finding in ``src/``; a new suppression has to be added here too."""
+    found = []
+    for filename in iter_python_files([str(REPO_SRC)]):
+        module = index_module(filename, Path(filename).read_text(encoding="utf-8"))
+        for line, rules in module.suppressions.items():
+            rel = Path(filename).relative_to(REPO_SRC).as_posix()
+            found.append((rel, rules, module.rationales.get(line, "")))
+    assert [(path, rules) for path, rules, _ in found] == [
+        ("repro/core/spmm.py", {"S4"})
+    ]
+    assert "report_golden.json" in found[0][2]
 
 def test_cli_exit_codes(tmp_path, capsys):
     bad = tmp_path / "prog.py"
@@ -152,7 +291,7 @@ def test_cli_exit_codes(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "S4" in out and "prog.py:2" in out
     # Selecting a rule that does not fire: clean exit.
-    assert main([str(bad), "--select", "S1"]) == 0
+    assert main([str(bad), "--select", "S3"]) == 0
     capsys.readouterr()
 
 
@@ -162,30 +301,6 @@ def test_cli_select_rejects_unknown_rule(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main([str(target), "--select", "S99"])
     assert exc.value.code == 2
-    capsys.readouterr()
-
-
-def test_cli_baseline_grandfathers_then_catches_growth(tmp_path, capsys):
-    target = tmp_path / "prog.py"
-    target.write_text(
-        "def program(comm):\n    comm.charge_touch(4)\n", encoding="utf-8"
-    )
-    baseline = tmp_path / "baseline.json"
-    assert main([str(target), "--baseline", str(baseline), "--write-baseline"]) == 0
-    recorded = json.loads(baseline.read_text(encoding="utf-8"))
-    assert list(recorded.values()) == [1]
-    # Same findings: grandfathered, exit 0.
-    assert main([str(target), "--baseline", str(baseline)]) == 0
-    out = capsys.readouterr().out
-    assert "grandfathered" in out
-    # A *new* unphased booking in the same function grows past the budget.
-    target.write_text(
-        "def program(comm):\n"
-        "    comm.charge_touch(4)\n"
-        "    comm.charge_seconds(1.0)\n",
-        encoding="utf-8",
-    )
-    assert main([str(target), "--baseline", str(baseline)]) == 1
     capsys.readouterr()
 
 
@@ -199,10 +314,7 @@ def test_cli_json_format(tmp_path, capsys):
     assert payload[0]["rule"] == "S4"
     assert payload[0]["line"] == 2
     assert payload[0]["function"] == "program"
-    # the stable fingerprint (what --baseline matches on) rides along,
-    # so external consumers survive unrelated line drift
-    assert payload[0]["fingerprint"].endswith("prog.py::program::S4")
-    assert payload[0]["fingerprint"].count("::") == 2
+    assert set(payload[0]) == {"rule", "path", "line", "col", "function", "message"}
 
 
 def test_cli_exit_code_contract(tmp_path, capsys):
@@ -218,104 +330,46 @@ def test_cli_exit_code_contract(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main([str(clean), "--select", "NOPE"])
     assert exc.value.code == 2
-    with pytest.raises(SystemExit) as exc:
-        main([str(clean), "--write-baseline"])  # requires --baseline FILE
-    assert exc.value.code == 2
     capsys.readouterr()
 
 
-def test_render_emits_clickable_path_line_col():
-    _, findings = _lint_fixture("s8_buggy.py")
-    for f in findings:
-        assert re.match(
-            rf"^s8_buggy\.py:{f.line}:{f.col}: S8 ", f.render()
-        )
+def test_cli_select_rejects_retired_rules(tmp_path, capsys):
+    """A config still selecting a rule whose class moved to the runtime
+    layer fails loudly instead of linting nothing."""
+    target = tmp_path / "clean.py"
+    target.write_text("x = 1\n", encoding="utf-8")
+    for retired in ("S1", "S2", "S6", "S8", "S9", "S10", "S11", "S12", "S14"):
+        with pytest.raises(SystemExit) as exc:
+            main([str(target), "--select", f"S4,{retired}"])
+        assert exc.value.code == 2
+        assert f"unknown rule '{retired}'" in capsys.readouterr().err
 
 
-# ----------------------------------------------------------------------
-# model checker (S8/S9) specifics
-# ----------------------------------------------------------------------
-def test_s8_counterexample_names_paths_and_both_sites():
-    """The divergence message must carry a usable counterexample: the
-    world size, both mismatched call sites, and each rank's path
-    conditions."""
-    _, findings = _lint_fixture("s8_buggy.py")
-    by_func = {f.qualname: f for f in findings}
-
-    order = by_func["program_order"].message
-    assert "p=2" in order
-    assert "rank 0" in order and "rank 1" in order
-    # both sides of the first mismatched collective, with call sites
-    assert "'barrier'" in order and "'allreduce'" in order
-    assert "s8_buggy.py:31" in order and "s8_buggy.py:34" in order
-    # per-rank path conditions name the folded rank-constant branch
-    assert "`comm.rank == 0` -> True" in order
-    assert "`comm.rank == 0` -> False" in order
-
-    trip = by_func["program_helper_trip"].message
-    assert "p=2" in trip
-    # the counterexample explains the trip-count divergence
-    assert "1 iteration(s)" in trip and "2 iteration(s)" in trip
-    assert "ends after 1 collective(s)" in trip
+@pytest.mark.parametrize(
+    "flags",
+    [["--baseline", "base.json"], ["--write-baseline"]],
+    ids=["baseline", "write-baseline"],
+)
+def test_cli_baseline_flags_are_gone(tmp_path, capsys, flags):
+    target = tmp_path / "clean.py"
+    target.write_text("x = 1\n", encoding="utf-8")
+    with pytest.raises(SystemExit) as exc:
+        main([str(target), *flags])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
-def test_s9_counterexample_names_sender_and_peer_path():
-    _, findings = _lint_fixture("s9_buggy.py")
-    assert len(findings) == 1
-    msg = findings[0].message
-    assert "rank 0" in msg and "tag 7" in msg
-    assert "no matching recv" in msg
-    assert "rank 1" in msg  # the destination whose path has no recv
-
-
-def test_model_checker_abstains_on_unknown_trip_loop():
-    """An unknown-trip-count loop around communication yields an
-    explicit abstention — no S8 guess in either direction."""
-    from repro.analysis.lint import index_module, model_results
-
-    source = textwrap.dedent(
-        """
-        from repro.mpi import rank_program
-
-
-        @rank_program
-        def program(comm, work):
-            with comm.phase("drain"):
-                while work.pending():
-                    comm.allreduce(1)
-        """
+def test_cli_text_summary_names_the_rule_set(tmp_path, capsys):
+    target = tmp_path / "clean.py"
+    target.write_text("x = 1\n", encoding="utf-8")
+    assert main([str(target)]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == (
+        "spmdlint: 0 finding(s) [rules S3,S4,S5,S7,S13]"
     )
-    module = index_module("abstain.py", source)
-    results = model_results(module)
-    assert results, "root must be discovered"
-    for model in results.values():
-        assert not model.checked
-        assert model.abstention is not None
-        assert "unknown-trip-count" in model.abstention.reason
-    # and the lint run stays silent rather than guessing
-    assert [f.rule for f in lint_source("abstain.py", source)] == []
-
-
-def test_unknown_branches_are_explored_rank_invariantly():
-    """A condition the model cannot fold is assumed rank-invariant:
-    both arms are explored, but every rank takes the same side in one
-    world — so a branch-dependent (not rank-dependent) collective
-    choice is consistent, not a divergence."""
-    source = textwrap.dedent(
-        """
-        from repro.mpi import rank_program
-
-
-        @rank_program
-        def program(comm, fast):
-            with comm.phase("step"):
-                if fast:
-                    comm.allreduce(1)
-                else:
-                    comm.barrier()
-        """
+    assert main([str(target), "--select", "S7,S4"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == (
+        "spmdlint: 0 finding(s) [rules S7,S4]"
     )
-    assert [f.rule for f in lint_source("worlds.py", source)] == []
 
 
 # ----------------------------------------------------------------------
@@ -363,18 +417,3 @@ def test_standalone_directive_covers_the_next_line():
         """
     )
     assert lint_source("above.py", source) == []
-
-
-# ----------------------------------------------------------------------
-# timing guard: the full lint must stay a cheap pre-test gate
-# ----------------------------------------------------------------------
-def test_full_lint_over_src_stays_fast():
-    import time
-
-    start = time.monotonic()
-    collect_findings([str(REPO_SRC)])
-    elapsed = time.monotonic() - start
-    assert elapsed < 30.0, (
-        f"full S1-S13 lint over src/ took {elapsed:.1f}s — the model "
-        "checker's fuel limits are supposed to keep this a cheap gate"
-    )
