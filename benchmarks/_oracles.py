@@ -8,8 +8,13 @@ during collection, and ``tests/conftest.py`` adds it for the tests.
 
 import numpy as np
 
+from repro.apps.msbfs import BfsIteration, BfsResult, _frontier_update, _msbfs_driver_loop
+from repro.baselines.registry import make_session
+from repro.core import DEFAULT_CONFIG, prepare_multiply, tiled_multiply
 from repro.core.symbolic import DIAGONAL, EMPTY, LOCAL, REMOTE, SubtileInfo, SymbolicPlan
-from repro.partition.distmat import _vstack_tagged
+from repro.data import bfs_frontier
+from repro.mpi import PERLMUTTER, run_spmd
+from repro.partition.distmat import DistSparseMatrix, _vstack_blocks, _vstack_tagged
 from repro.sparse import (
     BOOL_AND_OR,
     CsrMatrix,
@@ -399,3 +404,105 @@ def masked_replay_edge_ids(session):
         ]
         per_rank.append((local_ids[j].data, _vstack_tagged(tagged, n, c1 - c0).data))
     return per_rank
+
+
+def single_program_msbfs(
+    A, sources, p, *, config=DEFAULT_CONFIG, machine=PERLMUTTER, max_levels=None,
+    prepare=True,
+):
+    """Multi-source BFS as one resident SPMD program — the removed
+    ``msbfs_spmd``, statement for statement.  The ``Ac`` column copy and
+    (with ``prepare``) the multiply plan are built once; the frontier
+    update and the termination allreduce run rank-locally between
+    multiplies; per-level ``comm_bytes`` / ``comm_time`` / ``rounds`` are
+    deltas of each rank's counters around the level (bytes summed over
+    ranks, times max).  What the handle path's per-level trace must equal
+    byte for byte (Fig 12); ``prepare=False`` re-plans every level, the
+    plan-reuse ablation."""
+    if A.nrows != A.ncols:
+        raise ValueError("adjacency matrix must be square")
+    sources = np.asarray(sources, dtype=np.int64)
+    a_bool = A if A.dtype == np.bool_ else A.astype(np.bool_)
+    f_global = bfs_frontier(A.nrows, sources)
+
+    def program(comm):
+        dist_a = DistSparseMatrix.scatter_rows(comm, a_bool)
+        dist_a.build_column_copy()
+        prepared = prepare_multiply(dist_a, config) if prepare else None
+        dist_f = DistSparseMatrix.scatter_rows(comm, f_global)
+        visited = dist_f.local
+        frontier = dist_f.local
+        trace = []
+        level = 0
+        while True:
+            with comm.phase("frontier-sync"):
+                frontier_nnz = comm.allreduce(frontier.nnz)
+            if frontier_nnz == 0:
+                break
+            if max_levels is not None and level >= max_levels:
+                break
+            t0 = comm.time
+            totals0 = comm.stats.totals()
+            bytes0, comm_t0 = totals0.bytes_sent, totals0.comm_time
+            dist_f = DistSparseMatrix(comm, dist_a.rows, frontier, f_global.ncols)
+            dist_n, diag = tiled_multiply(
+                dist_a, dist_f, BOOL_AND_OR, config, prepared=prepared
+            )
+            frontier, visited = _frontier_update(comm, dist_n.local, visited)
+            totals1 = comm.stats.totals()
+            trace.append(
+                (
+                    level,
+                    frontier_nnz,
+                    frontier.nnz,
+                    diag.sent_b_nnz + diag.sent_c_nnz,
+                    comm.time - t0,
+                    totals1.bytes_sent - bytes0,
+                    totals1.comm_time - comm_t0,
+                    totals1.alltoall_rounds - totals0.alltoall_rounds,
+                )
+            )
+            level += 1
+        return visited, trace
+
+    result = run_spmd(p, program, machine=machine, sanitize=config.sanitize or None)
+    visited = _vstack_blocks([v[0] for v in result.values], f_global.ncols)
+    out = BfsResult(visited=visited)
+    # Aggregate per-level traces across ranks (sum counters, max times).
+    n_levels = max(len(v[1]) for v in result.values)
+    for lvl in range(n_levels):
+        entries = [v[1][lvl] for v in result.values if lvl < len(v[1])]
+        out.iterations.append(
+            BfsIteration(
+                iteration=lvl,
+                frontier_nnz=entries[0][1],
+                discovered_nnz=sum(e[2] for e in entries),
+                comm_bytes=sum(e[5] for e in entries),
+                comm_nnz=sum(e[3] for e in entries),
+                runtime=max(e[4] for e in entries),
+                comm_time=max(e[6] for e in entries),
+                rounds=max(e[7] for e in entries),
+            )
+        )
+    return out
+
+
+def driver_round_trip_msbfs(
+    A, sources, p, *, algorithm="TS-SpGEMM", config=DEFAULT_CONFIG,
+    machine=PERLMUTTER, max_levels=None,
+):
+    """MS-BFS with every level's frontier and product round-tripping
+    through the driver — the removed ``msbfs(driver_gather=True)``: a TS
+    session multiplies the driver-held frontier with
+    ``charge_driver=True`` (root scatter of ``B`` and gather of ``C`` on
+    the clocks) and the driver runs ``difference_and_union``.  What the
+    handle path must match bit for bit in ``visited`` and beat on
+    modelled time by exactly the round trip."""
+    a_bool = A if A.dtype == np.bool_ else A.astype(np.bool_)
+    with make_session(
+        algorithm, a_bool, p, semiring=BOOL_AND_OR, machine=machine, config=config
+    ) as session:
+        return _msbfs_driver_loop(
+            A.nrows, np.asarray(sources, dtype=np.int64), max_levels,
+            lambda frontier: session.multiply(frontier, charge_driver=True),
+        )

@@ -4,29 +4,30 @@ Measures what the handle path (scatter-once → rank-resident chain → one
 final gather) eliminates from the registry MS-BFS driver loop, on the
 Fig 12 configuration (RMAT graph, d = 128 concurrent sources, p = 8):
 
-1. **Per-level driver traffic** — the ``driver_gather=True`` ablation
-   round-trips every level's frontier and result through the driver
-   (charged B scatter + C gather); the handle path must report exactly
-   **zero** such bytes on every level.
+1. **Per-level driver traffic** — the driver round-trip reference
+   (``_oracles.driver_round_trip_msbfs``) ships every level's frontier
+   and result through the driver (charged B scatter + C gather); the
+   handle path must report exactly **zero** such bytes on every level.
 2. **End-to-end MS-BFS** — modelled runtime (exact, virtual clocks) must
    improve on the handle path at every level, with **bit-identical
    visited sets**; the two paths must run the same multiplies (per level:
    the same frontier, exchanges and communicated nonzeros, and
    ``comm_bytes`` apart by exactly the driver's scatter + gather bytes);
    and the handle path's per-level ``comm_bytes`` must still match the
-   single-program ``msbfs_spmd`` reference exactly (the Fig 12 trace
-   invariant).  Wall clock is printed, not asserted: the differential is a
-   few percent of a multiply-dominated total, inside a loaded runner's
-   jitter, while every gate above is exact.
+   single-program reference (``_oracles.single_program_msbfs``) exactly
+   (the Fig 12 trace invariant).  Wall clock is printed, not asserted:
+   the differential is a few percent of a multiply-dominated total,
+   inside a loaded runner's jitter, while every gate above is exact.
 
 Results land in ``benchmarks/results/distributed_handles.txt``.
 """
 
 import numpy as np
+from _oracles import driver_round_trip_msbfs, single_program_msbfs
 from _timing import best_of_interleaved
 
 from repro.analysis import fmt_bytes, fmt_seconds, print_table
-from repro.apps import msbfs, msbfs_spmd
+from repro.apps import msbfs
 from repro.core import TsConfig
 from repro.data import random_sources, rmat
 from repro.mpi import SCALED_PERLMUTTER
@@ -52,14 +53,13 @@ def bench_distributed_handles(benchmark, sink):
     (wall_handles, wall_gather), (res_handles, res_gather) = best_of_interleaved(
         [
             lambda: msbfs(adj, sources, P, config=config, machine=machine),
-            lambda: msbfs(
-                adj, sources, P, config=config, machine=machine,
-                driver_gather=True,
+            lambda: driver_round_trip_msbfs(
+                adj, sources, P, config=config, machine=machine
             ),
         ],
         repeats=4,
     )
-    res_spmd = msbfs_spmd(adj, sources, P, config=config, machine=machine)
+    res_spmd = single_program_msbfs(adj, sources, P, config=config, machine=machine)
 
     rows = []
     for it_h, it_g in zip(res_handles.iterations, res_gather.iterations):
@@ -101,12 +101,12 @@ def bench_distributed_handles(benchmark, sink):
         and np.array_equal(v_h.data, v_g.data)
     ), "visited sets differ between handle and gather paths"
 
-    # 3. per-level multiply traffic still matches the msbfs_spmd reference
+    # 3. per-level multiply traffic still matches the single-program reference
     assert res_handles.levels == res_spmd.levels
     for got, want in zip(res_handles.iterations, res_spmd.iterations):
         assert got.comm_bytes == want.comm_bytes, (
             f"level {got.iteration}: handle-path comm_bytes {got.comm_bytes} "
-            f"!= msbfs_spmd reference {want.comm_bytes}"
+            f"!= single-program reference {want.comm_bytes}"
         )
 
     # 4. the same multiplies: only the driver round trip tells them apart
@@ -133,7 +133,7 @@ def bench_distributed_handles(benchmark, sink):
         ["path", "modelled runtime", "best wall-clock"],
         [
             ["handles (default)", fmt_seconds(m_h), fmt_seconds(wall_handles)],
-            ["driver_gather=True", fmt_seconds(m_g), fmt_seconds(wall_gather)],
+            ["driver round trip", fmt_seconds(m_g), fmt_seconds(wall_gather)],
             ["gather / handles", f"{m_g / m_h:.2f}x", f"{wall_gather / wall_handles:.2f}x"],
         ],
         file=sink,

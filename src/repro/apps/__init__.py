@@ -22,7 +22,6 @@ from .msbfs import (
     BfsResult,
     msbfs,
     msbfs_on_session,
-    msbfs_spmd,
     reference_reachability,
 )
 
@@ -40,7 +39,6 @@ __all__ = [
     "link_prediction_accuracy",
     "msbfs",
     "msbfs_on_session",
-    "msbfs_spmd",
     "msbfs_tree",
     "reference_reachability",
     "sample_keep_mask",

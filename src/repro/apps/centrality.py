@@ -57,12 +57,11 @@ def closeness_centrality(
     gives the distance sums without storing distances explicitly.
 
     The traversal inherits :func:`~repro.apps.msbfs.msbfs`'s resident
-    session: with ``config.reuse_plan`` the graph is scattered and its
-    multiply plan prepared once for the whole run, every level replanning
-    only against the thinning frontier — and the whole traversal stays
-    on-rank via distributed handles (frontiers chained level to level,
-    one gather of the visited set at the end, zero per-level driver
-    traffic).
+    session: the graph is scattered and its multiply plan prepared once
+    for the whole run, every level replanning only against the thinning
+    frontier — and the whole traversal stays on-rank via distributed
+    handles (frontiers chained level to level, one gather of the visited
+    set at the end, zero per-level driver traffic).
     """
     if A.nrows != A.ncols:
         raise ValueError("adjacency matrix must be square")

@@ -269,8 +269,8 @@ def train_sparse_embedding(
     fused SGD/top-k epilogue) chaining rank-resident handles, and the
     final embedding is gathered once: per-epoch ``driver_*_bytes`` are
     exactly zero.  ``driver_gather=True`` ablates this: every epoch
-    scatters ``Z`` and gathers the gradient through the driver (charged,
-    like MS-BFS's ``driver_gather`` ablation) and computes the SDDMM
+    scatters ``Z`` and gathers the gradient through the driver (charged
+    by ``TsSession.multiply(charge_driver=True)``) and computes the SDDMM
     driver-side.  Both paths produce bit-identical embeddings.
 
     ``row_bounds`` pins the session's row partition to explicit block

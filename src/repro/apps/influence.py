@@ -34,7 +34,7 @@ from ..sparse.build import coo_to_csr
 from ..sparse.csr import INDEX_DTYPE, CsrMatrix
 from ..sparse.ops import mask_entries
 from ..sparse.semiring import BOOL_AND_OR, Semiring
-from .msbfs import msbfs
+from .msbfs import msbfs_on_session
 
 
 @dataclass
@@ -113,18 +113,15 @@ def influence_maximization(
         Seed candidates = this many highest-degree vertices (default
         ``max(4k, 16)``, capped at n).
 
-    Every live-edge sample is an *edge subset* of the same graph, so with
-    ``config.reuse_plan`` (the default) one resident
-    :class:`~repro.core.driver.TsSession` is prepared for the **full**
-    graph and each sample's session is *derived* from it
+    Every live-edge sample is an *edge subset* of the same graph, so one
+    resident :class:`~repro.core.driver.TsSession` is prepared for the
+    **full** graph and each sample's session is *derived* from it
     (:meth:`~repro.core.driver.TsSession.derive_edge_subset`): every rank
     masks its cached blocks and prepared subtiles down to the sample's
     kept edges — one streaming pass instead of a full
     re-scatter/column-copy/re-prepare per sample — and the sample's
     MS-BFS runs on-rank end-to-end via distributed handles.  The derived
     state is bit-identical to a fresh prepare on the sampled matrix.
-    Ablate with ``TsConfig(reuse_plan=False)`` / ``--reuse-plan off``:
-    every sample then re-plans every level from scratch, as before.
     """
     if A.nrows != A.ncols:
         raise ValueError("adjacency matrix must be square")
@@ -140,39 +137,24 @@ def influence_maximization(
     # of boolean masks, n bits per (candidate, sample).
     reach = np.zeros((samples, m, n), dtype=bool)
     total_runtime = 0.0
-    base_session: Optional[TsSession] = None
-    if config.reuse_plan:
-        a_bool = A if A.dtype == np.bool_ else A.astype(np.bool_)
-        base_session = TsSession(
-            a_bool, p, semiring=BOOL_AND_OR, config=config, machine=machine
-        )
-    try:
+    a_bool = A if A.dtype == np.bool_ else A.astype(np.bool_)
+    with TsSession(
+        a_bool, p, semiring=BOOL_AND_OR, config=config, machine=machine
+    ) as base_session:
         for r in range(samples):
             # Per-sample generator (not one shared stream): sample r's
             # mask is a pure function of (seed, r), so a serving tier can
             # recompute any single sample — batched or alone — and land
             # on exactly this mask.
             keep = sample_keep_mask(A, probability, sample_rng(seed, r))
-            if base_session is not None:
-                # The sampled matrix is never materialized driver-side:
-                # the derived session holds the masked state rank-side,
-                # and the handle-path msbfs reads only A's dimensions.
-                sample_session = base_session.derive_edge_subset(keep)
-                bfs = msbfs(
-                    A, candidates, p, config=config, machine=machine,
-                    session=sample_session,
-                )
-            else:
-                bfs = msbfs(
-                    mask_entries(A, keep), candidates, p, config=config,
-                    machine=machine,
-                )
+            # The sampled matrix is never materialized driver-side: the
+            # derived session holds the masked state rank-side, and
+            # closing it releases the sample's replicas at once.
+            with base_session.derive_edge_subset(keep) as sample_session:
+                bfs = msbfs_on_session(sample_session, candidates)
             total_runtime += bfs.total_runtime
             rows = bfs.visited.row_ids()
             reach[r, bfs.visited.indices, rows] = True
-    finally:
-        if base_session is not None:
-            base_session.close()
 
     # Greedy: maximize the union of reached sets, averaged over samples.
     covered = np.zeros((samples, n), dtype=bool)

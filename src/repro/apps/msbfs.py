@@ -16,14 +16,12 @@ scattered once, every level chains the multiply's
 operand, and the frontier update runs inside the rank program as local
 pattern ops (it is row-partitioned — zero communication), exactly like
 the paper's Alg 3.  The visited set is gathered once, after the loop.
-``driver_gather=True`` forces the historical driver round-trip per level
-(B scatter + C gather, now honestly charged) for ablation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import Callable, List, Optional
 
 import numpy as np
 
@@ -88,8 +86,7 @@ def _frontier_update(comm, reached: CsrMatrix, visited: CsrMatrix):
     """Rank-local Alg 3 frontier update: ``F ← N \\ S``, ``S ← S ∨ N``.
 
     Row-partitioned, so it needs zero communication; the streaming cost
-    of touching the newly reached block is charged, matching
-    :func:`msbfs_spmd`'s accounting.
+    of touching the newly reached block is charged.
     """
     with comm.phase("frontier-update"):
         frontier, new_visited = difference_and_union(reached, visited, BOOL_AND_OR)
@@ -106,8 +103,6 @@ def msbfs(
     config: TsConfig = DEFAULT_CONFIG,
     machine: MachineProfile = PERLMUTTER,
     max_levels: Optional[int] = None,
-    driver_gather: bool = False,
-    session=None,
 ) -> BfsResult:
     """Run multi-source BFS from ``sources`` on ``p`` simulated ranks.
 
@@ -116,74 +111,68 @@ def msbfs(
     adjacency matrix).  ``algorithm`` is any registry name — the paper's
     Fig 12(d) runs the same loop over 2-D SUMMA for comparison.
 
-    With ``config.reuse_plan`` (the default) and an algorithm that offers
-    a resident session, ``A`` is distributed and plan-prepared **once**.
-    Handle-capable sessions (the TS algorithms) additionally keep the
-    whole iteration on-rank: the frontier is scattered once, every level
-    chains the multiply's :class:`~repro.partition.distmat.DistHandle`
-    into the next level's operand, the frontier update runs rank-locally,
-    and the visited set is gathered once at the end — zero per-level
-    driver traffic.  ``driver_gather=True`` forces the historical
-    round-trip loop (per-level B scatter / C gather, charged) for
-    ablation.  Baselines without a session — and ``--reuse-plan off``
-    runs — launch one full simulated job per level, as before.
-
-    ``session`` injects a pre-built resident session for ``A`` (used by
-    influence maximization's derived per-sample sessions); the caller
-    keeps ownership, otherwise the session created here is closed before
-    returning.
+    ``A`` is distributed and plan-prepared **once**, in the algorithm's
+    resident session.  Handle-capable sessions (the TS algorithms) keep
+    the whole iteration on-rank: the frontier is scattered once, every
+    level chains the multiply's
+    :class:`~repro.partition.distmat.DistHandle` into the next level's
+    operand, the frontier update runs rank-locally, and the visited set
+    is gathered once at the end — zero per-level driver traffic.  The
+    SUMMA sessions multiply a driver-held frontier per level; PETSc-1D,
+    which has no session, launches one full simulated job per level.
     """
     if A.nrows != A.ncols:
         raise ValueError("adjacency matrix must be square")
     sources = np.asarray(sources, dtype=np.int64)
     multiply = get_algorithm(algorithm)
-    owns_session = False
-    if session is None and config.reuse_plan:
-        a_bool = A if A.dtype == np.bool_ else A.astype(np.bool_)
-        session = make_session(
-            algorithm, a_bool, p, semiring=BOOL_AND_OR, machine=machine, config=config
+    a_bool = A if A.dtype == np.bool_ else A.astype(np.bool_)
+    session = make_session(
+        algorithm, a_bool, p, semiring=BOOL_AND_OR, machine=machine, config=config
+    )
+    if session is None:
+        return _msbfs_driver_loop(
+            A.nrows, sources, max_levels,
+            lambda frontier: multiply(
+                a_bool, frontier, p, semiring=BOOL_AND_OR, machine=machine,
+                config=config,
+            ),
         )
-        owns_session = session is not None
-    try:
+    with session:
         # Dispatch on the registry session contract's capability flag,
         # not the concrete class, so third-party handle-capable sessions
         # ride the resident path too.
-        handle_capable = bool(getattr(session, "supports_handles", False))
-        if driver_gather and not handle_capable:
-            raise ValueError(
-                "driver_gather=True ablates a handle-capable resident "
-                "session (the TS algorithms with reuse_plan on); the "
-                "per-call and baseline paths already round-trip through "
-                "the driver, so the ablation would be a silent no-op"
-            )
-        if handle_capable and not driver_gather:
+        if getattr(session, "supports_handles", False):
             return _msbfs_handles(sources, session, max_levels)
-        # The per-call fallback is the only path that multiplies against
-        # A directly; sessions already hold their own boolean operand.
-        a_bool = None
-        if session is None:
-            a_bool = A if A.dtype == np.bool_ else A.astype(np.bool_)
-        return _msbfs_driver_loop(
-            A.nrows, a_bool, sources, p, multiply, session, config, machine,
-            max_levels, charge_driver=handle_capable,
-        )
-    finally:
-        if owns_session:
-            session.close()
+        return _msbfs_driver_loop(A.nrows, sources, max_levels, session.multiply)
+
+
+def _level(level: int, entering_nnz: int, discovered_nnz: int, mult) -> BfsIteration:
+    """One level's :class:`BfsIteration`, read off its multiply's result."""
+    diagnostics = getattr(mult, "diagnostics", {}) or {}
+    return BfsIteration(
+        iteration=level,
+        frontier_nnz=entering_nnz,
+        discovered_nnz=discovered_nnz,
+        comm_bytes=mult.comm_bytes(),
+        comm_nnz=int(
+            diagnostics.get("sent_b_nnz", 0) + diagnostics.get("sent_c_nnz", 0)
+        ),
+        runtime=mult.multiply_time,
+        comm_time=mult.comm_time,
+        driver_scatter_bytes=int(diagnostics.get("driver_scatter_bytes", 0)),
+        driver_gather_bytes=int(diagnostics.get("driver_gather_bytes", 0)),
+        rounds=mult.report.alltoall_rounds(),
+        retries=int(diagnostics.get("retries", 0)),
+        recoveries=int(diagnostics.get("recoveries", 0)),
+        shrinks=int(diagnostics.get("shrinks", 0)),
+    )
 
 
 def _msbfs_driver_loop(
-    n, a_bool, sources, p, multiply, session, config, machine, max_levels,
-    charge_driver=False,
+    n: int, sources: np.ndarray, max_levels: Optional[int], multiply: Callable
 ) -> BfsResult:
-    """The historical loop: every level's ``B`` and ``C`` round-trip
-    through the driver, which also performs the frontier update.
-
-    ``charge_driver`` (the TS sessions' ``driver_gather=True`` ablation)
-    puts that round-trip on the virtual clocks so the handle path's
-    saving is measurable; baselines and the per-call fallback keep the
-    free pre-distributed accounting.
-    """
+    """The driver loop: ``multiply(frontier)`` returns each level's
+    product on the driver, which performs the frontier update."""
     frontier = bfs_frontier(n, sources)
     visited = frontier
     result = BfsResult(visited=visited)
@@ -192,45 +181,10 @@ def _msbfs_driver_loop(
         if max_levels is not None and level >= max_levels:
             break
         entering_nnz = frontier.nnz
-        if charge_driver:
-            # handle-capable session ablated with driver_gather=True:
-            # price the per-level round-trip it would otherwise avoid
-            mult = session.multiply(frontier, charge_driver=True)
-        elif session is not None:
-            mult = session.multiply(frontier)
-        else:
-            mult = multiply(
-                a_bool, frontier, p, semiring=BOOL_AND_OR, machine=machine,
-                config=config,
-            )
-        reached = mult.C
+        mult = multiply(frontier)
         # F <- N \ S, S <- S v N
-        frontier, visited = difference_and_union(reached, visited, BOOL_AND_OR)
-        diagnostics = getattr(mult, "diagnostics", {}) or {}
-        comm_nnz = int(
-            diagnostics.get("sent_b_nnz", 0) + diagnostics.get("sent_c_nnz", 0)
-        )
-        result.iterations.append(
-            BfsIteration(
-                iteration=level,
-                frontier_nnz=entering_nnz,
-                discovered_nnz=frontier.nnz,
-                comm_bytes=mult.comm_bytes(),
-                comm_nnz=comm_nnz,
-                runtime=mult.multiply_time,
-                comm_time=mult.comm_time,
-                driver_scatter_bytes=int(
-                    diagnostics.get("driver_scatter_bytes", 0)
-                ),
-                driver_gather_bytes=int(
-                    diagnostics.get("driver_gather_bytes", 0)
-                ),
-                rounds=mult.report.alltoall_rounds(),
-                retries=int(diagnostics.get("retries", 0)),
-                recoveries=int(diagnostics.get("recoveries", 0)),
-                shrinks=int(diagnostics.get("shrinks", 0)),
-            )
-        )
+        frontier, visited = difference_and_union(mult.C, visited, BOOL_AND_OR)
+        result.iterations.append(_level(level, entering_nnz, frontier.nnz, mult))
         level += 1
     result.visited = visited
     return result
@@ -245,14 +199,15 @@ def msbfs_on_session(
 ) -> BfsResult:
     """Multi-source BFS directly on a prepared resident session.
 
-    The serving tier's entry point (:mod:`repro.serve`): a
-    :class:`~repro.core.driver.TsSession` already holds the distributed
-    boolean graph and its multiply plan, so a traversal needs only the
-    source batch — many users' independent BFS queries concatenate into
-    one ``sources`` array and come back as independent columns of the
-    visited matrix (the (∧,∨) semiring never mixes columns, so each
-    query's answer is bit-identical however the batcher groups them).
-    ``reports`` (optional list) receives each level's
+    The entry point for callers that own a session — the serving tier
+    (:mod:`repro.serve`) and influence maximization's derived per-sample
+    sessions: a :class:`~repro.core.driver.TsSession` already holds the
+    distributed boolean graph and its multiply plan, so a traversal needs
+    only the source batch — many users' independent BFS queries
+    concatenate into one ``sources`` array and come back as independent
+    columns of the visited matrix (the (∧,∨) semiring never mixes
+    columns, so each query's answer is bit-identical however the batcher
+    groups them).  ``reports`` (optional list) receives each level's
     :class:`~repro.mpi.stats.SpmdReport` for the caller to fold with
     :func:`~repro.mpi.stats.merge_reports`.
     """
@@ -273,8 +228,9 @@ def _msbfs_handles(
     Every level's multiply consumes and produces rank-resident
     :class:`~repro.partition.distmat.DistHandle`\\ s and the frontier
     update runs inside the rank program — per-level driver traffic is
-    exactly zero, matching the real system's Alg 3 (and
-    :func:`msbfs_spmd`'s per-level trace byte-for-byte).
+    exactly zero, matching the real system's Alg 3 (and, byte for byte,
+    the single-program reference ``single_program_msbfs`` in
+    ``benchmarks/_oracles.py``).
     """
     frontier = session.scatter(bfs_frontier(session.ncols, sources))
     visited = frontier
@@ -284,8 +240,8 @@ def _msbfs_handles(
         if max_levels is not None and level >= max_levels:
             break
         entering_nnz = frontier.nnz
-        # One rank program per level: multiply + fused frontier update,
-        # exactly the loop body of msbfs_spmd (and the paper's Alg 3).
+        # One rank program per level: multiply + fused frontier update
+        # (the paper's Alg 3 loop body); multiply_time includes the update.
         mult = session.multiply(
             frontier,
             gather=False,
@@ -295,135 +251,10 @@ def _msbfs_handles(
         frontier, visited = mult.extra
         if reports is not None:
             reports.append(mult.report)
-        diagnostics = mult.diagnostics
-        comm_nnz = int(
-            diagnostics.get("sent_b_nnz", 0) + diagnostics.get("sent_c_nnz", 0)
-        )
-        result.iterations.append(
-            BfsIteration(
-                iteration=level,
-                frontier_nnz=entering_nnz,
-                discovered_nnz=frontier.nnz,
-                comm_bytes=mult.comm_bytes(),
-                comm_nnz=comm_nnz,
-                # multiply_time includes the fused rank-local frontier
-                # update, as in msbfs_spmd's per-level windows.
-                runtime=mult.multiply_time,
-                comm_time=mult.comm_time,
-                rounds=mult.rounds,
-                retries=int(diagnostics.get("retries", 0)),
-                recoveries=int(diagnostics.get("recoveries", 0)),
-                shrinks=int(diagnostics.get("shrinks", 0)),
-            )
-        )
+        result.iterations.append(_level(level, entering_nnz, frontier.nnz, mult))
         level += 1
     result.visited = visited.gather()
     return result
-
-
-def msbfs_spmd(
-    A: CsrMatrix,
-    sources: np.ndarray,
-    p: int,
-    *,
-    config: TsConfig = DEFAULT_CONFIG,
-    machine: MachineProfile = PERLMUTTER,
-    max_levels: Optional[int] = None,
-) -> BfsResult:
-    """Multi-source BFS as a *single resident SPMD program*.
-
-    Unlike :func:`msbfs` (which launches one simulated job per level so it
-    can swap in baseline multiplies), this variant keeps everything
-    distributed for the whole traversal: the ``Ac`` column copy *and* the
-    B-independent multiply plan (:class:`~repro.core.plan.PreparedA`) are
-    built **once** and amortized over every level — the reason the
-    paper's data structure pays off in iterative applications — and the
-    frontier update ``F ← N \\ S``, visited update and the global
-    termination test (an allreduce of ``nnz(F)``) all run rank-locally
-    between multiplies.  ``config.reuse_plan=False`` keeps ``Ac``
-    resident but re-plans every level (the ``--reuse-plan off``
-    ablation).
-
-    Per-level ``comm_bytes``/``comm_time`` are measured as deltas of each
-    rank's communication counters around the level's multiply, so the
-    :class:`BfsIteration` trace decomposes the same way as the
-    registry-path trace (bytes summed over ranks, times max over ranks).
-    """
-    if A.nrows != A.ncols:
-        raise ValueError("adjacency matrix must be square")
-    sources = np.asarray(sources, dtype=np.int64)
-    a_bool = A if A.dtype == np.bool_ else A.astype(np.bool_)
-    f_global = bfs_frontier(A.nrows, sources)
-
-    from ..core.plan import prepare_multiply
-    from ..core.tiled import tiled_multiply
-    from ..mpi.executor import run_spmd
-    from ..partition.distmat import DistSparseMatrix
-
-    def program(comm):
-        dist_a = DistSparseMatrix.scatter_rows(comm, a_bool)
-        dist_a.build_column_copy()
-        prepared = prepare_multiply(dist_a, config) if config.reuse_plan else None
-        dist_f = DistSparseMatrix.scatter_rows(comm, f_global)
-        visited = dist_f.local
-        frontier = dist_f.local
-        trace = []
-        level = 0
-        while True:
-            with comm.phase("frontier-sync"):
-                frontier_nnz = comm.allreduce(frontier.nnz)
-            if frontier_nnz == 0:
-                break
-            if max_levels is not None and level >= max_levels:
-                break
-            t0 = comm.time
-            totals0 = comm.stats.totals()
-            bytes0, comm_t0 = totals0.bytes_sent, totals0.comm_time
-            dist_f = DistSparseMatrix(comm, dist_a.rows, frontier, f_global.ncols)
-            dist_n, diag = tiled_multiply(
-                dist_a, dist_f, BOOL_AND_OR, config, prepared=prepared
-            )
-            frontier, visited = _frontier_update(comm, dist_n.local, visited)
-            totals1 = comm.stats.totals()
-            trace.append(
-                (
-                    level,
-                    frontier_nnz,
-                    frontier.nnz,
-                    diag.sent_b_nnz + diag.sent_c_nnz,
-                    comm.time - t0,
-                    totals1.bytes_sent - bytes0,
-                    totals1.comm_time - comm_t0,
-                    totals1.alltoall_rounds - totals0.alltoall_rounds,
-                )
-            )
-            level += 1
-        return visited, trace
-
-    result = run_spmd(
-        p, program, machine=machine, sanitize=config.sanitize or None
-    )
-    from ..partition.distmat import _vstack_blocks
-
-    visited = _vstack_blocks([v[0] for v in result.values], f_global.ncols)
-    out = BfsResult(visited=visited)
-    # Aggregate per-level traces across ranks (sum counters, max times).
-    n_levels = max(len(v[1]) for v in result.values)
-    for lvl in range(n_levels):
-        entries = [v[1][lvl] for v in result.values if lvl < len(v[1])]
-        out.iterations.append(
-            BfsIteration(
-                iteration=lvl,
-                frontier_nnz=entries[0][1],
-                discovered_nnz=sum(e[2] for e in entries),
-                comm_bytes=sum(e[5] for e in entries),
-                comm_nnz=sum(e[3] for e in entries),
-                runtime=max(e[4] for e in entries),
-                comm_time=max(e[6] for e in entries),
-                rounds=max(e[7] for e in entries),
-            )
-        )
-    return out
 
 
 def reference_reachability(A: CsrMatrix, sources: np.ndarray) -> CsrMatrix:

@@ -62,13 +62,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument(
-        "--reuse-plan",
-        default="on",
-        choices=("on", "off"),
-        help="amortize the B-independent symbolic+tiling plan across "
-        "iterative multiplies (off = re-plan every multiply, for ablation)",
-    )
-    parser.add_argument(
         "--fuse-comm",
         default="on",
         choices=("on", "off"),
@@ -132,7 +125,6 @@ def _config(args, **overrides) -> TsConfig:
     faults = getattr(args, "faults", "")
     fields = dict(
         kernel=getattr(args, "kernel", "auto"),
-        reuse_plan=args.reuse_plan == "on",
         fuse_comm=getattr(args, "fuse_comm", "on") == "on",
         sanitize=getattr(args, "sanitize", False),
         faults=faults,
@@ -180,13 +172,7 @@ def _cmd_multiply(args) -> int:
     B = tall_skinny(A.nrows, args.d, args.sparsity, seed=args.seed + 1)
     machine = get_profile(args.machine)
     config = _config(args, tile_width_factor=args.tile_width)
-    try:
-        algorithm = ALGORITHMS[args.algorithm]
-    except KeyError:
-        print(f"unknown algorithm {args.algorithm!r}; choose from "
-              f"{sorted(ALGORITHMS)}", file=sys.stderr)
-        return 2
-    result = algorithm(A, B, args.ranks, machine=machine, config=config)
+    result = ALGORITHMS[args.algorithm](A, B, args.ranks, machine=machine, config=config)
     rows = [
         ["algorithm", args.algorithm],
         ["kernel", args.kernel],
@@ -214,7 +200,6 @@ def _cmd_bfs(args) -> int:
             algorithm=args.algorithm,
             config=_config(args),
             machine=machine,
-            driver_gather=args.driver_gather == "on",
         )
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
@@ -225,7 +210,6 @@ def _cmd_bfs(args) -> int:
             it.frontier_nnz,
             it.comm_nnz,
             it.rounds,
-            fmt_bytes(it.driver_scatter_bytes + it.driver_gather_bytes),
             fmt_seconds(it.runtime),
         ]
         for it in result.iterations
@@ -233,7 +217,7 @@ def _cmd_bfs(args) -> int:
     print_table(
         f"MSBFS: {args.sources} sources on {args.dataset} (p={args.ranks}, "
         f"{result.levels} levels, total {fmt_seconds(result.total_runtime)})",
-        ["level", "frontier nnz", "comm nnz", "rounds", "driver bytes", "runtime"],
+        ["level", "frontier nnz", "comm nnz", "rounds", "runtime"],
         rows,
     )
     counts = result.reachable_counts()
@@ -426,7 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_mult = sub.add_parser("multiply", help="one distributed multiply")
     _add_common(p_mult)
-    p_mult.add_argument("--algorithm", default="TS-SpGEMM")
+    p_mult.add_argument("--algorithm", default="TS-SpGEMM", choices=sorted(ALGORITHMS))
     p_mult.add_argument("--d", type=int, default=128)
     p_mult.add_argument("--sparsity", type=float, default=0.8)
     p_mult.add_argument("--tile-width", type=int, default=16)
@@ -437,15 +421,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p_bfs)
     _add_kernel(p_bfs)
     p_bfs.add_argument("--sources", type=int, default=64)
-    p_bfs.add_argument("--algorithm", default="TS-SpGEMM")
-    p_bfs.add_argument(
-        "--driver-gather",
-        default="off",
-        choices=("on", "off"),
-        help="round-trip every level's frontier/result through the driver "
-        "(charged B scatter + C gather) instead of chaining rank-resident "
-        "handles; ablation of the zero-driver-traffic default",
-    )
+    p_bfs.add_argument("--algorithm", default="TS-SpGEMM", choices=sorted(ALGORITHMS))
     p_bfs.set_defaults(func=_cmd_bfs)
 
     p_emb = sub.add_parser("embed", help="sparse embedding training")

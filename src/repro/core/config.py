@@ -62,13 +62,6 @@ class TsConfig:
         identity-safe semirings at ``d <= SPA_AUTO_MAX_D`` (boolean BFS
         frontiers, the planner's pattern products), the vectorized ESC
         kernel otherwise.
-    reuse_plan:
-        When ``True`` (default), iterative drivers (the resident MSBFS,
-        :class:`~repro.core.driver.TsSession`, embedding training) build
-        one :class:`~repro.core.plan.PreparedA` per distributed ``A`` and
-        amortize the B-independent symbolic + tiling work across
-        multiplies.  ``False`` re-plans every multiply from scratch — the
-        ablation behind the CLI's ``--reuse-plan on|off``.
     fuse_comm:
         When ``True`` (default), the tiled multiply issues **one fused
         all-to-all** per multiply step instead of separate exchanges for
@@ -139,7 +132,6 @@ class TsConfig:
     tile_height: Optional[int] = None
     mode_policy: str = "hybrid"
     kernel: str = "auto"
-    reuse_plan: bool = True
     fuse_comm: bool = True
     spa_threshold: int = 1024
     default_d: int = 128

@@ -256,12 +256,12 @@ class ResidentOperand:
 
         Pattern-determined, so read off the split the prepared plan keeps
         (:attr:`~repro.sparse.tile.ColumnStrips.selections`); without one
-        (``reuse_plan=False``, a derived session before its first
-        multiply) the lists are cached on ``aux``, off the split this
-        call's multiply already cut of the block — same pattern, whatever
-        values it holds — or off a fresh one, which that multiply reuses.
+        (a derived session before its first multiply) the lists are
+        cached on ``aux``, off the split this call's multiply already cut
+        of the block — same pattern, whatever values it holds — or off a
+        fresh one, which that multiply reuses.
         """
-        if self.prepared is not None and self.prepared.strips is not None:
+        if self.prepared.strips is not None:
             return self.prepared.strips.selections
         sels = self.aux.get("value_strip_selections")
         if sels is None:
@@ -315,7 +315,7 @@ class ResidentOperand:
                     cc.shape, cc.indptr, cc.indices, new_col, check=False
                 )
                 comm.charge_touch(new_data.nbytes + new_col.nbytes)
-            if self.prepared is not None and self.prepared.subtiles:
+            if self.prepared.subtiles:
                 self.prepared.refresh_values(self.dist)
         self.refreshes += 1
 
@@ -403,9 +403,9 @@ class TsSession(ResidentSession):
     fresh clocks and statistics, so every :class:`MultiplyResult` reports
     only that multiply's incremental cost — the accounting the
     per-iteration traces of Fig 12/13 need.  The constructor's task
-    distributes ``A``, builds ``Ac`` and (with ``config.reuse_plan``) the
-    per-rank :class:`~repro.core.plan.PreparedA`; its modelled cost is
-    recorded in ``setup_report``.
+    distributes ``A``, builds ``Ac`` and the per-rank
+    :class:`~repro.core.plan.PreparedA`; its modelled cost is recorded in
+    ``setup_report``.
 
     **Distributed handles.**  ``multiply`` accepts *and* produces
     rank-resident operands (:class:`~repro.partition.distmat.DistHandle`):
@@ -415,8 +415,7 @@ class TsSession(ResidentSession):
     >>> h = session.multiply(h, gather=False).C    # chains, zero driver I/O
     >>> C = h.gather()                             # explicit exit point
 
-    With ``multiply(..., charge_driver=True)`` — the accounting behind
-    MS-BFS's ``driver_gather=True`` ablation — a driver-resident ``B``
+    With ``multiply(..., charge_driver=True)`` a driver-resident ``B``
     is charged as a root scatter (phase ``scatter-B``) and
     ``gather=True`` charges the root gather of ``C`` (``gather-C``):
     the real per-multiply driver round-trip the handle path eliminates,
@@ -521,13 +520,11 @@ class TsSession(ResidentSession):
             # after a shrink (or under the ``row_bounds`` hook) the blocks
             # are contiguous but unbalanced.
             dist_a = DistSparseMatrix.scatter_rows(comm, A, rows=self._rows)
-            prepared = None
             if self.algorithm == "tiled":
                 dist_a.build_column_copy()
-                if self.config.reuse_plan:
-                    prepared = prepare_multiply(dist_a, self.config)
-                    prepared.ensure_strips(dist_a)
-            elif self.config.reuse_plan:
+                prepared = prepare_multiply(dist_a, self.config)
+                prepared.ensure_strips(dist_a)
+            else:
                 # Naive has no Ac; the prepared object just holds the
                 # request-round cache, filled on the first multiply.
                 prepared = PreparedA(
@@ -804,7 +801,7 @@ class TsSession(ResidentSession):
             program, timeout=self._resilience_timeout(nbytes)
         )
         prepared = blob["prepared"]
-        if prepared is not None and prepared.strips is not None:
+        if prepared.strips is not None:
             prepared.strips.refresh_values(blob["local"])
         self._state[rank] = (
             blob["rows"],
@@ -961,13 +958,10 @@ class TsSession(ResidentSession):
                     comm.charge_touch(merge_touch)
                     if handle_nbytes and adopter_new == 0:
                         comm.charge_touch(handle_nbytes)
-                touched = 0
-                if prepared is not None:
-                    dist_a = DistSparseMatrix(comm, rows, local, ncols, col)
-                    touched = shrink_prepared(
-                        prepared, dist_a, dead_rank, adopter_old
-                    )
-                comm.charge_touch(touched)
+                dist_a = DistSparseMatrix(comm, rows, local, ncols, col)
+                comm.charge_touch(
+                    shrink_prepared(prepared, dist_a, dead_rank, adopter_old)
+                )
                 comm.barrier()
             return rows, local, col, prepared, aux
 
@@ -1106,13 +1100,12 @@ class TsSession(ResidentSession):
         (``scatter-B`` phase) and, with ``gather=True``, the C root
         gather (``gather-C``) — and surfaces the moved bytes as
         ``diagnostics['driver_scatter_bytes'] / ['driver_gather_bytes']``.
-        This is the explicit ablation knob behind MS-BFS's
+        This is the explicit ablation knob behind the embedding's
         ``driver_gather=True``: it models the O(n·d) per-iteration
         traffic a loop pays when it round-trips operands through the
         driver instead of chaining handles.  The default ``False`` keeps
         the paper's pre-distributed-input convention, the same (free)
-        accounting as the per-call :func:`ts_spgemm` path, so
-        plan-reuse ablations compare like with like.
+        accounting as the per-call :func:`ts_spgemm` path.
 
         ``epilogue`` fuses a rank-local post-processing step into the
         same rank program — ``epilogue(comm, c_local, *operand_blocks)``
@@ -1482,13 +1475,9 @@ class TsSession(ResidentSession):
                         _revalued(col_copy, col_ids), keep[col_ids]
                     )
                     touched += new_col.nbytes_estimate()
-                new_prepared = None
-                if prepared is not None:
-                    new_prepared = PreparedA(
-                        config=config, rank=rank, size=comm.size
-                    )
-                    new_prepared.row_tile_ranges = list(prepared.row_tile_ranges)
-                if prepared is not None and prepared.subtiles:
+                new_prepared = PreparedA(config=config, rank=rank, size=comm.size)
+                new_prepared.row_tile_ranges = list(prepared.row_tile_ranges)
+                if prepared.subtiles:
                     # A masked subtile is its rows of the masked column
                     # copy: every nonzero-column rescan in one pass.
                     tile_ranges = {
@@ -1518,11 +1507,7 @@ class TsSession(ResidentSession):
                                 )
                             )
                 comm.charge_touch(touched)
-                if (
-                    new_prepared is not None
-                    and new_prepared.subtiles
-                    and config.mode_policy != "hybrid"
-                ):
+                if new_prepared.subtiles and config.mode_policy != "hybrid":
                     # Masking can empty a subtile, so the static mode
                     # table must be re-exchanged for the subset.
                     outgoing = [
@@ -1532,8 +1517,8 @@ class TsSession(ResidentSession):
                         ]
                         for peer in range(comm.size)
                     ]
-                    # The guard above is rank-invariant in practice:
-                    # prepared-ness is decided collectively at session
+                    # The guard above is rank-invariant in practice: the
+                    # subtile layout is decided collectively at session
                     # construction and ``config.mode_policy`` is
                     # config-wide, so every rank takes the same side.
                     with comm.phase("symbolic"):
@@ -1597,47 +1582,17 @@ class TsSession(ResidentSession):
 
 def ts_spmm(
     A: CsrMatrix,
-    B: Union[np.ndarray, DistDenseHandle],
+    B: np.ndarray,
     p: int,
     *,
     config: Optional[TsConfig] = None,
     machine: Optional[MachineProfile] = None,
-    session: Optional[TsSession] = None,
-    gather: bool = True,
 ) -> MultiplyResult:
-    """Distributed SpMM ``C = A · B`` with dense ``B`` (§V-C comparator).
-
-    With ``session`` (a resident :class:`TsSession` for ``A``), the
-    multiply runs on the session's resident state instead of launching a
-    fresh one-shot job: ``B`` may then also be a rank-resident
-    :class:`~repro.partition.distmat.DistDenseHandle`, and
-    ``gather=False`` returns one — so iterative dense chains (``Z ←
-    A·Z``) stay on-rank end-to-end, exactly like the sparse handle path.
-    The per-call form (no session) always gathers.  A session carries
-    its own config and machine profile; passing a *different* one here
-    is rejected rather than silently ignored.
+    """Distributed SpMM ``C = A · B`` with dense ``B`` (§V-C comparator),
+    as a one-shot job.  Iterative dense chains (``Z ← A·Z``) keep ``B``
+    on-rank through a :class:`TsSession` instead
+    (:meth:`TsSession.scatter_dense`, ``multiply(..., gather=False)``).
     """
-    if session is not None:
-        if session.p != p:
-            raise ValueError(
-                f"session runs {session.p} ranks, ts_spmm was asked for {p}"
-            )
-        if config is not None and config != session.config:
-            raise ValueError(
-                "config differs from the session's; a resident session "
-                "multiplies with the config it was prepared under"
-            )
-        if machine is not None and machine != session.machine:
-            raise ValueError(
-                "machine profile differs from the session's; a resident "
-                "session charges the profile it was created with"
-            )
-        return session.multiply(B, gather=gather)
-    if not gather:
-        raise ValueError(
-            "gather=False needs a resident session; the per-call path has "
-            "no rank-resident state for a handle to point into"
-        )
     config = DEFAULT_CONFIG if config is None else config
     machine = PERLMUTTER if machine is None else machine
     B = np.asarray(B)

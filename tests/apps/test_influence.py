@@ -149,3 +149,27 @@ class TestSampleRng:
         r2 = influence_maximization(adj, k=2, p=2, samples=3, seed=7)
         assert r1.seeds == r2.seeds
         assert r1.spread_estimates == r2.spread_estimates
+
+
+class TestSampleSessions:
+    @pytest.mark.parametrize("checkpoint", ["neighbor", "driver"])
+    def test_each_sample_session_is_closed_with_its_replicas(self, monkeypatch, checkpoint):
+        """Every derived per-sample session is closed after its traversal,
+        so its checkpoint replicas go at once, not with the base session."""
+        from repro.core import TsConfig, TsSession
+
+        children = []
+        derive = TsSession.derive_edge_subset
+
+        def recording(self, keep, values=None):
+            child = derive(self, keep, values)
+            assert child._ckpt is not None  # replicas to release
+            children.append(child)
+            return child
+
+        monkeypatch.setattr(TsSession, "derive_edge_subset", recording)
+        adj = erdos_renyi(40, 4, seed=3)
+        config = TsConfig(recoverable=True, checkpoint=checkpoint)
+        influence_maximization(adj, k=2, p=2, samples=3, seed=1, config=config)
+        assert len(children) == 3
+        assert all(c._ckpt is None and c.checkpoint_resident_bytes == 0 for c in children)

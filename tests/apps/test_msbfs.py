@@ -1,19 +1,26 @@
 """Multi-source BFS correctness (vs networkx and the serial reference)."""
 
+import importlib
+
 import networkx as nx
 import numpy as np
 import pytest
 
 from repro.apps import msbfs, reference_reachability
+from repro.baselines import ALGORITHMS, SESSIONS, make_session
 from repro.data import erdos_renyi, random_sources, rmat
 from repro.sparse import CsrMatrix, from_edges
 
 
-def nx_reachability(adj: CsrMatrix, sources) -> set:
+def nx_graph(adj: CsrMatrix) -> nx.Graph:
     g = nx.Graph()
     g.add_nodes_from(range(adj.nrows))
-    rows = adj.row_ids()
-    g.add_edges_from(zip(rows.tolist(), adj.indices.tolist()))
+    g.add_edges_from(zip(adj.row_ids().tolist(), adj.indices.tolist()))
+    return g
+
+
+def nx_reachability(adj: CsrMatrix, sources) -> set:
+    g = nx_graph(adj)
     out = set()
     for j, s in enumerate(sources):
         for v in nx.node_connected_component(g, int(s)):
@@ -110,13 +117,61 @@ class TestCorrectness:
             msbfs(CsrMatrix.empty((3, 4)), np.array([0]), 2)
 
 
+def nx_level_sizes(adj: CsrMatrix, sources) -> list:
+    """nnz(F) entering each Alg 3 level: the (vertex, source) pairs at
+    BFS distance ``level``, up to the largest distance."""
+    g = nx_graph(adj)
+    dists = [
+        d
+        for s in sources
+        for d in nx.single_source_shortest_path_length(g, int(s)).values()
+    ]
+    return np.bincount(dists).tolist()
+
+
 class TestAlgorithmChoices:
-    @pytest.mark.parametrize("algorithm", ["TS-SpGEMM", "SUMMA-2D", "PETSc-1D"])
+    """Every registry algorithm through ``msbfs`` — the handle loop (TS
+    sessions), the driver loop on a session (SUMMA) and per call
+    (PETSc-1D) — traverses level for level like the serial BFS."""
+
+    @pytest.mark.parametrize("algorithm", sorted(ALGORITHMS))
     def test_same_reachability_all_algorithms(self, algorithm):
         adj = erdos_renyi(48, 3, seed=7)
         sources = random_sources(48, 4, seed=4)
+        fronts = nx_level_sizes(adj, sources)
+        assert len(fronts) > 2
+        # p = 4: a 2 x 2 grid for SUMMA-2D, 1 x 1 x 4 layers for SUMMA-3D
         result = msbfs(adj, sources, 4, algorithm=algorithm)
         assert visited_set(result.visited) == nx_reachability(adj, sources)
+        assert [it.frontier_nnz for it in result.iterations] == fronts
+        capped = msbfs(adj, sources, 4, algorithm=algorithm, max_levels=2)
+        assert [it.frontier_nnz for it in capped.iterations] == fronts[:2]
+
+
+class TestSessionLifecycle:
+    @pytest.mark.parametrize("algorithm", sorted(SESSIONS))
+    def test_msbfs_closes_the_session_it_made(self, monkeypatch, algorithm):
+        msbfs_module = importlib.import_module("repro.apps.msbfs")
+
+        made = []
+
+        def recording(*args, **kwargs):
+            made.append(make_session(*args, **kwargs))
+            return made[-1]
+
+        monkeypatch.setattr(msbfs_module, "make_session", recording)
+        msbfs(erdos_renyi(40, 3, seed=2), np.array([0, 5]), 4, algorithm=algorithm)
+        assert len(made) == 1 and made[0].closed
+
+    def test_unknown_algorithm_fails_before_any_session(self, monkeypatch):
+        msbfs_module = importlib.import_module("repro.apps.msbfs")
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a session was built for an unknown algorithm")
+
+        monkeypatch.setattr(msbfs_module, "make_session", refuse)
+        with pytest.raises(KeyError, match="FOO"):
+            msbfs(erdos_renyi(40, 3, seed=2), np.array([0]), 4, algorithm="FOO")
 
 
 class TestIterationStats:

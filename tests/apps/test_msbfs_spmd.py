@@ -1,9 +1,10 @@
-"""Tests for the SPMD-resident multi-source BFS variant."""
+"""The single-program MS-BFS reference against the registry ``msbfs``."""
 
 import numpy as np
 import pytest
+from _oracles import single_program_msbfs
 
-from repro.apps import msbfs, msbfs_spmd
+from repro.apps import msbfs
 from repro.data import erdos_renyi, random_sources, rmat
 from repro.sparse import from_edges
 
@@ -13,21 +14,21 @@ class TestEquivalence:
     def test_matches_driver_loop_er(self, p):
         adj = erdos_renyi(60, 4, seed=21)
         sources = random_sources(60, 6, seed=2)
-        resident = msbfs_spmd(adj, sources, p)
+        resident = single_program_msbfs(adj, sources, p)
         driver = msbfs(adj, sources, p)
         assert resident.visited.equal(driver.visited)
 
     def test_matches_driver_loop_rmat(self):
         adj = rmat(128, 6, seed=22)
         sources = random_sources(128, 8, seed=3)
-        resident = msbfs_spmd(adj, sources, 4)
+        resident = single_program_msbfs(adj, sources, 4)
         driver = msbfs(adj, sources, 4)
         assert resident.visited.equal(driver.visited)
 
     def test_per_level_frontiers_match(self):
         adj = erdos_renyi(50, 3, seed=23)
         sources = random_sources(50, 4, seed=4)
-        resident = msbfs_spmd(adj, sources, 2)
+        resident = single_program_msbfs(adj, sources, 2)
         driver = msbfs(adj, sources, 2)
         got = [it.frontier_nnz for it in resident.iterations]
         expected = [it.frontier_nnz for it in driver.iterations]
@@ -35,20 +36,20 @@ class TestEquivalence:
 
     def test_chain_levels(self):
         adj = from_edges([0, 1, 2, 3], [1, 2, 3, 4], 5, symmetric=True)
-        result = msbfs_spmd(adj, np.array([0]), 2)
+        result = single_program_msbfs(adj, np.array([0]), 2)
         assert result.levels == 5
         assert result.reachable_counts()[0] == 5
 
     def test_max_levels(self):
         adj = from_edges([0, 1, 2, 3], [1, 2, 3, 4], 5, symmetric=True)
-        result = msbfs_spmd(adj, np.array([0]), 2, max_levels=2)
+        result = single_program_msbfs(adj, np.array([0]), 2, max_levels=2)
         assert result.levels == 2
 
     def test_non_square_rejected(self):
         from repro.sparse import CsrMatrix
 
         with pytest.raises(ValueError):
-            msbfs_spmd(CsrMatrix.empty((2, 3)), np.array([0]), 2)
+            single_program_msbfs(CsrMatrix.empty((2, 3)), np.array([0]), 2)
 
 
 class TestAmortization:
@@ -70,9 +71,7 @@ class TestAmortization:
 
         single = run_spmd(4, one_build).report.phase_bytes()["build-Ac"]
 
-        import repro.apps.msbfs as msbfs_mod
-
-        resident = msbfs_spmd(adj, sources, 4)
+        resident = single_program_msbfs(adj, sources, 4)
         assert resident.levels >= 3  # multi-level traversal
         # indirect check: runtime of the resident variant counts setup
         # once; per-level runtimes exclude it entirely.

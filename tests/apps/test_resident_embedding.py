@@ -71,14 +71,6 @@ class TestBitIdenticalZ:
         )
         assert bitwise_equal(resident.Z, ablation.Z)
 
-    def test_reuse_plan_off_still_resident_and_identical(self, community_graph):
-        resident, ablation = train_pair(
-            community_graph, d=8, sparsity=0.5, epochs=3, seed=6,
-            config=TsConfig(reuse_plan=False),
-        )
-        assert bitwise_equal(resident.Z, ablation.Z)
-        assert all(e.driver_scatter_bytes == 0 for e in resident.epochs)
-
 
 class TestDriverTraffic:
     def test_resident_epochs_move_zero_driver_bytes(self, community_graph):

@@ -152,19 +152,25 @@ class TestSplitCounts:
             assert splits == []
 
     @pytest.mark.parametrize("refresh", REFRESHES)
-    def test_without_a_plan_every_multiply_splits_once_per_rank(self, splits, refresh):
-        """``reuse_plan=False`` keeps nothing between calls — but the
-        refresh and the consumer side of one call share one split."""
-        with session_on(float_graph(), reuse_plan=False) as session:
-            assert len(splits) == P  # build_column_copy
-            for _ in range(2):
-                del splits[:]
-                session.multiply(operand(), prologue=refresh)
-                assert len(splits) == P
-            # the selections were cached on aux by the first refresh
-            assert all("value_strip_selections" in s[4] for s in session._state)
+    def test_derived_session_first_refresh_splits_once_per_rank(self, splits, refresh):
+        """A derived session has no strips until its first multiply — the
+        refresh and the consumer side of that call share one split, and
+        later calls keep it."""
+        a = float_graph()
+        with session_on(a) as parent:
+            session = parent.derive_edge_subset(np.ones(a.nnz, bool))
+            del splits[:]
+            session.multiply(operand(), prologue=refresh)
+            assert len(splits) == P
+            # A refresh before the multiply caches the selections on aux;
+            # a fused one finishes after the multiply took its strips.
+            cached = refresh is scale_values
+            assert all(("value_strip_selections" in s[4]) == cached for s in session._state)
+            del splits[:]
+            session.multiply(operand(), prologue=refresh)
+            assert splits == []
 
-    def test_the_selections_key_is_only_for_sessions_without_a_plan(self):
+    def test_a_session_with_a_plan_never_writes_the_selections_key(self):
         with session_on(float_graph()) as session:
             session.multiply(operand(), prologue=scale_values)
             assert not any("value_strip_selections" in s[4] for s in session._state)
@@ -247,13 +253,12 @@ class TestStaleSelectionsAreRefused:
     selections; a list that no longer matches the pattern must not
     silently rebuild a column copy of the wrong length."""
 
-    @pytest.mark.parametrize("planned", [False, True])
-    def test_refresh_raises_before_replacing_the_copy(self, planned):
+    def test_refresh_raises_before_replacing_the_copy(self):
         a = float_graph()
-        with session_on(a, reuse_plan=planned) as parent:
-            # Sessions that read the selections off ``aux``: one without a
-            # plan, and a derived one before its first multiply cut strips.
-            session = parent.derive_edge_subset(np.ones(a.nnz, bool)) if planned else parent
+        with session_on(a) as parent:
+            # A derived session reads the selections off ``aux`` until its
+            # first multiply cuts strips.
+            session = parent.derive_edge_subset(np.ones(a.nnz, bool))
             rows, local = session._state[0][:2]
             stale = list(ColumnStrips(local, rows.ranges).selections)
             assert len(stale[1]) > 0

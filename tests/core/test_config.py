@@ -57,3 +57,11 @@ class TestValidation:
         assert cfg.effective_tile_height(32) == 32
         assert cfg.effective_tile_height(100) == 64
         assert cfg.effective_tile_height(0) == 1
+
+
+class TestFields:
+    def test_plan_reuse_is_not_a_knob(self):
+        """Every resident session prepares its plan: there is no field to
+        switch that off."""
+        with pytest.raises(TypeError):
+            TsConfig(reuse_plan=False)

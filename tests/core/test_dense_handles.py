@@ -75,45 +75,6 @@ class TestDenseHandleChaining:
         want = ts_spmm(square_a, dense_b, P).C
         assert np.array_equal(got, want)
 
-    def test_ts_spmm_delegates_to_session(self, square_a, dense_b):
-        want = ts_spmm(square_a, dense_b, P).C
-        with TsSession(square_a, P) as session:
-            h = session.scatter_dense(dense_b)
-            mult = ts_spmm(square_a, h, P, session=session, gather=False)
-            assert isinstance(mult.C, DistDenseHandle)
-            assert np.array_equal(mult.C.gather(), want)
-
-    def test_ts_spmm_session_rank_mismatch(self, square_a, dense_b):
-        with TsSession(square_a, P) as session:
-            with pytest.raises(ValueError, match="ranks"):
-                ts_spmm(square_a, dense_b, P + 1, session=session)
-
-    def test_ts_spmm_session_config_mismatch_rejected(self, square_a, dense_b):
-        """A session multiplies under its own config/machine; conflicting
-        arguments must raise instead of being silently ignored."""
-        from repro.mpi import ETHERNET_CLUSTER
-
-        with TsSession(square_a, P) as session:
-            with pytest.raises(ValueError, match="config"):
-                ts_spmm(
-                    square_a, dense_b, P, session=session,
-                    config=TsConfig(mode_policy="local"),
-                )
-            with pytest.raises(ValueError, match="machine"):
-                ts_spmm(
-                    square_a, dense_b, P, session=session,
-                    machine=ETHERNET_CLUSTER,
-                )
-            # matching (or omitted) settings are fine
-            mult = ts_spmm(
-                square_a, dense_b, P, session=session, config=session.config
-            )
-            assert np.array_equal(mult.C, ts_spmm(square_a, dense_b, P).C)
-
-    def test_ts_spmm_per_call_rejects_gather_false(self, square_a, dense_b):
-        with pytest.raises(ValueError, match="resident session"):
-            ts_spmm(square_a, dense_b, P, gather=False)
-
 
 class TestDenseHandleContract:
     def test_zero_driver_bytes_on_handle_chain(self, square_a, dense_b):
@@ -185,22 +146,23 @@ class TestDenseHandleContract:
 
 class TestPrologueRefresh:
     @pytest.mark.parametrize("policy", ["hybrid", "local", "remote"])
-    @pytest.mark.parametrize("reuse", [True, False], ids=["reuse", "fresh"])
-    def test_refresh_values_bitwise_matches_fresh_session(
-        self, rng, policy, reuse
-    ):
+    @pytest.mark.parametrize("derived", [False, True], ids=["planned", "derived"])
+    def test_refresh_values_bitwise_matches_fresh_session(self, rng, policy, derived):
         a = csr_from_dense(random_dense(rng, N, N, 0.2))
         b = csr_from_dense(random_dense(rng, N, D, 0.4))
         new_vals = rng.random(a.nnz) + 0.5
         a2 = CsrMatrix(a.shape, a.indptr, a.indices, new_vals, check=False)
-        config = TsConfig(mode_policy=policy, reuse_plan=reuse)
+        config = TsConfig(mode_policy=policy)
         want = ts_spgemm(a2, b, P, config=config).C
 
         def prologue(comm, operand):
             lo, hi = operand.rows.range_of(comm.rank)
             operand.refresh_values(new_vals[a.indptr[lo] : a.indptr[hi]])
 
-        with TsSession(a, P, config=config) as session:
+        with TsSession(a, P, config=config) as parent:
+            # A derived session refreshes through the selections cached on
+            # ``aux`` (it has no strips before its first multiply).
+            session = parent.derive_edge_subset(np.ones(a.nnz, bool)) if derived else parent
             got = session.multiply(b, prologue=prologue).C
             assert bitwise_equal(got, want)
             # the refreshed values are resident: later multiplies reuse them

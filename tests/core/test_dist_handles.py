@@ -7,15 +7,15 @@ driver-gather path — for any semiring, kernel and mode policy — while
 moving exactly zero bytes through the driver per multiply.  The registry
 MS-BFS rides this path end-to-end (scatter-once → resident chain →
 one final gather), so the same guarantees are asserted on whole
-traversals against the ``driver_gather=True`` ablation and the serial
-reference.
+traversals against the driver round-trip reference
+(``driver_round_trip_msbfs``) and the serial reference.
 """
 
 import numpy as np
 import pytest
+from _oracles import driver_round_trip_msbfs, single_program_msbfs
 
-from repro.apps import msbfs, reference_reachability
-from repro.apps.msbfs import msbfs_spmd
+from repro.apps import msbfs, msbfs_on_session, reference_reachability
 from repro.core import TsConfig, TsSession, ts_spgemm
 from repro.data import erdos_renyi, random_sources, rmat
 from repro.partition import DistHandle
@@ -120,8 +120,7 @@ class TestDriverTraffic:
 
     def test_default_accounting_matches_per_call_path(self, rng):
         """Without the ablation knob, a session multiply charges exactly
-        like the per-call ts_spgemm path (pre-distributed convention) —
-        so reuse_plan ablations compare like with like."""
+        like the per-call ts_spgemm path (pre-distributed convention)."""
         a = csr_from_dense(random_dense(rng, N, N, 0.2))
         b = csr_from_dense(random_dense(rng, N, D, 0.4))
         with TsSession(a, P) as session:
@@ -219,7 +218,7 @@ class TestMsbfsOnHandles:
         sources = random_sources(128, 8, seed=3)
         config = TsConfig(mode_policy=policy, kernel=kernel)
         resident = msbfs(adj, sources, P, config=config)
-        gathered = msbfs(adj, sources, P, config=config, driver_gather=True)
+        gathered = driver_round_trip_msbfs(adj, sources, P, config=config)
         assert bitwise_equal(resident.visited, gathered.visited)
         assert resident.levels == gathered.levels
         ref = reference_reachability(adj.astype(np.bool_), sources)
@@ -229,8 +228,8 @@ class TestMsbfsOnHandles:
         adj = erdos_renyi(64, 4, seed=9)
         sources = random_sources(64, 5, seed=1)
         resident = msbfs(adj, sources, P, algorithm="TS-SpGEMM-Naive")
-        gathered = msbfs(
-            adj, sources, P, algorithm="TS-SpGEMM-Naive", driver_gather=True
+        gathered = driver_round_trip_msbfs(
+            adj, sources, P, algorithm="TS-SpGEMM-Naive"
         )
         assert bitwise_equal(resident.visited, gathered.visited)
 
@@ -238,7 +237,7 @@ class TestMsbfsOnHandles:
         adj = rmat(128, 6, seed=8)
         sources = random_sources(128, 8, seed=4)
         resident = msbfs(adj, sources, P)
-        gathered = msbfs(adj, sources, P, driver_gather=True)
+        gathered = driver_round_trip_msbfs(adj, sources, P)
         for it in resident.iterations:
             assert it.driver_scatter_bytes == 0
             assert it.driver_gather_bytes == 0
@@ -249,35 +248,37 @@ class TestMsbfsOnHandles:
 
     def test_per_level_comm_matches_spmd_reference(self):
         """The handle path's per-level trace still decomposes exactly like
-        the single-program msbfs_spmd reference (the Fig 12 invariant)."""
+        the single-program reference (the Fig 12 invariant)."""
         adj = erdos_renyi(80, 4, seed=5)
         sources = random_sources(80, 6, seed=6)
         resident = msbfs(adj, sources, P)
-        spmd = msbfs_spmd(adj, sources, P)
+        spmd = single_program_msbfs(adj, sources, P)
         assert resident.levels == spmd.levels
         for got, want in zip(resident.iterations, spmd.iterations):
             assert got.comm_bytes == want.comm_bytes
             assert got.frontier_nnz == want.frontier_nnz
 
-    def test_driver_gather_without_capable_session_rejected(self):
-        """The ablation needs a handle-capable session to ablate; a
-        silent no-op (zero driver bytes reported for a path that never
-        measured them) would mislead."""
-        adj = erdos_renyi(48, 3, seed=6)
-        sources = random_sources(48, 4, seed=1)
-        with pytest.raises(ValueError, match="handle-capable"):
-            msbfs(
-                adj, sources, P, driver_gather=True,
-                config=TsConfig(reuse_plan=False),
+    def test_round_trip_reference_runs_the_same_multiplies(self):
+        """Only the driver round trip tells the two loops apart: per level
+        the same frontier, exchanges and communicated nonzeros, and
+        ``comm_bytes`` apart by exactly the driver's scatter + gather."""
+        adj = rmat(128, 6, seed=8)
+        sources = random_sources(128, 8, seed=4)
+        resident = msbfs(adj, sources, P)
+        gathered = driver_round_trip_msbfs(adj, sources, P)
+        assert resident.levels == gathered.levels
+        for it_h, it_g in zip(resident.iterations, gathered.iterations):
+            assert (it_h.frontier_nnz, it_h.rounds, it_h.comm_nnz) == (
+                it_g.frontier_nnz, it_g.rounds, it_g.comm_nnz
             )
-        with pytest.raises(ValueError, match="handle-capable"):
-            msbfs(adj, sources, 4, algorithm="SUMMA-2D", driver_gather=True)
+            driver = it_g.driver_scatter_bytes + it_g.driver_gather_bytes
+            assert it_g.comm_bytes == it_h.comm_bytes + driver
 
     def test_modelled_time_improves_vs_driver_gather(self):
         adj = rmat(256, 8, seed=10)
         sources = random_sources(256, 16, seed=2)
         resident = msbfs(adj, sources, P)
-        gathered = msbfs(adj, sources, P, driver_gather=True)
+        gathered = driver_round_trip_msbfs(adj, sources, P)
         assert resident.total_runtime < gathered.total_runtime
 
     def test_summa_session_like_for_like(self):
@@ -288,11 +289,6 @@ class TestMsbfsOnHandles:
         result = msbfs(adj, sources, 4, algorithm="SUMMA-2D")
         ref = reference_reachability(adj.astype(np.bool_), sources)
         assert bitwise_equal(result.visited, ref)
-        off = msbfs(
-            adj, sources, 4, algorithm="SUMMA-2D",
-            config=TsConfig(reuse_plan=False),
-        )
-        assert bitwise_equal(result.visited, off.visited)
 
 
 class TestDerivedEdgeSubsetSessions:
@@ -322,7 +318,7 @@ class TestDerivedEdgeSubsetSessions:
         live = mask_entries(a, keep)
         with TsSession(a_bool, P, semiring=BOOL_AND_OR) as base:
             derived = base.derive_edge_subset(keep)
-            via_derived = msbfs(live, sources, P, session=derived)
+            via_derived = msbfs_on_session(derived, sources)
         via_fresh = msbfs(live, sources, P)
         assert bitwise_equal(via_derived.visited, via_fresh.visited)
 
@@ -342,18 +338,3 @@ class TestDerivedEdgeSubsetSessions:
         with TsSession(a, 2, semiring=BOOL_AND_OR) as base:
             with pytest.raises(ValueError, match="stored edges"):
                 base.derive_edge_subset(np.ones(a.nnz + 1, dtype=bool))
-
-    def test_influence_reuse_plan_ablation_identical(self):
-        from repro.apps import influence_maximization
-
-        adj = rmat(96, 6, seed=15)
-        on = influence_maximization(
-            adj, k=2, p=2, probability=0.3, samples=3, seed=4,
-            config=TsConfig(reuse_plan=True),
-        )
-        off = influence_maximization(
-            adj, k=2, p=2, probability=0.3, samples=3, seed=4,
-            config=TsConfig(reuse_plan=False),
-        )
-        assert on.seeds == off.seeds
-        assert on.spread_estimates == pytest.approx(off.spread_estimates)

@@ -13,8 +13,9 @@ separate exchanges' bytes) — while the all-to-all *round count* (the
 import numpy as np
 import pytest
 
+from _oracles import single_program_msbfs
+
 from repro.apps import msbfs, train_sparse_embedding
-from repro.apps.msbfs import msbfs_spmd
 from repro.core import (
     FUSED_SECTION_PHASES,
     TsConfig,
@@ -223,19 +224,6 @@ class TestFusedSessions:
                 outs[cfg.fuse_comm] = h.gather()
         assert bitwise_equal(outs[True], outs[False])
 
-    def test_fresh_plan_ablation_also_fuses(self, rng):
-        """reuse_plan=False still rides the fused exchange (throwaway
-        prepared): outputs bit-identical, rounds still collapse."""
-        a = csr_from_dense(random_dense(rng, N, N, 0.2))
-        b = csr_from_dense(random_dense(rng, N, D, 0.5))
-        on, off = config_pair(reuse_plan=False, tile_width_factor=1)
-        with TsSession(a, P, config=on) as s_on, TsSession(
-            a, P, config=off
-        ) as s_off:
-            m_on, m_off = s_on.multiply(b), s_off.multiply(b)
-            assert bitwise_equal(m_on.C, m_off.C)
-            assert m_on.rounds < m_off.rounds
-
 
 # ----------------------------------------------------------------------
 # apps: MS-BFS and the SDDMM-fused embedding epoch
@@ -259,7 +247,7 @@ class TestFusedApps:
         assert all(it.rounds == 1 + 2 * P for it in r_off.iterations)
         # the resident SPMD loop rides the same fused schedule: per-level
         # traces must agree byte-for-byte and round-for-round
-        spmd = msbfs_spmd(a, sources, P, config=on)
+        spmd = single_program_msbfs(a, sources, P, config=on)
         assert bitwise_equal(spmd.visited, r_on.visited)
         assert [it.comm_bytes for it in spmd.iterations] == [
             it.comm_bytes for it in r_on.iterations

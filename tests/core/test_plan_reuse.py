@@ -15,7 +15,7 @@ from collections import Counter, defaultdict
 
 import numpy as np
 import pytest
-from _oracles import assert_same_plan
+from _oracles import assert_same_plan, single_program_msbfs
 
 from repro.core import (
     SETUP_PHASES,
@@ -125,18 +125,6 @@ class TestCachedPlanEquivalence:
                     == fresh.diagnostics["symbolic_products"]
                 )
 
-    def test_reuse_plan_off_matches_too(self, rng):
-        """The ablation path (fresh plan inside a resident session) is
-        equally exact — and reports no plan reuse."""
-        a = csr_from_dense(random_dense(rng, N, N, 0.2))
-        config = TsConfig(reuse_plan=False)
-        session = TsSession(a, P, config=config)
-        b = csr_from_dense(random_dense(rng, N, D, 0.4))
-        fresh = ts_spgemm(a, b, P, config=config)
-        reused = session.multiply(b)
-        assert bitwise_equal(reused.C, fresh.C)
-        assert reused.diagnostics["plan_reused"] == 0
-
     @pytest.mark.parametrize("width,height", [(1, None), (2, 7)])
     def test_nondefault_tiling_equivalence(self, rng, width, height):
         a = csr_from_dense(random_dense(rng, 30, 30, 0.2))
@@ -163,6 +151,21 @@ class TestCachedPlanEquivalence:
             a, csr_from_dense(random_dense(rng, N, D, 0.3)), P, algorithm="naive"
         ).report
         assert fresh_report.phase_bytes().get("request-indices", 0) > 0
+
+    @pytest.mark.parametrize("algorithm", ["tiled", "naive"])
+    def test_every_session_holds_a_plan(self, rng, algorithm):
+        """Set-up prepares on every rank, and a derived session inherits
+        one — what the multiply, refresh, restore and shrink paths read
+        without checking."""
+        a = csr_from_dense(random_dense(rng, N, N, 0.2))
+        with TsSession(a, P, algorithm=algorithm) as session:
+            child = session.derive_edge_subset(rng.random(a.nnz) < 0.5)
+            for s in (session, child):
+                assert all(isinstance(state[3], PreparedA) for state in s._state)
+            assert all(
+                (state[3].strips is not None) == (algorithm == "tiled")
+                for state in session._state
+            )
 
     def test_update_operand_values_only(self, rng):
         """Same pattern, new values: the session refreshes numeric state
@@ -280,27 +283,26 @@ class TestAmortization:
         # no pattern products, no prepare, no tiling: zero plan compute
         assert setup_compute(report) == 0.0
 
-    def test_msbfs_spmd_reuse_improves_modelled_runtime(self):
-        from repro.apps import msbfs_spmd
+    def test_single_program_reuse_improves_modelled_runtime(self):
         from repro.data import random_sources, rmat
 
         adj = rmat(256, 8, seed=12)
         sources = random_sources(256, 16, seed=3)
-        on = msbfs_spmd(adj, sources, 4, config=TsConfig(reuse_plan=True))
-        off = msbfs_spmd(adj, sources, 4, config=TsConfig(reuse_plan=False))
+        on = single_program_msbfs(adj, sources, 4, prepare=True)
+        off = single_program_msbfs(adj, sources, 4, prepare=False)
         assert on.visited.equal(off.visited)
         assert on.levels == off.levels >= 3
         assert on.total_runtime < off.total_runtime
 
-    def test_msbfs_spmd_per_level_comm_bytes_match_registry(self):
+    def test_single_program_per_level_comm_bytes_match_registry(self):
         """Satellite: the SPMD trace now reports real per-level phase
         bytes (was a 0 placeholder) and matches the registry path."""
-        from repro.apps import msbfs, msbfs_spmd
+        from repro.apps import msbfs
         from repro.data import erdos_renyi, random_sources
 
         adj = erdos_renyi(80, 4, seed=5)
         sources = random_sources(80, 6, seed=6)
-        resident = msbfs_spmd(adj, sources, 4)
+        resident = single_program_msbfs(adj, sources, 4)
         driver = msbfs(adj, sources, 4)
         assert resident.levels == driver.levels
         assert sum(it.comm_bytes for it in resident.iterations) > 0

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.baselines import ALGORITHMS
 from repro.cli import build_parser, main
 from repro.sparse import CsrMatrix, write_matrix_market
 
@@ -46,12 +47,14 @@ class TestCommands:
         assert rc == 0
         assert "SUMMA-2D" in capsys.readouterr().out
 
-    def test_multiply_unknown_algorithm(self, capsys):
-        rc = main(
-            ["multiply", "--dataset", "cora", "--scale", "0.3", "--algorithm", "X"]
-        )
-        assert rc == 2
-        assert "unknown algorithm" in capsys.readouterr().err
+    @pytest.mark.parametrize("command", ["multiply", "bfs"])
+    def test_unknown_algorithm_lists_the_choices(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--dataset", "cora", "--scale", "0.3", "--algorithm", "FOO"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid choice: 'FOO'" in err
+        assert all(name in err for name in sorted(ALGORITHMS))
 
     def test_bfs_runs(self, capsys):
         rc = main(
@@ -61,6 +64,10 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "MSBFS" in out
         assert "mean vertices reached" in out
+        header = next(line for line in out.splitlines() if "frontier nnz" in line)
+        assert header.split() == [
+            "level", "frontier", "nnz", "comm", "nnz", "rounds", "runtime"
+        ]
 
     def test_embed_runs(self, capsys):
         rc = main(
@@ -84,13 +91,22 @@ class TestCommands:
         assert "influence maximization" in out
         assert "seed vertex" in out
 
-    def test_bfs_kernel_and_reuse_flags(self, capsys):
-        """--kernel is threaded through bfs (not just multiply), and
-        --reuse-plan off selects the fresh-plan ablation path."""
+    @pytest.mark.parametrize(
+        "command, flag",
+        [("bfs", "--reuse-plan"), ("embed", "--reuse-plan"), ("bfs", "--driver-gather")],
+    )
+    def test_removed_flags_are_refused(self, capsys, command, flag):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--dataset", "cora", "--scale", "0.3", flag, "off"])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+    def test_bfs_kernel_flag(self, capsys):
+        """--kernel is threaded through bfs (not just multiply)."""
         rc = main(
             [
                 "bfs", "--dataset", "cora", "--scale", "0.3", "--sources", "4",
-                "-p", "2", "--kernel", "spa", "--reuse-plan", "off",
+                "-p", "2", "--kernel", "spa",
             ]
         )
         assert rc == 0
@@ -123,7 +139,6 @@ class TestCommands:
         for cmd in ("bfs", "embed"):
             args = build_parser().parse_args([cmd, "--kernel", "hash"])
             assert args.kernel == "hash"
-            assert args.reuse_plan == "on"
 
     def test_model_runs(self, capsys):
         rc = main(["model", "--ps", "8,64"])
