@@ -21,6 +21,7 @@ from repro.sparse import (
     dispatch_spgemm,
     extract_col_range,
     extract_row_range,
+    extract_rows,
     resolve_spgemm,
     spgemm_flops,
 )
@@ -506,3 +507,69 @@ def driver_round_trip_msbfs(
             A.nrows, np.asarray(sources, dtype=np.int64), max_levels,
             lambda frontier: session.multiply(frontier, charge_driver=True),
         )
+
+
+def csr_row_topk(mat, k) -> CsrMatrix:
+    """The CSR-input ``row_topk`` the dense one replaced: every row ranked
+    by one global ``lexsort((-|value|, rows))`` over the stored entries,
+    ``mat`` itself returned when no row has more than ``k``.  Applied to
+    ``CsrMatrix.from_dense(z)`` it is what ``row_topk(z, k)`` must return
+    array for array, dtypes included."""
+    if k < 0:
+        raise ValueError("k must be non-negative")
+    counts = mat.row_nnz()
+    if (counts <= k).all():
+        return mat
+    rows = mat.row_ids()
+    mag = np.abs(mat.data.astype(np.float64, copy=False))
+    order = np.lexsort((-mag, rows))
+    ranks = np.arange(mat.nnz) - np.repeat(mat.indptr[:-1], counts)
+    keep = np.zeros(mat.nnz, dtype=bool)
+    keep[order] = ranks < k
+    csum = np.concatenate([[0], np.cumsum(keep)])
+    return CsrMatrix(
+        mat.shape,
+        csum[mat.indptr].astype(INDEX_DTYPE),
+        mat.indices[keep],
+        mat.data[keep],
+        check=False,
+    )
+
+
+def per_peer_sddmm_send(z_sp_local, send_rows, rank, my_lo):
+    """The SDDMM prologue's send list as it was built before the one
+    gather: one ``extract_rows`` per peer that references any of this
+    rank's ``Z`` rows, ``None`` for the rank itself and for the others."""
+    send = [None] * len(send_rows)
+    for i, rows in enumerate(send_rows):
+        if i != rank and len(rows):
+            send[i] = (my_lo + rows, extract_rows(z_sp_local, rows))
+    return send
+
+
+def per_payload_sddmm_rows(needed, received, z_dn_local, local_range):
+    """The SDDMM prologue's compact ``Z`` operand as it was assembled
+    before the one scatter: the rank's own rows copied from its dense
+    block, then one ``to_dense`` per received payload written to the
+    payload's slots."""
+    my_lo, my_hi = local_range
+    y = np.zeros((len(needed), z_dn_local.shape[1]))
+    mine = (needed >= my_lo) & (needed < my_hi)
+    y[mine] = z_dn_local[needed[mine] - my_lo]
+    for payload in received:
+        if payload is not None:
+            gids, block = payload
+            y[np.searchsorted(needed, gids)] = block.to_dense()
+    return y
+
+
+def searched_compact_pattern(local, needed) -> CsrMatrix:
+    """``compact_pattern`` as it was before its slot table: one
+    ``searchsorted`` of every column id in ``needed``."""
+    return CsrMatrix(
+        (local.nrows, len(needed)),
+        local.indptr,
+        np.searchsorted(needed, local.indices),
+        local.data,
+        check=False,
+    )

@@ -6,6 +6,10 @@ b = 0.5·n/p (tile height = batch size).  Expected shapes: (a) accuracy
 degrades only a few points up to ~80 % sparsity; (b) runtime falls with
 sparsity; (c) communicated volume falls with sparsity; (d) remote tiles
 carry a substantial share in the mini-batch setting.
+
+The shape checks (dense accuracy, communication falling with sparsity,
+accuracy at 50 % sparsity) run in tier-1 at this configuration:
+``tests/apps/test_fig13_claims.py``.
 """
 
 import pytest
@@ -30,7 +34,6 @@ def bench_fig13_embedding(benchmark, sink):
         batch = max(n // P // 2, 1)  # b = 0.5 n/p (Table IV / §V-G)
         cfg = TsConfig(tile_height=batch)
         rows = []
-        results = {}
         for sparsity in SPARSITIES:
             result = train_sparse_embedding(
                 adj,
@@ -43,7 +46,6 @@ def bench_fig13_embedding(benchmark, sink):
                 config=cfg,
                 machine=SCALED_PERLMUTTER,
             )
-            results[sparsity] = result
             remote = sum(e.remote_tiles for e in result.epochs)
             total = remote + sum(e.local_tiles for e in result.epochs)
             rows.append(
@@ -62,15 +64,6 @@ def bench_fig13_embedding(benchmark, sink):
             rows,
             file=sink,
         )
-        # Shape checks
-        assert results[0.0].accuracy > 0.6, "dense embedding must learn"
-        assert (
-            results[0.75].total_comm_bytes < results[0.0].total_comm_bytes
-        ), "communication must fall with sparsity"
-        assert (
-            results[0.5].accuracy > results[0.0].accuracy - 0.2
-        ), "moderate sparsity must not destroy accuracy"
-
     adj, _ = get_dataset("cora").generate_with_labels(scale=0.5, seed=4)
     benchmark(
         lambda: train_sparse_embedding(

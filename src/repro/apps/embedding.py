@@ -52,7 +52,9 @@ from ..core.driver import FusedPrologue, TsSession
 from ..mpi.costmodel import PERLMUTTER, MachineProfile
 from ..sparse.build import coo_to_csr
 from ..sparse.csr import INDEX_DTYPE, CsrMatrix
-from ..sparse.ops import extract_rows, nonzero_columns_by_rows, row_topk
+from ..sparse.ops import (
+    extract_row_range, extract_rows, nonzero_columns_by_rows, row_topk,
+)
 from ..sparse.sddmm import compact_pattern, force2vec_coefficients
 from ..sparse.semiring import PLUS_TIMES, Semiring
 
@@ -116,22 +118,20 @@ class _SddmmPrologue(FusedPrologue):
     """Rank-local epoch prologue: the distributed SDDMM (Fig 4b, fused).
 
     Fetches the ``Z`` rows this rank's coefficient pattern references —
-    the sender knows what to ship without a request round thanks to the
-    ``Ac`` column copy, the paper's §III-A trick, and ships them *sparse*
-    so the traffic falls with the embedding sparsity — then computes the
-    σ force coefficients for the local pattern block and pushes them into
-    the resident operand (values-only ``Ac`` strip refresh).  All of it
-    is charged: the row fetch as wire traffic under ``sddmm-fetch``, the
-    dot products via ``charge_sddmm`` — the honest accounting the old
-    driver-side-coefficients simplification skipped.
+    the sender reads what to ship off its ``Ac`` column copy (§III-A), no
+    request round, and ships them *sparse* so the traffic falls with the
+    embedding sparsity — then computes the σ force coefficients for the
+    local pattern block and pushes them into the resident operand
+    (values-only ``Ac`` strip refresh).  All of it is charged: the fetch
+    as wire traffic under ``sddmm-fetch``, the dot products via
+    ``charge_sddmm``.
 
-    As a :class:`~repro.core.driver.FusedPrologue` the fetch is split
-    into :meth:`sections` (the ``Z``-row payloads, ridden along the
-    multiply's fused all-to-all under ``fuse_comm``) and :meth:`finish`
-    (coefficients + values-only refresh); with ``fuse_comm=False`` the
-    base class runs the fetch as its own ``sddmm-fetch`` exchange, the
-    historical schedule.  Stateless on purpose — the pattern-derived
-    plan lives in ``operand.aux`` so one instance serves every rank.
+    :meth:`sections` packs every peer's rows with one gather
+    (:func:`_sddmm_send`) and rides the multiply's fused all-to-all
+    under ``fuse_comm`` (its own exchange otherwise); :meth:`finish`
+    places them with one scatter (:func:`_sddmm_rows`), then refreshes
+    the coefficients.  Stateless: the pattern-derived plan lives in
+    ``operand.aux``, so one instance serves every rank.
     """
 
     PHASE = "sddmm-fetch"
@@ -141,7 +141,8 @@ class _SddmmPrologue(FusedPrologue):
         block references (read straight off my Ac block — no request
         round), and my own pattern re-indexed into the compact space of
         the columns it actually references, so the receive buffer is
-        O(referenced rows · d), not O(n · d)."""
+        O(referenced rows · d), not O(n · d).  The slot table that
+        re-indexing maps through also places the fetched rows."""
         cached = operand.aux.get("sddmm_plan")
         if cached is not None:
             return cached
@@ -158,50 +159,78 @@ class _SddmmPrologue(FusedPrologue):
                 dist.col_copy, [0, *(hi for _, hi in dist.rows.ranges)]
             )
             (needed,) = nonzero_columns_by_rows(local, (0, local.nrows))
-            compact = compact_pattern(local, needed)
+            compact, slot = compact_pattern(local, needed)
             comm.charge_touch(
                 p * dist.col_copy.indices.nbytes + 2 * local.indices.nbytes
             )
         # Registered via cache() so the checkpoint layer snapshots the
         # plan with the rank's blocks (spmdlint rule S7).
-        return operand.cache("sddmm_plan", (send_rows, needed, compact))
+        return operand.cache("sddmm_plan", (send_rows, needed, slot, compact))
 
     def sections(self, comm, operand, z_sp_local, z_dn_local, labels_local):
-        send_rows, _, _ = self._plan(comm, operand)
+        send_rows, _, _, _ = self._plan(comm, operand)
         my_lo, _ = operand.dist.local_range
         with comm.phase(self.PHASE):
-            send = [None] * comm.size
-            packed = 0
-            for i in range(comm.size):
-                if i == comm.rank or len(send_rows[i]) == 0:
-                    continue
-                block = extract_rows(z_sp_local, send_rows[i])
-                send[i] = (my_lo + send_rows[i], block)
-                packed += block.nbytes_estimate()
+            send, packed = _sddmm_send(z_sp_local, send_rows, comm.rank, my_lo)
             comm.charge_touch(packed)
         return [(self.PHASE, send)]
 
     def finish(self, comm, operand, received, z_sp_local, z_dn_local, labels_local):
-        _, needed, compact = operand.aux["sddmm_plan"]
-        my_lo, my_hi = operand.dist.local_range
+        _, needed, slot, compact = operand.aux["sddmm_plan"]
+        my_range = operand.dist.local_range
         d = z_dn_local.shape[1]
         with comm.phase(self.PHASE):
-            y = np.zeros((len(needed), d))
-            mine = (needed >= my_lo) & (needed < my_hi)
-            y[mine] = z_dn_local[needed[mine] - my_lo]
-            packed = 0
-            for payload in received[self.PHASE]:
-                if payload is None:
-                    continue
-                gids, block = payload
-                # every shipped row is referenced by my pattern, so it
-                # has a slot in the compact space
-                y[np.searchsorted(needed, gids)] = block.to_dense()
-                packed += block.nbytes_estimate()
+            y, packed = _sddmm_rows(
+                needed, slot, received[self.PHASE], z_dn_local, my_range
+            )
             comm.charge_touch(packed)
         coeffs = force2vec_coefficients(compact, z_dn_local, y, labels_local.data)
         comm.charge_sddmm(operand.local.nnz * d)
         operand.refresh_values(coeffs)
+
+
+def _sddmm_send(z_sp_local, send_rows, rank, my_lo):
+    """The SDDMM fetch's send list, ``(global row ids, rows)`` for each
+    peer that references a row of ``z_sp_local``: one ``extract_rows``
+    cut into row-range views, each equal, array for array, to the peer's
+    own extraction.  Returns ``(send list, bytes packed)``."""
+    lists = [rows[:0] if i == rank else rows for i, rows in enumerate(send_rows)]
+    cuts = np.cumsum([0] + [len(rows) for rows in lists])
+    rows = np.concatenate(lists)
+    block = extract_rows(z_sp_local, rows)
+    gids = my_lo + rows
+    send = [
+        (gids[r0:r1], extract_row_range(block, r0, r1)) if r1 > r0 else None
+        for r0, r1 in zip(cuts[:-1], cuts[1:])
+    ]
+    return send, sum(x[1].nbytes_estimate() for x in send if x is not None)
+
+
+def _sddmm_rows(needed, slot, received, z_dn_local, local_range):
+    """The SDDMM's compact ``Z`` operand (row ``s`` is global row
+    ``needed[s]``, and ``slot[needed[s]] == s``): this rank's rows from
+    its dense block, every received entry written by one scatter.
+    Returns ``(y, bytes received)``.  A received row id that ``needed``
+    lacks raises ``ValueError`` naming its sender rather than overwrite
+    whatever row its slot holds."""
+    my_lo, my_hi = local_range
+    y = np.zeros((len(needed), z_dn_local.shape[1]))
+    mine = (needed >= my_lo) & (needed < my_hi)
+    y[mine] = z_dn_local[needed[mine] - my_lo]
+    got = [(i, *x) for i, x in enumerate(received) if x is not None]
+    if not got:
+        return y, 0
+    senders, gid_lists, blocks = zip(*got)
+    gids = np.concatenate(gid_lists)
+    slots = slot[gids]
+    stray = np.flatnonzero(needed[slots] != gids)
+    if len(stray):
+        sender = np.repeat(senders, [len(g) for g in gid_lists])[stray[0]]
+        raise ValueError(f"rank {sender} sent unreferenced Z row {gids[stray[0]]}")
+    rows = np.repeat(slots, np.concatenate([b.row_nnz() for b in blocks]))
+    cols = np.concatenate([b.indices for b in blocks])
+    y[rows, cols] = np.concatenate([b.data for b in blocks])
+    return y, sum(b.nbytes_estimate() for b in blocks)
 
 
 #: Shared stateless instance (per-rank state lives in ``operand.aux``).
@@ -219,10 +248,7 @@ def _make_sgd_epilogue(lr: float, keep_per_row: int):
     def epilogue(comm, c_local, z_dn_local):
         with comm.phase("sgd-update"):
             grad = c_local.to_dense()
-            z_sp_new = row_topk(
-                CsrMatrix.from_dense(z_dn_local - lr * grad), keep_per_row
-            )
-            z_dn_new = z_sp_new.to_dense()
+            z_sp_new, z_dn_new = row_topk(z_dn_local - lr * grad, keep_per_row)
             comm.charge_touch(
                 c_local.nbytes_estimate() + 2 * z_dn_new.nbytes
             )
@@ -303,8 +329,8 @@ def train_sparse_embedding(
     train_v = np.concatenate([pos_v[~test_mask], pos_u[~test_mask]])
 
     # --- initialization ------------------------------------------------
-    z_dense = (rng.random((n, d)) - 0.5) / np.sqrt(d)
-    z_sparse = row_topk(CsrMatrix.from_dense(z_dense), keep_per_row)
+    z_init = (rng.random((n, d)) - 0.5) / np.sqrt(d)
+    z_sparse, z_dense = row_topk(z_init, keep_per_row)
     lr = config.learning_rate if learning_rate is None else learning_rate
     batch = min(config.batch_size, max(n // max(p, 1), 1))
     # Tile height = mini-batch size (§IV-B); everything else — kernel,
@@ -344,7 +370,6 @@ def train_sparse_embedding(
                 # refreshed coefficient matrix re-enters the session from
                 # the driver, and every epoch pays a charged Z scatter
                 # (scatter-B) and gradient gather (gather-C).
-                z_dense = z_sparse.to_dense()
                 coeff_vals = force2vec_coefficients(
                     pattern, z_dense, z_dense, pattern.data
                 )
@@ -365,9 +390,7 @@ def train_sparse_embedding(
                 mult = session.multiply(z_sparse, charge_driver=True)
                 grad = mult.C.to_dense()
                 # synchronous SGD step + re-sparsification (top-k per row)
-                z_sparse = row_topk(
-                    CsrMatrix.from_dense(z_dense - lr * grad), keep_per_row
-                )
+                z_sparse, z_dense = row_topk(z_dense - lr * grad, keep_per_row)
                 z_nnz = z_sparse.nnz
             else:
                 # Resident path: one rank program per epoch, zero driver
@@ -379,7 +402,7 @@ def train_sparse_embedding(
                         machine=machine, row_bounds=row_bounds,
                     )
                     z_sp_h = session.scatter(z_sparse)
-                    z_dn_h = session.scatter_dense(z_sparse.to_dense())
+                    z_dn_h = session.scatter_dense(z_dense)
                     labels_h = session.scatter(pattern)
                 elif redraw:
                     session.update_operand(pattern)
@@ -444,8 +467,6 @@ def embedding_rows(Z, vertices: np.ndarray) -> np.ndarray:
             f"[{vertices.min()}, {vertices.max()}]"
         )
     if isinstance(Z, CsrMatrix):
-        from ..sparse.ops import extract_rows
-
         return extract_rows(Z, vertices).to_dense()
     return np.asarray(Z)[vertices].copy()
 

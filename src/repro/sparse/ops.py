@@ -259,36 +259,36 @@ def difference_and_union(
     return difference, CsrMatrix(a.shape, indptr, indices, data, check=False)
 
 
-def row_topk(mat: CsrMatrix, k: int) -> CsrMatrix:
-    """Keep the ``k`` largest-magnitude entries of every row.
+def row_topk(z: np.ndarray, k: int) -> Tuple[CsrMatrix, np.ndarray]:
+    """Keep the ``k`` largest-magnitude nonzeros of every row of ``z``.
 
     This is the paper's embedding sparsification: "the updated embedding
     matrix is sparsified by selecting the required number of nonzero
     entries to achieve the target sparsity by keeping the highest valued
-    entries" (§IV-B).
+    entries" (§IV-B).  It runs on the dense block the SGD step produced
+    and returns the kept entries as a CSR together with its dense twin
+    (``== csr.to_dense()``, the next epoch's SDDMM operand).
+
+    Each row is ranked by one stable ``lexsort``: nonzeros first, then
+    magnitude descending (NaN after every number), ties by column.
+    ``±0.0`` is never kept, so a row keeps ``min(k, its nonzeros)``.
     """
     if k < 0:
         raise ValueError("k must be non-negative")
-    counts = mat.row_nnz()
-    if (counts <= k).all():
-        return mat
-    rows = mat.row_ids()
-    # Rank entries within each row by |value| descending.  Sort globally by
-    # (row, -|value|), then the first k positions of each row's segment win.
-    mag = np.abs(mat.data.astype(np.float64, copy=False))
-    order = np.lexsort((-mag, rows))
-    ranks = np.arange(mat.nnz) - np.repeat(mat.indptr[:-1], counts)
-    keep_sorted = ranks < k
-    keep = np.zeros(mat.nnz, dtype=bool)
-    keep[order] = keep_sorted
-    csum = np.concatenate([[0], np.cumsum(keep)])
-    return CsrMatrix(
-        mat.shape,
-        csum[mat.indptr].astype(INDEX_DTYPE),
-        mat.indices[keep],
-        mat.data[keep],
-        check=False,
-    )
+    z = np.asarray(z)
+    nrows, ncols = z.shape
+    keep = z != 0
+    if k < ncols:
+        mag = np.abs(z.astype(np.float64, copy=False))
+        order = np.lexsort((-mag, ~keep), axis=-1)
+        top = np.zeros(z.shape, dtype=bool)
+        top[np.arange(nrows)[:, None], order[:, :k]] = True
+        keep &= top
+    flat = np.flatnonzero(keep)
+    indptr = np.zeros(nrows + 1, dtype=INDEX_DTYPE)
+    np.cumsum(keep.sum(axis=1), out=indptr[1:])
+    kept = CsrMatrix(z.shape, indptr, flat % ncols, z.ravel()[flat], check=False)
+    return kept, np.where(keep, z, z.dtype.type(0))
 
 
 def spmm_dense(mat: CsrMatrix, dense: np.ndarray) -> Tuple[np.ndarray, int]:

@@ -70,7 +70,7 @@ def bfs_like_sequence(rng, n, d, levels=4):
 def embedding_like_sequence(rng, n, d, epochs=3, keep=2):
     """Re-sparsified float embeddings: top-k rows of drifting dense Z."""
     return [
-        row_topk(csr_from_dense(rng.standard_normal((n, d))), keep)
+        row_topk(rng.standard_normal((n, d)), keep)[0]
         for _ in range(epochs)
     ]
 

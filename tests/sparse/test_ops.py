@@ -17,7 +17,7 @@ from repro.sparse import (
     spmm_dense,
     transpose,
 )
-from ..conftest import csr_from_dense, random_dense
+from ..conftest import assert_same_arrays, csr_from_dense, random_dense
 
 
 class TestTranspose:
@@ -233,33 +233,42 @@ class TestPatternOps:
 
 class TestRowTopk:
     def test_keeps_largest_magnitude(self):
-        m = csr_from_dense([[5, -7, 1, 3]])
-        out = row_topk(m, 2)
-        np.testing.assert_allclose(out.to_dense(), [[5, -7, 0, 0]])
+        out, twin = row_topk(np.array([[5.0, -7, 1, 3]]), 2)
+        np.testing.assert_array_equal(out.to_dense(), [[5, -7, 0, 0]])
+        np.testing.assert_array_equal(twin, [[5, -7, 0, 0]])
 
     def test_rows_shorter_than_k_untouched(self):
-        m = csr_from_dense([[1, 0, 0], [2, 3, 4]])
-        out = row_topk(m, 2)
+        out, _ = row_topk(np.array([[1.0, 0, 0], [2, 3, 4]]), 2)
         # row 0 has 1 entry (< k) kept; row 1 keeps the two largest (3, 4)
-        np.testing.assert_allclose(out.to_dense(), [[1, 0, 0], [0, 3, 4]])
+        np.testing.assert_array_equal(out.to_dense(), [[1, 0, 0], [0, 3, 4]])
 
     def test_k_zero_empties(self):
-        m = csr_from_dense([[1, 2]])
-        assert row_topk(m, 0).nnz == 0
+        out, twin = row_topk(np.array([[1.0, 2]]), 0)
+        assert out.nnz == 0 and not twin.any()
 
-    def test_k_larger_returns_self(self):
-        m = csr_from_dense([[1, 2]])
-        assert row_topk(m, 5) is m
+    def test_k_larger_keeps_every_nonzero(self):
+        z = np.array([[1.0, 0, 2]])
+        out, twin = row_topk(z, 5)
+        assert_same_arrays(out, csr_from_dense(z))
+        np.testing.assert_array_equal(twin, z)
 
     def test_negative_k_rejected(self):
         with pytest.raises(ValueError):
-            row_topk(CsrMatrix.empty((1, 1)), -1)
+            row_topk(np.zeros((1, 1)), -1)
 
     def test_column_order_preserved(self, rng):
         dense = random_dense(rng, 10, 12, 0.6)
-        out = row_topk(csr_from_dense(dense), 3)
+        out, twin = row_topk(dense, 3)
         CsrMatrix(out.shape, out.indptr, out.indices, out.data, check=True)
         assert (out.row_nnz() <= 3).all()
+        np.testing.assert_array_equal(twin, out.to_dense())
+
+    def test_order_of_ties_nan_and_zeros(self):
+        """Magnitude descending, ties by column, NaN after every number,
+        and ±0.0 never kept even when the row has room."""
+        z = np.array([[-2.0, 2, 3, -3], [np.nan, 1, np.inf, 0], [0, -0.0, 1, 0]])
+        out, _ = row_topk(z, 2)
+        assert out.indices.tolist() == [2, 3, 1, 2, 2]
 
 
 class TestSpmmDense:

@@ -24,6 +24,8 @@ from repro.sparse import (
 )
 from repro.sparse.ops import difference_and_union
 
+from _oracles import csr_row_topk
+
 from ..conftest import assert_same_arrays
 
 
@@ -154,10 +156,45 @@ class TestSetOpsProperties:
     @settings(max_examples=40, deadline=None)
     def test_row_topk_bounds_and_subset(self, dense, k):
         mat = CsrMatrix.from_dense(dense)
-        out = row_topk(mat, k)
+        out, twin = row_topk(dense, k)
         assert (out.row_nnz() <= k).all()
         # output pattern is a subset of input pattern
         assert pattern_difference(out, mat).nnz == 0
+        np.testing.assert_array_equal(twin, out.to_dense())
+
+
+#: Tied ±x magnitudes, signed zeros, infinities and NaN.
+TOPK_VALUES = [0.0, -0.0, 0.5, -0.5, 2.0, -2.0, 3.0, np.inf, -np.inf, np.nan]
+
+
+@st.composite
+def topk_blocks(draw):
+    """Dense blocks for ``row_topk``: up to 40 columns, so rows of tied
+    values are long enough for an unstable sort to reorder them; some
+    rows all zero; float64 or float32."""
+    nrows, ncols = draw(st.integers(0, 6)), draw(st.integers(0, 40))
+    cells = st.lists(
+        st.sampled_from(TOPK_VALUES), min_size=nrows * ncols, max_size=nrows * ncols
+    )
+    z = np.array(draw(cells), dtype=np.float64).reshape(nrows, ncols)
+    z[np.array(draw(st.lists(st.booleans(), min_size=nrows, max_size=nrows)), bool)] = 0
+    return z.astype(draw(st.sampled_from([np.float64, np.float32])))
+
+
+class TestRowTopkOracle:
+    @given(topk_blocks(), st.integers(0, 42))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_the_csr_version(self, z, k):
+        """The dense ``row_topk`` keeps what the CSR-input one kept from
+        ``from_dense(z)``, array for array and value bit for value bit,
+        and its twin is that CSR's ``to_dense()`` byte for byte."""
+        got, twin = row_topk(z, k)
+        want = csr_row_topk(CsrMatrix.from_dense(z), k)
+        assert_same_arrays(got, want)
+        assert got.data.tobytes() == want.data.tobytes()
+        dense = want.to_dense()
+        assert (twin.dtype, twin.shape) == (dense.dtype, dense.shape)
+        assert twin.tobytes() == dense.tobytes()
 
 
 @st.composite

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.sparse import CsrMatrix, fused_sddmm_spmm, sddmm, spgemm
+from repro.sparse.sddmm import compact_pattern
 from ..conftest import csr_from_dense, random_dense
 
 
@@ -91,3 +92,23 @@ class TestFused:
         z = csr_from_dense(random_dense(rng, 4, 2, 0.5))
         with pytest.raises(ValueError, match="preserve shape"):
             fused_sddmm_spmm(pattern, x, x, z, elementwise=lambda v: v[:1])
+
+
+class TestCompactPattern:
+    @pytest.mark.parametrize(
+        "shape, density", [((9, 40), 0.2), ((5, 7), 0.0), ((6, 300), 0.02)]
+    )
+    def test_column_ids_are_positions_in_needed(self, rng, shape, density):
+        """The slot-table gather gives what a search of ``needed`` gives,
+        array for array, including on empty rows and an empty block, and
+        the slot table maps each of ``needed`` to its position."""
+        local = csr_from_dense(random_dense(rng, *shape, density))
+        needed = local.nonzero_columns()
+        got, slot = compact_pattern(local, needed)
+        assert slot.shape == (shape[1],)
+        np.testing.assert_array_equal(slot[needed], np.arange(len(needed)))
+        assert got.shape == (shape[0], len(needed))
+        assert got.indices.dtype == np.int64
+        want = np.searchsorted(needed, local.indices)
+        np.testing.assert_array_equal(got.indices, want)
+        assert got.indptr is local.indptr and got.data is local.data
