@@ -45,6 +45,13 @@ from .mpi import PROFILES, SCALED_PERLMUTTER, DeadSessionError, get_profile
 from .sparse import DEFAULT_KERNEL, available_kernels, read_matrix_market
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
+
+
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--dataset",
@@ -53,7 +60,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         "or a path to a MatrixMarket file",
     )
     parser.add_argument("--scale", type=float, default=1.0, help="dataset scale factor")
-    parser.add_argument("-p", "--ranks", type=int, default=16, help="simulated ranks")
+    parser.add_argument("-p", "--ranks", type=_positive_int, default=16, help="simulated ranks")
     parser.add_argument(
         "--machine",
         default=SCALED_PERLMUTTER.name,
@@ -215,7 +222,7 @@ def _cmd_bfs(args) -> int:
         for it in result.iterations
     ]
     print_table(
-        f"MSBFS: {args.sources} sources on {args.dataset} (p={args.ranks}, "
+        f"MSBFS: {len(sources)} sources on {args.dataset} (p={args.ranks}, "
         f"{result.levels} levels, total {fmt_seconds(result.total_runtime)})",
         ["level", "frontier nnz", "comm nnz", "rounds", "runtime"],
         rows,
@@ -420,7 +427,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bfs = sub.add_parser("bfs", help="multi-source BFS")
     _add_common(p_bfs)
     _add_kernel(p_bfs)
-    p_bfs.add_argument("--sources", type=int, default=64)
+    p_bfs.add_argument("--sources", type=_positive_int, default=64)
     p_bfs.add_argument("--algorithm", default="TS-SpGEMM", choices=sorted(ALGORITHMS))
     p_bfs.set_defaults(func=_cmd_bfs)
 

@@ -26,10 +26,18 @@ receive; the original traceback is re-raised as
 a communicator after ``MPI_Abort``.  A watchdog timeout converts genuine
 communication-pattern deadlocks into
 :class:`~repro.mpi.errors.DeadlockError` instead of hanging the caller.
+
+Memory: :class:`SpmdSession` caps glibc at one malloc arena before it
+starts its workers.  Per-thread arenas each keep, trim and re-fault their
+own heap, so ``p`` rank threads would peak near the sum of ``p`` per-rank
+high-water marks; a rank allocates under the GIL, so they never bought
+allocation parallelism.  The setting is process-wide, limits only arenas
+created after the call, and applies to glibc only.
 """
 
 from __future__ import annotations
 
+import ctypes
 import queue
 import threading
 import time as _time
@@ -155,6 +163,15 @@ class _SpmdTask:
         )
 
 
+def _one_malloc_arena() -> None:
+    """``mallopt(M_ARENA_MAX, 1)``; a no-op where libc has no ``mallopt``."""
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    if mallopt is not None:
+        mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+        mallopt.restype = ctypes.c_int
+        mallopt(-8, 1)  # M_ARENA_MAX in <malloc.h>
+
+
 def _session_worker(rank: int, tasks: "queue.Queue") -> None:
     """Worker loop: execute tasks until the ``None`` shutdown sentinel.
 
@@ -252,6 +269,7 @@ class SpmdSession:
         # some rank queues (which would strand the task's collectives).
         # Held only around enqueues — close() never waits on a task.
         self._queue_lock = threading.Lock()
+        _one_malloc_arena()
         self._threads = [self._spawn_worker(r) for r in range(size)]
 
     def _spawn_worker(self, rank: int) -> threading.Thread:

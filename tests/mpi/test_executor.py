@@ -1,6 +1,12 @@
 """Tests for the SPMD executor: launch, results, failure propagation."""
 
+import ctypes
+import os
+import platform
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import pytest
 
@@ -106,6 +112,56 @@ def test_threads_do_not_leak():
     run_spmd(8, lambda comm: comm.barrier())
     after = threading.active_count()
     assert after <= before + 1  # allow for unrelated daemon churn
+
+
+# Run in a fresh interpreter: glibc fixes its arena limit once a process
+# has more than eight arenas, so threads of earlier tests could have
+# settled it already.
+_MALLOC_INFO_SCRIPT = """
+import ctypes, sys
+import numpy as np
+from repro.mpi import SpmdSession
+
+def program(comm):
+    blocks = [np.full(1000 + 10 * i, comm.rank) for i in range(50)]
+    comm.barrier()
+    return sum(int(b.sum()) for b in blocks)
+
+session = SpmdSession(8)
+session.run(program)
+libc = ctypes.CDLL(None)
+libc.fopen.argtypes = (ctypes.c_char_p, ctypes.c_char_p)
+libc.fopen.restype = ctypes.c_void_p
+libc.malloc_info.argtypes = (ctypes.c_int, ctypes.c_void_p)
+libc.malloc_info.restype = ctypes.c_int
+libc.fclose.argtypes = (ctypes.c_void_p,)
+libc.fclose.restype = ctypes.c_int
+fp = libc.fopen(sys.argv[1].encode(), b"w")
+assert fp and libc.malloc_info(0, fp) == 0
+libc.fclose(fp)
+session.close()
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc malloc only")
+def test_rank_threads_share_one_malloc_arena(tmp_path):
+    src = str(Path(__file__).resolve().parents[2] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = tmp_path / "malloc_info.xml"
+    subprocess.run(
+        [sys.executable, "-c", _MALLOC_INFO_SCRIPT, str(out)],
+        env=env, check=True, timeout=120,
+    )
+    assert out.read_text().count("<heap nr=") == 1
+
+
+def test_runs_where_libc_has_no_mallopt(monkeypatch):
+    class LibcWithoutMallopt:
+        def __init__(self, name, *args, **kwargs):
+            pass
+
+    monkeypatch.setattr(ctypes, "CDLL", LibcWithoutMallopt)
+    assert run_spmd(4, lambda comm: comm.allreduce(1)).values == [4] * 4
 
 
 class TestSpmdSession:

@@ -5,6 +5,7 @@ import pytest
 
 from repro.baselines import ALGORITHMS
 from repro.cli import build_parser, main
+from repro.data import load
 from repro.sparse import CsrMatrix, write_matrix_market
 
 
@@ -68,6 +69,28 @@ class TestCommands:
         assert header.split() == [
             "level", "frontier", "nnz", "comm", "nnz", "rounds", "runtime"
         ]
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["multiply", "-p", "0"], "-p/--ranks"),
+            (["bfs", "--sources", "-3"], "--sources"),
+            (["bfs", "--sources", "0"], "--sources"),
+        ],
+    )
+    def test_counts_must_be_positive(self, capsys, argv, flag):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--dataset", "cora", "--scale", "0.3"])
+        assert exc.value.code == 2
+        assert f"argument {flag}: must be a positive integer" in capsys.readouterr().err
+
+    def test_bfs_title_counts_the_sources_traversed(self, capsys):
+        n = load("cora", scale=0.3, seed=0).nrows
+        rc = main(
+            ["bfs", "--dataset", "cora", "--scale", "0.3", "--sources", "5000", "-p", "2"]
+        )
+        assert rc == 0
+        assert f"MSBFS: {n} sources on cora" in capsys.readouterr().out
 
     def test_embed_runs(self, capsys):
         rc = main(
