@@ -6,6 +6,8 @@ pytest puts each non-package bench module's directory on ``sys.path``
 during collection, and ``tests/conftest.py`` adds it for the tests.
 """
 
+from typing import List, Tuple
+
 import numpy as np
 
 from repro.apps.msbfs import BfsIteration, BfsResult, _frontier_update, _msbfs_driver_loop
@@ -17,7 +19,10 @@ from repro.mpi import PERLMUTTER, run_spmd
 from repro.partition.distmat import DistSparseMatrix, _vstack_blocks, _vstack_tagged
 from repro.sparse import (
     BOOL_AND_OR,
+    PLUS_TIMES,
     CsrMatrix,
+    Semiring,
+    coo_to_csr,
     dispatch_spgemm,
     extract_col_range,
     extract_row_range,
@@ -572,4 +577,160 @@ def searched_compact_pattern(local, needed) -> CsrMatrix:
         np.searchsorted(needed, local.indices),
         local.data,
         check=False,
+    )
+
+
+# The seed's scalar row-by-row SpGEMM, its production kernel and later the
+# registry's ``spa-rowwise`` / ``hash-rowwise``: exact but loop-based.
+class SpaAccumulator:
+    """Dense sparse accumulator (SPA) for one output row of length ``d``.
+
+    Uses the classic stamp trick: ``reset`` is O(1), not O(d), so the cost
+    per row is proportional to the flops it absorbs.  ``values`` is the
+    dense length-``d`` scratch the paper notes must fit in cache for SPA
+    to win.
+    """
+
+    def __init__(self, d: int, semiring: Semiring):
+        self.d = d
+        self.semiring = semiring
+        self.values = np.empty(d, dtype=semiring.dtype)
+        self.stamps = np.full(d, -1, dtype=np.int64)
+        self.occupied: List[int] = []
+        self.generation = 0
+
+    def reset(self) -> None:
+        """Start a new output row (O(1) amortized)."""
+        self.generation += 1
+        self.occupied = []
+
+    def accumulate(self, a_value, b_cols: np.ndarray, b_vals: np.ndarray) -> None:
+        """Fold ``a_value ⊗ B(c, :)`` into the row, one scaled B-row."""
+        sr = self.semiring
+        products = sr.multiply(np.broadcast_to(a_value, b_vals.shape), b_vals)
+        for col, prod in zip(b_cols, products):
+            col = int(col)
+            if self.stamps[col] != self.generation:
+                self.stamps[col] = self.generation
+                self.values[col] = prod
+                self.occupied.append(col)
+            else:
+                self.values[col] = sr.scalar_add(self.values[col], prod)
+
+    def extract(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Return (sorted column ids, values) of the accumulated row."""
+        cols = np.array(sorted(self.occupied), dtype=np.int64)
+        return cols, self.values[cols].copy()
+
+
+class HashAccumulator:
+    """Hash-based row accumulator (dict-backed reference implementation).
+
+    Memory is proportional to the row's output nonzeros rather than ``d``,
+    which is why the paper switches to hashing for ``d > 1024``.
+    """
+
+    def __init__(self, semiring: Semiring):
+        self.semiring = semiring
+        self.table: dict = {}
+
+    def reset(self) -> None:
+        self.table = {}
+
+    def accumulate(self, a_value, b_cols: np.ndarray, b_vals: np.ndarray) -> None:
+        sr = self.semiring
+        products = sr.multiply(np.broadcast_to(a_value, b_vals.shape), b_vals)
+        table = self.table
+        for col, prod in zip(b_cols.tolist(), products):
+            if col in table:
+                table[col] = sr.scalar_add(table[col], prod)
+            else:
+                table[col] = prod
+
+    def extract(self) -> Tuple[np.ndarray, np.ndarray]:
+        if not self.table:
+            return (
+                np.zeros(0, dtype=np.int64),
+                np.zeros(0, dtype=self.semiring.dtype),
+            )
+        cols = np.array(sorted(self.table), dtype=np.int64)
+        vals = np.array([self.table[int(c)] for c in cols], dtype=self.semiring.dtype)
+        return cols, vals
+
+
+def _spgemm_rowwise(a, b, semiring, accumulator) -> Tuple[CsrMatrix, int]:
+    """Row loop shared by the SPA / hash references: one ``a`` row at a
+    time, one scaled ``b`` row folded into ``accumulator`` per entry."""
+    if a.ncols != b.nrows:
+        raise ValueError(f"dimension mismatch: {a.shape} x {b.shape}")
+    indptr = np.zeros(a.nrows + 1, dtype=INDEX_DTYPE)
+    all_cols, all_vals = [], []
+    flops = 0
+    for r in range(a.nrows):
+        accumulator.reset()
+        cols_r, vals_r = a.row(r)
+        for c, v in zip(cols_r, vals_r):
+            b_cols, b_vals = b.row(int(c))
+            flops += len(b_cols)
+            if len(b_cols):
+                accumulator.accumulate(v, b_cols, b_vals)
+        out_cols, out_vals = accumulator.extract()
+        indptr[r + 1] = indptr[r] + len(out_cols)
+        all_cols.append(out_cols)
+        all_vals.append(out_vals)
+    indices = np.concatenate(all_cols) if all_cols else np.zeros(0, dtype=INDEX_DTYPE)
+    data = (
+        np.concatenate(all_vals) if all_vals else np.zeros(0, dtype=semiring.dtype)
+    )
+    return (
+        CsrMatrix((a.nrows, b.ncols), indptr, indices, data, check=False),
+        flops,
+    )
+
+
+def spgemm_spa_rowwise(a, b, semiring=PLUS_TIMES) -> Tuple[CsrMatrix, int]:
+    """The seed's production SpGEMM: row by row with a dense SPA of length
+    ``d = b.ncols``.  Any semiring; ``(C, flops)`` with each row's columns
+    increasing — what every registry kernel must equal, and beat."""
+    return _spgemm_rowwise(a, b, semiring, SpaAccumulator(b.ncols, semiring))
+
+
+def spgemm_hash_rowwise(a, b, semiring=PLUS_TIMES) -> Tuple[CsrMatrix, int]:
+    """Row by row with a hash-table accumulator; same output as
+    :func:`spgemm_spa_rowwise`."""
+    return _spgemm_rowwise(a, b, semiring, HashAccumulator(semiring))
+
+
+def reference_reachability(A: CsrMatrix, sources: np.ndarray) -> CsrMatrix:
+    """Serial reachability reference (BFS per source over the CSR graph):
+    what the distributed MS-BFS loop's visited set must equal;
+    O(d · (n + m))."""
+    n = A.nrows
+    sources = np.asarray(sources, dtype=np.int64)
+    rows_out, cols_out = [], []
+    indptr, indices = A.indptr, A.indices
+    for j, s in enumerate(sources):
+        seen = np.zeros(n, dtype=bool)
+        seen[s] = True
+        stack = [int(s)]
+        while stack:
+            u = stack.pop()
+            # follow entries (v <- u): for symmetric A the row works; in
+            # general A[v, u] != 0 means edge u -> v, so we traverse rows
+            # of A^T — callers pass symmetric graphs in the tests.
+            neighbors = indices[indptr[u] : indptr[u + 1]]
+            for v in neighbors:
+                if not seen[v]:
+                    seen[v] = True
+                    stack.append(int(v))
+        reach = np.flatnonzero(seen)
+        rows_out.append(reach)
+        cols_out.append(np.full(len(reach), j, dtype=np.int64))
+    sr = Semiring("dedup_or", np.logical_or, np.logical_and, False, np.dtype(np.bool_))
+    return coo_to_csr(
+        np.concatenate(rows_out),
+        np.concatenate(cols_out),
+        np.ones(sum(len(r) for r in rows_out), dtype=np.bool_),
+        (n, len(sources)),
+        sr,
     )

@@ -19,13 +19,13 @@ B_SMALL = random_csr(400, 64, nnz_per_row=12, rng=RNG)
 
 
 def _check_agreement():
-    reference, _ = spgemm(A, B_SMALL, method="esc")
+    reference, _ = spgemm(A, B_SMALL, method="esc-vectorized")
     for method in ("spa", "hash"):
         got, _ = spgemm(A, B_SMALL, method=method)
         assert got.equal(reference)
 
 
-@pytest.mark.parametrize("method", ["esc", "spa", "hash", "scipy"])
+@pytest.mark.parametrize("method", ["esc-vectorized", "spa", "hash", "scipy"])
 def bench_micro_kernel(benchmark, method):
     _check_agreement()
     benchmark(lambda: spgemm(A, B_SMALL, method=method))

@@ -3,7 +3,7 @@
 Runs every registered SpGEMM kernel on the ``bench_micro_accumulators``
 workload (A: 400×400 @ 8 nnz/row, B: 400×64 @ 12 nnz/row — ~38K semiring
 products) and prints wall-clock times plus each kernel's speedup over the
-seed's scalar per-row SPA path.  The tentpole target — the vectorized
+seed's scalar per-row SPA path (``spgemm_spa_rowwise`` in ``_oracles.py``).  The tentpole target — the vectorized
 default ≥5× faster than the seed path — is asserted here from *measured*
 numbers, and ``tests/sparse/test_kernel_perf.py`` re-checks it on every
 test run.  A second, BFS-shaped case (a 256x256 boolean block times a
@@ -51,6 +51,8 @@ from repro.sparse.ops import extract_row_range
 from _oracles import (
     assert_bit_identical,
     scipy_objects_product,
+    spgemm_hash_rowwise,
+    spgemm_spa_rowwise,
     three_pass_spa,
     value_free_spa,
 )
@@ -61,6 +63,8 @@ A = random_csr(400, 400, nnz_per_row=8, rng=RNG)
 B = random_csr(400, 64, nnz_per_row=12, rng=RNG)
 
 SEED_PATH = "spa-rowwise"  # the seed's production kernel
+#: The seed's scalar row loops, by the registry names they once had.
+SEED_KERNELS = {"spa-rowwise": spgemm_spa_rowwise, "hash-rowwise": spgemm_hash_rowwise}
 MIN_SPEEDUP = 5.0
 
 
@@ -78,10 +82,15 @@ def _best_of(fn, repeats=5):
     return best
 
 
+def _candidates():
+    """Every registry kernel, through dispatch, and the seed's kernels."""
+    return {**{name: _kernel(name) for name in available_kernels()}, **SEED_KERNELS}
+
+
 def _check_agreement():
     reference, _ = dispatch_spgemm(A, B, PLUS_TIMES, "esc-vectorized")
-    for kernel in available_kernels():
-        got, _ = dispatch_spgemm(A, B, PLUS_TIMES, kernel)
+    for kernel, multiply in _candidates().items():
+        got, _ = multiply(A, B, PLUS_TIMES)
         if kernel == "scipy":
             assert got.prune_zeros().equal(reference.prune_zeros())
         else:
@@ -301,16 +310,17 @@ def bench_micro_kernel_table(benchmark, sink):
     _check_agreement()
     times = {
         kernel: _best_of(
-            lambda kernel=kernel: dispatch_spgemm(A, B, PLUS_TIMES, kernel),
-            repeats=2 if kernel.endswith("rowwise") else 5,
+            lambda multiply=multiply: multiply(A, B, PLUS_TIMES),
+            repeats=2 if kernel in SEED_KERNELS else 5,
         )
-        for kernel in available_kernels()
+        for kernel, multiply in _candidates().items()
     }
     baseline = times[SEED_PATH]
     rows = [
         [
             kernel,
-            "yes" if get_kernel(kernel).vectorized else "no",
+            "no" if kernel in SEED_KERNELS or not get_kernel(kernel).vectorized
+            else "yes",
             fmt_seconds(t),
             f"{baseline / t:.1f}x",
         ]

@@ -1,0 +1,389 @@
+"""Execution census of ``src/``: what the traffic reaches, and what only
+the tests do.  Stdlib only: no ``coverage`` package is needed.
+
+Two passes, run from the repository root::
+
+    python benchmarks/census.py static     # a few seconds; the CI gate
+    python benchmarks/census.py dynamic    # minutes; the per-file table
+
+``static``
+    Lists every ``def`` / ``class`` in ``src/`` that no line of ``src/``,
+    ``benchmarks/`` (the spine included) or ``examples/`` names outside
+    its own definition and outside the ``__init__`` re-exports, and says
+    whether ``tests/`` names it.  A name is an identifier, an attribute,
+    an imported name, a keyword argument or a string constant, matched by
+    bare name: a def shares the uses of every other def of its name, so
+    the pass can miss a dead def but never lists a live one.  Exits 1
+    when it lists a def that ``allowed`` does not excuse.
+``dynamic``
+    Runs the traffic under a line tracer installed with ``sys.settrace``
+    and ``threading.settrace`` *before* anything imports ``repro``, so the
+    module bodies and every rank thread an ``SpmdSession`` starts are
+    traced too: every ``repro`` subcommand at its defaults, the spine's
+    five workloads at seed 0 (one set-up, one operation and its check
+    each), and every bench the CI workflow runs.  Prints, per ``src/``
+    file, the executable lines, those no run executed, and the functions
+    no run called.
+"""
+
+from __future__ import annotations
+
+import ast
+import contextlib
+import dis
+import io
+import os
+import re
+import sys
+import threading
+from collections import defaultdict
+from dataclasses import dataclass
+from pathlib import Path
+from typing import Dict, Iterator, List, Optional, Set, Tuple
+
+ROOT = Path(__file__).resolve().parent.parent
+#: Where a use counts as traffic; ``tests/`` is read only to label a row.
+TRAFFIC_DIRS = ("src", "benchmarks", "examples")
+
+
+# ----------------------------------------------------------------------
+# static pass
+# ----------------------------------------------------------------------
+@dataclass(frozen=True)
+class Definition:
+    path: Path
+    qualname: str
+    first: int  # the first decorator's line, else the def line
+    last: int
+    decorators: Tuple[str, ...]
+
+    @property
+    def name(self) -> str:
+        return self.qualname.rsplit(".", 1)[-1]
+
+    @property
+    def size(self) -> int:
+        return self.last - self.first + 1
+
+
+def _decorator_name(node: ast.expr) -> str:
+    if isinstance(node, ast.Call):
+        node = node.func
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    return node.id if isinstance(node, ast.Name) else ""
+
+
+def definitions(path: Path, tree: ast.Module) -> Iterator[Definition]:
+    """Module-level and class-level defs and classes (a def nested in a
+    function is that function's local)."""
+
+    def walk(body, prefix):
+        for node in body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                yield Definition(
+                    path,
+                    prefix + node.name,
+                    min([node.lineno] + [d.lineno for d in node.decorator_list]),
+                    node.end_lineno,
+                    tuple(_decorator_name(d) for d in node.decorator_list),
+                )
+                if isinstance(node, ast.ClassDef):
+                    yield from walk(node.body, f"{prefix}{node.name}.")
+            elif isinstance(node, (ast.If, ast.Try)):
+                for block in (node.body, node.orelse, getattr(node, "finalbody", [])):
+                    yield from walk(block, prefix)
+
+    yield from walk(tree.body, "")
+
+
+def uses(tree: ast.Module, reexports: bool) -> Iterator[Tuple[str, int]]:
+    """``(name, line)`` of every use of a name.  ``__all__`` lists export
+    a name rather than use it, and so do an ``__init__`` module's
+    (``reexports``) imports."""
+    exported = {
+        id(element)
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Assign, ast.AugAssign))
+        and any(
+            isinstance(t, ast.Name) and t.id == "__all__"
+            for t in (node.targets if isinstance(node, ast.Assign) else [node.target])
+        )
+        for element in ast.walk(node.value)
+    }
+    for node in ast.walk(tree):
+        if id(node) in exported:
+            continue
+        if isinstance(node, ast.Name):
+            yield node.id, node.lineno
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, node.lineno
+        elif isinstance(node, ast.keyword) and node.arg:
+            yield node.arg, node.value.lineno
+        elif isinstance(node, (ast.Import, ast.ImportFrom)) and not reexports:
+            for alias in node.names:
+                yield alias.name.rsplit(".", 1)[-1], node.lineno
+        elif (
+            isinstance(node, ast.Constant)
+            and isinstance(node.value, str)
+            and node.value.isidentifier()
+        ):
+            yield node.value, node.lineno
+
+
+def allowed(d: Definition) -> Optional[str]:
+    """Why a def no traffic names is still reached, or ``None``.  The
+    allow-list: each entry is a way Python or the registry calls a def
+    without naming it at the call site."""
+    if d.name.startswith("__") and d.name.endswith("__"):
+        return "dunder: the interpreter calls it"
+    if d.name.startswith("visit_"):
+        return "ast visitor method: NodeVisitor.visit dispatches on the node class"
+    if "register_kernel" in d.decorators:
+        return "registered kernel: dispatch reaches it by its registry name"
+    return None
+
+
+def _python_files(root: Path, dirs) -> Iterator[Path]:
+    for top in dirs:
+        if (root / top).is_dir():
+            yield from sorted((root / top).rglob("*.py"))
+
+
+def static_census(root: Path = ROOT) -> List[Tuple[Definition, bool]]:
+    """``(definition, named by tests)`` for every ``src/`` def no traffic
+    line names, in file order."""
+    traffic: Dict[str, List[Tuple[Path, int]]] = defaultdict(list)
+    for path in _python_files(root, TRAFFIC_DIRS):
+        tree = ast.parse(path.read_text(), str(path))
+        reexports = path.name == "__init__.py" and path.is_relative_to(root / "src")
+        for name, line in uses(tree, reexports):
+            traffic[name].append((path, line))
+    tested: Set[str] = set()
+    for path in _python_files(root, ("tests",)):
+        tested.update(name for name, _ in uses(ast.parse(path.read_text()), False))
+    found = []
+    for path in _python_files(root, ("src",)):
+        for d in definitions(path, ast.parse(path.read_text(), str(path))):
+            if not any(
+                p != d.path or not d.first <= line <= d.last
+                for p, line in traffic.get(d.name, ())
+            ):
+                found.append((d, d.name in tested))
+    return found
+
+
+def print_static(found, root: Path = ROOT) -> int:
+    """Print the static rows; the number not on the allow-list."""
+    flagged = 0
+    print(f"{'definition':<64} {'lines':>5}  named by")
+    for d, tested in found:
+        why = allowed(d)
+        flagged += why is None
+        where = f"{d.path.relative_to(root)}:{d.first} {d.qualname}"
+        print(f"{where:<64} {d.size:>5}  {'tests' if tested else 'nothing'}"
+              + (f"  (allowed: {why})" if why else ""))
+    print(f"{len(found)} defs no traffic names, {flagged} not on the allow-list")
+    return flagged
+
+
+# ----------------------------------------------------------------------
+# dynamic pass
+# ----------------------------------------------------------------------
+def _code_objects(code) -> Iterator:
+    yield code
+    for const in code.co_consts:
+        if hasattr(const, "co_code"):
+            yield from _code_objects(const)
+
+
+def executable(path: Path) -> Tuple[Set[int], Dict[Tuple[int, str], Set[int]]]:
+    """The lines of ``path`` that start a statement, and per function
+    ``(first line, name)`` its own lines (a function's first line runs in
+    the scope that defines it, so it is not the function's)."""
+    module = compile(path.read_text(), str(path), "exec")
+    lines, functions = set(), {}
+    for code in _code_objects(module):
+        own = {line for _, line in dis.findlinestarts(code) if line}
+        lines |= own
+        if code is not module and not code.co_name.startswith("<"):
+            functions[(code.co_firstlineno, code.co_name)] = own - {code.co_firstlineno}
+    return lines, functions
+
+
+class LineTracer:
+    """Records the lines of files under ``root`` that execute, and the
+    functions called there, in every thread started while it is on.
+
+    ``threading.settrace`` only reaches threads started after it, so turn
+    the tracer on before the first ``SpmdSession`` starts its workers:
+    otherwise every rank program reads as never run."""
+
+    def __init__(self, root: Path):
+        self.root = os.path.join(os.path.realpath(root), "")
+        self.lines: Dict[str, Set[int]] = defaultdict(set)
+        self.called: Set[Tuple[str, int, str]] = set()
+        self._files: Dict[object, Optional[str]] = {}
+
+    def _on_call(self, frame, event, arg):
+        code = frame.f_code
+        try:
+            filename = self._files[code]
+        except KeyError:
+            filename = os.path.realpath(code.co_filename)
+            filename = self._files[code] = (
+                filename if filename.startswith(self.root) else None
+            )
+        if filename is None:
+            return None
+        self.called.add((filename, code.co_firstlineno, code.co_name))
+        lines = self.lines[filename]
+
+        def on_line(frame, event, arg):
+            if event == "line":
+                lines.add(frame.f_lineno)
+            return on_line
+
+        return on_line
+
+    def __enter__(self) -> "LineTracer":
+        threading.settrace(self._on_call)
+        sys.settrace(self._on_call)
+        return self
+
+    def __exit__(self, *exc) -> None:
+        sys.settrace(None)
+        threading.settrace(None)
+
+
+@dataclass
+class FileCensus:
+    path: Path
+    lines: int  # executable lines
+    unexecuted: List[int]
+    uncalled: List[Tuple[int, str, int]]  # (first line, name, own lines)
+
+
+def dynamic_census(tracer: LineTracer, root: Path) -> List[FileCensus]:
+    """Per file under ``root``: what ``tracer`` never saw run."""
+    rows = []
+    for path in sorted(Path(root).rglob("*.py")):
+        real = os.path.realpath(path)
+        lines, functions = executable(path)
+        seen = tracer.lines.get(real, set())
+        uncalled = [
+            (first, name, len(own))
+            for (first, name), own in sorted(functions.items())
+            if (real, first, name) not in tracer.called
+        ]
+        rows.append(FileCensus(path, len(lines), sorted(lines - seen), uncalled))
+    return rows
+
+
+def _ranges(lines: List[int]) -> str:
+    spans, start = [], None
+    for i, line in enumerate(lines):
+        if start is None:
+            start = line
+        if i + 1 == len(lines) or lines[i + 1] != line + 1:
+            spans.append(f"{start}" if start == line else f"{start}-{line}")
+            start = None
+    return ",".join(spans)
+
+
+def print_dynamic(rows: List[FileCensus], root: Path) -> None:
+    print("| file | lines | not executed | functions never called |")
+    print("|---|---:|---:|---|")
+    for r in rows:
+        uncalled = ", ".join(f"`{name}` {n}" for _, name, n in r.uncalled)
+        print(f"| `{r.path.relative_to(root)}` | {r.lines} | {len(r.unexecuted)} "
+              f"| {uncalled} |")
+    total = sum(r.lines for r in rows)
+    dead = sum(len(r.unexecuted) for r in rows)
+    print(f"| **total** | {total} | {dead} ({dead / max(total, 1):.1%}) | |")
+    print("\nunexecuted line ranges per file:")
+    for r in rows:
+        if r.unexecuted:
+            print(f"{r.path.relative_to(root)}: {_ranges(r.unexecuted)}")
+
+
+#: Each subcommand at its defaults (``multiply`` .. ``model``).
+CLI_RUNS = ("multiply", "bfs", "embed", "influence", "serve", "model")
+
+
+def ci_benches(root: Path = ROOT) -> List[str]:
+    """The bench files the CI workflow runs, in its order."""
+    text = (root / ".github" / "workflows" / "ci.yml").read_text()
+    return list(dict.fromkeys(re.findall(r"benchmarks/bench_\w+\.py", text)))
+
+
+def run_traffic(root: Path = ROOT) -> None:
+    """Every run the dynamic pass traces; imports ``repro`` itself."""
+    from repro.cli import main as cli
+
+    for command in CLI_RUNS:
+        print(f"census: repro {command}", file=sys.stderr)
+        with contextlib.redirect_stdout(io.StringIO()):
+            status = cli([command])
+        if status != 0:
+            raise RuntimeError(f"repro {command} exited {status}")
+
+    from repro.core import TsConfig
+    from spine.trace import Recorder
+    from spine.workloads import OPERATION_WORKLOADS, ServeMixed
+
+    rec = Recorder(enabled=False)
+    for name, cls in OPERATION_WORKLOADS.items():
+        print(f"census: spine {name}", file=sys.stderr)
+        w = cls(0)
+        w.setup(rec, TsConfig())
+        try:
+            problems = w.check(w.operate())
+        finally:
+            w.close()
+        if problems:
+            raise RuntimeError(f"spine {name}: {problems}")
+    print("census: spine serve_mixed", file=sys.stderr)
+    w = ServeMixed(0)
+    w.setup(rec, TsConfig())
+    try:
+        problems = w.check(w.burst_queries, w.closed_loop(w.burst_queries, rec))
+        sent, results, *_ = w.open_loop(w.queries(20, 4), rec)
+        problems += w.check(sent, results)
+    finally:
+        w.close()
+    if problems:
+        raise RuntimeError(f"spine serve_mixed: {problems}")
+
+    import pytest
+
+    benches = ci_benches(root)
+    print(f"census: {len(benches)} CI benches", file=sys.stderr)
+    status = pytest.main([
+        *(str(root / b) for b in benches),
+        "-o", "python_files=bench_*.py", "-o", "python_functions=bench_*",
+        "--benchmark-disable", "-q", "-p", "no:cacheprovider",
+    ])
+    if status != 0:
+        # The tracer slows the traced code several-fold, so a wall-clock
+        # gate may fail; the lines a bench ran before its assert still count.
+        print(f"census: CI benches exited {status}; their lines still count",
+              file=sys.stderr)
+
+
+def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    if argv not in (["static"], ["dynamic"]):
+        print("usage: python benchmarks/census.py static|dynamic", file=sys.stderr)
+        return 2
+    if argv == ["static"]:
+        return 1 if print_static(static_census()) else 0
+    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "benchmarks")]
+    with LineTracer(ROOT / "src") as tracer:
+        run_traffic()
+    print_dynamic(dynamic_census(tracer, ROOT / "src" / "repro"), ROOT)
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -7,7 +7,6 @@ from .influence import (
     InfluenceResult,
     influence_maximization,
     sample_keep_mask,
-    sample_live_edges,
     sample_rng,
 )
 from .embedding import (
@@ -22,7 +21,6 @@ from .msbfs import (
     BfsResult,
     msbfs,
     msbfs_on_session,
-    reference_reachability,
 )
 
 __all__ = [
@@ -40,9 +38,7 @@ __all__ = [
     "msbfs",
     "msbfs_on_session",
     "msbfs_tree",
-    "reference_reachability",
     "sample_keep_mask",
-    "sample_live_edges",
     "sample_rng",
     "train_sparse_embedding",
     "validate_forest",

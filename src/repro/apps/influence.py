@@ -32,7 +32,6 @@ from ..core.driver import TsSession
 from ..mpi.costmodel import PERLMUTTER, MachineProfile
 from ..sparse.build import coo_to_csr
 from ..sparse.csr import INDEX_DTYPE, CsrMatrix
-from ..sparse.ops import mask_entries
 from ..sparse.semiring import BOOL_AND_OR, Semiring
 from .msbfs import msbfs_on_session
 
@@ -59,13 +58,6 @@ def sample_keep_mask(
     if not (0.0 <= probability <= 1.0):
         raise ValueError("probability must be in [0, 1]")
     return rng.random(A.nnz) < probability
-
-
-def sample_live_edges(
-    A: CsrMatrix, probability: float, rng: np.random.Generator
-) -> CsrMatrix:
-    """One IC live-edge sample: keep each directed edge w.p. ``probability``."""
-    return mask_entries(A, sample_keep_mask(A, probability, rng))
 
 
 def sample_rng(seed: int, sample: int) -> np.random.Generator:

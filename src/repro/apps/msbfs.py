@@ -256,41 +256,3 @@ def _msbfs_handles(
     result.visited = visited.gather()
     return result
 
-
-def reference_reachability(A: CsrMatrix, sources: np.ndarray) -> CsrMatrix:
-    """Serial reachability reference (BFS per source over the CSR graph).
-
-    Used by tests to validate the distributed loop; O(d · (n + m)).
-    """
-    n = A.nrows
-    sources = np.asarray(sources, dtype=np.int64)
-    rows_out, cols_out = [], []
-    indptr, indices = A.indptr, A.indices
-    for j, s in enumerate(sources):
-        seen = np.zeros(n, dtype=bool)
-        seen[s] = True
-        stack = [int(s)]
-        while stack:
-            u = stack.pop()
-            # follow entries (v <- u): for symmetric A the row works; in
-            # general A[v, u] != 0 means edge u -> v, so we traverse rows
-            # of A^T — callers pass symmetric graphs in the tests.
-            neighbors = indices[indptr[u] : indptr[u + 1]]
-            for v in neighbors:
-                if not seen[v]:
-                    seen[v] = True
-                    stack.append(int(v))
-        reach = np.flatnonzero(seen)
-        rows_out.append(reach)
-        cols_out.append(np.full(len(reach), j, dtype=np.int64))
-    from ..sparse.build import coo_to_csr
-    from ..sparse.semiring import Semiring
-
-    sr = Semiring("dedup_or", np.logical_or, np.logical_and, False, np.dtype(np.bool_))
-    return coo_to_csr(
-        np.concatenate(rows_out),
-        np.concatenate(cols_out),
-        np.ones(sum(len(r) for r in rows_out), dtype=np.bool_),
-        (n, len(sources)),
-        sr,
-    )

@@ -3,7 +3,7 @@
 from .petsc1d import petsc1d
 from .registry import ALGORITHMS, SESSIONS, get_algorithm, make_session
 from .result import BaselineResult, assemble_2d_blocks
-from .shift15d import Shift15dSession, shift15d_spmm
+from .shift15d import shift15d_spmm
 from .summa2d import Summa2dSession, summa2d
 from .summa3d import Summa3dSession, summa3d
 
@@ -11,7 +11,6 @@ __all__ = [
     "ALGORITHMS",
     "BaselineResult",
     "SESSIONS",
-    "Shift15dSession",
     "Summa2dSession",
     "Summa3dSession",
     "assemble_2d_blocks",

@@ -17,49 +17,31 @@ fetch wins, which is exactly the paper's "comparable or better" check.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
-
 import numpy as np
 
 from ..mpi.comm import SimComm
 from ..mpi.costmodel import PERLMUTTER, MachineProfile
-from ..mpi.executor import ResidentSession, run_spmd
+from ..mpi.executor import run_spmd
 from ..partition.block1d import Block1D
 from ..sparse.csr import CsrMatrix
 from ..sparse.kernels import dispatch_spmm
 from ..sparse.ops import extract_col_range, extract_row_range
-from ..sparse.tile import block_ranges
 from .result import BaselineResult
 
 
-def shift15d_rank(
-    comm: SimComm,
-    A: Optional[CsrMatrix],
-    B: np.ndarray,
-    strips: Optional[list] = None,
-    nrows: Optional[int] = None,
-) -> np.ndarray:
-    """One rank of the c=1 dense-shifting SpMM; returns its C block.
-
-    ``strips`` (with ``nrows``) lets a resident :class:`Shift15dSession`
-    hand in the rank's pre-cut ``A`` column strips — the ring schedule's
-    only B-independent per-rank state.
-    """
+def shift15d_rank(comm: SimComm, A: CsrMatrix, B: np.ndarray) -> np.ndarray:
+    """One rank of the c=1 dense-shifting SpMM; returns its C block."""
     p = comm.size
-    if strips is None:
-        nrows = A.nrows
-    rows = Block1D(nrows, p)
+    rows = Block1D(A.nrows, p)
     lo, hi = rows.range_of(comm.rank)
     d = B.shape[1]
     c_local = np.zeros((hi - lo, d))
 
     # Column strips of my A block, aligned with the ring's B blocks.
-    if strips is None:
-        a_local = extract_row_range(A, lo, hi)
-        ranges = rows.ranges
-        strips = [
-            extract_col_range(a_local, c0, c1, reindex=True) for c0, c1 in ranges
-        ]
+    a_local = extract_row_range(A, lo, hi)
+    strips = [
+        extract_col_range(a_local, c0, c1, reindex=True) for c0, c1 in rows.ranges
+    ]
 
     # Start with my own B block; after step s I hold block (rank + s) % p.
     block = B[lo:hi].copy()
@@ -93,44 +75,3 @@ def shift15d_spmm(
         raise ValueError(f"dimension mismatch: {A.shape} x {B.shape}")
     result = run_spmd(p, shift15d_rank, A, B, machine=machine)
     return BaselineResult(C=np.vstack(result.values), report=result.report)
-
-
-class Shift15dSession(ResidentSession):
-    """Resident 1.5-D shifting SpMM: the A column strips are cut once.
-
-    The per-call :func:`shift15d_spmm` re-extracts every rank's ``p``
-    column strips of its ``A`` block per multiply; for iterative SpMM
-    workloads (the §V-C comparator applied per epoch) the session holds
-    them resident and each :meth:`multiply` runs only the ring rotation.
-    """
-
-    def __init__(
-        self, A: CsrMatrix, p: int, *, machine: MachineProfile = PERLMUTTER
-    ):
-        super().__init__(p, machine)
-        self.nrows = A.nrows
-        self.ncols = A.ncols
-
-        def setup(comm):
-            rows = Block1D(A.nrows, p)
-            lo, hi = rows.range_of(comm.rank)
-            a_local = extract_row_range(A, lo, hi)
-            return [
-                extract_col_range(a_local, c0, c1, reindex=True)
-                for c0, c1 in rows.ranges
-            ]
-
-        self._strips = self._run_setup(setup)
-
-    def multiply(self, B: np.ndarray) -> BaselineResult:
-        B = np.asarray(B)
-        if self.ncols != B.shape[0]:
-            raise ValueError(f"dimension mismatch: A ncols {self.ncols} x {B.shape}")
-
-        def program(comm):
-            return shift15d_rank(
-                comm, None, B, strips=self._strips[comm.rank], nrows=self.nrows
-            )
-
-        result = self._exec.run(program)
-        return BaselineResult(C=np.vstack(result.values), report=result.report)

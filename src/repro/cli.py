@@ -42,7 +42,14 @@ from .core import TsConfig
 from .data import DATASETS, load, random_sources, tall_skinny
 from .model import COST_MODELS, Workload
 from .mpi import PROFILES, SCALED_PERLMUTTER, DeadSessionError, get_profile
-from .sparse import DEFAULT_KERNEL, available_kernels, read_matrix_market
+from .sparse import (
+    BOOL_AND_OR,
+    DEFAULT_KERNEL,
+    available_kernels,
+    get_kernel,
+    read_matrix_market,
+    resolve_spgemm,
+)
 
 
 def _positive_int(text: str) -> int:
@@ -126,6 +133,24 @@ def _add_kernel(parser: argparse.ArgumentParser) -> None:
         "(auto = scipy for arithmetic float data, batched spa for "
         f"small-d identity-safe semirings, else {DEFAULT_KERNEL})",
     )
+
+
+def _check_kernel(parser: argparse.ArgumentParser, args) -> None:
+    """Refuse a ``--kernel`` that cannot multiply over the command's
+    semiring (``bfs`` and ``serve`` run boolean products) before any
+    session is built; argparse's usage error exits 2."""
+    semiring = getattr(args, "semiring", None)
+    if semiring is None:
+        return
+    try:
+        resolve_spgemm(args.kernel, semiring)
+    except ValueError:
+        able = [k for k in available_kernels() if get_kernel(k).supports(semiring)]
+        parser.error(
+            f"argument --kernel: {args.kernel!r} cannot run the {semiring.name} "
+            f"products {args.command} multiplies; choose from "
+            f"{', '.join(sorted(able + ['auto']))}"
+        )
 
 
 def _config(args, **overrides) -> TsConfig:
@@ -429,7 +454,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_kernel(p_bfs)
     p_bfs.add_argument("--sources", type=_positive_int, default=64)
     p_bfs.add_argument("--algorithm", default="TS-SpGEMM", choices=sorted(ALGORITHMS))
-    p_bfs.set_defaults(func=_cmd_bfs)
+    p_bfs.set_defaults(func=_cmd_bfs, semiring=BOOL_AND_OR)
 
     p_emb = sub.add_parser("embed", help="sparse embedding training")
     _add_common(p_emb)
@@ -529,7 +554,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_srv.add_argument("--embed-d", type=int, default=8)
     p_srv.add_argument("--embed-epochs", type=int, default=2)
     p_srv.add_argument("--collect-timeout", type=float, default=300.0)
-    p_srv.set_defaults(func=_cmd_serve)
+    p_srv.set_defaults(func=_cmd_serve, semiring=BOOL_AND_OR)
 
     p_model = sub.add_parser("model", help="closed-form cost model sweep")
     p_model.add_argument("--n", type=int, default=18_520_486)
@@ -544,6 +569,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    _check_kernel(parser, args)
     try:
         return args.func(args)
     except DeadSessionError as exc:

@@ -56,12 +56,11 @@ class TsConfig:
     kernel:
         Local SpGEMM kernel every distributed code path dispatches to —
         a name registered in :mod:`repro.sparse.kernels`
-        (``esc-vectorized``, ``spa``, ``hash``, ``scipy``, the scalar
-        ``*-rowwise`` references) or ``"auto"`` (the default): scipy's C
-        fast path for arithmetic float data, the batched ``spa`` for
-        identity-safe semirings at ``d <= SPA_AUTO_MAX_D`` (boolean BFS
-        frontiers, the planner's pattern products), the vectorized ESC
-        kernel otherwise.
+        (``esc-vectorized``, ``spa``, ``hash``, ``scipy``) or ``"auto"``
+        (the default): scipy's C fast path for arithmetic float data, the
+        batched ``spa`` for identity-safe semirings at
+        ``d <= SPA_AUTO_MAX_D`` (boolean BFS frontiers, the planner's
+        pattern products), the vectorized ESC kernel otherwise.
     fuse_comm:
         When ``True`` (default), the tiled multiply issues **one fused
         all-to-all** per multiply step instead of separate exchanges for
@@ -78,8 +77,6 @@ class TsConfig:
         Largest ``d`` for which the SPA accumulator is cost-modelled; hash
         accumulation is charged beyond it (§III-C: "For d > 1024, we opt
         for a hash-based SpGEMM").
-    default_d / default_b_sparsity:
-        Table IV experiment defaults, exported for the benchmark harness.
     batch_size / learning_rate:
         Embedding defaults (Table IV).
     sanitize:
@@ -134,8 +131,6 @@ class TsConfig:
     kernel: str = "auto"
     fuse_comm: bool = True
     spa_threshold: int = 1024
-    default_d: int = 128
-    default_b_sparsity: float = 0.80
     batch_size: int = 256
     learning_rate: float = 0.02
     sanitize: bool = False

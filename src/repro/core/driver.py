@@ -1286,31 +1286,6 @@ class TsSession(ResidentSession):
         return self._mint(per_rank)
 
     # ------------------------------------------------------------------
-    def apply_local(
-        self, fn: Callable, *operands: DistHandle
-    ) -> Tuple[Any, SpmdReport]:
-        """Run a rank-local operation over resident handles.
-
-        ``fn(comm, *local_blocks)`` executes on every rank with that
-        rank's blocks of ``operands`` and returns one
-        :class:`CsrMatrix` (or a tuple of them) per rank; the results
-        come back as matching :class:`DistHandle`\\ s plus the task's
-        report.  This is how iterative drivers keep their elementwise
-        updates on-rank: MS-BFS's frontier update ``F ← N \\ S``,
-        ``S ← S ∨ N`` is row-partitioned, so it runs here with **zero**
-        communication.  ``fn`` is responsible for its own phase labels
-        and ``charge_touch`` calls.
-        """
-        for h in operands:
-            self._check_handle(h)
-
-        def program(comm):
-            return fn(comm, *[h.blocks[comm.rank] for h in operands])
-
-        result = self._run_resilient(program)
-        return self._wrap_local_outputs(list(result.values)), result.report
-
-    # ------------------------------------------------------------------
     def update_operand(self, A: CsrMatrix) -> SpmdReport:
         """Refresh the resident ``A`` in place; returns the update report.
 

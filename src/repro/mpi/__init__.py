@@ -62,11 +62,10 @@ from .faults import (
     FaultSpec,
     RankFailure,
     default_timeout,
-    fault_env_seeds,
     is_recoverable_failure,
     payload_checksum,
 )
-from .marker import is_rank_program, rank_program
+from .marker import rank_program
 from .payload import payload_nbytes
 from .runtime import ANY_SOURCE, ANY_TAG
 from .sanitize import sanitize_enabled
@@ -113,9 +112,7 @@ __all__ = [
     "SpmdSession",
     "VirtualClock",
     "default_timeout",
-    "fault_env_seeds",
     "get_profile",
-    "is_rank_program",
     "is_recoverable_failure",
     "layered_grid_dims",
     "make_grid2d",

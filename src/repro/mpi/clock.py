@@ -44,13 +44,3 @@ class VirtualClock:
             raise ValueError(f"negative comm time: {dt}")
         self.now += dt
         self.comm_time += dt
-
-    def sync_to(self, t: float) -> None:
-        """Wait (as communication) until virtual time ``t``.
-
-        No-op if the clock is already past ``t``; collectives use this to
-        model that no rank exits before the slowest entrant.
-        """
-        if t > self.now:
-            self.comm_time += t - self.now
-            self.now = t

@@ -45,7 +45,7 @@ implementations for long messages.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional
 
 
@@ -68,11 +68,9 @@ def _ceil_log2(q: int) -> int:
 #: back to the accumulator-based rule.
 KERNEL_COMPUTE_SCALE = {
     "spa": 1.0,            # 824 µs  (the calibration baseline)
-    "scipy": 1.7,          # 1.43 ms — C path, but converts in/out
+    "scipy": 1.7,          # 1.43 ms — scipy's compiled routines on the raw arrays
     "hash": 2.7,           # 2.20 ms — one fused-key stable sort
     "esc-vectorized": 4.4,  # 3.66 ms — lexsort + reduceat
-    "hash-rowwise": 76.0,  # 62.9 ms — scalar reference loop
-    "spa-rowwise": 83.0,   # 68.1 ms — scalar reference loop (seed path)
 }
 
 
@@ -180,7 +178,7 @@ class MachineProfile:
         scale = KERNEL_COMPUTE_SCALE.get(kernel) if kernel is not None else None
         if scale is not None:
             per *= scale
-            if kernel in ("spa", "spa-rowwise") and d > self.spa_cache_entries:
+            if kernel == "spa" and d > self.spa_cache_entries:
                 per *= self.spa_spill_penalty
         elif accumulator == "spa":
             if d > self.spa_cache_entries:
@@ -292,10 +290,6 @@ class MachineProfile:
             return 0.0
         bandwidth = sum(self.beta * max(s, r, 0) for s, r in sections)
         return self.alpha + (q - 1) * self.gamma + bandwidth
-
-    def with_overrides(self, **kwargs) -> "MachineProfile":
-        """Return a copy with selected constants replaced."""
-        return replace(self, **kwargs)
 
 
 #: Default profile used by the library (Perlmutter CPU partition).

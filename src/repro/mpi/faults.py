@@ -39,7 +39,7 @@ import threading
 import zlib
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -53,10 +53,6 @@ from .errors import (
 
 #: Recognized failure kinds.
 FAULT_KINDS = ("crash", "transient", "slow", "corrupt", "permfail")
-
-#: Environment variable carrying comma-separated seeds for the CI fault
-#: sweep; consumed only by the fault/recovery test suites.
-FAULTS_ENV = "REPRO_FAULTS"
 
 #: Environment variable overriding the executor watchdog timeout (seconds).
 TIMEOUT_ENV = "REPRO_SPMD_TIMEOUT"
@@ -79,14 +75,6 @@ def default_timeout(fallback: float = 600.0) -> float:
     if value <= 0:
         raise ValueError(f"{TIMEOUT_ENV} must be positive, got {value}")
     return value
-
-
-def fault_env_seeds(default: Sequence[int] = (0,)) -> Tuple[int, ...]:
-    """Seeds of the CI fault sweep: ``REPRO_FAULTS`` as comma-split ints."""
-    raw = os.environ.get(FAULTS_ENV, "").strip()
-    if not raw:
-        return tuple(default)
-    return tuple(int(part) for part in raw.split(",") if part.strip())
 
 
 # ----------------------------------------------------------------------
@@ -179,33 +167,6 @@ class FaultPlan:
             _parse_spec(part.strip())
             for part in (text or "").split(";")
             if part.strip()
-        )
-        return cls(specs)
-
-    @classmethod
-    def seeded(
-        cls,
-        seed: int,
-        size: int,
-        *,
-        kinds: Sequence[str] = ("transient", "crash"),
-        n: int = 1,
-        max_task: int = 6,
-        max_seq: int = 4,
-    ) -> "FaultPlan":
-        """A deterministic random plan: ``n`` single-rank faults drawn
-        from ``kinds`` at uniform (rank, task, seq) points.  A drawn point
-        the program never reaches simply does not fire — a clean run is a
-        legal member of the sweep."""
-        rng = np.random.default_rng(seed)
-        specs = tuple(
-            FaultSpec(
-                kind=str(rng.choice(list(kinds))),
-                rank=int(rng.integers(size)),
-                task=int(rng.integers(max_task)),
-                seq=int(rng.integers(max_seq)),
-            )
-            for _ in range(n)
         )
         return cls(specs)
 

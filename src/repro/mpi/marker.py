@@ -24,9 +24,8 @@ from typing import Callable, TypeVar
 
 F = TypeVar("F", bound=Callable)
 
-#: Attribute set on decorated functions; checked by the lint framework
-#: (and available to any other tooling that wants to enumerate SPMD
-#: entry points at runtime).
+#: Attribute set on decorated functions (the static checker reads the
+#: decorator itself, from the source).
 RANK_PROGRAM_ATTR = "__rank_program__"
 
 
@@ -34,8 +33,3 @@ def rank_program(fn: F) -> F:
     """Mark ``fn`` as an SPMD rank program (annotation only)."""
     setattr(fn, RANK_PROGRAM_ATTR, True)
     return fn
-
-
-def is_rank_program(fn: Callable) -> bool:
-    """True when ``fn`` carries the :func:`rank_program` marker."""
-    return bool(getattr(fn, RANK_PROGRAM_ATTR, False))

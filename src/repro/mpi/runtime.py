@@ -177,7 +177,3 @@ class GroupContext:
                 ctx = GroupContext(size, self.abort, global_ranks)
                 self.child_contexts[key] = ctx
             return ctx
-
-    def get_child(self, key: Tuple[int, Any]) -> "GroupContext":
-        with self._children_lock:
-            return self.child_contexts[key]

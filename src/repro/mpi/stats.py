@@ -233,15 +233,6 @@ class SpmdReport:
             (rs.totals().alltoall_rounds for rs in self.rank_stats), default=0
         )
 
-    def phase_rounds(self) -> Dict[str, int]:
-        """All-to-all rounds per phase name (max over ranks)."""
-        out: Dict[str, int] = {}
-        for rs in self.rank_stats:
-            for name, stats in rs.phases.items():
-                if stats.alltoall_rounds:
-                    out[name] = max(out.get(name, 0), stats.alltoall_rounds)
-        return out
-
 
 def project_report(report: "SpmdReport", dead_rank: int) -> "SpmdReport":
     """The ``p-1`` survivors' view of a ``p``-sized report.

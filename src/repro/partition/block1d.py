@@ -105,14 +105,6 @@ class Block1D:
             raise IndexError(f"index not owned by rank {rank}")
         return global_ids - lo
 
-    def to_global(self, rank: int, local_ids: np.ndarray) -> np.ndarray:
-        """Translate local offsets on ``rank`` to global indices."""
-        lo, hi = self.range_of(rank)
-        local_ids = np.asarray(local_ids, dtype=np.int64)
-        if len(local_ids) and (local_ids.min() < 0 or local_ids.max() >= hi - lo):
-            raise IndexError(f"local index out of range on rank {rank}")
-        return local_ids + lo
-
 
 def shrunk_partition(rows: Block1D, dead_rank: int) -> Tuple[Block1D, int]:
     """The ``p-1`` partition after ``dead_rank``'s block is adopted.

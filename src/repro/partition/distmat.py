@@ -67,7 +67,7 @@ class DistSparseMatrix:
         column ids.
     col_copy:
         When present, this rank's block of the column-partitioned copy
-        ``Ac``: ``nrows_global × rows.size_of(rank)`` CSR with *global row*
+        ``Ac``: ``rows.n × rows.size_of(rank)`` CSR with *global row*
         ids and local column ids (the column partition reuses the same
         ``Block1D``; it only makes sense for square matrices).
     strips:
@@ -137,20 +137,8 @@ class DistSparseMatrix:
 
     # ------------------------------------------------------------------
     @property
-    def nrows_global(self) -> int:
-        return self.rows.n
-
-    @property
     def local_range(self):
         return self.rows.range_of(self.comm.rank)
-
-    @property
-    def nnz_local(self) -> int:
-        return self.local.nnz
-
-    def nnz_global(self) -> int:
-        """Total nonzeros across ranks (collective: allreduce)."""
-        return int(self.comm.allreduce(self.local.nnz))
 
     # ------------------------------------------------------------------
     def column_strips(self) -> ColumnStrips:
@@ -248,9 +236,6 @@ class DistHandle:
         """
         return sum(b.nnz for b in self.blocks)
 
-    def block_of(self, rank: int) -> CsrMatrix:
-        return self.blocks[rank]
-
     def gather(self) -> CsrMatrix:
         """Materialize the global matrix on the driver (ends the chain).
 
@@ -285,9 +270,6 @@ class DistDenseHandle:
     @property
     def shape(self):
         return (self.rows.n, self.ncols)
-
-    def block_of(self, rank: int) -> np.ndarray:
-        return self.blocks[rank]
 
     def gather(self) -> np.ndarray:
         """Materialize the global dense matrix on the driver.

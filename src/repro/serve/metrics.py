@@ -155,10 +155,6 @@ class ServiceMetrics:
             self.counters["respawns"] += n
 
     # ------------------------------------------------------------------
-    def latency_percentile(self, q: float, status: str = STATUS_OK) -> float:
-        with self._lock:
-            return percentile(self._latency[status], q)
-
     def modelled_report(self) -> Optional[SpmdReport]:
         """Fold of every batch's SPMD report (deterministic: the merge is
         order-stable), or ``None`` before the first batch.

@@ -19,7 +19,6 @@ a ticket never hangs on an admitted query.
 from __future__ import annotations
 
 import threading
-import time as _time
 from dataclasses import dataclass
 from typing import Any, Optional, Tuple
 
@@ -216,12 +215,3 @@ class Ticket:
                 )
             self._result = result
         self._event.set()
-
-
-def remaining_deadline(ticket: Ticket, now: Optional[float] = None) -> float:
-    """Seconds of deadline budget left (``inf`` when the query has none)."""
-    if ticket.query.deadline is None:
-        return float("inf")
-    if now is None:
-        now = _time.monotonic()
-    return ticket.accepted_at + ticket.query.deadline - now

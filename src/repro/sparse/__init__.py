@@ -8,10 +8,9 @@ structural operations (transpose, slicing, pattern set-ops, top-k
 sparsification) that the applications build on.
 """
 
-from .accumulators import HashAccumulator, SpaAccumulator
 from .build import coo_to_csr, from_edges, random_csr
 from .csr import INDEX_DTYPE, CsrMatrix
-from .io import read_matrix_market, write_matrix_market
+from .io import read_matrix_market
 from .kernels import (
     DEFAULT_KERNEL,
     KernelSpec,
@@ -22,16 +21,16 @@ from .kernels import (
     get_kernel,
     register_kernel,
     resolve_spgemm,
+    spgemm_flops,
 )
 from .merge import merge_bytes, merge_csrs
-from .sddmm import force2vec_coefficients, fused_sddmm_spmm, sddmm, sigmoid
+from .sddmm import force2vec_coefficients, sddmm, sigmoid
 from .ops import (
     ewise_add,
     extract_col_range,
     extract_row_range,
     extract_rows,
     mask_entries,
-    nnz_of_rows,
     nonzero_columns_by_rows,
     pattern_difference,
     row_topk,
@@ -44,38 +43,24 @@ from .semiring import (
     MIN_PLUS,
     PLUS_TIMES,
     SEL2ND_MIN,
-    SEMIRINGS,
     Semiring,
-    get_semiring,
 )
-from .spgemm import (
-    spgemm,
-    spgemm_esc,
-    spgemm_flops,
-    spgemm_hash,
-    spgemm_scipy,
-    spgemm_spa,
-)
-from .tile import ColumnStrips, Tile, TileGrid, block_owner, block_owners, block_ranges
+from .spgemm import spgemm
+from .tile import ColumnStrips, block_owner, block_owners, block_ranges
 
 __all__ = [
     "BOOL_AND_OR",
     "ColumnStrips",
     "CsrMatrix",
     "DEFAULT_KERNEL",
-    "HashAccumulator",
     "INDEX_DTYPE",
     "KernelSpec",
     "MAX_TIMES",
     "MIN_PLUS",
     "PLUS_TIMES",
     "SEL2ND_MIN",
-    "SEMIRINGS",
     "SPA_AUTO_MAX_D",
     "Semiring",
-    "SpaAccumulator",
-    "Tile",
-    "TileGrid",
     "available_kernels",
     "block_owner",
     "block_owners",
@@ -90,12 +75,9 @@ __all__ = [
     "mask_entries",
     "from_edges",
     "force2vec_coefficients",
-    "fused_sddmm_spmm",
     "get_kernel",
-    "get_semiring",
     "merge_bytes",
     "merge_csrs",
-    "nnz_of_rows",
     "nonzero_columns_by_rows",
     "pattern_difference",
     "random_csr",
@@ -106,12 +88,7 @@ __all__ = [
     "sddmm",
     "sigmoid",
     "spgemm",
-    "spgemm_esc",
     "spgemm_flops",
-    "spgemm_hash",
-    "spgemm_scipy",
-    "spgemm_spa",
     "spmm_dense",
     "transpose",
-    "write_matrix_market",
 ]

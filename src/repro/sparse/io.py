@@ -1,8 +1,7 @@
-"""Minimal MatrixMarket coordinate I/O for examples and small datasets.
+"""Minimal MatrixMarket coordinate input for small external graphs.
 
-Supports the ``%%MatrixMarket matrix coordinate (real|integer|pattern)
-(general|symmetric)`` subset — enough to round-trip every matrix this
-repository generates and to load small external graphs if a user has them.
+Reads the ``%%MatrixMarket matrix coordinate (real|integer|pattern)
+(general|symmetric)`` subset — what the CLI's ``--dataset <path>`` accepts.
 """
 
 from __future__ import annotations
@@ -16,19 +15,6 @@ import numpy as np
 from .build import coo_to_csr
 from .csr import CsrMatrix
 from .semiring import PLUS_TIMES, Semiring
-
-
-def write_matrix_market(mat: CsrMatrix, path: Union[str, Path]) -> None:
-    """Write ``mat`` in 1-based MatrixMarket coordinate format."""
-    path = Path(path)
-    rows = mat.row_ids() + 1
-    cols = mat.indices + 1
-    with path.open("w") as fh:
-        fh.write("%%MatrixMarket matrix coordinate real general\n")
-        fh.write(f"% written by repro.sparse.io\n")
-        fh.write(f"{mat.nrows} {mat.ncols} {mat.nnz}\n")
-        for r, c, v in zip(rows, cols, mat.data):
-            fh.write(f"{r} {c} {float(v):.17g}\n")
 
 
 def read_matrix_market(

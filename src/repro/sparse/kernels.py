@@ -54,12 +54,6 @@ Registered SpGEMM kernels (``b_format="csr"``):
     ``tests/sparse/test_sparsetools_contract.py`` pins what is relied on
     (for ``bool`` data too, which ``spa`` passes), and they are imported
     at module top so a scipy without them fails at import.
-``spa-rowwise`` / ``hash-rowwise``
-    The seed's scalar row-by-row reference kernels built on
-    :mod:`repro.sparse.accumulators`.  Exact but loop-based; kept for
-    differential testing and as the baseline the perf-regression smoke
-    test measures the vectorized kernels against.
-
 One dense-B kernel (``b_format="dense"``) backs the SpMM variant:
 
 ``dense``
@@ -87,7 +81,6 @@ from typing import Callable, Dict, Optional, Tuple
 import numpy as np
 from scipy.sparse._sparsetools import csr_matmat, csr_matmat_maxnnz
 
-from .accumulators import HashAccumulator, SpaAccumulator
 from .build import SPA_MAX_SCRATCH_ELEMS, csr_from_flat_keys, csr_from_triples, order_rows, spa_fold
 from .csr import INDEX_DTYPE, CsrMatrix
 from .ops import spmm_dense
@@ -489,64 +482,6 @@ def spgemm_scipy_kernel(
         x.astype(np.float64) if x.dtype == np.bool_ else x for x in (a.data, b.data)
     )
     return _compiled_product(a, b, a_data, b_data), flops
-
-
-# ----------------------------------------------------------------------
-# scalar reference kernels (the seed's per-row path)
-# ----------------------------------------------------------------------
-def _spgemm_rowwise(
-    a: CsrMatrix, b: CsrMatrix, semiring: Semiring, accumulator
-) -> Tuple[CsrMatrix, int]:
-    """Shared row-loop driver for the SPA / hash reference kernels."""
-    if a.ncols != b.nrows:
-        raise ValueError(f"dimension mismatch: {a.shape} x {b.shape}")
-    indptr = np.zeros(a.nrows + 1, dtype=INDEX_DTYPE)
-    all_cols, all_vals = [], []
-    flops = 0
-    for r in range(a.nrows):
-        accumulator.reset()
-        cols_r, vals_r = a.row(r)
-        for c, v in zip(cols_r, vals_r):
-            b_cols, b_vals = b.row(int(c))
-            flops += len(b_cols)
-            if len(b_cols):
-                accumulator.accumulate(v, b_cols, b_vals)
-        out_cols, out_vals = accumulator.extract()
-        indptr[r + 1] = indptr[r] + len(out_cols)
-        all_cols.append(out_cols)
-        all_vals.append(out_vals)
-    indices = np.concatenate(all_cols) if all_cols else np.zeros(0, dtype=INDEX_DTYPE)
-    data = (
-        np.concatenate(all_vals) if all_vals else np.zeros(0, dtype=semiring.dtype)
-    )
-    return (
-        CsrMatrix((a.nrows, b.ncols), indptr, indices, data, check=False),
-        flops,
-    )
-
-
-@register_kernel(
-    "spa-rowwise",
-    vectorized=False,
-    description="scalar row-by-row dense SPA (reference; differential testing)",
-)
-def spgemm_spa_rowwise(
-    a: CsrMatrix, b: CsrMatrix, semiring: Semiring = PLUS_TIMES
-) -> Tuple[CsrMatrix, int]:
-    """Row-by-row SpGEMM with a dense SPA of length ``d = b.ncols``."""
-    return _spgemm_rowwise(a, b, semiring, SpaAccumulator(b.ncols, semiring))
-
-
-@register_kernel(
-    "hash-rowwise",
-    vectorized=False,
-    description="scalar row-by-row hash accumulation (reference; differential testing)",
-)
-def spgemm_hash_rowwise(
-    a: CsrMatrix, b: CsrMatrix, semiring: Semiring = PLUS_TIMES
-) -> Tuple[CsrMatrix, int]:
-    """Row-by-row SpGEMM with a hash-table accumulator."""
-    return _spgemm_rowwise(a, b, semiring, HashAccumulator(semiring))
 
 
 # ----------------------------------------------------------------------

@@ -306,8 +306,3 @@ def spmm_dense(mat: CsrMatrix, dense: np.ndarray) -> Tuple[np.ndarray, int]:
     flops = mat.nnz * dense.shape[1]
     return np.asarray(product), flops
 
-
-def nnz_of_rows(mat: CsrMatrix, row_ids: np.ndarray) -> int:
-    """Total stored entries in the selected rows (no materialization)."""
-    row_ids = np.asarray(row_ids, dtype=INDEX_DTYPE)
-    return int(mat.row_nnz()[row_ids].sum())

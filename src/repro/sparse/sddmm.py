@@ -1,19 +1,11 @@
-"""SDDMM and the fused SDDMM→SpMM kernel (§VI future work).
+"""SDDMM, the local half of the fused SDDMM→SpMM step (§VI future work).
 
 The paper's conclusion points at adapting TS-SpGEMM's optimizations to
 "fused matrix multiplication [53]" — FusedMM, the unified SDDMM+SpMM
-kernel behind Force2Vec and GNN layers.  This module provides the local
-kernels:
-
-* :func:`sddmm` — sampled dense-dense matrix multiplication: for every
-  *stored* position ``(i, j)`` of a sparse pattern, compute
-  ``⟨X_i, Y_j⟩`` (optionally scaled by the stored value).  Fully
-  vectorized via gathers + an einsum row-dot.
-* :func:`fused_sddmm_spmm` — FusedMM's shape: ``(g(SDDMM(P, X, Y)) ⊙ P)
-  · Z`` in one pass, with ``g`` an arbitrary elementwise map (e.g. the
-  sigmoid force functions of Force2Vec).  The intermediate coefficient
-  matrix reuses the pattern's structure and never materializes a second
-  index set.
+kernel behind Force2Vec and GNN layers.  :func:`sddmm` is sampled
+dense-dense matrix multiplication: for every *stored* position ``(i, j)``
+of a sparse pattern, compute ``⟨X_i, Y_j⟩`` (optionally scaled by the
+stored value), vectorized via gathers + an einsum row-dot.
 
 The sparse-embedding application builds its force coefficients with these
 kernels; the distributed multiply on top remains TS-SpGEMM.  In the
@@ -26,13 +18,11 @@ reference — the rank-resident embedding epoch executes exactly this via
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
 from .csr import INDEX_DTYPE, CsrMatrix
-from .semiring import PLUS_TIMES, Semiring
-from .spgemm import spgemm
 
 
 def sddmm(
@@ -125,33 +115,3 @@ def force2vec_coefficients(
     scores = sddmm(pattern, x, y)
     return sigmoid(scores.data) - (np.asarray(labels) > 0).astype(np.float64)
 
-
-def fused_sddmm_spmm(
-    pattern: CsrMatrix,
-    x: np.ndarray,
-    y: np.ndarray,
-    z: CsrMatrix,
-    *,
-    elementwise: Optional[Callable[[np.ndarray], np.ndarray]] = None,
-    scale_by_values: bool = True,
-    semiring: Semiring = PLUS_TIMES,
-) -> Tuple[CsrMatrix, int]:
-    """FusedMM: ``C = (g(SDDMM(P, X, Y)) ⊙ P) · Z``; returns ``(C, flops)``.
-
-    ``elementwise`` is FusedMM's per-edge map ``g`` (identity when None);
-    ``flops`` counts the SpGEMM multiplications plus one multiply-add per
-    pattern nonzero for the SDDMM, so callers can charge the fused kernel
-    to the virtual clock the same way the paper's cost accounting would.
-    """
-    coeffs = sddmm(pattern, x, y, scale_by_values=scale_by_values)
-    values = coeffs.data
-    if elementwise is not None:
-        values = np.asarray(elementwise(values), dtype=np.float64)
-        if values.shape != coeffs.data.shape:
-            raise ValueError("elementwise map must preserve shape")
-        coeffs = CsrMatrix(
-            coeffs.shape, coeffs.indptr, coeffs.indices, values, check=False
-        )
-    product, spgemm_flops = spgemm(coeffs, z, semiring)
-    sddmm_flops = pattern.nnz * x.shape[1]
-    return product, spgemm_flops + sddmm_flops

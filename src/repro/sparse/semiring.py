@@ -131,17 +131,3 @@ MAX_TIMES = Semiring(
     zero=0.0,
     dtype=np.dtype(np.float64),
 )
-
-SEMIRINGS = {
-    sr.name: sr for sr in (PLUS_TIMES, BOOL_AND_OR, SEL2ND_MIN, MIN_PLUS, MAX_TIMES)
-}
-
-
-def get_semiring(name: str) -> Semiring:
-    """Look up a registered semiring by name."""
-    try:
-        return SEMIRINGS[name]
-    except KeyError:
-        raise KeyError(
-            f"unknown semiring {name!r}; available: {sorted(SEMIRINGS)}"
-        ) from None

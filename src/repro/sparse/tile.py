@@ -21,13 +21,11 @@ Two helpers matter for the distributed algorithm:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
 from .csr import INDEX_DTYPE, CsrMatrix
-from .ops import extract_col_range, extract_row_range
 
 
 def block_ranges(n: int, p: int) -> List[Tuple[int, int]]:
@@ -163,9 +161,6 @@ class ColumnStrips:
     def __getitem__(self, j: int) -> CsrMatrix:
         return self.strips[j]
 
-    def strip_nnz(self) -> np.ndarray:
-        return np.array([s.nnz for s in self.strips], dtype=np.int64)
-
     def refresh_values(self, mat: CsrMatrix) -> None:
         """Re-load strip values from ``mat``, which must share the pattern
         the strips were built from.
@@ -184,64 +179,3 @@ class ColumnStrips:
         ]
         self.source = mat
 
-
-@dataclass(frozen=True)
-class Tile:
-    """One ``h × w`` tile: its coordinates and extracted submatrix."""
-
-    row_tile: int
-    col_tile: int
-    row_range: Tuple[int, int]  # within the local block
-    col_range: Tuple[int, int]  # global columns
-    block: CsrMatrix  # shape (h, w), local coordinates
-
-
-class TileGrid:
-    """All tiles of one local block for given tile height/width.
-
-    Used directly by the tile-width study (Fig 5) and by tests verifying
-    that tiles partition the block exactly; the distributed algorithm
-    assembles its tiles from :class:`ColumnStrips` instead for efficiency.
-    """
-
-    def __init__(self, mat: CsrMatrix, tile_height: int, tile_width: int):
-        if tile_height <= 0 or tile_width <= 0:
-            raise ValueError("tile dimensions must be positive")
-        self.mat = mat
-        self.h = min(tile_height, mat.nrows) if mat.nrows else 1
-        self.w = min(tile_width, mat.ncols) if mat.ncols else 1
-        self.n_row_tiles = max(-(-mat.nrows // self.h), 1) if mat.nrows else 0
-        self.n_col_tiles = max(-(-mat.ncols // self.w), 1) if mat.ncols else 0
-
-    def row_ranges(self) -> List[Tuple[int, int]]:
-        return [
-            (rt * self.h, min((rt + 1) * self.h, self.mat.nrows))
-            for rt in range(self.n_row_tiles)
-        ]
-
-    def col_ranges(self) -> List[Tuple[int, int]]:
-        return [
-            (ct * self.w, min((ct + 1) * self.w, self.mat.ncols))
-            for ct in range(self.n_col_tiles)
-        ]
-
-    def tile(self, rt: int, ct: int) -> Tile:
-        r0, r1 = self.row_ranges()[rt]
-        c0, c1 = self.col_ranges()[ct]
-        rows = extract_row_range(self.mat, r0, r1)
-        block = extract_col_range(rows, c0, c1, reindex=True)
-        return Tile(rt, ct, (r0, r1), (c0, c1), block)
-
-    def __iter__(self) -> Iterator[Tile]:
-        for rt in range(self.n_row_tiles):
-            for ct in range(self.n_col_tiles):
-                yield self.tile(rt, ct)
-
-    def tile_nnz(self) -> np.ndarray:
-        """nnz per tile as an (n_row_tiles, n_col_tiles) array, computed
-        in one pass (no per-tile extraction)."""
-        rows = self.mat.row_ids() // self.h
-        cols = self.mat.indices // self.w
-        out = np.zeros((self.n_row_tiles, self.n_col_tiles), dtype=np.int64)
-        np.add.at(out, (rows, cols), 1)
-        return out

@@ -1,0 +1,244 @@
+"""The execution census (``benchmarks/census.py``) on a planted package:
+the static pass reports a def only tests name, and the dynamic pass counts
+a function that runs only inside ``run_spmd``'s rank threads as run.  The
+static pass also runs on this tree: it is the CI gate."""
+
+import ast
+import sys
+import textwrap
+from pathlib import Path
+
+import pytest
+from census import (
+    ROOT,
+    Definition,
+    LineTracer,
+    _ranges,
+    allowed,
+    ci_benches,
+    definitions,
+    dynamic_census,
+    executable,
+    main,
+    print_static,
+    static_census,
+)
+
+
+def _write(path, text):
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(textwrap.dedent(text))
+
+
+def test_static_pass_reports_a_def_only_tests_name(tmp_path):
+    _write(tmp_path / "src/pkg/__init__.py", """\
+        from .mod import caller, planted, used
+
+        __all__ = ["caller", "planted", "used"]
+        """)
+    _write(tmp_path / "src/pkg/mod.py", """\
+        __all__ = ["Box", "caller", "planted", "used"]  # exports, not uses
+
+
+        def used():
+            return 1
+
+
+        def planted():
+            return planted  # its own body does not count
+
+
+        def caller():
+            return used()
+
+
+        class Box:
+            def __len__(self):
+                return 0
+        """)
+    _write(tmp_path / "benchmarks/bench_pkg.py", """\
+        from pkg import caller
+
+        caller()
+        """)
+    _write(tmp_path / "tests/test_pkg.py", """\
+        from pkg import Box, planted
+        """)
+    found = {d.qualname: (d, tested) for d, tested in static_census(tmp_path)}
+    assert set(found) == {"planted", "Box", "Box.__len__"}
+    planted, tested = found["planted"]
+    assert tested and allowed(planted) is None
+    assert (planted.first, planted.last) == (8, 9)
+    assert allowed(found["Box.__len__"][0]) is not None
+
+
+def test_dynamic_pass_traces_rank_threads(tmp_path, monkeypatch):
+    _write(tmp_path / "src/census_probe_pkg/__init__.py", "")
+    _write(tmp_path / "src/census_probe_pkg/mod.py", """\
+        from repro.mpi import run_spmd
+
+
+        def only_in_rank(comm):
+            doubled = comm.rank * 2
+            return doubled
+
+
+        def never_called():
+            return 1
+
+
+        def drive():
+            return run_spmd(2, only_in_rank).values
+        """)
+    monkeypatch.syspath_prepend(str(tmp_path / "src"))
+    try:
+        with LineTracer(tmp_path / "src") as tracer:
+            from census_probe_pkg.mod import drive
+
+            assert drive() == [0, 2]
+    finally:
+        sys.modules.pop("census_probe_pkg.mod", None)
+        sys.modules.pop("census_probe_pkg", None)
+    rows = {r.path.name: r for r in dynamic_census(tracer, tmp_path / "src/census_probe_pkg")}
+    mod = rows["mod.py"]
+    assert [name for _, name, _ in mod.uncalled] == ["never_called"]
+    # the rank program's body ran (in the rank threads); only
+    # never_called's body did not
+    assert mod.unexecuted == [10]
+
+
+
+@pytest.mark.parametrize(
+    "qualname, decorators, excused",
+    [
+        ("Box.__len__", (), True),
+        ("Checker.visit_Call", (), True),
+        ("spgemm_spa", ("register_kernel",), True),
+        ("helper", ("lru_cache",), False),
+    ],
+)
+def test_allow_list_excuses_only_defs_reached_without_their_name(
+    qualname, decorators, excused
+):
+    d = Definition(Path("mod.py"), qualname, 1, 2, decorators)
+    assert (allowed(d) is not None) == excused
+
+
+def test_string_constants_and_keywords_count_as_uses(tmp_path):
+    # a registry lookup by name and a keyword argument reach a def
+    # without an identifier naming it
+    _write(tmp_path / "src/pkg/mod.py", """\
+        def by_string():
+            return 1
+
+
+        def by_keyword():
+            return 2
+
+
+        def unnamed():
+            return 3
+
+
+        def lookup(name, **kw):
+            return globals()[name]
+        """)
+    _write(tmp_path / "benchmarks/bench_pkg.py", """\
+        from pkg.mod import lookup
+
+        lookup("by_string", by_keyword=None)
+        """)
+    found = {d.qualname: tested for d, tested in static_census(tmp_path)}
+    assert found == {"unnamed": False}
+
+
+def test_definitions_walk_guarded_blocks_but_not_nested_functions(tmp_path):
+    path = tmp_path / "mod.py"
+    _write(path, """\
+        try:
+            def guarded():
+                pass
+        except ImportError:
+            guarded = None
+
+
+        def outer():
+            def nested():
+                pass
+            return nested
+        """)
+    names = [d.qualname for d in definitions(path, ast.parse(path.read_text()))]
+    assert names == ["guarded", "outer"]
+
+
+def test_only_src_init_imports_are_exports(tmp_path):
+    # an ``__init__`` outside src/ importing a def uses it
+    _write(tmp_path / "src/pkg/__init__.py", "from .mod import kept, dropped\n")
+    _write(tmp_path / "src/pkg/mod.py", """\
+        def kept():
+            pass
+
+
+        def dropped():
+            pass
+        """)
+    _write(tmp_path / "benchmarks/suite/__init__.py", "from pkg import kept\n")
+    assert [d.qualname for d, _ in static_census(tmp_path)] == ["dropped"]
+
+
+def test_unexecuted_lines_print_as_ranges():
+    assert _ranges([1, 2, 3, 5, 7, 8]) == "1-3,5,7-8"
+    assert _ranges([4]) == "4"
+    assert _ranges([]) == ""
+
+
+def test_print_static_counts_only_defs_off_the_allow_list(tmp_path, capsys):
+    found = [
+        (Definition(tmp_path / "m.py", "Box.__len__", 1, 2, ()), False),
+        (Definition(tmp_path / "m.py", "planted", 4, 5, ()), True),
+    ]
+    assert print_static(found, tmp_path) == 1
+    out = capsys.readouterr().out
+    assert "m.py:4 planted" in out
+    assert "2 defs no traffic names, 1 not on the allow-list" in out
+
+
+def test_executable_gives_each_function_its_own_lines(tmp_path):
+    path = tmp_path / "mod.py"
+    _write(path, """\
+        X = 1
+
+
+        def f():
+            a = 1
+            return a
+
+
+        class K:
+            def g(self):
+                return 2
+        """)
+    lines, functions = executable(path)
+    # a class body is a code object too: it runs the ``def g`` line
+    assert functions == {(4, "f"): {5, 6}, (9, "K"): {10}, (10, "g"): {11}}
+    assert {1, 4, 5, 6, 9, 10, 11} <= lines
+
+
+def test_ci_benches_are_read_from_the_workflow_once_each(tmp_path):
+    _write(tmp_path / ".github/workflows/ci.yml", """\
+        - run: python -m pytest benchmarks/bench_b.py
+        - run: python -m pytest benchmarks/bench_a.py benchmarks/bench_b.py
+        - run: python benchmarks/census.py static
+        """)
+    assert ci_benches(tmp_path) == ["benchmarks/bench_b.py", "benchmarks/bench_a.py"]
+
+
+@pytest.mark.parametrize("argv", [[], ["both"], ["static", "dynamic"]])
+def test_main_refuses_an_unknown_pass(argv, capsys):
+    assert main(argv) == 2
+    assert "usage:" in capsys.readouterr().err
+
+
+def test_this_tree_has_no_test_only_defs():
+    flagged = [d for d, _ in static_census(ROOT) if allowed(d) is None]
+    assert flagged == []

@@ -3,41 +3,35 @@
 import numpy as np
 import pytest
 
-from repro.apps import (
-    influence_maximization,
-    sample_keep_mask,
-    sample_live_edges,
-    sample_rng,
-)
+from repro.apps import influence_maximization, sample_keep_mask, sample_rng
 from repro.data import erdos_renyi, rmat
-from repro.sparse import CsrMatrix, from_edges
+from repro.sparse import CsrMatrix, from_edges, mask_entries
 
 
 class TestLiveEdgeSampling:
     def test_probability_one_keeps_all(self, rng):
         A = erdos_renyi(50, 4, seed=1)
-        assert sample_live_edges(A, 1.0, rng).nnz == A.nnz
+        assert sample_keep_mask(A, 1.0, rng).sum() == A.nnz
 
     def test_probability_zero_drops_all(self, rng):
         A = erdos_renyi(50, 4, seed=1)
-        assert sample_live_edges(A, 0.0, rng).nnz == 0
+        assert sample_keep_mask(A, 0.0, rng).sum() == 0
 
     def test_expected_fraction(self, rng):
         A = erdos_renyi(200, 8, seed=2)
-        live = sample_live_edges(A, 0.3, rng)
-        frac = live.nnz / A.nnz
+        frac = sample_keep_mask(A, 0.3, rng).mean()
         assert 0.2 < frac < 0.4
 
     def test_subset_of_pattern(self, rng):
         from repro.sparse import pattern_difference
 
         A = erdos_renyi(60, 5, seed=3)
-        live = sample_live_edges(A, 0.5, rng)
+        live = mask_entries(A, sample_keep_mask(A, 0.5, rng))
         assert pattern_difference(live, A).nnz == 0
 
     def test_invalid_probability(self, rng):
         with pytest.raises(ValueError):
-            sample_live_edges(CsrMatrix.empty((2, 2)), 1.5, rng)
+            sample_keep_mask(CsrMatrix.empty((2, 2)), 1.5, rng)
 
 
 class TestGreedySelection:

@@ -6,7 +6,8 @@ import networkx as nx
 import numpy as np
 import pytest
 
-from repro.apps import msbfs, reference_reachability
+from repro.apps import msbfs
+from _oracles import reference_reachability
 from repro.baselines import ALGORITHMS, SESSIONS, make_session
 from repro.data import erdos_renyi, random_sources, rmat
 from repro.sparse import CsrMatrix, from_edges

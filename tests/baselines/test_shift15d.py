@@ -50,33 +50,3 @@ class TestPaperClaim:
         np.testing.assert_allclose(fetch.C, shift.C, atol=1e-9)
         assert fetch.comm_bytes() <= shift.comm_bytes()
         assert fetch.multiply_time <= shift.runtime * 1.1
-
-
-class TestResidentSession:
-    @pytest.mark.parametrize("p", [1, 3, 4])
-    def test_session_matches_per_call(self, rng, p):
-        from repro.baselines import Shift15dSession
-
-        dense_a = random_dense(rng, 24, 24, 0.2)
-        a = csr_from_dense(dense_a)
-        session = Shift15dSession(a, p)
-        try:
-            for seed in (1, 2):
-                b = np.random.default_rng(seed).random((24, 5))
-                fresh = shift15d_spmm(a, b, p)
-                np.testing.assert_array_equal(session.multiply(b).C, fresh.C)
-                np.testing.assert_allclose(session.multiply(b).C, dense_a @ b,
-                                           atol=1e-10)
-        finally:
-            session.close()
-
-    def test_session_validates_shape(self, rng):
-        from repro.baselines import Shift15dSession
-
-        a = csr_from_dense(random_dense(rng, 8, 8, 0.4))
-        session = Shift15dSession(a, 2)
-        try:
-            with pytest.raises(ValueError):
-                session.multiply(np.zeros((9, 2)))
-        finally:
-            session.close()

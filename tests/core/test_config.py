@@ -15,12 +15,6 @@ class TestTable4Defaults:
         assert DEFAULT_CONFIG.tile_height is None
         assert DEFAULT_CONFIG.effective_tile_height(100) == 100
 
-    def test_default_d_is_128(self):
-        assert DEFAULT_CONFIG.default_d == 128
-
-    def test_default_b_sparsity_80(self):
-        assert DEFAULT_CONFIG.default_b_sparsity == pytest.approx(0.80)
-
     def test_embedding_defaults(self):
         assert DEFAULT_CONFIG.batch_size == 256
         assert DEFAULT_CONFIG.learning_rate == pytest.approx(0.02)

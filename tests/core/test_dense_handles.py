@@ -131,7 +131,8 @@ class TestDenseHandleContract:
         self, square_a, dense_b
     ):
         """A rank-local epilogue may return ndarray blocks; they come
-        back as a DistDenseHandle (the embedding's dense Z twin)."""
+        back as a DistDenseHandle (the embedding's dense Z twin), one
+        handle per output whether it returns a tuple or a single block."""
 
         def epilogue(comm, c_local):
             return CsrMatrix.from_dense(c_local), 2.0 * c_local
@@ -142,6 +143,9 @@ class TestDenseHandleContract:
             assert isinstance(sp, DistHandle)
             assert isinstance(dn, DistDenseHandle)
             assert np.array_equal(dn.gather(), 2.0 * mult.C)
+            single = session.multiply(dense_b, epilogue=lambda comm, c: 3.0 * c)
+            assert isinstance(single.extra, DistDenseHandle)
+            assert np.array_equal(single.extra.gather(), 3.0 * single.C)
 
 
 class TestPrologueRefresh:

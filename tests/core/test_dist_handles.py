@@ -13,9 +13,13 @@ traversals against the driver round-trip reference
 
 import numpy as np
 import pytest
-from _oracles import driver_round_trip_msbfs, single_program_msbfs
+from _oracles import (
+    driver_round_trip_msbfs,
+    reference_reachability,
+    single_program_msbfs,
+)
 
-from repro.apps import msbfs, msbfs_on_session, reference_reachability
+from repro.apps import msbfs, msbfs_on_session
 from repro.core import TsConfig, TsSession, ts_spgemm
 from repro.data import erdos_renyi, random_sources, rmat
 from repro.partition import DistHandle
@@ -169,33 +173,6 @@ class TestHandleSemantics:
             assert h.nnz == b.nnz
             assert h.shape == b.shape
             assert bitwise_equal(h.gather(), b)
-
-    def test_apply_local_single_and_tuple_outputs(self, rng):
-        from repro.sparse import ewise_add, pattern_difference
-
-        a = csr_from_dense(random_dense(rng, N, N, 0.2, dtype=np.bool_))
-        x = csr_from_dense(random_dense(rng, N, D, 0.3, dtype=np.bool_))
-        y = csr_from_dense(random_dense(rng, N, D, 0.3, dtype=np.bool_))
-        with TsSession(a, P, semiring=BOOL_AND_OR) as session:
-            hx, hy = session.scatter(x), session.scatter(y)
-
-            single, _ = session.apply_local(
-                lambda comm, bx, by: ewise_add(bx, by, BOOL_AND_OR), hx, hy
-            )
-            assert bitwise_equal(single.gather(), ewise_add(x, y, BOOL_AND_OR))
-
-            (diff, union), report = session.apply_local(
-                lambda comm, bx, by: (
-                    pattern_difference(bx, by),
-                    ewise_add(bx, by, BOOL_AND_OR),
-                ),
-                hx,
-                hy,
-            )
-            assert bitwise_equal(diff.gather(), pattern_difference(x, y))
-            assert bitwise_equal(union.gather(), ewise_add(x, y, BOOL_AND_OR))
-            # row-partitioned elementwise ops need zero communication
-            assert report.total_bytes() == 0
 
     def test_closed_session_refuses_multiply(self, rng):
         a = csr_from_dense(random_dense(rng, N, N, 0.2))

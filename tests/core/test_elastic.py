@@ -26,7 +26,7 @@ import numpy as np
 import pytest
 
 from repro.apps import msbfs, train_sparse_embedding
-from repro.apps.msbfs import reference_reachability
+from _oracles import reference_reachability
 from repro.core import TsConfig
 from repro.core.driver import TsSession
 from repro.data import erdos_renyi, random_sources

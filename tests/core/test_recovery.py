@@ -20,8 +20,10 @@ from repro.apps import msbfs, train_sparse_embedding
 from repro.core import TsConfig
 from repro.core.driver import TsSession
 from repro.data import erdos_renyi, random_sources
-from repro.mpi import DeadSessionError, FaultPlan, RankError, fault_env_seeds
+from repro.mpi import DeadSessionError, RankError
 from repro.sparse import BOOL_AND_OR, PLUS_TIMES, CsrMatrix
+
+from ..conftest import fault_env_seeds, seeded_fault_plan
 
 P = 4
 N = 48
@@ -112,7 +114,7 @@ class TestMsbfsBitIdentity:
         a legal member — bit-identity must hold regardless."""
         adj = _graph()
         sources = random_sources(N, 4, seed=2)
-        plan = FaultPlan.seeded(
+        plan = seeded_fault_plan(
             seed, P, kinds=("transient", "crash"), n=2, max_task=5, max_seq=2
         )
         clean = msbfs(adj, sources, P)

@@ -20,12 +20,13 @@ from repro.mpi import (
     RankError,
     SpmdSession,
     default_timeout,
-    fault_env_seeds,
     is_recoverable_failure,
     payload_checksum,
 )
 from repro.mpi.errors import InjectedCrashFault, InjectedTransientFault
 from repro.mpi.faults import corrupt_payload
+
+from ..conftest import fault_env_seeds, seeded_fault_plan
 
 P = 4
 
@@ -92,10 +93,10 @@ class TestFaultSpecGrammar:
         assert FaultPlan.parse("crash@0")
 
     def test_seeded_plans_are_deterministic(self):
-        a = FaultPlan.seeded(7, 8, n=6)
-        b = FaultPlan.seeded(7, 8, n=6)
+        a = seeded_fault_plan(7, 8, n=6)
+        b = seeded_fault_plan(7, 8, n=6)
         assert a == b and a.render() == b.render()
-        assert FaultPlan.seeded(8, 8, n=6) != a
+        assert seeded_fault_plan(8, 8, n=6) != a
 
     def test_config_validates_fault_spec_eagerly(self):
         with pytest.raises(ValueError):

@@ -40,22 +40,16 @@ class TestBlock1D:
             part.owners(idx), [part.owner(int(i)) for i in idx]
         )
 
-    def test_local_global_roundtrip(self):
+    def test_to_local_offsets(self):
         part = Block1D(10, 3)
         g = np.array([4, 5, 6])
         loc = part.to_local(1, g)
         np.testing.assert_array_equal(loc, [0, 1, 2])
-        np.testing.assert_array_equal(part.to_global(1, loc), g)
 
     def test_to_local_rejects_foreign(self):
         part = Block1D(10, 3)
         with pytest.raises(IndexError):
             part.to_local(1, np.array([0]))
-
-    def test_to_global_rejects_out_of_block(self):
-        part = Block1D(10, 3)
-        with pytest.raises(IndexError):
-            part.to_global(1, np.array([3]))
 
     def test_invalid_construction(self):
         with pytest.raises(ValueError):

@@ -50,15 +50,6 @@ class TestScatterGather:
         report = run_spmd(4, program, mat).report
         assert report.phase_bytes().get("scatter-input", 0) > 0
 
-    def test_nnz_global(self, rng):
-        mat = make_square(rng)
-
-        def program(comm, mat):
-            dist = DistSparseMatrix.scatter_rows(comm, mat)
-            return dist.nnz_global()
-
-        assert run_spmd(3, program, mat).values == [mat.nnz] * 3
-
     def test_rectangular_matrix(self, rng):
         mat = csr_from_dense(random_dense(rng, 9, 4, 0.4))
 

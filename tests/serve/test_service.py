@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from repro.apps.influence import sample_keep_mask, sample_rng
-from repro.apps.msbfs import msbfs, reference_reachability
+from repro.apps.msbfs import msbfs
+from _oracles import reference_reachability
 from repro.core.config import TsConfig
 from repro.data.generators import erdos_renyi
 from repro.mpi.errors import DeadSessionError

@@ -1,15 +1,11 @@
-"""Tests for the SPA and hash row accumulators."""
+"""Tests for the SPA and hash row accumulators of the seed's scalar
+reference kernels (``benchmarks/_oracles.py``)."""
 
 import numpy as np
 import pytest
+from _oracles import HashAccumulator, SpaAccumulator
 
-from repro.sparse import (
-    BOOL_AND_OR,
-    MIN_PLUS,
-    PLUS_TIMES,
-    HashAccumulator,
-    SpaAccumulator,
-)
+from repro.sparse import BOOL_AND_OR, MIN_PLUS, PLUS_TIMES
 
 
 @pytest.fixture(params=["spa", "hash"])

@@ -110,7 +110,7 @@ class TestOnePassSplit:
         mat = CsrMatrix.from_dense(np.arange(1.0, 13.0).reshape(2, 6))
         ranges = [(0, 3), (3, 3), (3, 3), (3, 6), (6, 6)]
         strips = ColumnStrips(mat, ranges)
-        assert list(strips.strip_nnz()) == [6, 0, 0, 6, 0]
+        assert [strip.nnz for strip in strips] == [6, 0, 0, 6, 0]
         np.testing.assert_array_equal(strips[3].to_dense(), mat.to_dense()[:, 3:])
 
     def test_entries_keep_storage_order_within_a_strip(self):
@@ -127,7 +127,7 @@ class TestOnePassSplit:
         n = 300
         mat = CsrMatrix.identity(n)
         strips = ColumnStrips(mat, Block1D(n, n).ranges)
-        assert list(strips.strip_nnz()) == [1] * n
+        assert [strip.nnz for strip in strips] == [1] * n
         np.testing.assert_array_equal(np.concatenate(strips.selections), np.arange(n))
 
 

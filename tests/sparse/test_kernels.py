@@ -30,9 +30,28 @@ from repro.sparse import (
 )
 from repro.sparse.build import order_rows
 from repro.sparse.kernels import symbolic_size
+from _oracles import spgemm_hash_rowwise, spgemm_spa_rowwise
+
 from ..conftest import csr_from_dense, random_dense
 
-CSR_KERNELS = available_kernels()
+#: The seed's scalar row-by-row SpGEMM (``benchmarks/_oracles.py``), any
+#: semiring: every registry kernel must equal them too.
+REFERENCES = {"spa-rowwise": spgemm_spa_rowwise, "hash-rowwise": spgemm_hash_rowwise}
+CSR_KERNELS = available_kernels() + tuple(REFERENCES)
+
+
+def _supports(kernel, semiring) -> bool:
+    return kernel in REFERENCES or get_kernel(kernel).supports(semiring)
+
+
+def _multiply(a, b, semiring, kernel):
+    """``(C, flops)`` of the registry kernel ``kernel`` through dispatch,
+    or of the reference of that name."""
+    if kernel in REFERENCES:
+        return REFERENCES[kernel](a, b, semiring)
+    return dispatch_spgemm(a, b, semiring, kernel)
+
+
 SEMIRINGS = [PLUS_TIMES, MIN_PLUS, BOOL_AND_OR]
 
 
@@ -82,13 +101,12 @@ class TestCrossKernelEquivalence:
     @pytest.mark.parametrize("case", sorted(CASES))
     @pytest.mark.parametrize("semiring", SEMIRINGS, ids=lambda s: s.name)
     def test_identical_output(self, rng, kernel, case, semiring):
-        spec = get_kernel(kernel)
-        if not spec.supports(semiring):
+        if not _supports(kernel, semiring):
             pytest.skip(f"{kernel} does not support {semiring.name}")
         a, b = CASES[case](rng)
         a, b = _coerce(a, semiring), _coerce(b, semiring)
         reference, ref_flops = dispatch_spgemm(a, b, semiring, DEFAULT_KERNEL)
-        got, flops = dispatch_spgemm(a, b, semiring, kernel)
+        got, flops = _multiply(a, b, semiring, kernel)
         assert got.shape == reference.shape
         np.testing.assert_array_equal(got.indptr, reference.indptr)
         np.testing.assert_array_equal(got.indices, reference.indices)
@@ -101,7 +119,7 @@ class TestCrossKernelEquivalence:
         # is exempt — its matmul canonicalizes away cancelled entries.
         a = csr_from_dense([[1, -1]])
         b = csr_from_dense([[1, 0], [1, 0]])
-        c, _ = dispatch_spgemm(a, b, PLUS_TIMES, kernel)
+        c, _ = _multiply(a, b, PLUS_TIMES, kernel)
         assert c.nnz == 1
         assert c.data[0] == 0.0
 
@@ -109,7 +127,7 @@ class TestCrossKernelEquivalence:
     def test_empty_operands(self, kernel):
         a = CsrMatrix.empty((3, 4))
         b = CsrMatrix.empty((4, 2))
-        c, flops = dispatch_spgemm(a, b, PLUS_TIMES, kernel)
+        c, flops = _multiply(a, b, PLUS_TIMES, kernel)
         assert c.shape == (3, 2) and c.nnz == 0 and flops == 0
 
     @pytest.mark.parametrize("kernel", CSR_KERNELS)
@@ -117,13 +135,13 @@ class TestCrossKernelEquivalence:
         a = CsrMatrix.empty((3, 4))
         b = CsrMatrix.empty((5, 2))
         with pytest.raises(ValueError, match="mismatch"):
-            dispatch_spgemm(a, b, PLUS_TIMES, kernel)
+            _multiply(a, b, PLUS_TIMES, kernel)
 
 
 class TestRegistry:
     def test_issue_kernels_registered(self):
         for name in ("esc-vectorized", "spa", "hash", "scipy"):
-            assert name in CSR_KERNELS
+            assert name in available_kernels()
         assert "dense" in available_kernels("dense")
 
     def test_default_is_vectorized_esc(self):
@@ -146,13 +164,6 @@ class TestRegistry:
         assert expected.data[0] == -2.0
         with pytest.raises(ValueError, match="spa"):
             dispatch_spgemm(a, b, MAX_TIMES, "spa")
-        # Seed-compatible facade: method='spa' falls back to the exact
-        # scalar rowwise kernel instead of raising or being wrong.
-        from repro.sparse import spgemm, spgemm_spa
-
-        for result in (spgemm(a, b, MAX_TIMES, method="spa")[0],
-                       spgemm_spa(a, b, MAX_TIMES)[0]):
-            assert result.data[0] == -2.0
 
     def test_unknown_kernel_raises(self):
         with pytest.raises(ValueError, match="unknown kernel"):
@@ -237,7 +248,7 @@ class TestRegistry:
 class TestForcedKernelEndToEnd:
     """A forced kernel flows from TsConfig through the tiled algorithm."""
 
-    @pytest.mark.parametrize("kernel", ["spa", "hash", "scipy", "spa-rowwise"])
+    @pytest.mark.parametrize("kernel", ["spa", "hash", "scipy"])
     def test_tiled_multiply_all_kernels_agree(self, rng, kernel):
         from repro.core import ts_spgemm
 
@@ -281,7 +292,7 @@ def _assert_bit_identical(got: CsrMatrix, want: CsrMatrix):
     assert got.data.tobytes() == want.data.tobytes()
 
 
-BOOL_KERNELS = [k for k in CSR_KERNELS if get_kernel(k).supports(BOOL_AND_OR)]
+BOOL_KERNELS = [k for k in CSR_KERNELS if _supports(k, BOOL_AND_OR)]
 
 
 class TestStoredFalse:
@@ -299,7 +310,7 @@ class TestStoredFalse:
         a, b = _explicit_bool(a_pattern, a_vals), _explicit_bool(b_pattern, b_vals)
         assert (not a.data.all()) == (false_in in ("a", "both"))
         assert (not b.data.all()) == (false_in in ("b", "both"))
-        got, flops = dispatch_spgemm(a, b, BOOL_AND_OR, kernel)
+        got, flops = _multiply(a, b, BOOL_AND_OR, kernel)
         want = _bool_product_oracle(a, b)
         _assert_bit_identical(got, want)
         assert flops == int(b.row_nnz()[a.indices].sum())
@@ -314,7 +325,7 @@ class TestStoredFalse:
         # C[0,1] = (T∧T) ∨ (F∧T) = True; C[1,0] = (T∧F) = False.
         a = _explicit_bool([[1, 1, 1], [1, 0, 0]], [[1, 0, 0], [1, 0, 0]])
         b = _explicit_bool([[1, 1], [1, 1], [1, 0]], [[0, 1], [1, 1], [0, 0]])
-        got, flops = dispatch_spgemm(a, b, BOOL_AND_OR, kernel)
+        got, flops = _multiply(a, b, BOOL_AND_OR, kernel)
         assert flops == 7
         np.testing.assert_array_equal(got.indptr, [0, 2, 4])
         np.testing.assert_array_equal(got.indices, [0, 1, 0, 1])
@@ -378,8 +389,7 @@ class TestSpaRowBlocks:
         assert len(folds) > 1 or rows_per_block >= 23
         _assert_bit_identical(got, want)
         assert flops == want_flops
-        rowwise, _ = dispatch_spgemm(a, b, semiring, "spa-rowwise")
-        _assert_bit_identical(got, rowwise)
+        _assert_bit_identical(got, spgemm_spa_rowwise(a, b, semiring)[0])
 
 
 # ----------------------------------------------------------------------
@@ -419,7 +429,7 @@ def test_all_true_boolean_spa_is_every_other_kernels_product(operands, scratch):
     got = order_rows(got, copy=False)
     assert got.indptr.dtype == got.indices.dtype == np.int64
     for kernel in ("esc-vectorized", "spa-rowwise"):
-        want, want_flops = dispatch_spgemm(a, b, BOOL_AND_OR, kernel)
+        want, want_flops = _multiply(a, b, BOOL_AND_OR, kernel)
         _assert_bit_identical(got, want)
         assert flops == want_flops and type(flops) is int
     assert got.data.all()

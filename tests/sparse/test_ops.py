@@ -11,7 +11,6 @@ from repro.sparse import (
     extract_col_range,
     extract_row_range,
     extract_rows,
-    nnz_of_rows,
     pattern_difference,
     row_topk,
     spmm_dense,
@@ -68,12 +67,6 @@ class TestExtractRows:
         m = CsrMatrix.empty((2, 2))
         with pytest.raises(IndexError):
             extract_rows(m, np.array([2]))
-
-    def test_nnz_of_rows(self, rng):
-        dense = random_dense(rng, 6, 5, 0.4)
-        m = csr_from_dense(dense)
-        ids = np.array([0, 3])
-        assert nnz_of_rows(m, ids) == (dense[ids] != 0).sum()
 
 
 class TestExtractRanges:

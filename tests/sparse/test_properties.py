@@ -8,13 +8,14 @@ from hypothesis import strategies as st
 from repro.sparse import (
     BOOL_AND_OR,
     PLUS_TIMES,
+    ColumnStrips,
     CsrMatrix,
-    TileGrid,
     block_owner,
     block_ranges,
     coo_to_csr,
     ewise_add,
     extract_col_range,
+    extract_row_range,
     extract_rows,
     merge_csrs,
     pattern_difference,
@@ -86,7 +87,10 @@ class TestSpgemmEquivalence:
     def test_esc_matches_numpy_product(self, pair):
         a, b = pair
         c, _ = spgemm(
-            CsrMatrix.from_dense(a), CsrMatrix.from_dense(b), PLUS_TIMES, method="esc"
+            CsrMatrix.from_dense(a),
+            CsrMatrix.from_dense(b),
+            PLUS_TIMES,
+            method="esc-vectorized",
         )
         np.testing.assert_allclose(c.to_dense(), a @ b)
 
@@ -97,7 +101,7 @@ class TestSpgemmEquivalence:
         ca = CsrMatrix.from_dense(a)
         cb = CsrMatrix.from_dense(b)
         results = [
-            spgemm(ca, cb, PLUS_TIMES, method=m)[0] for m in ("esc", "spa", "hash")
+            spgemm(ca, cb, PLUS_TIMES, method=m)[0] for m in ("esc-vectorized", "spa", "hash")
         ]
         assert results[0].equal(results[1])
         assert results[0].equal(results[2])
@@ -108,7 +112,7 @@ class TestSpgemmEquivalence:
         a, b = pair
         ca = CsrMatrix.from_dense(a)
         cb = CsrMatrix.from_dense(b)
-        flops = {spgemm(ca, cb, PLUS_TIMES, method=m)[1] for m in ("esc", "spa", "hash")}
+        flops = {spgemm(ca, cb, PLUS_TIMES, method=m)[1] for m in ("esc-vectorized", "spa", "hash")}
         assert len(flops) == 1
 
     @given(dense_matrices(max_dim=8, dtype="bool"), st.integers(1, 5))
@@ -322,10 +326,17 @@ class TestPartitionProperties:
 class TestTilingProperties:
     @given(dense_matrices(max_dim=15), st.integers(1, 6), st.integers(1, 6))
     @settings(max_examples=40, deadline=None)
-    def test_tiles_cover_all_nnz(self, dense, h, w):
+    def test_tiles_cover_all_nnz(self, dense, h, p):
+        # a tile is h rows of a column strip: the tiles of every strip
+        # hold each entry of the block exactly once
         mat = CsrMatrix.from_dense(dense)
-        grid = TileGrid(mat, h, w)
-        assert grid.tile_nnz().sum() == mat.nnz
+        strips = ColumnStrips(mat, block_ranges(mat.ncols, p))
+        tiles = [
+            extract_row_range(strip, r0, min(r0 + h, mat.nrows))
+            for strip in strips
+            for r0 in range(0, mat.nrows, h)
+        ]
+        assert sum(tile.nnz for tile in tiles) == mat.nnz
 
     @given(dense_matrices(max_dim=12), st.integers(1, 5))
     @settings(max_examples=40, deadline=None)

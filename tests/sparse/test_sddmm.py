@@ -1,9 +1,9 @@
-"""Tests for the SDDMM and fused SDDMM→SpMM kernels."""
+"""Tests for the SDDMM kernel and the plan's compact pattern."""
 
 import numpy as np
 import pytest
 
-from repro.sparse import CsrMatrix, fused_sddmm_spmm, sddmm, spgemm
+from repro.sparse import CsrMatrix, sddmm
 from repro.sparse.sddmm import compact_pattern
 from ..conftest import csr_from_dense, random_dense
 
@@ -49,49 +49,6 @@ class TestSddmm:
             sddmm(pattern, np.zeros((4, 2)), np.zeros((5, 2)))
         with pytest.raises(ValueError, match="inner dimension"):
             sddmm(pattern, np.zeros((4, 2)), np.zeros((4, 3)))
-
-
-class TestFused:
-    def test_identity_map_matches_composition(self, rng):
-        pattern = csr_from_dense(random_dense(rng, 8, 8, 0.3))
-        x = rng.random((8, 4))
-        y = rng.random((8, 4))
-        z = csr_from_dense(random_dense(rng, 8, 5, 0.4))
-        fused, _ = fused_sddmm_spmm(pattern, x, y, z, scale_by_values=False)
-        coeffs = sddmm(pattern, x, y)
-        expected, _ = spgemm(coeffs, z)
-        assert fused.equal(expected)
-
-    def test_elementwise_map_applied(self, rng):
-        pattern = csr_from_dense(random_dense(rng, 6, 6, 0.4))
-        x = rng.random((6, 3))
-        y = rng.random((6, 3))
-        z = csr_from_dense(random_dense(rng, 6, 4, 0.5))
-        fused, _ = fused_sddmm_spmm(
-            pattern, x, y, z, elementwise=np.tanh, scale_by_values=False
-        )
-        coeffs = sddmm(pattern, x, y)
-        tanned = CsrMatrix(
-            coeffs.shape, coeffs.indptr, coeffs.indices, np.tanh(coeffs.data)
-        )
-        expected, _ = spgemm(tanned, z)
-        assert fused.equal(expected)
-
-    def test_flops_include_both_stages(self, rng):
-        pattern = csr_from_dense(random_dense(rng, 6, 6, 0.5))
-        x = rng.random((6, 4))
-        z = csr_from_dense(random_dense(rng, 6, 3, 0.5))
-        _, flops = fused_sddmm_spmm(pattern, x, x, z)
-        from repro.sparse import spgemm_flops
-
-        assert flops == spgemm_flops(pattern, z) + pattern.nnz * 4
-
-    def test_bad_elementwise_shape_rejected(self, rng):
-        pattern = csr_from_dense(random_dense(rng, 4, 4, 0.8))
-        x = rng.random((4, 2))
-        z = csr_from_dense(random_dense(rng, 4, 2, 0.5))
-        with pytest.raises(ValueError, match="preserve shape"):
-            fused_sddmm_spmm(pattern, x, x, z, elementwise=lambda v: v[:1])
 
 
 class TestCompactPattern:

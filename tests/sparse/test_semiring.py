@@ -10,7 +10,6 @@ from repro.sparse import (
     PLUS_TIMES,
     SEL2ND_MIN,
     Semiring,
-    get_semiring,
 )
 
 
@@ -91,12 +90,6 @@ class TestSemiringContract:
         out = BOOL_AND_OR.coerce(np.array([0.0, 2.0]))
         assert out.dtype == np.bool_
         np.testing.assert_array_equal(out, [False, True])
-
-    def test_registry_lookup(self):
-        assert get_semiring("plus_times") is PLUS_TIMES
-        assert get_semiring("bool_and_or") is BOOL_AND_OR
-        with pytest.raises(KeyError):
-            get_semiring("plus_plus")
 
     def test_repr(self):
         assert "plus_times" in repr(PLUS_TIMES)

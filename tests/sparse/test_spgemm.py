@@ -10,15 +10,11 @@ from repro.sparse import (
     SEL2ND_MIN,
     CsrMatrix,
     spgemm,
-    spgemm_esc,
     spgemm_flops,
-    spgemm_hash,
-    spgemm_scipy,
-    spgemm_spa,
 )
 from ..conftest import csr_from_dense, random_dense
 
-METHODS = ["esc", "spa", "hash"]
+METHODS = ["esc-vectorized", "spa", "hash"]
 
 
 def dense_semiring_matmul(a, b, semiring):
@@ -80,7 +76,7 @@ class TestArithmetic:
         a = csr_from_dense(random_dense(rng, n, k, 0.3))
         b = csr_from_dense(random_dense(rng, k, d, 0.4))
         c, flops = spgemm(a, b, PLUS_TIMES, method=method)
-        c_ref, flops_ref = spgemm_scipy(a, b)
+        c_ref, flops_ref = spgemm(a, b, PLUS_TIMES, method="scipy")
         np.testing.assert_allclose(c.to_dense(), c_ref.to_dense())
         assert flops == flops_ref
 
@@ -103,7 +99,7 @@ class TestArithmetic:
         # (+1)*1 + (-1)*1 = 0 stays a stored entry (standard SpGEMM).
         a = csr_from_dense([[1, -1]])
         b = csr_from_dense([[1, 0], [1, 0]])
-        c, _ = spgemm(a, b, PLUS_TIMES, method="esc")
+        c, _ = spgemm(a, b, PLUS_TIMES, method="esc-vectorized")
         assert c.nnz == 1
         assert c.data[0] == 0.0
 
@@ -145,8 +141,16 @@ class TestSemirings:
 
     def test_unknown_method(self):
         a = CsrMatrix.empty((1, 1))
-        with pytest.raises(ValueError, match="unknown spgemm method"):
+        with pytest.raises(ValueError, match="unknown kernel"):
             spgemm(a, a, PLUS_TIMES, method="btree")
+
+    @pytest.mark.parametrize("method", ["esc", "spa-rowwise", "hash-rowwise"])
+    def test_seed_names_are_not_methods(self, method):
+        # method= takes a registry kernel name or "auto": no short-name
+        # alias and no fallback to the seed's scalar rowwise kernels
+        a = CsrMatrix.empty((1, 1))
+        with pytest.raises(ValueError, match="unknown kernel"):
+            spgemm(a, a, PLUS_TIMES, method=method)
 
 
 class TestFlops:
@@ -177,8 +181,8 @@ class TestTallSkinny:
         n = 40
         a = csr_from_dense(random_dense(rng, n, n, 0.1))
         b = csr_from_dense(random_dense(rng, n, d, 0.2))
-        c, _ = spgemm(a, b, PLUS_TIMES, method="esc")
-        c_ref, _ = spgemm_scipy(a, b)
+        c, _ = spgemm(a, b, PLUS_TIMES, method="esc-vectorized")
+        c_ref, _ = spgemm(a, b, PLUS_TIMES, method="scipy")
         assert c.shape == (n, d)
         np.testing.assert_allclose(c.to_dense(), c_ref.to_dense())
 

@@ -1,16 +1,9 @@
-"""Tests for block partitioning helpers and tiling."""
+"""Tests for block partitioning helpers and column strips."""
 
 import numpy as np
 import pytest
 
-from repro.sparse import (
-    ColumnStrips,
-    CsrMatrix,
-    TileGrid,
-    block_owner,
-    block_owners,
-    block_ranges,
-)
+from repro.sparse import ColumnStrips, block_owner, block_owners, block_ranges
 from ..conftest import csr_from_dense, random_dense
 
 
@@ -65,45 +58,5 @@ class TestColumnStrips:
     def test_strip_nnz_sums_to_total(self, rng):
         mat = csr_from_dense(random_dense(rng, 8, 20, 0.3))
         strips = ColumnStrips(mat, block_ranges(20, 4))
-        assert strips.strip_nnz().sum() == mat.nnz
+        assert sum(strip.nnz for strip in strips) == mat.nnz
 
-
-class TestTileGrid:
-    def test_tiles_partition_exactly(self, rng):
-        dense = random_dense(rng, 10, 15, 0.4)
-        grid = TileGrid(csr_from_dense(dense), tile_height=4, tile_width=6)
-        reassembled = np.zeros_like(dense)
-        for tile in grid:
-            r0, r1 = tile.row_range
-            c0, c1 = tile.col_range
-            reassembled[r0:r1, c0:c1] = tile.block.to_dense()
-        np.testing.assert_allclose(reassembled, dense)
-
-    def test_tile_counts(self):
-        grid = TileGrid(CsrMatrix.empty((10, 15)), 4, 6)
-        assert grid.n_row_tiles == 3  # ceil(10/4)
-        assert grid.n_col_tiles == 3  # ceil(15/6)
-
-    def test_oversized_tiles_clamped(self):
-        grid = TileGrid(CsrMatrix.empty((4, 5)), 100, 100)
-        assert grid.n_row_tiles == 1 and grid.n_col_tiles == 1
-
-    def test_invalid_dims(self):
-        with pytest.raises(ValueError):
-            TileGrid(CsrMatrix.empty((2, 2)), 0, 1)
-
-    def test_tile_nnz_matches_extraction(self, rng):
-        dense = random_dense(rng, 12, 16, 0.35)
-        grid = TileGrid(csr_from_dense(dense), 5, 7)
-        counts = grid.tile_nnz()
-        assert counts.shape == (grid.n_row_tiles, grid.n_col_tiles)
-        for tile in grid:
-            assert counts[tile.row_tile, tile.col_tile] == tile.block.nnz
-        assert counts.sum() == (dense != 0).sum()
-
-    def test_tile_width_one(self, rng):
-        dense = random_dense(rng, 4, 6, 0.5)
-        grid = TileGrid(csr_from_dense(dense), 2, 1)
-        assert grid.n_col_tiles == 6
-        tile = grid.tile(0, 3)
-        np.testing.assert_allclose(tile.block.to_dense(), dense[0:2, 3:4])

@@ -2,11 +2,12 @@
 
 import numpy as np
 import pytest
+import scipy.io
 
 from repro.baselines import ALGORITHMS
-from repro.cli import build_parser, main
+from repro.cli import _check_kernel, build_parser, main
 from repro.data import load
-from repro.sparse import CsrMatrix, write_matrix_market
+from repro.sparse import CsrMatrix
 
 
 class TestParser:
@@ -158,6 +159,43 @@ class TestCommands:
         assert "driver bytes" in out
         assert "link-prediction accuracy" in out
 
+    @pytest.mark.parametrize(
+        "command, extra", [("bfs", ["--sources", "4"]), ("serve", ["--queries", "6"])]
+    )
+    def test_kernel_that_cannot_run_booleans_is_refused(self, capsys, command, extra):
+        """bfs and serve multiply over bool_and_or: a plus_times-only
+        kernel exits 2 before any session is built, naming the kernels
+        that can (no RankError traceback, no "served ok 1 / failed 5")."""
+        argv = [command, "--dataset", "cora", "--scale", "0.05", "-p", "4"]
+        with pytest.raises(SystemExit) as exc:
+            main(argv + extra + ["--kernel", "scipy"])
+        assert exc.value.code == 2
+        err = capsys.readouterr()
+        assert "'scipy' cannot run the bool_and_or products" in err.err
+        able = err.err.rsplit("choose from ", 1)[1].strip().split(", ")
+        assert {"auto", "esc-vectorized", "hash", "spa"} <= set(able)
+        assert "scipy" not in able
+        assert err.out == ""
+
+    @pytest.mark.parametrize("kernel", ["auto", "esc-vectorized", "spa", "hash"])
+    def test_kernel_that_runs_booleans_passes_the_check(self, kernel):
+        parser = build_parser()
+        for command in ("bfs", "serve"):
+            _check_kernel(parser, parser.parse_args([command, "--kernel", kernel]))
+
+    def test_plus_times_commands_keep_scipy(self):
+        parser = build_parser()
+        for command in ("multiply", "embed"):
+            _check_kernel(parser, parser.parse_args([command, "--kernel", "scipy"]))
+
+    @pytest.mark.parametrize("kernel", ["spa-rowwise", "hash-rowwise"])
+    def test_rowwise_kernels_are_no_longer_choices(self, capsys, kernel):
+        for command in ("multiply", "bfs", "embed", "serve"):
+            with pytest.raises(SystemExit) as exc:
+                build_parser().parse_args([command, "--kernel", kernel])
+            assert exc.value.code == 2
+            assert f"invalid choice: '{kernel}'" in capsys.readouterr().err
+
     def test_bfs_and_embed_accept_kernel_choices(self):
         for cmd in ("bfs", "embed"):
             args = build_parser().parse_args([cmd, "--kernel", "hash"])
@@ -175,6 +213,6 @@ class TestCommands:
         np.fill_diagonal(dense, 0)
         mat = CsrMatrix.from_dense(dense)
         path = tmp_path / "g.mtx"
-        write_matrix_market(mat, path)
+        scipy.io.mmwrite(path, mat.to_scipy())
         rc = main(["multiply", "--dataset", str(path), "-p", "2", "--d", "4"])
         assert rc == 0
