@@ -16,3 +16,13 @@ from repro.core import TsConfig
 #: off to stay like-for-like reproductions.  ``bench_fusedmm.py`` is
 #: where the fused-vs-unfused comparison itself is measured and gated.
 UNFUSED = TsConfig(fuse_comm=False)
+
+
+#: Fig 7 (TS-SpGEMM vs SpMM over B's sparsity), read by
+#: ``bench_fig07_spgemm_vs_spmm.py`` and ``tests/paper/test_fig07_claims.py``
+#: alike.  The smallest size at which every claim of §V-C the test states
+#: holds; the paper ran p = 256 and d = 128.
+FIG07 = dict(
+    dataset="uk", scale=0.25, p=8, d=64,
+    sparsities=(0.0, 0.25, 0.50, 0.625, 0.75, 0.875, 0.95),
+)

@@ -8,31 +8,32 @@ linearly with sparsity and crosses below SpMM's (constant) volume around
 crossover sits somewhat above 50 % because sparse accumulation costs more
 per flop.  The paper's recommendation: use TS-SpGEMM once B is ≥50 %
 sparse.
+
+The size is ``_configs.FIG07``; the claims are asserted, at that size, by
+``tests/paper/test_fig07_claims.py``.  This bench prints the sweep.
 """
 
 import numpy as np
-import pytest
 
+from _configs import FIG07
 from repro.analysis import fmt_bytes, fmt_seconds, print_table
+from repro.baselines import shift15d_spmm
 from repro.core import ts_spgemm, ts_spmm
 from repro.data import load, tall_skinny
 from repro.mpi import SCALED_PERLMUTTER
 
-P = 16
-SPARSITIES = [0.0, 0.25, 0.50, 0.625, 0.75, 0.875, 0.95]
-
 
 def bench_fig07_spgemm_vs_spmm(benchmark, sink):
-    A = load("uk", scale=1.0, seed=0)
+    P, d = FIG07["p"], FIG07["d"]
+    A = load(FIG07["dataset"], scale=FIG07["scale"], seed=0)
     n = A.nrows
-    d = 128
     dense_b = np.random.default_rng(1).random((n, d)) + 0.05
 
     # SpMM cost does not depend on B's sparsity: run once.
     spmm_res = ts_spmm(A, dense_b, P, machine=SCALED_PERLMUTTER)
     rows = []
     crossover_seen = None
-    for s in SPARSITIES:
+    for s in FIG07["sparsities"]:
         B = tall_skinny(n, d, s, seed=2)
         spgemm_res = ts_spgemm(A, B, P, machine=SCALED_PERLMUTTER)
         winner = (
@@ -51,7 +52,7 @@ def bench_fig07_spgemm_vs_spmm(benchmark, sink):
             ]
         )
     print_table(
-        f"Fig 7: TS-SpGEMM vs SpMM [uk stand-in, p={P}, d={d}]",
+        f"Fig 7: TS-SpGEMM vs SpMM [{FIG07['dataset']} stand-in, p={P}, d={d}]",
         [
             "B sparsity",
             "SpGEMM comm",
@@ -63,18 +64,16 @@ def bench_fig07_spgemm_vs_spmm(benchmark, sink):
         rows,
         file=sink,
     )
+    crossover = "never" if crossover_seen is None else f"~{crossover_seen:.0%} sparsity"
     print(
-        f"\nRuntime crossover: TS-SpGEMM becomes faster at ~{crossover_seen:.0%} "
-        "sparsity (paper: recommend SpGEMM for >= 50% sparse B).",
+        f"\nRuntime crossover: TS-SpGEMM becomes faster at {crossover} "
+        "(paper: recommend SpGEMM for >= 50% sparse B).",
         file=sink,
     )
 
     # §V-C footnote: "our SpMM performs comparably or better than the
     # 1.5D dense shifting algorithm" — include the comparator.
-    from repro.baselines import shift15d_spmm
-
     shift_res = shift15d_spmm(A, dense_b, P, machine=SCALED_PERLMUTTER)
-    np.testing.assert_allclose(np.asarray(spmm_res.C), shift_res.C, atol=1e-9)
     print_table(
         "SpMM implementation check (§V-C): fetch-based vs 1.5D shifting",
         ["variant", "comm", "runtime"],
@@ -86,14 +85,5 @@ def bench_fig07_spgemm_vs_spmm(benchmark, sink):
         ],
         file=sink,
     )
-    assert spmm_res.comm_bytes() <= shift_res.comm_bytes()
-
-    # Shape checks
-    assert crossover_seen is not None and crossover_seen >= 0.25
-    dense_run = ts_spgemm(A, tall_skinny(n, d, 0.0, seed=2), P, machine=SCALED_PERLMUTTER)
-    sparse_run = ts_spgemm(A, tall_skinny(n, d, 0.95, seed=2), P, machine=SCALED_PERLMUTTER)
-    assert sparse_run.comm_bytes() < dense_run.comm_bytes()
-    # at full density sparse payloads (16B/nnz) exceed dense ones (8B)
-    assert dense_run.comm_bytes() > spmm_res.comm_bytes()
 
     benchmark(lambda: ts_spmm(A, dense_b, P, machine=SCALED_PERLMUTTER))

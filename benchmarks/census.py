@@ -1,9 +1,10 @@
 """Execution census of ``src/``: what the traffic reaches, and what only
 the tests do.  Stdlib only: no ``coverage`` package is needed.
 
-Two passes, run from the repository root::
+Three passes, run from the repository root::
 
-    python benchmarks/census.py static     # a few seconds; the CI gate
+    python benchmarks/census.py static     # a few seconds; a CI gate
+    python benchmarks/census.py imports    # a second; a CI gate
     python benchmarks/census.py dynamic    # minutes; the per-file table
 
 ``static``
@@ -15,6 +16,13 @@ Two passes, run from the repository root::
     bare name: a def shares the uses of every other def of its name, so
     the pass can miss a dead def but never lists a live one.  Exits 1
     when it lists a def that ``allowed`` does not excuse.
+``imports``
+    Lists every module-level import in ``src/`` that its own module never
+    names again (a name, the base of an attribute, or an identifier inside
+    a string such as an annotation or an ``__all__`` entry).  An
+    ``__init__`` module's imports are its exports and ``__future__``
+    imports act on the compiler, so neither is listed.  Exits 1 when it
+    lists one.
 ``dynamic``
     Runs the traffic under a line tracer installed with ``sys.settrace``
     and ``threading.settrace`` *before* anything imports ``repro``, so the
@@ -185,6 +193,65 @@ def print_static(found, root: Path = ROOT) -> int:
               + (f"  (allowed: {why})" if why else ""))
     print(f"{len(found)} defs no traffic names, {flagged} not on the allow-list")
     return flagged
+
+
+# ----------------------------------------------------------------------
+# imports pass
+# ----------------------------------------------------------------------
+def _module_imports(body) -> Iterator[Tuple[str, int]]:
+    """``(bound name, line)`` of the imports in a module body, guarded
+    ``try`` / ``if`` blocks included."""
+    for node in body:
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.asname or alias.name.split(".")[0], node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                if alias.name != "*":
+                    yield alias.asname or alias.name, node.lineno
+        elif isinstance(node, (ast.If, ast.Try)):
+            for block in (node.body, node.orelse, getattr(node, "finalbody", [])):
+                yield from _module_imports(block)
+            for handler in getattr(node, "handlers", []):
+                yield from _module_imports(handler.body)
+
+
+def _names_used(tree: ast.Module) -> Set[str]:
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            try:
+                expr = ast.parse(node.value.strip(), mode="eval")
+            except SyntaxError:
+                continue
+            names.update(n.id for n in ast.walk(expr) if isinstance(n, ast.Name))
+    return names
+
+
+def unused_imports(root: Path = ROOT) -> List[Tuple[Path, int, str]]:
+    """``(path, line, name)`` of every ``src/`` module-level import its
+    module never names again, in file order."""
+    found = []
+    for path in _python_files(root, ("src",)):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        used = _names_used(tree)
+        found.extend(
+            (path, line, name)
+            for name, line in _module_imports(tree.body)
+            if name not in used
+        )
+    return found
+
+
+def print_imports(found, root: Path = ROOT) -> int:
+    for path, line, name in found:
+        print(f"{path.relative_to(root)}:{line} {name}")
+    print(f"{len(found)} unused module-level imports")
+    return len(found)
 
 
 # ----------------------------------------------------------------------
@@ -373,11 +440,13 @@ def run_traffic(root: Path = ROOT) -> None:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    if argv not in (["static"], ["dynamic"]):
-        print("usage: python benchmarks/census.py static|dynamic", file=sys.stderr)
+    if argv not in (["static"], ["imports"], ["dynamic"]):
+        print("usage: python benchmarks/census.py static|imports|dynamic", file=sys.stderr)
         return 2
     if argv == ["static"]:
         return 1 if print_static(static_census()) else 0
+    if argv == ["imports"]:
+        return 1 if print_imports(unused_imports()) else 0
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "benchmarks")]
     with LineTracer(ROOT / "src") as tracer:
         run_traffic()

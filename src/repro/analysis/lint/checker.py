@@ -18,7 +18,8 @@ Rank-program discovery (the "reachable as a rank program" set):
 * functions passed by name to ``run_spmd(...)`` or a ``*.run(...)`` /
   ``*._run_setup(...)`` call in the same module;
 * closures nested in a rank function that use its communicator (how
-  ``spmm_multiply``'s payload builder is seen).
+  the payload-codec hooks of ``tiled_multiply`` and ``spmm_multiply``
+  are seen).
 
 Functions in the first, third and fourth groups are *roots* (entered
 directly by the executor); the rest are *helpers* reached from roots.

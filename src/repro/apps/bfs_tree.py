@@ -16,8 +16,8 @@ which vertices, and ``min`` picks the smallest candidate parent.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -27,7 +27,7 @@ from ..mpi.costmodel import PERLMUTTER, MachineProfile
 from ..sparse.build import coo_to_csr
 from ..sparse.csr import INDEX_DTYPE, CsrMatrix
 from ..sparse.ops import ewise_add, pattern_difference
-from ..sparse.semiring import SEL2ND_MIN, Semiring
+from ..sparse.semiring import SEL2ND_MIN
 
 
 @dataclass

@@ -19,7 +19,6 @@ where ``r`` is the number of vertices reachable from ``s``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 

@@ -22,17 +22,16 @@ for scale-free graphs, where hubs dominate influence.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from dataclasses import dataclass
+from typing import List, Optional
 
 import numpy as np
 
 from ..core.config import DEFAULT_CONFIG, TsConfig
 from ..core.driver import TsSession
 from ..mpi.costmodel import PERLMUTTER, MachineProfile
-from ..sparse.build import coo_to_csr
 from ..sparse.csr import INDEX_DTYPE, CsrMatrix
-from ..sparse.semiring import BOOL_AND_OR, Semiring
+from ..sparse.semiring import BOOL_AND_OR
 from .msbfs import msbfs_on_session
 
 

@@ -16,7 +16,7 @@ baselines without one keep the per-call path.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict
 
 from ..core.config import DEFAULT_CONFIG, TsConfig
 from ..core.driver import TsSession, ts_spgemm

@@ -17,8 +17,6 @@ from __future__ import annotations
 
 from typing import List, Optional, Tuple
 
-import numpy as np
-
 from ..mpi.cartesian import make_grid2d, square_grid_dims
 from ..mpi.comm import SimComm
 from ..mpi.costmodel import PERLMUTTER, MachineProfile

@@ -27,8 +27,6 @@ import argparse
 import sys
 from typing import List, Optional
 
-import numpy as np
-
 from .analysis import (
     fmt_bytes,
     fmt_seconds,

@@ -20,7 +20,7 @@ constants); everything tile- and policy-related lives here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from ..sparse.kernels import available_kernels

@@ -43,6 +43,19 @@ def pack_nonempty_rows(mat: CsrMatrix) -> Tuple[np.ndarray, CsrMatrix]:
     return row_ids, rows
 
 
+def checked_row_ids(row_ids: np.ndarray, nrows: int) -> np.ndarray:
+    """``row_ids``, once they are known to place rows into a block of
+    height ``nrows``: in range and strictly increasing (producers build
+    them from sorted nonzero lists).  A repeated or unsorted id would
+    build a CSR whose indptr disagrees with the order of indices/data, or
+    lose or double part of a dense partial."""
+    if len(row_ids) and (row_ids.min() < 0 or row_ids.max() >= nrows):
+        raise ValueError("placed row id out of range")
+    if len(row_ids) > 1 and np.any(np.diff(row_ids) <= 0):
+        raise ValueError("placed row ids must be strictly increasing")
+    return row_ids
+
+
 def place_rows(
     nrows: int, payload: Optional[Tuple[np.ndarray, CsrMatrix]], ncols: int, dtype
 ) -> CsrMatrix:
@@ -57,16 +70,9 @@ def place_rows(
     row_ids, rows = payload
     if rows.nrows != len(row_ids):
         raise ValueError("payload row count does not match id count")
-    if len(row_ids) and (row_ids.min() < 0 or row_ids.max() >= nrows):
-        raise ValueError("placed row id out of range")
-    if len(row_ids) > 1 and np.any(np.diff(row_ids) <= 0):
-        # The indptr scatter below assumes sorted, unique ids; an unsorted
-        # or duplicated payload would silently build a CSR whose indptr
-        # disagrees with the order of indices/data.
-        raise ValueError("placed row ids must be strictly increasing")
     indptr = np.zeros(nrows + 1, dtype=INDEX_DTYPE)
     counts = rows.row_nnz()
-    indptr[row_ids + 1] = counts
+    indptr[checked_row_ids(row_ids, nrows) + 1] = counts
     np.cumsum(indptr, out=indptr)
     return CsrMatrix((nrows, ncols), indptr, rows.indices, rows.data, check=False)
 
@@ -100,7 +106,5 @@ def place_dense_rows(
     out = np.zeros((nrows, ncols), dtype=np.float64 if dtype is None else dtype)
     if payload is None:
         return out
-    if len(row_ids) and (row_ids.min() < 0 or row_ids.max() >= nrows):
-        raise ValueError("placed row id out of range")
-    out[row_ids] = rows
+    out[checked_row_ids(row_ids, nrows)] = rows
     return out

@@ -7,29 +7,26 @@ rows (values only, no index structure), and local multiplies are CSR ×
 dense.  The crossover the paper reports (~50 % sparsity, Fig 7) falls out
 of exactly these two differences: SpGEMM ships indices+values of only the
 *nonzero* entries, SpMM ships all ``d`` values of each needed row.
+
+So this module is only a payload codec on the tiled multiply's step loop
+(:func:`repro.core.tiled.run_tile_steps`), plus the dense mode rule.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
 from ..mpi.marker import rank_program
 from ..partition.distmat import DistDenseMatrix, DistSparseMatrix
 from ..sparse.kernels import dispatch_spmm
-from ..sparse.ops import extract_row_range
 from .config import DEFAULT_CONFIG, TsConfig
-from .gather_rows import pack_dense_rows, place_dense_rows
+from .gather_rows import checked_row_ids, pack_dense_rows, place_dense_rows
 from .plan import PreparedA, peer_tile_ranges, subtile_needed_rows
-from .symbolic import row_tile_ranges
-from .tiled import (
-    checked_row_tiles,
-    consumer_strips,
-    exchange_sections,
-    tile_steps,
-)
+from .symbolic import DIAGONAL, EMPTY, LOCAL, REMOTE, SubtileInfo, SymbolicPlan
+from .tiled import TileCodec, ac_subtile, run_tile_steps
 
 
 @dataclass
@@ -46,6 +43,46 @@ class SpmmDiagnostics:
 
     def as_dict(self) -> dict:
         return dict(self.__dict__)
+
+
+def _dense_mode_plan(comm, A: DistSparseMatrix, config: TsConfig) -> SymbolicPlan:
+    """The SpMM symbolic step: a mode per (peer, row tile) off ``Ac``.
+
+    Dense payloads cost ``d`` values per row either way, so the hybrid
+    rule compares needed B rows with affected output rows — both read off
+    ``A``'s pattern alone, which is why the plan can be cached.
+    """
+    plan = SymbolicPlan()
+    modes = []
+    with comm.phase("symbolic"):
+        tile_ranges = peer_tile_ranges(A.rows, config, range(comm.size))
+        nzcs = subtile_needed_rows(A.col_copy, A.rows, tile_ranges)
+        for peer, ranges in tile_ranges.items():
+            modes.append([])
+            for rt, ((r0, r1), nzc) in enumerate(zip(ranges, nzcs[peer])):
+                sub = ac_subtile(A, peer, (r0, r1))
+                if sub.nnz == 0:
+                    mode = EMPTY
+                    plan.empty_tiles += 1
+                elif peer == comm.rank:
+                    mode = DIAGONAL
+                else:
+                    affected = len(np.unique(sub.row_ids()))
+                    comm.charge_symbolic(sub.nnz)
+                    if config.mode_policy == "hybrid":
+                        mode = REMOTE if affected < len(nzc) else LOCAL
+                    else:
+                        mode = LOCAL if config.mode_policy == "local" else REMOTE
+                if mode != EMPTY:
+                    # The nnz sizes are the sparse rule's; dense payloads price rows.
+                    plan.by_mode[mode].setdefault(peer, []).append(SubtileInfo(
+                        peer, rt, (r0, r1), mode, nzc, needed_b_nnz=0, output_nnz=0
+                    ))
+                modes[-1].append(mode)
+        # The paper's binary-value exchange; consumers act on the
+        # payloads that arrive, so nothing keeps the reply.
+        comm.alltoall(modes)
+    return plan
 
 
 @rank_program
@@ -73,166 +110,65 @@ def spmm_multiply(
         raise ValueError("A and B must live on the same communicator")
     if A.col_copy is None:
         raise RuntimeError("spmm_multiply requires A.build_column_copy() first")
-    p = comm.size
     d = B.ncols
     diag = SpmmDiagnostics()
-    my_lo, _ = A.rows.range_of(comm.rank)
-    my_nrows = A.local.nrows
-    c_local = np.zeros((my_nrows, d))
+    c_local = np.zeros((A.local.nrows, d))
 
-    def subtile(peer, r0, r1):
-        """Rows ``[r0, r1)`` of ``peer``'s block of ``Ac_j`` (a view)."""
-        lo, _ = A.rows.range_of(peer)
-        return extract_row_range(A.col_copy, lo + r0, lo + r1)
-
-    # ---- symbolic step: per (peer, row tile) mode off Ac ---------------
-    # Everything here is B- and value-independent; served from the
-    # prepared cache when one is supplied.
     if prepared is not None:
         prepared.check_compatible(A, config)
-    cached = prepared.spmm_cache if prepared is not None else None
-    if cached is None:
-        produced = {}
-        with comm.phase("symbolic"):
-            tile_ranges = peer_tile_ranges(A.rows, config, range(p))
-            nzcs = subtile_needed_rows(A.col_copy, A.rows, tile_ranges)
-            for peer, ranges in tile_ranges.items():
-                infos = []
-                for rt, ((r0, r1), nzc) in enumerate(zip(ranges, nzcs[peer])):
-                    sub = subtile(peer, r0, r1)
-                    if sub.nnz == 0:
-                        infos.append((rt, (r0, r1), "empty", None))
-                        continue
-                    if peer == comm.rank:
-                        infos.append((rt, (r0, r1), "diagonal", None))
-                        continue
-                    affected = np.unique(sub.row_ids())
-                    comm.charge_symbolic(sub.nnz)
-                    # dense payloads: d values per needed B row vs per output row
-                    if config.mode_policy == "hybrid":
-                        mode = "remote" if len(affected) < len(nzc) else "local"
-                    elif config.mode_policy == "local":
-                        mode = "local"
-                    else:
-                        mode = "remote"
-                    infos.append((rt, (r0, r1), mode, nzc))
-                produced[peer] = infos
-            # The paper's binary-value exchange; consumers act on the
-            # payloads that arrive, so nothing keeps the reply.
-            comm.alltoall([[info[2] for info in produced[peer]] for peer in range(p)])
+    plan = prepared.spmm_cache if prepared is not None else None
+    if plan is None:
+        plan = _dense_mode_plan(comm, A, config)
         if prepared is not None:
-            prepared.spmm_cache = produced
+            prepared.spmm_cache = plan
     else:
-        produced = cached
         # The whole symbolic phase was skipped — the same observability
         # flag the tiled SpGEMM surfaces as ``plan_reused``.
         diag.plan_reused = 1
 
-    # ---- diagonal ------------------------------------------------------
-    with comm.phase("diagonal"):
-        for _, (r0, r1), mode, _ in produced[comm.rank]:
-            if mode != "diagonal":
-                continue
-            part, flops = dispatch_spmm(subtile(comm.rank, r0, r1), B.local)
-            comm.charge_spmm(flops)
-            diag.flops += flops
-            diag.diagonal_tiles += 1
-            c_local[r0:r1] += part
-
-    # ---- tile rounds: one exchange per step (see repro.core.tiled) ------
-    strips = consumer_strips(A, prepared)
-    steps = tile_steps(comm.rank, p, config.tile_width_factor, config.fuse_comm)
-    diag.rounds = sum(len(rounds) for _, rounds in steps)
-
-    def _producer_payloads(peers):
-        """``fetch-B`` / ``send-C`` payloads for the given consumers."""
-        send_b: List[Optional[list]] = [None] * p
-        send_c: List[Optional[tuple]] = [None] * p
-        for peer in peers:
-            infos = produced[peer]
-            # per-tile fetches (no union) — see repro.core.tiled
-            tile_payloads = []
-            for (rt, _, m, nzc) in infos:
-                if m != "local" or nzc is None:
-                    continue
-                packed = pack_dense_rows(B.local, nzc)
-                if packed is not None:
-                    lids, vals = packed
-                    tile_payloads.append((rt, my_lo + lids, vals))
-            if tile_payloads:
-                send_b[peer] = tile_payloads
-            remote_rows, remote_vals = [], []
-            for (_, (r0, r1), m, _) in infos:
-                if m != "remote":
-                    continue
-                sub = subtile(peer, r0, r1)
-                part, flops = dispatch_spmm(sub, B.local)
-                # spmdlint: disable=S4 -- known unphased charge, kept in 'total' on purpose: moving it into 'send-C' changes the dense digests pinned in report_golden.json, which are regenerated only together with the cost-model calibration
+    def diagonal(infos):
+        with comm.phase("diagonal"):
+            for info in infos:
+                part, flops = dispatch_spmm(ac_subtile(A, comm.rank, info.row_range), B.local)
                 comm.charge_spmm(flops)
                 diag.flops += flops
-                affected = np.unique(sub.row_ids())
-                remote_rows.append(affected + r0)
-                remote_vals.append(part[affected])
-            if remote_rows:
-                send_c[peer] = (
-                    np.concatenate(remote_rows),
-                    np.vstack(remote_vals),
-                )
-        return send_b, send_c
+                accumulate([(info.row_range[0], part)])
 
-    for consumers, producer_rounds in steps:
-        send_b, send_c = _producer_payloads(consumers)
-        received, _ = exchange_sections(
-            comm, [("fetch-B", send_b), ("send-C", send_c)], config.fuse_comm
-        )
-        # Rounds are replayed in schedule order whichever exchange
-        # delivered them: identical accumulation order, bit-identical C.
-        for active in producer_rounds:
-            with comm.phase("local-compute"):
-                for j in active:
-                    if j == comm.rank:
-                        continue
-                    if received["fetch-B"][j] is not None:
-                        _consume_dense(
-                            comm, strips[j], received["fetch-B"][j],
-                            A.rows.range_of(j), config, c_local, diag,
-                        )
-                    if received["send-C"][j] is not None:
-                        rids, vals = received["send-C"][j]
-                        np.add.at(c_local, rids, vals)
+    def remote(peer, infos):
+        """One consumer's REMOTE partials: its affected rows only."""
+        row_ids, rows = [], []
+        for info in infos:
+            sub = ac_subtile(A, peer, info.row_range)
+            part, flops = dispatch_spmm(sub, B.local)
+            # spmdlint: disable=S4 -- known unphased charge, kept in 'total' on purpose: moving it into 'send-C' changes the dense digests pinned in report_golden.json, which are regenerated only together with the cost-model calibration
+            comm.charge_spmm(flops)
+            diag.flops += flops
+            affected = np.unique(sub.row_ids())
+            row_ids.append(affected + info.row_range[0])
+            rows.append(part[affected])
+        return np.concatenate(row_ids), np.vstack(rows)
 
-    _count(produced, diag)
+    def accumulate(tiles):
+        for r0, part in tiles:
+            c_local[r0 : r0 + len(part)] += part
+
+    def add_rows(payload):
+        row_ids, rows = payload
+        c_local[checked_row_ids(row_ids, len(c_local))] += rows
+
+    codec = TileCodec(
+        # Before the first exchange on both schedules (Alg 2 order): the
+        # charge order the dense digests pin.
+        diagonal_first=True,
+        pack=lambda row_ids: pack_dense_rows(B.local, row_ids),
+        remote=remote,
+        diagonal=diagonal,
+        product=dispatch_spmm,
+        price=comm.machine.spmm_time,
+        place=lambda nrows, payload: place_dense_rows(nrows, payload, d),
+        accumulate=accumulate,
+        add_rows=add_rows,
+        end_round=lambda: None,
+    )
+    run_tile_steps(comm, A, plan, prepared, config, codec, diag)
     return DistDenseMatrix(comm, A.rows, c_local, d), diag
-
-
-def _consume_dense(
-    comm, strip, payload, producer_range, config, c_local, diag
-) -> None:
-    """Multiply my local-mode row tiles of ``strip`` with received dense
-    B rows, accumulating into ``c_local``.  ``payload`` holds one ``(row
-    tile id, global B row ids, values)`` entry per tile; an id out of
-    range or out of order raises, like the sparse consumer's."""
-    j_lo, j_hi = producer_range
-    ranges = row_tile_ranges(strip.nrows, config.effective_tile_height(strip.nrows))
-    for (r0, r1), gids, vals in checked_row_tiles(payload, ranges):
-        sub = extract_row_range(strip, r0, r1)
-        if sub.nnz == 0:
-            continue
-        block_b = place_dense_rows(
-            j_hi - j_lo, (gids - j_lo, vals), c_local.shape[1]
-        )
-        part, flops = dispatch_spmm(sub, block_b)
-        comm.charge_spmm(flops)
-        diag.flops += flops
-        c_local[r0:r1] += part
-
-
-def _count(produced, diag: SpmmDiagnostics) -> None:
-    for infos in produced.values():
-        for (_, _, mode, _) in infos:
-            if mode == "local":
-                diag.local_tiles += 1
-            elif mode == "remote":
-                diag.remote_tiles += 1
-            elif mode == "empty":
-                diag.empty_tiles += 1

@@ -13,11 +13,11 @@ Every rank plays two roles simultaneously:
 
 Communication is consolidated: column blocks are processed in *rounds* of
 ``tile_width_factor`` blocks (a tile of width ``w = 16·n/p`` spans 16
-column blocks, Table IV), and each round performs exactly one all-to-all
-for B rows ("fetch-B") and one for partial C ("send-C") across all ranks.
-Fewer, wider rounds reduce latency but grow the peak footprint of received
-``B`` rows — the Fig 5 trade-off, tracked in the diagnostics as
-``peak_recv_b_bytes``.
+column blocks, Table IV).  In Alg 2 as printed each round ships B rows
+("fetch-B") and partial C ("send-C") in one all-to-all each; by default
+the rounds share one exchange (below).  Fewer, wider rounds reduce latency
+but grow the peak footprint of received ``B`` rows — the Fig 5 trade-off,
+tracked in the diagnostics as ``peak_recv_b_bytes``.
 
 Round schedule: consumers visit their width-``w`` tiles in a *rotated*
 order (consumer ``i`` processes block group ``(i + k) mod R`` in round
@@ -45,17 +45,25 @@ point: all received ``B`` rows are resident at once
 (``peak_recv_b_bytes`` reports that footprint honestly), which is why
 ``--fuse-comm off`` remains the configuration for per-round memory
 studies.
+
+**One step loop, two payload kinds.** :func:`run_tile_steps` owns the
+schedule, the exchange and the consumer; a :class:`TileCodec` decides
+only what travels and how it is multiplied and accumulated.
+:func:`tiled_multiply` passes CSR rows whose partials merge per round,
+:func:`repro.core.spmm.spmm_multiply` (§V-C's SpMM) dense rows added
+into one dense block.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
 from ..mpi.marker import rank_program
+from ..mpi.payload import payload_nbytes
 from ..partition.distmat import DistSparseMatrix
 from ..sparse.csr import INDEX_DTYPE, CsrMatrix
 from ..sparse.kernels import dispatch_spgemm, resolve_spgemm
@@ -181,6 +189,129 @@ def consumer_strips(A: DistSparseMatrix, prepared: Optional[PreparedA]):
     return strips
 
 
+@dataclass
+class TileCodec:
+    """What one payload kind decides on :func:`run_tile_steps`' schedule.
+
+    Every hook is a closure of the rank program (or ``comm``-first), so
+    spmdlint sees each charge inside the ``comm.phase`` that books it.
+    """
+
+    #: Run the diagonal before the first exchange rather than after it.
+    #: Pinned per kind: the order of charges on the virtual clock is part
+    #: of every golden digest.
+    diagonal_first: bool
+    pack: Callable  # my local B row ids -> ``(ids, rows)`` or ``None``
+    remote: Callable  # (consumer, its REMOTE infos) -> ``send-C`` payload or ``None``
+    diagonal: Callable  # my DIAGONAL infos -> None
+    product: Callable  # (A subtile, placed B block) -> ``(part, flops)``
+    price: Callable  # flops -> modelled compute seconds of ``product``
+    place: Callable  # (nrows, ``(row ids, B rows)``) -> a block of that height
+    accumulate: Callable  # ``[(first row, part)]`` of my row block -> None
+    add_rows: Callable  # a received ``send-C`` payload -> None
+    end_round: Callable  # () -> None, after each round's producers
+
+
+def run_tile_steps(
+    comm, A, plan, prepared, config, codec: TileCodec, diag, head=(), prologue=None
+) -> int:
+    """Alg 2's tile rounds (lines 11-29) for one multiply; returns the
+    peak received-B bytes (Fig 5's memory axis).
+
+    ``plan`` says what this rank produces (``by_mode``); ``head`` are
+    sections that ride the first exchange (the symbolic mode lists),
+    shipped on their own before anything else when unfused.  A
+    ``prologue`` (see :func:`tiled_multiply`) rides the fused exchange.
+    """
+    fuse = config.fuse_comm
+    p = comm.size
+    if not fuse:
+        exchange_sections(comm, head, fuse=False)
+        head = ()
+    strips = consumer_strips(A, prepared)
+    diagonal = plan.by_mode[DIAGONAL].get(comm.rank, ())
+    diag.diagonal_tiles = len(diagonal)
+    late_diagonal = not codec.diagonal_first
+    if codec.diagonal_first:
+        codec.diagonal(diagonal)
+    steps = tile_steps(comm.rank, p, config.tile_width_factor, fuse)
+    diag.rounds = sum(len(rounds) for _, rounds in steps)
+    my_lo, _ = A.rows.range_of(comm.rank)
+    local, remote = plan.by_mode[LOCAL], plan.by_mode[REMOTE]
+
+    def send_c(consumers):
+        sendlist: List[Optional[tuple]] = [None] * p
+        for peer in consumers:
+            if peer in remote:
+                sendlist[peer] = codec.remote(peer, remote[peer])
+        return sendlist
+
+    peak = 0
+    for consumers, producer_rounds in steps:
+        # B rows are packed per local-mode row tile — a row needed by two
+        # tiles is shipped twice, exactly as in the paper's per-tile
+        # all-to-alls.  Avoiding that duplication is precisely what the
+        # remote mode is for (Fig 4c), so "optimizing" it away here would
+        # erase the hybrid mode's benefit (Fig 6).
+        send_b: List[Optional[list]] = [None] * p
+        for peer in consumers:
+            tiles = []
+            for info in local.get(peer, ()):
+                packed = codec.pack(info.needed_b_rows)
+                if packed is not None:
+                    tiles.append((info.row_tile, my_lo + packed[0], packed[1]))
+            send_b[peer] = tiles or None
+        sections = [*head, ("fetch-B", send_b)]
+        if prologue is None:
+            received, _ = exchange_sections(
+                comm, [*sections, ("send-C", send_c(consumers))], fuse
+            )
+        else:
+            # Partials must wait for the prologue's refreshed values; the
+            # header flag tells every rank whether any rank will have one.
+            received, any_remote = exchange_sections(
+                comm, [*prologue.sections(comm), *sections], fuse,
+                meta=plan.count(REMOTE) > 0,
+            )
+            _finish_prologue(comm, prologue, received, plan, prepared, A)
+        if late_diagonal:
+            # Behind the exchange, so a prologue's refresh reaches it.
+            codec.diagonal(diagonal)
+            late_diagonal = False
+        if prologue is not None:
+            received["send-C"] = [None] * p
+            if any(any_remote):
+                sendlist = send_c(consumers)
+                with comm.phase("send-C"):
+                    received["send-C"] = comm.alltoall(sendlist)
+
+        # ---- consumer side --------------------------------------------
+        recv_b, recv_c = received["fetch-B"], received["send-C"]
+        peak = max(peak, sum(
+            payload_nbytes(rows)
+            for payload in recv_b if payload is not None
+            for (_, _, rows) in payload
+        ))
+        # Rounds are replayed in schedule order whichever exchange
+        # delivered them: identical accumulation order, bit-identical C.
+        for active in producer_rounds:
+            with comm.phase("local-compute"):
+                for j in active:
+                    if recv_b[j] is not None:
+                        codec.accumulate(consume_strip(
+                            comm, codec, strips[j], recv_b[j],
+                            A.rows.range_of(j), config, diag,
+                        ))
+                    if recv_c[j] is not None:
+                        codec.add_rows(recv_c[j])
+            codec.end_round()
+
+    diag.local_tiles = plan.count(LOCAL)
+    diag.remote_tiles = plan.count(REMOTE)
+    diag.empty_tiles = plan.count(EMPTY)
+    return peak
+
+
 @rank_program
 def tiled_multiply(
     A: DistSparseMatrix,
@@ -221,7 +352,6 @@ def tiled_multiply(
     fuse = config.fuse_comm
     if fused_prologue is not None and not fuse:
         raise ValueError("fused_prologue requires config.fuse_comm")
-    p = comm.size
     d = B.ncols
     acc = config.accumulator_for(d)
     # Resolve the kernel once per multiply: every tile product sees the
@@ -247,185 +377,88 @@ def tiled_multiply(
         _drop_kept_slices(plan)
     diag.symbolic_products = plan.pattern_products
 
-    # The mode lists ``replan`` left to ship.  Fused, they ride the
-    # step's exchange; unfused, they are the paper's own binary-value
-    # all-to-all, directly after the symbolic step.
+    # The mode lists ``replan`` left to ship: the paper's binary-value
+    # all-to-all, or a tagged section of the fused exchange.
     head = [] if plan.outgoing_modes is None else [("symbolic", plan.outgoing_modes)]
     plan.outgoing_modes = None
-    if not fuse:
-        exchange_sections(comm, head, fuse=False)
-        head = []
-
-    strips = consumer_strips(A, sync_prepared)
-    steps = tile_steps(comm.rank, p, config.tile_width_factor, fuse)
-    diag.rounds = sum(len(rounds) for _, rounds in steps)
     my_nrows = A.local.nrows
-    my_lo, _ = A.rows.range_of(comm.rank)
-    numeric = (A, B.local, semiring, d, acc, kname)
+    partials: List[CsrMatrix] = []
 
-    # Unfused, the diagonal tile goes first (Alg 2 order); fused, it
-    # waits behind the exchange so a prologue's refresh reaches it.
-    partials = None
-    if not fuse:
-        partials = _diagonal_partials(comm, plan, *numeric, diag, my_nrows)
-    # Tile rounds (Alg 2 lines 11-18 and 24-29), one exchange per step.
-    for consumers, producer_rounds in steps:
-        send_b = _build_send_b(comm, plan, B.local, my_lo, diag, consumers)
-        sections = head + [("fetch-B", send_b)]
-        if fused_prologue is None:
-            send_c = _build_send_c(comm, plan, *numeric, diag, consumers)
-            received, _ = exchange_sections(
-                comm, sections + [("send-C", send_c)], fuse
-            )
-        else:
-            # Partials must wait for the prologue's refreshed values; the
-            # header flag tells every rank whether any rank will have one.
-            received, any_remote = exchange_sections(
-                comm,
-                [*fused_prologue.sections(comm), *sections],
-                fuse,
-                meta=plan.count(REMOTE) > 0,
-            )
-            _finish_prologue(comm, fused_prologue, received, plan, sync_prepared, A)
-        if partials is None:
-            partials = _diagonal_partials(comm, plan, *numeric, diag, my_nrows)
-        if fused_prologue is not None:
-            received["send-C"] = [None] * p
-            if any(any_remote):
-                send_c = _build_send_c(comm, plan, *numeric, diag, consumers)
-                with comm.phase("send-C"):
-                    received["send-C"] = comm.alltoall(send_c)
+    def diagonal(infos):
+        """The communication-free diagonal tile (Alg 2 lines 20-22)."""
+        with comm.phase("diagonal"):
+            for info in infos:
+                c_part, flops = _subtile_product(info, A, B.local, semiring, kname)
+                comm.charge_spgemm(flops, d=d, accumulator=acc, kernel=kname)
+                diag.flops += flops
+                partials.append(
+                    _stack_row_tiles([(info.row_range[0], c_part)], my_nrows, d, semiring)
+                )
 
-        # ---- consumer side --------------------------------------------
-        recv_b = received["fetch-B"]
-        diag.peak_recv_b_bytes = max(
-            diag.peak_recv_b_bytes, _recv_b_bytes(comm, recv_b)
-        )
-        for active in producer_rounds:
-            _consume_round(
-                comm, active, recv_b, received["send-C"], strips, A, config,
-                semiring, d, acc, kname, diag, my_nrows, partials,
-            )
-            partials = _merge_round(comm, partials, semiring)
+    def pack(row_ids):
+        packed = pack_rows(B.local, row_ids)
+        if packed is not None:
+            diag.sent_b_nnz += packed[1].nnz
+            with comm.phase("fetch-B"):
+                comm.charge_touch(packed[1].nbytes_estimate())
+        return packed
 
+    def remote(peer, infos):
+        """Multiply one consumer's remote-mode subtiles here.  Only the
+        affected rows travel, as B rows do, so the wire cost matches what
+        the mode decision compared; row ids are the consumer's local ones."""
+        tiles = []
+        for info in infos:
+            c_part, flops = _subtile_product(info, A, B.local, semiring, kname)
+            with comm.phase("send-C"):
+                comm.charge_spgemm(flops, d=d, accumulator=acc, kernel=kname)
+            diag.flops += flops
+            if c_part.nnz:
+                tiles.append((info.row_range[0], c_part))
+        if not tiles:
+            return None
+        part = pack_nonempty_rows(_stack_row_tiles(tiles, A.rows.size_of(peer), d, semiring))
+        diag.sent_c_nnz += part[1].nnz
+        return part
+
+    def accumulate(tiles):
+        tiles = [(r0, tile) for r0, tile in tiles if tile.nnz]
+        if tiles:
+            partials.append(_stack_row_tiles(tiles, my_nrows, d, semiring))
+
+    def end_round():
+        """Alg 2's per-tile MERGE, batched per round."""
+        if len(partials) > 1:
+            with comm.phase("merge"):
+                comm.charge_touch(merge_bytes(partials))
+                partials[:] = [merge_csrs(partials, semiring)]
+
+    codec = TileCodec(
+        # Unfused, Alg 2 order; fused, behind the exchange so that a
+        # prologue's refresh reaches the diagonal.
+        diagonal_first=not fuse,
+        pack=pack,
+        remote=remote,
+        diagonal=diagonal,
+        product=lambda sub, b: dispatch_spgemm(sub, b, semiring, kname, ordered=False),
+        price=lambda flops: comm.machine.spgemm_time(flops, d=d, accumulator=acc, kernel=kname),
+        place=lambda nrows, payload: place_rows(nrows, payload, d, semiring.dtype),
+        accumulate=accumulate,
+        add_rows=lambda payload: partials.append(
+            place_rows(my_nrows, payload, d, semiring.dtype)
+        ),
+        end_round=end_round,
+    )
+    diag.peak_recv_b_bytes = run_tile_steps(
+        comm, A, plan, sync_prepared, config, codec, diag, head, fused_prologue
+    )
     with comm.phase("merge"):
         if partials:
             comm.charge_touch(merge_bytes(partials))
             c_local = merge_csrs(partials, semiring)
         else:
             c_local = CsrMatrix.empty((my_nrows, d), dtype=semiring.dtype)
-
-    diag.local_tiles = plan.count(LOCAL)
-    diag.remote_tiles = plan.count(REMOTE)
-    diag.empty_tiles = plan.count(EMPTY)
     return DistSparseMatrix(comm, A.rows, c_local, d), diag
-
-
-# ----------------------------------------------------------------------
-# producer/consumer step bodies
-# ----------------------------------------------------------------------
-def _diagonal_partials(
-    comm, plan, A, b_local, semiring, d, acc, kname, diag, my_nrows
-) -> List[CsrMatrix]:
-    """The communication-free diagonal tile (Alg 2 lines 20-22)."""
-    partials: List[CsrMatrix] = []
-    with comm.phase("diagonal"):
-        for info in plan.by_mode[DIAGONAL].get(comm.rank, ()):
-            c_part, flops = _subtile_product(info, A, b_local, semiring, kname)
-            comm.charge_spgemm(flops, d=d, accumulator=acc, kernel=kname)
-            diag.flops += flops
-            diag.diagonal_tiles += 1
-            partials.append(
-                _stack_row_tiles([(info.row_range[0], c_part)], my_nrows, d, semiring)
-            )
-    return partials
-
-
-def _build_send_b(comm, plan, b_local, my_lo, diag, peers) -> List[Optional[list]]:
-    """``fetch-B`` payloads for the given consumer ``peers``.
-
-    B rows are packed per local-mode row tile — a row needed by two
-    tiles is shipped twice, exactly as in the paper's per-tile
-    all-to-alls.  Avoiding that duplication is precisely what the
-    remote mode is for (Fig 4c), so "optimizing" it away here would
-    erase the hybrid mode's benefit (Fig 6).
-    """
-    send_b: List[Optional[list]] = [None] * comm.size
-    local = plan.by_mode[LOCAL]
-    for peer in peers:
-        tile_payloads = []
-        for info in local.get(peer, ()):
-            packed = pack_rows(b_local, info.needed_b_rows)
-            if packed is None:
-                continue
-            local_ids, rows = packed
-            tile_payloads.append((info.row_tile, my_lo + local_ids, rows))
-            diag.sent_b_nnz += rows.nnz
-            with comm.phase("fetch-B"):
-                comm.charge_touch(rows.nbytes_estimate())
-        if tile_payloads:
-            send_b[peer] = tile_payloads
-    return send_b
-
-
-def _build_send_c(
-    comm, plan, A, b_local, semiring, d, acc, kname, diag, peers
-) -> List[Optional[tuple]]:
-    """Remote-mode partial payloads for the given consumer ``peers``."""
-    send_c: List[Optional[tuple]] = [None] * comm.size
-    remote = plan.by_mode[REMOTE]
-    for peer in peers:
-        if peer not in remote:
-            continue
-        remote_part = _compute_remote_partial(
-            comm, remote[peer], A, b_local, semiring, d, acc, kname, diag
-        )
-        if remote_part is not None:
-            send_c[peer] = remote_part
-            diag.sent_c_nnz += remote_part[1].nnz
-    return send_c
-
-
-def _recv_b_bytes(comm, recv_b) -> int:
-    """Resident footprint of received B rows (Fig 5's memory axis)."""
-    return sum(
-        rows.nbytes_estimate()
-        for j, payload in enumerate(recv_b)
-        if payload is not None and j != comm.rank
-        for (_, _, rows) in payload
-    )
-
-
-def _consume_round(
-    comm, active, recv_b, recv_c, strips, A, config, semiring, d, acc,
-    kname, diag, my_nrows, partials,
-) -> None:
-    """Consume one rotated round's producers, appending to ``partials``."""
-    with comm.phase("local-compute"):
-        for j in active:
-            if j == comm.rank:
-                continue
-            payload = recv_b[j]
-            if payload is not None:
-                c_part = _consume_local(
-                    comm, strips[j], payload, A.rows.range_of(j), config,
-                    semiring, d, acc, kname, diag,
-                )
-                if c_part is not None:
-                    partials.append(c_part)
-            remote = recv_c[j]
-            if remote is not None:
-                partials.append(place_rows(my_nrows, remote, d, semiring.dtype))
-
-
-def _merge_round(comm, partials, semiring) -> List[CsrMatrix]:
-    """Merge one round's partials into the running output (Alg 2's
-    per-tile MERGE, batched per round)."""
-    if len(partials) > 1:
-        with comm.phase("merge"):
-            comm.charge_touch(merge_bytes(partials))
-            partials = [merge_csrs(partials, semiring)]
-    return partials
 
 
 def _drop_kept_slices(plan: SymbolicPlan) -> None:
@@ -482,61 +515,22 @@ def _subtile_product(
     """
     if info.symbolic is not None and semiring == BOOL_AND_OR:
         return info.symbolic
-    peer_lo, _ = A.rows.range_of(info.peer)
-    block = extract_row_range(
-        A.col_copy, peer_lo + info.row_range[0], peer_lo + info.row_range[1]
-    )
+    block = ac_subtile(A, info.peer, info.row_range)
     return dispatch_spgemm(block, b_local, semiring, kernel, ordered=False)
 
 
-def _compute_remote_partial(
-    comm,
-    infos: List[SubtileInfo],
-    A: DistSparseMatrix,
-    b_local: CsrMatrix,
-    semiring: Semiring,
-    d: int,
-    acc: str,
-    kernel: str,
-    diag: TileDiagnostics,
-) -> Optional[Tuple[np.ndarray, CsrMatrix]]:
-    """Multiply one peer's remote-mode subtiles (``infos``, non-empty) here.
-
-    Returns a compact ``(row ids, packed rows)`` payload — only the
-    affected rows travel, mirroring how B rows are shipped, so the wire
-    cost matches what the symbolic mode decision compared.  Row ids are in
-    the *peer's local* row space.
-    """
-    tiles = []
-    for info in infos:
-        c_part, flops = _subtile_product(info, A, b_local, semiring, kernel)
-        with comm.phase("send-C"):
-            comm.charge_spgemm(flops, d=d, accumulator=acc, kernel=kernel)
-        diag.flops += flops
-        if c_part.nnz:
-            tiles.append((info.row_range[0], c_part))
-    if not tiles:
-        return None
-    peer_rows = A.rows.size_of(infos[0].peer)
-    return pack_nonempty_rows(_stack_row_tiles(tiles, peer_rows, d, semiring))
+def ac_subtile(A: DistSparseMatrix, peer: int, row_range) -> CsrMatrix:
+    """Rows ``row_range`` of ``peer``'s block of ``A.col_copy`` (a view)."""
+    lo, _ = A.rows.range_of(peer)
+    return extract_row_range(A.col_copy, lo + row_range[0], lo + row_range[1])
 
 
 # ----------------------------------------------------------------------
 # consumer helpers
 # ----------------------------------------------------------------------
-def _consume_local(
-    comm,
-    strip: CsrMatrix,
-    payload: list,
-    producer_range: Tuple[int, int],
-    config: TsConfig,
-    semiring: Semiring,
-    d: int,
-    acc: str,
-    kernel: str,
-    diag: TileDiagnostics,
-) -> Optional[CsrMatrix]:
-    """Multiply my local-mode row tiles of ``strip`` with received B rows.
+def consume_strip(comm, codec, strip, payload, producer_range, config, diag) -> list:
+    """Multiply my local-mode row tiles of ``strip`` with received B rows;
+    returns their ``(first row, part)`` products.
 
     ``payload`` holds one ``(row tile id, global B row ids, rows)`` entry
     per local-mode tile; each tile multiplies against its own copy of the
@@ -549,17 +543,11 @@ def _consume_local(
         sub = extract_row_range(strip, r0, r1)
         if sub.nnz == 0:
             continue
-        block_b = place_rows(
-            j_hi - j_lo, (global_ids - j_lo, rows), d, semiring.dtype
-        )
-        c_part, flops = dispatch_spgemm(sub, block_b, semiring, kernel, ordered=False)
-        comm.charge_spgemm(flops, d=d, accumulator=acc, kernel=kernel)
+        part, flops = codec.product(sub, codec.place(j_hi - j_lo, (global_ids - j_lo, rows)))
+        comm.charge_seconds(codec.price(flops))
         diag.flops += flops
-        if c_part.nnz:
-            tiles.append((r0, c_part))
-    if not tiles:
-        return None
-    return _stack_row_tiles(tiles, strip.nrows, d, semiring)
+        tiles.append((r0, part))
+    return tiles
 
 
 def checked_row_tiles(payload, ranges):

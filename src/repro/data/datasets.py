@@ -26,7 +26,7 @@ ER            40 M        320 M          8            Erdős–Rényi, k=8
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 

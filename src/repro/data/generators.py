@@ -14,7 +14,7 @@ All generators are deterministic given a seed.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 

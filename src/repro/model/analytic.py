@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict
 
 from ..mpi.costmodel import PERLMUTTER, MachineProfile
 

@@ -23,7 +23,7 @@ payloads as read-only, as they would with real MPI buffers.
 from __future__ import annotations
 
 import operator
-from typing import Any, Callable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, List, Optional, Sequence
 
 from .errors import CommMismatchError
 from .faults import payload_checksum

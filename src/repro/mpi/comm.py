@@ -18,7 +18,7 @@ of how many communicators it uses.
 
 from __future__ import annotations
 
-from typing import Any, Iterator, Optional, Tuple
+from typing import Any, Optional, Tuple
 
 from .clock import VirtualClock
 from .collectives import CollectivesMixin

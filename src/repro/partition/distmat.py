@@ -16,7 +16,7 @@ already resident across the machine (e.g. read from a parallel FS).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional
 
 import numpy as np
@@ -24,9 +24,7 @@ import numpy as np
 from ..mpi.comm import SimComm
 from ..mpi.errors import DeadSessionError
 from ..sparse.csr import CsrMatrix
-from ..sparse.merge import merge_csrs
 from ..sparse.ops import extract_row_range
-from ..sparse.semiring import PLUS_TIMES, Semiring
 from ..sparse.tile import ColumnStrips
 from .block1d import Block1D
 

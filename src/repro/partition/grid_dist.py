@@ -12,8 +12,6 @@ from __future__ import annotations
 
 from typing import List, Tuple
 
-import numpy as np
-
 from ..sparse.csr import CsrMatrix
 from ..sparse.ops import extract_col_range, extract_row_range
 from ..sparse.tile import block_ranges

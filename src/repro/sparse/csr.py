@@ -15,7 +15,7 @@ semiring add).
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 import scipy.sparse as sp

@@ -15,7 +15,7 @@ Everything is vectorized; no per-nonzero Python loops.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 

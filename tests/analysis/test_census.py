@@ -1,7 +1,8 @@
 """The execution census (``benchmarks/census.py``) on a planted package:
-the static pass reports a def only tests name, and the dynamic pass counts
-a function that runs only inside ``run_spmd``'s rank threads as run.  The
-static pass also runs on this tree: it is the CI gate."""
+the static pass reports a def only tests name, the imports pass an import
+its module never names, and the dynamic pass counts a function that runs
+only inside ``run_spmd``'s rank threads as run.  The static and imports
+passes also run on this tree: they are CI gates."""
 
 import ast
 import sys
@@ -20,8 +21,10 @@ from census import (
     dynamic_census,
     executable,
     main,
+    print_imports,
     print_static,
     static_census,
+    unused_imports,
 )
 
 
@@ -233,6 +236,39 @@ def test_ci_benches_are_read_from_the_workflow_once_each(tmp_path):
     assert ci_benches(tmp_path) == ["benchmarks/bench_b.py", "benchmarks/bench_a.py"]
 
 
+def test_imports_pass_reports_what_its_module_never_names(tmp_path, capsys):
+    _write(tmp_path / "src/pkg/__init__.py", """\
+        from .mod import used_by_name  # a re-export, never listed
+        """)
+    _write(tmp_path / "src/pkg/mod.py", """\
+        from __future__ import annotations
+
+        import os.path
+        import numpy as np
+        from typing import Dict, List, Optional
+        from collections import OrderedDict as OD
+
+        try:
+            import json
+        except ImportError:
+            import pickle as json
+            import marshal
+
+        __all__ = ["used_by_name"]
+
+
+        def used_by_name(x: "Dict[str, int]") -> Optional[int]:
+            return os.path.join(np.__name__, json.dumps(x))
+        """)
+    found = unused_imports(tmp_path)
+    assert [(line, name) for _, line, name in found] == [
+        (5, "List"), (6, "OD"), (12, "marshal"),
+    ]
+    assert print_imports(found, tmp_path) == 3
+    out = capsys.readouterr().out
+    assert "src/pkg/mod.py:6 OD" in out and "3 unused module-level imports" in out
+
+
 @pytest.mark.parametrize("argv", [[], ["both"], ["static", "dynamic"]])
 def test_main_refuses_an_unknown_pass(argv, capsys):
     assert main(argv) == 2
@@ -242,3 +278,7 @@ def test_main_refuses_an_unknown_pass(argv, capsys):
 def test_this_tree_has_no_test_only_defs():
     flagged = [d for d, _ in static_census(ROOT) if allowed(d) is None]
     assert flagged == []
+
+
+def test_this_tree_has_no_unused_imports():
+    assert unused_imports(ROOT) == []

@@ -178,10 +178,11 @@ def test_closure_shapes_fire_exactly_where_marked(shape):
     assert sorted((f.rule, f.line) for f in findings) == _expected_markers(source)
 
 
-def test_spmm_producer_closure_is_seen_without_its_suppression():
-    """The unphased ``charge_spmm`` in ``spmm_multiply``'s payload closure
-    is a real S4 finding; only its in-line suppression keeps ``src/``
-    clean."""
+def test_spmm_remote_closure_is_seen_without_its_suppression():
+    """The unphased ``charge_spmm`` in ``spmm_multiply``'s REMOTE payload
+    closure (a codec hook the engine calls, so no analyzed call site
+    covers it) is a real S4 finding; only its in-line suppression keeps
+    ``src/`` clean."""
     path = REPO_SRC / "repro" / "core" / "spmm.py"
     lines = path.read_text(encoding="utf-8").splitlines()
     directives = [i for i, line in enumerate(lines) if "spmdlint: disable=S4" in line]
@@ -190,7 +191,7 @@ def test_spmm_producer_closure_is_seen_without_its_suppression():
     stripped[directives[0]] = ""  # keep the line numbers
     findings = lint_source("spmm.py", "\n".join(stripped), [RULES_BY_ID["S4"]])
     assert [(f.qualname, f.line) for f in findings] == [
-        ("spmm_multiply._producer_payloads", directives[0] + 2)
+        ("spmm_multiply.remote", directives[0] + 2)
     ]
     assert "charge_spmm" in findings[0].message
 

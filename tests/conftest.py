@@ -8,7 +8,12 @@ import numpy as np
 import pytest
 
 from repro.mpi import FaultPlan, FaultSpec
-from repro.sparse import CsrMatrix, coo_to_csr
+from repro.sparse import CsrMatrix, coo_to_csr, kernels
+
+#: The kernel registry as the package builds it, taken before any test
+#: runs: the spine's traced run registers ``bench-traced`` for the rest of
+#: the process, so a test of the registry's contents restores this first.
+KERNELS_AT_IMPORT = dict(kernels._REGISTRY)
 
 # The reference implementations live in one module both the benches and the
 # tests import: ``from _oracles import ...`` (benchmarks/_oracles.py).

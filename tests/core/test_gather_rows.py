@@ -140,6 +140,15 @@ class TestDensePackPlace:
         with pytest.raises(ValueError):
             place_dense_rows(2, (ids + 3, rows), 2)
 
+    @pytest.mark.parametrize("ids", [[2, 2], [3, 1], [-1, 2]])
+    def test_unplaceable_ids_rejected(self, rng, ids):
+        """A repeated id kept only its last row (part of a partial lost);
+        ids must be in range and strictly increasing, as ``place_rows``
+        requires."""
+        rows = rng.random((2, 2))
+        with pytest.raises(ValueError):
+            place_dense_rows(4, (np.array(ids), rows), 2)
+
     @pytest.mark.parametrize("dtype", [np.float32, np.float64, np.int32])
     def test_payload_dtype_preserved(self, rng, dtype):
         """Regression: the output block used to be hardcoded float64,

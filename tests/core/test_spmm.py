@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core import TsConfig, ts_spmm
-from repro.core.spmm import SpmmDiagnostics, _consume_dense
-from repro.mpi import run_spmd
+from repro.mpi.comm import SimComm
 from repro.mpi.errors import RankError
 from ..conftest import csr_from_dense, random_dense
 
@@ -63,33 +62,43 @@ class TestSpmmCorrectness:
         np.testing.assert_allclose(result.C, dense @ b, atol=1e-10)
 
 
-class TestConsumeDensePayload:
-    """A ``fetch-B`` tile id the consumer cannot place must raise (the
-    parent dropped the tile's output rows silently)."""
+class TestSendCPlacement:
+    """A ``send-C`` partial the consumer cannot place must raise.  The
+    consumer once added it with ``np.add.at``: id ``-1`` landed in the
+    last row and a repeated id was added twice, silently."""
 
-    def _consume(self, tile_ids):
-        strip = csr_from_dense(np.eye(8))
-        payload = [(rt, np.arange(8), np.ones((8, 3))) for rt in tile_ids]
-        config = TsConfig(tile_height=2)  # four row tiles of the strip
+    @staticmethod
+    def _corrupt(payload, how):
+        if payload is None:
+            return None
+        row_ids, rows = payload
+        if how == "negative":
+            return np.concatenate([[-1], row_ids[1:]]), rows
+        return np.concatenate([row_ids[:1], row_ids]), np.vstack([rows[:1], rows])
 
-        def program(comm):
-            c_local = np.zeros((8, 3))
-            _consume_dense(
-                comm, strip, payload, (0, 8), config, c_local, SpmmDiagnostics()
-            )
-            return c_local
+    @pytest.mark.parametrize("fuse", [True, False])
+    @pytest.mark.parametrize("how", ["negative", "repeated"])
+    def test_bad_row_ids_raise(self, rng, monkeypatch, how, fuse):
+        a, b = make_inputs(rng)
+        config = TsConfig(mode_policy="remote", fuse_comm=fuse)
+        clean = ts_spmm(a, b, 4, config=config)
+        assert clean.diagnostics["remote_tiles"] > 0
+        send = SimComm.alltoall_fused if fuse else SimComm.alltoall
+        corrupt = self._corrupt
 
-        return run_spmd(1, program).values[0]
+        def corrupting(comm, sections, *args, **kwargs):
+            if fuse:
+                sections = [
+                    (name, [corrupt(x, how) for x in sendlist] if name == "send-C" else sendlist)
+                    for name, sendlist in sections
+                ]
+            elif comm.stats.current_phase == "send-C":
+                sections = [corrupt(x, how) for x in sections]
+            return send(comm, sections, *args, **kwargs)
 
-    def test_in_order_payload_accumulates(self):
-        expected = np.ones((8, 3))
-        expected[2:4] = 0
-        np.testing.assert_array_equal(self._consume([0, 2, 3]), expected)
-
-    @pytest.mark.parametrize("tile_ids", [[0, 4], [1, 0], [2, 2]])
-    def test_unplaceable_payload_raises(self, tile_ids):
-        with pytest.raises(RankError, match="strictly increasing and below 4"):
-            self._consume(tile_ids)
+        monkeypatch.setattr(SimComm, send.__name__, corrupting)
+        with pytest.raises(RankError, match="placed row id"):
+            ts_spmm(a, b, 4, config=config)
 
 
 class TestSpmmVsSpgemmCosts:

@@ -8,7 +8,7 @@ multiplying again.  These tests count kernel calls through a kernel
 registered the public way, pin ``C`` and the ``SpmdReport`` to a recompute
 with the kept products stripped, and check the three situations in which
 the kept product must not be taken.  The last class covers the ordering
-``_consume_local`` now relies on instead of sorting.
+the engine's consumer (``consume_strip``) relies on instead of sorting.
 
 Two numbers that used to coincide and no longer do: ``P`` — the kernel
 calls of the symbolic step, one column-block product per rank — and
@@ -16,14 +16,16 @@ calls of the symbolic step, one column-block product per rank — and
 against ``B``, whose meaning and values did not change.
 """
 
+import dataclasses
 import threading
 
 import numpy as np
 import pytest
 
 from repro.core import TsConfig, prepare_multiply, replan, tiled_multiply
+from repro.core.gather_rows import place_dense_rows, place_rows
 from repro.core.symbolic import DIAGONAL, REMOTE
-from repro.core.tiled import TileDiagnostics, _consume_local, _stack_row_tiles
+from repro.core.tiled import TileCodec, TileDiagnostics, _stack_row_tiles, consume_strip
 from repro.mpi import run_spmd
 from repro.mpi.errors import RankError
 from repro.partition import DistSparseMatrix
@@ -31,10 +33,11 @@ from repro.sparse import (
     BOOL_AND_OR,
     PLUS_TIMES,
     CsrMatrix,
-    available_kernels,
+    dispatch_spgemm,
+    dispatch_spmm,
     get_kernel,
-    register_kernel,
 )
+from repro.sparse import kernels
 from repro.sparse.ops import extract_row_range
 
 from ..conftest import csr_from_dense, random_dense
@@ -57,14 +60,15 @@ class CountingKernel:
 
 
 @pytest.fixture
-def counter():
-    """The process-wide counting kernel (the registry refuses duplicates)."""
-    if KERNEL not in available_kernels():
-        register_kernel(KERNEL, vectorized=True, description="test: counts calls")(
-            CountingKernel()
-        )
-    kernel = get_kernel(KERNEL).fn
-    kernel.calls = 0
+def counter(monkeypatch):
+    """A counting kernel, registered for one test only: the registry is
+    process-wide, and a kernel left in it would show in every later
+    ``--kernel`` choice list."""
+    kernel = CountingKernel()
+    spec = dataclasses.replace(
+        get_kernel("esc-vectorized"), name=KERNEL, fn=kernel, description="test: counts calls"
+    )
+    monkeypatch.setitem(kernels._REGISTRY, KERNEL, spec)
     return kernel
 
 
@@ -276,38 +280,56 @@ class TestKeptSymbolicProduct:
             assert all(i[3] for i in infos)  # nothing to keep
 
 
-class TestConsumeLocalOrdering:
-    """Stacking replaces sorting, so the producer's order is checked."""
+class TestConsumeStrip:
+    """The engine's consumer, under both payload codecs: products are
+    placed by the payload's row tile ids, so the producer's order is
+    checked (stacking replaced sorting; an id the consumer cannot place
+    once dropped the tile's output rows silently)."""
 
-    def _consume(self, tile_ids):
+    @staticmethod
+    def _codec(kind):
+        if kind == "sparse":
+            rows = csr_from_dense(np.ones((8, 3)))
+            product = lambda sub, b: dispatch_spgemm(sub, b, PLUS_TIMES, "esc-vectorized")
+            place = lambda nrows, payload: place_rows(nrows, payload, 3, np.float64)
+        else:
+            rows = np.ones((8, 3))
+            product = dispatch_spmm
+            place = lambda nrows, payload: place_dense_rows(nrows, payload, 3)
+        codec = TileCodec(
+            diagonal_first=True, pack=None, remote=None, diagonal=None,
+            product=product, price=lambda flops: 1e-9 * flops, place=place,
+            accumulate=None, add_rows=None, end_round=None,
+        )
+        return codec, rows
+
+    def _consume(self, kind, tile_ids):
+        codec, rows = self._codec(kind)
         strip = csr_from_dense(np.eye(8))
-        rows = csr_from_dense(np.ones((8, 3)))
         payload = [(rt, np.arange(8), rows) for rt in tile_ids]
         config = TsConfig(tile_height=2)  # four row tiles of the strip
 
         def program(comm):
-            return _consume_local(
-                comm, strip, payload, (0, 8), config, PLUS_TIMES, 3, "spa",
-                "esc-vectorized", TileDiagnostics(),
-            )
+            diag = TileDiagnostics()
+            tiles = consume_strip(comm, codec, strip, payload, (0, 8), config, diag)
+            return tiles, diag.flops, comm.time
 
         return run_spmd(1, program).values[0]
 
-    def test_in_order_payload_stacks(self):
-        out = self._consume([0, 2, 3])
-        expected = np.ones((8, 3))
-        expected[2:4] = 0
-        np.testing.assert_array_equal(out.to_dense(), expected)
+    @pytest.mark.parametrize("kind", ["sparse", "dense"])
+    def test_in_order_payload_places_each_tile(self, kind):
+        tiles, flops, elapsed = self._consume(kind, [0, 2, 3])
+        assert [r0 for r0, _ in tiles] == [0, 4, 6]
+        for _, part in tiles:
+            dense = part.to_dense() if kind == "sparse" else part
+            np.testing.assert_array_equal(dense, np.ones((2, 3)))
+        assert flops == 18 and elapsed == pytest.approx(18e-9)
 
-    @pytest.mark.parametrize("tile_ids", [[1, 0], [2, 2]])
-    def test_misordered_payload_raises(self, tile_ids):
-        with pytest.raises(RankError, match="strictly increasing"):
-            self._consume(tile_ids)
-
-    def test_out_of_range_payload_raises(self):
-        """The parent silently dropped this tile's output rows."""
-        with pytest.raises(RankError, match="below 4"):
-            self._consume([0, 4])
+    @pytest.mark.parametrize("kind", ["sparse", "dense"])
+    @pytest.mark.parametrize("tile_ids", [[0, 4], [1, 0], [2, 2]])
+    def test_unplaceable_payload_raises(self, kind, tile_ids):
+        with pytest.raises(RankError, match="strictly increasing and below 4"):
+            self._consume(kind, tile_ids)
 
 
 def test_a_tile_spanning_the_block_is_not_rebuilt():
