@@ -26,3 +26,14 @@ FIG07 = dict(
     dataset="uk", scale=0.25, p=8, d=64,
     sparsities=(0.0, 0.25, 0.50, 0.625, 0.75, 0.875, 0.95),
 )
+
+
+#: The naive-vs-tiled ablation (Alg 1 against Alg 2 at w = 2·n/p, fused
+#: communication off so "peak B per round" is a per-round footprint), read
+#: by ``bench_ablation_naive_vs_tiled.py`` and
+#: ``tests/paper/test_ablation_naive_vs_tiled_claims.py`` alike.
+NAIVE_VS_TILED = dict(
+    dataset="uk", scale=0.25, p=8,
+    config=TsConfig(tile_width_factor=2, fuse_comm=False),
+    cases=((128, 0.80), (512, 0.80), (128, 0.99)),
+)

@@ -83,7 +83,9 @@ def _plans_and_phases(planner, a, b, config):
 def _race(a, bs, config):
     """Both planners on every rank, the ranks taking turns so each is timed
     with the process to itself; best of REPEATS, summed over ranks:
-    ``(stored-slot seconds, per-slot seconds, stored slots, slots)``."""
+    ``(stored-slot seconds, per-slot seconds, stored slots, slots)``.
+    The planners swap places on every repeat, so a burst of host load
+    does not always fall on the same side."""
 
     def program(comm):
         dist_a = DistSparseMatrix.scatter_rows(comm, a)
@@ -91,9 +93,10 @@ def _race(a, bs, config):
         dist_bs = [DistSparseMatrix.scatter_rows(comm, b) for b in bs]
         prepared = prepare_multiply(dist_a, config)
         best = [float("inf"), float("inf")]
+        sides = [(0, replan), (1, per_slot_replan)]
         for turn in range(comm.size):
-            for _ in range(REPEATS if comm.rank == turn else 0):
-                for side, planner in enumerate((replan, per_slot_replan)):
+            for repeat in range(REPEATS if comm.rank == turn else 0):
+                for side, planner in sides if repeat % 2 == 0 else sides[::-1]:
                     t0 = time.perf_counter()
                     for _ in range(CALLS):
                         for dist_b in dist_bs:

@@ -147,10 +147,6 @@ class _SddmmPrologue(FusedPrologue):
         if cached is not None:
             return cached
         dist = operand.dist
-        if dist.col_copy is None:
-            raise RuntimeError(
-                "the distributed SDDMM needs the tiled algorithm's Ac column copy"
-            )
         local = operand.local
         p = comm.size
         with comm.phase("prepare"):

@@ -9,7 +9,7 @@ few levels and then thins out (Fig 12a) — which is why this application is
 "an excellent testing ground" for TS-SpGEMM: the same loop can be driven
 by any registered multiply (Fig 12d compares against 2-D SUMMA).
 
-With a handle-capable resident session (the TS algorithms, default) the
+With a handle-capable resident session (``TS-SpGEMM``, the default) the
 whole traversal stays **on-rank end-to-end**: the initial frontier is
 scattered once, every level chains the multiply's
 :class:`~repro.partition.distmat.DistHandle` output into the next level's
@@ -112,7 +112,7 @@ def msbfs(
     Fig 12(d) runs the same loop over 2-D SUMMA for comparison.
 
     ``A`` is distributed and plan-prepared **once**, in the algorithm's
-    resident session.  Handle-capable sessions (the TS algorithms) keep
+    resident session.  A handle-capable session (``TS-SpGEMM``'s) keeps
     the whole iteration on-rank: the frontier is scattered once, every
     level chains the multiply's
     :class:`~repro.partition.distmat.DistHandle` into the next level's

@@ -2,14 +2,13 @@
 
 from .petsc1d import petsc1d
 from .registry import ALGORITHMS, SESSIONS, get_algorithm, make_session
-from .result import BaselineResult, assemble_2d_blocks
+from .result import assemble_2d_blocks
 from .shift15d import shift15d_spmm
 from .summa2d import Summa2dSession, summa2d
 from .summa3d import Summa3dSession, summa3d
 
 __all__ = [
     "ALGORITHMS",
-    "BaselineResult",
     "SESSIONS",
     "Summa2dSession",
     "Summa3dSession",

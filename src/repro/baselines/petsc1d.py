@@ -4,13 +4,15 @@
 PETSc and Trilinos" (§III-A): 1-D row partitions, an index-request
 all-to-all, a B-row fetch all-to-all, then one local SpGEMM — i.e. exactly
 Algorithm 1.  This wrapper runs :func:`repro.core.naive.naive_multiply` as
-a standalone baseline with its own driver, so benchmarks can compare
-"PETSc (1-D)" against TS-SpGEMM the way Figs 8-10 do.
+a standalone baseline with its own driver — the one entry point to Alg 1,
+registry name ``PETSc-1D`` — so benchmarks can compare "PETSc (1-D)"
+against TS-SpGEMM the way Figs 8-10 do.
 """
 
 from __future__ import annotations
 
 from ..core.config import DEFAULT_CONFIG, TsConfig
+from ..core.driver import MultiplyResult
 from ..core.naive import naive_multiply
 from ..mpi.comm import SimComm
 from ..mpi.costmodel import PERLMUTTER, MachineProfile
@@ -18,7 +20,6 @@ from ..mpi.executor import run_spmd
 from ..partition.distmat import DistSparseMatrix, _vstack_blocks
 from ..sparse.csr import CsrMatrix
 from ..sparse.semiring import PLUS_TIMES, Semiring
-from .result import BaselineResult
 
 
 def petsc1d_rank(
@@ -43,7 +44,7 @@ def petsc1d(
     semiring: Semiring = PLUS_TIMES,
     config: TsConfig = DEFAULT_CONFIG,
     machine: MachineProfile = PERLMUTTER,
-) -> BaselineResult:
+) -> MultiplyResult:
     """Run the PETSc-style 1-D SpGEMM on ``p`` ranks."""
     if A.ncols != B.nrows or A.nrows != A.ncols:
         raise ValueError(f"need square A and matching B: {A.shape} x {B.shape}")
@@ -53,7 +54,7 @@ def petsc1d(
     )
     blocks = [v[0] for v in result.values]
     fetched = sum(v[1]["fetched_b_nnz"] for v in result.values)
-    return BaselineResult(
+    return MultiplyResult(
         C=_vstack_blocks(blocks, B.ncols),
         report=result.report,
         diagnostics={"fetched_b_nnz": fetched},

@@ -1,9 +1,10 @@
 """Uniform algorithm registry used by benchmarks and examples.
 
 Every entry is a callable ``fn(A, B, p, semiring=..., machine=...)``
-returning an object with ``.C``, ``.runtime``, ``.multiply_time``,
-``.comm_time``, ``.comm_bytes()`` and ``.report`` — so the benchmark
-harness can sweep algorithms exactly the way Figs 8-11 do.
+returning a :class:`~repro.core.driver.MultiplyResult` — so the benchmark
+harness can sweep algorithms exactly the way Figs 8-11 do.  ``TS-SpGEMM``
+is the paper's Alg 2; ``PETSc-1D`` is Alg 1, the naive baseline
+(§III-A); the SUMMA entries are the 2-D / 3-D baselines.
 
 Algorithms whose setup is amortizable also register a *resident session*
 variant (``SESSIONS`` / :func:`make_session`): a session object created
@@ -31,12 +32,6 @@ def _ts(A, B, p, *, semiring=PLUS_TIMES, machine=PERLMUTTER, config=DEFAULT_CONF
     return ts_spgemm(A, B, p, semiring=semiring, machine=machine, config=config)
 
 
-def _naive(A, B, p, *, semiring=PLUS_TIMES, machine=PERLMUTTER, config=DEFAULT_CONFIG):
-    return ts_spgemm(
-        A, B, p, semiring=semiring, machine=machine, config=config, algorithm="naive"
-    )
-
-
 def _summa2d(A, B, p, *, semiring=PLUS_TIMES, machine=PERLMUTTER, config=None):
     kernel = (config or DEFAULT_CONFIG).kernel
     return summa2d(A, B, p, semiring=semiring, machine=machine, kernel=kernel)
@@ -56,7 +51,6 @@ def _petsc(A, B, p, *, semiring=PLUS_TIMES, machine=PERLMUTTER, config=None):
 #: name → driver; the names match the legends of Figs 8-11.
 ALGORITHMS: Dict[str, Callable] = {
     "TS-SpGEMM": _ts,
-    "TS-SpGEMM-Naive": _naive,
     "SUMMA-2D": _summa2d,
     "SUMMA-3D": _summa3d,
     "PETSc-1D": _petsc,
@@ -73,15 +67,7 @@ def get_algorithm(name: str) -> Callable:
 
 
 def _ts_session(A, p, *, semiring, machine, config):
-    return TsSession(
-        A, p, semiring=semiring, machine=machine, config=config, algorithm="tiled"
-    )
-
-
-def _naive_session(A, p, *, semiring, machine, config):
-    return TsSession(
-        A, p, semiring=semiring, machine=machine, config=config, algorithm="naive"
-    )
+    return TsSession(A, p, semiring=semiring, machine=machine, config=config)
 
 
 def _summa2d_session(A, p, *, semiring, machine, config):
@@ -116,7 +102,6 @@ def _summa3d_session(A, p, *, semiring, machine, config):
 #: (like-for-like); only PETSc-1D keeps the per-call path.
 SESSIONS: Dict[str, Callable] = {
     "TS-SpGEMM": _ts_session,
-    "TS-SpGEMM-Naive": _naive_session,
     "SUMMA-2D": _summa2d_session,
     "SUMMA-3D": _summa3d_session,
 }
@@ -136,7 +121,7 @@ def make_session(
     ``None`` is a contract, not an error: callers fall back to the
     per-call registry entry, which every algorithm has.  Every session
     exposes ``.multiply(B)``, ``.close()`` and ``.closed``; the TS
-    sessions additionally accept and mint rank-resident
+    session additionally accepts and mints rank-resident
     :class:`~repro.partition.distmat.DistHandle` operands.
     """
     factory = SESSIONS.get(name)

@@ -1,43 +1,15 @@
-"""Shared result container and block-assembly helpers for baselines."""
+"""Block assembly for the 2-D / 3-D baselines' per-rank results."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Dict, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
-from ..mpi.stats import SpmdReport
 from ..sparse.build import coo_to_csr
 from ..sparse.csr import CsrMatrix
 from ..sparse.semiring import PLUS_TIMES, Semiring
 from ..sparse.tile import block_ranges
-
-
-@dataclass
-class BaselineResult:
-    """Outcome of one baseline multiply — API-compatible with
-    :class:`repro.core.driver.MultiplyResult` where benchmarks need it."""
-
-    C: CsrMatrix
-    report: SpmdReport
-    diagnostics: Dict[str, Any] = field(default_factory=dict)
-
-    @property
-    def runtime(self) -> float:
-        return self.report.runtime
-
-    @property
-    def multiply_time(self) -> float:
-        # Baselines have no setup phases charged; everything is multiply.
-        return self.report.runtime
-
-    @property
-    def comm_time(self) -> float:
-        return self.report.comm_time
-
-    def comm_bytes(self) -> int:
-        return self.report.total_bytes()
 
 
 def assemble_2d_blocks(

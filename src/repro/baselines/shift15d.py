@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..core.driver import MultiplyResult
 from ..mpi.comm import SimComm
 from ..mpi.costmodel import PERLMUTTER, MachineProfile
 from ..mpi.executor import run_spmd
@@ -26,7 +27,6 @@ from ..partition.block1d import Block1D
 from ..sparse.csr import CsrMatrix
 from ..sparse.kernels import dispatch_spmm
 from ..sparse.ops import extract_col_range, extract_row_range
-from .result import BaselineResult
 
 
 def shift15d_rank(comm: SimComm, A: CsrMatrix, B: np.ndarray) -> np.ndarray:
@@ -68,10 +68,10 @@ def shift15d_spmm(
     p: int,
     *,
     machine: MachineProfile = PERLMUTTER,
-) -> BaselineResult:
+) -> MultiplyResult:
     """Run the 1.5-D (c=1) shifting SpMM; returns the dense product."""
     B = np.asarray(B)
     if A.ncols != B.shape[0]:
         raise ValueError(f"dimension mismatch: {A.shape} x {B.shape}")
     result = run_spmd(p, shift15d_rank, A, B, machine=machine)
-    return BaselineResult(C=np.vstack(result.values), report=result.report)
+    return MultiplyResult(C=np.vstack(result.values), report=result.report)

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from typing import List, Optional, Tuple
 
+from ..core.driver import MultiplyResult
 from ..mpi.cartesian import make_grid2d, square_grid_dims
 from ..mpi.comm import SimComm
 from ..mpi.costmodel import PERLMUTTER, MachineProfile
@@ -27,7 +28,7 @@ from ..sparse.merge import merge_bytes, merge_csrs
 from ..sparse.kernels import dispatch_spgemm, resolve_spgemm
 from ..sparse.semiring import PLUS_TIMES, Semiring
 from ..sparse.tile import block_ranges
-from .result import BaselineResult, assemble_2d_blocks
+from .result import assemble_2d_blocks
 
 
 def summa2d_rank(
@@ -97,7 +98,7 @@ def summa2d(
     machine: MachineProfile = PERLMUTTER,
     spa_threshold: int = 1024,
     kernel: str = "auto",
-) -> BaselineResult:
+) -> MultiplyResult:
     """Run 2-D sparse SUMMA on ``p`` ranks; returns the assembled product."""
     if A.ncols != B.nrows:
         raise ValueError(f"dimension mismatch: {A.shape} x {B.shape}")
@@ -107,7 +108,7 @@ def summa2d(
     )
     pr, pc = square_grid_dims(p)
     C = assemble_2d_blocks(result.values, A.nrows, B.ncols, pr, pc, semiring)
-    return BaselineResult(C=C, report=result.report)
+    return MultiplyResult(C=C, report=result.report)
 
 
 class Summa2dSession(ResidentSession):
@@ -151,7 +152,7 @@ class Summa2dSession(ResidentSession):
 
         self._a_blocks = self._run_setup(setup)
 
-    def multiply(self, B: CsrMatrix) -> BaselineResult:
+    def multiply(self, B: CsrMatrix) -> MultiplyResult:
         if B.nrows != self.ncols:
             raise ValueError(
                 f"B must have {self.ncols} rows to match A, got {B.shape}"
@@ -174,4 +175,4 @@ class Summa2dSession(ResidentSession):
         C = assemble_2d_blocks(
             result.values, self.nrows, B.ncols, self.pr, self.pc, self.semiring
         )
-        return BaselineResult(C=C, report=result.report)
+        return MultiplyResult(C=C, report=result.report)

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from typing import List, Optional, Tuple
 
+from ..core.driver import MultiplyResult
 from ..mpi.cartesian import layered_grid_dims, make_grid3d
 from ..mpi.comm import SimComm
 from ..mpi.costmodel import PERLMUTTER, MachineProfile
@@ -31,7 +32,7 @@ from ..sparse.ops import extract_col_range, extract_row_range
 from ..sparse.kernels import dispatch_spgemm, resolve_spgemm
 from ..sparse.semiring import PLUS_TIMES, Semiring
 from ..sparse.tile import block_ranges
-from .result import BaselineResult, assemble_2d_blocks
+from .result import assemble_2d_blocks
 
 
 def summa3d_rank(
@@ -120,7 +121,7 @@ def summa3d(
     machine: MachineProfile = PERLMUTTER,
     spa_threshold: int = 1024,
     kernel: str = "auto",
-) -> BaselineResult:
+) -> MultiplyResult:
     """Run 3-D sparse SUMMA on ``p`` ranks with (up to) ``layers`` layers."""
     if A.ncols != B.nrows:
         raise ValueError(f"dimension mismatch: {A.shape} x {B.shape}")
@@ -131,7 +132,7 @@ def summa3d(
     pr, pc, l = layered_grid_dims(p, layers)
     blocks = [v for v in result.values if v is not None]
     C = assemble_2d_blocks(blocks, A.nrows, B.ncols, pr, pc, semiring)
-    return BaselineResult(C=C, report=result.report, diagnostics={"layers": l})
+    return MultiplyResult(C=C, report=result.report, diagnostics={"layers": l})
 
 
 class Summa3dSession(ResidentSession):
@@ -174,7 +175,7 @@ class Summa3dSession(ResidentSession):
 
         self._a_blocks = self._run_setup(setup)
 
-    def multiply(self, B: CsrMatrix) -> BaselineResult:
+    def multiply(self, B: CsrMatrix) -> MultiplyResult:
         if B.nrows != self.ncols:
             raise ValueError(
                 f"B must have {self.ncols} rows to match A, got {B.shape}"
@@ -200,6 +201,6 @@ class Summa3dSession(ResidentSession):
         C = assemble_2d_blocks(
             blocks, self.nrows, B.ncols, self.pr, self.pc, self.semiring
         )
-        return BaselineResult(
+        return MultiplyResult(
             C=C, report=result.report, diagnostics={"layers": self.l}
         )

@@ -211,7 +211,7 @@ def _cmd_multiply(args) -> int:
         ["C", f"{result.C.shape}, nnz={result.C.nnz:,}"],
     ] + multiply_summary_rows(result)
     for key in ("local_tiles", "remote_tiles", "peak_recv_b_bytes"):
-        if key in getattr(result, "diagnostics", {}):
+        if key in result.diagnostics:
             value = result.diagnostics[key]
             rows.append([key, fmt_bytes(value) if "bytes" in key else value])
     print_table(f"Distributed multiply on p={args.ranks}", ["metric", "value"], rows)

@@ -43,7 +43,6 @@ from ..sparse.ops import extract_row_range, mask_entries, mask_pattern
 from ..sparse.semiring import PLUS_TIMES, Semiring
 from ..sparse.tile import ColumnStrips
 from .config import DEFAULT_CONFIG, TsConfig
-from .naive import naive_multiply
 from .plan import (
     PreparedA,
     PreparedSubtile,
@@ -169,15 +168,13 @@ def ts_spgemm(
     semiring: Semiring = PLUS_TIMES,
     config: TsConfig = DEFAULT_CONFIG,
     machine: MachineProfile = PERLMUTTER,
-    algorithm: str = "tiled",
 ) -> MultiplyResult:
-    """Distributed TS-SpGEMM ``C = A · B`` over ``semiring`` on ``p`` ranks.
+    """Distributed TS-SpGEMM ``C = A · B`` over ``semiring`` on ``p`` ranks
+    (Alg 2, the paper's contribution).
 
-    ``algorithm`` selects ``"tiled"`` (Alg 2, the paper's contribution) or
-    ``"naive"`` (Alg 1 / PETSc-style baseline).
+    Alg 1, the naive baseline, is
+    :func:`repro.baselines.petsc1d.petsc1d` (registry name ``PETSc-1D``).
     """
-    if algorithm not in ("tiled", "naive"):
-        raise ValueError(f"unknown algorithm {algorithm!r}")
     if A.ncols != B.nrows or A.nrows != A.ncols:
         raise ValueError(
             f"need square A and matching B: A {A.shape}, B {B.shape}"
@@ -186,13 +183,9 @@ def ts_spgemm(
     def program(comm):
         dist_a = DistSparseMatrix.scatter_rows(comm, A)
         dist_b = DistSparseMatrix.scatter_rows(comm, B)
-        if algorithm == "tiled":
-            dist_a.build_column_copy()
-            dist_c, diag = tiled_multiply(dist_a, dist_b, semiring, config)
-            diag_dict = diag.as_dict()
-        else:
-            dist_c, diag_dict = naive_multiply(dist_a, dist_b, semiring, config)
-        return dist_c.local, diag_dict
+        dist_a.build_column_copy()
+        dist_c, diag = tiled_multiply(dist_a, dist_b, semiring, config)
+        return dist_c.local, diag.as_dict()
 
     result = run_spmd(
         p, program, machine=machine, sanitize=config.sanitize or None
@@ -295,28 +288,27 @@ class ResidentOperand:
         self.dist.local = CsrMatrix(
             local.shape, local.indptr, local.indices, new_data, check=False
         )
-        if self.dist.col_copy is not None:
-            with comm.phase(phase):
-                received = comm.alltoall(
-                    [new_data[sel] for sel in self._strip_selections()]
-                )
-                cc = self.dist.col_copy
-                new_col = (
-                    np.concatenate(received)
-                    if received
-                    else np.zeros(0, dtype=new_data.dtype)
-                )
-                if len(new_col) != cc.nnz:
-                    raise ValueError("refresh_values requires an identical A pattern")
-                # Received chunks arrive in sender-rank order — the same
-                # order _vstack_tagged stacked the original strips — so
-                # the concatenation is aligned with col_copy's data.
-                self.dist.col_copy = CsrMatrix(
-                    cc.shape, cc.indptr, cc.indices, new_col, check=False
-                )
-                comm.charge_touch(new_data.nbytes + new_col.nbytes)
-            if self.prepared.subtiles:
-                self.prepared.refresh_values(self.dist)
+        with comm.phase(phase):
+            received = comm.alltoall(
+                [new_data[sel] for sel in self._strip_selections()]
+            )
+            cc = self.dist.col_copy
+            new_col = (
+                np.concatenate(received)
+                if received
+                else np.zeros(0, dtype=new_data.dtype)
+            )
+            if len(new_col) != cc.nnz:
+                raise ValueError("refresh_values requires an identical A pattern")
+            # Received chunks arrive in sender-rank order — the same
+            # order _vstack_tagged stacked the original strips — so
+            # the concatenation is aligned with col_copy's data.
+            self.dist.col_copy = CsrMatrix(
+                cc.shape, cc.indptr, cc.indices, new_col, check=False
+            )
+            comm.charge_touch(new_data.nbytes + new_col.nbytes)
+        if self.prepared.subtiles:
+            self.prepared.refresh_values(self.dist)
         self.refreshes += 1
 
 
@@ -443,11 +435,8 @@ class TsSession(ResidentSession):
         semiring: Semiring = PLUS_TIMES,
         config: TsConfig = DEFAULT_CONFIG,
         machine: MachineProfile = PERLMUTTER,
-        algorithm: str = "tiled",
         row_bounds: Optional[Tuple[int, ...]] = None,
     ):
-        if algorithm not in ("tiled", "naive"):
-            raise ValueError(f"unknown algorithm {algorithm!r}")
         if A.nrows != A.ncols:
             raise ValueError(f"need a square A, got {A.shape}")
         injector = (
@@ -468,7 +457,6 @@ class TsSession(ResidentSession):
         )
         self.semiring = semiring
         self.config = config
-        self.algorithm = algorithm
         self.multiplies = 0
         self._state: Optional[list] = None
         self._pattern: Optional[tuple] = None
@@ -520,16 +508,9 @@ class TsSession(ResidentSession):
             # after a shrink (or under the ``row_bounds`` hook) the blocks
             # are contiguous but unbalanced.
             dist_a = DistSparseMatrix.scatter_rows(comm, A, rows=self._rows)
-            if self.algorithm == "tiled":
-                dist_a.build_column_copy()
-                prepared = prepare_multiply(dist_a, self.config)
-                prepared.ensure_strips(dist_a)
-            else:
-                # Naive has no Ac; the prepared object just holds the
-                # request-round cache, filled on the first multiply.
-                prepared = PreparedA(
-                    config=self.config, rank=comm.rank, size=comm.size
-                )
+            dist_a.build_column_copy()
+            prepared = prepare_multiply(dist_a, self.config)
+            prepared.ensure_strips(dist_a)
             # aux: per-rank scratch for pattern-derived caches built
             # lazily by prologues (value-strip selections, SDDMM send
             # lists).  Reset here because it is only valid for this
@@ -661,7 +642,7 @@ class TsSession(ResidentSession):
         return {
             "rows": rows,
             "local": _copy_csr(local),
-            "col": None if col_copy is None else _copy_csr(col_copy),
+            "col": _copy_csr(col_copy),
             "prepared": prepared,
             "aux": dict(aux),
             "wire": wire,
@@ -882,11 +863,12 @@ class TsSession(ResidentSession):
         # adopter re-derives its own from the merged copies.
         dead_blob = self._ckpt[dead_rank]
         dead_local: CsrMatrix = dead_blob["local"]
-        dead_col: Optional[CsrMatrix] = dead_blob["col"]
-        migrate: List[np.ndarray] = []
-        for mat in (dead_local, dead_col):
-            if mat is not None:
-                migrate.extend((mat.data, mat.indptr, mat.indices))
+        dead_col: CsrMatrix = dead_blob["col"]
+        migrate = [
+            arr
+            for mat in (dead_local, dead_col)
+            for arr in (mat.data, mat.indptr, mat.indices)
+        ]
         migrate_nbytes = int(sum(a.nbytes for a in migrate))
 
         # Merge in global row/column order: the dead block precedes the
@@ -900,15 +882,12 @@ class TsSession(ResidentSession):
             [dead_local, a_local] if dead_first else [a_local, dead_local],
             self.ncols,
         )
-        merged_col = None
-        merge_touch = merged_local.nbytes_estimate()
-        if a_col is not None:
-            merged_col = (
-                _hstack_blocks(dead_col, a_col)
-                if dead_first
-                else _hstack_blocks(a_col, dead_col)
-            )
-            merge_touch += merged_col.nbytes_estimate()
+        merged_col = (
+            _hstack_blocks(dead_col, a_col)
+            if dead_first
+            else _hstack_blocks(a_col, dead_col)
+        )
+        merge_touch = merged_local.nbytes_estimate() + merged_col.nbytes_estimate()
 
         # Live rank-resident handles: their dead blocks move to the
         # adopter too (tag-80, from the driver root's shadow) so handle
@@ -1080,8 +1059,8 @@ class TsSession(ResidentSession):
         SpMM path (:func:`repro.core.spmm.spmm_multiply`, §V-C): the
         product is dense and comes back as a global ndarray
         (``gather=True``) or a chaining :class:`DistDenseHandle`
-        (``gather=False``).  Dense multiplies require the ``tiled``
-        algorithm and the arithmetic semiring.
+        (``gather=False``).  Dense multiplies require the arithmetic
+        semiring.
 
         ``prologue`` fuses a rank-local *pre*-processing step into the
         same rank program: ``prologue(comm, operand, *operand_blocks)``
@@ -1139,30 +1118,23 @@ class TsSession(ResidentSession):
                 )
             b_ncols = B.shape[1]
         dense_b = b_dense_handle is not None or isinstance(B, np.ndarray)
-        if dense_b:
-            if self.algorithm != "tiled":
-                raise ValueError(
-                    "dense operands run the SpMM path, which needs the "
-                    "tiled algorithm's Ac column copy"
-                )
-            if self.semiring is not PLUS_TIMES:
-                raise ValueError(
-                    "dense SpMM is arithmetic-only; use a sparse operand "
-                    f"for semiring {self.semiring.name!r}"
-                )
+        if dense_b and self.semiring is not PLUS_TIMES:
+            raise ValueError(
+                "dense SpMM is arithmetic-only; use a sparse operand "
+                f"for semiring {self.semiring.name!r}"
+            )
         for h in prologue_operands:
             self._check_handle(h)
         for h in epilogue_operands:
             self._check_handle(h)
         # A FusedPrologue rides the tiled multiply's combined all-to-all
         # (sparse operands only: the SpMM path has no refresh hook); any
-        # other prologue — or any other path — runs the classic way,
+        # other prologue — or the SpMM path — runs the classic way,
         # paying its own rounds before the multiply.
         fuse_prologue = (
             self.config.fuse_comm
             and isinstance(prologue, FusedPrologue)
             and not dense_b
-            and self.algorithm == "tiled"
         )
 
         def program(comm):
@@ -1204,8 +1176,7 @@ class TsSession(ResidentSession):
                 dist_c, diag = spmm_multiply(
                     dist_a, dist_b, self.config, prepared=prepared
                 )
-                diag_dict = diag.as_dict()
-            elif self.algorithm == "tiled":
+            else:
                 dist_c, diag = tiled_multiply(
                     dist_a,
                     dist_b,
@@ -1213,11 +1184,6 @@ class TsSession(ResidentSession):
                     self.config,
                     prepared=prepared,
                     fused_prologue=fused_shim,
-                )
-                diag_dict = diag.as_dict()
-            else:
-                dist_c, diag_dict = naive_multiply(
-                    dist_a, dist_b, self.semiring, self.config, prepared=prepared
                 )
             extra = None
             if epilogue is not None:
@@ -1236,7 +1202,7 @@ class TsSession(ResidentSession):
                 new_state = (
                     dist_a.rows, dist_a.local, dist_a.col_copy, prepared, aux
                 )
-            return dist_c.local, diag_dict, extra, new_state
+            return dist_c.local, diag.as_dict(), extra, new_state
 
         retries_before, recoveries_before = self.retries, self.recoveries
         shrinks_before = self.shrinks
@@ -1356,17 +1322,16 @@ class TsSession(ResidentSession):
         )
         ranges = self._rows.ranges
         local_ids = [extract_row_range(ids_global, lo, hi) for lo, hi in ranges]
-        col_ids: List[Optional[np.ndarray]] = [None] * self.p
-        if self.algorithm == "tiled":
-            # Replay build_column_copy through its own split: rank i ships
-            # strip j of its block, tagged with its row offset, to rank j,
-            # which stacks what it receives in offset order.
-            id_strips = [ColumnStrips(ids, ranges) for ids in local_ids]
-            for j, (c0, c1) in enumerate(ranges):
-                tagged = [(ranges[i][0], id_strips[i][j]) for i in range(self.p)]
-                col_ids[j] = _vstack_tagged(tagged, n, c1 - c0).data.astype(
-                    np.int64, copy=False
-                )
+        # Replay build_column_copy through its own split: rank i ships
+        # strip j of its block, tagged with its row offset, to rank j,
+        # which stacks what it receives in offset order.
+        id_strips = [ColumnStrips(ids, ranges) for ids in local_ids]
+        col_ids = []
+        for j, (c0, c1) in enumerate(ranges):
+            tagged = [(ranges[i][0], id_strips[i][j]) for i in range(self.p)]
+            col_ids.append(
+                _vstack_tagged(tagged, n, c1 - c0).data.astype(np.int64, copy=False)
+            )
         self._edge_ids = [
             (ids.data.astype(np.int64, copy=False), col)
             for ids, col in zip(local_ids, col_ids)
@@ -1443,13 +1408,10 @@ class TsSession(ResidentSession):
                 new_local = mask_entries(
                     _revalued(local, local_ids), keep[local_ids]
                 )
-                touched += new_local.nbytes_estimate()
-                new_col = None
-                if col_copy is not None:
-                    new_col = mask_entries(
-                        _revalued(col_copy, col_ids), keep[col_ids]
-                    )
-                    touched += new_col.nbytes_estimate()
+                new_col = mask_entries(
+                    _revalued(col_copy, col_ids), keep[col_ids]
+                )
+                touched += new_local.nbytes_estimate() + new_col.nbytes_estimate()
                 new_prepared = PreparedA(config=config, rank=rank, size=comm.size)
                 new_prepared.row_tile_ranges = list(prepared.row_tile_ranges)
                 if prepared.subtiles:
@@ -1523,7 +1485,6 @@ class TsSession(ResidentSession):
         child.semiring = self.semiring
         child.config = self.config
         child.machine = self.machine
-        child.algorithm = self.algorithm
         child.multiplies = 0
         child.ncols = self.ncols
         child._rows = self._rows

@@ -1,4 +1,4 @@
-"""Algorithm 1: TS-SpGEMM-Naive.
+"""Algorithm 1: the naive distributed TS-SpGEMM.
 
 The baseline distributed Gustavson formulation ("variants of this
 algorithm are implemented in popular libraries such as PETSc and
@@ -14,11 +14,12 @@ Trilinos", §III-A): every process
 Its two weaknesses motivate the tiled algorithm: the request round is pure
 overhead (eliminated by the ``Ac`` column copy) and the received ``B``
 subset can approach the whole matrix (bounded by tiling).
+:func:`repro.baselines.petsc1d.petsc1d` runs it as a per-call baseline.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -30,7 +31,6 @@ from ..sparse.ops import extract_rows
 from ..sparse.semiring import PLUS_TIMES, Semiring
 from .config import DEFAULT_CONFIG, TsConfig
 from .gather_rows import pack_rows, place_rows
-from .plan import PreparedA
 
 
 @rank_program
@@ -39,21 +39,13 @@ def naive_multiply(
     B: DistSparseMatrix,
     semiring: Semiring = PLUS_TIMES,
     config: TsConfig = DEFAULT_CONFIG,
-    prepared: Optional[PreparedA] = None,
 ) -> Tuple[DistSparseMatrix, dict]:
-    """One TS-SpGEMM-Naive multiply; returns ``(C, diagnostics)``.
+    """One Alg 1 multiply; returns ``(C, diagnostics)``.
 
     ``A`` is the square operand (1-D row partitioned), ``B`` the
     tall-and-skinny one on the same communicator and row partition.
     Diagnostics report the request/fetch volumes that the tiled algorithm
     eliminates or bounds.
-
-    ``prepared`` amortizes the request round across iterative multiplies
-    with a static ``A``: the nonzero-column scan, the per-owner request
-    split *and the request all-to-all itself* are B-independent, so after
-    the first multiply the whole ``request-indices`` phase is served from
-    the cache — the resident-session analogue of what the ``Ac`` copy
-    does for the tiled algorithm.
     """
     comm = A.comm
     if B.comm is not comm:
@@ -62,29 +54,21 @@ def naive_multiply(
     rows = B.rows
 
     # Line 2-3: nonzero columns of Ai, requested from their owners.
-    if prepared is not None:
-        prepared.check_compatible(A, config)
-    cached = prepared.naive_cache if prepared is not None else None
-    if cached is None:
-        with comm.phase("request-indices"):
-            nzc = A.local.nonzero_columns()
-            owners = rows.owners(nzc) if len(nzc) else np.zeros(0, dtype=INDEX_DTYPE)
-            requests = []
-            for j in range(comm.size):
-                requests.append(nzc[owners == j] if len(nzc) else None)
-            incoming = comm.alltoall(
-                [r if r is not None and len(r) else None for r in requests]
-            )
-            incoming_local_ids = [
-                rows.to_local(comm.rank, req)
-                if req is not None and len(req)
-                else None
-                for req in incoming
-            ]
-        if prepared is not None:
-            prepared.naive_cache = (incoming, incoming_local_ids)
-    else:
-        incoming, incoming_local_ids = cached
+    with comm.phase("request-indices"):
+        nzc = A.local.nonzero_columns()
+        owners = rows.owners(nzc) if len(nzc) else np.zeros(0, dtype=INDEX_DTYPE)
+        requests = []
+        for j in range(comm.size):
+            requests.append(nzc[owners == j] if len(nzc) else None)
+        incoming = comm.alltoall(
+            [r if r is not None and len(r) else None for r in requests]
+        )
+        incoming_local_ids = [
+            rows.to_local(comm.rank, req)
+            if req is not None and len(req)
+            else None
+            for req in incoming
+        ]
 
     # Line 4: answer requests with packed B rows (global ids travel along).
     with comm.phase("fetch-B"):

@@ -104,9 +104,8 @@ class PreparedA:
     subtiles: Dict[int, List[PreparedSubtile]] = field(default_factory=dict)
     row_tile_ranges: List[Tuple[int, int]] = field(default_factory=list)
     strips: Optional[ColumnStrips] = None
-    #: Lazy per-algorithm caches (naive row requests, SpMM mode table).
-    naive_cache: Optional[tuple] = None
-    spmm_cache: Optional[tuple] = None
+    #: Lazy SpMM mode table (:func:`repro.core.spmm.spmm_multiply`).
+    spmm_cache: Optional[SymbolicPlan] = None
     slots: Optional["StoredSlots"] = field(default=None, compare=False, repr=False)
 
     # ------------------------------------------------------------------
@@ -340,14 +339,6 @@ def shrink_prepared(
     new_rank, new_size = comm.rank, comm.size
     adopter_new = adopter_old - (1 if adopter_old > dead_rank else 0)
     touched = 0
-    if A.col_copy is None:
-        # Naive-algorithm plans hold only lazy caches: nothing to remap
-        # beyond the world coordinates.
-        prepared.rank, prepared.size = new_rank, new_size
-        prepared.subtiles = {}
-        prepared.naive_cache = None
-        prepared.spmm_cache = None
-        return touched
     # Peers to re-read: everyone on the adopter, the merged peer elsewhere.
     redo = range(new_size) if new_rank == adopter_new else [adopter_new]
     tile_ranges = peer_tile_ranges(A.rows, config, redo)
@@ -384,7 +375,6 @@ def shrink_prepared(
         # prepared-ness was decided collectively at session construction.
         with comm.phase("symbolic"):
             comm.alltoall(outgoing)
-    prepared.naive_cache = None
     prepared.spmm_cache = None  # the partition changed
     return touched
 

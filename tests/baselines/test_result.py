@@ -1,19 +1,32 @@
-"""Unit tests for baseline result containers and block assembly."""
+"""Unit tests for the result every multiply returns and for the baselines'
+block assembly."""
 
 import numpy as np
 import pytest
 
-from repro.baselines.result import BaselineResult, assemble_2d_blocks
-from repro.mpi.stats import RankStats, SpmdReport
+from repro.baselines.result import assemble_2d_blocks
+from repro.core.driver import MultiplyResult
+from repro.mpi.stats import PhaseStats, RankStats, SpmdReport
 from repro.partition import grid_block
 from repro.sparse import CsrMatrix, PLUS_TIMES
 from ..conftest import csr_from_dense, random_dense
 
 
 def make_report():
+    """Two ranks; rank 1 spends 0.5 s of its 2.0 s in a setup phase."""
+    ranks = [RankStats(rank=0), RankStats(rank=1)]
+    ranks[0].phases["local-compute"] = PhaseStats(
+        bytes_sent=8, comm_time=0.5, compute_time=0.5
+    )
+    ranks[1].phases["scatter-input"] = PhaseStats(
+        bytes_sent=16, comm_time=0.25, compute_time=0.25
+    )
+    ranks[1].phases["local-compute"] = PhaseStats(
+        bytes_sent=4, comm_time=0.45, compute_time=1.05
+    )
     return SpmdReport(
         size=2,
-        rank_stats=[RankStats(rank=0), RankStats(rank=1)],
+        rank_stats=ranks,
         clocks=[1.0, 2.0],
         comm_times=[0.5, 0.7],
         compute_times=[0.5, 1.3],
@@ -49,11 +62,14 @@ class TestAssemble2D:
         assert assemble_2d_blocks(values, 7, 5, pr, pc).equal(mat)
 
 
-class TestBaselineResult:
+class TestMultiplyResult:
     def test_api_surface(self):
-        result = BaselineResult(C=CsrMatrix.empty((2, 2)), report=make_report())
+        """The one result type of every registry entry: runtime is the
+        max clock; multiply time, communication time and bytes leave the
+        setup phases out."""
+        result = MultiplyResult(C=CsrMatrix.empty((2, 2)), report=make_report())
         assert result.runtime == pytest.approx(2.0)
-        assert result.multiply_time == pytest.approx(2.0)
-        assert result.comm_time == pytest.approx(0.7)
-        assert result.comm_bytes() == 0
+        assert result.multiply_time == pytest.approx(1.5)
+        assert result.comm_time == pytest.approx(0.5)
+        assert result.comm_bytes() == 12
         assert result.diagnostics == {}

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.baselines import petsc1d, summa2d, summa3d
-from repro.sparse import BOOL_AND_OR, PLUS_TIMES, CsrMatrix, spgemm
+from repro.sparse import BOOL_AND_OR, MIN_PLUS, PLUS_TIMES, CsrMatrix, spgemm
 from ..conftest import csr_from_dense, random_dense
 
 PS = [1, 2, 3, 4, 6, 8, 9]
@@ -111,12 +111,27 @@ class TestSumma3D:
 
 
 class TestPetsc1D:
-    @pytest.mark.parametrize("p", [1, 2, 4, 8])
+    """PETSc-1D is Alg 1, the naive distributed TS-SpGEMM."""
+
+    @pytest.mark.parametrize("p", [1, 2, 3, 4, 8])
     def test_matches_serial(self, rng, p):
         a, b = make_inputs(rng)
         expected, _ = spgemm(a, b, PLUS_TIMES)
         result = petsc1d(a, b, p)
         assert result.C.equal(expected)
+
+    @pytest.mark.parametrize("p", [2, 4])
+    def test_bool_semiring(self, rng, p):
+        a, b = make_inputs(rng, dtype=np.bool_)
+        expected, _ = spgemm(a, b, BOOL_AND_OR)
+        result = petsc1d(a, b, p, semiring=BOOL_AND_OR)
+        assert result.C.equal(expected)
+
+    @pytest.mark.parametrize("p", [2, 4])
+    def test_min_plus_semiring(self, rng, p):
+        a, b = make_inputs(rng)
+        expected, _ = spgemm(a, b, MIN_PLUS)
+        assert petsc1d(a, b, p, semiring=MIN_PLUS).C.equal(expected)
 
     def test_request_round_present(self, rng):
         """PETSc-1D pays the index-request round TS-SpGEMM eliminates."""
@@ -131,14 +146,40 @@ class TestPetsc1D:
 
 
 class TestCrossAlgorithmAgreement:
-    def test_all_algorithms_same_product(self, rng):
+    @pytest.mark.parametrize("n, d", [(30, 5), (32, 8)])
+    def test_all_algorithms_same_product(self, rng, n, d):
         from repro.baselines import ALGORITHMS
 
-        a, b = make_inputs(rng, n=30, d=5)
+        a, b = make_inputs(rng, n=n, d=d)
         expected, _ = spgemm(a, b, PLUS_TIMES)
         for name, fn in ALGORITHMS.items():
             result = fn(a, b, 4)
             assert result.C.equal(expected), f"{name} produced a wrong product"
+
+    @pytest.mark.parametrize(
+        "name", ["PETSc-1D", "SUMMA-2D", "SUMMA-3D", "TS-SpGEMM"]
+    )
+    def test_every_entry_returns_one_result_type(self, rng, name):
+        """Baselines and TS-SpGEMM report through the same
+        ``MultiplyResult``: multiply time is the largest per-rank sum of
+        the non-setup phases, never above the end-to-end clock."""
+        from repro.baselines import get_algorithm
+        from repro.core import MultiplyResult
+        from repro.core.driver import SETUP_PHASES
+
+        a, b = make_inputs(rng)
+        result = get_algorithm(name)(a, b, 4)
+        assert type(result) is MultiplyResult
+        per_rank = [
+            sum(
+                ps.comm_time + ps.compute_time
+                for phase, ps in rs.phases.items()
+                if phase not in SETUP_PHASES
+            )
+            for rs in result.report.rank_stats
+        ]
+        assert result.multiply_time == max(per_rank) > 0
+        assert result.multiply_time <= result.runtime * (1 + 1e-12)
 
     def test_registry_lookup(self):
         from repro.baselines import get_algorithm

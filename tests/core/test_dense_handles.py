@@ -101,11 +101,6 @@ class TestDenseHandleContract:
             with pytest.raises(ValueError, match="different session"):
                 s2.multiply(h)
 
-    def test_dense_needs_tiled_algorithm(self, square_a, dense_b):
-        with TsSession(square_a, P, algorithm="naive") as session:
-            with pytest.raises(ValueError, match="tiled"):
-                session.multiply(dense_b)
-
     def test_dense_needs_arithmetic_semiring(self, rng, dense_b):
         a_bool = csr_from_dense(random_dense(rng, N, N, 0.2, dtype=np.bool_))
         with TsSession(a_bool, P, semiring=BOOL_AND_OR) as session:

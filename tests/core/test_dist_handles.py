@@ -79,14 +79,6 @@ class TestHandleChaining:
             fresh = ts_spgemm(a, b, P, semiring=BOOL_AND_OR, config=config)
             assert bitwise_equal(handle.gather(), fresh.C)
 
-    def test_naive_algorithm_accepts_handles(self, rng):
-        a = csr_from_dense(random_dense(rng, N, N, 0.2))
-        b = csr_from_dense(random_dense(rng, N, D, 0.4))
-        with TsSession(a, P, algorithm="naive") as session:
-            handle = session.multiply(session.scatter(b), gather=False).C
-            fresh = ts_spgemm(a, b, P, algorithm="naive")
-            assert bitwise_equal(handle.gather(), fresh.C)
-
     def test_gather_false_equals_gather_true(self, rng):
         a = csr_from_dense(random_dense(rng, N, N, 0.2))
         b = csr_from_dense(random_dense(rng, N, D, 0.4))
@@ -200,15 +192,6 @@ class TestMsbfsOnHandles:
         assert resident.levels == gathered.levels
         ref = reference_reachability(adj.astype(np.bool_), sources)
         assert bitwise_equal(resident.visited, ref)
-
-    def test_naive_session_rides_handles_too(self):
-        adj = erdos_renyi(64, 4, seed=9)
-        sources = random_sources(64, 5, seed=1)
-        resident = msbfs(adj, sources, P, algorithm="TS-SpGEMM-Naive")
-        gathered = driver_round_trip_msbfs(
-            adj, sources, P, algorithm="TS-SpGEMM-Naive"
-        )
-        assert bitwise_equal(resident.visited, gathered.visited)
 
     def test_per_level_driver_bytes_zero_on_handle_path(self):
         adj = rmat(128, 6, seed=8)

@@ -135,37 +135,16 @@ class TestCachedPlanEquivalence:
             fresh = ts_spgemm(a, b, 3, config=config)
             assert bitwise_equal(session.multiply(b).C, fresh.C)
 
-    def test_naive_session_matches_and_caches_requests(self, rng):
-        a = csr_from_dense(random_dense(rng, N, N, 0.2))
-        session = TsSession(a, P, algorithm="naive")
-        for density in (0.4, 0.1):
-            b = csr_from_dense(random_dense(rng, N, D, density))
-            fresh = ts_spgemm(a, b, P, algorithm="naive")
-            reused = session.multiply(b)
-            assert bitwise_equal(reused.C, fresh.C)
-        # the request round ran exactly once: the second multiply's
-        # report shows no request-indices traffic at all
-        second = session.multiply(csr_from_dense(random_dense(rng, N, D, 0.3)))
-        assert second.report.phase_bytes().get("request-indices", 0) == 0
-        fresh_report = ts_spgemm(
-            a, csr_from_dense(random_dense(rng, N, D, 0.3)), P, algorithm="naive"
-        ).report
-        assert fresh_report.phase_bytes().get("request-indices", 0) > 0
-
-    @pytest.mark.parametrize("algorithm", ["tiled", "naive"])
-    def test_every_session_holds_a_plan(self, rng, algorithm):
+    def test_every_session_holds_a_plan(self, rng):
         """Set-up prepares on every rank, and a derived session inherits
         one — what the multiply, refresh, restore and shrink paths read
         without checking."""
         a = csr_from_dense(random_dense(rng, N, N, 0.2))
-        with TsSession(a, P, algorithm=algorithm) as session:
+        with TsSession(a, P) as session:
             child = session.derive_edge_subset(rng.random(a.nnz) < 0.5)
             for s in (session, child):
                 assert all(isinstance(state[3], PreparedA) for state in s._state)
-            assert all(
-                (state[3].strips is not None) == (algorithm == "tiled")
-                for state in session._state
-            )
+            assert all(state[3].strips is not None for state in session._state)
 
     def test_update_operand_values_only(self, rng):
         """Same pattern, new values: the session refreshes numeric state

@@ -1,4 +1,4 @@
-"""Correctness of the distributed TS-SpGEMM algorithms vs serial reference."""
+"""Correctness of the distributed TS-SpGEMM (Alg 2) vs the serial reference."""
 
 import numpy as np
 import pytest
@@ -100,38 +100,11 @@ class TestTiledCorrectness:
         with pytest.raises(ValueError):
             ts_spgemm(a, b, 2)
 
-    def test_unknown_algorithm(self, rng):
-        a, b = make_inputs(rng, n=8, d=2)
-        with pytest.raises(ValueError):
-            ts_spgemm(a, b, 2, algorithm="magic")
-
     def test_p_larger_than_n(self, rng):
         a, b = make_inputs(rng, n=6, d=3)
         expected, _ = spgemm(a, b, PLUS_TIMES)
         result = ts_spgemm(a, b, 8)  # some ranks own zero rows
         assert result.C.equal(expected)
-
-
-class TestNaiveCorrectness:
-    @pytest.mark.parametrize("p", PS)
-    def test_matches_serial(self, rng, p):
-        a, b = make_inputs(rng)
-        expected, _ = spgemm(a, b, PLUS_TIMES)
-        result = ts_spgemm(a, b, p, algorithm="naive")
-        assert result.C.equal(expected)
-
-    @pytest.mark.parametrize("p", [2, 4])
-    def test_bool_semiring(self, rng, p):
-        a, b = make_inputs(rng, dtype=np.bool_)
-        expected, _ = spgemm(a, b, BOOL_AND_OR)
-        result = ts_spgemm(a, b, p, semiring=BOOL_AND_OR, algorithm="naive")
-        assert result.C.equal(expected)
-
-    def test_naive_and_tiled_agree(self, rng):
-        a, b = make_inputs(rng, n=32, d=8)
-        r1 = ts_spgemm(a, b, 4, algorithm="naive")
-        r2 = ts_spgemm(a, b, 4, algorithm="tiled")
-        assert r1.C.equal(r2.C)
 
 
 class TestDiagnosticsAndCosts:

@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import argparse
+
 import numpy as np
 import pytest
 import scipy.io
@@ -59,6 +61,24 @@ class TestCommands:
         err = capsys.readouterr().err
         assert "invalid choice: 'FOO'" in err
         assert all(name in err for name in sorted(ALGORITHMS))
+
+    @pytest.mark.parametrize("command", ["multiply", "bfs"])
+    def test_algorithm_choices_are_the_four_registry_names(self, capsys, command):
+        """Alg 1 is offered once, as the ``PETSc-1D`` baseline; its old
+        second registry name (spelled in two parts here) is refused."""
+        subparsers = next(
+            a for a in build_parser()._actions
+            if isinstance(a, argparse._SubParsersAction)
+        )
+        option = next(
+            a for a in subparsers.choices[command]._actions if a.dest == "algorithm"
+        )
+        assert list(option.choices) == ["PETSc-1D", "SUMMA-2D", "SUMMA-3D", "TS-SpGEMM"]
+        retired = "-".join(["TS-SpGEMM", "Naive"])
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--dataset", "cora", "--scale", "0.3", "--algorithm", retired])
+        assert exc.value.code == 2
+        assert f"invalid choice: '{retired}'" in capsys.readouterr().err
 
     def test_bfs_runs(self, capsys):
         rc = main(
