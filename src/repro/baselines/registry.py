@@ -77,7 +77,6 @@ def _summa2d_session(A, p, *, semiring, machine, config):
         p,
         semiring=semiring,
         machine=machine,
-        spa_threshold=cfg.spa_threshold,
         kernel=cfg.kernel,
         timeout=cfg.spmd_timeout,
     )
@@ -90,7 +89,6 @@ def _summa3d_session(A, p, *, semiring, machine, config):
         p,
         semiring=semiring,
         machine=machine,
-        spa_threshold=cfg.spa_threshold,
         kernel=cfg.kernel,
         timeout=cfg.spmd_timeout,
     )

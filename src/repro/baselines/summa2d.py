@@ -36,7 +36,6 @@ def summa2d_rank(
     A: Optional[CsrMatrix],
     B: CsrMatrix,
     semiring: Semiring,
-    accumulator: str,
     kernel: str = "auto",
     a_block: Optional[CsrMatrix] = None,
     a_nrows: Optional[int] = None,
@@ -76,7 +75,7 @@ def summa2d_rank(
         with comm.phase("local-compute"):
             if a_ik.nnz and b_kj.nnz:
                 c_part, flops = dispatch_spgemm(a_ik, b_kj, semiring, kname, ordered=False)
-                comm.charge_spgemm(flops, d=d, accumulator=accumulator, kernel=kname)
+                comm.charge_spgemm(flops, d=d, kernel=kname)
                 if c_part.nnz:
                     partials.append(c_part)
 
@@ -96,16 +95,12 @@ def summa2d(
     *,
     semiring: Semiring = PLUS_TIMES,
     machine: MachineProfile = PERLMUTTER,
-    spa_threshold: int = 1024,
     kernel: str = "auto",
 ) -> MultiplyResult:
     """Run 2-D sparse SUMMA on ``p`` ranks; returns the assembled product."""
     if A.ncols != B.nrows:
         raise ValueError(f"dimension mismatch: {A.shape} x {B.shape}")
-    accumulator = "spa" if B.ncols <= spa_threshold else "hash"
-    result = run_spmd(
-        p, summa2d_rank, A, B, semiring, accumulator, kernel, machine=machine
-    )
+    result = run_spmd(p, summa2d_rank, A, B, semiring, kernel, machine=machine)
     pr, pc = square_grid_dims(p)
     C = assemble_2d_blocks(result.values, A.nrows, B.ncols, pr, pc, semiring)
     return MultiplyResult(C=C, report=result.report)
@@ -132,7 +127,6 @@ class Summa2dSession(ResidentSession):
         *,
         semiring: Semiring = PLUS_TIMES,
         machine: MachineProfile = PERLMUTTER,
-        spa_threshold: int = 1024,
         kernel: str = "auto",
         timeout: Optional[float] = None,
     ):
@@ -140,7 +134,6 @@ class Summa2dSession(ResidentSession):
             raise ValueError(f"need a square A, got {A.shape}")
         super().__init__(p, machine, timeout=timeout)
         self.semiring = semiring
-        self.spa_threshold = spa_threshold
         self.kernel = kernel
         self.nrows = A.nrows
         self.ncols = A.ncols
@@ -157,7 +150,6 @@ class Summa2dSession(ResidentSession):
             raise ValueError(
                 f"B must have {self.ncols} rows to match A, got {B.shape}"
             )
-        accumulator = "spa" if B.ncols <= self.spa_threshold else "hash"
 
         def program(comm):
             return summa2d_rank(
@@ -165,7 +157,6 @@ class Summa2dSession(ResidentSession):
                 None,
                 B,
                 self.semiring,
-                accumulator,
                 self.kernel,
                 a_block=self._a_blocks[comm.rank],
                 a_nrows=self.nrows,

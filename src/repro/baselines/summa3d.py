@@ -41,7 +41,6 @@ def summa3d_rank(
     B: CsrMatrix,
     semiring: Semiring,
     layers: int,
-    accumulator: str,
     kernel: str = "auto",
     a_block: Optional[CsrMatrix] = None,
     a_nrows: Optional[int] = None,
@@ -86,7 +85,7 @@ def summa3d_rank(
         with comm.phase("local-compute"):
             if a_ik.nnz and b_kj.nnz:
                 c_part, flops = dispatch_spgemm(a_ik, b_kj, semiring, kname, ordered=False)
-                comm.charge_spgemm(flops, d=d, accumulator=accumulator, kernel=kname)
+                comm.charge_spgemm(flops, d=d, kernel=kname)
                 if c_part.nnz:
                     partials.append(c_part)
 
@@ -119,15 +118,13 @@ def summa3d(
     layers: int = 4,
     semiring: Semiring = PLUS_TIMES,
     machine: MachineProfile = PERLMUTTER,
-    spa_threshold: int = 1024,
     kernel: str = "auto",
 ) -> MultiplyResult:
     """Run 3-D sparse SUMMA on ``p`` ranks with (up to) ``layers`` layers."""
     if A.ncols != B.nrows:
         raise ValueError(f"dimension mismatch: {A.shape} x {B.shape}")
-    accumulator = "spa" if B.ncols <= spa_threshold else "hash"
     result = run_spmd(
-        p, summa3d_rank, A, B, semiring, layers, accumulator, kernel, machine=machine
+        p, summa3d_rank, A, B, semiring, layers, kernel, machine=machine
     )
     pr, pc, l = layered_grid_dims(p, layers)
     blocks = [v for v in result.values if v is not None]
@@ -152,7 +149,6 @@ class Summa3dSession(ResidentSession):
         layers: int = 4,
         semiring: Semiring = PLUS_TIMES,
         machine: MachineProfile = PERLMUTTER,
-        spa_threshold: int = 1024,
         kernel: str = "auto",
         timeout: Optional[float] = None,
     ):
@@ -161,7 +157,6 @@ class Summa3dSession(ResidentSession):
         super().__init__(p, machine, timeout=timeout)
         self.layers = layers
         self.semiring = semiring
-        self.spa_threshold = spa_threshold
         self.kernel = kernel
         self.nrows = A.nrows
         self.ncols = A.ncols
@@ -180,7 +175,6 @@ class Summa3dSession(ResidentSession):
             raise ValueError(
                 f"B must have {self.ncols} rows to match A, got {B.shape}"
             )
-        accumulator = "spa" if B.ncols <= self.spa_threshold else "hash"
 
         def program(comm):
             return summa3d_rank(
@@ -189,7 +183,6 @@ class Summa3dSession(ResidentSession):
                 B,
                 self.semiring,
                 self.layers,
-                accumulator,
                 self.kernel,
                 a_block=self._a_blocks[comm.rank],
                 a_nrows=self.nrows,

@@ -73,10 +73,6 @@ class TsConfig:
         behind the CLI's ``--fuse-comm on|off`` (and the configuration
         under which the Fig 5 per-round memory/latency trade-off is
         observable).
-    spa_threshold:
-        Largest ``d`` for which the SPA accumulator is cost-modelled; hash
-        accumulation is charged beyond it (§III-C: "For d > 1024, we opt
-        for a hash-based SpGEMM").
     batch_size / learning_rate:
         Embedding defaults (Table IV).
     sanitize:
@@ -130,7 +126,6 @@ class TsConfig:
     mode_policy: str = "hybrid"
     kernel: str = "auto"
     fuse_comm: bool = True
-    spa_threshold: int = 1024
     batch_size: int = 256
     learning_rate: float = 0.02
     sanitize: bool = False
@@ -157,8 +152,6 @@ class TsConfig:
             raise ValueError(
                 f"kernel must be one of {sorted(valid_kernels)}, got {self.kernel!r}"
             )
-        if self.spa_threshold < 1:
-            raise ValueError("spa_threshold must be >= 1")
         if self.checkpoint not in CHECKPOINT_POLICIES:
             raise ValueError(
                 f"checkpoint must be one of {CHECKPOINT_POLICIES}, "
@@ -179,10 +172,6 @@ class TsConfig:
             from ..mpi.faults import FaultPlan
 
             FaultPlan.parse(self.faults)
-
-    def accumulator_for(self, d: int) -> str:
-        """The accumulator the cost model charges for output width ``d``."""
-        return "spa" if d <= self.spa_threshold else "hash"
 
     def effective_tile_height(self, local_rows: int) -> int:
         """Resolve ``h``: explicit value clamped to the block, else n/p."""

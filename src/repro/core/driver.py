@@ -43,16 +43,8 @@ from ..sparse.ops import extract_row_range, mask_entries, mask_pattern
 from ..sparse.semiring import PLUS_TIMES, Semiring
 from ..sparse.tile import ColumnStrips
 from .config import DEFAULT_CONFIG, TsConfig
-from .plan import (
-    PreparedA,
-    PreparedSubtile,
-    _static_mode,
-    prepare_multiply,
-    shrink_prepared,
-    subtile_needed_rows,
-)
+from .plan import prepare_multiply, shrink_prepared
 from .spmm import spmm_multiply
-from .symbolic import LOCAL, REMOTE
 from .tiled import exchange_sections, tiled_multiply
 
 #: Phases counted as one-time setup rather than multiply time.  "prepare"
@@ -212,16 +204,12 @@ class ResidentOperand:
     session's pattern changes.
     """
 
-    __slots__ = ("dist", "prepared", "aux", "refreshes")
+    __slots__ = ("dist", "prepared", "aux")
 
     def __init__(self, dist: DistSparseMatrix, prepared, aux: Dict[str, Any]):
         self.dist = dist
         self.prepared = prepared
         self.aux = aux
-        #: Number of refresh_values calls on this view — how the fused
-        #: multiply learns that a prologue changed the operand's values
-        #: (and must therefore drop its plan's kept products).
-        self.refreshes = 0
 
     @property
     def local(self) -> CsrMatrix:
@@ -243,27 +231,6 @@ class ResidentOperand:
         self.aux[key] = value
         return value
 
-    def _strip_selections(self) -> List[np.ndarray]:
-        """Which of my entries land in each peer's column strip, in strip
-        order (= data order of the strips ``build_column_copy`` shipped).
-
-        Pattern-determined, so read off the split the prepared plan keeps
-        (:attr:`~repro.sparse.tile.ColumnStrips.selections`); without one
-        (a derived session before its first multiply) the lists are
-        cached on ``aux``, off the split this call's multiply already cut
-        of the block — same pattern, whatever values it holds — or off a
-        fresh one, which that multiply reuses.
-        """
-        if self.prepared.strips is not None:
-            return self.prepared.strips.selections
-        sels = self.aux.get("value_strip_selections")
-        if sels is None:
-            strips = self.dist.strips
-            if strips is None:
-                strips = self.dist.column_strips()
-            sels = self.cache("value_strip_selections", strips.selections)
-        return sels
-
     def refresh_values(self, new_data: np.ndarray, *, phase: str = "refresh-values") -> None:
         """Replace the resident block's values; pattern must be unchanged.
 
@@ -275,7 +242,10 @@ class ResidentOperand:
         time, not setup: iterative drivers pay this every refresh).
         Replacing the column copy is the whole refresh of the subtiles —
         they are read off it; the prepared plan reloads its strip values
-        and everything pattern-derived survives untouched.
+        and everything pattern-derived survives untouched.  Which of my
+        values go to which peer is read off the split the plan keeps
+        (:attr:`~repro.sparse.tile.ColumnStrips.selections`, in the data
+        order of the strips ``build_column_copy`` shipped).
         """
         comm = self.dist.comm
         local = self.dist.local
@@ -290,7 +260,7 @@ class ResidentOperand:
         )
         with comm.phase(phase):
             received = comm.alltoall(
-                [new_data[sel] for sel in self._strip_selections()]
+                [new_data[sel] for sel in self.prepared.strips.selections]
             )
             cc = self.dist.col_copy
             new_col = (
@@ -307,9 +277,7 @@ class ResidentOperand:
                 cc.shape, cc.indptr, cc.indices, new_col, check=False
             )
             comm.charge_touch(new_data.nbytes + new_col.nbytes)
-        if self.prepared.subtiles:
-            self.prepared.refresh_values(self.dist)
-        self.refreshes += 1
+        self.prepared.refresh_values(self.dist)
 
 
 class FusedPrologue:
@@ -353,28 +321,20 @@ class FusedPrologue:
 
 class _FusedPrologueShim:
     """Adapter binding a :class:`FusedPrologue` to one rank's operand and
-    blocks, matching the two-method hook ``tiled_multiply`` expects.
+    blocks, matching the two-method hook ``tiled_multiply`` expects."""
 
-    After :meth:`finish`, ``values_refreshed`` tells the fused multiply
-    whether the prologue refreshed the resident operand's values (in
-    which case its plan must drop what it computed from the old ones).
-    """
-
-    __slots__ = ("prologue", "operand", "blocks", "values_refreshed")
+    __slots__ = ("prologue", "operand", "blocks")
 
     def __init__(self, prologue: FusedPrologue, operand: ResidentOperand, blocks):
         self.prologue = prologue
         self.operand = operand
         self.blocks = blocks
-        self.values_refreshed = False
 
     def sections(self, comm):
         return self.prologue.sections(comm, self.operand, *self.blocks)
 
     def finish(self, comm, received):
-        before = self.operand.refreshes
         self.prologue.finish(comm, self.operand, received, *self.blocks)
-        self.values_refreshed = self.operand.refreshes != before
 
 
 class TsSession(ResidentSession):
@@ -455,18 +415,45 @@ class TsSession(ResidentSession):
             checksum=config.checksum,
             respawn_budget=config.respawn_budget,
         )
+        # ``row_bounds`` pins an explicit (possibly unbalanced) contiguous
+        # partition — the shape a shrink leaves behind.  Tests use it to
+        # build a fresh reference session at a shrunken session's exact
+        # layout, where float outputs are bit-comparable.
+        self._init_fields(
+            semiring, config, injector, A.ncols,
+            Block1D(A.nrows, p, bounds=row_bounds),
+            A if config.recoverable else None,
+        )
+        self.setup_report = self._setup(A)
+
+    def _init_fields(
+        self,
+        semiring: Semiring,
+        config: TsConfig,
+        injector: Optional[FaultInjector],
+        ncols: int,
+        rows: Block1D,
+        driver_input: Optional[CsrMatrix],
+    ) -> None:
+        """Set every per-session field past the executor's — the one field
+        list of a session, fresh or derived (:meth:`derive_edge_subset`),
+        with no resident state yet."""
         self.semiring = semiring
         self.config = config
+        self.ncols = ncols
+        self._rows = rows
         self.multiplies = 0
+        self.setup_report: Optional[SpmdReport] = None
         self._state: Optional[list] = None
         self._pattern: Optional[tuple] = None
         self._edge_ids: Optional[list] = None
         # Resilience bookkeeping (docs/resilience.md).  ``_input`` keeps
         # the driver's copy of the operand alive only in recoverable mode:
-        # it is the rebuild source of the checkpoint="off" ablation.
+        # it is the rebuild source of the checkpoint="off" ablation.  A
+        # derived session has none, so its recovery needs checkpoint != "off".
         self._recoverable = config.recoverable
         self._injector = injector
-        self._input: Optional[CsrMatrix] = A if config.recoverable else None
+        self._input = driver_input
         self._ckpt: Optional[list] = None
         self.retries = 0
         self.recoveries = 0
@@ -479,21 +466,13 @@ class TsSession(ResidentSession):
         # shrinkable failures that triggered them.  ``_handles`` tracks
         # every live rank-resident handle this session minted, so a
         # shrink can remap them in place (weakly: a handle the caller
-        # dropped needs no migration).
+        # dropped needs no migration).  A derived session cannot shrink
+        # (shrink() refuses a shared executor), but reporting reads the
+        # fields uniformly.
         self.shrinks = 0
         self.shrink_bytes = 0
         self.shrink_events: List[RankFailure] = []
         self._handles: "weakref.WeakSet" = weakref.WeakSet()
-        self.ncols = A.ncols
-        # ``row_bounds`` pins an explicit (possibly unbalanced) contiguous
-        # partition — the shape a shrink leaves behind.  Tests use it to
-        # build a fresh reference session at a shrunken session's exact
-        # layout, where float outputs are bit-comparable.
-        self._rows = Block1D(A.nrows, p, bounds=row_bounds)
-        self.setup_report: SpmdReport = self._setup(A)
-        ckpt_report = self._checkpoint()
-        if ckpt_report is not None:
-            self.setup_report = merge_reports([self.setup_report, ckpt_report])
 
     #: Registry session-contract capability: this session accepts and
     #: mints rank-resident DistHandles (scatter / gather=False /
@@ -503,6 +482,9 @@ class TsSession(ResidentSession):
 
     # ------------------------------------------------------------------
     def _setup(self, A: CsrMatrix) -> SpmdReport:
+        """Distribute ``A`` and prepare it; commit and checkpoint the new
+        pattern's state."""
+
         def program(comm):
             # Slice by the session's partition, not the balanced default:
             # after a shrink (or under the ``row_bounds`` hook) the blocks
@@ -512,17 +494,27 @@ class TsSession(ResidentSession):
             prepared = prepare_multiply(dist_a, self.config)
             prepared.ensure_strips(dist_a)
             # aux: per-rank scratch for pattern-derived caches built
-            # lazily by prologues (value-strip selections, SDDMM send
-            # lists).  Reset here because it is only valid for this
-            # pattern; it survives same-pattern value refreshes.
+            # lazily by prologues (SDDMM send lists).  Reset here because
+            # it is only valid for this pattern; it survives same-pattern
+            # value refreshes.
             return dist_a.rows, dist_a.local, dist_a.col_copy, prepared, {}
 
         result = self._run_resilient(program)
-        self._state = list(result.values)
         self._pattern = (A.indptr, A.indices)
         self._edge_ids = None
         self._release_ckpt()  # replicas of any previous pattern are stale
-        return result.report
+        return self._commit(result)
+
+    def _commit(self, result: SpmdResult, values: Optional[list] = None) -> SpmdReport:
+        """Store a state-changing task's per-rank state — ``values``, by
+        default the task's own return values — and checkpoint it: the one
+        path new resident state takes.  Returns the task's report merged
+        with the checkpoint's."""
+        self._state = list(result.values if values is None else values)
+        ckpt_report = self._checkpoint()
+        if ckpt_report is None:
+            return result.report
+        return merge_reports([result.report, ckpt_report])
 
     # ------------------------------------------------------------------
     # resilience: retry, checkpoint, recover (docs/resilience.md)
@@ -652,12 +644,13 @@ class TsSession(ResidentSession):
     def _checkpoint(self) -> Optional[SpmdReport]:
         """Replicate every rank's resident blocks per the checkpoint policy.
 
-        Called after every state-committing task (setup, prologue
-        multiplies, operand updates).  The replica traffic rides a real
-        collective under the ``checkpoint`` phase — a ring neighbor
-        exchange (``"neighbor"``) or a root gather (``"driver"``) — plus
-        the profile's ``checkpoint_time`` serialization charge, so the
-        overhead shows up in reports like any other phase.  The first
+        Called by :meth:`_commit`, after every state-changing task (setup,
+        prologue multiplies, operand updates, shrinks, derivations).  The
+        replica traffic rides a real collective under the ``checkpoint``
+        phase — a ring neighbor exchange (``"neighbor"``) or a root gather
+        (``"driver"``) — plus the profile's ``checkpoint_time``
+        serialization charge, so the overhead shows up in reports like any
+        other phase.  The first
         checkpoint of a pattern ships pattern + values; later ones are
         values-only (the pattern already sits on the replica holder).
         """
@@ -782,8 +775,7 @@ class TsSession(ResidentSession):
             program, timeout=self._resilience_timeout(nbytes)
         )
         prepared = blob["prepared"]
-        if prepared.strips is not None:
-            prepared.strips.refresh_values(blob["local"])
+        prepared.strips.refresh_values(blob["local"])
         self._state[rank] = (
             blob["rows"],
             blob["local"],
@@ -909,8 +901,8 @@ class TsSession(ResidentSession):
             _, local_r, col_r, prepared_r, _ = self._state[r]
             if r == adopter_old:
                 local_r, col_r = merged_local, merged_col
-            # aux caches are pattern-*and-partition*-derived (value strip
-            # selections follow the column ranges): reset everywhere.
+            # aux caches are pattern-*and-partition*-derived (SDDMM send
+            # lists follow the row ranges): reset everywhere.
             new_state.append((new_rows, local_r, col_r, prepared_r, {}))
 
         self._exec.shrink(dead_rank)
@@ -948,7 +940,6 @@ class TsSession(ResidentSession):
             program,
             timeout=self._resilience_timeout(migrate_nbytes + handle_nbytes),
         )
-        self._state = list(result.values)
         self._rows = new_rows
         self._edge_ids = None
 
@@ -967,14 +958,10 @@ class TsSession(ResidentSession):
 
         self.shrinks += 1
         self.shrink_bytes += migrate_nbytes + handle_nbytes
-        report = result.report
         # The old replica set indexes a world that no longer exists:
         # re-checkpoint the shrunken state from scratch.
         self._release_ckpt()
-        ckpt_report = self._checkpoint()
-        if ckpt_report is not None:
-            report = merge_reports([report, ckpt_report])
-        return report
+        return self._commit(result)
 
     # ------------------------------------------------------------------
     def scatter(self, B: CsrMatrix) -> DistHandle:
@@ -1211,11 +1198,8 @@ class TsSession(ResidentSession):
         report = result.report
         if prologue is not None:
             # The prologue may have refreshed resident values: commit the
-            # new state, then re-checkpoint so replicas track the commit.
-            self._state = [v[3] for v in result.values]
-            ckpt_report = self._checkpoint()
-            if ckpt_report is not None:
-                report = merge_reports([report, ckpt_report])
+            # new state, re-checkpointed so replicas track the commit.
+            report = self._commit(result, [v[3] for v in result.values])
         diagnostics = _merge_diag(v[1] for v in result.values)
         if self._recoverable:
             diagnostics["retries"] = self.retries - retries_before
@@ -1274,11 +1258,7 @@ class TsSession(ResidentSession):
         if self._recoverable:
             self._input = A  # the checkpoint="off" rebuild source
         if not same_pattern:
-            report = self._setup(A)
-            ckpt_report = self._checkpoint()
-            if ckpt_report is not None:
-                report = merge_reports([report, ckpt_report])
-            return report
+            return self._setup(A)
 
         def program(comm):
             rows, local, col_copy, prepared, aux = self._state[comm.rank]
@@ -1289,13 +1269,7 @@ class TsSession(ResidentSession):
             # aux holds only pattern-derived caches, still valid here.
             return dist_a.rows, dist_a.local, dist_a.col_copy, prepared, aux
 
-        result = self._run_resilient(program)
-        self._state = list(result.values)
-        report = result.report
-        ckpt_report = self._checkpoint()
-        if ckpt_report is not None:
-            report = merge_reports([report, ckpt_report])
-        return report
+        return self._commit(self._run_resilient(program))
 
     # ------------------------------------------------------------------
     # edge-subset derivation (influence maximization's live-edge samples)
@@ -1346,12 +1320,15 @@ class TsSession(ResidentSession):
         entries (global CSR order) — exactly what one live-edge sample of
         the Independent Cascade model draws.  Instead of scattering the
         sampled matrix and re-preparing from scratch (a fresh session per
-        sample), every rank *masks* its cached state down to the kept
-        edges: local block and ``Ac`` column copy — whose rows the
-        child's subtiles are, with their ``needed_b_rows`` rescans — one
-        streaming pass, zero communication except the forced-policy mode
-        table's binary all-to-all.  The derived state is bit-identical to
-        what a fresh session on the masked matrix would build, so every
+        sample), every rank *masks* its cached local block and ``Ac``
+        column copy down to the kept edges in one streaming pass, then
+        prepares them exactly as a fresh session does
+        (:func:`~repro.core.plan.prepare_multiply` and the consumer
+        strips): no scatter, no column-copy all-to-all, only the
+        forced-policy mode table's binary all-to-all.  The derived state
+        is bit-identical to what a fresh session on the masked matrix
+        would build, and its ``setup_report`` charges that session's
+        ``prepare`` and ``tiling`` phases plus the masking pass, so every
         multiply (and hence the sample's whole MS-BFS) is bit-identical
         too.
 
@@ -1383,8 +1360,6 @@ class TsSession(ResidentSession):
                     f"got shape {values.shape}"
                 )
         self._ensure_edge_ids()
-        config = self.config
-        forced = LOCAL if config.mode_policy == "local" else REMOTE
 
         def _revalued(block: CsrMatrix, ids: np.ndarray) -> CsrMatrix:
             """``block`` with its data replaced from ``values`` (aligned
@@ -1398,121 +1373,37 @@ class TsSession(ResidentSession):
             )
 
         def program(comm):
-            rank = comm.rank
-            rows, local, col_copy, prepared, _ = self._state[rank]
-            local_ids, col_ids = self._edge_ids[rank]
+            rows, local, col_copy, _, _ = self._state[comm.rank]
+            local_ids, col_ids = self._edge_ids[comm.rank]
             with comm.phase("prepare"):
-                touched = 0
-                if values is not None:
-                    touched += values.nbytes  # one streaming value pass
                 new_local = mask_entries(
                     _revalued(local, local_ids), keep[local_ids]
                 )
                 new_col = mask_entries(
                     _revalued(col_copy, col_ids), keep[col_ids]
                 )
-                touched += new_local.nbytes_estimate() + new_col.nbytes_estimate()
-                new_prepared = PreparedA(config=config, rank=rank, size=comm.size)
-                new_prepared.row_tile_ranges = list(prepared.row_tile_ranges)
-                if prepared.subtiles:
-                    # A masked subtile is its rows of the masked column
-                    # copy: every nonzero-column rescan in one pass.
-                    tile_ranges = {
-                        peer: [ps.row_range for ps in subs]
-                        for peer, subs in prepared.subtiles.items()
-                    }
-                    nzcs = subtile_needed_rows(new_col, rows, tile_ranges)
-                    for peer, ranges in tile_ranges.items():
-                        peer_lo, _ = rows.range_of(peer)
-                        new_subs = new_prepared.subtiles[peer] = []
-                        for rt, (r0r1, nzc) in enumerate(zip(ranges, nzcs[peer])):
-                            blk = extract_row_range(
-                                new_col, peer_lo + r0r1[0], peer_lo + r0r1[1]
-                            )
-                            off_diagonal = blk.nnz > 0 and peer != rank
-                            if blk.nnz:
-                                # prepare_multiply's streaming charge: the
-                                # block and, off the diagonal, its pattern
-                                # read + nonzero-column rescan
-                                touched += (
-                                    3 if off_diagonal else 1
-                                ) * blk.nbytes_estimate()
-                            new_subs.append(
-                                PreparedSubtile(
-                                    peer, rt, r0r1, blk.nnz > 0,
-                                    nzc if off_diagonal else None,
-                                )
-                            )
-                comm.charge_touch(touched)
-                if new_prepared.subtiles and config.mode_policy != "hybrid":
-                    # Masking can empty a subtile, so the static mode
-                    # table must be re-exchanged for the subset.
-                    outgoing = [
-                        [
-                            _static_mode(ps, rank, forced)
-                            for ps in new_prepared.subtiles[peer]
-                        ]
-                        for peer in range(comm.size)
-                    ]
-                    # The guard above is rank-invariant in practice: the
-                    # subtile layout is decided collectively at session
-                    # construction and ``config.mode_policy`` is
-                    # config-wide, so every rank takes the same side.
-                    with comm.phase("symbolic"):
-                        comm.alltoall(outgoing)
-            return rows, new_local, new_col, new_prepared, {}
+                # One streaming pass over the kept blocks (and the values).
+                comm.charge_touch(
+                    (0 if values is None else values.nbytes)
+                    + new_local.nbytes_estimate()
+                    + new_col.nbytes_estimate()
+                )
+            dist_a = DistSparseMatrix(comm, rows, new_local, self.ncols, new_col)
+            prepared = prepare_multiply(dist_a, self.config)
+            prepared.ensure_strips(dist_a)
+            return rows, new_local, new_col, prepared, {}
 
         result = self._run_resilient(program)
-        child = self._derived_shell()
-        child._state = list(result.values)
-        child._pattern = mask_pattern(indptr, indices, keep)
-        child.setup_report = result.report
-        ckpt_report = child._checkpoint()
-        if ckpt_report is not None:
-            child.setup_report = merge_reports(
-                [child.setup_report, ckpt_report]
-            )
-        return child
-
-    def _derived_shell(self) -> "TsSession":
-        """A child session sharing this session's configuration, row
-        partition and executor (``_owns_exec=False``), with empty
-        per-instance state — the single place the shared-field copy
-        lives, so new ``__init__`` attributes get one home to extend.
-        """
+        # The child runs on this session's executor and leaves it running
+        # when closed; every other field is set as a fresh session's.
         child = TsSession.__new__(TsSession)
-        child.p = self.p
-        child.semiring = self.semiring
-        child.config = self.config
-        child.machine = self.machine
-        child.multiplies = 0
-        child.ncols = self.ncols
-        child._rows = self._rows
-        child._exec = self._exec
-        child._owns_exec = False
-        child._edge_ids = None
-        child._state = None
-        child._pattern = None
-        child.setup_report = None
-        # Resilience: a derived session shares the executor (and hence the
-        # injector) but keeps its own replicas; it has no driver-held
-        # input, so recovery needs checkpoint != "off".
-        child._recoverable = self._recoverable
-        child._injector = self._injector
-        child._input = None
-        child._ckpt = None
-        child.retries = 0
-        child.recoveries = 0
-        child.checkpoint_bytes = 0
-        child.recover_bytes = 0
-        child.recovery_events = []
-        # Elastic shrink: a derived session cannot shrink (shared
-        # executor — shrink() refuses via _owns_exec), but the fields
-        # exist so reporting reads uniformly.
-        child.shrinks = 0
-        child.shrink_bytes = 0
-        child.shrink_events = []
-        child._handles = weakref.WeakSet()
+        child.p, child.machine = self.p, self.machine
+        child._exec, child._owns_exec = self._exec, False
+        child._init_fields(
+            self.semiring, self.config, self._injector, self.ncols, self._rows, None
+        )
+        child._pattern = mask_pattern(indptr, indices, keep)
+        child.setup_report = child._commit(result)
         return child
 
 

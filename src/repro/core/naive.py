@@ -104,9 +104,7 @@ def naive_multiply(
         b_needed = place_rows(rows.n, payload, d, semiring.dtype)
         kname = resolve_spgemm(config.kernel, semiring, A.local, d=d).name
         c_local, flops = dispatch_spgemm(A.local, b_needed, semiring, kname)
-        comm.charge_spgemm(
-            flops, d=d, accumulator=config.accumulator_for(d), kernel=kname
-        )
+        comm.charge_spgemm(flops, d=d, kernel=kname)
 
     diagnostics = {
         "fetched_b_nnz": int(sum(m.nnz for m in parts_mats)),

@@ -149,9 +149,8 @@ class PreparedA:
                 for ps, g0, g1 in slots:
                     nbytes = extract_row_range(A.col_copy, g0, g1).nbytes_estimate()
                     touched += nbytes if ps.needed_b_rows is None else 2 * nbytes
-            if self.strips is not None:
-                self.strips.refresh_values(A.local)
-                touched += A.local.nbytes_estimate()
+            self.strips.refresh_values(A.local)
+            touched += A.local.nbytes_estimate()
             comm.charge_touch(touched)
 
 
@@ -283,20 +282,30 @@ def prepare_multiply(A: DistSparseMatrix, config: TsConfig) -> PreparedA:
             prepared.subtiles[peer] = subs
         prepared.row_tile_ranges = tile_ranges[comm.rank]
         comm.charge_touch(touched)
-
-        if config.mode_policy != "hybrid":
-            forced = LOCAL if config.mode_policy == "local" else REMOTE
-            outgoing = [
-                [_static_mode(ps, comm.rank, forced) for ps in prepared.subtiles[peer]]
-                for peer in range(comm.size)
-            ]
-            # Labelled "symbolic" (nested phases record under the inner
-            # name): this is the same binary-value exchange the hybrid
-            # replan pays per multiply, so fresh-plan byte accounting
-            # stays policy-comparable (the Fig 6 invariant).
-            with comm.phase("symbolic"):
-                comm.alltoall(outgoing)
+        _share_static_modes(comm, prepared)
     return prepared
+
+
+def _share_static_modes(comm, prepared: PreparedA) -> None:
+    """Ship a forced mode policy's static mode table (collective; nothing
+    under ``hybrid``, whose :func:`replan` ships the modes per multiply).
+
+    Labelled "symbolic" (nested phases record under the inner name): this
+    is the same binary-value exchange the hybrid replan pays per multiply,
+    so fresh-plan byte accounting stays policy-comparable (the Fig 6
+    invariant).  The guard is rank-invariant: ``mode_policy`` is
+    config-wide.
+    """
+    policy = prepared.config.mode_policy
+    if policy == "hybrid":
+        return
+    forced = LOCAL if policy == "local" else REMOTE
+    outgoing = [
+        [_static_mode(ps, comm.rank, forced) for ps in prepared.subtiles[peer]]
+        for peer in range(comm.size)
+    ]
+    with comm.phase("symbolic"):
+        comm.alltoall(outgoing)
 
 
 def _static_mode(ps: PreparedSubtile, rank: int, forced: str) -> str:
@@ -361,20 +370,10 @@ def shrink_prepared(
     prepared.subtiles = new_subtiles
     prepared.rank = new_rank
     prepared.size = new_size
-    if prepared.strips is not None:
-        # Consumer-side strips follow the (changed) column ranges.
-        prepared.strips = A.column_strips()
-        touched += strips_build_bytes(A.local, new_size)
-    if config.mode_policy != "hybrid" and prepared.subtiles:
-        forced = LOCAL if config.mode_policy == "local" else REMOTE
-        outgoing = [
-            [_static_mode(ps, new_rank, forced) for ps in new_subtiles[peer]]
-            for peer in range(new_size)
-        ]
-        # Guard is rank-invariant: mode_policy is config-wide and
-        # prepared-ness was decided collectively at session construction.
-        with comm.phase("symbolic"):
-            comm.alltoall(outgoing)
+    # Consumer-side strips follow the (changed) column ranges.
+    prepared.strips = A.column_strips()
+    touched += strips_build_bytes(A.local, new_size)
+    _share_static_modes(comm, prepared)
     prepared.spmm_cache = None  # the partition changed
     return touched
 

@@ -353,7 +353,6 @@ def tiled_multiply(
     if fused_prologue is not None and not fuse:
         raise ValueError("fused_prologue requires config.fuse_comm")
     d = B.ncols
-    acc = config.accumulator_for(d)
     # Resolve the kernel once per multiply: every tile product sees the
     # same (A dtype, semiring, d), so the resolution — and therefore the
     # calibrated compute constant charged per flop — is uniform.
@@ -389,7 +388,7 @@ def tiled_multiply(
         with comm.phase("diagonal"):
             for info in infos:
                 c_part, flops = _subtile_product(info, A, B.local, semiring, kname)
-                comm.charge_spgemm(flops, d=d, accumulator=acc, kernel=kname)
+                comm.charge_spgemm(flops, d=d, kernel=kname)
                 diag.flops += flops
                 partials.append(
                     _stack_row_tiles([(info.row_range[0], c_part)], my_nrows, d, semiring)
@@ -411,7 +410,7 @@ def tiled_multiply(
         for info in infos:
             c_part, flops = _subtile_product(info, A, B.local, semiring, kname)
             with comm.phase("send-C"):
-                comm.charge_spgemm(flops, d=d, accumulator=acc, kernel=kname)
+                comm.charge_spgemm(flops, d=d, kernel=kname)
             diag.flops += flops
             if c_part.nnz:
                 tiles.append((info.row_range[0], c_part))
@@ -441,7 +440,7 @@ def tiled_multiply(
         remote=remote,
         diagonal=diagonal,
         product=lambda sub, b: dispatch_spgemm(sub, b, semiring, kname, ordered=False),
-        price=lambda flops: comm.machine.spgemm_time(flops, d=d, accumulator=acc, kernel=kname),
+        price=lambda flops: comm.machine.spgemm_time(flops, d=d, kernel=kname),
         place=lambda nrows, payload: place_rows(nrows, payload, d, semiring.dtype),
         accumulate=accumulate,
         add_rows=lambda payload: partials.append(
@@ -477,11 +476,14 @@ def _finish_prologue(comm, prologue, received, plan, sync_prepared, A) -> None:
     re-read them so every value-dependent product (diagonal, remote
     partials, strip consumption) sees the refreshed operand — what keeps
     the fused order bit-identical to prologue first, then plan + multiply.
-    The subtiles need nothing: they are read off ``A.col_copy``, which the
-    refresh replaced.
+
+    A refresh is seen, not reported: every value refresh replaces
+    ``A.col_copy`` (``refresh_values`` and ``build_column_copy`` alike).
+    The subtiles need nothing: they are read off the new copy.
     """
+    col_copy = A.col_copy
     prologue.finish(comm, received)
-    if not getattr(prologue, "values_refreshed", False):
+    if A.col_copy is col_copy:
         return
     if sync_prepared is None:
         raise RuntimeError(

@@ -107,9 +107,9 @@ class CostBreakdown:
 def _spgemm_compute(
     machine: MachineProfile, flops: float, d: int, working_set_bytes: float
 ) -> float:
-    """Local Gustavson time with accumulator policy + cache-spill effect."""
-    acc = "spa" if d <= 1024 else "hash"
-    base = machine.spgemm_time(int(flops), d=d, accumulator=acc)
+    """Local Gustavson time with §III-C's accumulator
+    (:func:`~repro.mpi.costmodel.accumulator_for`) + cache-spill effect."""
+    base = machine.spgemm_time(int(flops), d=d)
     if working_set_bytes > machine.cache_bytes:
         base *= machine.spa_spill_penalty
     return base

@@ -121,21 +121,16 @@ class SimComm(CollectivesMixin):
     # ------------------------------------------------------------------
     # virtual-cost charging
     # ------------------------------------------------------------------
-    def charge_spgemm(
-        self, flops: int, *, d: int, accumulator: str = "spa", kernel: str = None
-    ) -> None:
+    def charge_spgemm(self, flops: int, *, d: int, kernel: str = None) -> None:
         """Charge the modelled time of ``flops`` local SpGEMM operations.
 
         ``kernel`` — when the caller knows which registry kernel actually
         ran — selects that kernel's calibrated compute constant
         (:data:`repro.mpi.costmodel.KERNEL_COMPUTE_SCALE`) instead of the
-        coarse SPA/hash accumulator dichotomy.
+        coarse SPA/hash accumulator dichotomy
+        (:meth:`~repro.mpi.costmodel.MachineProfile.spgemm_time`).
         """
-        self._charge_compute(
-            self.machine.spgemm_time(
-                flops, d=d, accumulator=accumulator, kernel=kernel
-            )
-        )
+        self._charge_compute(self.machine.spgemm_time(flops, d=d, kernel=kernel))
 
     def charge_spmm(self, flops: int) -> None:
         """Charge the modelled time of ``flops`` CSR × dense flops."""

@@ -74,6 +74,13 @@ KERNEL_COMPUTE_SCALE = {
 }
 
 
+def accumulator_for(d: int) -> str:
+    """The accumulator charged for output width ``d`` when no calibrated
+    kernel constant applies — §III-C: "For d > 1024, we opt for a
+    hash-based SpGEMM"."""
+    return "spa" if d <= 1024 else "hash"
+
+
 @dataclass(frozen=True)
 class MachineProfile:
     """Calibrated constants describing one simulated machine.
@@ -157,7 +164,7 @@ class MachineProfile:
         flops: int,
         *,
         d: int,
-        accumulator: str = "spa",
+        accumulator: Optional[str] = None,
         kernel: Optional[str] = None,
     ) -> float:
         """Virtual seconds for ``flops`` semiring multiply-adds.
@@ -170,7 +177,8 @@ class MachineProfile:
         no longer fits the fast cache, the paper's §III-C crossover.
         Otherwise the coarse ``accumulator`` dichotomy applies:
         ``"spa"``, ``"hash"`` or ``"esc"`` (expand-sort-compress, charged
-        like hash).
+        like hash); by default §III-C's choice for ``d``
+        (:func:`accumulator_for`).
         """
         if flops <= 0:
             return 0.0
@@ -180,7 +188,9 @@ class MachineProfile:
             per *= scale
             if kernel == "spa" and d > self.spa_cache_entries:
                 per *= self.spa_spill_penalty
-        elif accumulator == "spa":
+            return flops * per
+        accumulator = accumulator or accumulator_for(d)
+        if accumulator == "spa":
             if d > self.spa_cache_entries:
                 per *= self.spa_spill_penalty
         elif accumulator in ("hash", "esc"):

@@ -8,9 +8,9 @@ Every kernel returns ``(C, flops)`` where ``flops`` is the number of
 semiring multiplications — the paper's *flops* measure, which also drives
 the virtual compute clock.
 
-The kernel/accumulator *cost policy* (SPA below d ≤ 1024, hash above,
-§III-C) lives with the caller in :mod:`repro.core.config`; this module
-only executes.
+The accumulator *cost policy* (SPA below d ≤ 1024, hash above, §III-C)
+lives in :func:`repro.mpi.costmodel.accumulator_for`; this module only
+executes.
 """
 
 from __future__ import annotations

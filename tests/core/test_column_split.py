@@ -13,6 +13,8 @@ gathers through and what ``_ensure_edge_ids`` replays.  Pinned here:
   loops they replaced (``benchmarks/_oracles.py``).
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 from _oracles import masked_replay_edge_ids
@@ -27,7 +29,6 @@ from repro.sparse import (
     ColumnStrips,
     CsrMatrix,
     extract_col_range,
-    extract_row_range,
     mask_entries,
 )
 
@@ -152,28 +153,21 @@ class TestSplitCounts:
             assert splits == []
 
     @pytest.mark.parametrize("refresh", REFRESHES)
-    def test_derived_session_first_refresh_splits_once_per_rank(self, splits, refresh):
-        """A derived session has no strips until its first multiply — the
-        refresh and the consumer side of that call share one split, and
-        later calls keep it."""
+    def test_derived_session_splits_once_per_rank_at_derivation(self, splits, refresh):
+        """A derived session cuts its masked block's strips when it is
+        derived, like a fresh session's setup; its multiplies and value
+        refreshes keep them."""
         a = float_graph()
         with session_on(a) as parent:
+            parent._ensure_edge_ids()  # the driver's id replay splits too
+            del splits[:]
             session = parent.derive_edge_subset(np.ones(a.nnz, bool))
-            del splits[:]
-            session.multiply(operand(), prologue=refresh)
             assert len(splits) == P
-            # A refresh before the multiply caches the selections on aux;
-            # a fused one finishes after the multiply took its strips.
-            cached = refresh is scale_values
-            assert all(("value_strip_selections" in s[4]) == cached for s in session._state)
             del splits[:]
             session.multiply(operand(), prologue=refresh)
+            session.multiply(operand(), prologue=refresh)
+            session.multiply(operand())
             assert splits == []
-
-    def test_a_session_with_a_plan_never_writes_the_selections_key(self):
-        with session_on(float_graph()) as session:
-            session.multiply(operand(), prologue=scale_values)
-            assert not any("value_strip_selections" in s[4] for s in session._state)
 
     @pytest.mark.parametrize("negative_refresh, patterns", [(3, 1), (1, 3)])
     def test_embedding_splits_once_per_rank_per_pattern(
@@ -255,15 +249,12 @@ class TestStaleSelectionsAreRefused:
 
     def test_refresh_raises_before_replacing_the_copy(self):
         a = float_graph()
-        with session_on(a) as parent:
-            # A derived session reads the selections off ``aux`` until its
-            # first multiply cuts strips.
-            session = parent.derive_edge_subset(np.ones(a.nnz, bool))
-            rows, local = session._state[0][:2]
-            stale = list(ColumnStrips(local, rows.ranges).selections)
+        with session_on(a) as session:
+            strips = session._state[0][3].strips
+            stale = list(strips.selections)
             assert len(stale[1]) > 0
             stale[1] = stale[1][:-1]
-            session._state[0][4]["value_strip_selections"] = stale
+            strips.selections = stale
             col_copies = [state[2] for state in session._state]
             with pytest.raises(RankError, match="identical A pattern") as err:
                 session.update_operand(revalued(a))
@@ -303,8 +294,9 @@ class TestDerivedNeededRows:
     @pytest.mark.parametrize("policy", ["hybrid", "remote"])
     def test_derived_plan_equals_a_fresh_one(self, rng, policy):
         """Subtile for subtile: a subtile masked empty stores nothing, a
-        kept one has the ``nzc`` a fresh prepare scans, and the derivation
-        is charged 1x per kept block plus 2x per off-diagonal one."""
+        kept one has the ``nzc`` a fresh prepare scans; the derivation's
+        ``prepare`` charge is the fresh session's plus the masking pass
+        over the kept blocks, and its ``tiling`` charge is the fresh one."""
         a = float_graph(density=0.15)
         keep = rng.random(a.nnz) < 0.5
         keep[a.row_ids() < 4] = False  # whole subtiles masked empty
@@ -316,10 +308,8 @@ class TestDerivedNeededRows:
             emptied = 0
             for rank, (got, want) in enumerate(zip(child._state, fresh._state)):
                 assert_same_arrays(got[2], want[2])  # the subtiles' one home
-                touched = got[1].nbytes_estimate() + got[2].nbytes_estimate()
                 for peer, subs in want[3].subtiles.items():
                     assert len(got[3].subtiles[peer]) == len(subs)
-                    peer_lo, _ = got[0].range_of(peer)
                     for ps, ws, parent_ps in zip(
                         got[3].subtiles[peer], subs, parent._state[rank][3].subtiles[peer]
                     ):
@@ -330,18 +320,21 @@ class TestDerivedNeededRows:
                             assert ps.needed_b_rows is None
                             emptied += parent_ps.stored
                             continue
-                        nbytes = extract_row_range(
-                            got[2], peer_lo + ps.row_range[0], peer_lo + ps.row_range[1]
-                        ).nbytes_estimate()
-                        touched += nbytes
                         if peer == rank:
                             assert ps.needed_b_rows is None
                             continue
-                        touched += 2 * nbytes
                         assert ps.needed_b_rows.dtype == ws.needed_b_rows.dtype
                         np.testing.assert_array_equal(
                             ps.needed_b_rows, ws.needed_b_rows
                         )
-                prepare = child.setup_report.rank_stats[rank].phases["prepare"]
-                assert prepare.compute_time == child.machine.touch_time(touched)
+                masking = child.machine.touch_time(
+                    got[1].nbytes_estimate() + got[2].nbytes_estimate()
+                )
+                got_phases = child.setup_report.rank_stats[rank].phases
+                want_phases = fresh.setup_report.rank_stats[rank].phases
+                want_prepare = want_phases["prepare"]
+                assert got_phases["prepare"] == dataclasses.replace(
+                    want_prepare, compute_time=masking + want_prepare.compute_time
+                )
+                assert got_phases["tiling"] == want_phases["tiling"]
             assert emptied > 0

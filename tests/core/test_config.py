@@ -22,12 +22,6 @@ class TestTable4Defaults:
     def test_hybrid_mode_is_default(self):
         assert DEFAULT_CONFIG.mode_policy == "hybrid"
 
-    def test_accumulator_switches_at_1024(self):
-        assert DEFAULT_CONFIG.accumulator_for(128) == "spa"
-        assert DEFAULT_CONFIG.accumulator_for(1024) == "spa"
-        assert DEFAULT_CONFIG.accumulator_for(1025) == "hash"
-        assert DEFAULT_CONFIG.accumulator_for(16384) == "hash"
-
 
 class TestValidation:
     def test_bad_width(self):
@@ -41,10 +35,6 @@ class TestValidation:
     def test_bad_policy(self):
         with pytest.raises(ValueError):
             TsConfig(mode_policy="adaptive")
-
-    def test_bad_threshold(self):
-        with pytest.raises(ValueError):
-            TsConfig(spa_threshold=0)
 
     def test_explicit_height_clamped(self):
         cfg = TsConfig(tile_height=64)

@@ -225,6 +225,40 @@ class TestSessionRecovery:
             got, want = session.multiply(B), plain.multiply(B)
             assert bitwise_equal(want.C, got.C) and got.report == want.report
 
+    def test_every_state_change_commits_one_checkpoint(self, monkeypatch):
+        """Setup, a prologue multiply, a same-pattern update, a new
+        pattern, a derivation and a shrink each store new per-rank state
+        and replicate it once, its charge in the task's report; a plain
+        multiply stores nothing and replicates nothing."""
+        seen = []
+        checkpoint = TsSession._checkpoint
+
+        def counting(session):
+            seen.append(session)
+            return checkpoint(session)
+
+        def double(comm, operand):
+            operand.refresh_values(operand.local.data * 2.0)
+
+        monkeypatch.setattr(TsSession, "_checkpoint", counting)
+        a = _A()
+        with TsSession(a, P, config=_recoverable()) as session:
+            assert seen == [session]
+            assert session.setup_report.phase_bytes()["checkpoint"] > 0
+            session.multiply(_operand())
+            assert seen == [session]
+            child = session.derive_edge_subset(np.arange(a.nnz) % 2 == 0)
+            child.close()
+            reports = [
+                session.multiply(_operand(), prologue=double).report,
+                session.update_operand(a),
+                session.update_operand(_A(seed=6)),
+                child.setup_report,
+                session.shrink(1),
+            ]
+            assert seen == [session, child, session, session, session, session]
+            assert all(r.phase_bytes()["checkpoint"] > 0 for r in reports)
+
     def test_checkpoint_off_rebuilds_from_input(self):
         config = _recoverable(checkpoint="off", faults="crash@1,task=1,seq=0")
         session = TsSession(_A(), P, config=config)

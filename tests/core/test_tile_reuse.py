@@ -90,6 +90,7 @@ def multiply(a, b, semiring, config, *, strip=False, prologue=None):
         dist_b = DistSparseMatrix.scatter_rows(comm, b)
         prepared = prepare_multiply(dist_a, config)
         kept = 0
+        fused_prologue = prologue(dist_a) if prologue else None
         if strip:
             plan = replan(prepared, dist_a, dist_b)
             for infos in plan.produced.values():
@@ -97,12 +98,13 @@ def multiply(a, b, semiring, config, *, strip=False, prologue=None):
                     kept += info.symbolic is not None
                     info.symbolic = None
             c, diag = tiled_multiply(
-                dist_a, dist_b, semiring, config, plan=plan, prepared=prepared
+                dist_a, dist_b, semiring, config, plan=plan, prepared=prepared,
+                fused_prologue=fused_prologue,
             )
         else:
             c, diag = tiled_multiply(
                 dist_a, dist_b, semiring, config, prepared=prepared,
-                fused_prologue=prologue(dist_a) if prologue else None,
+                fused_prologue=fused_prologue,
             )
         return c.local, diag, kept
 
@@ -128,13 +130,34 @@ def assert_blocks_identical(got, want):
         np.testing.assert_array_equal(g.data, w.data)
 
 
+class Idle:
+    """A fused prologue that ships nothing and changes nothing."""
+
+    def __init__(self, dist_a):
+        pass
+
+    def sections(self, comm):
+        return []
+
+    def finish(self, comm, received):
+        pass
+
+
 class TestKeptSymbolicProduct:
-    @pytest.mark.parametrize("fuse", [True, False])
-    def test_boolean_multiply_runs_each_product_once(self, rng, counter, fuse):
+    @pytest.mark.parametrize(
+        "fuse, prologue",
+        [
+            pytest.param(True, None, id="True"),
+            pytest.param(False, None, id="False"),
+            # a fused prologue that refreshes nothing keeps the products
+            pytest.param(True, Idle, id="True-idle-prologue"),
+        ],
+    )
+    def test_boolean_multiply_runs_each_product_once(self, rng, counter, fuse, prologue):
         a, b = bool_operands(rng)
         config = TsConfig(kernel=KERNEL, fuse_comm=fuse, tile_height=4)
 
-        blocks, diags, _, report = multiply(a, b, BOOL_AND_OR, config)
+        blocks, diags, _, report = multiply(a, b, BOOL_AND_OR, config, prologue=prologue)
         once = counter.calls
         remote, local = total(diags, "remote_tiles"), total(diags, "local_tiles")
         assert remote > 0 and local > 0, "operands must exercise both modes"
@@ -143,7 +166,7 @@ class TestKeptSymbolicProduct:
 
         counter.calls = 0
         ref_blocks, ref_diags, kept, ref_report = multiply(
-            a, b, BOOL_AND_OR, config, strip=True
+            a, b, BOOL_AND_OR, config, strip=True, prologue=prologue
         )
         assert kept == remote + diagonal  # exactly those subtiles carried one
         assert counter.calls == once + remote + diagonal
@@ -193,8 +216,6 @@ class TestKeptSymbolicProduct:
         config = TsConfig(kernel=KERNEL, tile_height=4)
 
         class TurnOff:
-            values_refreshed = False
-
             def __init__(self, dist_a):
                 self.dist_a = dist_a
 
@@ -204,7 +225,6 @@ class TestKeptSymbolicProduct:
             def finish(self, comm, received):
                 self.dist_a.local = extract_row_range(a_off, *self.dist_a.local_range)
                 self.dist_a.build_column_copy()
-                self.values_refreshed = True
 
         blocks, diags, _, _ = multiply(a, b, BOOL_AND_OR, config, prologue=TurnOff)
         remote = total(diags, "remote_tiles")

@@ -12,6 +12,7 @@ from repro.mpi import (
     payload_nbytes,
     run_spmd,
 )
+from repro.mpi.costmodel import accumulator_for
 
 
 class TestMachineProfile:
@@ -56,6 +57,19 @@ class TestMachineProfile:
         spa = m.spgemm_time(1000, d=16384, accumulator="spa")
         hsh = m.spgemm_time(1000, d=16384, accumulator="hash")
         assert hsh < spa
+
+    def test_accumulator_switches_at_1024(self):
+        assert accumulator_for(128) == "spa"
+        assert accumulator_for(1024) == "spa"
+        assert accumulator_for(1025) == "hash"
+        assert accumulator_for(16384) == "hash"
+        # the default when no calibrated kernel constant applies
+        m = PERLMUTTER
+        for d in (1024, 1025):
+            assert m.spgemm_time(1000, d=d) == m.spgemm_time(
+                1000, d=d, accumulator=accumulator_for(d)
+            )
+        assert m.spgemm_time(1000, d=1025) != m.spgemm_time(1000, d=1025, accumulator="spa")
 
     def test_spmm_flops_cheaper_than_spgemm_flops(self):
         m = PERLMUTTER
