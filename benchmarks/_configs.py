@@ -6,6 +6,7 @@ during collection.
 """
 
 from repro.core import TsConfig
+from repro.model import Workload
 
 #: The paper's per-round schedule.  The figure sweeps that measure
 #: communication scaling (Fig 8-11) anchor to the
@@ -36,4 +37,17 @@ NAIVE_VS_TILED = dict(
     dataset="uk", scale=0.25, p=8,
     config=TsConfig(tile_width_factor=2, fuse_comm=False),
     cases=((128, 0.80), (512, 0.80), (128, 0.99)),
+)
+
+
+#: Fig 11 (strong-scaling communication, 80 % sparse B), read by
+#: ``bench_fig11_comm_scaling.py`` and ``tests/paper/test_fig11_claims.py``
+#: alike.  The measured sweep keeps the bench's own size: at scale 0.25
+#: TS-SpGEMM moves more bytes than SUMMA-2D at p = 4.  The closed form runs
+#: the paper's gap graph (n = 50.6 M, kA = 38.1) with 16 SUMMA-3D layers.
+FIG11 = dict(
+    dataset="gap", scale=1.0, d=128, sparsity=0.80, ps=(4, 8, 16, 32),
+    config=UNFUSED,
+    model=Workload(n=50_636_151, kA=38.1, d=128, b_sparsity=0.80),
+    model_ps=(8, 32, 128, 512, 1024, 4096), layers=16,
 )

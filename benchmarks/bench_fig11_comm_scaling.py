@@ -6,34 +6,35 @@ anyway since the simulator measures everything).  Expected shape:
 TS-SpGEMM's communication scales to ~1024 ranks and then latency
 dominates; SUMMA-3D — the communication-avoiding algorithm — keeps
 scaling and eventually beats TS-SpGEMM's communication (§V-E).
+
+Runs at ``benchmarks/_configs.FIG11`` and only prints; the figure's
+claims are asserted by ``tests/paper/test_fig11_claims.py``.
 """
 
-import pytest
+from _configs import FIG11
 
-from _configs import UNFUSED
-
-from repro.analysis import print_series
+from repro.analysis import fmt_bytes, print_series
 from repro.baselines import ALGORITHMS
 from repro.data import load, tall_skinny
-from repro.model import COST_MODELS, Workload
+from repro.model import COST_MODELS
 from repro.mpi import SCALED_PERLMUTTER
 
-SPARSITY = 0.80
-D = 128
-SIM_PS = [2, 4, 8, 16, 32]
-MODEL_PS = [8, 32, 128, 512, 1024, 4096]
+SPARSITY = FIG11["sparsity"]
+D = FIG11["d"]
+SIM_PS = list(FIG11["ps"])
+MODEL_PS = list(FIG11["model_ps"])
 ALGOS = ["TS-SpGEMM", "SUMMA-2D", "SUMMA-3D", "PETSc-1D"]
 
 
 def bench_fig11_comm_scaling(benchmark, sink):
-    A = load("gap", scale=1.0, seed=0)
+    A = load(FIG11["dataset"], scale=FIG11["scale"], seed=0)
     B = tall_skinny(A.nrows, D, SPARSITY, seed=1)
     series = {name: [] for name in ALGOS}
     volumes = {name: [] for name in ALGOS}
     for p in SIM_PS:
         for name in ALGOS:
             result = ALGORITHMS[name](
-                A, B, p, machine=SCALED_PERLMUTTER, config=UNFUSED
+                A, B, p, machine=SCALED_PERLMUTTER, config=FIG11["config"]
             )
             series[name].append(result.comm_time)
             volumes[name].append(result.comm_bytes())
@@ -45,8 +46,6 @@ def bench_fig11_comm_scaling(benchmark, sink):
         series,
         file=sink,
     )
-    from repro.analysis import fmt_bytes
-
     print_series(
         "Fig 11 supplement (measured): total communicated bytes vs p",
         "p",
@@ -55,15 +54,10 @@ def bench_fig11_comm_scaling(benchmark, sink):
         formatter=fmt_bytes,
         file=sink,
     )
-    # TS-SpGEMM must move less data than SUMMA-2D at every p >= 4.
-    for i, p in enumerate(SIM_PS):
-        if p >= 4:
-            assert volumes["TS-SpGEMM"][i] < volumes["SUMMA-2D"][i], f"p={p}"
-
     # Model at full scale: the SUMMA-3D crossover.
-    w = Workload(n=50_636_151, kA=38.1, d=D, b_sparsity=SPARSITY)
+    w = FIG11["model"]
     model = {
-        name: [COST_MODELS[name](w, p, layers=16).comm_time for p in MODEL_PS]
+        name: [COST_MODELS[name](w, p, layers=FIG11["layers"]).comm_time for p in MODEL_PS]
         if name == "SUMMA-3D"
         else [COST_MODELS[name](w, p).comm_time for p in MODEL_PS]
         for name in ALGOS
@@ -75,8 +69,5 @@ def bench_fig11_comm_scaling(benchmark, sink):
         model,
         file=sink,
     )
-    # §V-E: "SUMMA3D communication can even beat TS-SpGEMM at 512 nodes"
-    i = MODEL_PS.index(4096)
-    assert model["SUMMA-3D"][i] < model["SUMMA-2D"][i]
 
     benchmark(lambda: ALGORITHMS["TS-SpGEMM"](A, B, 16, machine=SCALED_PERLMUTTER))

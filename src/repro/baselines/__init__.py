@@ -4,14 +4,12 @@ from .petsc1d import petsc1d
 from .registry import ALGORITHMS, SESSIONS, get_algorithm, make_session
 from .result import assemble_2d_blocks
 from .shift15d import shift15d_spmm
-from .summa2d import Summa2dSession, summa2d
-from .summa3d import Summa3dSession, summa3d
+from .summa import SummaSession, summa2d, summa3d
 
 __all__ = [
     "ALGORITHMS",
     "SESSIONS",
-    "Summa2dSession",
-    "Summa3dSession",
+    "SummaSession",
     "assemble_2d_blocks",
     "get_algorithm",
     "make_session",

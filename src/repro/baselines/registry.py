@@ -4,7 +4,8 @@ Every entry is a callable ``fn(A, B, p, semiring=..., machine=...)``
 returning a :class:`~repro.core.driver.MultiplyResult` — so the benchmark
 harness can sweep algorithms exactly the way Figs 8-11 do.  ``TS-SpGEMM``
 is the paper's Alg 2; ``PETSc-1D`` is Alg 1, the naive baseline
-(§III-A); the SUMMA entries are the 2-D / 3-D baselines.
+(§III-A); the SUMMA entries are the 2-D / 3-D baselines, one SUMMA on
+one layer and on (up to) four.
 
 Algorithms whose setup is amortizable also register a *resident session*
 variant (``SESSIONS`` / :func:`make_session`): a session object created
@@ -17,6 +18,7 @@ baselines without one keep the per-call path.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable, Dict
 
 from ..core.config import DEFAULT_CONFIG, TsConfig
@@ -24,22 +26,18 @@ from ..core.driver import TsSession, ts_spgemm
 from ..mpi.costmodel import PERLMUTTER
 from ..sparse.semiring import PLUS_TIMES
 from .petsc1d import petsc1d
-from .summa2d import Summa2dSession, summa2d
-from .summa3d import Summa3dSession, summa3d
+from .summa import SummaSession, summa3d
 
 
 def _ts(A, B, p, *, semiring=PLUS_TIMES, machine=PERLMUTTER, config=DEFAULT_CONFIG):
     return ts_spgemm(A, B, p, semiring=semiring, machine=machine, config=config)
 
 
-def _summa2d(A, B, p, *, semiring=PLUS_TIMES, machine=PERLMUTTER, config=None):
+def _summa(A, B, p, *, layers, semiring=PLUS_TIMES, machine=PERLMUTTER, config=None):
     kernel = (config or DEFAULT_CONFIG).kernel
-    return summa2d(A, B, p, semiring=semiring, machine=machine, kernel=kernel)
-
-
-def _summa3d(A, B, p, *, semiring=PLUS_TIMES, machine=PERLMUTTER, config=None):
-    kernel = (config or DEFAULT_CONFIG).kernel
-    return summa3d(A, B, p, semiring=semiring, machine=machine, kernel=kernel)
+    return summa3d(
+        A, B, p, layers=layers, semiring=semiring, machine=machine, kernel=kernel
+    )
 
 
 def _petsc(A, B, p, *, semiring=PLUS_TIMES, machine=PERLMUTTER, config=None):
@@ -51,8 +49,8 @@ def _petsc(A, B, p, *, semiring=PLUS_TIMES, machine=PERLMUTTER, config=None):
 #: name → driver; the names match the legends of Figs 8-11.
 ALGORITHMS: Dict[str, Callable] = {
     "TS-SpGEMM": _ts,
-    "SUMMA-2D": _summa2d,
-    "SUMMA-3D": _summa3d,
+    "SUMMA-2D": partial(_summa, layers=1),
+    "SUMMA-3D": partial(_summa, layers=4),
     "PETSc-1D": _petsc,
 }
 
@@ -70,23 +68,12 @@ def _ts_session(A, p, *, semiring, machine, config):
     return TsSession(A, p, semiring=semiring, machine=machine, config=config)
 
 
-def _summa2d_session(A, p, *, semiring, machine, config):
+def _summa_session(A, p, *, layers, semiring, machine, config):
     cfg = config or DEFAULT_CONFIG
-    return Summa2dSession(
+    return SummaSession(
         A,
         p,
-        semiring=semiring,
-        machine=machine,
-        kernel=cfg.kernel,
-        timeout=cfg.spmd_timeout,
-    )
-
-
-def _summa3d_session(A, p, *, semiring, machine, config):
-    cfg = config or DEFAULT_CONFIG
-    return Summa3dSession(
-        A,
-        p,
+        layers=layers,
         semiring=semiring,
         machine=machine,
         kernel=cfg.kernel,
@@ -100,8 +87,8 @@ def _summa3d_session(A, p, *, semiring, machine, config):
 #: (like-for-like); only PETSc-1D keeps the per-call path.
 SESSIONS: Dict[str, Callable] = {
     "TS-SpGEMM": _ts_session,
-    "SUMMA-2D": _summa2d_session,
-    "SUMMA-3D": _summa3d_session,
+    "SUMMA-2D": partial(_summa_session, layers=1),
+    "SUMMA-3D": partial(_summa_session, layers=4),
 }
 
 

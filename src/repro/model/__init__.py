@@ -9,7 +9,6 @@ from .analytic import (
     petsc1d_cost,
     predict,
     spmm_cost,
-    summa2d_cost,
     summa3d_cost,
     ts_spgemm_cost,
 )
@@ -23,7 +22,6 @@ __all__ = [
     "petsc1d_cost",
     "predict",
     "spmm_cost",
-    "summa2d_cost",
     "summa3d_cost",
     "ts_spgemm_cost",
 ]

@@ -38,7 +38,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
+from typing import Tuple
 
+from ..mpi.cartesian import layered_grid_dims
 from ..mpi.costmodel import PERLMUTTER, MachineProfile
 
 BYTES_PER_NNZ = 16  # value + column index
@@ -115,6 +118,26 @@ def _spgemm_compute(
     return base
 
 
+def _tiled_exchange(
+    p: int, volume: float, machine: MachineProfile, tile_width_factor: int
+) -> Tuple[int, float]:
+    """``(rounds, comm seconds)`` of Alg 2's tiled exchange of ``volume``
+    bytes per rank, at tile width ``min(tile_width_factor, p)``.
+
+    Injection overhead: over the whole multiply a rank exchanges once
+    with every peer in each direction (2·(p−1)·γ); each of the two
+    all-to-alls per round additionally pays one wire latency plus the
+    ~width active partners of that round.
+    """
+    if p == 1:
+        return 1, 0.0
+    width = min(tile_width_factor, p)
+    rounds = math.ceil(p / width)
+    latency = 2 * (p - 1) * machine.gamma
+    latency += 2 * rounds * (machine.alpha + width * machine.gamma)
+    return rounds, latency + machine.beta * volume
+
+
 def ts_spgemm_cost(
     w: Workload,
     p: int,
@@ -134,20 +157,8 @@ def ts_spgemm_cost(
         raise ValueError("p must be >= 1")
     rows = w.fetched_rows(p)
     volume = BYTES_PER_NNZ * min(w.kB, w.kC) * rows * (p - 1) / p
-    if p == 1:
-        comm = 0.0
-        rounds = 1
-    else:
-        width = min(tile_width_factor, p)
-        rounds = math.ceil(p / width)
-        # Injection overhead: over the whole multiply a rank exchanges
-        # once with every peer in each direction (2·(p−1)·γ); each of the
-        # two all-to-alls per round additionally pays one wire latency
-        # plus the ~width active partners of that round.
-        latency = 2 * (p - 1) * machine.gamma
-        latency += 2 * rounds * (machine.alpha + width * machine.gamma)
-        comm = latency + machine.beta * volume
-    working_set = volume / max(rounds, 1) if p > 1 else 0.0
+    rounds, comm = _tiled_exchange(p, volume, machine, tile_width_factor)
+    working_set = volume / rounds
     compute = _spgemm_compute(machine, w.flops / p, w.d, working_set)
     return CostBreakdown(comm, compute)
 
@@ -174,26 +185,6 @@ def petsc1d_cost(
     return CostBreakdown(comm, compute)
 
 
-def summa2d_cost(
-    w: Workload, p: int, *, machine: MachineProfile = PERLMUTTER
-) -> CostBreakdown:
-    """2-D SUMMA: √p stages broadcasting blocks of *both* A and B."""
-    if p == 1:
-        comm = 0.0
-    else:
-        q = max(int(round(math.sqrt(p))), 1)
-        a_block_bytes = w.n * w.kA / p * BYTES_PER_NNZ
-        b_chunk_bytes = w.n * w.kB / p * BYTES_PER_NNZ
-        comm = q * (
-            machine.bcast(q, int(a_block_bytes))
-            + machine.bcast(q, int(b_chunk_bytes))
-        )
-    # stage working set: one A block + one B chunk
-    ws = (w.n * (w.kA + w.kB) / max(p, 1)) * BYTES_PER_NNZ
-    compute = _spgemm_compute(machine, w.flops / p, w.d, ws)
-    return CostBreakdown(comm, compute)
-
-
 def summa3d_cost(
     w: Workload,
     p: int,
@@ -202,10 +193,12 @@ def summa3d_cost(
     machine: MachineProfile = PERLMUTTER,
 ) -> CostBreakdown:
     """3-D SUMMA: 2-D SUMMA on a p/l face over 1/l of the inner dimension,
-    plus a fiber reduction of the partial C blocks across layers."""
-    l = max(min(layers, p), 1)
-    while l > 1 and p % l != 0:
-        l -= 1
+    plus a fiber reduction of the partial C blocks across layers.
+
+    ``l`` falls back as the simulated grid's does
+    (:func:`~repro.mpi.cartesian.layered_grid_dims`); at ``l = 1`` this is
+    2-D SUMMA: √p stages broadcasting blocks of *both* A and B."""
+    l = layered_grid_dims(p, layers)[2]
     face = p // l
     # One layer's operands: A[:, slice] with nnz(A)/l, B[slice, :] with
     # nnz(B)/l, 2-D SUMMA'd on the face grid.
@@ -229,7 +222,7 @@ def summa3d_cost(
         )
     else:
         reduce_time = 0.0
-    ws = (w.n * (w.kA + w.kB) / l / max(face, 1)) * BYTES_PER_NNZ
+    ws = (w.n * (w.kA + w.kB) / l / face) * BYTES_PER_NNZ
     compute = _spgemm_compute(machine, w.flops / p, w.d, ws)
     return CostBreakdown(face_comm + reduce_time, compute)
 
@@ -248,14 +241,7 @@ def spmm_cost(
     """
     rows = w.fetched_rows(p)
     volume = BYTES_PER_DENSE * w.d * rows * (p - 1) / p
-    if p == 1:
-        comm = 0.0
-    else:
-        width = min(tile_width_factor, p)
-        rounds = math.ceil(p / width)
-        latency = 2 * (p - 1) * machine.gamma
-        latency += 2 * rounds * (machine.alpha + width * machine.gamma)
-        comm = latency + machine.beta * volume
+    _, comm = _tiled_exchange(p, volume, machine, tile_width_factor)
     compute = machine.spmm_time(int(w.n * w.kA * w.d / p))
     return CostBreakdown(comm, compute)
 
@@ -264,7 +250,7 @@ def spmm_cost(
 COST_MODELS = {
     "TS-SpGEMM": ts_spgemm_cost,
     "PETSc-1D": petsc1d_cost,
-    "SUMMA-2D": summa2d_cost,
+    "SUMMA-2D": partial(summa3d_cost, layers=1),
     "SUMMA-3D": summa3d_cost,
     "SpMM": spmm_cost,
 }

@@ -20,14 +20,7 @@ Typical usage::
 
 from .clock import VirtualClock
 from .comm import SimComm
-from .cartesian import (
-    Grid2D,
-    Grid3D,
-    layered_grid_dims,
-    make_grid2d,
-    make_grid3d,
-    square_grid_dims,
-)
+from .cartesian import Grid3D, layered_grid_dims, make_grid3d, square_grid_dims
 from .costmodel import (
     ETHERNET_CLUSTER,
     PERLMUTTER,
@@ -85,7 +78,6 @@ __all__ = [
     "FaultInjector",
     "FaultPlan",
     "FaultSpec",
-    "Grid2D",
     "Grid3D",
     "InjectedCrashFault",
     "InjectedFault",
@@ -115,7 +107,6 @@ __all__ = [
     "get_profile",
     "is_recoverable_failure",
     "layered_grid_dims",
-    "make_grid2d",
     "make_grid3d",
     "merge_reports",
     "payload_checksum",

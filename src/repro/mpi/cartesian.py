@@ -1,11 +1,12 @@
 """Cartesian process grids for the SUMMA baselines.
 
-The 2-D sparse SUMMA algorithm lays ``p = pr × pc`` processes on a grid and
-broadcasts stages along grid rows and columns; the 3-D variant adds a layer
-dimension.  These helpers build the row/column/layer sub-communicators from
-a parent :class:`~repro.mpi.comm.SimComm` via ``split`` and expose the grid
-coordinates, matching the shape of ``MPI_Cart_create`` + ``MPI_Cart_sub``
-usage in CombBLAS.
+Sparse SUMMA lays ``p = pr × pc × l`` processes on ``l`` layers of
+``pr × pc`` faces and broadcasts stages along face rows and columns; the
+layers reduce their partial products along fibers.  2-D SUMMA is the
+one-layer grid.  These helpers build the row/column/fiber
+sub-communicators from a parent :class:`~repro.mpi.comm.SimComm` via
+``split`` and expose the grid coordinates, matching the shape of
+``MPI_Cart_create`` + ``MPI_Cart_sub`` usage in CombBLAS.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from .comm import SimComm
-from .errors import CommMismatchError
 
 
 def square_grid_dims(p: int) -> Tuple[int, int]:
@@ -37,6 +37,8 @@ def layered_grid_dims(p: int, layers: int) -> Tuple[int, int, int]:
     Falls back to the largest divisor of ``p`` not exceeding ``layers`` so
     callers can ask for e.g. 4 layers on any process count.
     """
+    if p < 1 or layers < 1:
+        raise ValueError(f"need p >= 1 and layers >= 1, got p={p}, layers={layers}")
     l = min(layers, p)
     while l > 1 and p % l != 0:
         l -= 1
@@ -45,46 +47,15 @@ def layered_grid_dims(p: int, layers: int) -> Tuple[int, int, int]:
 
 
 @dataclass
-class Grid2D:
-    """A 2-D process grid with row and column sub-communicators.
-
-    Process of parent rank ``r`` sits at ``(row, col) = (r // pc, r % pc)``
-    (row-major order).  ``row_comm`` spans the process's grid row (size
-    ``pc``); ``col_comm`` spans its grid column (size ``pr``).
-    """
-
-    comm: SimComm
-    pr: int
-    pc: int
-    row: int
-    col: int
-    row_comm: SimComm
-    col_comm: SimComm
-
-
-def make_grid2d(comm: SimComm, pr: Optional[int] = None, pc: Optional[int] = None) -> Grid2D:
-    """Build a :class:`Grid2D` over all ranks of ``comm``."""
-    if pr is None or pc is None:
-        pr, pc = square_grid_dims(comm.size)
-    if pr * pc != comm.size:
-        raise CommMismatchError(
-            f"grid {pr}x{pc} does not match communicator size {comm.size}"
-        )
-    row, col = divmod(comm.rank, pc)
-    row_comm = comm.split(color=row, key=col)
-    col_comm = comm.split(color=col, key=row)
-    assert row_comm is not None and col_comm is not None
-    return Grid2D(comm, pr, pc, row, col, row_comm, col_comm)
-
-
-@dataclass
 class Grid3D:
-    """A 3-D (layered) process grid for SUMMA3D.
+    """A layered process grid for SUMMA (one layer: the 2-D grid).
 
     Parent rank ``r`` maps to ``layer = r // (pr*pc)`` with the remainder
-    laid out row-major on the 2-D face.  ``fiber_comm`` connects the ``l``
-    processes sharing one 2-D grid position across layers (used for the
-    final reduction/merge of partial C blocks).
+    laid out row-major on the 2-D face.  ``row_comm`` spans the process's
+    face row (size ``pc``), ``col_comm`` its face column (size ``pr``).
+    ``fiber_comm`` connects the ``l`` processes sharing one face position
+    across layers (used for the final reduction of partial C blocks); a
+    one-layer grid has no fiber and leaves it ``None``.
     """
 
     comm: SimComm
@@ -96,7 +67,7 @@ class Grid3D:
     col: int
     row_comm: SimComm
     col_comm: SimComm
-    fiber_comm: SimComm
+    fiber_comm: Optional[SimComm]
 
 
 def make_grid3d(comm: SimComm, layers: int) -> Grid3D:
@@ -107,6 +78,6 @@ def make_grid3d(comm: SimComm, layers: int) -> Grid3D:
     row, col = divmod(rem, pc)
     row_comm = comm.split(color=layer * pr + row, key=col)
     col_comm = comm.split(color=layer * pc + col, key=row)
-    fiber_comm = comm.split(color=rem, key=layer)
-    assert row_comm is not None and col_comm is not None and fiber_comm is not None
+    fiber_comm = comm.split(color=rem, key=layer) if l > 1 else None
+    assert row_comm is not None and col_comm is not None
     return Grid3D(comm, pr, pc, l, layer, row, col, row_comm, col_comm, fiber_comm)

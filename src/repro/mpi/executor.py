@@ -559,9 +559,10 @@ class ResidentSession:
 
     Owns the :class:`SpmdSession` executor and its lifecycle —
     ``closed``, ``close()``, context-manager support — so every resident
-    session (:class:`repro.core.driver.TsSession`, the SUMMA and
-    shift-1.5D baseline sessions) shares one implementation of the
-    session contract and protocol changes happen in one place.  A
+    session (:class:`repro.core.driver.TsSession` and the SUMMA
+    baselines' :class:`repro.baselines.summa.SummaSession`) shares one
+    implementation of the session contract and protocol changes happen
+    in one place.  A
     subclass that *shares* another session's executor (derived
     edge-subset sessions) sets ``_owns_exec = False`` so its ``close()``
     leaves the parent's workers running.

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.baselines import petsc1d, summa2d, summa3d
+from repro.baselines import SummaSession, petsc1d, summa2d, summa3d
 from repro.sparse import BOOL_AND_OR, MIN_PLUS, PLUS_TIMES, CsrMatrix, spgemm
 from ..conftest import csr_from_dense, random_dense
 
@@ -103,11 +103,19 @@ class TestSumma3D:
         result = summa3d(a, b, 8, layers=2)
         assert "fiber-reduce" in result.report.phase_bytes()
 
-    def test_single_layer_equals_summa2d(self, rng):
+    @pytest.mark.parametrize("p, layers", [(4, 1), (5, 4), (1, 4)])
+    def test_single_layer_equals_summa2d(self, rng, p, layers):
+        """One layer — asked for, or the fallback when no divisor of ``p``
+        lies in 2..layers — is SUMMA-2D charge for charge: no fiber split
+        and no ``fiber-reduce`` phase."""
         a, b = make_inputs(rng)
-        r3 = summa3d(a, b, 4, layers=1)
-        r2 = summa2d(a, b, 4)
+        r3 = summa3d(a, b, p, layers=layers)
+        r2 = summa2d(a, b, p)
+        assert r3.diagnostics["layers"] == r2.diagnostics["layers"] == 1
         assert r3.C.equal(r2.C)
+        assert repr(r3.report.rank_stats) == repr(r2.report.rank_stats)
+        assert r3.multiply_time == r2.multiply_time
+        assert "fiber-reduce" not in r3.report.phase_bytes()
 
 
 class TestPetsc1D:
@@ -192,41 +200,29 @@ class TestCrossAlgorithmAgreement:
 class TestResidentSessions:
     """SUMMA sessions: A-side setup paid once, per-multiply results equal."""
 
-    @pytest.mark.parametrize("p", [1, 4, 6])
-    def test_summa2d_session_matches_per_call(self, rng, p):
-        from repro.baselines import Summa2dSession
-
+    @staticmethod
+    def _matches_per_call(rng, p, layers, per_call):
         a, _ = make_inputs(rng)
-        session = Summa2dSession(a, p)
-        try:
+        with SummaSession(a, p, layers=layers) as session:
             for density in (0.4, 0.1):
                 b = csr_from_dense(random_dense(rng, 24, 6, density))
-                fresh = summa2d(a, b, p)
-                assert session.multiply(b).C.equal(fresh.C)
-        finally:
-            session.close()
+                fresh, resident = per_call(a, b), session.multiply(b)
+                assert resident.C.equal(fresh.C)
+                assert repr(resident.report.rank_stats) == repr(fresh.report.rank_stats)
+
+    @pytest.mark.parametrize("p", [1, 4, 6])
+    def test_summa2d_session_matches_per_call(self, rng, p):
+        self._matches_per_call(rng, p, 1, lambda a, b: summa2d(a, b, p))
 
     @pytest.mark.parametrize("p", [4, 8])
     def test_summa3d_session_matches_per_call(self, rng, p):
-        from repro.baselines import Summa3dSession
-
-        a, _ = make_inputs(rng)
-        session = Summa3dSession(a, p, layers=2)
-        try:
-            for density in (0.4, 0.1):
-                b = csr_from_dense(random_dense(rng, 24, 6, density))
-                fresh = summa3d(a, b, p, layers=2)
-                assert session.multiply(b).C.equal(fresh.C)
-        finally:
-            session.close()
+        self._matches_per_call(rng, p, 2, lambda a, b: summa3d(a, b, p, layers=2))
 
     def test_session_multiply_report_excludes_setup(self, rng):
         """The per-multiply report is incremental: no setup extraction
         cost leaks into it (fresh clocks per task)."""
-        from repro.baselines import Summa2dSession
-
         a, b = make_inputs(rng)
-        session = Summa2dSession(a, 4)
+        session = SummaSession(a, 4, layers=1)
         try:
             result = session.multiply(b)
             assert result.report.runtime > 0

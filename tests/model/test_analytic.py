@@ -8,7 +8,6 @@ from repro.model import (
     petsc1d_cost,
     predict,
     spmm_cost,
-    summa2d_cost,
     summa3d_cost,
     ts_spgemm_cost,
 )
@@ -63,6 +62,17 @@ class TestCostShapes:
         with pytest.raises(ValueError):
             ts_spgemm_cost(W, 0)
 
+    def test_invalid_layers(self):
+        with pytest.raises(ValueError):
+            summa3d_cost(W, 4, layers=0)
+
+    @pytest.mark.parametrize("p", [1, 5, 7])
+    def test_summa3d_without_a_second_layer_is_summa2d(self, p):
+        """The layer count falls back as the simulated grid's does: with
+        no divisor of ``p`` in 2..4, SUMMA-3D runs one layer and costs
+        what SUMMA-2D costs."""
+        assert predict("SUMMA-3D", W, p) == predict("SUMMA-2D", W, p)
+
 
 class TestPaperOrderings:
     """The qualitative orderings the paper's figures report must hold."""
@@ -71,7 +81,7 @@ class TestPaperOrderings:
         # Figs 8-10: d=128, 80% sparse — TS-SpGEMM wins through 128 nodes
         for p in (16, 64, 256, 1024):
             ts = ts_spgemm_cost(W_PAPER, p).runtime
-            assert ts < summa2d_cost(W_PAPER, p).runtime, f"p={p}"
+            assert ts < summa3d_cost(W_PAPER, p, layers=1).runtime, f"p={p}"
             assert ts < summa3d_cost(W_PAPER, p).runtime, f"p={p}"
             assert ts <= petsc1d_cost(W_PAPER, p).runtime * 1.001, f"p={p}"
 
@@ -93,7 +103,7 @@ class TestPaperOrderings:
     def test_summa3d_comm_beats_summa2d_at_scale(self):
         # Fig 11 / §V-E: the communication-avoiding variant wins at scale
         big_p = 4096
-        c2 = summa2d_cost(W_PAPER, big_p).comm_time
+        c2 = predict("SUMMA-2D", W_PAPER, big_p).comm_time
         c3 = summa3d_cost(W_PAPER, big_p, layers=16).comm_time
         assert c3 < c2
 

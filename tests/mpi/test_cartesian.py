@@ -2,15 +2,7 @@
 
 import pytest
 
-from repro.mpi import (
-    CommMismatchError,
-    RankError,
-    layered_grid_dims,
-    make_grid2d,
-    make_grid3d,
-    run_spmd,
-    square_grid_dims,
-)
+from repro.mpi import layered_grid_dims, make_grid3d, run_spmd, square_grid_dims
 
 
 class TestSplit:
@@ -103,45 +95,56 @@ class TestGridDims:
         pr, pc, l = layered_grid_dims(6, 4)
         assert pr * pc * l == 6 and l == 3
 
+    @pytest.mark.parametrize("p, layers", [(0, 4), (4, 0)])
+    def test_layered_dims_refuse_empty_grids(self, p, layers):
+        with pytest.raises(ValueError):
+            layered_grid_dims(p, layers)
 
-class TestGrid2D:
+
+class TestOneLayerGrid:
+    """2-D SUMMA's grid is the one-layer :func:`make_grid3d`."""
+
     def test_coordinates_row_major(self):
         def program(comm):
-            g = make_grid2d(comm, 2, 3)
-            return (g.row, g.col)
+            g = make_grid3d(comm, 1)
+            return (g.pr, g.pc, g.row, g.col)
 
         values = run_spmd(6, program).values
-        assert values == [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 2)]
+        assert [v[:2] for v in values] == [(2, 3)] * 6
+        assert [v[2:] for v in values] == [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 2)]
 
     def test_row_and_col_comm_sizes(self):
         def program(comm):
-            g = make_grid2d(comm, 2, 3)
+            g = make_grid3d(comm, 1)
             return (g.row_comm.size, g.col_comm.size)
 
         assert run_spmd(6, program).values == [(3, 2)] * 6
 
     def test_row_bcast_stays_in_row(self):
         def program(comm):
-            g = make_grid2d(comm, 2, 2)
+            g = make_grid3d(comm, 1)
             return g.row_comm.bcast(g.row * 100 if g.col == 0 else None, root=0)
 
         values = run_spmd(4, program).values
         assert values == [0, 0, 100, 100]
 
-    def test_bad_dims_raise(self):
-        def program(comm):
-            make_grid2d(comm, 2, 2)
-
-        with pytest.raises(RankError) as exc_info:
-            run_spmd(6, program)
-        assert isinstance(exc_info.value.original, CommMismatchError)
-
     def test_auto_dims(self):
         def program(comm):
-            g = make_grid2d(comm)
-            return (g.pr, g.pc)
+            g = make_grid3d(comm, 1)
+            return (g.pr, g.pc, g.layers)
 
-        assert run_spmd(4, program).values == [(2, 2)] * 4
+        assert run_spmd(4, program).values == [(2, 2, 1)] * 4
+
+    @pytest.mark.parametrize("p, layers", [(4, 1), (1, 4), (5, 4)])
+    def test_one_layer_has_no_fiber(self, p, layers):
+        """One layer — asked for, or the fallback when no divisor of ``p``
+        lies in 2..layers — splits no fiber communicator."""
+
+        def program(comm):
+            g = make_grid3d(comm, layers)
+            return (g.layers, g.fiber_comm)
+
+        assert run_spmd(p, program).values == [(1, None)] * p
 
 
 class TestGrid3D:
