@@ -13,6 +13,7 @@ import numpy as np
 from repro.apps.msbfs import BfsIteration, BfsResult, _frontier_update, _msbfs_driver_loop
 from repro.baselines.registry import make_session
 from repro.core import DEFAULT_CONFIG, prepare_multiply, tiled_multiply
+from repro.core.gather_rows import place_rows
 from repro.core.symbolic import DIAGONAL, EMPTY, LOCAL, REMOTE, SubtileInfo, SymbolicPlan
 from repro.data import bfs_frontier
 from repro.mpi import PERLMUTTER, run_spmd
@@ -177,6 +178,36 @@ def three_pass_spa(a, b, semiring):
         (a.nrows, d), indptr, keys % d, np.concatenate(parts_vals), check=False
     )
     return result, total
+
+
+def two_pass_checked_row_ids(row_ids, hi, lo=0):
+    """``checked_row_ids`` as it was: a range scan (min and max), then an
+    order scan of every difference.  The one-comparison check must refuse
+    exactly what this refuses, with the same message."""
+    if len(row_ids) and (row_ids.min() < lo or row_ids.max() >= hi):
+        raise ValueError("placed row id out of range")
+    if len(row_ids) > 1 and np.any(np.diff(row_ids) <= 0):
+        raise ValueError("placed row ids must be strictly increasing")
+    return row_ids
+
+
+def per_strip_round(comm, strips, tiles, n, semiring, kernel, diag):
+    """``repro.core.tiled.multiply_round`` as a loop: each tile's received
+    rows placed at its producer's height and multiplied with the tile's
+    rows of its strip, one kernel call per tile — the consumer before the
+    tall view.  Same signature, same charges in the same order; what the
+    one-call round must equal part for part."""
+    parts = []
+    for j, r0, r1, global_ids, rows in tiles:
+        j_lo, j_hi = strips.col_ranges[j]
+        placed = place_rows(j_hi - j_lo, (global_ids - j_lo, rows), rows.ncols, semiring.dtype)
+        part, flops = dispatch_spgemm(
+            extract_row_range(strips[j], r0, r1), placed, semiring, kernel, ordered=False
+        )
+        comm.charge_seconds(comm.machine.spgemm_time(flops, d=rows.ncols, kernel=kernel))
+        diag.flops += flops
+        parts.append(part)
+    return parts
 
 
 def masked_column_split(mat, col_ranges):

@@ -24,16 +24,31 @@ A fourth holds a product only a merge reads — ``dispatch_spgemm`` with
 that one-shot tile and on the column block, equal to it once each row is
 sorted.  The kernels are called through ``dispatch_spgemm``, so every
 product compared with an oracle is the ordered one.
+A fifth captures the consumer rounds of a 64-source MS-BFS traversal of
+the ``msbfs_uk`` graph (p = 16, ``spa`` on booleans, d = 64) and holds the
+tiled consumer's one product per round (``multiply_round``) bit-identical
+to one product per tile (``_oracles.per_strip_round``) in fewer kernel
+calls, over all of them and on the round with the most tiles; its time
+ratios are printed, not gated.
 ``docs/kernels.md`` quotes the tables this bench writes to
 ``benchmarks/results/micro_kernels.txt``.
 """
 
+import contextlib
+import dataclasses
 import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from repro.analysis import fmt_seconds, print_table
+from repro.apps import msbfs_on_session
+from repro.core import TsSession, tiled
+from repro.core.tiled import TileDiagnostics
+from repro.data import load
+from repro.mpi import SCALED_PERLMUTTER
+from repro.sparse import kernels
 from repro.sparse import (
     BOOL_AND_OR,
     MIN_PLUS,
@@ -50,6 +65,7 @@ from repro.sparse.ops import extract_row_range
 
 from _oracles import (
     assert_bit_identical,
+    per_strip_round,
     scipy_objects_product,
     spgemm_hash_rowwise,
     spgemm_spa_rowwise,
@@ -303,10 +319,101 @@ def _gate_float_path(sink):
     )
 
 
-def bench_micro_kernel_table(benchmark, sink):
+def _captured_rounds(monkeypatch):
+    """Every consumer round of one 64-source MS-BFS traversal of the
+    ``msbfs_uk`` graph, as ``(strips, tiles, n)``."""
+    graph = load("uk", scale=1, seed=0).astype(np.bool_)
+    sources = np.random.default_rng(0).choice(graph.nrows, 64, replace=False)
+    rounds = []
+
+    def capture(comm, strips, tiles, n, semiring, kernel, diag):
+        rounds.append((strips, tiles, n))
+        return multiply_round(comm, strips, tiles, n, semiring, kernel, diag)
+
+    multiply_round = tiled.multiply_round
+    session = TsSession(graph, 16, semiring=BOOL_AND_OR, machine=SCALED_PERLMUTTER)
+    try:
+        with monkeypatch.context() as patch:
+            patch.setattr(tiled, "multiply_round", capture)
+            msbfs_on_session(session, sources)
+    finally:
+        session.close()
+    return rounds
+
+
+def _gate_round_product(sink, monkeypatch):
+    """One kernel call per consumer round against one per LOCAL tile, on
+    the captured rounds of a traversal and on its round with the most
+    tiles: parts bit-identical, flops and charges equal."""
+    rounds = _captured_rounds(monkeypatch)
+    # rank threads record in no fixed order: ties go to the most B entries
+    widest = max(rounds, key=lambda r: (len(r[1]), sum(t[4].nnz for t in r[1])))
+    charged = {"round": [], "tile": []}
+
+    def run(multiply, key, captured, repeats):
+        comm = SimpleNamespace(
+            charge_seconds=charged[key].append,
+            machine=SCALED_PERLMUTTER,
+            phase=lambda name: contextlib.nullcontext(),
+        )
+        for _ in range(repeats):
+            charged[key].clear()
+            diag = TileDiagnostics()
+            parts = [
+                multiply(comm, strips, tiles, n, BOOL_AND_OR, "spa", diag)
+                for strips, tiles, n in captured
+            ]
+        return parts, diag.flops
+
+    calls = {"n": 0}
+    spa = get_kernel("spa")
+
+    def counting(a, b, semiring):
+        calls["n"] += 1
+        return spa.fn(a, b, semiring)
+
+    rows = []
+    for label, captured, batch in [
+        (f"the traversal's {len(rounds)} rounds", rounds, 2),
+        (f"its widest round ({len(widest[1])} strips)", [widest], 50),
+    ]:
+        counted = []
+        with monkeypatch.context() as patch:
+            patch.setitem(kernels._REGISTRY, "spa", dataclasses.replace(spa, fn=counting))
+            for multiply, key in [(tiled.multiply_round, "round"), (per_strip_round, "tile")]:
+                calls["n"] = 0
+                run(multiply, key, captured, 1)
+                counted.append(calls["n"])
+        assert counted == [len(captured), sum(len(tiles) for _, tiles, _ in captured)]
+        assert counted[0] < counted[1]
+        (t_round, t_tile), ((parts, flops), (want, want_flops)) = best_of_interleaved(
+            [
+                lambda: run(tiled.multiply_round, "round", captured, batch),
+                lambda: run(per_strip_round, "tile", captured, batch),
+            ],
+            repeats=5,
+        )
+        assert flops == want_flops and charged["round"] == charged["tile"]
+        for got_round, want_round in zip(parts, want):
+            for got, expected in zip(got_round, want_round):
+                assert_bit_identical(got, expected)
+        rows.append([label, f"{counted[1]} -> {counted[0]}", flops,
+                     f"{t_tile / batch * 1e3:.2f} ms", f"{t_round / batch * 1e3:.2f} ms",
+                     f"{t_tile / t_round:.2f}x"])
+    print_table(
+        "One product per consumer round vs one per LOCAL tile, on the rounds "
+        "captured from an msbfs_uk traversal (spa, d = 64, best of 5; printed, "
+        "not gated)",
+        ["rounds", "kernel calls", "products", "per tile", "per round", "ratio"],
+        rows,
+        file=sink,
+    )
+
+
+def bench_micro_kernel_table(benchmark, sink, monkeypatch):
     """One table over all kernels, plus the measured tentpole assertion;
-    then the BFS-shaped ``spa`` gates (tile and column block) and the
-    float-path gates (same results file)."""
+    then the BFS-shaped ``spa`` gates (tile and column block), the
+    float-path gates and the captured consumer round (same results file)."""
     _check_agreement()
     times = {
         kernel: _best_of(
@@ -339,6 +446,7 @@ def bench_micro_kernel_table(benchmark, sink):
     )
     _gate_bfs_shaped(sink)
     _gate_float_path(sink)
+    _gate_round_product(sink, monkeypatch)
     benchmark(lambda: dispatch_spgemm(A, B, PLUS_TIMES, "esc-vectorized"))
 
 

@@ -9,10 +9,11 @@ tiled algorithm and the SpMM variant all share them.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
+from ..partition.distmat import _vstack_blocks
 from ..sparse.csr import INDEX_DTYPE, CsrMatrix
 from ..sparse.ops import extract_rows
 
@@ -43,17 +44,19 @@ def pack_nonempty_rows(mat: CsrMatrix) -> Tuple[np.ndarray, CsrMatrix]:
     return row_ids, rows
 
 
-def checked_row_ids(row_ids: np.ndarray, nrows: int) -> np.ndarray:
-    """``row_ids``, once they are known to place rows into a block of
-    height ``nrows``: in range and strictly increasing (producers build
-    them from sorted nonzero lists).  A repeated or unsorted id would
-    build a CSR whose indptr disagrees with the order of indices/data, or
-    lose or double part of a dense partial."""
-    if len(row_ids) and (row_ids.min() < 0 or row_ids.max() >= nrows):
+def checked_row_ids(row_ids: np.ndarray, hi: int, lo: int = 0) -> np.ndarray:
+    """``row_ids``, once known to place rows into rows ``[lo, hi)``: in
+    range and strictly increasing (one comparison, then the end ids; a
+    refusal rescans, so a range fault is named first).  A repeated or
+    unsorted id would build a CSR whose indptr disagrees with the order
+    of indices/data, or lose or double part of a dense partial."""
+    if len(row_ids) == 0 or (
+        lo <= row_ids[0] and row_ids[-1] < hi and (row_ids[1:] > row_ids[:-1]).all()
+    ):
+        return row_ids
+    if row_ids.min() < lo or row_ids.max() >= hi:
         raise ValueError("placed row id out of range")
-    if len(row_ids) > 1 and np.any(np.diff(row_ids) <= 0):
-        raise ValueError("placed row ids must be strictly increasing")
-    return row_ids
+    raise ValueError("placed row ids must be strictly increasing")
 
 
 def place_rows(
@@ -68,11 +71,27 @@ def place_rows(
     if payload is None:
         return CsrMatrix.empty((nrows, ncols), dtype=dtype)
     row_ids, rows = payload
+    return place_row_union(nrows, [(checked_row_ids(row_ids, nrows), rows)], ncols)
+
+
+def place_row_union(
+    nrows: int, payloads: List[Tuple[np.ndarray, CsrMatrix]], ncols: int
+) -> CsrMatrix:
+    """Place checked (:func:`checked_row_ids`) ``(row ids, rows)``
+    payloads into one ``nrows × ncols`` block.  An id in two payloads (two
+    row tiles that requested one ``B`` row) carries one row: its first copy
+    is placed.  A single payload's arrays are shared, not copied."""
+    row_ids, rows = payloads[0]
+    if len(payloads) > 1:
+        row_ids = np.concatenate([ids for ids, _ in payloads])
+        rows = _vstack_blocks([rows for _, rows in payloads], ncols)
+        if not (row_ids[1:] > row_ids[:-1]).all():
+            row_ids, first = np.unique(row_ids, return_index=True)
+            rows = extract_rows(rows, first)
     if rows.nrows != len(row_ids):
         raise ValueError("payload row count does not match id count")
     indptr = np.zeros(nrows + 1, dtype=INDEX_DTYPE)
-    counts = rows.row_nnz()
-    indptr[checked_row_ids(row_ids, nrows) + 1] = counts
+    indptr[row_ids + 1] = rows.row_nnz()
     np.cumsum(indptr, out=indptr)
     return CsrMatrix((nrows, ncols), indptr, rows.indices, rows.data, check=False)
 

@@ -22,6 +22,7 @@ import numpy as np
 from ..mpi.marker import rank_program
 from ..partition.distmat import DistDenseMatrix, DistSparseMatrix
 from ..sparse.kernels import dispatch_spmm
+from ..sparse.ops import extract_row_range
 from .config import DEFAULT_CONFIG, TsConfig
 from .gather_rows import checked_row_ids, pack_dense_rows, place_dense_rows
 from .plan import PreparedA, peer_tile_ranges, subtile_needed_rows
@@ -152,6 +153,19 @@ def spmm_multiply(
         for r0, part in tiles:
             c_local[r0 : r0 + len(part)] += part
 
+    def consume(strips, tiles):
+        """Per tile: a global-height dense operand would hold ``n × d``."""
+        parts = []
+        with comm.phase("local-compute"):
+            for j, r0, r1, row_ids, rows in tiles:
+                j_lo, j_hi = A.rows.range_of(j)
+                placed = place_dense_rows(j_hi - j_lo, (row_ids - j_lo, rows), d)
+                part, flops = dispatch_spmm(extract_row_range(strips[j], r0, r1), placed)
+                comm.charge_seconds(comm.machine.spmm_time(flops))
+                diag.flops += flops
+                parts.append(part)
+        return parts
+
     def add_rows(payload):
         row_ids, rows = payload
         c_local[checked_row_ids(row_ids, len(c_local))] += rows
@@ -160,12 +174,10 @@ def spmm_multiply(
         # Before the first exchange on both schedules (Alg 2 order): the
         # charge order the dense digests pin.
         diagonal_first=True,
-        pack=lambda row_ids: pack_dense_rows(B.local, row_ids),
+        pack=lambda id_lists: [pack_dense_rows(B.local, ids) for ids in id_lists],
         remote=remote,
         diagonal=diagonal,
-        product=dispatch_spmm,
-        price=comm.machine.spmm_time,
-        place=lambda nrows, payload: place_dense_rows(nrows, payload, d),
+        consume=consume,
         accumulate=accumulate,
         add_rows=add_rows,
         end_round=lambda: None,

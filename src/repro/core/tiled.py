@@ -66,13 +66,13 @@ from ..mpi.marker import rank_program
 from ..mpi.payload import payload_nbytes
 from ..partition.distmat import DistSparseMatrix
 from ..sparse.csr import INDEX_DTYPE, CsrMatrix
-from ..sparse.kernels import dispatch_spgemm, resolve_spgemm
+from ..sparse.kernels import dispatch_spgemm, resolve_spgemm, row_flops_before
 from ..sparse.merge import merge_bytes, merge_csrs
-from ..sparse.ops import extract_row_range
+from ..sparse.ops import extract_row_range, extract_rows
 from ..sparse.semiring import BOOL_AND_OR, PLUS_TIMES, Semiring
-from ..sparse.tile import strips_build_bytes
+from ..sparse.tile import ColumnStrips, strips_build_bytes
 from .config import DEFAULT_CONFIG, TsConfig
-from .gather_rows import pack_nonempty_rows, pack_rows, place_rows
+from .gather_rows import checked_row_ids, pack_nonempty_rows, place_row_union, place_rows
 from .plan import PreparedA, prepare_multiply, replan
 from .symbolic import (
     DIAGONAL,
@@ -201,12 +201,10 @@ class TileCodec:
     #: Pinned per kind: the order of charges on the virtual clock is part
     #: of every golden digest.
     diagonal_first: bool
-    pack: Callable  # my local B row ids -> ``(ids, rows)`` or ``None``
+    pack: Callable  # a step's LOCAL tiles' B row id lists -> ``(ids, rows)`` or ``None`` each
     remote: Callable  # (consumer, its REMOTE infos) -> ``send-C`` payload or ``None``
     diagonal: Callable  # my DIAGONAL infos -> None
-    product: Callable  # (A subtile, placed B block) -> ``(part, flops)``
-    price: Callable  # flops -> modelled compute seconds of ``product``
-    place: Callable  # (nrows, ``(row ids, B rows)``) -> a block of that height
+    consume: Callable  # (strips, a round's :func:`round_tiles`) -> each tile's part, charged
     accumulate: Callable  # ``[(first row, part)]`` of my row block -> None
     add_rows: Callable  # a received ``send-C`` payload -> None
     end_round: Callable  # () -> None, after each round's producers
@@ -237,6 +235,8 @@ def run_tile_steps(
     steps = tile_steps(comm.rank, p, config.tile_width_factor, fuse)
     diag.rounds = sum(len(rounds) for _, rounds in steps)
     my_lo, _ = A.rows.range_of(comm.rank)
+    my_nrows = A.local.nrows
+    ranges = row_tile_ranges(my_nrows, config.effective_tile_height(my_nrows))
     local, remote = plan.by_mode[LOCAL], plan.by_mode[REMOTE]
 
     def send_c(consumers):
@@ -253,14 +253,13 @@ def run_tile_steps(
         # all-to-alls.  Avoiding that duplication is precisely what the
         # remote mode is for (Fig 4c), so "optimizing" it away here would
         # erase the hybrid mode's benefit (Fig 6).
+        wanted = [(peer, info) for peer in consumers for info in local.get(peer, ())]
         send_b: List[Optional[list]] = [None] * p
-        for peer in consumers:
-            tiles = []
-            for info in local.get(peer, ()):
-                packed = codec.pack(info.needed_b_rows)
-                if packed is not None:
-                    tiles.append((info.row_tile, my_lo + packed[0], packed[1]))
-            send_b[peer] = tiles or None
+        packed = codec.pack([info.needed_b_rows for _, info in wanted]) if wanted else []
+        for (peer, info), tile in zip(wanted, packed):
+            if tile is not None:
+                send_b[peer] = send_b[peer] or []
+                send_b[peer].append((info.row_tile, my_lo + tile[0], tile[1]))
         sections = [*head, ("fetch-B", send_b)]
         if prologue is None:
             received, _ = exchange_sections(
@@ -296,12 +295,13 @@ def run_tile_steps(
         # delivered them: identical accumulation order, bit-identical C.
         for active in producer_rounds:
             with comm.phase("local-compute"):
+                tiles = round_tiles(strips, recv_b, active, ranges, A.rows)
+                parts = {}
+                for (j, r0, *_), part in zip(tiles, codec.consume(strips, tiles) if tiles else ()):
+                    parts.setdefault(j, []).append((r0, part))
                 for j in active:
-                    if recv_b[j] is not None:
-                        codec.accumulate(consume_strip(
-                            comm, codec, strips[j], recv_b[j],
-                            A.rows.range_of(j), config, diag,
-                        ))
+                    if j in parts:
+                        codec.accumulate(parts[j])
                     if recv_c[j] is not None:
                         codec.add_rows(recv_c[j])
             codec.end_round()
@@ -394,13 +394,20 @@ def tiled_multiply(
                     _stack_row_tiles([(info.row_range[0], c_part)], my_nrows, d, semiring)
                 )
 
-    def pack(row_ids):
-        packed = pack_rows(B.local, row_ids)
-        if packed is not None:
-            diag.sent_b_nnz += packed[1].nnz
-            with comm.phase("fetch-B"):
-                comm.charge_touch(packed[1].nbytes_estimate())
-        return packed
+    def pack(id_lists):
+        """One gather for a step's tiles; each ships (and is charged as)
+        its row-range view of it."""
+        gathered = extract_rows(B.local, np.concatenate(id_lists))
+        payloads, stop = [], 0
+        for row_ids in id_lists:
+            start, stop = stop, stop + len(row_ids)
+            rows = extract_row_range(gathered, start, stop)
+            if start < stop:
+                diag.sent_b_nnz += rows.nnz
+                with comm.phase("fetch-B"):
+                    comm.charge_touch(rows.nbytes_estimate())
+            payloads.append((row_ids, rows) if start < stop else None)
+        return payloads
 
     def remote(peer, infos):
         """Multiply one consumer's remote-mode subtiles here.  Only the
@@ -439,9 +446,9 @@ def tiled_multiply(
         pack=pack,
         remote=remote,
         diagonal=diagonal,
-        product=lambda sub, b: dispatch_spgemm(sub, b, semiring, kname, ordered=False),
-        price=lambda flops: comm.machine.spgemm_time(flops, d=d, kernel=kname),
-        place=lambda nrows, payload: place_rows(nrows, payload, d, semiring.dtype),
+        consume=lambda strips, tiles: multiply_round(
+            comm, strips, tiles, A.rows.n, semiring, kname, diag
+        ),
         accumulate=accumulate,
         add_rows=lambda payload: partials.append(
             place_rows(my_nrows, payload, d, semiring.dtype)
@@ -530,45 +537,64 @@ def ac_subtile(A: DistSparseMatrix, peer: int, row_range) -> CsrMatrix:
 # ----------------------------------------------------------------------
 # consumer helpers
 # ----------------------------------------------------------------------
-def consume_strip(comm, codec, strip, payload, producer_range, config, diag) -> list:
-    """Multiply my local-mode row tiles of ``strip`` with received B rows;
-    returns their ``(first row, part)`` products.
-
-    ``payload`` holds one ``(row tile id, global B row ids, rows)`` entry
-    per local-mode tile; each tile multiplies against its own copy of the
-    rows it requested.
-    """
-    j_lo, j_hi = producer_range
-    ranges = row_tile_ranges(strip.nrows, config.effective_tile_height(strip.nrows))
+def round_tiles(strips: ColumnStrips, recv_b, active, ranges, rows) -> list:
+    """A round's ``fetch-B`` entries whose strip rows hold entries, as
+    ``(producer, first row, end row, global B row ids, B rows)``.  Output
+    is placed by row range and stacked in payload order, so a row tile id
+    out of the producer's (ascending) order raises, as does a B row id
+    outside its producer's block, out of order or repeated."""
     tiles = []
-    for (r0, r1), global_ids, rows in checked_row_tiles(payload, ranges):
-        sub = extract_row_range(strip, r0, r1)
-        if sub.nnz == 0:
-            continue
-        part, flops = codec.product(sub, codec.place(j_hi - j_lo, (global_ids - j_lo, rows)))
-        comm.charge_seconds(codec.price(flops))
-        diag.flops += flops
-        tiles.append((r0, part))
+    for j in active:
+        last_rt, (j_lo, j_hi), indptr = -1, rows.range_of(j), strips[j].indptr
+        for rt, global_ids, b_rows in recv_b[j] or ():
+            if not last_rt < rt < len(ranges):
+                raise ValueError(
+                    f"fetch-B payload row tile {rt} after {last_rt}: ids must be "
+                    f"strictly increasing and below {len(ranges)}"
+                )
+            last_rt, (r0, r1) = rt, ranges[rt]
+            if indptr[r1] > indptr[r0]:
+                tiles.append((j, r0, r1, checked_row_ids(global_ids, j_hi, j_lo), b_rows))
     return tiles
 
 
-def checked_row_tiles(payload, ranges):
-    """Yield ``(row range, global B row ids, rows)`` per ``fetch-B`` entry.
+def multiply_round(comm, strips: ColumnStrips, tiles, n: int, semiring, kernel, diag) -> list:
+    """Alg 2 line 28 for one round, in one kernel call: the round's B rows,
+    placed once at global height ``n``, times the tiles' rows of
+    :attr:`ColumnStrips.tall`.  A kernel computes a row from its entries
+    alone, and a tile's entries select only rows it requested, so each
+    part is array for array the tile's own product; each tile is charged
+    the flops ``row_flops_before`` reads at its bounds, in tile order."""
+    a, starts = _tall_rows(strips, tiles)
+    d = tiles[0][4].ncols
+    b = place_row_union(n, [(ids, rows) for *_, ids, rows in tiles], d)
+    product, _ = dispatch_spgemm(a, b, semiring, kernel, ordered=False)
+    before = row_flops_before(a, b)
+    parts = []
+    with comm.phase("local-compute"):
+        for (_, r0, r1, _, _), start in zip(tiles, starts):
+            flops = int(before[start + r1 - r0] - before[start])
+            comm.charge_seconds(comm.machine.spgemm_time(flops, d=d, kernel=kernel))
+            diag.flops += flops
+            parts.append(extract_row_range(product, start, start + r1 - r0))
+    return parts
 
-    Consumers place each tile's output by its row range and stack in
-    payload order, relying on the producer's order (plan row tiles,
-    ascending): any other id would misplace or drop output rows, so it
-    raises instead.
-    """
-    last_rt = -1
-    for rt, global_ids, rows in payload:
-        if not last_rt < rt < len(ranges):
-            raise ValueError(
-                f"fetch-B payload row tile {rt} after {last_rt}: ids must be "
-                f"strictly increasing and below {len(ranges)}"
-            )
-        last_rt = rt
-        yield ranges[rt], global_ids, rows
+
+def _tall_rows(strips: ColumnStrips, tiles) -> Tuple[CsrMatrix, List[int]]:
+    """The tall-view rows of ``tiles`` and each tile's first row in them:
+    one view when no row in between can multiply (only gaps inside
+    sending strips meet placed B rows), else a gather of the tiles' rows."""
+    m = strips[0].nrows
+    spans = [(j, j * m + r0, j * m + r1) for j, r0, r1, _, _ in tiles]
+    ptr = strips.tall.indptr
+    first = spans[0][1]
+    if all(
+        ptr[min(nxt, (j + 1) * m)] == ptr[end] and ptr[nxt] == ptr[max(end, k * m)]
+        for (j, _, end), (k, nxt, _) in zip(spans, spans[1:])
+    ):
+        return extract_row_range(strips.tall, first, spans[-1][2]), [s - first for _, s, _ in spans]
+    ids = np.concatenate([np.arange(start, end) for _, start, end in spans])
+    return extract_rows(strips.tall, ids), np.searchsorted(ids, [s for _, s, _ in spans])
 
 
 def _stack_row_tiles(

@@ -195,23 +195,20 @@ def summa3d_cost(
     """3-D SUMMA: 2-D SUMMA on a p/l face over 1/l of the inner dimension,
     plus a fiber reduction of the partial C blocks across layers.
 
-    ``l`` falls back as the simulated grid's does
-    (:func:`~repro.mpi.cartesian.layered_grid_dims`); at ``l = 1`` this is
-    2-D SUMMA: √p stages broadcasting blocks of *both* A and B."""
-    l = layered_grid_dims(p, layers)[2]
+    The grid and stages are the simulated ones
+    (:func:`~repro.mpi.cartesian.layered_grid_dims`): ``pc`` stages on a
+    ``pr × pc`` face, each broadcasting an A block over ``pc`` ranks and
+    a B chunk (``1/pc`` of the slice's rows by ``1/pc`` of its columns)
+    over ``pr``.  At ``l = 1`` this is 2-D SUMMA."""
+    pr, pc, l = layered_grid_dims(p, layers)
     face = p // l
     # One layer's operands: A[:, slice] with nnz(A)/l, B[slice, :] with
     # nnz(B)/l, 2-D SUMMA'd on the face grid.
-    if face == 1:
-        face_comm = 0.0
-    else:
-        q = max(int(round(math.sqrt(face))), 1)
-        a_block_bytes = w.n * w.kA / l / face * BYTES_PER_NNZ
-        b_chunk_bytes = w.n * w.kB / l / face * BYTES_PER_NNZ
-        face_comm = q * (
-            machine.bcast(q, int(a_block_bytes))
-            + machine.bcast(q, int(b_chunk_bytes))
-        )
+    a_block_bytes = w.n * w.kA / l / face * BYTES_PER_NNZ
+    b_chunk_bytes = w.n * w.kB / l / (pc * pc) * BYTES_PER_NNZ
+    face_comm = pc * (
+        machine.bcast(pc, int(a_block_bytes)) + machine.bcast(pr, int(b_chunk_bytes))
+    )
     if l > 1:
         # Reduce-scatter across the fiber (CombBLAS splits C across
         # layers): volume (l−1)/l of the block, log l latency depth.

@@ -101,6 +101,10 @@ class ColumnStrips:
     (:meth:`refresh_values`, ``ResidentOperand.refresh_values``).
     ``source`` is the block the strips currently hold the values of.
 
+    ``tall`` is the split strip-major with *global* column ids (row
+    ``j · nrows + r`` is row ``r`` of strip ``j``; the strips' values):
+    what the tiled consumer multiplies once per round.
+
     ``col_ranges`` must tile ``[0, mat.ncols)`` contiguously (empty ranges
     allowed), as ``Block1D.ranges`` does: the split finds every entry's
     owner with one lookup on the range starts.
@@ -129,25 +133,23 @@ class ColumnStrips:
         counts = np.bincount(owner, minlength=p)
         self._cuts: List[int] = [0, *np.cumsum(counts).tolist()]
         self.selections: List[np.ndarray] = self._per_strip(self._order)
-        indices = mat.indices[self._order]
-        indices -= np.repeat(starts, counts)
-        # Entries per (strip, row), summed along the rows: every indptr.
+        # Entries per (strip, row), prefix-summed: the tall view's indptr.
         cell = owner.astype(INDEX_DTYPE)
         cell *= nrows
         cell += mat.row_ids()
-        indptr = np.zeros((p, nrows + 1), dtype=INDEX_DTYPE)
-        np.cumsum(
-            np.bincount(cell, minlength=p * nrows).reshape(p, nrows),
-            axis=1,
-            out=indptr[:, 1:],
+        ptr = np.zeros(p * nrows + 1, dtype=INDEX_DTYPE)
+        np.cumsum(np.bincount(cell, minlength=p * nrows), out=ptr[1:])
+        order = self._order
+        self.tall = CsrMatrix(
+            (p * nrows, mat.ncols), ptr, mat.indices[order], mat.data[order], check=False
         )
+        local = self._per_strip(self.tall.indices - np.repeat(starts, counts))
         self.strips: List[CsrMatrix] = [
-            CsrMatrix((nrows, c1 - c0), ptr, idx, vals, check=False)
-            for (c0, c1), ptr, idx, vals in zip(
-                self.col_ranges,
-                indptr,
-                self._per_strip(indices),
-                self._per_strip(mat.data[self._order]),
+            CsrMatrix(
+                (nrows, c1 - c0), ptr[j * nrows : (j + 1) * nrows + 1] - cut, idx, vals, check=False
+            )
+            for j, ((c0, c1), cut, idx, vals) in enumerate(
+                zip(self.col_ranges, self._cuts, local, self._per_strip(self.tall.data))
             )
         ]
 
@@ -173,9 +175,11 @@ class ColumnStrips:
         """
         if (mat.nrows, mat.nnz) != (self.source.nrows, len(self._order)):
             raise ValueError("refresh_values requires an identical pattern")
+        t = self.tall
+        self.tall = CsrMatrix(t.shape, t.indptr, t.indices, mat.data[self._order], check=False)
         self.strips = [
             CsrMatrix(s.shape, s.indptr, s.indices, vals, check=False)
-            for s, vals in zip(self.strips, self._per_strip(mat.data[self._order]))
+            for s, vals in zip(self.strips, self._per_strip(self.tall.data))
         ]
         self.source = mat
 

@@ -6,14 +6,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.gather_rows import (
+    checked_row_ids,
     pack_dense_rows,
     pack_nonempty_rows,
     pack_rows,
     place_dense_rows,
+    place_row_union,
     place_rows,
 )
 from repro.sparse import CsrMatrix
 from repro.sparse.ops import extract_row_range, extract_rows
+
+from _oracles import two_pass_checked_row_ids
 from ..conftest import csr_from_dense, random_dense
 
 
@@ -163,3 +167,61 @@ class TestDensePackPlace:
         placed = place_dense_rows(3, None, 2, dtype=np.float32)
         assert placed.dtype == np.float32
         assert place_dense_rows(3, None, 2).dtype == np.float64
+
+
+@st.composite
+def placed_row_ids(draw):
+    """Row ids for a block ``[lo, hi)``: sorted, unsorted, repeated,
+    negative and too large, alone or together."""
+    lo = draw(st.integers(0, 5))
+    hi = lo + draw(st.integers(0, 8))
+    ids = draw(st.lists(st.integers(lo - 3, hi + 3), max_size=10))
+    if draw(st.booleans()):
+        ids = sorted(set(ids))  # the producers' shape, still possibly out of range
+    return np.array(ids, dtype=np.int64), hi, lo
+
+
+@given(placed_row_ids())
+@settings(max_examples=400, deadline=None)
+def test_one_comparison_check_refuses_what_the_two_pass_check_did(case):
+    ids, hi, lo = case
+
+    def outcome(check):
+        try:
+            return check(ids, hi, lo) is ids
+        except ValueError as err:
+            return str(err)
+
+    assert outcome(checked_row_ids) == outcome(two_pass_checked_row_ids)
+
+
+class TestPlaceRowUnion:
+    def test_disjoint_payloads_are_placed_in_order(self, rng):
+        mat = csr_from_dense(random_dense(rng, 12, 4, 0.5))
+        parts = [pack_rows(mat, np.array(ids)) for ids in ([1, 3], [6], [8, 11])]
+        placed = place_row_union(12, parts, 4)
+        want = place_rows(12, pack_rows(mat, np.array([1, 3, 6, 8, 11])), 4, mat.dtype)
+        np.testing.assert_array_equal(placed.to_dense(), want.to_dense())
+        np.testing.assert_array_equal(placed.indptr, want.indptr)
+
+    def test_a_shared_row_is_placed_once(self, rng):
+        """Two row tiles that requested one B row each carry a copy."""
+        mat = csr_from_dense(random_dense(rng, 10, 4, 0.6))
+        parts = [pack_rows(mat, np.array(ids)) for ids in ([2, 5, 7], [0, 5, 9])]
+        placed = place_row_union(10, parts, 4)
+        want = place_rows(10, pack_rows(mat, np.array([0, 2, 5, 7, 9])), 4, mat.dtype)
+        np.testing.assert_array_equal(placed.indptr, want.indptr)
+        np.testing.assert_array_equal(placed.indices, want.indices)
+        np.testing.assert_array_equal(placed.data, want.data)
+
+    def test_one_payload_shares_its_arrays(self, rng):
+        mat = csr_from_dense(random_dense(rng, 6, 3, 0.6))
+        ids, rows = pack_rows(mat, np.array([1, 4]))
+        placed = place_row_union(6, [(ids, rows)], 3)
+        assert placed.indices is rows.indices and placed.data is rows.data
+
+    def test_row_count_mismatch_rejected(self, rng):
+        mat = csr_from_dense(random_dense(rng, 6, 3, 0.6))
+        _, rows = pack_rows(mat, np.array([1, 4]))
+        with pytest.raises(ValueError, match="row count"):
+            place_row_union(6, [(np.array([0]), rows)], 3)

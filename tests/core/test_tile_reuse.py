@@ -7,8 +7,11 @@ product; under ``bool_and_or`` a REMOTE or DIAGONAL subtile's rows of it
 multiplying again.  These tests count kernel calls through a kernel
 registered the public way, pin ``C`` and the ``SpmdReport`` to a recompute
 with the kept products stripped, and check the three situations in which
-the kept product must not be taken.  The last class covers the ordering
-the engine's consumer (``consume_strip``) relies on instead of sorting.
+the kept product must not be taken.  The consumer multiplies a round's
+LOCAL tiles in one call, so a multiply makes one kernel call per
+(consumer, round) pair that holds a LOCAL tile (:func:`local_rounds`),
+not one per tile.  The last class covers the checks the engine's consumer
+(``round_tiles``) relies on instead of sorting.
 
 Two numbers that used to coincide and no longer do: ``P`` — the kernel
 calls of the symbolic step, one column-block product per rank — and
@@ -23,22 +26,22 @@ import numpy as np
 import pytest
 
 from repro.core import TsConfig, prepare_multiply, replan, tiled_multiply
-from repro.core.gather_rows import place_dense_rows, place_rows
-from repro.core.symbolic import DIAGONAL, REMOTE
-from repro.core.tiled import TileCodec, TileDiagnostics, _stack_row_tiles, consume_strip
-from repro.mpi import run_spmd
-from repro.mpi.errors import RankError
-from repro.partition import DistSparseMatrix
-from repro.sparse import (
-    BOOL_AND_OR,
-    PLUS_TIMES,
-    CsrMatrix,
-    dispatch_spgemm,
-    dispatch_spmm,
-    get_kernel,
+from repro.core.symbolic import DIAGONAL, LOCAL, REMOTE, row_tile_ranges
+from repro.core.tiled import (
+    TileDiagnostics,
+    _stack_row_tiles,
+    multiply_round,
+    round_tiles,
+    tile_rounds,
 )
+from repro.mpi import run_spmd
+from repro.partition import Block1D, DistSparseMatrix
+from repro.sparse import BOOL_AND_OR, PLUS_TIMES, CsrMatrix, get_kernel
 from repro.sparse import kernels
 from repro.sparse.ops import extract_row_range
+from repro.sparse.tile import ColumnStrips
+
+from _oracles import per_strip_round
 
 from ..conftest import csr_from_dense, random_dense
 
@@ -114,6 +117,26 @@ def multiply(a, b, semiring, config, *, strip=False, prologue=None):
     return blocks, diags, sum(v[2] for v in result.values), result.report
 
 
+def local_rounds(a, b, config):
+    """(consumer, round) pairs holding a LOCAL tile: one round product
+    each.  Planned with the ``auto`` kernel, so no counted call."""
+    config = dataclasses.replace(config, kernel="auto")
+    width = config.tile_width_factor
+
+    def program(comm):
+        dist_a = DistSparseMatrix.scatter_rows(comm, a)
+        dist_a.build_column_copy()
+        dist_b = DistSparseMatrix.scatter_rows(comm, b)
+        plan = replan(prepare_multiply(dist_a, config), dist_a, dist_b)
+        return [(i, comm.rank) for i, infos in plan.by_mode[LOCAL].items() if infos]
+
+    pairs = {pair for rank in run_spmd(P, program).values for pair in rank}
+    return len({
+        (i, next(k for k, (_, prods) in enumerate(tile_rounds(i, P, width)) if j in prods))
+        for i, j in pairs
+    })
+
+
 def vstack(blocks):
     return np.vstack([blk.to_dense() for blk in blocks])
 
@@ -162,7 +185,9 @@ class TestKeptSymbolicProduct:
         remote, local = total(diags, "remote_tiles"), total(diags, "local_tiles")
         assert remote > 0 and local > 0, "operands must exercise both modes"
         diagonal = total(diags, "diagonal_tiles")
-        assert once == P + local  # one column-block product per rank
+        rounds = local_rounds(a, b, config)
+        assert 0 < rounds <= local
+        assert once == P + rounds  # one column-block product per rank
 
         counter.calls = 0
         ref_blocks, ref_diags, kept, ref_report = multiply(
@@ -188,8 +213,24 @@ class TestKeptSymbolicProduct:
         # float subtiles are sized in replan, not multiplied
         assert total(diags, "symbolic_products") > 0
         assert counter.calls == (
-            total(diags, "diagonal_tiles") + total(diags, "local_tiles") + remote
+            total(diags, "diagonal_tiles") + local_rounds(a, b, config) + remote
         )
+        np.testing.assert_allclose(vstack(blocks), a.to_dense() @ b.to_dense())
+
+    @pytest.mark.parametrize("width", [1, 16])
+    def test_one_kernel_call_per_round_not_per_tile(self, rng, counter, width):
+        """Every tile LOCAL, three row tiles per strip: the consumer's
+        calls are its rounds, across one round (width 16) or four."""
+        a = csr_from_dense(random_dense(rng, N, N, 0.25))
+        b = csr_from_dense(random_dense(rng, N, D, 0.6))
+        config = TsConfig(
+            kernel=KERNEL, tile_height=4, mode_policy="local", tile_width_factor=width
+        )
+        blocks, diags, _, _ = multiply(a, b, PLUS_TIMES, config)
+        rounds = local_rounds(a, b, config)
+        assert rounds == (P * (P - 1) if width == 1 else P)
+        assert rounds < total(diags, "local_tiles")
+        assert counter.calls == total(diags, "diagonal_tiles") + rounds
         np.testing.assert_allclose(vstack(blocks), a.to_dense() @ b.to_dense())
 
     def test_other_semiring_on_boolean_operands_recomputes(self, rng, counter):
@@ -201,7 +242,7 @@ class TestKeptSymbolicProduct:
         remote = total(diags, "remote_tiles")
         assert remote > 0
         assert counter.calls == (
-            P + total(diags, "diagonal_tiles") + total(diags, "local_tiles") + remote
+            P + total(diags, "diagonal_tiles") + local_rounds(a, b, config) + remote
         )
         np.testing.assert_array_equal(
             vstack(blocks), a.to_dense().astype(float) @ b.to_dense().astype(float)
@@ -230,7 +271,7 @@ class TestKeptSymbolicProduct:
         remote = total(diags, "remote_tiles")
         assert remote > 0
         assert counter.calls == (
-            P + total(diags, "diagonal_tiles") + total(diags, "local_tiles") + remote
+            P + total(diags, "diagonal_tiles") + local_rounds(a, b, config) + remote
         )
         assert not any(blk.data.any() for blk in blocks)
         assert_blocks_identical(blocks, multiply(a_off, b, BOOL_AND_OR, config)[0])
@@ -300,56 +341,55 @@ class TestKeptSymbolicProduct:
             assert all(i[3] for i in infos)  # nothing to keep
 
 
-class TestConsumeStrip:
-    """The engine's consumer, under both payload codecs: products are
-    placed by the payload's row tile ids, so the producer's order is
-    checked (stacking replaced sorting; an id the consumer cannot place
-    once dropped the tile's output rows silently)."""
+class TestRoundTiles:
+    """The engine's consumer: products are placed by the payload's row
+    tile ids, and B rows by their global ids, so the producer's order is
+    checked before anything is multiplied (stacking replaced sorting; an
+    id the consumer cannot place once dropped the tile's output rows
+    silently).  Producer 1 owns columns ``[8, 16)`` of an 8-row block cut
+    into four row tiles."""
 
-    @staticmethod
-    def _codec(kind):
-        if kind == "sparse":
-            rows = csr_from_dense(np.ones((8, 3)))
-            product = lambda sub, b: dispatch_spgemm(sub, b, PLUS_TIMES, "esc-vectorized")
-            place = lambda nrows, payload: place_rows(nrows, payload, 3, np.float64)
-        else:
-            rows = np.ones((8, 3))
-            product = dispatch_spmm
-            place = lambda nrows, payload: place_dense_rows(nrows, payload, 3)
-        codec = TileCodec(
-            diagonal_first=True, pack=None, remote=None, diagonal=None,
-            product=product, price=lambda flops: 1e-9 * flops, place=place,
-            accumulate=None, add_rows=None, end_round=None,
-        )
-        return codec, rows
+    strips = ColumnStrips(csr_from_dense(np.hstack([np.eye(8), np.eye(8)])), [(0, 8), (8, 16)])
+    ranges = row_tile_ranges(8, 2)
+    rows = Block1D(16, 2)
 
-    def _consume(self, kind, tile_ids):
-        codec, rows = self._codec(kind)
-        strip = csr_from_dense(np.eye(8))
-        payload = [(rt, np.arange(8), rows) for rt in tile_ids]
-        config = TsConfig(tile_height=2)  # four row tiles of the strip
+    def _tiles(self, tile_ids, ids_of=lambda rt: np.arange(8 + 2 * rt, 10 + 2 * rt)):
+        payload = [(rt, ids_of(rt), csr_from_dense(np.ones((2, 3)))) for rt in tile_ids]
+        return round_tiles(self.strips, [None, payload], range(2), self.ranges, self.rows)
+
+    @pytest.mark.parametrize("multiply", [multiply_round, per_strip_round])
+    def test_in_order_payload_places_each_tile(self, multiply):
+        tiles = self._tiles([0, 2, 3])
+        assert [(j, r0, r1) for j, r0, r1, _, _ in tiles] == [(1, 0, 2), (1, 4, 6), (1, 6, 8)]
 
         def program(comm):
             diag = TileDiagnostics()
-            tiles = consume_strip(comm, codec, strip, payload, (0, 8), config, diag)
-            return tiles, diag.flops, comm.time
+            parts = multiply(comm, self.strips, tiles, 16, PLUS_TIMES, "esc-vectorized", diag)
+            per_tile = comm.machine.spgemm_time(6, d=3, kernel="esc-vectorized")
+            return parts, diag.flops, comm.time, per_tile
 
-        return run_spmd(1, program).values[0]
+        parts, flops, elapsed, per_tile = run_spmd(1, program).values[0]
+        for part in parts:
+            np.testing.assert_array_equal(part.to_dense(), np.ones((2, 3)))
+        assert flops == 18 and elapsed == pytest.approx(3 * per_tile)
 
-    @pytest.mark.parametrize("kind", ["sparse", "dense"])
-    def test_in_order_payload_places_each_tile(self, kind):
-        tiles, flops, elapsed = self._consume(kind, [0, 2, 3])
-        assert [r0 for r0, _ in tiles] == [0, 4, 6]
-        for _, part in tiles:
-            dense = part.to_dense() if kind == "sparse" else part
-            np.testing.assert_array_equal(dense, np.ones((2, 3)))
-        assert flops == 18 and elapsed == pytest.approx(18e-9)
-
-    @pytest.mark.parametrize("kind", ["sparse", "dense"])
     @pytest.mark.parametrize("tile_ids", [[0, 4], [1, 0], [2, 2]])
-    def test_unplaceable_payload_raises(self, kind, tile_ids):
-        with pytest.raises(RankError, match="strictly increasing and below 4"):
-            self._consume(kind, tile_ids)
+    def test_unplaceable_row_tile_raises(self, tile_ids):
+        with pytest.raises(ValueError, match="strictly increasing and below 4"):
+            self._tiles(tile_ids)
+
+    @pytest.mark.parametrize(
+        "ids, message",
+        [
+            ([7, 8], "out of range"),  # the first id is producer 0's
+            ([15, 16], "out of range"),  # past producer 1's block
+            ([9, 9], "strictly increasing"),  # repeated
+            ([10, 9], "strictly increasing"),  # unsorted
+        ],
+    )
+    def test_unplaceable_b_row_raises(self, ids, message):
+        with pytest.raises(ValueError, match=message):
+            self._tiles([1], ids_of=lambda rt: np.array(ids))
 
 
 def test_a_tile_spanning_the_block_is_not_rebuilt():

@@ -1,5 +1,8 @@
 """Tests for the closed-form §III-E cost models."""
 
+import json
+from pathlib import Path
+
 import pytest
 
 from repro.model import (
@@ -11,6 +14,8 @@ from repro.model import (
     summa3d_cost,
     ts_spgemm_cost,
 )
+from repro.mpi.cartesian import layered_grid_dims
+from repro.mpi.costmodel import PERLMUTTER, PROFILES
 
 W = Workload(n=1_000_000, kA=16, d=128, b_sparsity=0.8)
 #: uk-2002-scale workload used for the paper-ordering checks
@@ -163,3 +168,44 @@ class TestSimulatorCrossCheck:
         # modelled comm time within ~5x of the simulator's
         assert modelled.comm_time < measured.comm_time * 5
         assert measured.comm_time < max(modelled.comm_time, 1e-9) * 20
+
+
+class TestSummaFaceGrid:
+    """The SUMMA closed form prices the grid the simulator runs:
+    ``layered_grid_dims``' ``pr × pc`` face, ``pc`` stages, A blocks
+    broadcast over ``pc`` ranks and B chunks over ``pr``."""
+
+    GOLDEN = Path(__file__).with_name("summa_square_golden.json")
+    WORKLOADS = {
+        "W": W,
+        "W_PAPER": W_PAPER,
+        "uk-small": Workload(n=4096, kA=8, d=64, b_sparsity=0.99),
+    }
+
+    def test_square_faces_are_unchanged(self):
+        """Where ``pr == pc`` the stage count was already right: every
+        value, recorded before the fix, to the last bit."""
+        golden = json.loads(self.GOLDEN.read_text())
+        assert len(golden) == 360
+        for key, want in golden.items():
+            name, p, layers, profile = key.split("|")
+            pr, pc, _ = layered_grid_dims(int(p), int(layers))
+            assert pr == pc
+            cost = summa3d_cost(
+                self.WORKLOADS[name], int(p), layers=int(layers), machine=PROFILES[profile]
+            )
+            assert repr((cost.comm_time, cost.compute_time)) == want, key
+
+    @pytest.mark.parametrize("p", [2, 8, 32, 128])
+    def test_non_square_face_broadcasts(self, p):
+        """p = 2 is a 1 × 2 face: two stages whose A broadcasts cost; the
+        old √p stage count rounded to one stage and priced it at 0 s."""
+        pr, pc, _ = layered_grid_dims(p, 1)
+        assert pr < pc
+        cost = summa3d_cost(W, p, layers=1)
+        assert cost.comm_time > 0
+        a_bytes = int(W.n * W.kA / p * 16)
+        b_bytes = int(W.n * W.kB / (pc * pc) * 16)
+        assert cost.comm_time == pytest.approx(
+            pc * (PERLMUTTER.bcast(pc, a_bytes) + PERLMUTTER.bcast(pr, b_bytes))
+        )
