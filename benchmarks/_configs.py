@@ -51,3 +51,18 @@ FIG11 = dict(
     model=Workload(n=50_636_151, kA=38.1, d=128, b_sparsity=0.80),
     model_ps=(8, 32, 128, 512, 1024, 4096), layers=16,
 )
+
+
+#: Fig 9 (strong-scaling runtime, 80 % sparse B), read by
+#: ``bench_fig09_strong_scaling_80.py`` and ``tests/paper/test_fig09_claims.py``
+#: alike.  The bench prints the strong-scaling shape under the standard
+#: profile at ``scaling_scale`` and the algorithm ordering under the scaled
+#: profile at ``ordering_scale``; every claim the test states already holds
+#: at ``smoke_scale``, where it runs.  The closed form runs the paper's uk
+#: and gap graphs (n, kA).
+FIG09 = dict(
+    datasets=("uk", "gap"), d=128, sparsity=0.80, ps=(1, 2, 4, 8, 16, 32),
+    config=UNFUSED, scaling_scale=4.0, ordering_scale=1.0, smoke_scale=0.25,
+    model_ps=(8, 32, 128, 512, 1024, 4096),
+    paper_stats={"uk": (18_520_486, 16.0), "gap": (50_636_151, 38.1)},
+)
