@@ -25,7 +25,7 @@ Results land in ``benchmarks/results/fusedmm.txt``.
 """
 
 import numpy as np
-from _timing import best_of_interleaved
+from _timing import median_pair_ratio
 
 from repro.analysis import fmt_bytes, fmt_seconds, print_table
 from repro.apps import train_sparse_embedding
@@ -39,8 +39,10 @@ SPARSITY = 0.8
 EPOCHS = 6
 MIN_ROUND_DROP = 2.0  # fused epochs must use >=2x fewer all-to-alls
 # Wall margin for a ~0.5 s measurement on a loaded CI runner: a real
-# regression is way past 10%, while load jitter regularly isn't.
+# regression is way past 10%, while load jitter regularly isn't.  Judged
+# on the median of per-pair ratios.
 MAX_WALL_RATIO = 1.10
+WALL_PAIRS = 8
 
 
 def bench_fusedmm(benchmark, sink):
@@ -62,8 +64,8 @@ def bench_fusedmm(benchmark, sink):
     run(1, True)
 
     # ---- latency-dominated small-tile configuration (w = 1·n/p) ------
-    (wall_on, wall_off), (res_on, res_off) = best_of_interleaved(
-        [lambda: run(1, True), lambda: run(1, False)], repeats=4
+    wall_ratio, (wall_on, wall_off), (res_on, res_off) = median_pair_ratio(
+        lambda: run(1, True), lambda: run(1, False), pairs=WALL_PAIRS
     )
 
     rows = []
@@ -128,7 +130,7 @@ def bench_fusedmm(benchmark, sink):
 
     print_table(
         "Embedding training end-to-end, fused vs separate rounds",
-        ["config", "path", "modelled", "best wall-clock",
+        ["config", "path", "modelled", "median wall-clock",
          "rounds/epoch", "epoch comm (mean)"],
         [
             ["w=1·n/p", "fuse_comm=on", fmt_seconds(m_on),
@@ -151,9 +153,15 @@ def bench_fusedmm(benchmark, sink):
 
     # 4. wall clock: identical local compute, so the only honest gate is
     # "not slower beyond a jitter margin" (loaded CI runners).
-    assert wall_on < wall_off * MAX_WALL_RATIO, (
+    print(
+        f"fused / separate wall clock at w=1·n/p, median of {WALL_PAIRS} "
+        f"pairs: {wall_ratio:.3f}x",
+        file=sink,
+    )
+    assert wall_ratio < MAX_WALL_RATIO, (
         f"wall training time regressed beyond the {MAX_WALL_RATIO:.2f}x "
-        f"jitter margin: fused={wall_on:.3f}s separate={wall_off:.3f}s"
+        f"jitter margin: median pair ratio {wall_ratio:.3f}x "
+        f"(fused={wall_on:.3f}s separate={wall_off:.3f}s)"
     )
 
     benchmark(lambda: run(1, True))

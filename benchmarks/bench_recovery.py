@@ -21,7 +21,7 @@ Results land in ``benchmarks/results/recovery.txt``.
 """
 
 import numpy as np
-from _timing import best_of_interleaved
+from _timing import median_pair_ratio
 
 from repro.analysis import fmt_bytes, fmt_seconds, print_table
 from repro.apps import train_sparse_embedding
@@ -36,8 +36,11 @@ SPARSITY = 0.8
 EPOCHS = 6
 # Same reasoning as bench_resident_embedding.py: checkpoint work is a
 # few percent of a multiply-dominated total; CI load jitter isn't a
-# regression signal below 10%.
+# regression signal below 10%.  Judged on the median of per-pair ratios:
+# the median reads ~1.06 on a 2-vCPU host, and 16 pairs keep its spread
+# inside the margin where 8 did not (1 run in 10 read 1.12).
 MAX_WALL_RATIO = 1.10
+WALL_PAIRS = 16
 
 # Session-level workload for the recovery-economics gates.
 N = 200
@@ -60,26 +63,27 @@ def bench_recovery(benchmark, sink):
     # Untimed warm-up so neither path pays cold-start costs.
     train_sparse_embedding(adj, P, d=D, epochs=1)
 
-    (wall_plain, wall_rec), (plain, rec) = best_of_interleaved(
-        [
-            lambda: train_sparse_embedding(adj, P, **kwargs),
-            lambda: train_sparse_embedding(
-                adj, P, config=recoverable, **kwargs
-            ),
-        ],
-        repeats=4,
+    wall_ratio, (wall_rec, wall_plain), (rec, plain) = median_pair_ratio(
+        lambda: train_sparse_embedding(adj, P, config=recoverable, **kwargs),
+        lambda: train_sparse_embedding(adj, P, **kwargs),
+        pairs=WALL_PAIRS,
     )
 
     print_table(
         f"Checkpoint overhead, fault-free training (cora stand-in "
         f"n={adj.nrows}, d={D}, p={P}, {EPOCHS} epochs)",
-        ["path", "best wall-clock", "modelled runtime"],
+        ["path", "median wall-clock", "modelled runtime"],
         [
             ["plain session", fmt_seconds(wall_plain),
              fmt_seconds(plain.total_runtime)],
             ["recoverable + neighbor checkpoint", fmt_seconds(wall_rec),
              fmt_seconds(rec.total_runtime)],
         ],
+        file=sink,
+    )
+    print(
+        f"recoverable / plain wall clock, median of {WALL_PAIRS} pairs: "
+        f"{wall_ratio:.3f}x",
         file=sink,
     )
 
@@ -96,9 +100,10 @@ def bench_recovery(benchmark, sink):
     )
 
     # 2. checkpoint overhead within the jitter margin
-    assert wall_rec < wall_plain * MAX_WALL_RATIO, (
+    assert wall_ratio < MAX_WALL_RATIO, (
         f"checkpoint overhead beyond the {MAX_WALL_RATIO:.2f}x margin: "
-        f"plain={wall_plain:.3f}s recoverable={wall_rec:.3f}s"
+        f"median pair ratio {wall_ratio:.3f}x (plain={wall_plain:.3f}s "
+        f"recoverable={wall_rec:.3f}s)"
     )
 
     # ---- recovery economics: crash at the second multiply -----------

@@ -11,7 +11,7 @@ Quick start::
 
     result = repro.ts_spgemm(A, B, p=16)       # 16 simulated ranks
     result.C               # the product (CsrMatrix)
-    result.multiply_time   # modelled seconds (paper's timing scope)
+    result.multiply_time   # modelled seconds of the multiply, setup excluded
     result.comm_bytes()    # bytes on the simulated interconnect
 
 Package map (see DESIGN.md for the full inventory):

@@ -151,6 +151,17 @@ def _check_kernel(parser: argparse.ArgumentParser, args) -> None:
         )
 
 
+def _check_faults(parser: argparse.ArgumentParser, args) -> None:
+    """Refuse ``--faults`` with an ``--algorithm`` that would run
+    fault-free: only TS-SpGEMM sessions inject faults and recover."""
+    algorithm = getattr(args, "algorithm", "TS-SpGEMM")
+    if getattr(args, "faults", "") and algorithm != "TS-SpGEMM":
+        parser.error(
+            f"argument --faults: only TS-SpGEMM sessions inject and recover "
+            f"from faults; --algorithm {algorithm} would ignore them"
+        )
+
+
 def _config(args, **overrides) -> TsConfig:
     faults = getattr(args, "faults", "")
     fields = dict(
@@ -568,6 +579,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     _check_kernel(parser, args)
+    _check_faults(parser, args)
     try:
         return args.func(args)
     except DeadSessionError as exc:

@@ -5,7 +5,6 @@ from .driver import (
     FUSED_SECTION_PHASES,
     FusedPrologue,
     MultiplyResult,
-    SETUP_PHASES,
     TsSession,
     ts_spgemm,
     ts_spmm,
@@ -36,7 +35,6 @@ __all__ = [
     "PreparedA",
     "PreparedSubtile",
     "REMOTE",
-    "SETUP_PHASES",
     "SpmmDiagnostics",
     "SubtileInfo",
     "SymbolicPlan",

@@ -1,7 +1,6 @@
 """High-level drivers: run a whole distributed multiply from global inputs.
 
-These wrap the SPMD rank programs in :func:`repro.mpi.run_spmd` so library
-users, examples and benchmarks can write::
+Library users, examples and benchmarks can write::
 
     from repro import ts_spgemm
     result = ts_spgemm(A, B, p=64)
@@ -9,9 +8,10 @@ users, examples and benchmarks can write::
     result.runtime    # modelled seconds (max virtual clock)
     result.report     # per-phase traffic / time decomposition
 
-The drivers separate *setup* (input distribution, building the Ac column
-copy, consumer-side tiling) from *multiply* phases the same way the
-paper's timers do; ``result.multiply_time`` excludes setup.
+A one-shot call is one multiply on a fresh :class:`TsSession`: *setup*
+(input distribution, building the Ac column copy, preparing the plan) is
+the session's own task, and the result reports the multiply task alone —
+the paper's timing scope, the same one SUMMA's one-shots report.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import numpy as np
 
 from ..mpi.costmodel import PERLMUTTER, MachineProfile
 from ..mpi.errors import RankError, ShrinkRefusedError
-from ..mpi.executor import ResidentSession, SpmdResult, run_spmd
+from ..mpi.executor import ResidentSession, SpmdResult
 from ..mpi.faults import FaultInjector, FaultPlan, RankFailure
 from ..mpi.stats import SpmdReport, merge_reports, project_report
 from ..partition.block1d import Block1D, shrunk_partition
@@ -46,11 +46,6 @@ from .config import DEFAULT_CONFIG, TsConfig
 from .plan import prepare_multiply, shrink_prepared
 from .spmm import spmm_multiply
 from .tiled import exchange_sections, tiled_multiply
-
-#: Phases counted as one-time setup rather than multiply time.  "prepare"
-#: is the B-independent half of the symbolic step (repro.core.plan): paid
-#: once per resident session, every multiply in a fresh-plan run.
-SETUP_PHASES = frozenset({"build-Ac", "tiling", "scatter-input", "prepare"})
 
 #: Phase names whose wire bytes the fused communication layer
 #: (``TsConfig.fuse_comm``) conserves exactly: the tiled multiply's fused
@@ -102,34 +97,18 @@ class MultiplyResult:
 
     @property
     def multiply_time(self) -> float:
-        """Modelled seconds excluding setup phases (paper's timing scope)."""
-        worst = 0.0
-        for rs in self.report.rank_stats:
-            t = sum(
-                ps.comm_time + ps.compute_time
-                for name, ps in rs.phases.items()
-                if name not in SETUP_PHASES
-            )
-            worst = max(worst, t)
-        return worst
+        """Modelled seconds of the multiply (the paper's timing scope:
+        setup ran as its own task and is not in this report)."""
+        return self.report.runtime
 
     @property
     def comm_time(self) -> float:
-        """Modelled communication seconds excluding setup phases."""
-        worst = 0.0
-        for rs in self.report.rank_stats:
-            t = sum(
-                ps.comm_time
-                for name, ps in rs.phases.items()
-                if name not in SETUP_PHASES
-            )
-            worst = max(worst, t)
-        return worst
+        """Modelled communication seconds (max per rank)."""
+        return self.report.comm_time
 
     def comm_bytes(self) -> int:
-        """Bytes moved by multiply phases (excludes setup), all ranks."""
-        per_phase = self.report.phase_bytes()
-        return sum(v for k, v in per_phase.items() if k not in SETUP_PHASES)
+        """Bytes moved by the multiply, all ranks."""
+        return self.report.total_bytes()
 
     @property
     def rounds(self) -> int:
@@ -166,29 +145,10 @@ def ts_spgemm(
 
     Alg 1, the naive baseline, is
     :func:`repro.baselines.petsc1d.petsc1d` (registry name ``PETSc-1D``).
+    The call is one multiply on a fresh :class:`TsSession`.
     """
-    if A.ncols != B.nrows or A.nrows != A.ncols:
-        raise ValueError(
-            f"need square A and matching B: A {A.shape}, B {B.shape}"
-        )
-
-    def program(comm):
-        dist_a = DistSparseMatrix.scatter_rows(comm, A)
-        dist_b = DistSparseMatrix.scatter_rows(comm, B)
-        dist_a.build_column_copy()
-        dist_c, diag = tiled_multiply(dist_a, dist_b, semiring, config)
-        return dist_c.local, diag.as_dict()
-
-    result = run_spmd(
-        p, program, machine=machine, sanitize=config.sanitize or None
-    )
-    blocks = [v[0] for v in result.values]
-    diagnostics = _merge_diag(v[1] for v in result.values)
-    return MultiplyResult(
-        C=_vstack_blocks(blocks, B.ncols),
-        report=result.report,
-        diagnostics=diagnostics,
-    )
+    with TsSession(A, p, semiring=semiring, config=config, machine=machine) as s:
+        return s.multiply(B)
 
 
 class ResidentOperand:
@@ -340,8 +300,8 @@ class _FusedPrologueShim:
 class TsSession(ResidentSession):
     """A resident distributed-multiply session: setup paid once, reused.
 
-    ``ts_spgemm`` launches one simulated SPMD job per multiply — every
-    call re-scatters ``A``, rebuilds the ``Ac`` column copy and re-plans
+    ``ts_spgemm`` is one multiply on a fresh session — every call
+    re-scatters ``A``, rebuilds the ``Ac`` column copy and re-prepares
     from scratch.  Iterative applications (one multiply per BFS level /
     training epoch against the *same* ``A``) instead create one session:
 
@@ -1412,33 +1372,13 @@ def ts_spmm(
     B: np.ndarray,
     p: int,
     *,
-    config: Optional[TsConfig] = None,
-    machine: Optional[MachineProfile] = None,
+    config: TsConfig = DEFAULT_CONFIG,
+    machine: MachineProfile = PERLMUTTER,
 ) -> MultiplyResult:
     """Distributed SpMM ``C = A · B`` with dense ``B`` (§V-C comparator),
-    as a one-shot job.  Iterative dense chains (``Z ← A·Z``) keep ``B``
-    on-rank through a :class:`TsSession` instead
+    as one multiply on a fresh :class:`TsSession`.  Iterative dense chains
+    (``Z ← A·Z``) keep ``B`` on-rank through one session instead
     (:meth:`TsSession.scatter_dense`, ``multiply(..., gather=False)``).
     """
-    config = DEFAULT_CONFIG if config is None else config
-    machine = PERLMUTTER if machine is None else machine
-    B = np.asarray(B)
-    if A.ncols != B.shape[0] or A.nrows != A.ncols:
-        raise ValueError(f"need square A and matching B: A {A.shape}, B {B.shape}")
-
-    def program(comm):
-        dist_a = DistSparseMatrix.scatter_rows(comm, A)
-        dist_b = DistDenseMatrix.scatter_rows(comm, B)
-        dist_a.build_column_copy()
-        dist_c, diag = spmm_multiply(dist_a, dist_b, config)
-        return dist_c.local, diag.as_dict()
-
-    result = run_spmd(
-        p, program, machine=machine, sanitize=config.sanitize or None
-    )
-    dense = np.vstack([v[0] for v in result.values])
-    return MultiplyResult(
-        C=dense,
-        report=result.report,
-        diagnostics=_merge_diag(v[1] for v in result.values),
-    )
+    with TsSession(A, p, config=config, machine=machine) as s:
+        return s.multiply(B)

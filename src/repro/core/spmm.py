@@ -15,7 +15,7 @@ So this module is only a payload codec on the tiled multiply's step loop
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -91,7 +91,8 @@ def spmm_multiply(
     A: DistSparseMatrix,
     B: DistDenseMatrix,
     config: TsConfig = DEFAULT_CONFIG,
-    prepared: Optional[PreparedA] = None,
+    *,
+    prepared: PreparedA,
 ) -> Tuple[DistDenseMatrix, SpmmDiagnostics]:
     """One distributed SpMM; returns ``(C_dense, diagnostics)``.
 
@@ -100,11 +101,12 @@ def spmm_multiply(
 
     Unlike the SpGEMM symbolic step, the SpMM mode decision compares
     *dense* payload sizes — needed B rows vs affected output rows — which
-    depend only on ``A``'s pattern.  A ``prepared`` plan therefore caches
-    the whole mode table (including its all-to-all) after the first
-    multiply, and every later multiply on that pattern skips the symbolic
-    phase outright; a subtile's entries are read off ``A.col_copy`` where
-    they are multiplied.
+    depend only on ``A``'s pattern.  The ``prepared`` plan (see
+    :func:`~repro.core.plan.prepare_multiply`) therefore caches the whole
+    mode table (including its all-to-all) after the first multiply, and
+    every later multiply on that pattern skips the symbolic phase
+    outright; a subtile's entries are read off ``A.col_copy`` where they
+    are multiplied.
     """
     comm = A.comm
     if B.comm is not comm:
@@ -115,13 +117,10 @@ def spmm_multiply(
     diag = SpmmDiagnostics()
     c_local = np.zeros((A.local.nrows, d))
 
-    if prepared is not None:
-        prepared.check_compatible(A, config)
-    plan = prepared.spmm_cache if prepared is not None else None
+    prepared.check_compatible(A, config)
+    plan = prepared.spmm_cache
     if plan is None:
-        plan = _dense_mode_plan(comm, A, config)
-        if prepared is not None:
-            prepared.spmm_cache = plan
+        plan = prepared.spmm_cache = _dense_mode_plan(comm, A, config)
     else:
         # The whole symbolic phase was skipped — the same observability
         # flag the tiled SpGEMM surfaces as ``plan_reused``.

@@ -70,10 +70,10 @@ from ..sparse.kernels import dispatch_spgemm, resolve_spgemm, row_flops_before
 from ..sparse.merge import merge_bytes, merge_csrs
 from ..sparse.ops import extract_row_range, extract_rows
 from ..sparse.semiring import BOOL_AND_OR, PLUS_TIMES, Semiring
-from ..sparse.tile import ColumnStrips, strips_build_bytes
+from ..sparse.tile import ColumnStrips
 from .config import DEFAULT_CONFIG, TsConfig
 from .gather_rows import checked_row_ids, pack_nonempty_rows, place_row_union, place_rows
-from .plan import PreparedA, prepare_multiply, replan
+from .plan import PreparedA, replan
 from .symbolic import (
     DIAGONAL,
     EMPTY,
@@ -99,7 +99,7 @@ class TileDiagnostics:
     sent_b_nnz: int = 0
     sent_c_nnz: int = 0
     symbolic_products: int = 0  # subtiles sized against B this call
-    plan_reused: int = 0  # 1 when a PreparedA served this multiply
+    plan_reused: int = 0  # 1: a PreparedA serves every multiply
 
     def as_dict(self) -> dict:
         return dict(self.__dict__)
@@ -174,21 +174,6 @@ def exchange_sections(comm, sections, fuse: bool, meta=None):
     return received, None
 
 
-def consumer_strips(A: DistSparseMatrix, prepared: Optional[PreparedA]):
-    """Consumer-side strips of my local ``A`` block, one per producer
-    column block, with column ids local to that block.  A prepared plan
-    owns them (taken and charged once); without one they are charged per
-    call under the same ``tiling`` phase.  Either way the split itself is
-    ``A``'s (:meth:`DistSparseMatrix.column_strips`): the one
-    ``build_column_copy`` cut, when ``A`` still holds that block."""
-    if prepared is not None:
-        return prepared.ensure_strips(A)
-    with A.comm.phase("tiling"):
-        strips = A.column_strips()
-        A.comm.charge_touch(strips_build_bytes(A.local, A.comm.size))
-    return strips
-
-
 @dataclass
 class TileCodec:
     """What one payload kind decides on :func:`run_tile_steps`' schedule.
@@ -226,7 +211,7 @@ def run_tile_steps(
     if not fuse:
         exchange_sections(comm, head, fuse=False)
         head = ()
-    strips = consumer_strips(A, prepared)
+    strips = prepared.ensure_strips(A)
     diagonal = plan.by_mode[DIAGONAL].get(comm.rank, ())
     diag.diagonal_tiles = len(diagonal)
     late_diagonal = not codec.diagonal_first
@@ -272,7 +257,7 @@ def run_tile_steps(
                 comm, [*prologue.sections(comm), *sections], fuse,
                 meta=plan.count(REMOTE) > 0,
             )
-            _finish_prologue(comm, prologue, received, plan, prepared, A)
+            _finish_prologue(comm, prologue, received, plan, A)
         if late_diagonal:
             # Behind the exchange, so a prologue's refresh reaches it.
             codec.diagonal(diagonal)
@@ -318,19 +303,18 @@ def tiled_multiply(
     B: DistSparseMatrix,
     semiring: Semiring = PLUS_TIMES,
     config: TsConfig = DEFAULT_CONFIG,
-    plan: Optional[SymbolicPlan] = None,
-    prepared: Optional[PreparedA] = None,
+    *,
+    prepared: PreparedA,
     fused_prologue=None,
 ) -> Tuple[DistSparseMatrix, TileDiagnostics]:
     """One DIST-TS-SPGEMM multiply; returns ``(C, diagnostics)``.
 
     Requires ``A.build_column_copy()`` to have been called.  ``prepared``
-    is a :class:`~repro.core.plan.PreparedA` built once for this ``A``
-    (see :func:`~repro.core.plan.prepare_multiply`): the B-independent
-    symbolic state and the consumer-side strips are reused, and only the
-    incremental ``replan`` runs here.  ``plan`` may alternatively supply
-    a complete symbolic plan to reuse verbatim (same ``A`` *and* ``B``
-    pattern).  Without either, a fresh plan is built from scratch.
+    is the :class:`~repro.core.plan.PreparedA` built once for this ``A``
+    (see :func:`~repro.core.plan.prepare_multiply`) — a session's
+    resident plan, or one a rank program prepared itself: the
+    B-independent symbolic state and the consumer-side strips are reused,
+    and only the incremental ``replan`` against ``B`` runs here.
 
     With ``config.fuse_comm`` the multiply issues one fused multi-section
     all-to-all instead of the symbolic + per-round exchanges (see the
@@ -359,21 +343,9 @@ def tiled_multiply(
     kname = resolve_spgemm(config.kernel, semiring, A.local, d=d).name
     diag = TileDiagnostics()
 
-    if prepared is not None:
-        prepared.check_compatible(A, config)
-        diag.plan_reused = 1
-    # ``sync_prepared`` owns the consumer strips — the caller's resident
-    # PreparedA, or the fresh path's throwaway (kept at hand so a fused
-    # prologue's value refresh has a handle to reload them through).
-    sync_prepared = prepared
-    if plan is None:
-        if prepared is None:
-            sync_prepared = prepare_multiply(A, config)
-        plan = replan(sync_prepared, A, B)
-    else:
-        # A caller's plan promises the same *patterns*, not the values the
-        # kept slices were computed from.
-        _drop_kept_slices(plan)
+    prepared.check_compatible(A, config)
+    diag.plan_reused = 1
+    plan = replan(prepared, A, B)
     diag.symbolic_products = plan.pattern_products
 
     # The mode lists ``replan`` left to ship: the paper's binary-value
@@ -456,7 +428,7 @@ def tiled_multiply(
         end_round=end_round,
     )
     diag.peak_recv_b_bytes = run_tile_steps(
-        comm, A, plan, sync_prepared, config, codec, diag, head, fused_prologue
+        comm, A, plan, prepared, config, codec, diag, head, fused_prologue
     )
     with comm.phase("merge"):
         if partials:
@@ -478,30 +450,22 @@ def _drop_kept_slices(plan: SymbolicPlan) -> None:
                 info.symbolic = None
 
 
-def _finish_prologue(comm, prologue, received, plan, sync_prepared, A) -> None:
+def _finish_prologue(comm, prologue, received, plan, A) -> None:
     """Complete a fused prologue; if it refreshed the operand's values,
-    re-read them so every value-dependent product (diagonal, remote
-    partials, strip consumption) sees the refreshed operand — what keeps
-    the fused order bit-identical to prologue first, then plan + multiply.
+    forget the products ``replan`` kept, so every value-dependent product
+    (diagonal, remote partials, strip consumption) sees the refreshed
+    operand — what keeps the fused order bit-identical to prologue first,
+    then plan + multiply.
 
     A refresh is seen, not reported: every value refresh replaces
-    ``A.col_copy`` (``refresh_values`` and ``build_column_copy`` alike).
-    The subtiles need nothing: they are read off the new copy.
+    ``A.col_copy`` (``refresh_values`` and ``build_column_copy`` alike)
+    and reloads the prepared plan's strips.  The subtiles need nothing:
+    they are read off the new copy.
     """
     col_copy = A.col_copy
     prologue.finish(comm, received)
-    if A.col_copy is col_copy:
-        return
-    if sync_prepared is None:
-        raise RuntimeError(
-            "a value-refreshing fused prologue needs a prepared "
-            "plan to re-sync numeric state through"
-        )
-    if sync_prepared.strips.source is not A.local:
-        # Fresh-plan path: the throwaway's strips were cut before the
-        # refreshed values existed, and no resident plan reloaded them.
-        sync_prepared.refresh_values(A)
-    _drop_kept_slices(plan)
+    if A.col_copy is not col_copy:
+        _drop_kept_slices(plan)
 
 
 # ----------------------------------------------------------------------

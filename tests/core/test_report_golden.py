@@ -24,6 +24,10 @@ schedule was unified (PR 16).  Regenerate — only when a change to the
 accounting is intended and explained in CHANGES.md — with::
 
     PYTHONPATH=src python tests/core/test_report_golden.py
+
+The sparse, boolean and dense entries were regenerated once, when a
+one-shot call became one multiply on a fresh session: each equals what
+the commit before that computed for ``TsSession(A, P, ...).multiply(B)``.
 """
 
 import hashlib

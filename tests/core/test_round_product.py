@@ -15,7 +15,7 @@ import threading
 import numpy as np
 import pytest
 
-from repro.core import TsConfig, tiled_multiply
+from repro.core import TsConfig, prepare_multiply, tiled_multiply
 from repro.core import tiled
 from repro.mpi import run_spmd
 from repro.partition import DistSparseMatrix
@@ -68,7 +68,8 @@ def multiply(a, b, semiring, config, monkeypatch, oracle):
             dist_a = DistSparseMatrix.scatter_rows(comm, a)
             dist_a.build_column_copy()
             dist_b = DistSparseMatrix.scatter_rows(comm, b)
-            c, diag = tiled_multiply(dist_a, dist_b, semiring, config)
+            prepared = prepare_multiply(dist_a, config)
+            c, diag = tiled_multiply(dist_a, dist_b, semiring, config, prepared=prepared)
             return c.local, diag
 
         result = run_spmd(P, program)

@@ -21,11 +21,14 @@ against ``B``, whose meaning and values did not change.
 
 import dataclasses
 import threading
+from contextlib import nullcontext
+from unittest import mock
 
 import numpy as np
 import pytest
 
 from repro.core import TsConfig, prepare_multiply, replan, tiled_multiply
+from repro.core import tiled
 from repro.core.symbolic import DIAGONAL, LOCAL, REMOTE, row_tile_ranges
 from repro.core.tiled import (
     TileDiagnostics,
@@ -82,39 +85,46 @@ def bool_operands(rng):
     return a, b
 
 
+def stripped_replan(kept):
+    """``replan`` with the kept symbolic products removed by hand; each
+    rank appends how many it removed to ``kept``."""
+
+    def planner(prepared, A, B):
+        plan = replan(prepared, A, B)
+        removed = 0
+        for infos in plan.produced.values():
+            for info in infos:
+                removed += info.symbolic is not None
+                info.symbolic = None
+        kept.append(removed)  # list.append is atomic across rank threads
+        return plan
+
+    return planner
+
+
 def multiply(a, b, semiring, config, *, strip=False, prologue=None):
     """One tiled multiply; returns (C blocks, per-rank diagnostics, kept
-    products seen on the plan, report).  ``strip`` recomputes with a plan
-    whose kept symbolic products were removed by hand."""
+    products seen on the plan, report).  ``strip`` recomputes with every
+    plan's kept symbolic products removed by hand."""
 
     def program(comm):
         dist_a = DistSparseMatrix.scatter_rows(comm, a)
         dist_a.build_column_copy()
         dist_b = DistSparseMatrix.scatter_rows(comm, b)
         prepared = prepare_multiply(dist_a, config)
-        kept = 0
-        fused_prologue = prologue(dist_a) if prologue else None
-        if strip:
-            plan = replan(prepared, dist_a, dist_b)
-            for infos in plan.produced.values():
-                for info in infos:
-                    kept += info.symbolic is not None
-                    info.symbolic = None
-            c, diag = tiled_multiply(
-                dist_a, dist_b, semiring, config, plan=plan, prepared=prepared,
-                fused_prologue=fused_prologue,
-            )
-        else:
-            c, diag = tiled_multiply(
-                dist_a, dist_b, semiring, config, prepared=prepared,
-                fused_prologue=fused_prologue,
-            )
-        return c.local, diag, kept
+        fused_prologue = prologue(dist_a, prepared) if prologue else None
+        c, diag = tiled_multiply(
+            dist_a, dist_b, semiring, config, prepared=prepared,
+            fused_prologue=fused_prologue,
+        )
+        return c.local, diag
 
-    result = run_spmd(P, program)
+    kept = []
+    with mock.patch.object(tiled, "replan", stripped_replan(kept)) if strip else nullcontext():
+        result = run_spmd(P, program)
     blocks = [v[0] for v in result.values]
     diags = [v[1] for v in result.values]
-    return blocks, diags, sum(v[2] for v in result.values), result.report
+    return blocks, diags, sum(kept), result.report
 
 
 def local_rounds(a, b, config):
@@ -156,7 +166,7 @@ def assert_blocks_identical(got, want):
 class Idle:
     """A fused prologue that ships nothing and changes nothing."""
 
-    def __init__(self, dist_a):
+    def __init__(self, dist_a, prepared):
         pass
 
     def sections(self, comm):
@@ -257,8 +267,11 @@ class TestKeptSymbolicProduct:
         config = TsConfig(kernel=KERNEL, tile_height=4)
 
         class TurnOff:
-            def __init__(self, dist_a):
-                self.dist_a = dist_a
+            """A value refresh as ``ResidentOperand.refresh_values`` makes
+            one: a new column copy, then the plan's strips reloaded."""
+
+            def __init__(self, dist_a, prepared):
+                self.dist_a, self.prepared = dist_a, prepared
 
             def sections(self, comm):
                 return []
@@ -266,6 +279,7 @@ class TestKeptSymbolicProduct:
             def finish(self, comm, received):
                 self.dist_a.local = extract_row_range(a_off, *self.dist_a.local_range)
                 self.dist_a.build_column_copy()
+                self.prepared.refresh_values(self.dist_a)
 
         blocks, diags, _, _ = multiply(a, b, BOOL_AND_OR, config, prologue=TurnOff)
         remote = total(diags, "remote_tiles")

@@ -141,13 +141,21 @@ class TestDiagnosticsAndCosts:
         """Mode selection must never move more bytes than local-only.
 
         This is the paper's Fig 6 claim; exact per-tile minimization makes
-        it a hard invariant at tile granularity.
+        it a hard invariant at tile granularity.  The bytes are the data
+        the modes choose between, ``B`` rows and partial ``C``: a forced
+        policy fixes its mode table at set-up, so only the hybrid
+        multiply ships one.
         """
         a, b = make_inputs(rng, n=40, d=6, density_a=0.2, density_b=0.5)
         hybrid = ts_spgemm(a, b, 4, config=TsConfig(mode_policy="hybrid"))
         local = ts_spgemm(a, b, 4, config=TsConfig(mode_policy="local"))
         assert hybrid.C.equal(local.C)
-        assert hybrid.comm_bytes() <= local.comm_bytes()
+
+        def moved(result):
+            phases = result.report.phase_bytes()
+            return phases["fetch-B"] + phases["send-C"]
+
+        assert moved(hybrid) <= moved(local)
 
     def test_narrow_tiles_reduce_peak_memory(self, rng):
         a, b = make_inputs(rng, n=48, d=8, density_a=0.25, density_b=0.6)

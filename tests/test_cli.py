@@ -53,6 +53,44 @@ class TestCommands:
         assert rc == 0
         assert "SUMMA-2D" in capsys.readouterr().out
 
+    def test_multiply_recovers_from_an_injected_crash(self, capsys, monkeypatch):
+        """``--faults`` reaches the one-shot's session: the crash is
+        retried and the lost rank recovered, and C equals the fault-free
+        run's."""
+        from repro import cli
+
+        products, ts_spgemm = [], ALGORITHMS["TS-SpGEMM"]
+
+        def recording(*args, **kwargs):
+            result = ts_spgemm(*args, **kwargs)
+            products.append(result.C)
+            return result
+
+        monkeypatch.setitem(cli.ALGORITHMS, "TS-SpGEMM", recording)
+        argv = ["multiply", "--dataset", "uk", "--scale", "0.25", "-p", "4"]
+        assert main(argv) == 0
+        capsys.readouterr()
+        assert main(argv + ["--faults", "crash@1,task=2"]) == 0
+        rows = [line.split() for line in capsys.readouterr().out.splitlines()]
+        assert ["fault", "retries", "1"] in rows
+        assert ["rank", "recoveries", "1"] in rows
+        fault_free, faulted = products
+        assert faulted.equal(fault_free)
+
+    @pytest.mark.parametrize("command", ["multiply", "bfs"])
+    @pytest.mark.parametrize("algorithm", ["PETSc-1D", "SUMMA-2D", "SUMMA-3D"])
+    def test_faults_need_a_recoverable_algorithm(self, capsys, command, algorithm):
+        """Only TS-SpGEMM sessions inject faults: another algorithm would
+        run fault-free, so the flag is refused rather than ignored."""
+        with pytest.raises(SystemExit) as exc:
+            main([
+                command, "--dataset", "cora", "--scale", "0.3",
+                "--algorithm", algorithm, "--faults", "crash@1,task=2",
+            ])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument --faults" in err and algorithm in err
+
     @pytest.mark.parametrize("command", ["multiply", "bfs"])
     def test_unknown_algorithm_lists_the_choices(self, capsys, command):
         with pytest.raises(SystemExit) as exc:
