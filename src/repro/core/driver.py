@@ -1375,10 +1375,9 @@ def ts_spmm(
     config: TsConfig = DEFAULT_CONFIG,
     machine: MachineProfile = PERLMUTTER,
 ) -> MultiplyResult:
-    """Distributed SpMM ``C = A · B`` with dense ``B`` (§V-C comparator),
-    as one multiply on a fresh :class:`TsSession`.  Iterative dense chains
-    (``Z ← A·Z``) keep ``B`` on-rank through one session instead
+    """Distributed SpMM ``C = A · B`` with dense ``B`` (§V-C comparator):
+    :func:`ts_spgemm`, whose session takes the dense path.  Iterative
+    dense chains (``Z ← A·Z``) keep ``B`` on-rank through one session
     (:meth:`TsSession.scatter_dense`, ``multiply(..., gather=False)``).
     """
-    with TsSession(A, p, config=config, machine=machine) as s:
-        return s.multiply(B)
+    return ts_spgemm(A, B, p, config=config, machine=machine)

@@ -257,7 +257,7 @@ def run_tile_steps(
                 comm, [*prologue.sections(comm), *sections], fuse,
                 meta=plan.count(REMOTE) > 0,
             )
-            _finish_prologue(comm, prologue, received, plan, A)
+            _finish_prologue(comm, prologue, received, plan, prepared, A)
         if late_diagonal:
             # Behind the exchange, so a prologue's refresh reaches it.
             codec.diagonal(diagonal)
@@ -450,21 +450,22 @@ def _drop_kept_slices(plan: SymbolicPlan) -> None:
                 info.symbolic = None
 
 
-def _finish_prologue(comm, prologue, received, plan, A) -> None:
+def _finish_prologue(comm, prologue, received, plan, prepared, A) -> None:
     """Complete a fused prologue; if it refreshed the operand's values,
-    forget the products ``replan`` kept, so every value-dependent product
-    (diagonal, remote partials, strip consumption) sees the refreshed
-    operand — what keeps the fused order bit-identical to prologue first,
-    then plan + multiply.
+    reload the plan's strips (unless the prologue did) and forget the
+    products ``replan`` kept, so every value-dependent product (diagonal,
+    remote partials, strip consumption) sees the refreshed operand — what
+    keeps the fused order bit-identical to prologue first, then multiply.
 
     A refresh is seen, not reported: every value refresh replaces
-    ``A.col_copy`` (``refresh_values`` and ``build_column_copy`` alike)
-    and reloads the prepared plan's strips.  The subtiles need nothing:
-    they are read off the new copy.
+    ``A.col_copy`` (``refresh_values`` and ``build_column_copy`` alike).
+    The subtiles need nothing: they are read off the new copy.
     """
     col_copy = A.col_copy
     prologue.finish(comm, received)
     if A.col_copy is not col_copy:
+        if prepared.strips.source is not A.local:  # strips not reloaded
+            prepared.refresh_values(A)
         _drop_kept_slices(plan)
 
 

@@ -112,7 +112,7 @@ def multiply(a, b, semiring, config, *, strip=False, prologue=None):
         dist_a.build_column_copy()
         dist_b = DistSparseMatrix.scatter_rows(comm, b)
         prepared = prepare_multiply(dist_a, config)
-        fused_prologue = prologue(dist_a, prepared) if prologue else None
+        fused_prologue = prologue(dist_a) if prologue else None
         c, diag = tiled_multiply(
             dist_a, dist_b, semiring, config, prepared=prepared,
             fused_prologue=fused_prologue,
@@ -166,7 +166,7 @@ def assert_blocks_identical(got, want):
 class Idle:
     """A fused prologue that ships nothing and changes nothing."""
 
-    def __init__(self, dist_a, prepared):
+    def __init__(self, dist_a):
         pass
 
     def sections(self, comm):
@@ -267,11 +267,8 @@ class TestKeptSymbolicProduct:
         config = TsConfig(kernel=KERNEL, tile_height=4)
 
         class TurnOff:
-            """A value refresh as ``ResidentOperand.refresh_values`` makes
-            one: a new column copy, then the plan's strips reloaded."""
-
-            def __init__(self, dist_a, prepared):
-                self.dist_a, self.prepared = dist_a, prepared
+            def __init__(self, dist_a):
+                self.dist_a = dist_a
 
             def sections(self, comm):
                 return []
@@ -279,7 +276,6 @@ class TestKeptSymbolicProduct:
             def finish(self, comm, received):
                 self.dist_a.local = extract_row_range(a_off, *self.dist_a.local_range)
                 self.dist_a.build_column_copy()
-                self.prepared.refresh_values(self.dist_a)
 
         blocks, diags, _, _ = multiply(a, b, BOOL_AND_OR, config, prologue=TurnOff)
         remote = total(diags, "remote_tiles")
