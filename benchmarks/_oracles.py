@@ -17,7 +17,7 @@ from repro.core.gather_rows import place_rows
 from repro.core.symbolic import DIAGONAL, EMPTY, LOCAL, REMOTE, SubtileInfo, SymbolicPlan
 from repro.data import bfs_frontier
 from repro.mpi import PERLMUTTER, run_spmd
-from repro.partition.distmat import DistSparseMatrix, _vstack_blocks, _vstack_tagged
+from repro.partition.distmat import DistSparseMatrix, stack_blocks, _vstack_tagged
 from repro.sparse import (
     BOOL_AND_OR,
     PLUS_TIMES,
@@ -504,7 +504,7 @@ def single_program_msbfs(
         return visited, trace
 
     result = run_spmd(p, program, machine=machine, sanitize=config.sanitize or None)
-    visited = _vstack_blocks([v[0] for v in result.values], f_global.ncols)
+    visited = stack_blocks([v[0] for v in result.values], f_global.ncols)
     out = BfsResult(visited=visited)
     # Aggregate per-level traces across ranks (sum counters, max times).
     n_levels = max(len(v[1]) for v in result.values)

@@ -16,19 +16,21 @@ regime where remote tiles pay off (Fig 13d).
 
 The epoch loop is **SPMD-resident** by default: one resident
 :class:`~repro.core.driver.TsSession` holds the coefficient pattern, the
-embedding lives on the ranks as a sparse
-:class:`~repro.partition.distmat.DistHandle` plus its dense
-:class:`~repro.partition.distmat.DistDenseHandle` twin, and each epoch is
-one rank program — a *distributed SDDMM* (each rank fetches exactly the
-``Z`` rows its pattern columns reference, charged; the σ coefficients are
-computed on the row owners and flow into the resident operand through a
-values-only ``Ac`` strip exchange), the TS-SpGEMM, and the fused
-rank-local SGD + top-k re-sparsification epilogue.  Per-epoch driver
-traffic is exactly **zero**; the embedding is gathered once after the
-last epoch.  ``driver_gather=True`` is the ablation: the historical loop
-that round-trips ``Z`` and the gradient through the driver every epoch
-(now honestly charged as a root scatter + gather) and computes the SDDMM
-driver-side.
+embedding lives on the ranks as two
+:class:`~repro.partition.distmat.DistHandle` objects (sparse ``Z`` and
+its dense twin), and each epoch is one rank program — a *distributed
+SDDMM* (each rank fetches exactly the ``Z`` rows its pattern columns
+reference, charged; the σ coefficients are computed on the row owners
+and flow into the resident operand through a values-only ``Ac`` strip
+exchange), the TS-SpGEMM, and the fused rank-local SGD + top-k
+re-sparsification epilogue.  Per-epoch driver traffic is exactly
+**zero**; the embedding is gathered once after the last epoch.
+``driver_gather=True`` is the ablation: the historical loop that
+round-trips ``Z`` and the gradient through the driver every epoch (now
+honestly charged as a root scatter + gather) and computes the SDDMM
+driver-side.  The mini-batch size is :data:`BATCH_SIZE` and the learning
+rate ``train_sparse_embedding``'s ``learning_rate`` (Table IV: 256 and
+0.02).
 
 With ``TsConfig.fuse_comm`` (default) the epoch's exchanges are **fused
 FusedMM-style**: the SDDMM ``Z``-row fetch, the symbolic mode lists and
@@ -57,6 +59,10 @@ from ..sparse.ops import (
 )
 from ..sparse.sddmm import compact_pattern, force2vec_coefficients
 from ..sparse.semiring import PLUS_TIMES, Semiring
+
+#: Mini-batch size b (Table IV), capped at ``n/p``; it is also the tile
+#: height, so each row tile is one mini-batch (Fig 4c).
+BATCH_SIZE = 256
 
 #: Collapses duplicate (u, v) pairs in the force pattern by summing their
 #: ±1 labels: an edge that is also drawn as a negative sample nets out.
@@ -265,7 +271,7 @@ def train_sparse_embedding(
     machine: MachineProfile = PERLMUTTER,
     seed: int = 0,
     holdout_fraction: float = 0.1,
-    learning_rate: Optional[float] = None,
+    learning_rate: float = 0.02,
     negative_refresh: int = 1,
     driver_gather: bool = False,
     row_bounds: Optional[Tuple[int, ...]] = None,
@@ -327,8 +333,7 @@ def train_sparse_embedding(
     # --- initialization ------------------------------------------------
     z_init = (rng.random((n, d)) - 0.5) / np.sqrt(d)
     z_sparse, z_dense = row_topk(z_init, keep_per_row)
-    lr = config.learning_rate if learning_rate is None else learning_rate
-    batch = min(config.batch_size, max(n // max(p, 1), 1))
+    batch = min(BATCH_SIZE, max(n // max(p, 1), 1))
     # Tile height = mini-batch size (§IV-B); everything else — kernel,
     # mode policy, plan reuse — is inherited from the caller's config.
     train_config = replace(config, tile_height=batch)
@@ -354,7 +359,7 @@ def train_sparse_embedding(
     result = EmbeddingResult(Z=z_sparse)
     pattern = None
     z_sp_h = z_dn_h = labels_h = None
-    sgd_epilogue = _make_sgd_epilogue(lr, keep_per_row)
+    sgd_epilogue = _make_sgd_epilogue(learning_rate, keep_per_row)
     try:
         for epoch in range(epochs):
             redraw = pattern is None or epoch % negative_refresh == 0
@@ -386,7 +391,9 @@ def train_sparse_embedding(
                 mult = session.multiply(z_sparse, charge_driver=True)
                 grad = mult.C.to_dense()
                 # synchronous SGD step + re-sparsification (top-k per row)
-                z_sparse, z_dense = row_topk(z_dense - lr * grad, keep_per_row)
+                z_sparse, z_dense = row_topk(
+                    z_dense - learning_rate * grad, keep_per_row
+                )
                 z_nnz = z_sparse.nnz
             else:
                 # Resident path: one rank program per epoch, zero driver
@@ -398,7 +405,7 @@ def train_sparse_embedding(
                         machine=machine, row_bounds=row_bounds,
                     )
                     z_sp_h = session.scatter(z_sparse)
-                    z_dn_h = session.scatter_dense(z_dense)
+                    z_dn_h = session.scatter(z_dense)
                     labels_h = session.scatter(pattern)
                 elif redraw:
                     session.update_operand(pattern)

@@ -17,7 +17,7 @@ from ..core.naive import naive_multiply
 from ..mpi.comm import SimComm
 from ..mpi.costmodel import PERLMUTTER, MachineProfile
 from ..mpi.executor import run_spmd
-from ..partition.distmat import DistSparseMatrix, _vstack_blocks
+from ..partition.distmat import DistSparseMatrix, stack_blocks
 from ..sparse.csr import CsrMatrix
 from ..sparse.semiring import PLUS_TIMES, Semiring
 
@@ -55,7 +55,7 @@ def petsc1d(
     blocks = [v[0] for v in result.values]
     fetched = sum(v[1]["fetched_b_nnz"] for v in result.values)
     return MultiplyResult(
-        C=_vstack_blocks(blocks, B.ncols),
+        C=stack_blocks(blocks, B.ncols),
         report=result.report,
         diagnostics={"fetched_b_nnz": fetched},
     )

@@ -15,7 +15,9 @@ Embedding learning rate               0.02
 ====================================  =============
 
 Threads-per-process lives in the machine profile (it rescales compute
-constants); everything tile- and policy-related lives here.
+constants) and the embedding's pair lives with the embedding
+(:mod:`repro.apps.embedding`); everything tile- and policy-related lives
+here.
 """
 
 from __future__ import annotations
@@ -73,8 +75,6 @@ class TsConfig:
         behind the CLI's ``--fuse-comm on|off`` (and the configuration
         under which the Fig 5 per-round memory/latency trade-off is
         observable).
-    batch_size / learning_rate:
-        Embedding defaults (Table IV).
     sanitize:
         When ``True``, sessions built from this config run with the
         collective sanitizer on (:mod:`repro.mpi.sanitize`): every
@@ -126,8 +126,6 @@ class TsConfig:
     mode_policy: str = "hybrid"
     kernel: str = "auto"
     fuse_comm: bool = True
-    batch_size: int = 256
-    learning_rate: float = 0.02
     sanitize: bool = False
     recoverable: bool = False
     checkpoint: str = "neighbor"

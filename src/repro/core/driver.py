@@ -27,16 +27,18 @@ from ..mpi.costmodel import PERLMUTTER, MachineProfile
 from ..mpi.errors import RankError, ShrinkRefusedError
 from ..mpi.executor import ResidentSession, SpmdResult
 from ..mpi.faults import FaultInjector, FaultPlan, RankFailure
+from ..mpi.payload import payload_nbytes
 from ..mpi.stats import SpmdReport, merge_reports, project_report
 from ..partition.block1d import Block1D, shrunk_partition
 from ..partition.distmat import (
-    DistDenseHandle,
     DistDenseMatrix,
     DistHandle,
     DistSparseMatrix,
+    RowBlock,
     _hstack_blocks,
-    _vstack_blocks,
     _vstack_tagged,
+    row_block,
+    stack_blocks,
 )
 from ..sparse.csr import CsrMatrix
 from ..sparse.ops import extract_row_range, mask_entries, mask_pattern
@@ -326,6 +328,10 @@ class TsSession(ResidentSession):
     >>> h = session.multiply(h, gather=False).C    # stays on-rank
     >>> h = session.multiply(h, gather=False).C    # chains, zero driver I/O
     >>> C = h.gather()                             # explicit exit point
+
+    One handle type carries either kind of row block: ``scatter`` of an
+    ndarray mints a dense handle, and a dense ``B`` — driver-resident or
+    on-rank — runs the §V-C SpMM comparator on the same 1-D pattern.
 
     With ``multiply(..., charge_driver=True)`` a driver-resident ``B``
     is charged as a root scatter (phase ``scatter-B``) and
@@ -816,12 +822,8 @@ class TsSession(ResidentSession):
         dead_blob = self._ckpt[dead_rank]
         dead_local: CsrMatrix = dead_blob["local"]
         dead_col: CsrMatrix = dead_blob["col"]
-        migrate = [
-            arr
-            for mat in (dead_local, dead_col)
-            for arr in (mat.data, mat.indptr, mat.indices)
-        ]
-        migrate_nbytes = int(sum(a.nbytes for a in migrate))
+        migrate = [dead_local, dead_col]
+        migrate_nbytes = payload_nbytes(migrate)
 
         # Merge in global row/column order: the dead block precedes the
         # adopter's when the adopter is the higher neighbor.  Byte-for-
@@ -830,7 +832,7 @@ class TsSession(ResidentSession):
         # bit-identical to a fresh session at the merged layout.
         a_rows, a_local, a_col, _, _ = self._state[adopter_old]
         dead_first = adopter_old == dead_rank + 1
-        merged_local = _vstack_blocks(
+        merged_local = stack_blocks(
             [dead_local, a_local] if dead_first else [a_local, dead_local],
             self.ncols,
         )
@@ -845,14 +847,8 @@ class TsSession(ResidentSession):
         # adopter too (tag-80, from the driver root's shadow) so handle
         # chains survive the remap.
         live_handles = list(self._handles)
-        handle_wire: List[np.ndarray] = []
-        for h in live_handles:
-            blk = h.blocks[dead_rank]
-            if isinstance(blk, np.ndarray):
-                handle_wire.append(blk)
-            else:
-                handle_wire.extend((blk.data, blk.indptr, blk.indices))
-        handle_nbytes = int(sum(a.nbytes for a in handle_wire))
+        handle_wire = [h.blocks[dead_rank] for h in live_handles]
+        handle_nbytes = payload_nbytes(handle_wire)
 
         new_state: List[tuple] = []
         for r in range(old_p):
@@ -907,12 +903,8 @@ class TsSession(ResidentSession):
             dead_blk = h.blocks[dead_rank]
             adopt_blk = h.blocks[adopter_old]
             pair = [dead_blk, adopt_blk] if dead_first else [adopt_blk, dead_blk]
-            if isinstance(dead_blk, np.ndarray):
-                merged_blk: Any = np.vstack(pair)
-            else:
-                merged_blk = _vstack_blocks(pair, h.ncols)
             blocks = [b for r, b in enumerate(h.blocks) if r != dead_rank]
-            blocks[adopter_new] = merged_blk
+            blocks[adopter_new] = stack_blocks(pair, h.ncols)
             h.blocks = blocks
             h.rows = new_rows
 
@@ -924,56 +916,43 @@ class TsSession(ResidentSession):
         return self._commit(result)
 
     # ------------------------------------------------------------------
-    def scatter(self, B: CsrMatrix) -> DistHandle:
-        """Slice a driver-resident matrix into a rank-resident handle.
+    def scatter(self, B: RowBlock) -> DistHandle:
+        """Slice a driver-resident matrix — a :class:`CsrMatrix`, or an
+        ndarray for SpMM operands and dense iterative state (the
+        embedding's ``Z`` twin) — into a rank-resident handle.
 
         The *entry point* of the handle lifecycle.  Like
         ``DistSparseMatrix.scatter_rows``, the initial distribution is
         free on the virtual clocks (pre-distributed input, the paper's
         timing scope); it is the *per-multiply* re-scatter that
-        ``multiply`` charges and the handle chain avoids.
+        ``multiply(charge_driver=True)`` charges and the handle chain
+        avoids.
         """
-        if B.nrows != self.ncols:
+        B = self._driver_operand(B)
+        return self._mint([row_block(B, lo, hi) for lo, hi in self._rows.ranges])
+
+    def _driver_operand(self, B: RowBlock) -> RowBlock:
+        """``B`` as a CSR or 2-D ndarray operand with A's row count."""
+        if not isinstance(B, CsrMatrix):
+            B = np.asarray(B)
+        if len(B.shape) != 2 or B.shape[0] != self.ncols:
             raise ValueError(
                 f"matrix must have {self.ncols} rows to match A, got {B.shape}"
             )
-        return self._mint(
-            [extract_row_range(B, lo, hi) for lo, hi in self._rows.ranges]
-        )
+        return B
 
-    def scatter_dense(self, B: np.ndarray) -> DistDenseHandle:
-        """Slice a driver-resident *dense* matrix into a rank-resident handle.
-
-        The dense sibling of :meth:`scatter` — the entry point for SpMM
-        operands and dense iterative state (the embedding's ``Z`` blocks).
-        Free on the clocks, like every initial distribution.
-        """
-        B = np.asarray(B)
-        if B.ndim != 2 or B.shape[0] != self.ncols:
-            raise ValueError(
-                f"matrix must be ({self.ncols}, d) to match A, got {B.shape}"
-            )
-        return self._mint([B[lo:hi] for lo, hi in self._rows.ranges])
-
-    def _mint(self, blocks: List[Any]) -> Union[DistHandle, DistDenseHandle]:
-        """Wrap per-rank row blocks in a rank-resident handle — sparse
-        blocks (:class:`CsrMatrix`) a :class:`DistHandle`, dense ones
-        (``np.ndarray``) a :class:`DistDenseHandle` — and track it for
-        elastic remapping: :meth:`shrink` rewrites every live handle's
+    def _mint(self, blocks: List[RowBlock]) -> DistHandle:
+        """Wrap per-rank row blocks in a rank-resident handle and track it
+        for elastic remapping: :meth:`shrink` rewrites every live handle's
         partition and blocks in place, so handle chains keep working at
         ``p-1``.  Weak membership — a dropped handle needs no migration."""
-        if isinstance(blocks[0], np.ndarray):
-            h: Any = DistDenseHandle(
-                owner=self, rows=self._rows, ncols=blocks[0].shape[1], blocks=blocks
-            )
-        else:
-            h = DistHandle(
-                owner=self, rows=self._rows, ncols=blocks[0].ncols, blocks=blocks
-            )
+        h = DistHandle(
+            owner=self, rows=self._rows, ncols=blocks[0].shape[1], blocks=blocks
+        )
         self._handles.add(h)
         return h
 
-    def _check_handle(self, h: Union[DistHandle, DistDenseHandle]) -> None:
+    def _check_handle(self, h: DistHandle) -> None:
         if h.owner is not self:
             raise ValueError(
                 "handle belongs to a different session; handles follow "
@@ -983,7 +962,7 @@ class TsSession(ResidentSession):
     # ------------------------------------------------------------------
     def multiply(
         self,
-        B: Union[CsrMatrix, np.ndarray, DistHandle, DistDenseHandle],
+        B: Union[RowBlock, DistHandle],
         *,
         gather: bool = True,
         charge_driver: bool = False,
@@ -994,20 +973,16 @@ class TsSession(ResidentSession):
     ) -> MultiplyResult:
         """One distributed ``C = A · B`` against the resident ``A``.
 
-        ``B`` may be a driver-resident :class:`CsrMatrix` or a
-        rank-resident :class:`~repro.partition.distmat.DistHandle`
+        ``B`` may be driver-resident (a :class:`CsrMatrix` or ndarray) or
+        a rank-resident :class:`~repro.partition.distmat.DistHandle`
         minted by this session (zero driver traffic).  With
-        ``gather=True`` (default) ``result.C`` is the global
-        :class:`CsrMatrix`; with ``gather=False`` it is a
-        :class:`DistHandle` that chains into the next multiply.
-
-        A *dense* ``B`` — an ``np.ndarray`` or a
-        :class:`~repro.partition.distmat.DistDenseHandle` — selects the
-        SpMM path (:func:`repro.core.spmm.spmm_multiply`, §V-C): the
-        product is dense and comes back as a global ndarray
-        (``gather=True``) or a chaining :class:`DistDenseHandle`
-        (``gather=False``).  Dense multiplies require the arithmetic
-        semiring.
+        ``gather=True`` (default) ``result.C`` is the global product;
+        with ``gather=False`` it is a :class:`DistHandle` that chains into
+        the next multiply.  A *dense* ``B`` (an ndarray, or a handle whose
+        :attr:`~repro.partition.distmat.DistHandle.dense` is set) runs the
+        SpMM codec (:func:`repro.core.spmm.spmm_multiply`, §V-C) on the
+        same 1-D pattern, and its product is dense; it requires the
+        arithmetic semiring.
 
         ``prologue`` fuses a rank-local *pre*-processing step into the
         same rank program: ``prologue(comm, operand, *operand_blocks)``
@@ -1022,49 +997,33 @@ class TsSession(ResidentSession):
         multiplies.
 
         ``charge_driver=True`` charges the per-multiply driver
-        round-trip on the virtual clocks — the B root scatter
-        (``scatter-B`` phase) and, with ``gather=True``, the C root
-        gather (``gather-C``) — and surfaces the moved bytes as
-        ``diagnostics['driver_scatter_bytes'] / ['driver_gather_bytes']``.
-        This is the explicit ablation knob behind the embedding's
-        ``driver_gather=True``: it models the O(n·d) per-iteration
-        traffic a loop pays when it round-trips operands through the
-        driver instead of chaining handles.  The default ``False`` keeps
-        the paper's pre-distributed-input convention, the same (free)
-        accounting as the per-call :func:`ts_spgemm` path.
+        round-trip on the virtual clocks — the root scatter of a
+        driver-resident ``B`` (``scatter-B`` phase) and, with
+        ``gather=True``, the C root gather (``gather-C``) — and surfaces
+        the moved bytes as ``diagnostics['driver_scatter_bytes'] /
+        ['driver_gather_bytes']``.  This is the explicit ablation knob
+        behind the embedding's ``driver_gather=True``: it models the
+        O(n·d) per-iteration traffic a loop pays when it round-trips
+        operands through the driver instead of chaining handles.  The
+        default ``False`` keeps the paper's pre-distributed-input
+        convention: each rank slices its block of a driver-resident
+        ``B`` for free.
 
         ``epilogue`` fuses a rank-local post-processing step into the
         same rank program — ``epilogue(comm, c_local, *operand_blocks)``
         runs right after each rank's multiply (MS-BFS's frontier update
-        lives here, as in the paper's Alg 3) and returns a
-        :class:`CsrMatrix` or tuple of them, surfaced as matching
-        handles in ``result.extra``.  Its charges land in this
-        multiply's report.
+        lives here, as in the paper's Alg 3) and returns a row block or
+        tuple of them, surfaced as matching handles in ``result.extra``.
+        Its charges land in this multiply's report.
         """
         b_handle: Optional[DistHandle] = None
-        b_dense_handle: Optional[DistDenseHandle] = None
         if isinstance(B, DistHandle):
-            b_handle = B
-            self._check_handle(b_handle)
-            b_ncols = B.ncols
-        elif isinstance(B, DistDenseHandle):
-            b_dense_handle = B
-            self._check_handle(b_dense_handle)
-            b_ncols = B.ncols
-        elif isinstance(B, CsrMatrix):
-            if B.nrows != self.ncols:
-                raise ValueError(
-                    f"B must have {self.ncols} rows to match A, got {B.shape}"
-                )
-            b_ncols = B.ncols
+            self._check_handle(B)
+            b_handle, dense_b = B, B.dense
         else:
-            B = np.asarray(B)
-            if B.ndim != 2 or B.shape[0] != self.ncols:
-                raise ValueError(
-                    f"B must have {self.ncols} rows to match A, got {B.shape}"
-                )
-            b_ncols = B.shape[1]
-        dense_b = b_dense_handle is not None or isinstance(B, np.ndarray)
+            B = self._driver_operand(B)
+            dense_b = isinstance(B, np.ndarray)
+        b_ncols = B.shape[1]
         if dense_b and self.semiring is not PLUS_TIMES:
             raise ValueError(
                 "dense SpMM is arithmetic-only; use a sparse operand "
@@ -1095,35 +1054,29 @@ class TsSession(ResidentSession):
                     fused_shim = _FusedPrologueShim(prologue, operand, blocks_here)
                 else:
                     prologue(comm, operand, *blocks_here)
+            # This attempt's row map: a retry after an elastic shrink
+            # slices a driver-resident B by the shrunken partition.
             if b_handle is not None:
-                dist_b = DistSparseMatrix(
-                    comm, rows, b_handle.blocks[comm.rank], b_ncols
-                )
-            elif b_dense_handle is not None:
-                dist_b = DistDenseMatrix(
-                    comm, rows, b_dense_handle.blocks[comm.rank], b_ncols
-                )
-            elif dense_b:
-                dist_b = DistDenseMatrix.scatter_rows(
-                    comm, B, charge_comm=charge_driver, phase="scatter-B",
-                    rows=rows,
-                )
+                b_local = b_handle.blocks[comm.rank]
+            elif charge_driver:
+                # The ablation's driver round-trip: the root slices and
+                # scatters B, and the α–β cost lands on the clocks — the
+                # per-level traffic the paper's resident loop never pays.
+                with comm.phase("scatter-B"):
+                    b_local = comm.scatter(
+                        [row_block(B, lo, hi) for lo, hi in rows.ranges]
+                        if comm.rank == 0
+                        else None
+                    )
             else:
-                # B lives on the driver.  Under the ablation accounting
-                # the root slices and scatters it and the α–β cost lands
-                # on the clocks — the per-level traffic the paper's
-                # resident loop (Alg 3) never pays; by default the
-                # distribution is free, like every other driver entry
-                # point (pre-distributed input convention).
-                dist_b = DistSparseMatrix.scatter_rows(
-                    comm, B, charge_comm=charge_driver, phase="scatter-B",
-                    rows=rows,
-                )
+                b_local = row_block(B, *rows.range_of(comm.rank))
             if dense_b:
+                dist_b = DistDenseMatrix(comm, rows, b_local, b_ncols)
                 dist_c, diag = spmm_multiply(
                     dist_a, dist_b, self.config, prepared=prepared
                 )
             else:
+                dist_b = DistSparseMatrix(comm, rows, b_local, b_ncols)
                 dist_c, diag = tiled_multiply(
                     dist_a,
                     dist_b,
@@ -1169,12 +1122,7 @@ class TsSession(ResidentSession):
         diagnostics["driver_scatter_bytes"] = per_phase.get("scatter-B", 0)
         diagnostics["driver_gather_bytes"] = per_phase.get("gather-C", 0)
         blocks = [v[0] for v in result.values]
-        if not gather:
-            c_out: Any = self._mint(blocks)
-        elif dense_b:
-            c_out = np.vstack(blocks)
-        else:
-            c_out = _vstack_blocks(blocks, b_ncols)
+        c_out = stack_blocks(blocks, b_ncols) if gather else self._mint(blocks)
         extra_out = None
         if epilogue is not None:
             extra_out = self._wrap_local_outputs([v[2] for v in result.values])
@@ -1378,6 +1326,7 @@ def ts_spmm(
     """Distributed SpMM ``C = A · B`` with dense ``B`` (§V-C comparator):
     :func:`ts_spgemm`, whose session takes the dense path.  Iterative
     dense chains (``Z ← A·Z``) keep ``B`` on-rank through one session
-    (:meth:`TsSession.scatter_dense`, ``multiply(..., gather=False)``).
+    (:meth:`TsSession.scatter` of the ndarray, then
+    ``multiply(..., gather=False)``).
     """
     return ts_spgemm(A, B, p, config=config, machine=machine)

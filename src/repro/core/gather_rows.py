@@ -13,7 +13,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from ..partition.distmat import _vstack_blocks
+from ..partition.distmat import stack_blocks
 from ..sparse.csr import INDEX_DTYPE, CsrMatrix
 from ..sparse.ops import extract_rows
 
@@ -84,7 +84,7 @@ def place_row_union(
     row_ids, rows = payloads[0]
     if len(payloads) > 1:
         row_ids = np.concatenate([ids for ids, _ in payloads])
-        rows = _vstack_blocks([rows for _, rows in payloads], ncols)
+        rows = stack_blocks([rows for _, rows in payloads], ncols)
         if not (row_ids[1:] > row_ids[:-1]).all():
             row_ids, first = np.unique(row_ids, return_index=True)
             rows = extract_rows(rows, first)

@@ -24,7 +24,7 @@ from typing import Tuple
 import numpy as np
 
 from ..mpi.marker import rank_program
-from ..partition.distmat import DistSparseMatrix, _vstack_blocks
+from ..partition.distmat import DistSparseMatrix, stack_blocks
 from ..sparse.csr import INDEX_DTYPE
 from ..sparse.kernels import dispatch_spgemm, resolve_spgemm
 from ..sparse.ops import extract_rows
@@ -97,7 +97,7 @@ def naive_multiply(
         if parts_rows:
             all_ids = np.concatenate(parts_rows)
             order = np.argsort(all_ids, kind="stable")
-            stacked = _vstack_blocks(parts_mats, d)
+            stacked = stack_blocks(parts_mats, d)
             payload = (all_ids[order], extract_rows(stacked, order))
         else:
             payload = None

@@ -1,12 +1,11 @@
 """Data-distribution layer: 1-D block maps and distributed matrix handles."""
 
 from .block1d import Block1D
-from .distmat import DistDenseHandle, DistDenseMatrix, DistHandle, DistSparseMatrix
+from .distmat import DistDenseMatrix, DistHandle, DistSparseMatrix
 from .grid_dist import grid_block, inner_chunk_owner_row, layer_slices, summa_b_chunks
 
 __all__ = [
     "Block1D",
-    "DistDenseHandle",
     "DistDenseMatrix",
     "DistHandle",
     "DistSparseMatrix",

@@ -9,15 +9,16 @@ through a genuine all-to-all of column strips so its cost shows up on the
 virtual clocks as a setup phase.
 
 Initial distribution (``scatter_rows``) follows the common practice — also
-the paper's — of not timing data loading: with ``charge_comm=False``
-(default) each rank simply slices the shared input, modelling a matrix
-already resident across the machine (e.g. read from a parallel FS).
+the paper's — of not timing data loading: each rank simply slices the
+shared input, modelling a matrix already resident across the machine
+(e.g. read from a parallel FS).  A driver-side :class:`DistHandle` holds
+the per-rank row blocks of one matrix, sparse or dense alike.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, Optional, Union
 
 import numpy as np
 
@@ -28,26 +29,8 @@ from ..sparse.ops import extract_row_range
 from ..sparse.tile import ColumnStrips
 from .block1d import Block1D
 
-
-def _check_owner_alive(handle) -> None:
-    """Refuse to read a handle whose owning session was aborted.
-
-    A handle's blocks are rank-resident state; once the owning session
-    died (``MPI_Abort`` semantics — watchdog, unrecovered fault, rank
-    error), those blocks are in an unknown state on the real machine.
-    Gathering them would silently hand the driver stale data, so the
-    follow-on call surfaces the original kill reason instead.  A cleanly
-    :meth:`closed <repro.mpi.executor.SpmdSession.close>` session keeps
-    its handles readable — iterative drivers gather before closing.
-    """
-    exec_ = getattr(handle.owner, "_exec", None)
-    reason = getattr(exec_, "dead_reason", None)
-    if reason:
-        raise DeadSessionError(
-            "cannot gather from a handle whose owning session died "
-            f"(aborted: {reason}); re-create the session and recompute",
-            reason=reason,
-        )
+#: One rank's row block of a 1-D partitioned matrix: CSR or dense.
+RowBlock = Union[CsrMatrix, np.ndarray]
 
 
 @dataclass
@@ -88,18 +71,14 @@ class DistSparseMatrix:
         comm: SimComm,
         global_mat: CsrMatrix,
         *,
-        charge_comm: bool = False,
-        phase: str = "scatter-input",
         rows: Optional[Block1D] = None,
     ) -> "DistSparseMatrix":
-        """Distribute ``global_mat`` row-block-wise onto ``comm``.
+        """Distribute ``global_mat`` row-block-wise onto ``comm``, free on
+        the clocks (pre-distributed input, the paper's timing scope).
 
-        With ``charge_comm=True`` the distribution is performed as a root
-        scatter and its α–β cost lands on the clocks, under ``phase``; by
-        default it is free (pre-distributed input, matching the paper's
-        timing scope).  ``rows`` overrides the balanced default partition
-        — operands must follow the session's row map after an elastic
-        shrink left it unbalanced.
+        ``rows`` overrides the balanced default partition — operands must
+        follow the session's row map after an elastic shrink left it
+        unbalanced.
         """
         if rows is None:
             rows = Block1D(global_mat.nrows, comm.size)
@@ -110,28 +89,7 @@ class DistSparseMatrix:
             )
         lo, hi = rows.range_of(comm.rank)
         block = extract_row_range(global_mat, lo, hi)
-        if charge_comm:
-            with comm.phase(phase):
-                blocks = None
-                if comm.rank == 0:
-                    blocks = [
-                        extract_row_range(global_mat, a, b) for a, b in rows.ranges
-                    ]
-                block = comm.scatter(blocks, root=0)
         return cls(comm, rows, block, global_mat.ncols)
-
-    def gather(self, root: int = 0, *, charge_comm: bool = False) -> Optional[CsrMatrix]:
-        """Collect the full matrix on ``root`` (None on other ranks)."""
-        if charge_comm:
-            with self.comm.phase("gather-output"):
-                blocks = self.comm.gather(self.local, root=root)
-        else:
-            blocks = self.comm.allgather(self.local)
-            if self.comm.rank != root:
-                return None
-        if blocks is None:
-            return None
-        return _vstack_blocks(blocks, self.ncols)
 
     # ------------------------------------------------------------------
     @property
@@ -197,9 +155,11 @@ class DistHandle:
     """A driver-side *handle* to a rank-resident row-partitioned matrix.
 
     Produced and consumed by resident sessions
-    (:class:`repro.core.driver.TsSession`): ``blocks[i]`` is the CSR row
-    block resident on rank ``i`` (local rows × global columns, like
-    :attr:`DistSparseMatrix.local`).  The driver holds only this handle —
+    (:class:`repro.core.driver.TsSession`): ``blocks[i]`` is the row block
+    resident on rank ``i`` — a CSR block (local rows × global columns,
+    like :attr:`DistSparseMatrix.local`) or, for SpMM operands and dense
+    iterative state (the embedding's ``Z`` twin), an ndarray; one handle
+    holds one kind (:attr:`dense`).  The driver holds only this handle —
     the matrix is never materialized globally, so chaining one multiply's
     output into the next multiply's operand moves **zero bytes** through
     the driver (no per-level B scatter, no C gather, no global vstack).
@@ -214,7 +174,7 @@ class DistHandle:
     owner: object
     rows: Block1D
     ncols: int
-    blocks: List[CsrMatrix]
+    blocks: List[RowBlock]
 
     @property
     def nrows(self) -> int:
@@ -225,8 +185,14 @@ class DistHandle:
         return (self.rows.n, self.ncols)
 
     @property
+    def dense(self) -> bool:
+        """Whether the blocks are ndarrays (else CSR)."""
+        return isinstance(self.blocks[0], np.ndarray)
+
+    @property
     def nnz(self) -> int:
-        """Global nonzero count (sum of the resident blocks' nnz).
+        """Global nonzero count of a sparse handle (sum of the resident
+        blocks' nnz).
 
         Driver-visible without a gather: on the real system this is the
         allreduce every iterative driver already performs for its
@@ -234,49 +200,25 @@ class DistHandle:
         """
         return sum(b.nnz for b in self.blocks)
 
-    def gather(self) -> CsrMatrix:
+    def gather(self) -> RowBlock:
         """Materialize the global matrix on the driver (ends the chain).
 
-        Raises :class:`~repro.mpi.errors.DeadSessionError` — carrying the
-        original kill reason — when the owning session was aborted.
+        A handle's blocks are rank-resident state: once the owning
+        session died (``MPI_Abort`` semantics — watchdog, unrecovered
+        fault, rank error) they are in an unknown state on the real
+        machine, so this raises :class:`~repro.mpi.errors.DeadSessionError`
+        carrying the original kill reason instead of handing the driver
+        stale data.  A cleanly closed session keeps its handles readable
+        — iterative drivers gather before closing.
         """
-        _check_owner_alive(self)
-        return _vstack_blocks(self.blocks, self.ncols)
-
-
-@dataclass(eq=False)  # identity semantics: hashable, weakly trackable
-class DistDenseHandle:
-    """A driver-side handle to a rank-resident row-partitioned *dense* matrix.
-
-    The dense sibling of :class:`DistHandle`, produced and consumed by
-    resident sessions for SpMM operands and for dense rank-resident state
-    (the embedding loop's ``Z`` row blocks): ``blocks[i]`` is the
-    ``rows.size_of(i) × ncols`` ndarray resident on rank ``i``.  Like its
-    sparse sibling, the matrix is never materialized globally while the
-    chain runs — :meth:`gather` is the one explicit exit point.
-    """
-
-    owner: object
-    rows: Block1D
-    ncols: int
-    blocks: List[np.ndarray]
-
-    @property
-    def nrows(self) -> int:
-        return self.rows.n
-
-    @property
-    def shape(self):
-        return (self.rows.n, self.ncols)
-
-    def gather(self) -> np.ndarray:
-        """Materialize the global dense matrix on the driver.
-
-        Raises :class:`~repro.mpi.errors.DeadSessionError` — carrying the
-        original kill reason — when the owning session was aborted.
-        """
-        _check_owner_alive(self)
-        return np.vstack(self.blocks)
+        reason = getattr(getattr(self.owner, "_exec", None), "dead_reason", None)
+        if reason:
+            raise DeadSessionError(
+                "cannot gather from a handle whose owning session died "
+                f"(aborted: {reason}); re-create the session and recompute",
+                reason=reason,
+            )
+        return stack_blocks(self.blocks, self.ncols)
 
 
 @dataclass
@@ -288,53 +230,20 @@ class DistDenseMatrix:
     local: np.ndarray
     ncols: int
 
-    @classmethod
-    def scatter_rows(
-        cls,
-        comm: SimComm,
-        global_mat: np.ndarray,
-        *,
-        charge_comm: bool = False,
-        phase: str = "scatter-input",
-        rows: Optional[Block1D] = None,
-    ) -> "DistDenseMatrix":
-        """Distribute ``global_mat`` row-block-wise onto ``comm``.
-
-        Mirrors :meth:`DistSparseMatrix.scatter_rows`: free by default
-        (pre-distributed input); with ``charge_comm=True`` performed as a
-        charged root scatter under ``phase`` — the per-multiply driver
-        round-trip accounting of the dense-operand ablation.  ``rows``
-        overrides the balanced default partition (post-shrink operands).
-        """
-        global_mat = np.asarray(global_mat)
-        if rows is None:
-            rows = Block1D(global_mat.shape[0], comm.size)
-        elif rows.n != global_mat.shape[0] or rows.p != comm.size:
-            raise ValueError(
-                f"partition is {rows.n} rows over {rows.p} ranks; matrix "
-                f"has {global_mat.shape[0]} rows on {comm.size} ranks"
-            )
-        lo, hi = rows.range_of(comm.rank)
-        block = global_mat[lo:hi]
-        if charge_comm:
-            with comm.phase(phase):
-                blocks = None
-                if comm.rank == 0:
-                    blocks = [global_mat[a:b] for a, b in rows.ranges]
-                block = comm.scatter(blocks, root=0)
-        return cls(comm, rows, block, global_mat.shape[1])
-
-    def gather(self) -> np.ndarray:
-        blocks = self.comm.allgather(self.local)
-        return np.vstack(blocks)
-
 
 # ----------------------------------------------------------------------
-def _vstack_blocks(blocks: List[CsrMatrix], ncols: int) -> CsrMatrix:
-    """Stack row blocks (in rank order) into one CSR."""
-    import numpy as _np
+def row_block(mat: RowBlock, lo: int, hi: int) -> RowBlock:
+    """Rows ``[lo, hi)`` of a CSR or dense matrix, as a view."""
+    if isinstance(mat, np.ndarray):
+        return mat[lo:hi]
+    return extract_row_range(mat, lo, hi)
 
-    indptr = [_np.zeros(1, dtype=np.int64)]
+
+def stack_blocks(blocks: List[RowBlock], ncols: int) -> RowBlock:
+    """Stack row blocks (in rank order) into one matrix of their kind."""
+    if blocks and isinstance(blocks[0], np.ndarray):
+        return np.vstack(blocks)
+    indptr = [np.zeros(1, dtype=np.int64)]
     indices = []
     data = []
     offset = 0
@@ -346,9 +255,9 @@ def _vstack_blocks(blocks: List[CsrMatrix], ncols: int) -> CsrMatrix:
     total_rows = sum(b.nrows for b in blocks)
     return CsrMatrix(
         (total_rows, ncols),
-        _np.concatenate(indptr),
-        _np.concatenate(indices) if indices else _np.zeros(0, dtype=np.int64),
-        _np.concatenate(data) if data else _np.zeros(0),
+        np.concatenate(indptr),
+        np.concatenate(indices) if indices else np.zeros(0, dtype=np.int64),
+        np.concatenate(data) if data else np.zeros(0),
         check=False,
     )
 

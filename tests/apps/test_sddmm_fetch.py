@@ -105,7 +105,7 @@ def run_prologue(prologue, p, bounds, pattern, fuse_comm=True):
             gather=False,
             prologue=prologue,
             prologue_operands=(
-                z_h, session.scatter_dense(z_dn), session.scatter(pattern)
+                z_h, session.scatter(z_dn), session.scatter(pattern)
             ),
         )
 

@@ -1,7 +1,10 @@
 """Table IV defaults and TsConfig validation."""
 
+import inspect
+
 import pytest
 
+from repro.apps.embedding import BATCH_SIZE, train_sparse_embedding
 from repro.core import DEFAULT_CONFIG, TsConfig
 
 
@@ -16,8 +19,9 @@ class TestTable4Defaults:
         assert DEFAULT_CONFIG.effective_tile_height(100) == 100
 
     def test_embedding_defaults(self):
-        assert DEFAULT_CONFIG.batch_size == 256
-        assert DEFAULT_CONFIG.learning_rate == pytest.approx(0.02)
+        assert BATCH_SIZE == 256
+        lr = inspect.signature(train_sparse_embedding).parameters["learning_rate"]
+        assert lr.default == pytest.approx(0.02)
 
     def test_hybrid_mode_is_default(self):
         assert DEFAULT_CONFIG.mode_policy == "hybrid"

@@ -3,9 +3,9 @@ edge-subset derivation.
 
 Contracts under test:
 
-* :meth:`TsSession.scatter_dense` / ``multiply(dense, gather=False)``
-  chain dense operands through the SpMM path exactly like sparse
-  :class:`DistHandle` chains — bit-identical to the per-call
+* :meth:`TsSession.scatter` of an ndarray / ``multiply(dense,
+  gather=False)`` chain dense operands through the SpMM path exactly
+  like sparse :class:`DistHandle` chains — bit-identical to the per-call
   :func:`ts_spmm`, zero driver bytes per multiply, charged round-trip
   under ``charge_driver=True``.
 * ``multiply(prologue=...)`` hands rank programs a
@@ -21,7 +21,6 @@ import numpy as np
 import pytest
 
 from repro.core import TsConfig, TsSession, ts_spgemm, ts_spmm
-from repro.partition import DistDenseHandle, DistHandle
 from repro.sparse import BOOL_AND_OR, CsrMatrix, mask_entries
 from ..conftest import csr_from_dense, random_dense
 
@@ -52,18 +51,18 @@ class TestDenseHandleChaining:
     def test_chain_matches_per_call_spmm(self, square_a, dense_b, policy):
         config = TsConfig(mode_policy=policy)
         with TsSession(square_a, P, config=config) as session:
-            handle = session.scatter_dense(dense_b)
+            handle = session.scatter(dense_b)
             reference = dense_b
             for _ in range(3):
                 mult = session.multiply(handle, gather=False)
                 handle = mult.C
-                assert isinstance(handle, DistDenseHandle)
+                assert handle.dense
                 reference = ts_spmm(square_a, reference, P, config=config).C
                 assert np.array_equal(handle.gather(), reference)
 
     def test_gather_true_returns_global_ndarray(self, square_a, dense_b):
         with TsSession(square_a, P) as session:
-            h = session.scatter_dense(dense_b)
+            h = session.scatter(dense_b)
             resident = session.multiply(h, gather=False).C.gather()
             gathered = session.multiply(h, gather=True).C
             assert isinstance(gathered, np.ndarray)
@@ -79,7 +78,7 @@ class TestDenseHandleChaining:
 class TestDenseHandleContract:
     def test_zero_driver_bytes_on_handle_chain(self, square_a, dense_b):
         with TsSession(square_a, P) as session:
-            mult = session.multiply(session.scatter_dense(dense_b), gather=False)
+            mult = session.multiply(session.scatter(dense_b), gather=False)
             assert mult.diagnostics["driver_scatter_bytes"] == 0
             assert mult.diagnostics["driver_gather_bytes"] == 0
             phases = mult.report.phase_bytes()
@@ -97,7 +96,7 @@ class TestDenseHandleContract:
 
     def test_foreign_dense_handle_rejected(self, square_a, dense_b):
         with TsSession(square_a, P) as s1, TsSession(square_a, P) as s2:
-            h = s1.scatter_dense(dense_b)
+            h = s1.scatter(dense_b)
             with pytest.raises(ValueError, match="different session"):
                 s2.multiply(h)
 
@@ -110,13 +109,13 @@ class TestDenseHandleContract:
     def test_scatter_dense_shape_check(self, square_a):
         with TsSession(square_a, P) as session:
             with pytest.raises(ValueError, match="match A"):
-                session.scatter_dense(np.zeros((N + 1, D)))
+                session.scatter(np.zeros((N + 1, D)))
 
     def test_dense_chain_reuses_spmm_mode_table(self, square_a, dense_b):
         """The SpMM mode rule depends only on A, so from the second
         multiply on the cached table serves the whole symbolic phase."""
         with TsSession(square_a, P) as session:
-            h = session.scatter_dense(dense_b)
+            h = session.scatter(dense_b)
             first = session.multiply(h, gather=False)
             assert first.diagnostics["plan_reused"] == 0
             second = session.multiply(first.C, gather=False)
@@ -126,7 +125,7 @@ class TestDenseHandleContract:
         self, square_a, dense_b
     ):
         """A rank-local epilogue may return ndarray blocks; they come
-        back as a DistDenseHandle (the embedding's dense Z twin), one
+        back as a dense handle (the embedding's dense Z twin), one
         handle per output whether it returns a tuple or a single block."""
 
         def epilogue(comm, c_local):
@@ -135,12 +134,35 @@ class TestDenseHandleContract:
         with TsSession(square_a, P) as session:
             mult = session.multiply(dense_b, epilogue=epilogue)
             sp, dn = mult.extra
-            assert isinstance(sp, DistHandle)
-            assert isinstance(dn, DistDenseHandle)
+            assert not sp.dense
+            assert dn.dense
             assert np.array_equal(dn.gather(), 2.0 * mult.C)
             single = session.multiply(dense_b, epilogue=lambda comm, c: 3.0 * c)
-            assert isinstance(single.extra, DistDenseHandle)
+            assert single.extra.dense
             assert np.array_equal(single.extra.gather(), 3.0 * single.C)
+
+
+class TestScatterGatherRoundTrip:
+    """``scatter(x).gather()`` is ``x`` bit for bit, for either kind of
+    ``x`` and for a balanced or an explicit (post-shrink shaped) row map."""
+
+    @pytest.mark.parametrize("bounds", [None, (0, 5, 20, 21, N)])
+    @pytest.mark.parametrize("kind", ["sparse", "dense"])
+    def test_round_trip_is_bitwise(self, rng, square_a, bounds, kind):
+        x = rng.random((N, D))
+        if kind == "sparse":
+            x = csr_from_dense(random_dense(rng, N, D, 0.4))
+        with TsSession(square_a, P, row_bounds=bounds) as session:
+            h = session.scatter(x)
+            assert h.dense == (kind == "dense")
+            assert [b.shape[0] for b in h.blocks] == [
+                hi - lo for lo, hi in h.rows.ranges
+            ]
+            back = h.gather()
+        if kind == "dense":
+            assert back.dtype == x.dtype and np.array_equal(back, x)
+        else:
+            assert bitwise_equal(back, x)
 
 
 class TestPrologueRefresh:

@@ -198,8 +198,9 @@ class TestCachedPlanEquivalence:
             dist_a.build_column_copy()
             prepared = prepare_multiply(dist_a, TsConfig())
             outs = []
+            lo, hi = dist_a.local_range
             for b in (b1, b2):
-                dist_b = DistDenseMatrix.scatter_rows(comm, b)
+                dist_b = DistDenseMatrix(comm, dist_a.rows, b[lo:hi], D)
                 fresh, _ = spmm_multiply(
                     dist_a, dist_b, TsConfig(),
                     prepared=prepare_multiply(dist_a, TsConfig()),

@@ -145,7 +145,7 @@ def digest(kind: str, config: TsConfig) -> str:
     z = CsrMatrix.from_dense(b / 8.0)
     with TsSession(pattern, P, config=config) as session:
         z_sp = session.scatter(z)
-        z_dn = session.scatter_dense(z.to_dense())
+        z_dn = session.scatter(z.to_dense())
         res = session.multiply(
             z_sp,
             gather=False,

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro.mpi import run_spmd
-from repro.partition import Block1D, DistDenseMatrix, DistSparseMatrix
+from repro.partition import Block1D, DistSparseMatrix
+from repro.partition.distmat import stack_blocks
 from repro.sparse import CsrMatrix
 from ..conftest import csr_from_dense, random_dense
 
@@ -19,11 +20,10 @@ class TestScatterGather:
         mat = make_square(rng)
 
         def program(comm, mat):
-            dist = DistSparseMatrix.scatter_rows(comm, mat)
-            return dist.gather(root=0)
+            return DistSparseMatrix.scatter_rows(comm, mat).local
 
         values = run_spmd(p, program, mat).values
-        assert values[0].equal(mat)
+        assert stack_blocks(values, mat.ncols).equal(mat)
 
     def test_local_blocks_match_partition(self, rng):
         mat = make_square(rng, n=10)
@@ -41,23 +41,14 @@ class TestScatterGather:
             assert nrows == hi - lo
             assert nnz == (dense[lo:hi] != 0).sum()
 
-    def test_charged_scatter_records_bytes(self, rng):
-        mat = make_square(rng)
-
-        def program(comm, mat):
-            DistSparseMatrix.scatter_rows(comm, mat, charge_comm=True)
-
-        report = run_spmd(4, program, mat).report
-        assert report.phase_bytes().get("scatter-input", 0) > 0
-
     def test_rectangular_matrix(self, rng):
         mat = csr_from_dense(random_dense(rng, 9, 4, 0.4))
 
         def program(comm, mat):
-            dist = DistSparseMatrix.scatter_rows(comm, mat)
-            return dist.gather(root=0)
+            return DistSparseMatrix.scatter_rows(comm, mat).local
 
-        assert run_spmd(2, program, mat).values[0].equal(mat)
+        values = run_spmd(2, program, mat).values
+        assert stack_blocks(values, mat.ncols).equal(mat)
 
 
 class TestColumnCopy:
@@ -129,25 +120,3 @@ class TestColumnCopy:
         with pytest.raises(RankError):
             run_spmd(2, program, mat)
 
-
-class TestDistDense:
-    def test_scatter_gather_roundtrip(self, rng):
-        dense = rng.random((10, 4))
-
-        def program(comm, dense):
-            dist = DistDenseMatrix.scatter_rows(comm, dense)
-            return dist.gather()
-
-        values = run_spmd(3, program, dense).values
-        for v in values:
-            np.testing.assert_allclose(v, dense)
-
-    def test_local_shapes(self, rng):
-        dense = rng.random((10, 4))
-
-        def program(comm, dense):
-            dist = DistDenseMatrix.scatter_rows(comm, dense)
-            return dist.local.shape
-
-        values = run_spmd(3, program, dense).values
-        assert values == [(4, 4), (3, 4), (3, 4)]
