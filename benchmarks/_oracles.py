@@ -483,7 +483,7 @@ def single_program_msbfs(
             bytes0, comm_t0 = totals0.bytes_sent, totals0.comm_time
             dist_f = DistSparseMatrix(comm, dist_a.rows, frontier, f_global.ncols)
             dist_n, diag = tiled_multiply(
-                dist_a, dist_f, BOOL_AND_OR, config,
+                dist_a, dist_f, BOOL_AND_OR,
                 prepared=prepared if prepare else prepare_multiply(dist_a, config),
             )
             frontier, visited = _frontier_update(comm, dist_n.local, visited)

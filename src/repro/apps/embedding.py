@@ -28,9 +28,8 @@ re-sparsification epilogue.  Per-epoch driver traffic is exactly
 ``driver_gather=True`` is the ablation: the historical loop that
 round-trips ``Z`` and the gradient through the driver every epoch (now
 honestly charged as a root scatter + gather) and computes the SDDMM
-driver-side.  The mini-batch size is :data:`BATCH_SIZE` and the learning
-rate ``train_sparse_embedding``'s ``learning_rate`` (Table IV: 256 and
-0.02).
+driver-side.  The mini-batch size is :data:`BATCH_SIZE` and the default
+learning rate :data:`LEARNING_RATE` (Table IV: 256 and 0.02).
 
 With ``TsConfig.fuse_comm`` (default) the epoch's exchanges are **fused
 FusedMM-style**: the SDDMM ``Z``-row fetch, the symbolic mode lists and
@@ -63,6 +62,10 @@ from ..sparse.semiring import PLUS_TIMES, Semiring
 #: Mini-batch size b (Table IV), capped at ``n/p``; it is also the tile
 #: height, so each row tile is one mini-batch (Fig 4c).
 BATCH_SIZE = 256
+
+#: Default SGD learning rate (Table IV): ``train_sparse_embedding``'s and
+#: ``repro embed --lr``'s.
+LEARNING_RATE = 0.02
 
 #: Collapses duplicate (u, v) pairs in the force pattern by summing their
 #: ±1 labels: an edge that is also drawn as a negative sample nets out.
@@ -271,7 +274,7 @@ def train_sparse_embedding(
     machine: MachineProfile = PERLMUTTER,
     seed: int = 0,
     holdout_fraction: float = 0.1,
-    learning_rate: float = 0.02,
+    learning_rate: float = LEARNING_RATE,
     negative_refresh: int = 1,
     driver_gather: bool = False,
     row_bounds: Optional[Tuple[int, ...]] = None,

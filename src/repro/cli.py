@@ -35,6 +35,7 @@ from .analysis import (
     print_table,
 )
 from .apps import influence_maximization, msbfs, train_sparse_embedding
+from .apps.embedding import LEARNING_RATE
 from .baselines import ALGORITHMS
 from .core import TsConfig
 from .data import DATASETS, load, random_sources, tall_skinny
@@ -471,7 +472,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_emb.add_argument("--d", type=int, default=16)
     p_emb.add_argument("--sparsity", type=float, default=0.8)
     p_emb.add_argument("--epochs", type=int, default=10)
-    p_emb.add_argument("--lr", type=float, default=0.05)
+    p_emb.add_argument("--lr", type=float, default=LEARNING_RATE)
     p_emb.add_argument(
         "--negative-refresh",
         type=int,

@@ -45,7 +45,7 @@ from ..sparse.ops import extract_row_range, mask_entries, mask_pattern
 from ..sparse.semiring import PLUS_TIMES, Semiring
 from ..sparse.tile import ColumnStrips
 from .config import DEFAULT_CONFIG, TsConfig
-from .plan import prepare_multiply, shrink_prepared
+from .plan import prepare_multiply
 from .spmm import spmm_multiply
 from .tiled import exchange_sections, tiled_multiply
 
@@ -62,17 +62,6 @@ FUSED_SECTION_PHASES = (
     "sddmm-fetch",
     "refresh-values",
 )
-
-#: Phases charged by the resilience layer (docs/resilience.md):
-#: ``checkpoint`` books the replica traffic + serialization after every
-#: state-committing task, ``recover`` the replica fetch that rebuilds a
-#: lost rank's blocks, ``shrink`` the state migration of elastic
-#: degraded-mode recovery — the dead rank's replica shipping to its
-#: adopter plus the incremental re-prepare at width ``p-1``.  All count
-#: as multiply time, not setup — an iterative loop pays them while it
-#: runs.
-RESILIENCE_PHASES = ("checkpoint", "recover", "shrink")
-
 
 @dataclass
 class MultiplyResult:
@@ -118,6 +107,19 @@ class MultiplyResult:
         term the fused communication layer collapses; a fused
         multi-section exchange counts once)."""
         return self.report.alltoall_rounds()
+
+
+def _resident_state(dist_a: DistSparseMatrix, config: TsConfig) -> tuple:
+    """One rank's resident state for its rows, local block and ``Ac``
+    column copy: ``(rows, local, col_copy, prepared, aux)``, the plan
+    prepared and the consumer strips taken — the one way setup,
+    edge-subset derivation and shrink build it.  ``aux`` is the per-rank
+    scratch for pattern-derived caches that prologues build lazily (SDDMM
+    send lists); it starts empty, since those caches follow the pattern
+    and the partition, and survives same-pattern value refreshes."""
+    prepared = prepare_multiply(dist_a, config)
+    prepared.ensure_strips(dist_a)
+    return dist_a.rows, dist_a.local, dist_a.col_copy, prepared, {}
 
 
 def _merge_diag(dicts) -> Dict[str, Any]:
@@ -457,13 +459,7 @@ class TsSession(ResidentSession):
             # are contiguous but unbalanced.
             dist_a = DistSparseMatrix.scatter_rows(comm, A, rows=self._rows)
             dist_a.build_column_copy()
-            prepared = prepare_multiply(dist_a, self.config)
-            prepared.ensure_strips(dist_a)
-            # aux: per-rank scratch for pattern-derived caches built
-            # lazily by prologues (SDDMM send lists).  Reset here because
-            # it is only valid for this pattern; it survives same-pattern
-            # value refreshes.
-            return dist_a.rows, dist_a.local, dist_a.col_copy, prepared, {}
+            return _resident_state(dist_a, self.config)
 
         result = self._run_resilient(program)
         self._pattern = (A.indptr, A.indices)
@@ -709,6 +705,11 @@ class TsSession(ResidentSession):
                 return self._setup(self._input)
         return self._setup(self._input)
 
+    def _replica_holder(self, rank: int) -> int:
+        """The rank holding ``rank``'s checkpoint replica: the driver root
+        under the ``"driver"`` policy, else its ring neighbor."""
+        return 0 if self.config.checkpoint == "driver" else (rank + 1) % self.p
+
     def _restore_from_checkpoint(self, rank: int) -> SpmdReport:
         """Rebuild one rank's blocks from its replica (``recover`` phase).
 
@@ -722,7 +723,7 @@ class TsSession(ResidentSession):
         the restored local block.
         """
         blob = self._ckpt[rank]
-        holder = 0 if self.config.checkpoint == "driver" else (rank + 1) % self.p
+        holder = self._replica_holder(rank)
         nbytes = blob["nbytes"]
         machine = self.machine
 
@@ -762,17 +763,17 @@ class TsSession(ResidentSession):
         rank's row block and ``Ac`` column strip are rebuilt from its
         checkpoint replica and *adopted* by a surviving neighbor (the
         ``dead+1`` rank, or ``dead-1`` when the last rank died — either
-        way the merged block stays contiguous), the row partition is
-        remapped to an explicit-``bounds`` :class:`Block1D`, and the
-        prepared plan is incrementally re-prepared for the ``p-1`` world
-        (:func:`~repro.core.plan.shrink_prepared`) — all charged under
-        the ``shrink`` phase, including the replica transfer from its
-        holder to the adopter and the migration of every live handle's
-        dead block.  Survivors keep their live state, exactly like
-        :meth:`_recover`; every rank-resident handle this session minted
-        is remapped in place, so in-flight iterative loops (MS-BFS,
-        embedding epochs, serve batches) retry transparently on the
-        shrunken world.
+        way the merged block stays contiguous), and the row partition is
+        remapped to an explicit-``bounds`` :class:`Block1D`.  The replica
+        transfer from its holder to the adopter and the migration of
+        every live handle's dead block are charged under the ``shrink``
+        phase.  Then every survivor prepares its blocks as :meth:`_setup`
+        does (``prepare`` / ``tiling``), so the plan at ``p-1`` is the one
+        a fresh session at the merged layout builds.  Survivors keep their
+        blocks, exactly like :meth:`_recover`; every rank-resident handle
+        this session minted is remapped in place, so in-flight iterative
+        loops (MS-BFS, embedding epochs, serve batches) retry
+        transparently on the shrunken world.
 
         Refused — killing the session, like any unrecoverable failure —
         when the session is not recoverable, holds no checkpoint replicas
@@ -805,20 +806,15 @@ class TsSession(ResidentSession):
             raise ShrinkRefusedError(f"cannot shrink: {refusal}")
 
         old_p = self.p
-        old_rows = self._rows
-        new_rows, adopter_new = shrunk_partition(old_rows, dead_rank)
+        new_rows, adopter_new = shrunk_partition(self._rows, dead_rank)
         adopter_old = dead_rank + 1 if dead_rank < old_p - 1 else dead_rank - 1
-        holder_old = (
-            0
-            if self.config.checkpoint == "driver"
-            else (dead_rank + 1) % old_p
-        )
+        holder_old = self._replica_holder(dead_rank)
         holder_new = holder_old - (1 if holder_old > dead_rank else 0)
 
         # What actually migrates: the dead rank's row block and column
         # strip (values + pattern — the adopter never held either) — all
-        # a replica holds.  The dead rank's plan dies with it; the
-        # adopter re-derives its own from the merged copies.
+        # a replica holds.  No plan migrates: every survivor prepares its
+        # blocks afresh at p-1.
         dead_blob = self._ckpt[dead_rank]
         dead_local: CsrMatrix = dead_blob["local"]
         dead_col: CsrMatrix = dead_blob["col"]
@@ -828,19 +824,14 @@ class TsSession(ResidentSession):
         # Merge in global row/column order: the dead block precedes the
         # adopter's when the adopter is the higher neighbor.  Byte-for-
         # byte this equals slicing the merged range from the global
-        # matrix, which is what makes the incremental re-prepare
-        # bit-identical to a fresh session at the merged layout.
-        a_rows, a_local, a_col, _, _ = self._state[adopter_old]
-        dead_first = adopter_old == dead_rank + 1
-        merged_local = stack_blocks(
-            [dead_local, a_local] if dead_first else [a_local, dead_local],
-            self.ncols,
-        )
-        merged_col = (
-            _hstack_blocks(dead_col, a_col)
-            if dead_first
-            else _hstack_blocks(a_col, dead_col)
-        )
+        # matrix, which is what makes the re-prepare bit-identical to a
+        # fresh session at the merged layout.
+        def in_order(dead, adopted):
+            return [dead, adopted] if adopter_old > dead_rank else [adopted, dead]
+
+        _, a_local, a_col, _, _ = self._state[adopter_old]
+        merged_local = stack_blocks(in_order(dead_local, a_local), self.ncols)
+        merged_col = _hstack_blocks(*in_order(dead_col, a_col))
         merge_touch = merged_local.nbytes_estimate() + merged_col.nbytes_estimate()
 
         # Live rank-resident handles: their dead blocks move to the
@@ -850,25 +841,18 @@ class TsSession(ResidentSession):
         handle_wire = [h.blocks[dead_rank] for h in live_handles]
         handle_nbytes = payload_nbytes(handle_wire)
 
-        new_state: List[tuple] = []
-        for r in range(old_p):
-            if r == dead_rank:
-                continue
-            _, local_r, col_r, prepared_r, _ = self._state[r]
-            if r == adopter_old:
-                local_r, col_r = merged_local, merged_col
-            # aux caches are pattern-*and-partition*-derived (SDDMM send
-            # lists follow the row ranges): reset everywhere.
-            new_state.append((new_rows, local_r, col_r, prepared_r, {}))
+        blocks = [
+            (merged_local, merged_col) if r == adopter_old else self._state[r][1:3]
+            for r in range(old_p)
+            if r != dead_rank
+        ]
 
         self._exec.shrink(dead_rank)
         self.p = self._exec.size
-        machine = self.machine
-        ncols = self.ncols
 
         def program(comm):
             r = comm.rank
-            rows, local, col, prepared, aux = new_state[r]
+            local, col = blocks[r]
             with comm.phase("shrink"):
                 if holder_new != adopter_new:
                     if r == holder_new:
@@ -881,16 +865,13 @@ class TsSession(ResidentSession):
                     if r == adopter_new:
                         comm.recv(source=0, tag=80)
                 if r == adopter_new:
-                    comm.charge_seconds(machine.recover_time(migrate_nbytes))
+                    comm.charge_seconds(self.machine.recover_time(migrate_nbytes))
                     comm.charge_touch(merge_touch)
                     if handle_nbytes and adopter_new == 0:
                         comm.charge_touch(handle_nbytes)
-                dist_a = DistSparseMatrix(comm, rows, local, ncols, col)
-                comm.charge_touch(
-                    shrink_prepared(prepared, dist_a, dead_rank, adopter_old)
-                )
                 comm.barrier()
-            return rows, local, col, prepared, aux
+            dist_a = DistSparseMatrix(comm, new_rows, local, self.ncols, col)
+            return _resident_state(dist_a, self.config)
 
         result = self._suspended_run(
             program,
@@ -900,12 +881,14 @@ class TsSession(ResidentSession):
         self._edge_ids = None
 
         for h in live_handles:
-            dead_blk = h.blocks[dead_rank]
-            adopt_blk = h.blocks[adopter_old]
-            pair = [dead_blk, adopt_blk] if dead_first else [adopt_blk, dead_blk]
-            blocks = [b for r, b in enumerate(h.blocks) if r != dead_rank]
-            blocks[adopter_new] = stack_blocks(pair, h.ncols)
-            h.blocks = blocks
+            merged = stack_blocks(
+                in_order(h.blocks[dead_rank], h.blocks[adopter_old]), h.ncols
+            )
+            h.blocks = [
+                merged if r == adopter_old else b
+                for r, b in enumerate(h.blocks)
+                if r != dead_rank
+            ]
             h.rows = new_rows
 
         self.shrinks += 1
@@ -1072,16 +1055,13 @@ class TsSession(ResidentSession):
                 b_local = row_block(B, *rows.range_of(comm.rank))
             if dense_b:
                 dist_b = DistDenseMatrix(comm, rows, b_local, b_ncols)
-                dist_c, diag = spmm_multiply(
-                    dist_a, dist_b, self.config, prepared=prepared
-                )
+                dist_c, diag = spmm_multiply(dist_a, dist_b, prepared=prepared)
             else:
                 dist_b = DistSparseMatrix(comm, rows, b_local, b_ncols)
                 dist_c, diag = tiled_multiply(
                     dist_a,
                     dist_b,
                     self.semiring,
-                    self.config,
                     prepared=prepared,
                     fused_prologue=fused_shim,
                 )
@@ -1297,9 +1277,7 @@ class TsSession(ResidentSession):
                     + new_col.nbytes_estimate()
                 )
             dist_a = DistSparseMatrix(comm, rows, new_local, self.ncols, new_col)
-            prepared = prepare_multiply(dist_a, self.config)
-            prepared.ensure_strips(dist_a)
-            return rows, new_local, new_col, prepared, {}
+            return _resident_state(dist_a, self.config)
 
         result = self._run_resilient(program)
         # The child runs on this session's executor and leaves it running

@@ -36,10 +36,11 @@ B-dependent, re-run per multiply by :func:`replan` (hybrid policy only):
 Cost-model charging rules (see docs/planning.md): prepared state is
 charged **once**, under the ``prepare``/``tiling`` setup phases, when it
 is built; each :func:`replan` charges one pattern product per subtile it
-sizes — however it got the size — and zero for forced policies.  A fresh
-(un-prepared)
-multiply builds a throwaway ``PreparedA`` and therefore pays the full
-prepare + replan cost every time, exactly like the pre-plan code did.
+sizes — however it got the size — and zero for forced policies.  A
+one-shot multiply is one multiply on a fresh session, whose setup task
+pays the prepare; an elastic shrink re-prepares every survivor the same
+way.  A multiply runs under its plan's ``config``: nothing else carries
+Alg 2's settings into it.
 """
 
 from __future__ import annotations
@@ -109,12 +110,7 @@ class PreparedA:
     slots: Optional["StoredSlots"] = field(default=None, compare=False, repr=False)
 
     # ------------------------------------------------------------------
-    def check_compatible(self, A: DistSparseMatrix, config: TsConfig) -> None:
-        if config != self.config:
-            raise ValueError(
-                "prepared plan was built for a different TsConfig; "
-                "call prepare_multiply again with the new config"
-            )
+    def check_compatible(self, A: DistSparseMatrix) -> None:
         if A.comm.rank != self.rank or A.comm.size != self.size:
             raise ValueError(
                 f"prepared plan belongs to rank {self.rank}/{self.size}, "
@@ -202,61 +198,25 @@ def subtile_needed_rows(
     local ``B`` rows it needs — in one pass over the block
     (:func:`~repro.sparse.ops.nonzero_columns_by_rows`).
 
-    ``tile_ranges`` maps consecutive peers, ascending, to their row-tile
-    ranges (peer-local rows, covering the peer's block): the subtiles are
-    then consecutive row ranges of ``col_copy``.
+    ``tile_ranges`` maps every peer, ascending, to its row-tile ranges
+    (:func:`peer_tile_ranges`): the subtiles are then consecutive row
+    ranges of ``col_copy``.
     """
-    peers = list(tile_ranges)
-    bounds = [rows.range_of(peers[0])[0]] if peers else [0]
-    for peer in peers:
+    bounds = [0]
+    for peer, ranges in tile_ranges.items():
         lo, _ = rows.range_of(peer)
-        bounds.extend(lo + r1 for _, r1 in tile_ranges[peer])
+        bounds.extend(lo + r1 for _, r1 in ranges)
     nzcs = iter(nonzero_columns_by_rows(col_copy, bounds))
-    return {peer: [next(nzcs) for _ in tile_ranges[peer]] for peer in peers}
+    return {peer: [next(nzcs) for _ in ranges] for peer, ranges in tile_ranges.items()}
 
 
-def peer_tile_ranges(
-    rows: Block1D, config: TsConfig, peers
-) -> Dict[int, List[Tuple[int, int]]]:
-    """Row-tile ranges (peer-local rows) of each of ``peers``' row blocks."""
+def peer_tile_ranges(rows: Block1D, config: TsConfig) -> Dict[int, List[Tuple[int, int]]]:
+    """Row-tile ranges (peer-local rows) of every peer's row block."""
     tile_ranges = {}
-    for peer in peers:
+    for peer in range(rows.p):
         nrows = rows.size_of(peer)
         tile_ranges[peer] = row_tile_ranges(nrows, config.effective_tile_height(nrows))
     return tile_ranges
-
-
-def _prepare_peer(
-    A: DistSparseMatrix,
-    peer: int,
-    rank: int,
-    ranges: List[Tuple[int, int]],
-    nzcs: List[np.ndarray],
-) -> Tuple[List[PreparedSubtile], int]:
-    """Read one peer's subtiles off my ``Ac`` column copy.
-
-    The single routine shared by :func:`prepare_multiply` and the
-    elastic-shrink remap (:func:`shrink_prepared`): both produce the
-    exact same subtile records for a given (column copy, peer row range,
-    config) — the reason an incrementally re-prepared ``p-1`` plan is
-    bit-identical to a fresh one.  ``ranges`` are the peer's row tiles and
-    ``nzcs`` their needed ``B`` rows, which the caller reads for all the
-    peers it prepares in one pass (:func:`subtile_needed_rows`).  Returns
-    ``(subtiles, touched_bytes)``; the caller charges ``touched_bytes``
-    under its own phase.
-    """
-    tile_block = A.col_copy_rows_of(peer)
-    subs: List[PreparedSubtile] = []
-    touched = 0
-    for rt, ((r0, r1), nzc) in enumerate(zip(ranges, nzcs)):
-        sub = extract_row_range(tile_block, r0, r1)
-        touched += sub.nbytes_estimate()
-        if sub.nnz and peer != rank:
-            touched += 2 * sub.nbytes_estimate()  # the nzc scan + the pattern read
-        else:
-            nzc = None  # my local B rows the tile needs: off-diagonal only
-        subs.append(PreparedSubtile(peer, rt, (r0, r1), bool(sub.nnz), nzc))
-    return subs, touched
 
 
 def prepare_multiply(A: DistSparseMatrix, config: TsConfig) -> PreparedA:
@@ -274,12 +234,19 @@ def prepare_multiply(A: DistSparseMatrix, config: TsConfig) -> PreparedA:
 
     with comm.phase("prepare"):
         touched = 0
-        tile_ranges = peer_tile_ranges(A.rows, config, range(comm.size))
+        tile_ranges = peer_tile_ranges(A.rows, config)
         nzcs = subtile_needed_rows(A.col_copy, A.rows, tile_ranges)
         for peer, ranges in tile_ranges.items():
-            subs, t = _prepare_peer(A, peer, comm.rank, ranges, nzcs[peer])
-            touched += t
-            prepared.subtiles[peer] = subs
+            tile_block = A.col_copy_rows_of(peer)
+            subs = prepared.subtiles[peer] = []
+            for rt, ((r0, r1), nzc) in enumerate(zip(ranges, nzcs[peer])):
+                sub = extract_row_range(tile_block, r0, r1)
+                touched += sub.nbytes_estimate()
+                if sub.nnz and peer != comm.rank:
+                    touched += 2 * sub.nbytes_estimate()  # the nzc scan + the pattern read
+                else:
+                    nzc = None  # my local B rows the tile needs: off-diagonal only
+                subs.append(PreparedSubtile(peer, rt, (r0, r1), bool(sub.nnz), nzc))
         prepared.row_tile_ranges = tile_ranges[comm.rank]
         comm.charge_touch(touched)
         _share_static_modes(comm, prepared)
@@ -314,68 +281,6 @@ def _static_mode(ps: PreparedSubtile, rank: int, forced: str) -> str:
     if ps.peer == rank:
         return DIAGONAL
     return forced
-
-
-def shrink_prepared(
-    prepared: PreparedA,
-    A: DistSparseMatrix,
-    dead_rank: int,
-    adopter_old: int,
-) -> int:
-    """Remap a prepared plan onto the ``p-1`` world after an elastic shrink.
-
-    Called collectively on the *new* communicator, after the driver merged
-    the dead rank's blocks into its adopter's: ``A`` is this rank's
-    already-merged distributed view (new partition, new column copy on
-    the adopter).  The remap is incremental — only what the shrink
-    actually invalidated is rebuilt:
-
-    * the **adopter** re-reads every peer's subtiles (its whole column
-      copy changed width);
-    * every other survivor re-reads only the *merged peer's* subtiles
-      (that peer's row range grew) and renumbers the rest;
-    * consumer-side :class:`~repro.sparse.tile.ColumnStrips` are rebuilt
-      on every rank (the column ranges changed for everyone);
-    * forced mode policies re-exchange the static mode table.
-
-    Because both run through the same :func:`_prepare_peer` as a
-    fresh prepare, the remapped plan is bit-identical to one built from
-    scratch on the merged matrix.  Returns the streamed bytes for the
-    caller to charge under its ``shrink`` phase.
-    """
-    comm = A.comm
-    config = prepared.config
-    new_rank, new_size = comm.rank, comm.size
-    adopter_new = adopter_old - (1 if adopter_old > dead_rank else 0)
-    touched = 0
-    # Peers to re-read: everyone on the adopter, the merged peer elsewhere.
-    redo = range(new_size) if new_rank == adopter_new else [adopter_new]
-    tile_ranges = peer_tile_ranges(A.rows, config, redo)
-    nzcs = subtile_needed_rows(A.col_copy, A.rows, tile_ranges)
-    new_subtiles: Dict[int, List[PreparedSubtile]] = {}
-    for peer in range(new_size):
-        old_peer = peer if peer < dead_rank else peer + 1
-        if peer in tile_ranges:
-            ranges = tile_ranges[peer]
-            subs, t = _prepare_peer(A, peer, new_rank, ranges, nzcs[peer])
-            touched += t
-        else:
-            subs = prepared.subtiles[old_peer]
-            for ps in subs:
-                ps.peer = peer
-            ranges = [ps.row_range for ps in subs]
-        if peer == new_rank:
-            prepared.row_tile_ranges = ranges
-        new_subtiles[peer] = subs
-    prepared.subtiles = new_subtiles
-    prepared.rank = new_rank
-    prepared.size = new_size
-    # Consumer-side strips follow the (changed) column ranges.
-    prepared.strips = A.column_strips()
-    touched += strips_build_bytes(A.local, new_size)
-    _share_static_modes(comm, prepared)
-    prepared.spmm_cache = None  # the partition changed
-    return touched
 
 
 # ----------------------------------------------------------------------

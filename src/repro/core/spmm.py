@@ -23,7 +23,7 @@ from ..mpi.marker import rank_program
 from ..partition.distmat import DistDenseMatrix, DistSparseMatrix
 from ..sparse.kernels import dispatch_spmm
 from ..sparse.ops import extract_row_range
-from .config import DEFAULT_CONFIG, TsConfig
+from .config import TsConfig
 from .gather_rows import checked_row_ids, pack_dense_rows, place_dense_rows
 from .plan import PreparedA, peer_tile_ranges, subtile_needed_rows
 from .symbolic import DIAGONAL, EMPTY, LOCAL, REMOTE, SubtileInfo, SymbolicPlan
@@ -56,7 +56,7 @@ def _dense_mode_plan(comm, A: DistSparseMatrix, config: TsConfig) -> SymbolicPla
     plan = SymbolicPlan()
     modes = []
     with comm.phase("symbolic"):
-        tile_ranges = peer_tile_ranges(A.rows, config, range(comm.size))
+        tile_ranges = peer_tile_ranges(A.rows, config)
         nzcs = subtile_needed_rows(A.col_copy, A.rows, tile_ranges)
         for peer, ranges in tile_ranges.items():
             modes.append([])
@@ -90,14 +90,14 @@ def _dense_mode_plan(comm, A: DistSparseMatrix, config: TsConfig) -> SymbolicPla
 def spmm_multiply(
     A: DistSparseMatrix,
     B: DistDenseMatrix,
-    config: TsConfig = DEFAULT_CONFIG,
     *,
     prepared: PreparedA,
 ) -> Tuple[DistDenseMatrix, SpmmDiagnostics]:
     """One distributed SpMM; returns ``(C_dense, diagnostics)``.
 
     Requires ``A.build_column_copy()``.  Output ``C = A · B`` is dense,
-    1-D row partitioned like ``A``.
+    1-D row partitioned like ``A``.  The mode policy and tile shape are
+    the ones ``prepared`` was built with (``prepared.config``).
 
     Unlike the SpGEMM symbolic step, the SpMM mode decision compares
     *dense* payload sizes — needed B rows vs affected output rows — which
@@ -117,10 +117,10 @@ def spmm_multiply(
     diag = SpmmDiagnostics()
     c_local = np.zeros((A.local.nrows, d))
 
-    prepared.check_compatible(A, config)
+    prepared.check_compatible(A)
     plan = prepared.spmm_cache
     if plan is None:
-        plan = prepared.spmm_cache = _dense_mode_plan(comm, A, config)
+        plan = prepared.spmm_cache = _dense_mode_plan(comm, A, prepared.config)
     else:
         # The whole symbolic phase was skipped — the same observability
         # flag the tiled SpGEMM surfaces as ``plan_reused``.
@@ -181,5 +181,5 @@ def spmm_multiply(
         add_rows=add_rows,
         end_round=lambda: None,
     )
-    run_tile_steps(comm, A, plan, prepared, config, codec, diag)
+    run_tile_steps(comm, A, plan, prepared, codec, diag)
     return DistDenseMatrix(comm, A.rows, c_local, d), diag

@@ -71,7 +71,6 @@ from ..sparse.merge import merge_bytes, merge_csrs
 from ..sparse.ops import extract_row_range, extract_rows
 from ..sparse.semiring import BOOL_AND_OR, PLUS_TIMES, Semiring
 from ..sparse.tile import ColumnStrips
-from .config import DEFAULT_CONFIG, TsConfig
 from .gather_rows import checked_row_ids, pack_nonempty_rows, place_row_union, place_rows
 from .plan import PreparedA, replan
 from .symbolic import (
@@ -196,7 +195,7 @@ class TileCodec:
 
 
 def run_tile_steps(
-    comm, A, plan, prepared, config, codec: TileCodec, diag, head=(), prologue=None
+    comm, A, plan, prepared, codec: TileCodec, diag, head=(), prologue=None
 ) -> int:
     """Alg 2's tile rounds (lines 11-29) for one multiply; returns the
     peak received-B bytes (Fig 5's memory axis).
@@ -206,6 +205,7 @@ def run_tile_steps(
     shipped on their own before anything else when unfused.  A
     ``prologue`` (see :func:`tiled_multiply`) rides the fused exchange.
     """
+    config = prepared.config
     fuse = config.fuse_comm
     p = comm.size
     if not fuse:
@@ -302,7 +302,6 @@ def tiled_multiply(
     A: DistSparseMatrix,
     B: DistSparseMatrix,
     semiring: Semiring = PLUS_TIMES,
-    config: TsConfig = DEFAULT_CONFIG,
     *,
     prepared: PreparedA,
     fused_prologue=None,
@@ -314,9 +313,11 @@ def tiled_multiply(
     (see :func:`~repro.core.plan.prepare_multiply`) — a session's
     resident plan, or one a rank program prepared itself: the
     B-independent symbolic state and the consumer-side strips are reused,
-    and only the incremental ``replan`` against ``B`` runs here.
+    and only the incremental ``replan`` against ``B`` runs here.  Alg 2's
+    settings — tile width and height, mode policy, kernel, ``fuse_comm``
+    — are the ones ``prepared`` was built with (``prepared.config``).
 
-    With ``config.fuse_comm`` the multiply issues one fused multi-section
+    With ``fuse_comm`` the multiply issues one fused multi-section
     all-to-all instead of the symbolic + per-round exchanges (see the
     module docstring).  ``fused_prologue`` — only meaningful when fused —
     is an object with ``sections(comm)`` and ``finish(comm, received)``
@@ -333,6 +334,8 @@ def tiled_multiply(
         raise ValueError("A and B must live on the same communicator")
     if A.col_copy is None:
         raise RuntimeError("tiled_multiply requires A.build_column_copy() first")
+    prepared.check_compatible(A)
+    config = prepared.config
     fuse = config.fuse_comm
     if fused_prologue is not None and not fuse:
         raise ValueError("fused_prologue requires config.fuse_comm")
@@ -342,8 +345,6 @@ def tiled_multiply(
     # calibrated compute constant charged per flop — is uniform.
     kname = resolve_spgemm(config.kernel, semiring, A.local, d=d).name
     diag = TileDiagnostics()
-
-    prepared.check_compatible(A, config)
     diag.plan_reused = 1
     plan = replan(prepared, A, B)
     diag.symbolic_products = plan.pattern_products
@@ -428,7 +429,7 @@ def tiled_multiply(
         end_round=end_round,
     )
     diag.peak_recv_b_bytes = run_tile_steps(
-        comm, A, plan, prepared, config, codec, diag, head, fused_prologue
+        comm, A, plan, prepared, codec, diag, head, fused_prologue
     )
     with comm.phase("merge"):
         if partials:

@@ -135,7 +135,7 @@ class TestPlanEqualsPerSubtileOracle:
             dist_a.build_column_copy()
             dist_b = DistSparseMatrix.scatter_rows(comm, b)
             prepared = prepare_multiply(dist_a, config)
-            return tiled_multiply(dist_a, dist_b, BOOL_AND_OR, config, prepared=prepared)[0].local
+            return tiled_multiply(dist_a, dist_b, BOOL_AND_OR, prepared=prepared)[0].local
 
         want, _ = dispatch_spgemm(a, b, BOOL_AND_OR, "esc-vectorized")
         for (lo, hi), block in zip(Block1D(N, p).ranges, run_spmd(p, program).values):

@@ -4,7 +4,7 @@ import inspect
 
 import pytest
 
-from repro.apps.embedding import BATCH_SIZE, train_sparse_embedding
+from repro.apps.embedding import BATCH_SIZE, LEARNING_RATE, train_sparse_embedding
 from repro.core import DEFAULT_CONFIG, TsConfig
 
 
@@ -20,8 +20,9 @@ class TestTable4Defaults:
 
     def test_embedding_defaults(self):
         assert BATCH_SIZE == 256
+        assert LEARNING_RATE == pytest.approx(0.02)
         lr = inspect.signature(train_sparse_embedding).parameters["learning_rate"]
-        assert lr.default == pytest.approx(0.02)
+        assert lr.default == LEARNING_RATE
 
     def test_hybrid_mode_is_default(self):
         assert DEFAULT_CONFIG.mode_policy == "hybrid"

@@ -245,8 +245,14 @@ class TestRespawnBudget:
 # session-level mechanics
 # ----------------------------------------------------------------------
 class TestSessionShrink:
-    def test_float_multiply_bit_identical_at_merged_layout(self):
-        config = _recoverable(faults="permfail@1,task=2,seq=0")
+    @pytest.mark.parametrize("mode_policy", ["hybrid", "local", "remote"])
+    def test_float_multiply_bit_identical_at_merged_layout(self, mode_policy):
+        """After the shrink each survivor's plan is the one a fresh session
+        at the merged layout prepares: same C, and the same per-rank
+        charges on every later multiply."""
+        config = _recoverable(
+            faults="permfail@1,task=2,seq=0", mode_policy=mode_policy
+        )
         session = TsSession(_A(), P, config=config)
         reference = None
         try:
@@ -254,13 +260,18 @@ class TestSessionShrink:
             assert session.p == P - 1
             assert session.shrinks == 1
             assert session._rows.bounds == MERGED_BOUNDS
-            reference = TsSession(_A(), P - 1, row_bounds=MERGED_BOUNDS)
+            reference = TsSession(
+                _A(), P - 1, config=TsConfig(mode_policy=mode_policy),
+                row_bounds=MERGED_BOUNDS,
+            )
             assert bitwise_equal(reference.multiply(_operand()).C, result.C)
             # The shrunken session keeps working, bit-identically.
             for seed in (8, 11, 12):
                 B = _operand(seed=seed)
-                assert bitwise_equal(
-                    reference.multiply(B).C, session.multiply(B).C
+                want, got = reference.multiply(B), session.multiply(B)
+                assert bitwise_equal(want.C, got.C)
+                assert repr(got.report.rank_stats) == repr(
+                    want.report.rank_stats
                 )
         finally:
             session.close()

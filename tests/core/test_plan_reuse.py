@@ -166,23 +166,30 @@ class TestCachedPlanEquivalence:
         b = csr_from_dense(random_dense(rng, N, D, 0.4))
         assert bitwise_equal(session.multiply(b).C, ts_spgemm(a2, b, P).C)
 
-    def test_prepared_config_mismatch_rejected(self, rng):
-        a = csr_from_dense(random_dense(rng, 20, 20, 0.3))
-        b = csr_from_dense(random_dense(rng, 20, 4, 0.5))
+    def test_prepared_plan_of_another_world_rejected(self, rng):
+        """A plan is one rank's of one world: prepared at p = 2, it is
+        refused at p = 3 (a multiply takes its settings from the plan, so
+        the rank and world size are all there is to disagree on)."""
+        a = csr_from_dense(random_dense(rng, 21, 21, 0.3))
+        b = csr_from_dense(random_dense(rng, 21, 4, 0.5))
+
+        def prepare(comm):
+            dist_a = DistSparseMatrix.scatter_rows(comm, a)
+            dist_a.build_column_copy()
+            return prepare_multiply(dist_a, TsConfig(tile_height=5))
+
+        plans = run_spmd(2, prepare).values
 
         def program(comm):
             dist_a = DistSparseMatrix.scatter_rows(comm, a)
             dist_a.build_column_copy()
             dist_b = DistSparseMatrix.scatter_rows(comm, b)
-            prepared = prepare_multiply(dist_a, TsConfig(tile_height=5))
-            tiled_multiply(
-                dist_a, dist_b, PLUS_TIMES, TsConfig(tile_height=9), prepared=prepared
-            )
+            tiled_multiply(dist_a, dist_b, prepared=plans[comm.rank % 2])
 
         from repro.mpi.errors import RankError
 
-        with pytest.raises(RankError, match="different TsConfig"):
-            run_spmd(2, program)
+        with pytest.raises(RankError, match="prepared plan belongs to rank"):
+            run_spmd(3, program)
 
     def test_spmm_prepared_equivalence(self, rng):
         """The SpMM mode table is fully B-independent: the prepared path
@@ -202,12 +209,9 @@ class TestCachedPlanEquivalence:
             for b in (b1, b2):
                 dist_b = DistDenseMatrix(comm, dist_a.rows, b[lo:hi], D)
                 fresh, _ = spmm_multiply(
-                    dist_a, dist_b, TsConfig(),
-                    prepared=prepare_multiply(dist_a, TsConfig()),
+                    dist_a, dist_b, prepared=prepare_multiply(dist_a, TsConfig())
                 )
-                cached, _ = spmm_multiply(
-                    dist_a, dist_b, TsConfig(), prepared=prepared
-                )
+                cached, _ = spmm_multiply(dist_a, dist_b, prepared=prepared)
                 outs.append((fresh.local, cached.local))
             return outs, prepared.spmm_cache is not None
 
@@ -335,7 +339,7 @@ class TestPlanReusePerfSmoke:
             dist_a.build_column_copy()
             dist_bs = [DistSparseMatrix.scatter_rows(comm, b) for b in bs]
             fresh = spent(lambda: tiled_multiply(
-                dist_a, dist_bs[0], BOOL_AND_OR, config,
+                dist_a, dist_bs[0], BOOL_AND_OR,
                 prepared=prepare_multiply(dist_a, config),
             ))
             prepared = prepare_multiply(dist_a, config)
@@ -348,7 +352,7 @@ class TestPlanReusePerfSmoke:
             }
             reused = spent(
                 lambda: tiled_multiply(
-                    dist_a, dist_bs[1], BOOL_AND_OR, config, prepared=prepared
+                    dist_a, dist_bs[1], BOOL_AND_OR, prepared=prepared
                 )
             )
             assert reused == spent(lambda: replan(prepared, dist_a, dist_bs[1]))

@@ -69,7 +69,7 @@ def multiply(a, b, semiring, config, monkeypatch, oracle):
             dist_a.build_column_copy()
             dist_b = DistSparseMatrix.scatter_rows(comm, b)
             prepared = prepare_multiply(dist_a, config)
-            c, diag = tiled_multiply(dist_a, dist_b, semiring, config, prepared=prepared)
+            c, diag = tiled_multiply(dist_a, dist_b, semiring, prepared=prepared)
             return c.local, diag
 
         result = run_spmd(P, program)

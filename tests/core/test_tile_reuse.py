@@ -114,7 +114,7 @@ def multiply(a, b, semiring, config, *, strip=False, prologue=None):
         prepared = prepare_multiply(dist_a, config)
         fused_prologue = prologue(dist_a) if prologue else None
         c, diag = tiled_multiply(
-            dist_a, dist_b, semiring, config, prepared=prepared,
+            dist_a, dist_b, semiring, prepared=prepared,
             fused_prologue=fused_prologue,
         )
         return c.local, diag

@@ -1,11 +1,13 @@
 """Tests for the command-line interface."""
 
 import argparse
+import inspect
 
 import numpy as np
 import pytest
 import scipy.io
 
+from repro.apps import train_sparse_embedding
 from repro.baselines import ALGORITHMS
 from repro.cli import _check_kernel, build_parser, main
 from repro.data import load
@@ -24,6 +26,10 @@ class TestParser:
         assert args.dataset == "uk"
         assert args.ranks == 16
         assert args.d == 128
+
+    def test_embed_lr_defaults_to_the_library_default(self):
+        lr = inspect.signature(train_sparse_embedding).parameters["learning_rate"]
+        assert build_parser().parse_args(["embed"]).lr == lr.default
 
     def test_model_ps_parsing(self):
         args = build_parser().parse_args(["model", "--ps", "4,8"])
