@@ -5,8 +5,9 @@ pytest puts each non-package bench module's directory on ``sys.path``
 during collection.
 """
 
-from repro.core import TsConfig
+from repro.core import TsConfig, TsSession
 from repro.model import Workload
+from repro.mpi import PERLMUTTER
 
 #: The paper's per-round schedule.  The figure sweeps that measure
 #: communication scaling (Fig 8-11) anchor to the
@@ -66,3 +67,24 @@ FIG09 = dict(
     model_ps=(8, 32, 128, 512, 1024, 4096),
     paper_stats={"uk": (18_520_486, 16.0), "gap": (50_636_151, 38.1)},
 )
+
+
+#: The mode-policy ablation (§III-D: hybrid against forced local and forced
+#: remote tiles), read by ``bench_ablation_mode_policy.py`` and
+#: ``tests/paper/test_ablation_mode_policy_claims.py`` alike.  A skewed
+#: (uk) and a uniform (ER) graph; both claims hold exactly at this size.
+MODE_POLICY = dict(
+    datasets=("uk", "ER"), scale=0.25, p=16, d=128, sparsity=0.80,
+    policies=("hybrid", "local", "remote"),
+)
+
+
+def moved_bytes(A, B, p, config, machine=PERLMUTTER):
+    """``(result, bytes)`` of one multiply on a fresh session: every byte
+    the multiply moves plus its mode table, which a forced policy ships
+    once at set-up (the ``symbolic`` phase) and the hybrid one with the
+    multiply.  Fig 6 and the mode-policy ablation compare policies on it."""
+    with TsSession(A, p, config=config, machine=machine) as session:
+        result = session.multiply(B)
+        mode_table = session.setup_report.phase_bytes().get("symbolic", 0)
+    return result, result.comm_bytes() + mode_table

@@ -8,22 +8,13 @@ exactly the minibatch regime where remote tiles pay off, §IV-B).
 
 import pytest
 
+from _configs import moved_bytes
 from repro.analysis import fmt_bytes, print_table
-from repro.core import TsConfig, TsSession, ts_spgemm
+from repro.core import TsConfig, ts_spgemm
 from repro.data import load, tall_skinny
 from repro.mpi import SCALED_PERLMUTTER
 
 P = 16
-
-
-def moved_bytes(A, B, cfg):
-    """``(result, bytes)`` of one multiply: every byte it moves plus its
-    mode table, which a forced policy ships once at set-up (``symbolic``)
-    and the hybrid one with the multiply."""
-    with TsSession(A, P, config=cfg, machine=SCALED_PERLMUTTER) as s:
-        result = s.multiply(B)
-        mode_table = s.setup_report.phase_bytes().get("symbolic", 0)
-    return result, result.comm_bytes() + mode_table
 
 
 def bench_fig06_hybrid_vs_local(benchmark, sink):
@@ -44,7 +35,7 @@ def bench_fig06_hybrid_vs_local(benchmark, sink):
         results, moved = {}, {}
         for policy in ("hybrid", "local"):
             cfg = TsConfig(tile_height=h, mode_policy=policy)
-            results[policy], moved[policy] = moved_bytes(A, B, cfg)
+            results[policy], moved[policy] = moved_bytes(A, B, P, cfg, SCALED_PERLMUTTER)
         hybrid_bytes, local_bytes = moved["hybrid"], moved["local"]
         remote_tiles = results["hybrid"].diagnostics["remote_tiles"]
         rows.append(

@@ -18,7 +18,7 @@ import numpy as np
 from _configs import FIG07
 from repro.analysis import fmt_bytes, fmt_seconds, print_table
 from repro.baselines import shift15d_spmm
-from repro.core import ts_spgemm, ts_spmm
+from repro.core import ts_spgemm
 from repro.data import load, tall_skinny
 from repro.mpi import SCALED_PERLMUTTER
 
@@ -30,7 +30,7 @@ def bench_fig07_spgemm_vs_spmm(benchmark, sink):
     dense_b = np.random.default_rng(1).random((n, d)) + 0.05
 
     # SpMM cost does not depend on B's sparsity: run once.
-    spmm_res = ts_spmm(A, dense_b, P, machine=SCALED_PERLMUTTER)
+    spmm_res = ts_spgemm(A, dense_b, P, machine=SCALED_PERLMUTTER)
     rows = []
     crossover_seen = None
     for s in FIG07["sparsities"]:
@@ -86,4 +86,4 @@ def bench_fig07_spgemm_vs_spmm(benchmark, sink):
         file=sink,
     )
 
-    benchmark(lambda: ts_spmm(A, dense_b, P, machine=SCALED_PERLMUTTER))
+    benchmark(lambda: ts_spgemm(A, dense_b, P, machine=SCALED_PERLMUTTER))

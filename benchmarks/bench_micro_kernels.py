@@ -450,7 +450,7 @@ def bench_micro_kernel_table(benchmark, sink, monkeypatch):
     benchmark(lambda: dispatch_spgemm(A, B, PLUS_TIMES, "esc-vectorized"))
 
 
-@pytest.mark.parametrize("kernel", ["esc-vectorized", "spa", "hash", "scipy"])
+@pytest.mark.parametrize("kernel", ["esc-vectorized", "spa", "scipy"])
 def bench_micro_kernel_registry(benchmark, kernel):
     """Per-kernel pytest-benchmark entries (vectorized production set)."""
     benchmark(lambda: dispatch_spgemm(A, B, PLUS_TIMES, kernel))

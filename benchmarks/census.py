@@ -1,10 +1,11 @@
 """Execution census of ``src/``: what the traffic reaches, and what only
 the tests do.  Stdlib only: no ``coverage`` package is needed.
 
-Three passes, run from the repository root::
+Four passes, run from the repository root::
 
     python benchmarks/census.py static     # a few seconds; a CI gate
     python benchmarks/census.py imports    # a second; a CI gate
+    python benchmarks/census.py params     # a few seconds; a CI gate
     python benchmarks/census.py dynamic    # minutes; the per-file table
 
 ``static``
@@ -23,6 +24,19 @@ Three passes, run from the repository root::
     ``__init__`` module's imports are its exports and ``__future__``
     imports act on the compiler, so neither is listed.  Exits 1 when it
     lists one.
+``params``
+    Lists every ``src/`` parameter with a default, and every keyword-only
+    one, that no call in ``src/``, ``benchmarks/`` or ``examples/``
+    supplies, and says whether a call in ``tests/`` does.  A call supplies
+    a parameter by keyword, by position, through ``*args`` / ``**kwargs``
+    or ``super().__init__``; ``@dataclass`` fields are ``__init__``
+    parameters, and ``dataclasses.replace(x, field=…)`` supplies them.
+    Calls match defs by bare name, as ``static`` matches uses, and a def
+    used as a value (a registry entry, ``partial``, a decorator outside
+    ``TRANSPARENT_DECORATORS``) supplies all its parameters; annotations
+    and ``isinstance`` are not values.  So the pass can miss a dead
+    parameter but never lists a live one.  Exits 1 when it lists one that
+    ``allowed_param`` does not excuse.
 ``dynamic``
     Runs the traffic under a line tracer installed with ``sys.settrace``
     and ``threading.settrace`` *before* anything imports ``repro``, so the
@@ -255,6 +269,285 @@ def print_imports(found, root: Path = ROOT) -> int:
 
 
 # ----------------------------------------------------------------------
+# params pass
+# ----------------------------------------------------------------------
+@dataclass(frozen=True)
+class Parameter:
+    path: Path
+    owner: str  # the def's qualname, or the dataclass's for a field
+    name: str
+    line: int
+    field: bool = False  # a dataclass field
+
+
+@dataclass
+class _Signature:
+    """How calls reach one ``src/`` def: the names a call spells it by,
+    its parameters in positional order and the keyword-only ones."""
+
+    keys: Set[str]
+    positional: List[Parameter]
+    keyword_only: List[Parameter]
+    listed: List[Parameter]  # those with a default, and the keyword-only
+    dataclass: bool = False
+
+    @property
+    def params(self) -> List[Parameter]:
+        return self.positional + self.keyword_only
+
+
+#: Decorators that return the def itself or a wrapper called by its name,
+#: so decorating does not hand the def to anything as a value.
+TRANSPARENT_DECORATORS = {
+    "property", "cached_property", "setter", "classmethod", "staticmethod",
+    "lru_cache", "contextmanager", "rank_program",
+}
+
+
+def _function_signature(path, qualname, node, keys, method) -> _Signature:
+    args = node.args
+    positional = args.posonlyargs + args.args
+    if method and positional and "staticmethod" not in map(_decorator_name, node.decorator_list):
+        positional = positional[1:]  # self / cls
+    with_default = {id(a) for a in positional[len(positional) - len(args.defaults):]}
+    make = lambda a: Parameter(path, qualname, a.arg, a.lineno)  # noqa: E731
+    pos = [make(a) for a in positional]
+    kwonly = [make(a) for a in args.kwonlyargs]
+    listed = [p for a, p in zip(positional, pos) if id(a) in with_default] + kwonly
+    return _Signature(set(keys), pos, kwonly, listed)
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    return "dataclass" in map(_decorator_name, node.decorator_list)
+
+
+def _dataclass_fields(path, node: ast.ClassDef) -> Tuple[List[Parameter], List[Parameter]]:
+    """``(fields in order, those with a default)``; ``ClassVar`` and
+    ``field(init=False)`` are not ``__init__`` parameters."""
+    fields, defaulted = [], []
+    for stmt in node.body:
+        if not isinstance(stmt, ast.AnnAssign) or not isinstance(stmt.target, ast.Name):
+            continue
+        if "ClassVar" in ast.dump(stmt.annotation):
+            continue
+        value = stmt.value
+        if (
+            isinstance(value, ast.Call)
+            and _decorator_name(value) == "field"
+            and any(k.arg == "init" and getattr(k.value, "value", True) is False
+                    for k in value.keywords)
+        ):
+            continue
+        p = Parameter(path, node.name, stmt.target.id, stmt.lineno, field=True)
+        fields.append(p)
+        if value is not None:
+            defaulted.append(p)
+    return fields, defaulted
+
+
+def signatures(files: Dict[Path, ast.Module]) -> List[_Signature]:
+    """One signature per ``src/`` def (nested ones included) and per
+    dataclass.  A class's name reaches its ``__init__`` (``super().__init__``
+    spells it ``__init__``), a dataclass's its fields, and a subclass with
+    neither reaches its base's."""
+    sigs: List[_Signature] = []
+    classes: Dict[str, List[_Signature]] = defaultdict(list)  # name -> __init__ sigs
+    bases: Dict[str, List[str]] = {}
+    for path, tree in files.items():
+        def walk(body, prefix, cls):
+            for node in body:
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    keys = {node.name}
+                    if cls is not None and node.name == "__init__":
+                        keys.add(cls.name)
+                    sig = _function_signature(path, prefix + node.name, node, keys, cls is not None)
+                    sigs.append(sig)
+                    if cls is not None and node.name == "__init__":
+                        classes[cls.name].append(sig)
+                    walk(node.body, f"{prefix}{node.name}.", None)
+                elif isinstance(node, ast.ClassDef):
+                    bases[node.name] = [_decorator_name(b) for b in node.bases]
+                    if _is_dataclass(node) and not any(
+                        isinstance(s, ast.FunctionDef) and s.name == "__init__" for s in node.body
+                    ):
+                        fields, defaulted = _dataclass_fields(path, node)
+                        sig = _Signature({node.name}, fields, [], defaulted, dataclass=True)
+                        sigs.append(sig)
+                        classes[node.name].append(sig)
+                    walk(node.body, f"{prefix}{node.name}.", node)
+                else:
+                    for block in ("body", "orelse", "finalbody", "handlers"):
+                        walk(getattr(node, block, []), prefix, cls)
+        walk(tree.body, "", None)
+    # a subclass without its own __init__ is constructed through its base's
+    for name, base_names in bases.items():
+        if classes.get(name):
+            continue
+        todo = list(base_names)
+        while todo:
+            base = todo.pop()
+            for sig in classes.get(base, ()):
+                sig.keys.add(name)
+            if not classes.get(base):
+                todo.extend(bases.get(base, ()))
+    return sigs
+
+
+def _call_names(node: ast.Call, cls: Optional[ast.ClassDef]) -> List[str]:
+    """The names a call reaches its callee by: ``cls(…)`` and
+    ``super().__init__(…)`` inside a class are its own and its bases'."""
+    func = node.func
+    if isinstance(func, ast.Name):
+        return [cls.name if func.id == "cls" and cls else func.id]
+    if not isinstance(func, ast.Attribute):
+        return []
+    if (
+        func.attr == "__init__"
+        and cls is not None
+        and isinstance(func.value, ast.Call)
+        and _decorator_name(func.value) == "super"
+    ):
+        return [_decorator_name(b) for b in cls.bases]
+    return [func.attr]
+
+
+def _value_references(tree: ast.Module) -> Set[str]:
+    """Names loaded as values: not called, not an annotation, not an
+    ``isinstance`` / ``issubclass`` class, plus the defs a decorator outside
+    ``TRANSPARENT_DECORATORS`` receives."""
+    skip: Set[int] = set()
+    refs: Set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            skip.add(id(node.func))
+            if _decorator_name(node) in ("isinstance", "issubclass"):
+                skip.update(id(a) for a in node.args[1:])
+        elif isinstance(node, ast.arg) and node.annotation is not None:
+            skip.update(id(n) for n in ast.walk(node.annotation))
+        elif isinstance(node, ast.AnnAssign):
+            skip.update(id(n) for n in ast.walk(node.annotation))
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            if node.returns is not None:
+                skip.update(id(n) for n in ast.walk(node.returns))
+            if any(_decorator_name(d) not in TRANSPARENT_DECORATORS
+                   for d in node.decorator_list):
+                refs.add(node.name)
+        elif isinstance(node, ast.ClassDef):
+            skip.update(id(b) for b in node.bases)
+    for node in ast.walk(tree):
+        if id(node) in skip or not isinstance(getattr(node, "ctx", None), ast.Load):
+            continue
+        if isinstance(node, ast.Name):
+            refs.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            refs.add(node.attr)
+    return refs
+
+
+def supplied(files: Dict[Path, ast.Module], sigs: List[_Signature]) -> Set[Parameter]:
+    """The parameters some call in ``files`` supplies: by keyword, by
+    position, through ``*args`` / ``**kwargs`` or ``dataclasses.replace``,
+    or all of a def's at once when it is used as a value."""
+    by_key: Dict[str, List[_Signature]] = defaultdict(list)
+    for sig in sigs:
+        for key in sig.keys:
+            by_key[key].append(sig)
+    dataclasses = [s for s in sigs if s.dataclass]
+    out: Set[Parameter] = set()
+    for tree in files.values():
+        for name in _value_references(tree):
+            for sig in by_key.get(name, ()):
+                out.update(sig.params)
+        enclosing = {id(c): n for n in ast.walk(tree) if isinstance(n, ast.ClassDef)
+                     for c in ast.walk(n) if isinstance(c, ast.Call)}
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            names = _call_names(node, enclosing.get(id(node)))
+            keywords = {k.arg for k in node.keywords}
+            if "replace" in names:  # dataclasses.replace(obj, field=...)
+                out.update(p for s in dataclasses for p in s.params if p.name in keywords)
+            targets = [sig for name in names for sig in by_key.get(name, ())]
+            starred = any(isinstance(a, ast.Starred) for a in node.args)
+            npos = len(node.args)
+            for sig in targets:
+                if None in keywords:
+                    out.update(sig.params)
+                    continue
+                out.update(sig.positional if starred else sig.positional[:npos])
+                out.update(p for p in sig.params if p.name in keywords)
+    return out
+
+
+#: Methods that change a container in place: ``obj.f.append(x)`` writes ``f``.
+_MUTATORS = {"append", "extend", "add", "update", "setdefault", "insert"}
+
+
+def written_attributes(files: Dict[Path, ast.Module]) -> Set[str]:
+    """Attribute names some line writes through an instance: ``obj.f = …``,
+    ``obj.f += …``, ``obj.f[k] = …`` or ``obj.f[k].append(…)``."""
+    out: Set[str] = set()
+    for tree in files.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+                target = node
+            elif isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Store):
+                target = node.value
+            elif (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr in _MUTATORS
+            ):
+                target = node.func.value
+            else:
+                continue
+            while isinstance(target, ast.Subscript):  # obj.f[i][j] = …
+                target = target.value
+            if isinstance(target, ast.Attribute):
+                out.add(target.attr)
+    return out
+
+
+def allowed_param(p: Parameter, written: Set[str]) -> Optional[str]:
+    """Why a parameter no traffic call supplies is still reached, or
+    ``None``.  Each entry names how a caller supplies it; "a test needs
+    another value" is not one."""
+    if p.field and p.name in written:
+        return f"record field: traffic writes obj.{p.name} after construction"
+    return None
+
+
+def params_census(root: Path = ROOT) -> List[Tuple[Parameter, bool, Optional[str]]]:
+    """``(parameter, supplied by tests, allow-list reason)`` for every
+    ``src/`` parameter with a default, and every keyword-only one, that no
+    call in ``src/``, ``benchmarks/`` or ``examples/`` supplies, in file
+    order."""
+    parse = lambda dirs: {p: ast.parse(p.read_text(), str(p))  # noqa: E731
+                          for p in _python_files(root, dirs)}
+    traffic_files = parse(TRAFFIC_DIRS)
+    sigs = signatures({p: t for p, t in traffic_files.items()
+                       if p.is_relative_to(root / "src")})
+    traffic = supplied(traffic_files, sigs)
+    tested = supplied(parse(("tests",)), sigs)
+    written = written_attributes(traffic_files)
+    return [(p, p in tested, allowed_param(p, written))
+            for sig in sigs for p in sig.listed if p not in traffic]
+
+
+def print_params(found, root: Path = ROOT) -> int:
+    """Print the params rows; the number not on the allow-list."""
+    flagged = 0
+    print(f"{'parameter':<72} supplied by")
+    for p, tested, why in found:
+        flagged += why is None
+        where = f"{p.path.relative_to(root)}:{p.line} {p.owner}({p.name}=)"
+        print(f"{where:<72} {'tests' if tested else 'nothing'}"
+              + (f"  (allowed: {why})" if why else ""))
+    print(f"{len(found)} parameters no traffic supplies, {flagged} not on the allow-list")
+    return flagged
+
+
+# ----------------------------------------------------------------------
 # dynamic pass
 # ----------------------------------------------------------------------
 def _code_objects(code) -> Iterator:
@@ -440,13 +733,16 @@ def run_traffic(root: Path = ROOT) -> None:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    if argv not in (["static"], ["imports"], ["dynamic"]):
-        print("usage: python benchmarks/census.py static|imports|dynamic", file=sys.stderr)
+    if argv not in (["static"], ["imports"], ["params"], ["dynamic"]):
+        print("usage: python benchmarks/census.py static|imports|params|dynamic",
+              file=sys.stderr)
         return 2
     if argv == ["static"]:
         return 1 if print_static(static_census()) else 0
     if argv == ["imports"]:
         return 1 if print_imports(unused_imports()) else 0
+    if argv == ["params"]:
+        return 1 if print_params(params_census()) else 0
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "benchmarks")]
     with LineTracer(ROOT / "src") as tracer:
         run_traffic()

@@ -29,7 +29,7 @@ Package map (see DESIGN.md for the full inventory):
 
 from .apps import msbfs, train_sparse_embedding
 from .baselines import ALGORITHMS, petsc1d, summa2d, summa3d
-from .core import DEFAULT_CONFIG, MultiplyResult, TsConfig, ts_spgemm, ts_spmm
+from .core import DEFAULT_CONFIG, MultiplyResult, TsConfig, ts_spgemm
 from .mpi import PERLMUTTER, MachineProfile, run_spmd
 from .sparse import BOOL_AND_OR, PLUS_TIMES, CsrMatrix, Semiring
 
@@ -54,5 +54,4 @@ __all__ = [
     "summa3d",
     "train_sparse_embedding",
     "ts_spgemm",
-    "ts_spmm",
 ]

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, Iterable, List, Sequence
 
 
@@ -17,9 +17,6 @@ class RunRecord:
     d: int
     sparsity: float
     runtime: float
-    comm_time: float = 0.0
-    comm_bytes: int = 0
-    extras: Dict[str, Any] = field(default_factory=dict)
 
 
 def geometric_mean(values: Sequence[float]) -> float:

@@ -21,7 +21,6 @@ from typing import Optional
 
 import numpy as np
 
-from ..core.config import DEFAULT_CONFIG, TsConfig
 from ..core.driver import ts_spgemm
 from ..mpi.costmodel import PERLMUTTER, MachineProfile
 from ..sparse.build import coo_to_csr
@@ -59,9 +58,7 @@ def msbfs_tree(
     sources: np.ndarray,
     p: int,
     *,
-    config: TsConfig = DEFAULT_CONFIG,
     machine: MachineProfile = PERLMUTTER,
-    max_levels: Optional[int] = None,
 ) -> BfsTreeResult:
     """Multi-source BFS building parent trees via ``(sel2nd, min)``.
 
@@ -95,10 +92,8 @@ def msbfs_tree(
 
     level = 0
     while frontier.nnz > 0:
-        if max_levels is not None and level >= max_levels:
-            break
         product = ts_spgemm(
-            a_ones, frontier, p, semiring=SEL2ND_MIN, config=config, machine=machine
+            a_ones, frontier, p, semiring=SEL2ND_MIN, machine=machine
         ).C
         fresh = pattern_difference(product, parents)
         if fresh.nnz:

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..core.config import DEFAULT_CONFIG, TsConfig
 from ..mpi.costmodel import PERLMUTTER, MachineProfile
 from ..sparse.csr import INDEX_DTYPE, CsrMatrix
 from ..sparse.ops import difference_and_union
@@ -46,7 +45,6 @@ def closeness_centrality(
     sources: np.ndarray,
     p: int,
     *,
-    config: TsConfig = DEFAULT_CONFIG,
     machine: MachineProfile = PERLMUTTER,
 ) -> ClosenessResult:
     """Closeness centrality of ``sources`` on the graph of ``A``.
@@ -71,7 +69,7 @@ def closeness_centrality(
     # Re-run the frontier recurrence, tracking per-level discoveries.
     # (msbfs() itself only returns the final visited set, so we drive the
     # same loop here and reuse its per-iteration accounting for runtime.)
-    result = msbfs(A, sources, p, config=config, machine=machine)
+    result = msbfs(A, sources, p, machine=machine)
     # Recover level sets serially from the visited structure: BFS depth is
     # the first level at which a vertex appears; replay cheaply using the
     # boolean recurrence on the (already verified) serial side.

@@ -67,6 +67,12 @@ BATCH_SIZE = 256
 #: ``repro embed --lr``'s.
 LEARNING_RATE = 0.02
 
+#: Non-edges drawn per vertex in each negative sample.
+NEGATIVES_PER_VERTEX = 3
+
+#: Share of the undirected edges held out to score link prediction.
+HOLDOUT_FRACTION = 0.1
+
 #: Collapses duplicate (u, v) pairs in the force pattern by summing their
 #: ±1 labels: an edge that is also drawn as a negative sample nets out.
 _LABEL_SEMIRING = Semiring(
@@ -269,11 +275,9 @@ def train_sparse_embedding(
     d: int = 16,
     sparsity: float = 0.8,
     epochs: int = 10,
-    n_negative: int = 3,
     config: TsConfig = DEFAULT_CONFIG,
     machine: MachineProfile = PERLMUTTER,
     seed: int = 0,
-    holdout_fraction: float = 0.1,
     learning_rate: float = LEARNING_RATE,
     negative_refresh: int = 1,
     driver_gather: bool = False,
@@ -326,7 +330,7 @@ def train_sparse_embedding(
     edge_cols = adj.indices
     upper = edge_rows < edge_cols  # undirected: one direction is enough
     pos_u, pos_v = edge_rows[upper], edge_cols[upper]
-    n_test = max(int(len(pos_u) * holdout_fraction), 1)
+    n_test = max(int(len(pos_u) * HOLDOUT_FRACTION), 1)
     test_idx = rng.choice(len(pos_u), size=min(n_test, len(pos_u)), replace=False)
     test_mask = np.zeros(len(pos_u), dtype=bool)
     test_mask[test_idx] = True
@@ -344,8 +348,8 @@ def train_sparse_embedding(
 
     def draw_pattern() -> CsrMatrix:
         """One negative-sample draw: the ±1-labelled force pattern."""
-        neg_u = np.repeat(np.arange(n, dtype=INDEX_DTYPE), n_negative)
-        neg_v = rng.integers(0, n, n * n_negative, dtype=INDEX_DTYPE)
+        neg_u = np.repeat(np.arange(n, dtype=INDEX_DTYPE), NEGATIVES_PER_VERTEX)
+        neg_v = rng.integers(0, n, n * NEGATIVES_PER_VERTEX, dtype=INDEX_DTYPE)
         keep = neg_u != neg_v
         neg_u, neg_v = neg_u[keep], neg_v[keep]
         # +1 on attractive edges, -1 on repulsive samples (Fig 4b).  The
@@ -483,14 +487,13 @@ def link_prediction_accuracy(
     test_v: np.ndarray,
     *,
     rng: Optional[np.random.Generator] = None,
-    n_negative: Optional[int] = None,
 ) -> float:
     """AUC-style link-prediction accuracy of an embedding.
 
     Scores pairs by ``σ(z_u·z_v)`` and reports the probability that a
     held-out edge outranks a random non-edge (the ranking accuracy
-    Force2Vec's evaluation uses).  Returns 0.5 for an uninformative
-    embedding.
+    Force2Vec's evaluation uses; one non-edge is drawn per held-out
+    edge).  Returns 0.5 for an uninformative embedding.
     """
     if rng is None:
         rng = np.random.default_rng(0)
@@ -501,9 +504,8 @@ def link_prediction_accuracy(
     norms[norms == 0] = 1.0
     z = z / norms
     n = Z.nrows
-    k = n_negative if n_negative is not None else len(test_u)
-    neg_u = rng.integers(0, n, k)
-    neg_v = rng.integers(0, n, k)
+    neg_u = rng.integers(0, n, len(test_u))
+    neg_v = rng.integers(0, n, len(test_u))
     pos_scores = np.einsum("ij,ij->i", z[test_u], z[test_v])
     neg_scores = np.einsum("ij,ij->i", z[neg_u], z[neg_v])
     # probability a positive outranks a negative (sampled pairing)

@@ -23,7 +23,7 @@ for scale-free graphs, where hubs dominate influence.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List
 
 import numpy as np
 
@@ -82,7 +82,6 @@ def influence_maximization(
     *,
     probability: float = 0.1,
     samples: int = 8,
-    n_candidates: Optional[int] = None,
     seed: int = 0,
     config: TsConfig = DEFAULT_CONFIG,
     machine: MachineProfile = PERLMUTTER,
@@ -100,9 +99,9 @@ def influence_maximization(
         Simulated ranks for the distributed reachability computations.
     probability / samples:
         IC edge probability and Monte-Carlo sample count.
-    n_candidates:
-        Seed candidates = this many highest-degree vertices (default
-        ``max(4k, 16)``, capped at n).
+
+    The seed candidates are the ``max(4k, 16)`` highest-degree vertices
+    (all of them when n is smaller).
 
     Every live-edge sample is an *edge subset* of the same graph, so one
     resident :class:`~repro.core.driver.TsSession` is prepared for the
@@ -119,8 +118,7 @@ def influence_maximization(
     n = A.nrows
     if k < 1:
         raise ValueError("k must be >= 1")
-    m = n_candidates if n_candidates is not None else max(4 * k, 16)
-    m = min(m, n)
+    m = min(max(4 * k, 16), n)
     degrees = A.row_nnz()
     candidates = np.argsort(-degrees, kind="stable")[:m].astype(INDEX_DTYPE)
 

@@ -77,7 +77,6 @@ def _summa_session(A, p, *, layers, semiring, machine, config):
         semiring=semiring,
         machine=machine,
         kernel=cfg.kernel,
-        timeout=cfg.spmd_timeout,
     )
 
 

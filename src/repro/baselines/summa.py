@@ -137,10 +137,9 @@ class SummaSession(ResidentSession):
         semiring: Semiring = PLUS_TIMES,
         machine: MachineProfile = PERLMUTTER,
         kernel: str = "auto",
-        timeout: Optional[float] = None,
     ):
         self.pr, self.pc, self.l = layered_grid_dims(p, layers)
-        super().__init__(p, machine, timeout=timeout)
+        super().__init__(p, machine)
         self.layers = layers
         self.semiring = semiring
         self.kernel = kernel
@@ -202,9 +201,7 @@ def summa2d(
     B: CsrMatrix,
     p: int,
     *,
-    semiring: Semiring = PLUS_TIMES,
     machine: MachineProfile = PERLMUTTER,
-    kernel: str = "auto",
 ) -> MultiplyResult:
     """Run 2-D sparse SUMMA on ``p`` ranks: :func:`summa3d` on one layer."""
-    return summa3d(A, B, p, layers=1, semiring=semiring, machine=machine, kernel=kernel)
+    return summa3d(A, B, p, layers=1, machine=machine)

@@ -7,7 +7,6 @@ from .driver import (
     MultiplyResult,
     TsSession,
     ts_spgemm,
-    ts_spmm,
 )
 from .naive import naive_multiply
 from .plan import PreparedA, PreparedSubtile, prepare_multiply, replan
@@ -48,5 +47,4 @@ __all__ = [
     "spmm_multiply",
     "tiled_multiply",
     "ts_spgemm",
-    "ts_spmm",
 ]

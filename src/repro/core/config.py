@@ -58,7 +58,7 @@ class TsConfig:
     kernel:
         Local SpGEMM kernel every distributed code path dispatches to —
         a name registered in :mod:`repro.sparse.kernels`
-        (``esc-vectorized``, ``spa``, ``hash``, ``scipy``) or ``"auto"``
+        (``esc-vectorized``, ``spa``, ``scipy``) or ``"auto"``
         (the default): scipy's C fast path for arithmetic float data, the
         batched ``spa`` for identity-safe semirings at
         ``d <= SPA_AUTO_MAX_D`` (boolean BFS frontiers, the planner's
@@ -94,8 +94,6 @@ class TsConfig:
         Replica placement: ``"neighbor"`` (default), ``"driver"`` or
         ``"off"`` (no replicas; recovery re-runs the full setup — the
         ablation behind the CLI's ``--checkpoint off``).
-    max_retries:
-        Task retry budget per multiply/setup call in recoverable mode.
     respawn_budget:
         How many crashed workers a recoverable session may respawn over
         its lifetime before further rank losses are treated as permanent.
@@ -108,9 +106,6 @@ class TsConfig:
     retry_backoff:
         Base of the bounded exponential backoff between retries, in real
         seconds (delay = ``retry_backoff · 2^(attempt-1)``, capped at 1 s).
-    spmd_timeout:
-        Watchdog timeout for the underlying :class:`SpmdSession`;
-        ``None`` defers to ``REPRO_SPMD_TIMEOUT`` (default 600 s).
     checksum:
         When ``True``, all-to-all payloads carry CRC-32 checksums
         verified on receipt — the opt-in detector for injected payload
@@ -129,10 +124,8 @@ class TsConfig:
     sanitize: bool = False
     recoverable: bool = False
     checkpoint: str = "neighbor"
-    max_retries: int = 2
     respawn_budget: Optional[int] = None
     retry_backoff: float = 0.01
-    spmd_timeout: Optional[float] = None
     checksum: bool = False
     faults: str = ""
 
@@ -155,14 +148,10 @@ class TsConfig:
                 f"checkpoint must be one of {CHECKPOINT_POLICIES}, "
                 f"got {self.checkpoint!r}"
             )
-        if self.max_retries < 0:
-            raise ValueError("max_retries must be >= 0")
         if self.respawn_budget is not None and self.respawn_budget < 0:
             raise ValueError("respawn_budget must be >= 0 when given")
         if self.retry_backoff < 0:
             raise ValueError("retry_backoff must be >= 0")
-        if self.spmd_timeout is not None and self.spmd_timeout <= 0:
-            raise ValueError("spmd_timeout must be positive when given")
         if self.faults:
             # Validate the spec grammar eagerly so a typo fails at config
             # construction, not mid-run.  faults.py only imports

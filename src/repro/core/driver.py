@@ -63,6 +63,10 @@ FUSED_SECTION_PHASES = (
     "refresh-values",
 )
 
+#: Task retry budget per session call in recoverable mode: a task is
+#: re-submitted after at most this many recoverable faults.
+MAX_RETRIES = 2
+
 @dataclass
 class MultiplyResult:
     """Outcome of one distributed multiply.
@@ -195,15 +199,15 @@ class ResidentOperand:
         self.aux[key] = value
         return value
 
-    def refresh_values(self, new_data: np.ndarray, *, phase: str = "refresh-values") -> None:
+    def refresh_values(self, new_data: np.ndarray) -> None:
         """Replace the resident block's values; pattern must be unchanged.
 
         The rank-resident analogue of :meth:`TsSession.update_operand`:
         the local row block takes ``new_data`` directly, and the ``Ac``
         column copy is refreshed through a genuine *values-only* strip
         all-to-all — the pattern already lives on every consumer, so only
-        the ``nnz`` new values travel, charged under ``phase`` (multiply
-        time, not setup: iterative drivers pay this every refresh).
+        the ``nnz`` new values travel, charged under ``refresh-values``
+        (multiply time, not setup: iterative drivers pay this every refresh).
         Replacing the column copy is the whole refresh of the subtiles —
         they are read off it; the prepared plan reloads its strip values
         and everything pattern-derived survives untouched.  Which of my
@@ -222,7 +226,7 @@ class ResidentOperand:
         self.dist.local = CsrMatrix(
             local.shape, local.indptr, local.indices, new_data, check=False
         )
-        with comm.phase(phase):
+        with comm.phase("refresh-values"):
             received = comm.alltoall(
                 [new_data[sel] for sel in self.prepared.strips.selections]
             )
@@ -377,7 +381,6 @@ class TsSession(ResidentSession):
             p,
             machine,
             sanitize=config.sanitize or None,
-            timeout=config.spmd_timeout,
             recoverable=config.recoverable,
             injector=injector,
             checksum=config.checksum,
@@ -489,7 +492,7 @@ class TsSession(ResidentSession):
         the session instead of killing it; this loop restores the lost
         rank's resident state from the last checkpoint
         (:meth:`_recover`), sleeps a bounded exponential backoff, and
-        re-submits — up to ``config.max_retries`` times.  Reports of
+        re-submits — up to :data:`MAX_RETRIES` times.  Reports of
         failed attempts and recovery tasks are merged into the returned
         result so aborted work is charged honestly.
         """
@@ -505,7 +508,7 @@ class TsSession(ResidentSession):
                 if failure is None:
                     raise  # a program bug, not an environment fault
                 attempt += 1
-                if attempt > self.config.max_retries:
+                if attempt > MAX_RETRIES:
                     raise
                 self.retries += 1
                 self.recovery_events.append(failure)
@@ -1199,9 +1202,7 @@ class TsSession(ResidentSession):
             for ids, col in zip(local_ids, col_ids)
         ]
 
-    def derive_edge_subset(
-        self, keep: np.ndarray, values: Optional[np.ndarray] = None
-    ) -> "TsSession":
+    def derive_edge_subset(self, keep: np.ndarray) -> "TsSession":
         """A child session for the edge subset flagged by ``keep``.
 
         ``keep`` is a boolean mask over the resident ``A``'s stored
@@ -1220,15 +1221,6 @@ class TsSession(ResidentSession):
         multiply (and hence the sample's whole MS-BFS) is bit-identical
         too.
 
-        ``values``, when given, additionally *refreshes* the stored
-        values: it is an ``nnz``-long array aligned with the parent's
-        global CSR order, and every kept edge takes its entry — the
-        weighted live-edge case (per-sample edge weights in influence
-        maximization), which previously required a silent full fresh
-        prepare.  Placement rides the same edge-id companions as the
-        masking, so derived state stays bit-identical to a fresh session
-        on the masked *re-valued* matrix.
-
         The child shares this session's executor (close the parent last)
         and its row partition; handles are *not* interchangeable between
         parent and child.
@@ -1240,41 +1232,17 @@ class TsSession(ResidentSession):
             raise ValueError(
                 f"keep must flag all {nnz} stored edges, got shape {keep.shape}"
             )
-        if values is not None:
-            values = np.asarray(values)
-            if values.shape != (nnz,):
-                raise ValueError(
-                    f"values must cover all {nnz} stored edges, "
-                    f"got shape {values.shape}"
-                )
         self._ensure_edge_ids()
-
-        def _revalued(block: CsrMatrix, ids: np.ndarray) -> CsrMatrix:
-            """``block`` with its data replaced from ``values`` (aligned
-            via the block's edge-id companion); identity when no values
-            were supplied."""
-            if values is None:
-                return block
-            return CsrMatrix(
-                block.shape, block.indptr, block.indices, values[ids],
-                check=False,
-            )
 
         def program(comm):
             rows, local, col_copy, _, _ = self._state[comm.rank]
             local_ids, col_ids = self._edge_ids[comm.rank]
             with comm.phase("prepare"):
-                new_local = mask_entries(
-                    _revalued(local, local_ids), keep[local_ids]
-                )
-                new_col = mask_entries(
-                    _revalued(col_copy, col_ids), keep[col_ids]
-                )
-                # One streaming pass over the kept blocks (and the values).
+                new_local = mask_entries(local, keep[local_ids])
+                new_col = mask_entries(col_copy, keep[col_ids])
+                # One streaming pass over the kept blocks.
                 comm.charge_touch(
-                    (0 if values is None else values.nbytes)
-                    + new_local.nbytes_estimate()
-                    + new_col.nbytes_estimate()
+                    new_local.nbytes_estimate() + new_col.nbytes_estimate()
                 )
             dist_a = DistSparseMatrix(comm, rows, new_local, self.ncols, new_col)
             return _resident_state(dist_a, self.config)
@@ -1292,19 +1260,3 @@ class TsSession(ResidentSession):
         child.setup_report = child._commit(result)
         return child
 
-
-def ts_spmm(
-    A: CsrMatrix,
-    B: np.ndarray,
-    p: int,
-    *,
-    config: TsConfig = DEFAULT_CONFIG,
-    machine: MachineProfile = PERLMUTTER,
-) -> MultiplyResult:
-    """Distributed SpMM ``C = A · B`` with dense ``B`` (§V-C comparator):
-    :func:`ts_spgemm`, whose session takes the dense path.  Iterative
-    dense chains (``Z ← A·Z``) keep ``B`` on-rank through one session
-    (:meth:`TsSession.scatter` of the ndarray, then
-    ``multiply(..., gather=False)``).
-    """
-    return ts_spgemm(A, B, p, config=config, machine=machine)

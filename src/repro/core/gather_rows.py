@@ -110,20 +110,17 @@ def place_dense_rows(
     nrows: int,
     payload: Optional[Tuple[np.ndarray, np.ndarray]],
     ncols: int,
-    dtype=None,
 ) -> np.ndarray:
     """Scatter shipped dense rows into a zero block of height ``nrows``.
 
     The block keeps the payload's dtype (a float32 ``B`` must not be
     silently upcast on placement, nor an integer one truncated); an empty
-    payload defaults to ``dtype`` (float64 when unspecified).
+    payload gives a float64 block.
     """
-    if payload is not None:
-        row_ids, rows = payload
-        rows = np.asarray(rows)
-        dtype = rows.dtype
-    out = np.zeros((nrows, ncols), dtype=np.float64 if dtype is None else dtype)
     if payload is None:
-        return out
+        return np.zeros((nrows, ncols))
+    row_ids, rows = payload
+    rows = np.asarray(rows)
+    out = np.zeros((nrows, ncols), dtype=rows.dtype)
     out[checked_row_ids(row_ids, nrows)] = rows
     return out

@@ -23,9 +23,8 @@ from ..mpi.marker import rank_program
 from ..partition.distmat import DistDenseMatrix, DistSparseMatrix
 from ..sparse.kernels import dispatch_spmm
 from ..sparse.ops import extract_row_range
-from .config import TsConfig
 from .gather_rows import checked_row_ids, pack_dense_rows, place_dense_rows
-from .plan import PreparedA, peer_tile_ranges, subtile_needed_rows
+from .plan import PreparedA
 from .symbolic import DIAGONAL, EMPTY, LOCAL, REMOTE, SubtileInfo, SymbolicPlan
 from .tiled import TileCodec, ac_subtile, run_tile_steps
 
@@ -46,38 +45,40 @@ class SpmmDiagnostics:
         return dict(self.__dict__)
 
 
-def _dense_mode_plan(comm, A: DistSparseMatrix, config: TsConfig) -> SymbolicPlan:
+def _dense_mode_plan(comm, A: DistSparseMatrix, prepared: PreparedA) -> SymbolicPlan:
     """The SpMM symbolic step: a mode per (peer, row tile) off ``Ac``.
 
     Dense payloads cost ``d`` values per row either way, so the hybrid
     rule compares needed B rows with affected output rows — both read off
-    ``A``'s pattern alone, which is why the plan can be cached.
+    ``A``'s pattern alone, which is why the plan can be cached.  Each
+    slot's row range, ``stored`` flag and needed B rows are the prepared
+    plan's; only the affected rows are read off the subtile.
     """
     plan = SymbolicPlan()
+    policy = prepared.config.mode_policy
     modes = []
     with comm.phase("symbolic"):
-        tile_ranges = peer_tile_ranges(A.rows, config)
-        nzcs = subtile_needed_rows(A.col_copy, A.rows, tile_ranges)
-        for peer, ranges in tile_ranges.items():
+        for peer in range(comm.size):
             modes.append([])
-            for rt, ((r0, r1), nzc) in enumerate(zip(ranges, nzcs[peer])):
-                sub = ac_subtile(A, peer, (r0, r1))
-                if sub.nnz == 0:
+            for ps in prepared.subtiles[peer]:
+                if not ps.stored:
                     mode = EMPTY
                     plan.empty_tiles += 1
                 elif peer == comm.rank:
                     mode = DIAGONAL
                 else:
-                    affected = len(np.unique(sub.row_ids()))
+                    sub = ac_subtile(A, peer, ps.row_range)
                     comm.charge_symbolic(sub.nnz)
-                    if config.mode_policy == "hybrid":
-                        mode = REMOTE if affected < len(nzc) else LOCAL
+                    if policy == "hybrid":
+                        affected = len(np.unique(sub.row_ids()))
+                        mode = REMOTE if affected < len(ps.needed_b_rows) else LOCAL
                     else:
-                        mode = LOCAL if config.mode_policy == "local" else REMOTE
+                        mode = LOCAL if policy == "local" else REMOTE
                 if mode != EMPTY:
                     # The nnz sizes are the sparse rule's; dense payloads price rows.
                     plan.by_mode[mode].setdefault(peer, []).append(SubtileInfo(
-                        peer, rt, (r0, r1), mode, nzc, needed_b_nnz=0, output_nnz=0
+                        peer, ps.row_tile, ps.row_range, mode, ps.needed_b_rows,
+                        needed_b_nnz=0, output_nnz=0,
                     ))
                 modes[-1].append(mode)
         # The paper's binary-value exchange; consumers act on the
@@ -120,7 +121,7 @@ def spmm_multiply(
     prepared.check_compatible(A)
     plan = prepared.spmm_cache
     if plan is None:
-        plan = prepared.spmm_cache = _dense_mode_plan(comm, A, prepared.config)
+        plan = prepared.spmm_cache = _dense_mode_plan(comm, A, prepared)
     else:
         # The whole symbolic phase was skipped — the same observability
         # flag the tiled SpGEMM surfaces as ``plan_reused``.

@@ -23,8 +23,11 @@ from ..sparse.csr import INDEX_DTYPE, CsrMatrix
 from ..sparse.semiring import Semiring
 
 
-def _dedup_semiring(dtype=np.float64) -> Semiring:
-    return Semiring("dedup_max", np.maximum, np.multiply, 0.0, np.dtype(dtype))
+#: Collapses a generator's duplicate edges to one unit entry.
+_DEDUP = Semiring("dedup_max", np.maximum, np.multiply, 0.0, np.dtype(np.float64))
+
+#: Graph500's RMAT quadrant probabilities (the fourth is ``1 - a - b - c``).
+RMAT_A, RMAT_B, RMAT_C = 0.57, 0.19, 0.19
 
 
 def erdos_renyi(
@@ -32,24 +35,20 @@ def erdos_renyi(
     avg_degree: float,
     *,
     seed: int = 0,
-    symmetric: bool = True,
-    dtype=np.float64,
 ) -> CsrMatrix:
-    """Erdős–Rényi adjacency matrix with ``avg_degree`` nonzeros per row.
+    """Symmetric Erdős–Rényi adjacency matrix with ``avg_degree`` nonzeros
+    per row.
 
     The paper's ER dataset is n=40M, k=8; scale ``n`` down and keep ``k``.
     """
     rng = np.random.default_rng(seed)
-    m = int(n * avg_degree / (2 if symmetric else 1))
+    m = int(n * avg_degree / 2)
     src = rng.integers(0, n, m, dtype=INDEX_DTYPE)
     dst = rng.integers(0, n, m, dtype=INDEX_DTYPE)
     keep = src != dst  # no self-loops
     src, dst = src[keep], dst[keep]
-    vals = np.ones(len(src))
-    if symmetric:
-        src, dst = np.concatenate([src, dst]), np.concatenate([dst, src])
-        vals = np.ones(len(src))
-    return coo_to_csr(src, dst, vals, (n, n), _dedup_semiring(dtype))
+    src, dst = np.concatenate([src, dst]), np.concatenate([dst, src])
+    return coo_to_csr(src, dst, np.ones(len(src)), (n, n), _DEDUP)
 
 
 def rmat(
@@ -57,13 +56,9 @@ def rmat(
     avg_degree: float,
     *,
     seed: int = 0,
-    a: float = 0.57,
-    b: float = 0.19,
-    c: float = 0.19,
-    symmetric: bool = True,
-    dtype=np.float64,
 ) -> CsrMatrix:
-    """RMAT (recursive-matrix) scale-free graph, Graph500 parameters.
+    """Symmetric RMAT (recursive-matrix) scale-free graph, Graph500
+    parameters.
 
     Produces the heavy-tailed degree distribution of web crawls: a few
     near-dense rows (hubs) and many sparse ones — the regime where the
@@ -73,15 +68,12 @@ def rmat(
     rng = np.random.default_rng(seed)
     levels = max(int(np.ceil(np.log2(max(n, 2)))), 1)
     size = 1 << levels
-    m = int(n * avg_degree / (2 if symmetric else 1))
-    d = 1.0 - a - b - c
-    if d < 0:
-        raise ValueError("RMAT probabilities must satisfy a+b+c <= 1")
+    m = int(n * avg_degree / 2)
     src = np.zeros(m, dtype=INDEX_DTYPE)
     dst = np.zeros(m, dtype=INDEX_DTYPE)
     # Vectorized recursive descent: one quadrant draw per level for all
     # edges at once.
-    probs = np.array([a, b, c, d])
+    probs = np.array([RMAT_A, RMAT_B, RMAT_C, 1.0 - RMAT_A - RMAT_B - RMAT_C])
     cum = np.cumsum(probs)
     for level in range(levels):
         bit = 1 << (levels - 1 - level)
@@ -94,10 +86,8 @@ def rmat(
     dst %= n
     keep = src != dst
     src, dst = src[keep], dst[keep]
-    if symmetric:
-        src, dst = np.concatenate([src, dst]), np.concatenate([dst, src])
-    vals = np.ones(len(src))
-    return coo_to_csr(src, dst, vals, (n, n), _dedup_semiring(dtype))
+    src, dst = np.concatenate([src, dst]), np.concatenate([dst, src])
+    return coo_to_csr(src, dst, np.ones(len(src)), (n, n), _DEDUP)
 
 
 def planted_partition(
@@ -107,7 +97,6 @@ def planted_partition(
     p_in: float = 0.15,
     p_out: float = 0.005,
     seed: int = 0,
-    dtype=np.float64,
 ) -> Tuple[CsrMatrix, np.ndarray]:
     """Planted-partition graph for the embedding study.
 
@@ -145,9 +134,7 @@ def planted_partition(
     keep = src != dst
     src, dst = src[keep], dst[keep]
     src, dst = np.concatenate([src, dst]), np.concatenate([dst, src])
-    adj = coo_to_csr(
-        src, dst, np.ones(len(src)), (n, n), _dedup_semiring(dtype)
-    )
+    adj = coo_to_csr(src, dst, np.ones(len(src)), (n, n), _DEDUP)
     return adj, labels
 
 
@@ -157,7 +144,6 @@ def tall_skinny(
     sparsity: float,
     *,
     seed: int = 0,
-    dtype=np.float64,
 ) -> CsrMatrix:
     """Uniformly random tall-and-skinny ``B`` with ``sparsity`` fraction zero.
 
@@ -168,7 +154,7 @@ def tall_skinny(
         raise ValueError("sparsity must be in [0, 1]")
     rng = np.random.default_rng(seed)
     nnz_per_row = d * (1.0 - sparsity)
-    return random_csr(n, d, nnz_per_row=nnz_per_row, rng=rng, dtype=dtype)
+    return random_csr(n, d, nnz_per_row=nnz_per_row, rng=rng)
 
 
 def bfs_frontier(

@@ -257,14 +257,13 @@ def predict(
     algorithm: str,
     w: Workload,
     p: int,
-    *,
-    machine: MachineProfile = PERLMUTTER,
 ) -> CostBreakdown:
-    """Evaluate the closed-form model for one algorithm at one scale."""
+    """Evaluate the closed-form model for one algorithm at one scale on
+    Perlmutter."""
     try:
         fn = COST_MODELS[algorithm]
     except KeyError:
         raise KeyError(
             f"no cost model for {algorithm!r}; available: {sorted(COST_MODELS)}"
         ) from None
-    return fn(w, p, machine=machine)
+    return fn(w, p)

@@ -312,8 +312,8 @@ class CollectivesMixin:
             acc = op(acc, b[2])
         return acc
 
-    def scan(self, obj: Any, op: Callable[[Any, Any], Any] = operator.add) -> Any:
-        """Inclusive prefix reduction in rank order."""
+    def scan(self, obj: Any) -> Any:
+        """Inclusive prefix sum (``+``) in rank order."""
         self._sanitize("scan", payload=obj)
         nbytes = payload_nbytes(obj)
         board = self._ctx.exchange(self.rank, (self._clock.now, nbytes, obj))
@@ -322,7 +322,7 @@ class CollectivesMixin:
         self._sync_exit(entries, self.machine.reduce(self.size, nbytes))
         acc = board[0][2]
         for b in board[1 : self.rank + 1]:
-            acc = op(acc, b[2])
+            acc = acc + b[2]
         return acc
 
     # ------------------------------------------------------------------

@@ -69,7 +69,6 @@ def _ceil_log2(q: int) -> int:
 KERNEL_COMPUTE_SCALE = {
     "spa": 1.0,            # 824 µs  (the calibration baseline)
     "scipy": 1.7,          # 1.43 ms — scipy's compiled routines on the raw arrays
-    "hash": 2.7,           # 2.20 ms — one fused-key stable sort
     "esc-vectorized": 4.4,  # 3.66 ms — lexsort + reduceat
 }
 

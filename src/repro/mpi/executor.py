@@ -66,6 +66,10 @@ from .runtime import AbortController, GroupContext
 from .sanitize import TaskSanitizer, check_byte_conservation, sanitize_enabled
 from .stats import RankStats, SpmdReport
 
+#: Seconds ``close`` and ``shrink`` wait for each worker to exit before
+#: abandoning it as a daemon thread.
+JOIN_GRACE_S = 2.0
+
 
 class SpmdResult:
     """Return value of :func:`run_spmd` / :meth:`SpmdSession.run`.
@@ -209,13 +213,11 @@ class SpmdSession:
         size: int,
         *,
         machine: MachineProfile = PERLMUTTER,
-        timeout: Optional[float] = None,
         sanitize: Optional[bool] = None,
         recoverable: bool = False,
         injector: Optional[FaultInjector] = None,
         checksum: bool = False,
         respawn_budget: Optional[int] = None,
-        join_timeout: float = 2.0,
     ):
         if size < 1:
             raise ValueError(f"size must be >= 1, got {size}")
@@ -225,10 +227,8 @@ class SpmdSession:
             )
         self.size = size
         self.machine = machine
-        #: Watchdog timeout: explicit argument, else REPRO_SPMD_TIMEOUT,
-        #: else 600 s.
-        self.timeout = default_timeout() if timeout is None else timeout
-        self.join_timeout = join_timeout
+        #: Watchdog timeout: REPRO_SPMD_TIMEOUT, else 600 s.
+        self.timeout = default_timeout()
         #: Resolved sanitize setting: an explicit True wins, otherwise
         #: the REPRO_SANITIZE environment variable decides.
         self.sanitize = sanitize_enabled(sanitize)
@@ -304,7 +304,7 @@ class SpmdSession:
                 q.put(None)
         if join:
             for t in self._threads:
-                t.join(timeout=self.join_timeout)
+                t.join(timeout=JOIN_GRACE_S)
 
     def __del__(self):  # pragma: no cover - GC timing dependent
         try:
@@ -521,7 +521,7 @@ class SpmdSession:
                         q.put(None)
             for r, t in enumerate(self._threads):
                 if r != dead_rank or dead_has_worker:
-                    t.join(timeout=self.join_timeout)
+                    t.join(timeout=JOIN_GRACE_S)
             self.size -= 1
             self._queues = [queue.Queue() for _ in range(self.size)]
             self._threads = [self._spawn_worker(r) for r in range(self.size)]
@@ -576,12 +576,10 @@ class ResidentSession:
         machine: MachineProfile = PERLMUTTER,
         sanitize: Optional[bool] = None,
         *,
-        timeout: Optional[float] = None,
         recoverable: bool = False,
         injector: Optional[FaultInjector] = None,
         checksum: bool = False,
         respawn_budget: Optional[int] = None,
-        join_timeout: float = 2.0,
     ):
         self.p = p
         self.machine = machine
@@ -589,12 +587,10 @@ class ResidentSession:
             p,
             machine=machine,
             sanitize=sanitize,
-            timeout=timeout,
             recoverable=recoverable,
             injector=injector,
             checksum=checksum,
             respawn_budget=respawn_budget,
-            join_timeout=join_timeout,
         )
 
     def _run_setup(self, setup: Callable) -> List[Any]:
@@ -636,7 +632,6 @@ def run_spmd(
     fn: Callable[..., Any],
     *args: Any,
     machine: MachineProfile = PERLMUTTER,
-    timeout: Optional[float] = None,
     sanitize: Optional[bool] = None,
     **kwargs: Any,
 ) -> SpmdResult:
@@ -654,20 +649,16 @@ def run_spmd(
         read-only, like memory behind a real network).
     machine:
         The α–β/compute cost profile to charge against.
-    timeout:
-        Watchdog in *real* seconds; on expiry the run is aborted and
-        :class:`DeadlockError` raised.  ``None`` (default) resolves from
-        the ``REPRO_SPMD_TIMEOUT`` environment variable, falling back
-        to 600 s.
+
+    The watchdog (``REPRO_SPMD_TIMEOUT`` real seconds, default 600)
+    aborts a run that has not finished and raises :class:`DeadlockError`.
 
     Returns
     -------
     SpmdResult
         Per-rank return values plus the :class:`SpmdReport`.
     """
-    session = SpmdSession(
-        size, machine=machine, timeout=timeout, sanitize=sanitize
-    )
+    session = SpmdSession(size, machine=machine, sanitize=sanitize)
     try:
         return session.run(fn, *args, **kwargs)
     finally:

@@ -61,11 +61,11 @@ TIMEOUT_ENV = "REPRO_SPMD_TIMEOUT"
 DEFAULT_SLOW_DELAY = 0.005
 
 
-def default_timeout(fallback: float = 600.0) -> float:
-    """The watchdog timeout: ``REPRO_SPMD_TIMEOUT`` or ``fallback``."""
+def default_timeout() -> float:
+    """The watchdog timeout: ``REPRO_SPMD_TIMEOUT``, else 600 s."""
     raw = os.environ.get(TIMEOUT_ENV, "").strip()
     if not raw:
-        return fallback
+        return 600.0
     try:
         value = float(raw)
     except ValueError:

@@ -68,10 +68,11 @@ def sanitize_enabled(override: Optional[bool] = None) -> bool:
     return os.environ.get(SANITIZE_ENV, "").strip().lower() in _TRUTHY
 
 
-def call_site(skip: int = 1) -> str:
-    """``"path/file.py:line"`` of the nearest frame outside the runtime."""
+def call_site() -> str:
+    """``"path/file.py:line"`` of the nearest frame outside the runtime,
+    starting from the caller's caller."""
     try:
-        frame = sys._getframe(skip + 1)
+        frame = sys._getframe(2)
     except ValueError:  # pragma: no cover - interpreter-startup edge
         return "<unknown>"
     while frame is not None:
@@ -286,9 +287,7 @@ def validate_snapshot(snapshot: Sequence[CollectiveRecord]) -> None:
     )
 
 
-def check_byte_conservation(
-    rank_stats, *, phases: Optional[Sequence[str]] = None
-) -> None:
+def check_byte_conservation(rank_stats) -> None:
     """Assert per-phase sent == received bytes, summed over ranks.
 
     Every collective books each transferred byte once on its sender and
@@ -306,8 +305,6 @@ def check_byte_conservation(
             recv[name] = recv.get(name, 0) + ps.bytes_recv
     bad = []
     for name in sorted(set(sent) | set(recv)):
-        if phases is not None and name not in phases:
-            continue
         s, r = sent.get(name, 0), recv.get(name, 0)
         if s != r:
             bad.append(f"phase {name!r}: sent {s} B != received {r} B")

@@ -190,19 +190,13 @@ class SpmdReport:
     def compute_time(self) -> float:
         return max(self.compute_times) if self.compute_times else 0.0
 
-    def total_bytes(self, phase: Optional[str] = None) -> int:
-        """Total bytes sent across all ranks (optionally one phase only).
+    def total_bytes(self) -> int:
+        """Total bytes sent across all ranks.
 
         Each transferred byte is counted once on its sender, so this is the
         total traffic on the simulated interconnect.
         """
-        total = 0
-        for rs in self.rank_stats:
-            if phase is None:
-                total += rs.totals().bytes_sent
-            elif phase in rs.phases:
-                total += rs.phases[phase].bytes_sent
-        return total
+        return sum(rs.totals().bytes_sent for rs in self.rank_stats)
 
     def total_messages(self) -> int:
         return sum(rs.totals().messages_sent for rs in self.rank_stats)

@@ -109,7 +109,7 @@ class DistSparseMatrix:
             self.strips = ColumnStrips(self.local, self.rows.ranges)
         return self.strips
 
-    def build_column_copy(self, *, phase: str = "build-Ac") -> None:
+    def build_column_copy(self) -> None:
         """Materialize ``Ac`` — the column-partitioned second copy of A.
 
         Every rank cuts its row block into per-owner column strips
@@ -117,7 +117,7 @@ class DistSparseMatrix:
         then reuses) and exchanges them in one all-to-all; rank ``j``
         then stacks the strips it received into ``Ac_j ∈ R^{n × n_j}``
         (global rows, local columns).  The traffic is charged under
-        ``phase`` so benchmarks can separate this one-time setup from
+        ``build-Ac`` so benchmarks can separate this one-time setup from
         multiply time.  Requires a square matrix (row and column
         partitions coincide).
         """
@@ -128,7 +128,7 @@ class DistSparseMatrix:
             )
         comm = self.comm
         my_lo, my_hi = self.local_range
-        with comm.phase(phase):
+        with comm.phase("build-Ac"):
             # Strip k of my block, with LOCAL column ids and tagged with my
             # global row offset so the receiver can place the rows.
             send = [(my_lo, strip) for strip in self.column_strips().strips]

@@ -73,6 +73,15 @@ from .query import (
 )
 from .queue import AdmissionQueue
 
+#: After a recovery or respawn, the next ``DEGRADED_WINDOW`` batches are
+#: taken at ``batch_width // DEGRADED_FACTOR`` (at least 1).
+DEGRADED_WINDOW = 4
+DEGRADED_FACTOR = 4
+#: Slot respawns one batch may use before its tickets fail.
+MAX_RESPAWNS = 2
+#: A dispatcher's longest wait on an empty queue before it checks for stop.
+TAKE_WAIT_S = 0.02
+
 
 class ServiceStopped(RuntimeError):
     """Recorded on tickets the service could not serve before shutdown,
@@ -112,12 +121,8 @@ class QueryService:
         batch_width: int = 64,
         aging_rate: float = 1.0,
         shed_watermark: Optional[float] = None,
-        degraded_window: int = 4,
-        degraded_factor: int = 4,
         max_levels: Optional[int] = None,
-        max_respawns: int = 2,
         embedding=None,
-        take_wait: float = 0.02,
         start: bool = True,
     ):
         if batch_width < 1:
@@ -138,11 +143,7 @@ class QueryService:
         self.batch_width = batch_width
         self.capacity = capacity
         self.shed_watermark = shed_watermark
-        self.degraded_window = degraded_window
-        self.degraded_factor = max(2, degraded_factor)
         self.max_levels = max_levels
-        self.max_respawns = max_respawns
-        self.take_wait = take_wait
         self._a_bool = self.pool._a_bool
         self._embedding = embedding
         self._n = A.nrows
@@ -316,7 +317,7 @@ class QueryService:
         with self._degraded_lock:
             if self._degraded_left > 0:
                 return (
-                    max(1, self.batch_width // self.degraded_factor),
+                    max(1, self.batch_width // DEGRADED_FACTOR),
                     True,
                 )
             return self.batch_width, False
@@ -328,7 +329,7 @@ class QueryService:
 
     def _enter_degraded(self) -> None:
         with self._degraded_lock:
-            self._degraded_left = self.degraded_window
+            self._degraded_left = DEGRADED_WINDOW
 
     def _worker_loop(self) -> None:
         while not self._stop_event.is_set():
@@ -344,9 +345,7 @@ class QueryService:
                         ),
                     )
             width, degraded = self._current_width()
-            batch, expired = self.queue.take_batch(
-                width, wait=self.take_wait
-            )
+            batch, expired = self.queue.take_batch(width, wait=TAKE_WAIT_S)
             for ticket in expired:
                 self._resolve(
                     ticket,
@@ -365,7 +364,7 @@ class QueryService:
     def _run_batch(self, batch: List[Ticket], degraded: bool) -> None:
         taken_at = _time.monotonic()
         last_error: Optional[BaseException] = None
-        for _ in range(self.max_respawns + 1):
+        for _ in range(MAX_RESPAWNS + 1):
             try:
                 slot = self.pool.checkout(timeout=30.0)
             except (RuntimeError, TimeoutError) as exc:

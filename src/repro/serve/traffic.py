@@ -63,9 +63,7 @@ def make_queries(
     mix: TrafficMix = TrafficMix(),
     seed: int = 0,
     sources_per_query: int = 1,
-    lookup_width: int = 4,
     sample_pool: int = 4,
-    sample_seed: int = 0,
     probability: float = 0.3,
     priorities: int = 3,
     deadline: Optional[float] = None,
@@ -74,9 +72,10 @@ def make_queries(
     """Deterministic mixed workload of ``n_queries`` queries.
 
     Influence queries draw their sample index from ``sample_pool``
-    distinct live-edge samples (all with base ``sample_seed``), so the
-    batcher has sharing to find.  ``deadline_fraction`` of queries get
-    ``deadline`` seconds of patience (the rest are deadline-free).
+    distinct live-edge samples (all with base sample seed 0), so the
+    batcher has sharing to find; an embedding lookup asks for 4 vertices.
+    ``deadline_fraction`` of queries get ``deadline`` seconds of patience
+    (the rest are deadline-free).
     Priorities are uniform over ``range(priorities)``.
     """
     if n_queries < 0:
@@ -102,7 +101,7 @@ def make_queries(
             queries.append(
                 influence_query(
                     sources,
-                    sample_seed=sample_seed,
+                    sample_seed=0,
                     sample=int(rng.integers(0, max(1, sample_pool))),
                     probability=probability,
                     priority=priority,
@@ -110,7 +109,7 @@ def make_queries(
                 )
             )
         else:
-            vertices = rng.integers(0, n_vertices, lookup_width)
+            vertices = rng.integers(0, n_vertices, 4)
             queries.append(
                 embedding_query(vertices, priority=priority, deadline=dl)
             )
@@ -122,14 +121,13 @@ def run_traffic(
     queries: List[Query],
     *,
     backpressure: bool = False,
-    submit_timeout: Optional[float] = 120.0,
     arrival_rate: Optional[float] = None,
     resubmit: int = 0,
 ) -> TrafficReport:
     """Submit ``queries`` in order; returns tickets + structured rejects.
 
     ``backpressure=True`` parks the producer on a full queue (no
-    rejections unless ``submit_timeout`` expires); ``False`` exercises
+    rejections unless a submission waits 120 s); ``False`` exercises
     admission control — saturation surfaces as counted
     :class:`OverloadError`\\ s, never as a hang.  ``arrival_rate``
     (queries/second) paces submissions; ``None`` submits as fast as the
@@ -158,7 +156,7 @@ def run_traffic(
         while True:
             try:
                 ticket = service.submit(
-                    query, block=backpressure, timeout=submit_timeout
+                    query, block=backpressure, timeout=120.0
                 )
             except OverloadError as exc:
                 if attempts < resubmit:

@@ -173,26 +173,22 @@ def from_edges(
     dst: Sequence[int],
     n: int,
     *,
-    values: Optional[Sequence[float]] = None,
     symmetric: bool = False,
-    dtype=np.float64,
 ) -> CsrMatrix:
-    """Adjacency matrix from an edge list (graph convenience builder).
+    """Unit-weight adjacency matrix from an edge list (graph convenience
+    builder).
 
-    ``symmetric=True`` mirrors every edge; self-duplicates collapse via
-    arithmetic max so repeated edges keep weight 1 when ``values`` is None.
+    ``symmetric=True`` mirrors every edge; duplicates collapse via
+    arithmetic max so repeated edges keep weight 1.
     """
     src = np.asarray(src, dtype=INDEX_DTYPE)
     dst = np.asarray(dst, dtype=INDEX_DTYPE)
-    if values is None:
-        vals = np.ones(len(src), dtype=dtype)
-    else:
-        vals = np.asarray(values, dtype=dtype)
+    vals = np.ones(len(src))
     if symmetric:
         src, dst = np.concatenate([src, dst]), np.concatenate([dst, src])
         vals = np.concatenate([vals, vals])
     # max collapses duplicate/mirrored edges to a single stored entry
-    sr = Semiring("dedup_max", np.maximum, np.multiply, 0.0, np.dtype(dtype))
+    sr = Semiring("dedup_max", np.maximum, np.multiply, 0.0, np.dtype(np.float64))
     return coo_to_csr(src, dst, vals, (n, n), sr)
 
 

@@ -139,23 +139,22 @@ class CsrMatrix:
         )
 
     @classmethod
-    def identity(cls, n: int, dtype=np.float64) -> "CsrMatrix":
+    def identity(cls, n: int) -> "CsrMatrix":
         return cls(
             (n, n),
             np.arange(n + 1, dtype=INDEX_DTYPE),
             np.arange(n, dtype=INDEX_DTYPE),
-            np.ones(n, dtype=dtype),
+            np.ones(n),
             check=False,
         )
 
     @classmethod
-    def from_scipy(cls, mat: sp.spmatrix, *, dtype=None) -> "CsrMatrix":
+    def from_scipy(cls, mat: sp.spmatrix) -> "CsrMatrix":
         """Convert any scipy sparse matrix (deduplicated, sorted)."""
         csr = sp.csr_matrix(mat)
         csr.sum_duplicates()
         csr.sort_indices()
-        data = csr.data if dtype is None else csr.data.astype(dtype)
-        return cls(csr.shape, csr.indptr, csr.indices, data)
+        return cls(csr.shape, csr.indptr, csr.indices, csr.data)
 
     def to_scipy(self) -> sp.csr_matrix:
         """View as scipy CSR (bool data upcast to float64 for arithmetic)."""
@@ -175,9 +174,9 @@ class CsrMatrix:
         rows, cols = np.nonzero(mask)
         return cls(dense.shape, indptr, cols, dense[rows, cols])
 
-    def to_dense(self, zero=0) -> np.ndarray:
-        """Materialize as a dense array with ``zero`` as background."""
-        out = np.full(self.shape, zero, dtype=self.data.dtype)
+    def to_dense(self) -> np.ndarray:
+        """Materialize as a dense array with a zero background."""
+        out = np.zeros(self.shape, dtype=self.data.dtype)
         rows = np.repeat(np.arange(self.nrows), self.row_nnz())
         out[rows, self.indices] = self.data
         return out
@@ -216,9 +215,9 @@ class CsrMatrix:
             check=False,
         )
 
-    def prune_zeros(self, zero=0) -> "CsrMatrix":
-        """Drop stored entries equal to ``zero`` (explicit zeros)."""
-        keep = self.data != zero
+    def prune_zeros(self) -> "CsrMatrix":
+        """Drop stored entries equal to 0 (explicit zeros)."""
+        keep = self.data != 0
         if keep.all():
             return self
         csum = np.concatenate([[0], np.cumsum(keep)])
@@ -231,8 +230,9 @@ class CsrMatrix:
         )
 
     # ------------------------------------------------------------------
-    def equal(self, other: "CsrMatrix", *, rtol: float = 1e-10, atol: float = 1e-12) -> bool:
-        """Structural + numerical equality (same pattern, close values)."""
+    def equal(self, other: "CsrMatrix") -> bool:
+        """Structural + numerical equality (same pattern, values close to
+        ``rtol=1e-10``, ``atol=1e-12``)."""
         if self.shape != other.shape:
             return False
         if not np.array_equal(self.indptr, other.indptr):
@@ -241,7 +241,7 @@ class CsrMatrix:
             return False
         if self.data.dtype == np.bool_ or other.data.dtype == np.bool_:
             return bool(np.array_equal(self.data.astype(bool), other.data.astype(bool)))
-        return bool(np.allclose(self.data, other.data, rtol=rtol, atol=atol))
+        return bool(np.allclose(self.data, other.data, rtol=1e-10, atol=1e-12))
 
     def __repr__(self) -> str:
         return (

@@ -14,16 +14,14 @@ import numpy as np
 
 from .build import coo_to_csr
 from .csr import CsrMatrix
-from .semiring import PLUS_TIMES, Semiring
+from .semiring import PLUS_TIMES
 
 
-def read_matrix_market(
-    path: Union[str, Path], semiring: Semiring = PLUS_TIMES
-) -> CsrMatrix:
+def read_matrix_market(path: Union[str, Path]) -> CsrMatrix:
     """Read a MatrixMarket coordinate file into a :class:`CsrMatrix`.
 
     ``pattern`` entries become 1.0; ``symmetric`` storage is expanded to
-    both triangles.  Duplicates collapse with the semiring add.
+    both triangles.  Duplicates are summed.
     """
     path = Path(path)
     with path.open("r") as fh:
@@ -60,4 +58,4 @@ def read_matrix_market(
         rows = np.concatenate([rows, cols[off_diag]])
         cols = np.concatenate([cols, table[:, 0].astype(np.int64)[off_diag] - 1])
         vals = np.concatenate([vals, vals[off_diag]])
-    return coo_to_csr(rows, cols, vals, (nrows, ncols), semiring)
+    return coo_to_csr(rows, cols, vals, (nrows, ncols), PLUS_TIMES)

@@ -16,7 +16,8 @@ Registered SpGEMM kernels (``b_format="csr"``):
     (row, col) with :func:`repro.sparse.build.row_major_order` — one
     stable sort of the fused ``row·ncols + col`` key — and compress
     duplicates with a semiring ``reduceat``.  Works for any registered
-    semiring.
+    semiring.  It stands in for the paper's hash accumulator (d > 1024):
+    memory is proportional to the expanded products, never to ``d``.
 ``spa``
     Batched dense sparse-accumulator (§III-C's SPA, vectorized): every
     product is expanded once, straight to its fused ``row·d + col`` key,
@@ -33,12 +34,6 @@ Registered SpGEMM kernels (``b_format="csr"``):
     ((∨, ∧) for (+, ×)), the fold's output bit for bit without a scratch.
     A stored ``False`` keeps the fold: the compiled routine drops entries
     that fold to ``False``, this registry stores them.
-``hash``
-    The same function under the paper's other accumulator name: grouping
-    products by one flat fused-key sort stands in for per-row hash
-    probing.  Memory is proportional to the expanded products, never to
-    ``d``, matching why the paper hashes for ``d > 1024``; the cost model
-    still charges the two names their own calibrated constants.
 ``scipy``
     scipy's compiled Gustavson product, called on the raw CSR arrays: the
     ``scipy.sparse._sparsetools`` routines ``csr_matrix @ csr_matrix``
@@ -140,24 +135,17 @@ def register_kernel(
     return deco
 
 
-def get_kernel(name: str, b_format: Optional[str] = None) -> KernelSpec:
-    """Look up a registered kernel by name.
-
-    ``b_format`` only scopes the *error message* to the kernels valid in
-    the caller's context (e.g. ``dispatch_spmm`` lists dense-B kernels);
-    a found kernel of the wrong format is returned for the caller's own
-    format check to reject with a precise message.
-    """
+def get_kernel(name: str) -> KernelSpec:
+    """Look up a registered kernel by name."""
     spec = _REGISTRY.get(name)
     if spec is None:
-        names = sorted(available_kernels(b_format) if b_format else _REGISTRY)
-        raise ValueError(f"unknown kernel {name!r}; available: {names}")
+        raise ValueError(f"unknown kernel {name!r}; available: {sorted(_REGISTRY)}")
     return spec
 
 
-def available_kernels(b_format: str = "csr") -> Tuple[str, ...]:
-    """Names of registered kernels for one operand format."""
-    return tuple(n for n, s in _REGISTRY.items() if s.b_format == b_format)
+def available_kernels() -> Tuple[str, ...]:
+    """Names of the registered sparse-B (``b_format="csr"``) kernels."""
+    return tuple(n for n, s in _REGISTRY.items() if s.b_format == "csr")
 
 
 #: Largest output width ``d`` for which ``auto`` prefers the batched SPA
@@ -237,14 +225,9 @@ def dispatch_spgemm(
     return (order_rows(c, copy=False) if ordered else c), flops
 
 
-def dispatch_spmm(
-    a: CsrMatrix, b_dense: np.ndarray, kernel: str = "dense"
-) -> Tuple[np.ndarray, int]:
-    """CSR × dense multiply via a registered dense-B kernel."""
-    spec = get_kernel(kernel, b_format="dense")
-    if spec.b_format != "dense":
-        raise ValueError(f"kernel {kernel!r} is not a dense-B kernel")
-    return spec.fn(a, b_dense)
+def dispatch_spmm(a: CsrMatrix, b_dense: np.ndarray) -> Tuple[np.ndarray, int]:
+    """CSR × dense multiply via the registered ``dense`` kernel."""
+    return get_kernel("dense").fn(a, b_dense)
 
 
 # ----------------------------------------------------------------------
@@ -350,11 +333,6 @@ def _compiled_product(
 # ----------------------------------------------------------------------
 # vectorized kernels
 # ----------------------------------------------------------------------
-@register_kernel(
-    "hash",
-    vectorized=True,
-    description="batched fused-key grouping (single stable sort); any semiring",
-)
 @register_kernel(
     "esc-vectorized",
     vectorized=True,

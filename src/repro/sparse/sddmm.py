@@ -29,14 +29,11 @@ def sddmm(
     pattern: CsrMatrix,
     x: np.ndarray,
     y: np.ndarray,
-    *,
-    scale_by_values: bool = False,
 ) -> CsrMatrix:
     """Sampled dense-dense multiply over ``pattern``'s stored positions.
 
     Returns a CSR with ``pattern``'s structure whose value at ``(i, j)``
-    is ``⟨x_i, y_j⟩`` — times the original stored value when
-    ``scale_by_values`` (the GraphBLAS ``A ⊙ (X·Yᵀ)`` form).
+    is ``⟨x_i, y_j⟩`` (the stored values are not read).
 
     ``x`` is ``nrows × d``; ``y`` is ``ncols × d``.
     """
@@ -52,8 +49,6 @@ def sddmm(
         return CsrMatrix.empty(pattern.shape, dtype=np.float64)
     rows = pattern.row_ids()
     dots = np.einsum("ij,ij->i", x[rows], y[pattern.indices])
-    if scale_by_values:
-        dots = dots * pattern.data.astype(np.float64)
     return CsrMatrix(
         pattern.shape, pattern.indptr, pattern.indices, dots, check=False
     )

@@ -1,8 +1,9 @@
 """The execution census (``benchmarks/census.py``) on a planted package:
 the static pass reports a def only tests name, the imports pass an import
-its module never names, and the dynamic pass counts a function that runs
-only inside ``run_spmd``'s rank threads as run.  The static and imports
-passes also run on this tree: they are CI gates."""
+its module never names, the params pass a parameter no traffic call
+supplies, and the dynamic pass counts a function that runs only inside
+``run_spmd``'s rank threads as run.  The static, imports and params passes
+also run on this tree: they are CI gates."""
 
 import ast
 import sys
@@ -21,7 +22,9 @@ from census import (
     dynamic_census,
     executable,
     main,
+    params_census,
     print_imports,
+    print_params,
     print_static,
     static_census,
     unused_imports,
@@ -269,6 +272,94 @@ def test_imports_pass_reports_what_its_module_never_names(tmp_path, capsys):
     assert "src/pkg/mod.py:6 OD" in out and "3 unused module-level imports" in out
 
 
+def test_params_pass_reports_what_no_traffic_call_supplies(tmp_path, capsys):
+    _write(tmp_path / "src/pkg/__init__.py", "")
+    _write(tmp_path / "src/pkg/mod.py", """\
+        from dataclasses import dataclass, replace
+        from functools import partial
+
+
+        def by_keyword(x, *, scale=1.0, unused=None):
+            return x
+
+
+        def by_position(x, offset=0, width=4):
+            return x
+
+
+        class Base:
+            def __init__(self, a, level=1):
+                self.level = level
+
+
+        class Child(Base):
+            def __init__(self, a):
+                super().__init__(a, 2)
+
+
+        class Box:
+            def __init__(self, size=1):
+                self.size = size
+
+
+        def typed(box: Box) -> Box:
+            return isinstance(box, Box)
+
+
+        @dataclass
+        class Config:
+            size: int
+            depth: int = 3
+            mode: str = "x"
+            count: int = 0
+
+
+        def stored(x, flag=False):
+            return x
+
+
+        def bound(x, factor=2):
+            return x
+
+
+        REGISTRY = {"stored": stored}
+        DOUBLE = partial(bound)
+
+
+        def caller():
+            by_keyword(1, scale=2.0)
+            by_position(1, 5)
+            Child(1)
+            cfg = replace(Config(1), depth=4)
+            cfg.count += 1
+            return cfg
+        """)
+    _write(tmp_path / "benchmarks/bench_pkg.py", """\
+        from pkg.mod import caller
+
+        caller()
+        """)
+    _write(tmp_path / "tests/test_pkg.py", """\
+        from pkg.mod import Box, by_keyword
+
+        by_keyword(1, unused=3)
+        Box(size=2)
+        """)
+    found = params_census(tmp_path)
+    rows = {(p.owner, p.name): (tested, why is None) for p, tested, why in found}
+    assert rows == {
+        ("by_keyword", "unused"): (True, True),
+        ("by_position", "width"): (False, True),
+        ("Box.__init__", "size"): (True, True),  # annotations and isinstance are not calls
+        ("Config", "mode"): (False, True),
+        ("Config", "count"): (False, False),  # record state, written after construction
+    }
+    assert print_params(found, tmp_path) == 4
+    out = capsys.readouterr().out
+    assert "src/pkg/mod.py:5 by_keyword(unused=)" in out
+    assert "4 not on the allow-list" in out
+
+
 @pytest.mark.parametrize("argv", [[], ["both"], ["static", "dynamic"]])
 def test_main_refuses_an_unknown_pass(argv, capsys):
     assert main(argv) == 2
@@ -282,3 +373,7 @@ def test_this_tree_has_no_test_only_defs():
 
 def test_this_tree_has_no_unused_imports():
     assert unused_imports(ROOT) == []
+
+
+def test_this_tree_has_no_parameters_only_tests_supply():
+    assert [p for p, _, why in params_census(ROOT) if why is None] == []

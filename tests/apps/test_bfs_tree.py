@@ -88,12 +88,6 @@ class TestForestInvariants:
         )
         assert reached_tree == reached_plain
 
-    def test_max_levels(self):
-        adj = from_edges([0, 1, 2], [1, 2, 3], 4, symmetric=True)
-        result = msbfs_tree(adj, np.array([0]), 2, max_levels=1)
-        assert result.iterations == 1
-        assert result.levels[2, 0] == -1
-
     def test_non_square_rejected(self):
         from repro.sparse import CsrMatrix
 

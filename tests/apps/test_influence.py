@@ -82,11 +82,10 @@ class TestGreedySelection:
 
     def test_candidates_are_high_degree(self):
         adj = rmat(128, 8, seed=8)
-        result = influence_maximization(
-            adj, k=1, p=2, samples=2, n_candidates=5, seed=4
-        )
+        result = influence_maximization(adj, k=1, p=2, samples=2, seed=4)
         degrees = adj.row_nnz()
-        floor = np.sort(degrees)[-5]
+        assert len(result.candidates) == 16  # max(4k, 16) at k = 1
+        floor = np.sort(degrees)[-16]
         assert all(degrees[c] >= floor for c in result.candidates)
 
     def test_validation(self):
@@ -155,8 +154,8 @@ class TestSampleSessions:
         children = []
         derive = TsSession.derive_edge_subset
 
-        def recording(self, keep, values=None):
-            child = derive(self, keep, values)
+        def recording(self, keep):
+            child = derive(self, keep)
             assert child._ckpt is not None  # replicas to release
             children.append(child)
             return child

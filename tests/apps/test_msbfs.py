@@ -80,7 +80,7 @@ class TestCorrectness:
         # two disjoint edges; BFS from 0 must not reach component {2,3}
         adj = from_edges([0, 2], [1, 3], 4, symmetric=True)
         result = msbfs(adj, np.array([0, 2]), 2)
-        dense = result.visited.to_dense(zero=False)
+        dense = result.visited.to_dense()
         assert dense[0, 0] and dense[1, 0]
         assert not dense[2, 0] and not dense[3, 0]
         assert dense[2, 1] and dense[3, 1]

@@ -42,7 +42,7 @@ def train_pair(adj, **kwargs):
 
 class TestBitIdenticalZ:
     @pytest.mark.parametrize(
-        "kernel", ["auto", "scipy", "esc-vectorized", "hash", "spa"]
+        "kernel", ["auto", "scipy", "esc-vectorized", "spa"]
     )
     def test_across_kernels(self, community_graph, kernel):
         resident, ablation = train_pair(

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.baselines import shift15d_spmm
-from repro.core import ts_spmm
+from repro.core import ts_spgemm
 from repro.data import erdos_renyi
 from repro.mpi import SCALED_PERLMUTTER
 from ..conftest import csr_from_dense, random_dense
@@ -45,7 +45,7 @@ class TestPaperClaim:
         A = erdos_renyi(n, 8, seed=1)
         rng = np.random.default_rng(2)
         B = rng.random((n, d))
-        fetch = ts_spmm(A, B, p, machine=SCALED_PERLMUTTER)
+        fetch = ts_spgemm(A, B, p, machine=SCALED_PERLMUTTER)
         shift = shift15d_spmm(A, B, p, machine=SCALED_PERLMUTTER)
         np.testing.assert_allclose(fetch.C, shift.C, atol=1e-9)
         assert fetch.comm_bytes() <= shift.comm_bytes()

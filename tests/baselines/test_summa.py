@@ -28,7 +28,7 @@ class TestSumma2D:
     def test_bool_semiring(self, rng, p):
         a, b = make_inputs(rng, dtype=np.bool_)
         expected, _ = spgemm(a, b, BOOL_AND_OR)
-        result = summa2d(a, b, p, semiring=BOOL_AND_OR)
+        result = summa3d(a, b, p, layers=1, semiring=BOOL_AND_OR)
         assert result.C.equal(expected)
 
     def test_rectangular_b_wide(self, rng):

@@ -66,8 +66,8 @@ def digest(p: int, layers: int, path: str, semiring: str) -> str:
     A, (B, B5) = operands(semiring)
     sr = SEMIRINGS[semiring]
     if path == "call":
-        if layers == 1:
-            res = summa2d(A, B, p, semiring=sr)
+        if layers == 1 and sr is PLUS_TIMES:
+            res = summa2d(A, B, p)  # summa2d multiplies over plus_times only
         else:
             res = summa3d(A, B, p, layers=layers, semiring=sr)
         return _hash(*_result_parts(res))

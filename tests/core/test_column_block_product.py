@@ -155,16 +155,9 @@ def _fused_prologue(session, a, b):
     return session, revalued(a, 2.0)
 
 
-def _derive(session, a, b, values=None):
+def _derive(session, a, b):
     keep = np.random.default_rng(2).random(a.nnz) < 0.6
-    child = session.derive_edge_subset(keep, values=values)
-    if values is not None:
-        a = CsrMatrix(a.shape, a.indptr, a.indices, values, check=False)
-    return child, mask_entries(a, keep)
-
-
-def _derive_values(session, a, b):
-    return _derive(session, a, b, np.random.default_rng(4).random(a.nnz) + 0.5)
+    return session.derive_edge_subset(keep), mask_entries(a, keep)
 
 
 def _derive_emptied(session, a, b):
@@ -196,7 +189,6 @@ TRANSITIONS = {
     "update_operand": (_update_operand, None, True),
     "fused_prologue": (_fused_prologue, None, True),
     "derive": (_derive, None, False),
-    "derive_values": (_derive_values, None, False),
     "derive_emptied": (_derive_emptied, None, False),
     "crash_restore": (_restore, "crash", True),
     "transient_restore": (_restore, "transient", True),

@@ -20,7 +20,7 @@ import pytest
 from _oracles import masked_replay_edge_ids
 
 from repro.apps import train_sparse_embedding
-from repro.core import TsConfig, ts_spgemm, ts_spmm
+from repro.core import TsConfig, ts_spgemm
 from repro.core.driver import FusedPrologue, TsSession
 from repro.data import erdos_renyi
 from repro.mpi.errors import RankError
@@ -101,7 +101,7 @@ class TestSplitCounts:
         assert len(splits) == P
 
     def test_oneshot_spmm_splits_once_per_rank(self, splits):
-        ts_spmm(float_graph(), np.ones((N, D)), P)
+        ts_spgemm(float_graph(), np.ones((N, D)), P)
         assert len(splits) == P
 
     def test_session_setup_splits_once_per_rank(self, splits):
@@ -338,3 +338,26 @@ class TestDerivedNeededRows:
                 )
                 assert got_phases["tiling"] == want_phases["tiling"]
             assert emptied > 0
+
+
+class TestNeededRowScans:
+    @pytest.mark.parametrize("policy", ["hybrid", "local", "remote"])
+    def test_dense_multiplies_scan_no_needed_rows(self, monkeypatch, policy):
+        """The dense mode table reads each slot's row range, ``stored`` flag
+        and needed B rows off the prepared plan: the one nonzero-column
+        pass over ``Ac`` per rank is the setup's."""
+        import repro.core.plan as plan_module
+
+        seen = []
+        scan = plan_module.nonzero_columns_by_rows
+
+        def counting(*args):
+            seen.append(args)
+            return scan(*args)
+
+        monkeypatch.setattr(plan_module, "nonzero_columns_by_rows", counting)
+        with session_on(float_graph(), mode_policy=policy) as session:
+            assert len(seen) == P
+            session.multiply(np.ones((N, D)))
+            session.multiply(np.full((N, D), 2.0))
+            assert len(seen) == P

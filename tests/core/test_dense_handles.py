@@ -20,7 +20,7 @@ Contracts under test:
 import numpy as np
 import pytest
 
-from repro.core import TsConfig, TsSession, ts_spgemm, ts_spmm
+from repro.core import TsConfig, TsSession, ts_spgemm
 from repro.sparse import BOOL_AND_OR, CsrMatrix, mask_entries
 from ..conftest import csr_from_dense, random_dense
 
@@ -57,7 +57,7 @@ class TestDenseHandleChaining:
                 mult = session.multiply(handle, gather=False)
                 handle = mult.C
                 assert handle.dense
-                reference = ts_spmm(square_a, reference, P, config=config).C
+                reference = ts_spgemm(square_a, reference, P, config=config).C
                 assert np.array_equal(handle.gather(), reference)
 
     def test_gather_true_returns_global_ndarray(self, square_a, dense_b):
@@ -71,7 +71,7 @@ class TestDenseHandleChaining:
     def test_driver_resident_ndarray_operand(self, square_a, dense_b):
         with TsSession(square_a, P) as session:
             got = session.multiply(dense_b).C
-        want = ts_spmm(square_a, dense_b, P).C
+        want = ts_spgemm(square_a, dense_b, P).C
         assert np.array_equal(got, want)
 
 
@@ -215,23 +215,8 @@ class TestPrologueRefresh:
                 session.multiply(b, prologue=prologue)
 
 
-class TestWeightedDeriveEdgeSubset:
-    @pytest.mark.parametrize("policy", ["hybrid", "local", "remote"])
-    def test_values_refresh_matches_fresh_session(self, rng, policy):
-        a = csr_from_dense(random_dense(rng, N, N, 0.2))
-        b = csr_from_dense(random_dense(rng, N, D, 0.4))
-        keep = rng.random(a.nnz) < 0.6
-        weights = rng.random(a.nnz) + 0.25
-        a_weighted = CsrMatrix(a.shape, a.indptr, a.indices, weights, check=False)
-        config = TsConfig(mode_policy=policy)
-        with TsSession(a, P, config=config) as parent:
-            child = parent.derive_edge_subset(keep, values=weights)
-            got = child.multiply(b).C
-        with TsSession(mask_entries(a_weighted, keep), P, config=config) as fresh:
-            want = fresh.multiply(b).C
-        assert bitwise_equal(got, want)
-
-    def test_without_values_keeps_parent_values(self, rng):
+class TestDeriveEdgeSubset:
+    def test_child_keeps_parent_values(self, rng):
         a = csr_from_dense(random_dense(rng, N, N, 0.2))
         b = csr_from_dense(random_dense(rng, N, D, 0.4))
         keep = rng.random(a.nnz) < 0.6
@@ -239,11 +224,3 @@ class TestWeightedDeriveEdgeSubset:
             got = parent.derive_edge_subset(keep).multiply(b).C
         want = ts_spgemm(mask_entries(a, keep), b, P).C
         assert bitwise_equal(got, want)
-
-    def test_values_shape_validated(self, rng):
-        a = csr_from_dense(random_dense(rng, N, N, 0.2))
-        with TsSession(a, P) as parent:
-            with pytest.raises(ValueError, match="values"):
-                parent.derive_edge_subset(
-                    np.ones(a.nnz, dtype=bool), values=np.ones(a.nnz + 1)
-                )

@@ -69,7 +69,7 @@ class TestHandleChaining:
                 ).C
                 assert bitwise_equal(handle.gather(), reference)
 
-    @pytest.mark.parametrize("kernel", ["auto", "esc-vectorized", "hash", "spa"])
+    @pytest.mark.parametrize("kernel", ["auto", "esc-vectorized", "spa"])
     def test_chain_across_kernels(self, rng, kernel):
         a = csr_from_dense(random_dense(rng, N, N, 0.2, dtype=np.bool_))
         b = csr_from_dense(random_dense(rng, N, D, 0.3, dtype=np.bool_))
@@ -181,7 +181,7 @@ class TestMsbfsOnHandles:
     """The registry MS-BFS path rides handles end-to-end by default."""
 
     @pytest.mark.parametrize("policy", ["hybrid", "local", "remote"])
-    @pytest.mark.parametrize("kernel", ["auto", "esc-vectorized", "hash", "spa"])
+    @pytest.mark.parametrize("kernel", ["auto", "esc-vectorized", "spa"])
     def test_bit_identical_visited_vs_driver_gather(self, policy, kernel):
         adj = rmat(128, 6, seed=7)
         sources = random_sources(128, 8, seed=3)

@@ -163,10 +163,10 @@ class TestDensePackPlace:
         assert placed.dtype == np.dtype(dtype)
         np.testing.assert_array_equal(placed[[1, 4]], dense[[1, 4]])
 
-    def test_empty_payload_dtype_override(self):
-        placed = place_dense_rows(3, None, 2, dtype=np.float32)
-        assert placed.dtype == np.float32
-        assert place_dense_rows(3, None, 2).dtype == np.float64
+    def test_empty_payload_places_float64_zeros(self):
+        placed = place_dense_rows(3, None, 2)
+        assert placed.dtype == np.float64
+        assert not placed.any()
 
 
 @st.composite

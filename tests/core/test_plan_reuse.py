@@ -26,7 +26,6 @@ from repro.core import (
     spmm_multiply,
     tiled_multiply,
     ts_spgemm,
-    ts_spmm,
 )
 from repro.core.symbolic import DIAGONAL
 from repro.core.tiled import _drop_kept_slices

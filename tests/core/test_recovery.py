@@ -18,7 +18,7 @@ import pytest
 
 from repro.apps import msbfs, train_sparse_embedding
 from repro.core import TsConfig
-from repro.core.driver import TsSession
+from repro.core.driver import MAX_RETRIES, TsSession
 from repro.data import erdos_renyi, random_sources
 from repro.mpi import DeadSessionError, RankError
 from repro.sparse import BOOL_AND_OR, PLUS_TIMES, CsrMatrix
@@ -321,13 +321,31 @@ class TestSessionRecovery:
             faulted.close()
 
     def test_retry_budget_exhaustion_raises(self):
-        config = _recoverable(max_retries=0, faults="crash@1,task=2,seq=0")
-        session = TsSession(_A(), P, config=config)
+        # One crash per attempt of the multiply: the first try and every
+        # one of the MAX_RETRIES retries (each spec fires once).
+        crashes = ";".join(["crash@1,phase=fused-round"] * (MAX_RETRIES + 1))
+        session = TsSession(_A(), P, config=_recoverable(faults=crashes))
         try:
             with pytest.raises(RankError):
                 session.multiply(_operand(seed=8))
+            assert session.retries == MAX_RETRIES
         finally:
             session.close()
+
+    def test_a_budget_of_crashes_is_absorbed(self):
+        crashes = ";".join(["crash@1,phase=fused-round"] * MAX_RETRIES)
+        B = _operand(seed=8)
+        session = TsSession(_A(), P, config=_recoverable(faults=crashes))
+        try:
+            got = session.multiply(B)
+            assert session.retries == MAX_RETRIES
+        finally:
+            session.close()
+        plain = TsSession(_A(), P, config=TsConfig())
+        try:
+            assert bitwise_equal(plain.multiply(B).C, got.C)
+        finally:
+            plain.close()
 
     def test_diagnostics_only_on_recoverable_sessions(self):
         B = _operand(seed=8)

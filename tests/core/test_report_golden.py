@@ -9,7 +9,7 @@ clocks add in float) or a payload by one byte changes a digest.
 
 Matrix: ``fuse_comm`` {on, off} × mode policy {hybrid, local, remote} ×
 tile width {1, 16} × tile height {None, 5} at p = 4, over a float
-``ts_spgemm``, a boolean one, a dense ``ts_spmm`` and one embedding epoch
+``ts_spgemm``, a boolean one, a dense-``B`` ``ts_spgemm`` and one embedding epoch
 (SDDMM prologue → multiply → SGD epilogue on a resident session).
 
 Operands are built arithmetically with small integer values — no RNG, and
@@ -39,7 +39,7 @@ import numpy as np
 import pytest
 
 from repro.apps.embedding import _make_sgd_epilogue, _sddmm_prologue
-from repro.core import TsConfig, TsSession, ts_spgemm, ts_spmm
+from repro.core import TsConfig, TsSession, ts_spgemm
 from repro.sparse import BOOL_AND_OR, PLUS_TIMES, CsrMatrix
 
 GOLDEN = Path(__file__).with_name("report_golden.json")
@@ -123,7 +123,7 @@ def digest(kind: str, config: TsConfig) -> str:
     a = arith_square()
     b = arith_tall()
     if kind == "dense":
-        res = ts_spmm(CsrMatrix.from_dense(a), b, P, config=config)
+        res = ts_spgemm(CsrMatrix.from_dense(a), b, P, config=config)
         return _hash(res.C, _counters(res.diagnostics), report_rows(res.report))
     if kind in ("sparse", "boolean"):
         if kind == "boolean":

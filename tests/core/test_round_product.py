@@ -35,7 +35,6 @@ SEMIRINGS = {
 }
 KERNELS = {
     "esc-vectorized": list(SEMIRINGS),
-    "hash": list(SEMIRINGS),
     "spa": list(SEMIRINGS),
     "scipy": ["plus_times"],
 }

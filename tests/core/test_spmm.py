@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core import TsConfig, ts_spmm
+from repro.core import TsConfig, ts_spgemm
 from repro.mpi.comm import SimComm
 from repro.mpi.errors import RankError
 from ..conftest import csr_from_dense, random_dense
@@ -21,44 +21,44 @@ class TestSpmmCorrectness:
     @pytest.mark.parametrize("p", PS)
     def test_matches_numpy(self, rng, p):
         a, b = make_inputs(rng)
-        result = ts_spmm(a, b, p)
+        result = ts_spgemm(a, b, p)
         np.testing.assert_allclose(result.C, a.to_dense() @ b, atol=1e-10)
 
     @pytest.mark.parametrize("policy", ["hybrid", "local", "remote"])
     def test_mode_policies_agree(self, rng, policy):
         a, b = make_inputs(rng, n=20, d=4)
-        result = ts_spmm(a, b, 4, config=TsConfig(mode_policy=policy))
+        result = ts_spgemm(a, b, 4, config=TsConfig(mode_policy=policy))
         np.testing.assert_allclose(result.C, a.to_dense() @ b, atol=1e-10)
 
     @pytest.mark.parametrize("width", [1, 2, 16])
     def test_tile_width_invariant(self, rng, width):
         a, b = make_inputs(rng, n=30, d=5)
-        result = ts_spmm(a, b, 6, config=TsConfig(tile_width_factor=width))
+        result = ts_spgemm(a, b, 6, config=TsConfig(tile_width_factor=width))
         np.testing.assert_allclose(result.C, a.to_dense() @ b, atol=1e-10)
 
     def test_tile_height_invariant(self, rng):
         a, b = make_inputs(rng, n=27, d=4)
-        result = ts_spmm(a, b, 3, config=TsConfig(tile_height=2))
+        result = ts_spgemm(a, b, 3, config=TsConfig(tile_height=2))
         np.testing.assert_allclose(result.C, a.to_dense() @ b, atol=1e-10)
 
     def test_zero_a(self, rng):
         from repro.sparse import CsrMatrix
 
         b = rng.random((12, 3))
-        result = ts_spmm(CsrMatrix.identity(12), b, 3)
+        result = ts_spgemm(CsrMatrix.identity(12), b, 3)
         np.testing.assert_allclose(result.C, b)
 
     def test_shape_validation(self, rng):
         a, _ = make_inputs(rng, n=10)
         with pytest.raises(ValueError):
-            ts_spmm(a, np.zeros((11, 3)), 2)
+            ts_spgemm(a, np.zeros((11, 3)), 2)
 
     def test_dense_row(self, rng):
         dense = random_dense(rng, 16, 16, 0.1)
         dense[5, :] = 2.0
         a = csr_from_dense(dense)
         b = rng.random((16, 4))
-        result = ts_spmm(a, b, 4)
+        result = ts_spgemm(a, b, 4)
         np.testing.assert_allclose(result.C, dense @ b, atol=1e-10)
 
 
@@ -81,7 +81,7 @@ class TestSendCPlacement:
     def test_bad_row_ids_raise(self, rng, monkeypatch, how, fuse):
         a, b = make_inputs(rng)
         config = TsConfig(mode_policy="remote", fuse_comm=fuse)
-        clean = ts_spmm(a, b, 4, config=config)
+        clean = ts_spgemm(a, b, 4, config=config)
         assert clean.diagnostics["remote_tiles"] > 0
         send = SimComm.alltoall_fused if fuse else SimComm.alltoall
         corrupt = self._corrupt
@@ -98,7 +98,7 @@ class TestSendCPlacement:
 
         monkeypatch.setattr(SimComm, send.__name__, corrupting)
         with pytest.raises(RankError, match="placed row id"):
-            ts_spmm(a, b, 4, config=config)
+            ts_spgemm(a, b, 4, config=config)
 
 
 class TestSpmmVsSpgemmCosts:
@@ -112,11 +112,11 @@ class TestSpmmVsSpgemmCosts:
         a = csr_from_dense(random_dense(rng, n, n, 0.3))
         dense_b = rng.random((n, d)) + 0.1  # no zeros
         sparse_b = CsrMatrix.from_dense(dense_b)
-        spmm_res = ts_spmm(a, dense_b, p)
+        spmm_res = ts_spgemm(a, dense_b, p)
         spgemm_res = ts_spgemm(a, sparse_b, p)
         assert spmm_res.comm_bytes() < spgemm_res.comm_bytes()
 
     def test_flops_counted(self, rng):
         a, b = make_inputs(rng, n=20, d=5)
-        result = ts_spmm(a, b, 4)
+        result = ts_spgemm(a, b, 4)
         assert result.diagnostics["flops"] == a.nnz * 5

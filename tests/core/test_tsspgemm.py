@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.core import TsConfig, TsSession, ts_spgemm
+from _configs import moved_bytes
+from repro.core import TsConfig, ts_spgemm
 from repro.sparse import BOOL_AND_OR, MIN_PLUS, PLUS_TIMES, CsrMatrix, spgemm
 from ..conftest import csr_from_dense, random_dense
 
@@ -144,17 +145,13 @@ class TestDiagnosticsAndCosts:
         it a hard invariant at tile granularity.  Each side counts every
         byte its multiply moves plus its mode table: a forced policy
         ships that table once, at set-up (``symbolic``), the hybrid one
-        with the multiply.
+        with the multiply (``_configs.moved_bytes``, shared with the Fig 6
+        bench).
         """
         a, b = make_inputs(rng, n=40, d=6, density_a=0.2, density_b=0.5)
 
-        def run(policy):
-            with TsSession(a, 4, config=TsConfig(mode_policy=policy)) as s:
-                result = s.multiply(b)
-                mode_table = s.setup_report.phase_bytes().get("symbolic", 0)
-            return result, result.comm_bytes() + mode_table
-
-        (hybrid, hybrid_bytes), (local, local_bytes) = run("hybrid"), run("local")
+        hybrid, hybrid_bytes = moved_bytes(a, b, 4, TsConfig(mode_policy="hybrid"))
+        local, local_bytes = moved_bytes(a, b, 4, TsConfig(mode_policy="local"))
         assert hybrid.C.equal(local.C)
         assert hybrid_bytes <= local_bytes
 

@@ -47,8 +47,8 @@ class TestWorkloadShapes:
 
     @pytest.mark.parametrize("name", ALGOS)
     def test_bool_semiring_everywhere(self, name):
-        A = erdos_renyi(40, 4, seed=7, dtype=np.bool_)
-        B = tall_skinny(40, 6, 0.6, seed=8, dtype=np.bool_)
+        A = erdos_renyi(40, 4, seed=7).astype(np.bool_)
+        B = tall_skinny(40, 6, 0.6, seed=8).astype(np.bool_)
         expected, _ = spgemm(A, B, BOOL_AND_OR)
         result = ALGORITHMS[name](A, B, 4, semiring=BOOL_AND_OR)
         assert result.C.equal(expected), name

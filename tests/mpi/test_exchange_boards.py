@@ -34,7 +34,7 @@ def test_every_snapshot_is_its_rounds_deposits_under_skew(p, sanitize):
             wrong += got != [(k, r) for r in range(p)]
         return wrong
 
-    assert run_spmd(p, program, sanitize=sanitize, timeout=60.0).values == [0] * p
+    assert run_spmd(p, program, sanitize=sanitize).values == [0] * p
 
 
 @pytest.mark.parametrize("sanitize", [False, True])
@@ -53,7 +53,7 @@ def test_a_rank_raising_mid_stream_releases_every_peer(p, sanitize):
             raise
 
     with pytest.raises(RankError) as exc_info:
-        run_spmd(p, program, sanitize=sanitize, timeout=30.0)
+        run_spmd(p, program, sanitize=sanitize)
     assert exc_info.value.rank == p - 1
     assert isinstance(exc_info.value.__cause__, ValueError)
     # Every peer left through SpmdAbort: in the round the failing rank never

@@ -75,13 +75,15 @@ def test_failure_during_recv_releases_peers():
         run_spmd(2, program)
 
 
-def test_watchdog_detects_deadlock():
+def test_watchdog_detects_deadlock(monkeypatch):
+    monkeypatch.setenv("REPRO_SPMD_TIMEOUT", "1.0")
+
     def program(comm):
         if comm.rank == 0:
             comm.recv(source=1)  # rank 1 never sends: genuine deadlock
 
     with pytest.raises(DeadlockError):
-        run_spmd(2, program, timeout=1.0)
+        run_spmd(2, program)
 
 
 def test_result_is_sequence_like():
@@ -217,8 +219,9 @@ class TestSpmdSession:
         with pytest.raises(RuntimeError, match="closed"):
             session.run(lambda comm: comm.rank)
 
-    def test_deadlock_kills_session(self):
-        session = SpmdSession(2, timeout=1.0)
+    def test_deadlock_kills_session(self, monkeypatch):
+        monkeypatch.setenv("REPRO_SPMD_TIMEOUT", "1.0")
+        session = SpmdSession(2)
 
         def program(comm):
             if comm.rank == 0:

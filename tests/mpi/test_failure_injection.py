@@ -23,7 +23,7 @@ class TestAbortPropagation:
             sub.allreduce(1)  # peers blocked in the child communicator
 
         with pytest.raises(RankError) as exc_info:
-            run_spmd(4, program, timeout=30.0)
+            run_spmd(4, program)
         assert exc_info.value.rank == 1
 
     def test_failure_after_many_successful_collectives(self):
@@ -35,7 +35,7 @@ class TestAbortPropagation:
             comm.barrier()
 
         with pytest.raises(RankError):
-            run_spmd(3, program, timeout=30.0)
+            run_spmd(3, program)
 
     def test_all_ranks_fail_first_reported(self):
         def program(comm):
@@ -59,7 +59,7 @@ class TestAbortPropagation:
                 pass
 
         with pytest.raises(RankError):
-            run_spmd(2, program, timeout=30.0)
+            run_spmd(2, program)
 
     def test_nested_split_failure_releases_everyone(self):
         def program(comm):
@@ -70,7 +70,7 @@ class TestAbortPropagation:
             comm.barrier()
 
         with pytest.raises(RankError) as exc_info:
-            run_spmd(4, program, timeout=30.0)
+            run_spmd(4, program)
         assert exc_info.value.rank == 3
 
 
@@ -94,12 +94,14 @@ class TestMisuseDetection:
         with pytest.raises(RankError):
             run_spmd(2, lambda comm: comm.bcast(1, root=-1))
 
-    def test_deadlock_reports_blocked_threads(self):
+    def test_deadlock_reports_blocked_threads(self, monkeypatch):
+        monkeypatch.setenv("REPRO_SPMD_TIMEOUT", "1.0")
+
         def program(comm):
             comm.recv(source=(comm.rank + 1) % comm.size)  # circular wait
 
         with pytest.raises(DeadlockError) as exc_info:
-            run_spmd(2, program, timeout=1.0)
+            run_spmd(2, program)
         assert "blocked" in str(exc_info.value)
 
     def test_recv_from_invalid_source(self):

@@ -205,10 +205,11 @@ CASES = {
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
-def test_buggy_program_raises_its_structured_error(case):
+def test_buggy_program_raises_its_structured_error(case, monkeypatch):
+    monkeypatch.setenv("REPRO_SPMD_TIMEOUT", str(TIMEOUT))
     p, buggy, expected, _ = CASES[case]
     with pytest.raises(expected) as exc_info:
-        run_spmd(p, buggy, sanitize=True, timeout=TIMEOUT)
+        run_spmd(p, buggy, sanitize=True)
     if expected is RankError:
         # the peer past the shrunken world is refused by the send itself
         assert isinstance(exc_info.value.original, CommMismatchError)
@@ -257,20 +258,22 @@ MESSAGES = {
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
-def test_structured_error_points_at_the_defect(case):
+def test_structured_error_points_at_the_defect(case, monkeypatch):
+    monkeypatch.setenv("REPRO_SPMD_TIMEOUT", str(TIMEOUT))
     p, buggy, expected, _ = CASES[case]
     with pytest.raises(expected) as exc_info:
-        run_spmd(p, buggy, sanitize=True, timeout=TIMEOUT)
+        run_spmd(p, buggy, sanitize=True)
     message = str(exc_info.value)
     for part in MESSAGES[case]:
         assert part in message
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
-def test_clean_twins_run_green(case):
+def test_clean_twins_run_green(case, monkeypatch):
+    monkeypatch.setenv("REPRO_SPMD_TIMEOUT", str(TIMEOUT))
     p, _, _, clean = CASES[case]
     for fn in clean:
-        run_spmd(p, fn, sanitize=True, timeout=TIMEOUT)
+        run_spmd(p, fn, sanitize=True)
 
 
 # ----------------------------------------------------------------------

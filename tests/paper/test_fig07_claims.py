@@ -12,7 +12,7 @@ import pytest
 
 from _configs import FIG07
 from repro.baselines import shift15d_spmm
-from repro.core import ts_spgemm, ts_spmm
+from repro.core import ts_spgemm
 from repro.data import load, tall_skinny
 from repro.mpi import SCALED_PERLMUTTER
 
@@ -25,7 +25,7 @@ def fig07():
     return {
         "A": A,
         "dense_b": dense_b,
-        "spmm": ts_spmm(A, dense_b, p, machine=SCALED_PERLMUTTER),
+        "spmm": ts_spgemm(A, dense_b, p, machine=SCALED_PERLMUTTER),
         "spgemm": {
             s: ts_spgemm(A, tall_skinny(A.nrows, d, s, seed=2), p, machine=SCALED_PERLMUTTER)
             for s in FIG07["sparsities"]

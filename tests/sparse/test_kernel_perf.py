@@ -66,17 +66,17 @@ def test_vectorized_esc_beats_seed_rowwise_path(rowwise):
     )
 
 
-#: Looser floor for the secondary kernels: the ≥5× tentpole claim is made
-#: for the esc-vectorized default only; spa/hash (measured ~80×/~30×)
-#: just need to clearly beat their scalar namesakes even on noisy CI.
+#: Looser floor for the secondary kernel: the ≥5× tentpole claim is made
+#: for the esc-vectorized default only (against both rowwise references,
+#: above); spa (measured ~80×) just needs to clearly beat its scalar
+#: namesake even on noisy CI.
 BATCHED_MIN_SPEEDUP = 2.0
 
 
-def test_batched_spa_and_hash_clearly_beat_rowwise():
+def test_batched_spa_clearly_beats_rowwise():
     a, b = _workload()
-    for vec, row in (("spa", "spa-rowwise"), ("hash", "hash-rowwise")):
-        t_vec = _best_of(lambda: dispatch_spgemm(a, b, PLUS_TIMES, vec), 5)
-        t_row = _best_of(lambda: ROWWISE[row](a, b, PLUS_TIMES), 2)
-        assert t_row / t_vec >= BATCHED_MIN_SPEEDUP, (
-            f"{vec} is only {t_row / t_vec:.1f}x faster than {row}"
-        )
+    t_vec = _best_of(lambda: dispatch_spgemm(a, b, PLUS_TIMES, "spa"), 5)
+    t_row = _best_of(lambda: ROWWISE["spa-rowwise"](a, b, PLUS_TIMES), 2)
+    assert t_row / t_vec >= BATCHED_MIN_SPEEDUP, (
+        f"spa is only {t_row / t_vec:.1f}x faster than spa-rowwise"
+    )

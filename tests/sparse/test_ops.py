@@ -117,7 +117,7 @@ class TestPatternOps:
         s = csr_from_dense(np.array([[1, 0, 0], [0, 0, 1]], dtype=bool))
         f = pattern_difference(n, s)
         np.testing.assert_array_equal(
-            f.to_dense(zero=False), [[False, True, False], [False, True, False]]
+            f.to_dense(), [[False, True, False], [False, True, False]]
         )
 
     def test_difference_disjoint_keeps_all(self):
@@ -143,7 +143,7 @@ class TestPatternOps:
         a = csr_from_dense(np.array([[1, 0]], dtype=bool))
         b = csr_from_dense(np.array([[0, 1]], dtype=bool))
         c = ewise_add(a, b, BOOL_AND_OR)
-        np.testing.assert_array_equal(c.to_dense(zero=False), [[True, True]])
+        np.testing.assert_array_equal(c.to_dense(), [[True, True]])
 
     def test_ewise_add_empty_operand(self):
         a = csr_from_dense([[1.0, 2.0]])

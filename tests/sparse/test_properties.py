@@ -96,15 +96,12 @@ class TestSpgemmEquivalence:
 
     @given(matmul_pairs())
     @settings(max_examples=30, deadline=None)
-    def test_spa_hash_esc_agree(self, pair):
+    def test_spa_esc_agree(self, pair):
         a, b = pair
         ca = CsrMatrix.from_dense(a)
         cb = CsrMatrix.from_dense(b)
-        results = [
-            spgemm(ca, cb, PLUS_TIMES, method=m)[0] for m in ("esc-vectorized", "spa", "hash")
-        ]
-        assert results[0].equal(results[1])
-        assert results[0].equal(results[2])
+        esc, spa = (spgemm(ca, cb, PLUS_TIMES, method=m)[0] for m in ("esc-vectorized", "spa"))
+        assert esc.equal(spa)
 
     @given(matmul_pairs())
     @settings(max_examples=30, deadline=None)
@@ -112,7 +109,7 @@ class TestSpgemmEquivalence:
         a, b = pair
         ca = CsrMatrix.from_dense(a)
         cb = CsrMatrix.from_dense(b)
-        flops = {spgemm(ca, cb, PLUS_TIMES, method=m)[1] for m in ("esc-vectorized", "spa", "hash")}
+        flops = {spgemm(ca, cb, PLUS_TIMES, method=m)[1] for m in ("esc-vectorized", "spa")}
         assert len(flops) == 1
 
     @given(dense_matrices(max_dim=8, dtype="bool"), st.integers(1, 5))

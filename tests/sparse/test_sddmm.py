@@ -24,14 +24,6 @@ class TestSddmm:
         np.testing.assert_array_equal(out.indptr, pattern.indptr)
         np.testing.assert_array_equal(out.indices, pattern.indices)
 
-    def test_scale_by_values(self, rng):
-        pattern = csr_from_dense(random_dense(rng, 6, 6, 0.5))
-        x = rng.random((6, 3))
-        y = rng.random((6, 3))
-        scaled = sddmm(pattern, x, y, scale_by_values=True)
-        plain = sddmm(pattern, x, y)
-        np.testing.assert_allclose(scaled.data, plain.data * pattern.data)
-
     def test_empty_pattern(self):
         out = sddmm(CsrMatrix.empty((3, 4)), np.zeros((3, 2)), np.zeros((4, 2)))
         assert out.nnz == 0

@@ -125,10 +125,9 @@ def test_the_scipy_kernel_is_the_public_product(rng, dtype):
     """The kernel itself, through the registry: pattern, dtype and bits."""
     a, b = random_operands(rng, dtype)
     want = public_product(a, b)
-    stored = np.bool_ if dtype == np.bool_ else dtype
     got, flops = dispatch_spgemm(
-        CsrMatrix.from_scipy(a, dtype=stored),
-        CsrMatrix.from_scipy(b, dtype=stored),
+        CsrMatrix.from_scipy(a),
+        CsrMatrix.from_scipy(b),
         PLUS_TIMES,
         "scipy",
     )

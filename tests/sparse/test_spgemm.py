@@ -14,7 +14,7 @@ from repro.sparse import (
 )
 from ..conftest import csr_from_dense, random_dense
 
-METHODS = ["esc-vectorized", "spa", "hash"]
+METHODS = ["esc-vectorized", "spa"]
 
 
 def dense_semiring_matmul(a, b, semiring):
@@ -46,7 +46,7 @@ def dense_semiring_matmul(a, b, semiring):
 
 def assert_matches_dense(c: CsrMatrix, expected, written):
     got = np.full(c.shape, None, dtype=object)
-    dense = c.to_dense(zero=0)
+    dense = c.to_dense()
     pattern = np.zeros(c.shape, dtype=bool)
     rows = c.row_ids()
     pattern[rows, c.indices] = True
@@ -125,7 +125,7 @@ class TestSemirings:
         frontier = csr_from_dense(np.array([[1], [0], [0]], dtype=bool))
         nxt, _ = spgemm(adj, frontier, BOOL_AND_OR)
         np.testing.assert_array_equal(
-            nxt.to_dense(zero=False).ravel(), [False, True, False]
+            nxt.to_dense().ravel(), [False, True, False]
         )
 
     def test_scipy_rejects_non_arithmetic(self):
@@ -137,17 +137,17 @@ class TestSemirings:
         a = csr_from_dense(np.eye(3, dtype=bool))
         c, _ = spgemm(a, a, BOOL_AND_OR, method="auto")
         assert c.dtype == np.bool_
-        np.testing.assert_array_equal(c.to_dense(zero=False), np.eye(3, dtype=bool))
+        np.testing.assert_array_equal(c.to_dense(), np.eye(3, dtype=bool))
 
     def test_unknown_method(self):
         a = CsrMatrix.empty((1, 1))
         with pytest.raises(ValueError, match="unknown kernel"):
             spgemm(a, a, PLUS_TIMES, method="btree")
 
-    @pytest.mark.parametrize("method", ["esc", "spa-rowwise", "hash-rowwise"])
+    @pytest.mark.parametrize("method", ["esc", "hash", "spa-rowwise", "hash-rowwise"])
     def test_seed_names_are_not_methods(self, method):
         # method= takes a registry kernel name or "auto": no short-name
-        # alias and no fallback to the seed's scalar rowwise kernels
+        # alias (``hash`` was one for esc-vectorized) and no fallback to the seed's scalar rowwise kernels
         a = CsrMatrix.empty((1, 1))
         with pytest.raises(ValueError, match="unknown kernel"):
             spgemm(a, a, PLUS_TIMES, method=method)

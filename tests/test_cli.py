@@ -243,10 +243,10 @@ class TestCommands:
         err = capsys.readouterr()
         assert "'scipy' cannot run the bool_and_or products" in err.err
         able = err.err.rsplit("choose from ", 1)[1].strip().split(", ")
-        assert able == ["auto", "esc-vectorized", "hash", "spa"]
+        assert able == ["auto", "esc-vectorized", "spa"]
         assert err.out == ""
 
-    @pytest.mark.parametrize("kernel", ["auto", "esc-vectorized", "spa", "hash"])
+    @pytest.mark.parametrize("kernel", ["auto", "esc-vectorized", "spa"])
     def test_kernel_that_runs_booleans_passes_the_check(self, kernel):
         parser = build_parser()
         for command in ("bfs", "serve"):
@@ -257,7 +257,7 @@ class TestCommands:
         for command in ("multiply", "embed"):
             _check_kernel(parser, parser.parse_args([command, "--kernel", "scipy"]))
 
-    @pytest.mark.parametrize("kernel", ["spa-rowwise", "hash-rowwise"])
+    @pytest.mark.parametrize("kernel", ["spa-rowwise", "hash-rowwise", "hash"])
     def test_rowwise_kernels_are_no_longer_choices(self, capsys, kernel):
         for command in ("multiply", "bfs", "embed", "serve"):
             with pytest.raises(SystemExit) as exc:
@@ -267,8 +267,8 @@ class TestCommands:
 
     def test_bfs_and_embed_accept_kernel_choices(self):
         for cmd in ("bfs", "embed"):
-            args = build_parser().parse_args([cmd, "--kernel", "hash"])
-            assert args.kernel == "hash"
+            args = build_parser().parse_args([cmd, "--kernel", "spa"])
+            assert args.kernel == "spa"
 
     def test_model_runs(self, capsys):
         rc = main(["model", "--ps", "8,64"])
