@@ -360,6 +360,42 @@ def test_params_pass_reports_what_no_traffic_call_supplies(tmp_path, capsys):
     assert "4 not on the allow-list" in out
 
 
+#: route -> (a ``src/`` module defining ``f``, a traffic line that
+#: reaches ``f``'s ``level`` only by that route).
+SUPPLY_ROUTES = {
+    "star-args": ("def f(x, level=1):\n    return x\n", "f(*[1, 2])"),
+    "star-kwargs": ("def f(x, *, level=1):\n    return x\n", "f(1, **{'level': 2})"),
+    "decorator": (
+        "REG = {}\n\n\ndef register(fn):\n    REG[fn.__name__] = fn\n    return fn\n\n\n"
+        "@register\ndef f(x, level=1):\n    return x\n",
+        "REG['f'](1, 2)",
+    ),
+    "inherited-init": (
+        "class Base:\n    def __init__(self, level=1):\n        self.level = level\n\n\n"
+        "class f(Base):\n    pass\n",
+        "f(level=2)",
+    ),
+    "cls-call": (
+        "class f:\n    def __init__(self, level=1):\n        self.level = level\n\n"
+        "    @classmethod\n    def deep(cls):\n        return cls(level=2)\n",
+        "f.deep()",
+    ),
+}
+
+
+@pytest.mark.parametrize("route", sorted(SUPPLY_ROUTES))
+def test_params_pass_follows_each_supply_route(tmp_path, route):
+    """Each route supplies ``level``; ``g(x, level=1)``, called plainly
+    beside it, is the row the pass still reports."""
+    module, call = SUPPLY_ROUTES[route]
+    control = "\n\ndef g(x, level=1):\n    return x\n"
+    _write(tmp_path / "src/pkg/__init__.py", "")
+    _write(tmp_path / "src/pkg/mod.py", module + control)
+    _write(tmp_path / "benchmarks/bench_pkg.py", f"from pkg.mod import *\n\n{call}\ng(1)\n")
+    found = params_census(tmp_path)
+    assert {(p.owner, p.name) for p, _, _ in found} == {("g", "level")}
+
+
 @pytest.mark.parametrize("argv", [[], ["both"], ["static", "dynamic"]])
 def test_main_refuses_an_unknown_pass(argv, capsys):
     assert main(argv) == 2

@@ -160,6 +160,16 @@ def _derive(session, a, b):
     return session.derive_edge_subset(keep), mask_entries(a, keep)
 
 
+def _derive_values(session, a, b):
+    """A derived child whose edges then take new weights: a values-only
+    update before the child's first multiply."""
+    child, kept = _derive(session, a, b)
+    weights = (np.random.default_rng(4).random(kept.nnz) + 0.5).astype(kept.dtype)
+    kept = CsrMatrix(kept.shape, kept.indptr, kept.indices, weights, check=False)
+    child.update_operand(kept)
+    return child, kept
+
+
 def _derive_emptied(session, a, b):
     """A mask that empties stored subtiles: whole rows of every block go."""
     keep = (a.row_ids() % 12 >= 6) & (np.random.default_rng(2).random(a.nnz) < 0.8)
@@ -189,6 +199,7 @@ TRANSITIONS = {
     "update_operand": (_update_operand, None, True),
     "fused_prologue": (_fused_prologue, None, True),
     "derive": (_derive, None, False),
+    "derive_values": (_derive_values, None, False),
     "derive_emptied": (_derive_emptied, None, False),
     "crash_restore": (_restore, "crash", True),
     "transient_restore": (_restore, "transient", True),

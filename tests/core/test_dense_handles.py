@@ -6,15 +6,15 @@ Contracts under test:
 * :meth:`TsSession.scatter` of an ndarray / ``multiply(dense,
   gather=False)`` chain dense operands through the SpMM path exactly
   like sparse :class:`DistHandle` chains — bit-identical to the per-call
-  :func:`ts_spmm`, zero driver bytes per multiply, charged round-trip
+  :func:`ts_spgemm`, zero driver bytes per multiply, charged round-trip
   under ``charge_driver=True``.
 * ``multiply(prologue=...)`` hands rank programs a
   :class:`~repro.core.driver.ResidentOperand` whose ``refresh_values``
   (values-only ``Ac`` strip exchange) leaves the session bit-identical
   to one freshly built on the re-valued operand.
-* ``derive_edge_subset(keep, values=...)`` refreshes values *and* masks,
-  bit-identical to a fresh session on the masked re-valued matrix —
-  weighted live-edge samples reuse prepared state.
+* ``derive_edge_subset(keep)`` then the child's ``update_operand`` (a
+  values-only refresh) is bit-identical to a fresh session on the masked
+  re-valued matrix — weighted live-edge samples reuse prepared state.
 """
 
 import numpy as np
@@ -215,8 +215,31 @@ class TestPrologueRefresh:
                 session.multiply(b, prologue=prologue)
 
 
-class TestDeriveEdgeSubset:
-    def test_child_keeps_parent_values(self, rng):
+class TestWeightedDeriveEdgeSubset:
+    """A weighted live-edge sample: ``derive_edge_subset(keep)`` masks, and
+    the child's ``update_operand`` gives the kept edges their weights."""
+
+    @pytest.mark.parametrize("policy", ["hybrid", "local", "remote"])
+    def test_values_refresh_matches_fresh_session(self, rng, policy):
+        a = csr_from_dense(random_dense(rng, N, N, 0.2))
+        b = csr_from_dense(random_dense(rng, N, D, 0.4))
+        keep = rng.random(a.nnz) < 0.6
+        weights = rng.random(a.nnz) + 0.25
+        a_weighted = mask_entries(
+            CsrMatrix(a.shape, a.indptr, a.indices, weights, check=False), keep
+        )
+        config = TsConfig(mode_policy=policy)
+        with TsSession(a, P, config=config) as parent:
+            child = parent.derive_edge_subset(keep)
+            update = child.update_operand(a_weighted)
+            got = child.multiply(b).C
+        # same pattern: a values-only refresh, not a re-setup
+        assert "refresh-values" in update.phase_bytes()
+        with TsSession(a_weighted, P, config=config) as fresh:
+            want = fresh.multiply(b).C
+        assert bitwise_equal(got, want)
+
+    def test_without_values_keeps_parent_values(self, rng):
         a = csr_from_dense(random_dense(rng, N, N, 0.2))
         b = csr_from_dense(random_dense(rng, N, D, 0.4))
         keep = rng.random(a.nnz) < 0.6
@@ -224,3 +247,10 @@ class TestDeriveEdgeSubset:
             got = parent.derive_edge_subset(keep).multiply(b).C
         want = ts_spgemm(mask_entries(a, keep), b, P).C
         assert bitwise_equal(got, want)
+
+    def test_values_shape_validated(self, rng):
+        a = csr_from_dense(random_dense(rng, N, N, 0.2))
+        with TsSession(a, P) as parent:
+            child = parent.derive_edge_subset(np.ones(a.nnz, dtype=bool))
+            with pytest.raises(ValueError, match="shape"):
+                child.update_operand(CsrMatrix.empty((N + 1, N + 1)))

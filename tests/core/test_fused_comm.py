@@ -158,7 +158,7 @@ class TestFusedMultiplyEquivalence:
         # fewer rounds is the whole point: modelled time must not grow
         assert r_on.multiply_time <= r_off.multiply_time
 
-    @pytest.mark.parametrize("kernel", ["auto", "esc-vectorized", "spa"])
+    @pytest.mark.parametrize("kernel", ["auto", "esc-vectorized", "spa", "scipy"])
     def test_bit_identical_across_kernels(self, rng, kernel):
         a = csr_from_dense(random_dense(rng, N, N, 0.25))
         b = csr_from_dense(random_dense(rng, N, D, 0.4))

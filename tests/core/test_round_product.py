@@ -34,6 +34,7 @@ SEMIRINGS = {
     "min_plus": MIN_PLUS,
 }
 KERNELS = {
+    "auto": list(SEMIRINGS),
     "esc-vectorized": list(SEMIRINGS),
     "spa": list(SEMIRINGS),
     "scipy": ["plus_times"],

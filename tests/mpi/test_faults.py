@@ -332,15 +332,15 @@ class TestWatchdogConfig:
         with pytest.raises(ValueError):
             default_timeout()
 
-    def test_env_timeout_reaches_every_session_kind(self, monkeypatch):
+    @pytest.mark.parametrize("name", ["TS-SpGEMM", "SUMMA-2D", "SUMMA-3D"])
+    def test_env_timeout_reaches_every_session_kind(self, monkeypatch, name):
         from repro.baselines import make_session
         from repro.sparse import random_csr
 
         A = random_csr(24, 24, nnz_per_row=4, rng=np.random.default_rng(3))
         monkeypatch.setenv("REPRO_SPMD_TIMEOUT", "33")
-        for name in ("TS-SpGEMM", "SUMMA-2D", "SUMMA-3D"):
-            session = make_session(name, A, 4)
-            try:
-                assert session._exec.timeout == 33.0
-            finally:
-                session.close()
+        session = make_session(name, A, 4)
+        try:
+            assert session._exec.timeout == 33.0
+        finally:
+            session.close()

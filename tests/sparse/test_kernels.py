@@ -37,11 +37,12 @@ from ..conftest import csr_from_dense, random_dense
 #: The seed's scalar row-by-row SpGEMM (``benchmarks/_oracles.py``), any
 #: semiring: every registry kernel must equal them too.
 REFERENCES = {"spa-rowwise": spgemm_spa_rowwise, "hash-rowwise": spgemm_hash_rowwise}
-CSR_KERNELS = available_kernels() + tuple(REFERENCES)
+#: ``auto`` picks a registry kernel per call, from the operands it is given.
+CSR_KERNELS = available_kernels() + ("auto",) + tuple(REFERENCES)
 
 
 def _supports(kernel, semiring) -> bool:
-    return kernel in REFERENCES or get_kernel(kernel).supports(semiring)
+    return kernel in REFERENCES or kernel == "auto" or get_kernel(kernel).supports(semiring)
 
 
 def _multiply(a, b, semiring, kernel):
@@ -113,10 +114,11 @@ class TestCrossKernelEquivalence:
         np.testing.assert_array_equal(got.data, reference.data)
         assert flops == ref_flops
 
-    @pytest.mark.parametrize("kernel", [k for k in CSR_KERNELS if k != "scipy"])
+    @pytest.mark.parametrize("kernel", [k for k in CSR_KERNELS if k not in ("scipy", "auto")])
     def test_explicit_zero_from_cancellation_kept(self, kernel):
         # (+1)*1 + (-1)*1 = 0 stays a stored entry in every kernel; scipy
-        # is exempt — its matmul canonicalizes away cancelled entries.
+        # (and ``auto``, which picks it for float plus_times) is exempt —
+        # its matmul canonicalizes away cancelled entries.
         a = csr_from_dense([[1, -1]])
         b = csr_from_dense([[1, 0], [1, 0]])
         c, _ = _multiply(a, b, PLUS_TIMES, kernel)
@@ -244,7 +246,7 @@ class TestRegistry:
 class TestForcedKernelEndToEnd:
     """A forced kernel flows from TsConfig through the tiled algorithm."""
 
-    @pytest.mark.parametrize("kernel", ["spa", "scipy"])
+    @pytest.mark.parametrize("kernel", ["esc-vectorized", "spa", "scipy"])
     def test_tiled_multiply_all_kernels_agree(self, rng, kernel):
         from repro.core import ts_spgemm
 
