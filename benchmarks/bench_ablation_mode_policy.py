@@ -1,11 +1,11 @@
 """Ablation: tile-mode policies (hybrid vs forced local vs forced remote).
 
 Isolates the symbolic mode-selection step (§III-D) on a skewed (RMAT) and
-a uniform (ER) graph.  The size is ``_configs.MODE_POLICY``; the claims
-(one product under every policy, and hybrid moving no more bytes than the
-better forced policy) are asserted, at that size, by
+a uniform (ER) graph at ``_configs.MODE_POLICY``'s ``bench_scale``.  The
+claims (one product under every policy, and hybrid moving no more bytes
+than the better forced policy) are asserted, at its ``claims_scale``, by
 ``tests/paper/test_ablation_mode_policy_claims.py``.  This bench prints
-the table.
+the table and times a forced-remote multiply.
 """
 
 from _configs import MODE_POLICY, moved_bytes
@@ -18,9 +18,10 @@ from repro.mpi import SCALED_PERLMUTTER
 def bench_ablation_mode_policy(benchmark, sink):
     P, policies = MODE_POLICY["p"], MODE_POLICY["policies"]
     d, sparsity = MODE_POLICY["d"], MODE_POLICY["sparsity"]
+    scale = MODE_POLICY["bench_scale"]
     rows = []
     for alias in MODE_POLICY["datasets"]:
-        A = load(alias, scale=MODE_POLICY["scale"], seed=0)
+        A = load(alias, scale=scale, seed=0)
         B = tall_skinny(A.nrows, d, sparsity, seed=1)
         runs = {
             policy: moved_bytes(
@@ -35,13 +36,13 @@ def bench_ablation_mode_policy(benchmark, sink):
         )
     print_table(
         f"Ablation: mode policy vs communicated bytes, mode table included "
-        f"[p={P}, d={d}, {sparsity:.0%} sparse]",
+        f"[scale={scale}, p={P}, d={d}, {sparsity:.0%} sparse]",
         ["dataset", "hybrid", "local-only", "remote-only", "remote tiles chosen"],
         rows,
         file=sink,
     )
 
-    A = load("uk", scale=MODE_POLICY["scale"], seed=0)
+    A = load("uk", scale=scale, seed=0)
     B = tall_skinny(A.nrows, d, sparsity, seed=1)
     benchmark(
         lambda: ts_spgemm(

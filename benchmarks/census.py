@@ -35,8 +35,13 @@ Four passes, run from the repository root::
     used as a value (a registry entry, ``partial``, a decorator outside
     ``TRANSPARENT_DECORATORS``) supplies all its parameters; annotations
     and ``isinstance`` are not values.  So the pass can miss a dead
-    parameter but never lists a live one.  Exits 1 when it lists one that
-    ``allowed_param`` does not excuse.
+    parameter but never lists a live one.  Its blind spots are a def
+    reached only through a registry (``COST_MODELS``, the kernel and
+    algorithm registries) and a def whose bare name something else loads
+    as a value (a local variable ``stop`` hides ``QueryService.stop``):
+    every parameter of such a def counts as supplied, so its options need
+    reading by hand.  Exits 1 when it lists one that ``allowed_param``
+    does not excuse.
 ``dynamic``
     Runs the traffic under a line tracer installed with ``sys.settrace``
     and ``threading.settrace`` *before* anything imports ``repro``, so the

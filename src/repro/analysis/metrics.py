@@ -31,17 +31,17 @@ def speedups(
     records: Iterable[RunRecord],
     baseline: str,
     target: str,
-    *,
-    key=lambda r: (r.dataset, r.p, r.d, r.sparsity),
 ) -> List[float]:
-    """Pairwise speedup of ``target`` over ``baseline`` at matching points."""
+    """Pairwise speedup of ``target`` over ``baseline`` at matching
+    (dataset, p, d, sparsity) points."""
     base: Dict[Any, float] = {}
     tgt: Dict[Any, float] = {}
     for r in records:
+        point = (r.dataset, r.p, r.d, r.sparsity)
         if r.algorithm == baseline:
-            base[key(r)] = r.runtime
+            base[point] = r.runtime
         elif r.algorithm == target:
-            tgt[key(r)] = r.runtime
+            tgt[point] = r.runtime
     out = []
     for k, t in tgt.items():
         if k in base and t > 0:

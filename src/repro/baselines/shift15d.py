@@ -25,8 +25,7 @@ from ..mpi.costmodel import PERLMUTTER, MachineProfile
 from ..mpi.executor import run_spmd
 from ..partition.block1d import Block1D
 from ..sparse.csr import CsrMatrix
-from ..sparse.kernels import dispatch_spmm
-from ..sparse.ops import extract_col_range, extract_row_range
+from ..sparse.ops import extract_col_range, extract_row_range, spmm_dense
 
 
 def shift15d_rank(comm: SimComm, A: CsrMatrix, B: np.ndarray) -> np.ndarray:
@@ -52,7 +51,7 @@ def shift15d_rank(comm: SimComm, A: CsrMatrix, B: np.ndarray) -> np.ndarray:
         strip = strips[owner]
         with comm.phase("local-compute"):
             if strip.nnz and block.size:
-                partial, flops = dispatch_spmm(strip, block)
+                partial, flops = spmm_dense(strip, block)
                 comm.charge_spmm(flops)
                 c_local += partial
         if s + 1 < p:

@@ -46,6 +46,8 @@ from ..mpi.costmodel import PERLMUTTER, MachineProfile
 
 BYTES_PER_NNZ = 16  # value + column index
 BYTES_PER_DENSE = 8
+#: Alg 2's tile width in column blocks (``TsConfig``'s default, §III-B).
+TILE_WIDTH_FACTOR = 16
 
 
 @dataclass(frozen=True)
@@ -119,10 +121,10 @@ def _spgemm_compute(
 
 
 def _tiled_exchange(
-    p: int, volume: float, machine: MachineProfile, tile_width_factor: int
+    p: int, volume: float, machine: MachineProfile
 ) -> Tuple[int, float]:
     """``(rounds, comm seconds)`` of Alg 2's tiled exchange of ``volume``
-    bytes per rank, at tile width ``min(tile_width_factor, p)``.
+    bytes per rank, at tile width ``min(TILE_WIDTH_FACTOR, p)``.
 
     Injection overhead: over the whole multiply a rank exchanges once
     with every peer in each direction (2·(p−1)·γ); each of the two
@@ -131,7 +133,7 @@ def _tiled_exchange(
     """
     if p == 1:
         return 1, 0.0
-    width = min(tile_width_factor, p)
+    width = min(TILE_WIDTH_FACTOR, p)
     rounds = math.ceil(p / width)
     latency = 2 * (p - 1) * machine.gamma
     latency += 2 * rounds * (machine.alpha + width * machine.gamma)
@@ -143,7 +145,6 @@ def ts_spgemm_cost(
     p: int,
     *,
     machine: MachineProfile = PERLMUTTER,
-    tile_width_factor: int = 16,
 ) -> CostBreakdown:
     """§III-E: per-tile ``O(αp + β·(p−1)/p·n·min(kB, kC))``, tiled rounds.
 
@@ -157,21 +158,20 @@ def ts_spgemm_cost(
         raise ValueError("p must be >= 1")
     rows = w.fetched_rows(p)
     volume = BYTES_PER_NNZ * min(w.kB, w.kC) * rows * (p - 1) / p
-    rounds, comm = _tiled_exchange(p, volume, machine, tile_width_factor)
+    rounds, comm = _tiled_exchange(p, volume, machine)
     working_set = volume / rounds
     compute = _spgemm_compute(machine, w.flops / p, w.d, working_set)
     return CostBreakdown(comm, compute)
 
 
-def petsc1d_cost(
-    w: Workload, p: int, *, machine: MachineProfile = PERLMUTTER
-) -> CostBreakdown:
+def petsc1d_cost(w: Workload, p: int) -> CostBreakdown:
     """Alg 1: index-request all-to-all plus an unbounded B fetch.
 
     No tiling: the request round costs extra latency+bytes, the fetched
     subset is resident all at once (memory pressure, Fig 8's collapse at
     moderate ``d``), and there is no remote-compute mode to cap payloads.
     """
+    machine = PERLMUTTER
     rows = w.fetched_rows(p)
     fetch_bytes = BYTES_PER_NNZ * w.kB * rows * (p - 1) / p
     if p == 1:
@@ -190,7 +190,6 @@ def summa3d_cost(
     p: int,
     *,
     layers: int = 4,
-    machine: MachineProfile = PERLMUTTER,
 ) -> CostBreakdown:
     """3-D SUMMA: 2-D SUMMA on a p/l face over 1/l of the inner dimension,
     plus a fiber reduction of the partial C blocks across layers.
@@ -200,6 +199,7 @@ def summa3d_cost(
     ``pr × pc`` face, each broadcasting an A block over ``pc`` ranks and
     a B chunk (``1/pc`` of the slice's rows by ``1/pc`` of its columns)
     over ``pr``.  At ``l = 1`` this is 2-D SUMMA."""
+    machine = PERLMUTTER
     pr, pc, l = layered_grid_dims(p, layers)
     face = p // l
     # One layer's operands: A[:, slice] with nnz(A)/l, B[slice, :] with
@@ -224,13 +224,7 @@ def summa3d_cost(
     return CostBreakdown(face_comm + reduce_time, compute)
 
 
-def spmm_cost(
-    w: Workload,
-    p: int,
-    *,
-    machine: MachineProfile = PERLMUTTER,
-    tile_width_factor: int = 16,
-) -> CostBreakdown:
+def spmm_cost(w: Workload, p: int) -> CostBreakdown:
     """Dense-B SpMM with TS-SpGEMM's pattern: values-only payloads.
 
     Every needed B row costs ``d`` dense values regardless of sparsity —
@@ -238,8 +232,8 @@ def spmm_cost(
     """
     rows = w.fetched_rows(p)
     volume = BYTES_PER_DENSE * w.d * rows * (p - 1) / p
-    _, comm = _tiled_exchange(p, volume, machine, tile_width_factor)
-    compute = machine.spmm_time(int(w.n * w.kA * w.d / p))
+    _, comm = _tiled_exchange(p, volume, PERLMUTTER)
+    compute = PERLMUTTER.spmm_time(int(w.n * w.kA * w.d / p))
     return CostBreakdown(comm, compute)
 
 

@@ -123,8 +123,8 @@ class InjectedFault(SpmdDiagnosticError):
         The :class:`~repro.mpi.faults.FaultSpec` that fired, when known.
     """
 
-    def __init__(self, message, *, ranks=(), call_sites=(), spec=None):
-        super().__init__(message, ranks=ranks, call_sites=call_sites)
+    def __init__(self, message, *, ranks=(), spec=None):
+        super().__init__(message, ranks=ranks)
         self.spec = spec
 
 

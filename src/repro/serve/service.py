@@ -81,6 +81,8 @@ DEGRADED_FACTOR = 4
 MAX_RESPAWNS = 2
 #: A dispatcher's longest wait on an empty queue before it checks for stop.
 TAKE_WAIT_S = 0.02
+#: The longest a draining ``stop()`` waits for admitted queries.
+STOP_DRAIN_S = 60.0
 
 
 class ServiceStopped(RuntimeError):
@@ -178,16 +180,16 @@ class QueryService:
             t.start()
             self._workers.append(t)
 
-    def stop(self, *, drain: bool = True, timeout: Optional[float] = 60.0) -> None:
+    def stop(self, *, drain: bool = True) -> None:
         """Shut down.  ``drain=True`` serves everything already admitted
-        first (bounded by ``timeout``); anything still unserved — and
+        first (bounded by ``STOP_DRAIN_S``); anything still unserved — and
         everything on a no-drain stop — resolves as ``failed`` with
         :class:`ServiceStopped`, so no admitted ticket ever hangs."""
         if not self._started:
             return
         self._accepting = False
         if drain:
-            self.drain(timeout=timeout)
+            self.drain(timeout=STOP_DRAIN_S)
         self.queue.close()
         leftovers = self.queue.drain_all()
         self._stop_event.set()

@@ -17,7 +17,6 @@ from .kernels import (
     SPA_AUTO_MAX_D,
     available_kernels,
     dispatch_spgemm,
-    dispatch_spmm,
     get_kernel,
     register_kernel,
     resolve_spgemm,
@@ -67,7 +66,6 @@ __all__ = [
     "block_ranges",
     "coo_to_csr",
     "dispatch_spgemm",
-    "dispatch_spmm",
     "ewise_add",
     "extract_col_range",
     "extract_row_range",

@@ -8,7 +8,7 @@ here.  Callers select a kernel by name (``TsConfig.kernel``, the CLI's
 ``--kernel`` flag, or ``spgemm(..., method=...)``) and the registry
 resolves it, enforcing per-kernel semiring support.
 
-Registered SpGEMM kernels (``b_format="csr"``):
+Registered SpGEMM kernels:
 
 ``esc-vectorized`` (default)
     Batched expand-sort-compress: expand every ``A`` nonzero into its
@@ -25,7 +25,7 @@ Registered SpGEMM kernels (``b_format="csr"``):
     :func:`repro.sparse.build.spa_fold` — the accumulator the boolean
     merge shares — with a boolean mask tracking the output pattern (so
     explicit zeros survive, as in every other kernel).  Scratch is
-    bounded by ``max_scratch_elems`` — the vectorized analogue of "SPA
+    bounded by ``SPA_MAX_SCRATCH_ELEMS`` — the vectorized analogue of "SPA
     must fit in cache" — and row-blocked past it.  Restricted to
     semirings whose zero is a total additive identity (the scratch is
     identity-initialized); see ``_IDENTITY_SAFE_SEMIRINGS``.  ``bool``
@@ -49,10 +49,9 @@ Registered SpGEMM kernels (``b_format="csr"``):
     ``tests/sparse/test_sparsetools_contract.py`` pins what is relied on
     (for ``bool`` data too, which ``spa`` passes), and they are imported
     at module top so a scipy without them fails at import.
-One dense-B kernel (``b_format="dense"``) backs the SpMM variant:
-
-``dense``
-    CSR × dense row-block product (:func:`repro.sparse.ops.spmm_dense`).
+The SpMM variant's dense-B product is not a registry entry: it has one
+implementation, :func:`repro.sparse.ops.spmm_dense`, which its callers
+call directly.
 
 Every kernel returns ``(C, flops)`` where ``flops`` counts semiring
 multiplications — the paper's *flops* measure, which drives the virtual
@@ -78,7 +77,6 @@ from scipy.sparse._sparsetools import csr_matmat, csr_matmat_maxnnz
 
 from .build import SPA_MAX_SCRATCH_ELEMS, csr_from_flat_keys, csr_from_triples, order_rows, spa_fold
 from .csr import INDEX_DTYPE, CsrMatrix
-from .ops import spmm_dense
 from .semiring import BOOL_AND_OR, PLUS_TIMES, Semiring
 
 #: The production default: vectorized for every semiring.
@@ -95,7 +93,6 @@ class KernelSpec:
 
     name: str
     fn: Callable
-    b_format: str  # "csr" (SpGEMM) or "dense" (SpMM)
     vectorized: bool
     semirings: Optional[frozenset]
     description: str
@@ -110,14 +107,11 @@ _REGISTRY: Dict[str, KernelSpec] = {}
 def register_kernel(
     name: str,
     *,
-    b_format: str = "csr",
     vectorized: bool,
     semirings: Optional[frozenset] = None,
     description: str = "",
 ):
     """Decorator: register ``fn`` as the kernel named ``name``."""
-    if b_format not in ("csr", "dense"):
-        raise ValueError(f"b_format must be 'csr' or 'dense', got {b_format!r}")
 
     def deco(fn):
         if name in _REGISTRY:
@@ -125,7 +119,6 @@ def register_kernel(
         _REGISTRY[name] = KernelSpec(
             name=name,
             fn=fn,
-            b_format=b_format,
             vectorized=vectorized,
             semirings=semirings,
             description=description,
@@ -144,8 +137,8 @@ def get_kernel(name: str) -> KernelSpec:
 
 
 def available_kernels() -> Tuple[str, ...]:
-    """Names of the registered sparse-B (``b_format="csr"``) kernels."""
-    return tuple(n for n, s in _REGISTRY.items() if s.b_format == "csr")
+    """Names of the registered SpGEMM kernels."""
+    return tuple(_REGISTRY)
 
 
 #: Largest output width ``d`` for which ``auto`` prefers the batched SPA
@@ -195,8 +188,6 @@ def resolve_spgemm(
     if kernel == "auto":
         return _auto_spec(semiring, a, d)
     spec = get_kernel(kernel)
-    if spec.b_format != "csr":
-        raise ValueError(f"kernel {kernel!r} is not an SpGEMM kernel")
     if not spec.supports(semiring):
         if strict:
             raise ValueError(
@@ -223,11 +214,6 @@ def dispatch_spgemm(
     spec = resolve_spgemm(kernel, semiring, a, d=b.ncols, strict=strict)
     c, flops = spec.fn(a, b, semiring)
     return (order_rows(c, copy=False) if ordered else c), flops
-
-
-def dispatch_spmm(a: CsrMatrix, b_dense: np.ndarray) -> Tuple[np.ndarray, int]:
-    """CSR × dense multiply via the registered ``dense`` kernel."""
-    return get_kernel("dense").fn(a, b_dense)
 
 
 # ----------------------------------------------------------------------
@@ -374,16 +360,14 @@ def spgemm_spa_vectorized(
     a: CsrMatrix,
     b: CsrMatrix,
     semiring: Semiring = PLUS_TIMES,
-    *,
-    max_scratch_elems: int = SPA_MAX_SCRATCH_ELEMS,
 ) -> Tuple[CsrMatrix, int]:
     """Dense-SPA SpGEMM: one expand to fused ``row * d + col`` keys, one
     fold by :func:`repro.sparse.build.spa_fold`, whose row-major read-back
     is the (row, col)-sorted output.  Row blocks appear only when
-    ``nrows * d`` exceeds ``max_scratch_elems``.  ``bool`` operands that
+    ``nrows * d`` exceeds ``SPA_MAX_SCRATCH_ELEMS``.  ``bool`` operands that
     store no ``False`` under ``bool_and_or`` skip all of it — every output
     entry is ``True``, so the product is :func:`_compiled_product`'s
-    unsorted pattern — and ``max_scratch_elems`` does not apply to them.
+    unsorted pattern — and the scratch bound does not apply to them.
 
     Only valid for identity-safe semirings: the fold computes
     ``add(zero, ...)``, which must equal a plain first write.  Guarded
@@ -423,10 +407,10 @@ def spgemm_spa_vectorized(
     )
     flat += b.indices[src]
     vals = semiring.multiply(np.repeat(a.data, counts), b.data[src])
-    if a.nrows * d <= max_scratch_elems:
+    if a.nrows * d <= SPA_MAX_SCRATCH_ELEMS:
         keys, data = spa_fold(flat, vals, a.nrows * d, semiring)
     else:  # the same fold per row block, cut at the rows' product ranges
-        step = max(1, max_scratch_elems // d)
+        step = max(1, SPA_MAX_SCRATCH_ELEMS // d)
         blocks = []
         for r0 in range(0, a.nrows, step):
             r1 = min(r0 + step, a.nrows)
@@ -460,16 +444,3 @@ def spgemm_scipy_kernel(
         x.astype(np.float64) if x.dtype == np.bool_ else x for x in (a.data, b.data)
     )
     return _compiled_product(a, b, a_data, b_data), flops
-
-
-# ----------------------------------------------------------------------
-# dense-B kernel (SpMM variant)
-# ----------------------------------------------------------------------
-@register_kernel(
-    "dense",
-    b_format="dense",
-    vectorized=True,
-    description="CSR x dense row-block product (SpMM local multiply)",
-)
-def spmm_dense_kernel(a: CsrMatrix, b_dense: np.ndarray) -> Tuple[np.ndarray, int]:
-    return spmm_dense(a, b_dense)

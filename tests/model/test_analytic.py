@@ -8,6 +8,7 @@ import pytest
 from repro.model import (
     COST_MODELS,
     Workload,
+    analytic,
     petsc1d_cost,
     predict,
     spmm_cost,
@@ -182,18 +183,19 @@ class TestSummaFaceGrid:
         "uk-small": Workload(n=4096, kA=8, d=64, b_sparsity=0.99),
     }
 
-    def test_square_faces_are_unchanged(self):
+    def test_square_faces_are_unchanged(self, monkeypatch):
         """Where ``pr == pc`` the stage count was already right: every
-        value, recorded before the fix, to the last bit."""
+        value, recorded before the fix, to the last bit.  The closed form
+        prices Perlmutter only; the golden file's other profiles stand in
+        for it, so the arithmetic is pinned under three sets of α, β, γ."""
         golden = json.loads(self.GOLDEN.read_text())
         assert len(golden) == 360
         for key, want in golden.items():
             name, p, layers, profile = key.split("|")
             pr, pc, _ = layered_grid_dims(int(p), int(layers))
             assert pr == pc
-            cost = summa3d_cost(
-                self.WORKLOADS[name], int(p), layers=int(layers), machine=PROFILES[profile]
-            )
+            monkeypatch.setattr(analytic, "PERLMUTTER", PROFILES[profile])
+            cost = summa3d_cost(self.WORKLOADS[name], int(p), layers=int(layers))
             assert repr((cost.comm_time, cost.compute_time)) == want, key
 
     @pytest.mark.parametrize("p", [2, 8, 32, 128])

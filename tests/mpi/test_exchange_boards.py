@@ -21,7 +21,8 @@ ROUNDS = 520  # half with one fixed straggler, half with a different one each ro
 
 @pytest.mark.parametrize("sanitize", [False, True])
 @pytest.mark.parametrize("p", [2, 5, 16])
-def test_every_snapshot_is_its_rounds_deposits_under_skew(p, sanitize):
+def test_every_snapshot_is_its_rounds_deposits_under_skew(p, sanitize, monkeypatch):
+    monkeypatch.setenv("REPRO_SPMD_TIMEOUT", "60")
     delays = np.random.default_rng(17).uniform(0.0, 0.002, ROUNDS)
 
     def program(comm):
@@ -39,7 +40,8 @@ def test_every_snapshot_is_its_rounds_deposits_under_skew(p, sanitize):
 
 @pytest.mark.parametrize("sanitize", [False, True])
 @pytest.mark.parametrize("p", [2, 5, 16])
-def test_a_rank_raising_mid_stream_releases_every_peer(p, sanitize):
+def test_a_rank_raising_mid_stream_releases_every_peer(p, sanitize, monkeypatch):
+    monkeypatch.setenv("REPRO_SPMD_TIMEOUT", "30")
     released = [None] * p
 
     def program(comm):

@@ -15,6 +15,11 @@ from repro.mpi import (
 
 
 class TestAbortPropagation:
+    @pytest.fixture(autouse=True)
+    def _bounded_hang(self, monkeypatch):
+        # an abort that fails to release a peer fails here in 30 s, not 600
+        monkeypatch.setenv("REPRO_SPMD_TIMEOUT", "30")
+
     def test_failure_inside_subcommunicator_collective(self):
         def program(comm):
             sub = comm.split(color=comm.rank % 2)

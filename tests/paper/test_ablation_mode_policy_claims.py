@@ -1,7 +1,7 @@
 """The mode-policy ablation's claims (§III-D: the symbolic step picks a
-local or a remote mode per tile), at the size of
-``benchmarks/_configs.MODE_POLICY``, which ``bench_ablation_mode_policy.py``
-runs and prints.
+local or a remote mode per tile), at ``benchmarks/_configs.MODE_POLICY``'s
+``claims_scale``; ``bench_ablation_mode_policy.py`` prints the same table
+at its ``bench_scale``.
 
 Each policy's bytes are its multiply's plus its mode table
 (``_configs.moved_bytes``), as Fig 6 counts them.  Every claim is on
@@ -24,7 +24,7 @@ DATASETS = MODE_POLICY["datasets"]
 def runs():
     out = {}
     for alias in DATASETS:
-        A = load(alias, scale=MODE_POLICY["scale"], seed=0)
+        A = load(alias, scale=MODE_POLICY["claims_scale"], seed=0)
         B = tall_skinny(A.nrows, MODE_POLICY["d"], MODE_POLICY["sparsity"], seed=1)
         out[alias] = {
             policy: moved_bytes(

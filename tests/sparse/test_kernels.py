@@ -22,7 +22,6 @@ from repro.sparse import (
     CsrMatrix,
     available_kernels,
     dispatch_spgemm,
-    dispatch_spmm,
     get_kernel,
     random_csr,
     register_kernel,
@@ -144,8 +143,7 @@ class TestRegistry:
     def test_issue_kernels_registered(self):
         assert set(available_kernels()) >= {"esc-vectorized", "spa", "scipy"}
         assert "hash" not in available_kernels()  # one kernel, one name
-        assert get_kernel("dense").b_format == "dense"
-        assert "dense" not in available_kernels()
+        assert "dense" not in available_kernels()  # SpMM calls ops.spmm_dense
 
     def test_default_is_vectorized_esc(self):
         assert DEFAULT_KERNEL == "esc-vectorized"
@@ -232,15 +230,8 @@ class TestRegistry:
 
     def test_dense_kernel_rejected_as_spgemm(self):
         a = csr_from_dense([[1.0]])
-        with pytest.raises(ValueError, match="not an SpGEMM kernel"):
+        with pytest.raises(ValueError, match="unknown kernel 'dense'"):
             dispatch_spgemm(a, a, PLUS_TIMES, "dense")
-
-    def test_dispatch_spmm_matches_dense_product(self, rng):
-        a = csr_from_dense(random_dense(rng, 9, 6, 0.4))
-        dense_b = rng.random((6, 3))
-        product, flops = dispatch_spmm(a, dense_b)
-        np.testing.assert_allclose(product, a.to_dense() @ dense_b)
-        assert flops == a.nnz * 3
 
 
 class TestForcedKernelEndToEnd:
@@ -372,9 +363,8 @@ class TestSpaRowBlocks:
             "spa_fold",
             lambda flat, vals, size, sr: folds.append(size) or fold(flat, vals, size, sr),
         )
-        got, flops = kernels_module.spgemm_spa_vectorized(
-            a, b, semiring, max_scratch_elems=bound
-        )
+        monkeypatch.setattr(kernels_module, "SPA_MAX_SCRATCH_ELEMS", bound)
+        got, flops = kernels_module.spgemm_spa_vectorized(a, b, semiring)
         got = order_rows(got, copy=False)  # the step dispatch_spgemm adds
         # one fold per block that holds a product, none larger than the bound
         edges = list(range(0, self.NROWS, step)) + [self.NROWS]
@@ -417,13 +407,15 @@ def test_all_true_boolean_spa_is_every_other_kernels_product(operands, scratch):
     """The compiled route has no scratch, so the bound changes nothing; the
     output is the fold's — pattern, ``True`` data, dtype, flops, and order
     once ``dispatch_spgemm``'s ordering step has run."""
-    from repro.sparse.kernels import spgemm_spa_vectorized
+    import repro.sparse.kernels as kernels_module
 
     a, b = operands
     assert a.dtype == b.dtype == np.bool_ and a.data.all() and b.data.all()
     cells = a.nrows * b.ncols
     bound = max(1, cells // 3) if scratch == "below" else cells + 1
-    got, flops = spgemm_spa_vectorized(a, b, BOOL_AND_OR, max_scratch_elems=bound)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kernels_module, "SPA_MAX_SCRATCH_ELEMS", bound)
+        got, flops = kernels_module.spgemm_spa_vectorized(a, b, BOOL_AND_OR)
     got = order_rows(got, copy=False)
     assert got.indptr.dtype == got.indices.dtype == np.int64
     for kernel in ("esc-vectorized", "spa-rowwise"):

@@ -126,8 +126,8 @@ def test_the_scipy_kernel_is_the_public_product(rng, dtype):
     a, b = random_operands(rng, dtype)
     want = public_product(a, b)
     got, flops = dispatch_spgemm(
-        CsrMatrix.from_scipy(a),
-        CsrMatrix.from_scipy(b),
+        CsrMatrix.from_scipy(a).astype(dtype),  # bool stored: the kernel upcasts
+        CsrMatrix.from_scipy(b).astype(dtype),
         PLUS_TIMES,
         "scipy",
     )
